@@ -9,8 +9,8 @@ figure run pays: interpreter start, imports, cold caches.  The pass
 2. runs the workload's grid once through ``measure_grid``.  Set-up ends
    at the first dispatch: entry into ``SerialExecutor.run_stream``, or
    the return of the first pool submit, which forks the workers;
-3. re-runs the same grid against a completed ledger ``resume_repeats``
-   times.  Suite-sweep's ledger is the one its pass wrote; the serial
+3. re-runs the same grid against a completed ledger
+   :data:`RESUME_REPEATS` times.  Suite-sweep's ledger is the one its pass wrote; the serial
    workloads' ledger is written from their results, outside any timing;
 4. prints one JSON object on its last stdout line.
 
@@ -51,6 +51,9 @@ import probes  # noqa: E402
 import workloads  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Timed re-runs of the grid against the completed ledger per pass;
+#: ``resume_s`` is their median.
+RESUME_REPEATS = 5
 
 
 class DispatchHook:
@@ -62,7 +65,7 @@ class DispatchHook:
 
     def __init__(self, executor_cls: type, parallel: bool) -> None:
         self.first_dispatch: float | None = None
-        self.speed_mark: tuple[int, float] | None = None
+        self.speed_mark: int | None = None
         self.fork_s = 0.0
         self.jobs: list | None = None
         self.results: list = []
@@ -73,7 +76,7 @@ class DispatchHook:
 
     def _mark(self) -> None:
         self.first_dispatch = time.monotonic()
-        self.speed_mark = SAMPLER.snapshot()
+        self.speed_mark = SAMPLER.mark()
 
     def _wrap_run_stream(self, executor_cls: type, mark: bool) -> None:
         original = executor_cls.run_stream
@@ -131,7 +134,7 @@ def _worker_started(scratch: Path, tracer: probes.Tracer | None, sampler) -> Non
 def _worker_exiting(scratch: Path, tracer: probes.Tracer | None, sampler) -> None:
     sampler.stop()
     totals = {
-        "speed": sampler.snapshot(),
+        "speed": list(sampler.times),
         "trace": tracer.summary() if tracer is not None else None,
     }
     (scratch / f"worker-{os.getpid()}.json").write_text(json.dumps(totals))
@@ -146,17 +149,15 @@ def _wait_for_workers(timeout: float) -> None:
         time.sleep(0.01)
 
 
-def _collect_workers(scratch: Path, tracer: probes.Tracer | None) -> tuple[int, tuple]:
-    """(workers reported, summed speed snapshot) from the workers' files."""
-    files = sorted(scratch.glob("worker-*.json"))
-    count = total = 0
-    for path in files:
+def _collect_workers(scratch: Path, tracer: probes.Tracer | None) -> list[float | None]:
+    """Each reporting worker's speed, from the workers' files."""
+    speeds = []
+    for path in sorted(scratch.glob("worker-*.json")):
         totals = json.loads(path.read_text())
-        count += totals["speed"][0]
-        total += totals["speed"][1]
+        speeds.append(speed.speed(totals["speed"]))
         if tracer is not None:
             tracer.merge(totals["trace"])
-    return len(files), (count, total)
+    return speeds
 
 
 # ---------------------------------------------------------------------- #
@@ -230,7 +231,7 @@ def run_pass(args: argparse.Namespace) -> dict:
         frame = tracer.enter("unprobed", "pass") if tracer else None
         aggregates = measure_grid(cells, settings)
         finished = time.monotonic()
-        pass_mark = SAMPLER.snapshot()
+        pass_mark = SAMPLER.mark()
         if tracer:
             tracer.exit(frame)
         results = hook.results
@@ -260,8 +261,8 @@ def run_pass(args: argparse.Namespace) -> dict:
         resume_times = []
         resumed_digests = set()
         dispatched = len(hook.results)
-        resume_mark = SAMPLER.snapshot()
-        for _ in range(workload.resume_repeats):
+        resume_mark = SAMPLER.mark()
+        for _ in range(RESUME_REPEATS):
             frame = tracer.enter("unprobed", "resume") if tracer else None
             start = time.monotonic()
             resumed = measure_grid(cells, settings)
@@ -274,10 +275,11 @@ def run_pass(args: argparse.Namespace) -> dict:
             resume_matches=resumed_digests == {record["digest"]},
             resume_dispatched=len(hook.results) - dispatched,
         )
+        times = SAMPLER.times
         process_speed = {
-            "setup": speed.speed((0, 0.0), hook.speed_mark),
-            "pass": speed.speed(hook.speed_mark, pass_mark),
-            "resume": speed.speed(resume_mark, SAMPLER.snapshot()),
+            "setup": speed.speed(times[: hook.speed_mark]),
+            "pass": speed.speed(times[hook.speed_mark : pass_mark]),
+            "resume": speed.speed(times[resume_mark:]),
         }
     except Exception:
         record.update(error=traceback.format_exc(), episodes=len(hook.results))
@@ -294,12 +296,24 @@ def run_pass(args: argparse.Namespace) -> dict:
     record["worker_rss_mb"] = 0.0
     if workload.sweep:
         record["worker_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        record["workers_reported"], worker_mark = _collect_workers(scratch, tracer)
+        worker_speeds = _collect_workers(scratch, tracer)
+        record["worker_speeds"] = worker_speeds
+        record["workers_reported"] = len(worker_speeds)
+        if record["workers_reported"] != workers:
+            # The pass's speed would then come from part of its workers.
+            record.setdefault(
+                "error", f"{record['workers_reported']} of {workers} pool workers reported"
+            )
         if "error" not in record:
-            # The workers do the pass's work; the parent mostly waits.
-            process_speed["pass"] = speed.speed((0, 0.0), worker_mark)
+            # The workers do the pass's work, each at its own vCPU's speed,
+            # and their throughputs add; the parent mostly waits.  A worker
+            # with no probe lived under one interval and did no measurable
+            # share of the work.
+            process_speed["pass"] = statistics.fmean(
+                value for value in worker_speeds if value is not None
+            )
     if "error" not in record:
-        overall = speed.speed((0, 0.0), SAMPLER.snapshot())
+        overall = speed.speed(SAMPLER.times)
         record["speed"] = {
             phase: value if value is not None else overall
             for phase, value in process_speed.items()

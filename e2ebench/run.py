@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 e2ebench/run.py --workload fig7-scale --seed 2025 --seconds 30 --trace 0
+    python3 e2ebench/run.py --workload fig7-scale --seed 2025 --seconds 25 --trace 0
 
 Each run starts ``episode_pass.py`` once per pass, in a fresh interpreter
 (cold caches, as a figure run pays them), for about ``--seconds`` and at
@@ -24,7 +24,6 @@ last line of standard output is one JSON object with the keys
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -45,8 +44,10 @@ import workloads  # noqa: E402
 
 #: Whole-run limit; a run must end within 180 s.
 RUN_LIMIT_S = 165.0
-#: Trace runs need one untraced and one traced pass.
-MIN_PASSES = 2
+#: A median of three passes outvotes one pass that a slow spell of the
+#: host hit harder than the speed probes saw; trace runs need one
+#: untraced and one traced pass.
+MIN_PASSES = 3
 
 #: (name, unit, better) of every end-to-end metric.
 END_TO_END = (
@@ -108,14 +109,6 @@ def _git_rev() -> str | None:
     except (OSError, subprocess.TimeoutExpired):
         return None
     return done.stdout.strip() if done.returncode == 0 else None
-
-
-def _source_digest() -> str:
-    """SHA-256 over every source file of the package: names the code run."""
-    sha = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        sha.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
-    return sha.hexdigest()
 
 
 def _run_pass(args: argparse.Namespace, traced: bool, timeout: float) -> dict:
@@ -253,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -292,7 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     first = next((p for p in passes if "nproc" in p), {})
     settings = {
         "git_rev": _git_rev(),
-        "source_sha256": _source_digest(),
         "nproc": first.get("nproc"),
         "python": platform.python_version(),
         "seed": args.seed,

@@ -38,9 +38,6 @@ class Workload:
     #: Parallel executor (``nproc`` workers) with a fresh ledger, instead
     #: of the serial in-process executor with no ledger.
     sweep: bool
-    #: Timed re-runs of the grid against the completed ledger per pass;
-    #: ``resume_s`` is their median.
-    resume_repeats: int
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -57,7 +54,6 @@ WORKLOADS: dict[str, Workload] = {
             agent_counts=(8, 12),
             trials=5,
             sweep=False,
-            resume_repeats=5,
         ),
         Workload(
             name="solo-modular",
@@ -70,7 +66,6 @@ WORKLOADS: dict[str, Workload] = {
             agent_counts=(None,),
             trials=40,
             sweep=False,
-            resume_repeats=5,
         ),
         Workload(
             name="suite-sweep",
@@ -83,7 +78,6 @@ WORKLOADS: dict[str, Workload] = {
             agent_counts=(None,),
             trials=16,
             sweep=True,
-            resume_repeats=5,
         ),
     )
 }
