@@ -34,7 +34,6 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.core import hotpath
 from repro.core.metrics import host_profile_report
 from repro.experiments.common import GridCell, measure_grid
 from repro.llm.tokenizer import count_tokens
@@ -68,10 +67,10 @@ def _grid() -> list[GridCell]:
 def _timed(grid, settings, fast: bool) -> tuple[list, float]:
     """Time one grid pass with a cold token cache (see bench_hotpath)."""
     count_tokens.cache_clear()
-    with hotpath.override(fast):
-        started = time.perf_counter()
-        results = measure_grid(grid, settings)
-        return results, time.perf_counter() - started
+    pinned = replace(settings, run=replace(settings.run, hotpath=fast))
+    started = time.perf_counter()
+    results = measure_grid(grid, pinned)
+    return results, time.perf_counter() - started
 
 
 def test_bench_comm_speedup(benchmark, settings):
@@ -94,8 +93,10 @@ def test_bench_comm_speedup(benchmark, settings):
         reference_seconds.append(ref_elapsed)
         optimized_seconds.append(opt_elapsed)
 
-    with hotpath.override(True):
-        benchmark.pedantic(measure_grid, args=(grid, serial), rounds=1, iterations=1)
+    optimized_settings = replace(serial, run=replace(serial.run, hotpath=True))
+    benchmark.pedantic(
+        measure_grid, args=(grid, optimized_settings), rounds=1, iterations=1
+    )
 
     ref_best = min(reference_seconds)
     opt_best = min(optimized_seconds)

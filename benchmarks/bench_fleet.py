@@ -51,7 +51,7 @@ from pathlib import Path
 from conftest import emit
 
 from repro.core.executor import ParallelExecutor, TrialJob
-from repro.core.fleet import JobLedger, job_fingerprint, knob_fingerprint
+from repro.core.fleet import JobLedger, job_fingerprint
 from repro.core.synthetic import sleep_runner, synthetic_job
 
 ROUNDS = 2
@@ -215,9 +215,9 @@ def test_bench_fleet_pipelining(benchmark):
 # ---------------------------------------------------------------------- #
 
 
-def _append_done(writer: JobLedger, knobs: str, name: str, seed: int) -> str:
+def _append_done(writer: JobLedger, name: str, seed: int) -> str:
     job = synthetic_job(name=name, seed=seed)
-    fingerprint = job_fingerprint(job, knobs)
+    fingerprint = job_fingerprint(job)
     writer.append_done(fingerprint, job, sleep_runner(job), shard=0)
     return fingerprint
 
@@ -225,16 +225,14 @@ def _append_done(writer: JobLedger, knobs: str, name: str, seed: int) -> str:
 def _grow_history(path: Path, count: int) -> JobLedger:
     """A ledger pre-grown with ``count`` completed foreign episodes."""
     writer = JobLedger(path)
-    knobs = knob_fingerprint()
     for index in range(count):
-        _append_done(writer, knobs, f"hist-{index}", seed=index)
+        _append_done(writer, f"hist-{index}", seed=index)
     return writer
 
 
 def _polling_bytes(path: Path, history: int) -> tuple[int, int]:
     """(tail, full-reload) bytes read across POLLS live-append polls."""
     writer = _grow_history(path, history)
-    knobs = knob_fingerprint()
     tail_reader = JobLedger(path)
     full_reader = JobLedger(path, tail=False)
     tail_reader.load()
@@ -244,7 +242,7 @@ def _polling_bytes(path: Path, history: int) -> tuple[int, int]:
     tail_reader.bytes_read = 0
     full_reader.bytes_read = 0
     for poll in range(POLLS):
-        _append_done(writer, knobs, f"live-{poll}", seed=history + poll)
+        _append_done(writer, f"live-{poll}", seed=history + poll)
         tail_reader.load()
         full_reader.load()
     assert len(tail_reader.load()) == len(full_reader.load()) == history + POLLS
@@ -390,11 +388,10 @@ def test_bench_fleet_compaction_bounds_ledger(tmp_path):
     """
     path = tmp_path / "churn.jsonl"
     ledger = JobLedger(path, compact_records=COMPACT_EVERY)
-    knobs = knob_fingerprint()
     fingerprints = []
     for index in range(CHURN_JOBS):
         job = synthetic_job(name=f"churn-{index}", seed=index)
-        fingerprint = job_fingerprint(job, knobs)
+        fingerprint = job_fingerprint(job)
         fingerprints.append(fingerprint)
         ledger.append_lease(fingerprint, shard=index % 4, ttl_seconds=60)
         ledger.append_lease(fingerprint, shard=(index + 1) % 4, ttl_seconds=120)

@@ -37,12 +37,11 @@ from pathlib import Path
 
 from conftest import bench_attempts, emit
 
-from repro.core import clock, hotpath
 from repro.core.config import MemoryConfig
 from repro.core.metrics import host_profile_report
+from repro.core.settings import RunSettings
 from repro.experiments.common import GridCell, measure_grid
 from repro.llm.tokenizer import count_tokens
-from repro.perception import detector
 from repro.workloads.registry import get_workload
 
 #: Interleaved timing rounds per path; min-of-rounds defeats transient
@@ -105,14 +104,12 @@ def _timed(grid, settings, fast: bool) -> tuple[list, float]:
     # for both passes shrinks the shared constant term, which is the
     # honest way to sharpen the measured planning-layer ratio
     # (docs/performance.md, phase 4).
-    with (
-        detector.override_mode("vector"),
-        clock.override_coarse(True),
-        hotpath.override(fast),
-    ):
-        started = time.perf_counter()
-        results = measure_grid(grid, settings)
-        return results, time.perf_counter() - started
+    pinned = replace(
+        settings, run=RunSettings(hotpath=fast, clock="coarse", detector="vector")
+    )
+    started = time.perf_counter()
+    results = measure_grid(grid, pinned)
+    return results, time.perf_counter() - started
 
 
 def _measure_attempt(grid, serial, reference) -> tuple[float, float]:
@@ -160,8 +157,12 @@ def test_bench_hotpath_speedup(benchmark, settings):
             break
 
     # One extra optimized pass through pytest-benchmark's reporting.
-    with hotpath.override(True):
-        benchmark.pedantic(measure_grid, args=(grid, serial), rounds=1, iterations=1)
+    benchmark.pedantic(
+        measure_grid,
+        args=(grid, replace(serial, run=RunSettings())),
+        rounds=1,
+        iterations=1,
+    )
 
     payload = {
         "grid_cells": len(grid),

@@ -48,8 +48,8 @@ import numpy as np
 
 from conftest import emit
 
-from repro.core import hotpath
 from repro.core.errors import FaultKind
+from repro.core.settings import RunSettings, bind
 from repro.core.types import Candidate, Fact, Message, Observation, Subgoal
 from repro.llm.behavior import BehaviorKernel, DecisionRequest
 from repro.llm.prompt import PromptBuilder
@@ -134,7 +134,7 @@ def _score_pass(fast: bool, seed: int) -> tuple[list, float]:
     """
     pools = _pools()
     requests = _requests(pools)
-    with hotpath.override(fast):
+    with bind(RunSettings(hotpath=fast)):
         kernel = BehaviorKernel(reasoning=0.82, format_compliance=0.97)
         rng = np.random.default_rng(seed)
         signature = []
@@ -197,7 +197,7 @@ def _prompt_pass(fast: bool) -> tuple[list, float]:
     """Time the per-step builder chain on one path; return (tokens, s)."""
     _, messages, observations, memory_windows, pools = _prompt_corpus()
     count_tokens.cache_clear()
-    with hotpath.override(fast):
+    with bind(RunSettings(hotpath=fast)):
         log: list[Message] = []
         tokens = []
         append = tokens.append

@@ -17,6 +17,7 @@ import sys
 
 from repro import get_workload
 from repro.core.runner import build_loop, build_task
+from repro.core.settings import bind
 
 
 def main() -> None:
@@ -31,23 +32,26 @@ def main() -> None:
     print(f"Goal: {env.describe_task()}")
     print(f"Deposits hidden across areas: {', '.join(sorted(env.deposit_area))}\n")
 
-    for step in range(1, task.horizon + 1):
-        env.tick()
-        loop.step(step)
-        records = [r for r in loop.metrics.records if r.step == step]
-        for record in records:
-            flags = []
-            if record.fault is not None:
-                flags.append(f"fault={record.fault.value}")
-            if record.reflected:
-                flags.append("reflection-caught")
-            if record.replanned:
-                flags.append("replanned")
-            status = "ok " if record.execution_success else "FAIL"
-            note = f"  [{', '.join(flags)}]" if flags else ""
-            print(f"step {step:3d}  {status} {record.subgoal.describe():40s}{note}")
-        if env.is_success():
-            break
+    # Driving steps by hand, so bind the loop's settings as ``run()`` would.
+    with bind(loop.settings):
+        for step in range(1, task.horizon + 1):
+            env.tick()
+            loop.step(step)
+            records = [r for r in loop.metrics.records if r.step == step]
+            for record in records:
+                flags = []
+                if record.fault is not None:
+                    flags.append(f"fault={record.fault.value}")
+                if record.reflected:
+                    flags.append("reflection-caught")
+                if record.replanned:
+                    flags.append("replanned")
+                status = "ok " if record.execution_success else "FAIL"
+                note = f"  [{', '.join(flags)}]" if flags else ""
+                subgoal = record.subgoal.describe()
+                print(f"step {step:3d}  {status} {subgoal:40s}{note}")
+            if env.is_success():
+                break
 
     result = loop.metrics.finalize(
         loop.clock, env.is_success(), step, env.goal_progress()

@@ -1,7 +1,7 @@
 """Documentation checks: links, knob coverage, and doctests.
 
 Run as ``make docs-check`` (CI's ``docs`` and ``serving-docs`` jobs).
-Four offline checks:
+Five offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and
    ``docs/*.md`` must point at an existing file, and every in-document
@@ -12,15 +12,19 @@ Four offline checks:
    ``src/`` or ``benchmarks/`` must be documented in
    ``docs/performance.md`` (the acceptance bar: docs cover every knob
    that exists in the source), and every *serving-layer* knob
-   (``REPRO_SERVE*``, ``REPRO_OVERLAP``, ``REPRO_HTTP_*``) must also
-   appear in ``docs/serving.md`` — the serving guide may not drift
-   behind the scheduler and HTTP backend it documents.
+   (``REPRO_SERVE*``, ``REPRO_OVERLAP``) must also appear in
+   ``docs/serving.md`` — the serving guide may not drift behind the
+   scheduler it documents.
 3. **Module doctests** — ``doctest.testmod`` over every ``src/repro``
    module whose source contains a ``>>>`` prompt, so examples in
    docstrings cannot rot silently.
 4. **Markdown doctests** — the ``>>>`` examples embedded in
    ``README.md``/``docs/*.md`` run through ``doctest`` too (per file,
    shared globals top to bottom), so guide examples stay executable.
+5. **Quoted baselines** — every ratio in the "Current committed
+   baselines" table of ``docs/performance.md`` must equal the field it
+   names in ``benchmarks/baselines/``, and every baseline file must be
+   quoted there, so the prose cannot drift from the gates.
 
 Exits non-zero with a list of problems; prints a one-line summary when
 clean.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -38,14 +43,20 @@ REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 KNOB_DOC = REPO / "docs" / "performance.md"
 SERVING_DOC = REPO / "docs" / "serving.md"
+BASELINES = REPO / "benchmarks" / "baselines"
 
 #: Knob prefixes the serving guide must cover in addition to the master
 #: table in performance.md.
-SERVING_KNOB_PREFIXES = ("REPRO_SERVE", "REPRO_HTTP", "REPRO_OVERLAP")
+SERVING_KNOB_PREFIXES = ("REPRO_SERVE", "REPRO_OVERLAP")
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 KNOB = re.compile(r"\bREPRO_[A-Z_]+\b")
+#: A row of the baselines table: file, field, and the quoted ratio.
+BASELINE_ROW = re.compile(
+    r"^\|[^|]*\|\s*`(BENCH_\w+\.json)`\s*\|\s*`(\w+)`\s*\|\s*\*\*([\d.]+)×\*\*",
+    re.MULTILINE,
+)
 
 
 def _anchor(heading: str) -> str:
@@ -106,6 +117,34 @@ def check_knob_coverage() -> list[str]:
     return problems
 
 
+def check_baselines() -> list[str]:
+    text = KNOB_DOC.read_text()
+    start = text.find("Current committed baselines")
+    if start < 0:
+        return ["docs/performance.md: no 'Current committed baselines' table"]
+    end = text.find("\n#", start)
+    rows = BASELINE_ROW.findall(text[start : end if end >= 0 else None])
+    problems = []
+    for name, field, quoted in rows:
+        path = BASELINES / name
+        if not path.exists():
+            problems.append(f"docs/performance.md: baseline {name} does not exist")
+            continue
+        committed = json.loads(path.read_text()).get(field)
+        if committed is None or float(quoted) != float(committed):
+            problems.append(
+                f"docs/performance.md: quotes {quoted}× for {name} {field}, "
+                f"the file holds {committed}"
+            )
+    quoted_files = {name for name, _, _ in rows}
+    problems.extend(
+        f"docs/performance.md: baseline {path.name} is not quoted"
+        for path in sorted(BASELINES.glob("BENCH_*.json"))
+        if path.name not in quoted_files
+    )
+    return problems
+
+
 def check_doctests() -> list[str]:
     problems = []
     src = REPO / "src"
@@ -152,6 +191,7 @@ def main() -> int:
     problems = (
         check_links()
         + check_knob_coverage()
+        + check_baselines()
         + check_doctests()
         + check_markdown_doctests()
     )
@@ -164,7 +204,7 @@ def main() -> int:
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
         "all source knobs documented (serving guide covered), "
-        "module and markdown doctests green"
+        "quoted baselines match, module and markdown doctests green"
     )
     return 0
 

@@ -46,7 +46,6 @@ from repro.core.fleet import (  # noqa: E402
     JobLedger,
     STATUS_COMPLETE,
     job_fingerprint,
-    knob_fingerprint,
     ledger_status,
 )
 from repro.core.metrics import aggregate  # noqa: E402
@@ -161,8 +160,7 @@ def run_parent(args: argparse.Namespace) -> int:
         SerialExecutor(job_runner=sleep_runner).run_jobs(jobs)
     )
 
-    knobs = knob_fingerprint()
-    prints = [job_fingerprint(job, knobs) for job in jobs]
+    prints = [job_fingerprint(job) for job in jobs]
     owners = [int(fp[:16], 16) % args.shards for fp in prints]
     by_owner = {shard: owners.count(shard) for shard in range(args.shards)}
     # Kill the busiest shard so there is real work to steal.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core import hotpath
 from repro.core.beliefs import Beliefs
 from repro.core.clock import SimClock
 from repro.core.config import SystemConfig
@@ -29,6 +28,7 @@ from repro.core.modules import (
 )
 from repro.core.modules.memory import ActionRecord, RetrievedMemory
 from repro.core.seeding import rng_for
+from repro.core.settings import current
 from repro.core.types import Decision, Fact, Message, Observation, Subgoal
 from repro.envs.base import Environment, ExecutionOutcome
 from repro.llm.deployment import DeploymentOptions
@@ -161,7 +161,7 @@ class EmbodiedAgent:
         # memoryless perceive() branch copies this prebuilt belief base
         # instead of re-inserting every static fact each step.
         self._static_beliefs = (
-            Beliefs.from_facts(self._static_facts) if hotpath.enabled() else None
+            Beliefs.from_facts(self._static_facts) if current().hotpath else None
         )
         # The paradigm loop passes its episode-wide scheduler so requests
         # from different agents can meet in one serving layer; a
@@ -185,11 +185,7 @@ class EmbodiedAgent:
             task_text=env.describe_task(),
             difficulty=env.task.difficulty,
         )
-        self.sensing = SensingModule(
-            self.context,
-            config.sensing_model,
-            detector_mode=config.optimizations.detector_mode,
-        )
+        self.sensing = SensingModule(self.context, config.sensing_model)
         self.memory: MemoryModule | None = None
         if config.memory is not None:
             self.memory = MemoryModule(

@@ -19,13 +19,14 @@ so enabling it cannot perturb reproduction numbers.  Enable with
 :func:`host_profiler` — see :func:`repro.core.metrics.host_profile_report`
 for a formatted view.
 
-Coarse span mode (``REPRO_CLOCK=coarse``): long sweeps record thousands
-of spans per episode just to be summed once at finalization.  Opting in
-to coarse mode keeps only the running per-module and per-(module, phase)
-sums — accumulated in span arrival order, so every reported total is
-byte-identical to the full mode — and never materializes the span list.
-The per-span record (``SimClock.spans``) is then empty; keep the default
-full mode for anything that inspects individual spans.
+Coarse span mode (the ``clock="coarse"`` run setting, ``REPRO_CLOCK``):
+long sweeps record thousands of spans per episode just to be summed once
+at finalization.  Coarse mode keeps only the running per-module and
+per-(module, phase) sums — accumulated in span arrival order, so every
+reported total is byte-identical to the full mode — and never
+materializes the span list.  The per-span record (``SimClock.spans``) is
+then empty; keep the default full mode for anything that inspects
+individual spans.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ import enum
 import os
 import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from repro.core.envknobs import choice_knob
+from repro.core.settings import current
 
 
 class ModuleName(enum.Enum):
@@ -144,71 +144,6 @@ class HostProfiler:
         return {key: (self.seconds[key], self.marks[key]) for key in self.seconds}
 
 
-# --------------------------------------------------------------------- #
-# Span recording mode (REPRO_CLOCK)
-# --------------------------------------------------------------------- #
-
-
-#: Accepted ``REPRO_CLOCK`` values; ``span`` and ``full`` are synonyms
-#: for the default per-span recording.
-CLOCK_MODES = ("full", "span", "coarse")
-
-
-def _coarse_from_env() -> bool:
-    return choice_knob("REPRO_CLOCK", default="full", choices=CLOCK_MODES) == "coarse"
-
-
-def default_to_coarse_for_sweeps() -> bool:
-    """Default a long sweep's process to coarse span mode.
-
-    Called by the CLI entry points of the longest sweeps (Figure 7 and
-    the full suite) *before* any episode runs or worker pool spawns.  If
-    ``REPRO_CLOCK`` is unset, the process opts into coarse mode — the
-    variable is exported so spawned workers inherit the choice — which is
-    safe there because those paths consume only finalized aggregates
-    (``elapsed_by_module`` / ``elapsed_by_phase`` / ``now``), never the
-    per-span list, and coarse totals are byte-identical by same-order
-    accumulation.  Any explicit setting wins: ``REPRO_CLOCK=span`` (or
-    ``full``) forces per-span recording, ``coarse`` is simply kept.
-    Returns whether coarse mode ended up active.
-    """
-    if not os.environ.get("REPRO_CLOCK", "").strip():
-        os.environ["REPRO_CLOCK"] = "coarse"
-        set_coarse(True)
-    return coarse_enabled()
-
-
-_COARSE = _coarse_from_env()
-
-
-def coarse_enabled() -> bool:
-    """Is the opt-in coarse span mode (``REPRO_CLOCK=coarse``) active?"""
-    return _COARSE
-
-
-def set_coarse(value: bool) -> None:
-    """Set the process-local coarse-clock flag (workers re-read the env)."""
-    global _COARSE
-    _COARSE = bool(value)
-
-
-@contextmanager
-def override_coarse(value: bool) -> Iterator[None]:
-    """Temporarily force coarse span mode on or off (tests, benchmarks).
-
-    Like :func:`repro.core.hotpath.override`, the flag is captured by
-    :class:`SimClock` at construction, so the override must wrap episode
-    construction, and worker processes initialize from ``REPRO_CLOCK``.
-    """
-    global _COARSE
-    previous = _COARSE
-    _COARSE = bool(value)
-    try:
-        yield
-    finally:
-        _COARSE = previous
-
-
 def _profile_from_env() -> bool:
     return os.environ.get("REPRO_PROFILE", "").strip().lower() in {
         "1",
@@ -253,12 +188,12 @@ class SimClock:
     spans: list[Span] = field(default_factory=list)
     _parallel_depth: int = 0
     _parallel_front: float = 0.0
-    #: Captured at construction (one env read per episode).  In coarse
-    #: mode (``REPRO_CLOCK=coarse``) no per-span records are kept — only
-    #: the running per-module and per-(module, phase) sums below, which
-    #: accumulate in the exact arrival order the full mode would have
-    #: summed its span list in, so the reported totals are byte-identical.
-    _coarse: bool = field(default_factory=coarse_enabled)
+    #: Captured at construction from the run settings.  In coarse mode no
+    #: per-span records are kept — only the running per-module and
+    #: per-(module, phase) sums below, which accumulate in the exact
+    #: arrival order the full mode would have summed its span list in, so
+    #: the reported totals are byte-identical.
+    _coarse: bool = field(default_factory=lambda: current().clock == "coarse")
     _module_seconds: dict = field(default_factory=dict, repr=False)
     _phase_seconds: dict = field(default_factory=dict, repr=False)
 
@@ -379,7 +314,7 @@ class SimClock:
     def overlapped(self, anchor: float) -> "_OverlapScope":
         """Concurrent advances backdated to start at ``anchor <= now``.
 
-        The perception–generation overlap model (``REPRO_OVERLAP``):
+        The perception–generation overlap model (the ``overlap`` setting):
         sensing for step ``t+1`` physically starts while generation for
         step ``t`` is still decoding, i.e. at ``anchor`` — the clock
         position where the previous serving flush began charging — not

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.core.errors import ConfigurationError
+from repro.core.settings import DETECTOR_MODES, SERVE_MODES
 
 PARADIGMS = ("modular", "end_to_end", "centralized", "decentralized", "hybrid")
 
@@ -57,13 +58,16 @@ class OptimizationConfig:
     - ``quantization`` / ``runtime``: local-model serving options (Rec. 1).
     - ``serve_mode``: pin this system to one inference-serving mode
       (``percall`` / ``batched`` / ``continuous``); empty defers to the
-      ``batching`` flag and the process-wide ``REPRO_SERVE`` knob.  The
-      per-cell control the serving grids use to mix modes in one run.
+      ``batching`` flag and the run settings' ``serve``.  The per-cell
+      control the serving grids use to mix modes in one run.
     - ``detector_mode``: pin this system's noisy detector implementation
       (``loop`` seed-faithful / ``vector`` batched draws, same draw
-      counts, reordered stream); empty defers to the process-wide
-      ``REPRO_DETECTOR`` knob.  See docs/performance.md for the
-      byte-identity waiver ``vector`` carries.
+      counts, reordered stream); empty defers to the run settings'
+      ``detector``.  See docs/performance.md for the byte-identity
+      waiver ``vector`` carries.
+
+    The three pins are the last layer of run-settings resolution
+    (:meth:`repro.core.settings.RunSettings.for_config`).
     """
 
     multistep_horizon: int = 1
@@ -85,19 +89,13 @@ class OptimizationConfig:
             raise ValueError(
                 f"hierarchy_cluster_size must be >= 0: {self.hierarchy_cluster_size}"
             )
-        # Values mirror ``repro.llm.scheduler.SERVE_MODES`` (kept inline
-        # to avoid a config -> llm import cycle; pinned by a test).
-        if self.serve_mode not in ("", "percall", "batched", "continuous"):
+        if self.serve_mode and self.serve_mode not in SERVE_MODES:
             raise ValueError(
-                f"serve_mode must be '', 'percall', 'batched', or "
-                f"'continuous': {self.serve_mode!r}"
+                f"serve_mode must be '' or one of {SERVE_MODES}: {self.serve_mode!r}"
             )
-        # Values mirror ``repro.perception.detector.DETECTOR_MODES`` (kept
-        # inline to avoid a config -> perception import cycle; pinned by a
-        # test).
-        if self.detector_mode not in ("", "loop", "vector"):
+        if self.detector_mode and self.detector_mode not in DETECTOR_MODES:
             raise ValueError(
-                f"detector_mode must be '', 'loop', or 'vector': "
+                f"detector_mode must be '' or one of {DETECTOR_MODES}: "
                 f"{self.detector_mode!r}"
             )
 

@@ -5,14 +5,12 @@ helpers so the tolerances are uniform: values are whitespace-stripped,
 empty/unset always means "use the default", and malformed values raise a
 ``ValueError`` naming the variable instead of being silently coerced.
 
-Adopters: ``REPRO_TRIALS`` / ``REPRO_WORKERS`` / ``REPRO_SERVE_CAP`` /
-``REPRO_HTTP_RETRIES`` (:func:`int_knob`, via ``experiments/common.py``
-and the serving layer), ``REPRO_HOTPATH`` / ``REPRO_SUITE_CONCURRENT`` /
-``REPRO_OVERLAP`` (:func:`bool_knob`), ``REPRO_CLOCK`` / ``REPRO_SERVE``
-/ ``REPRO_DETECTOR`` (:func:`choice_knob`), ``REPRO_HTTP_TIMEOUT`` / ``REPRO_HTTP_BACKOFF`` /
-``REPRO_HTTP_FAULT_RATE`` (:func:`float_knob`).  The knob table with
-defaults and precedence rules lives in docs/performance.md and the
-serving-specific knobs in docs/serving.md.
+Adopters: the six result-affecting knobs, all parsed by
+:meth:`repro.core.settings.RunSettings.from_env`; ``REPRO_TRIALS`` /
+``REPRO_WORKERS`` (``experiments/common.py``); and the fleet and budget
+knobs (``core/fleet.py``, ``experiments/suite.py``).  The knob table
+with defaults and the resolution order lives in docs/performance.md and
+the serving-specific knobs in docs/serving.md.
 """
 
 from __future__ import annotations
@@ -35,11 +33,7 @@ def int_knob(name: str, default: int, minimum: int = 1) -> int:
     Empty / unset values fall back to ``default``; non-integers and
     values below ``minimum`` raise ``ValueError`` naming the variable.
 
-    >>> import os; os.environ["DOCTEST_KNOB_N"] = " 3 "
-    >>> int_knob("DOCTEST_KNOB_N", default=1)
-    3
-    >>> del os.environ["DOCTEST_KNOB_N"]
-    >>> int_knob("DOCTEST_KNOB_N", default=7)
+    >>> int_knob("DOCTEST_UNSET_KNOB", default=7)
     7
     """
     raw = raw_knob(name)
@@ -60,11 +54,7 @@ def float_knob(name: str, default: float, minimum: float = 0.0) -> float:
     Empty / unset values fall back to ``default``; non-numbers and
     values below ``minimum`` raise ``ValueError`` naming the variable.
 
-    >>> import os; os.environ["DOCTEST_KNOB_F"] = " 2.5 "
-    >>> float_knob("DOCTEST_KNOB_F", default=1.0)
-    2.5
-    >>> del os.environ["DOCTEST_KNOB_F"]
-    >>> float_knob("DOCTEST_KNOB_F", default=0.25)
+    >>> float_knob("DOCTEST_UNSET_KNOB", default=0.25)
     0.25
     """
     raw = raw_knob(name)

@@ -38,12 +38,13 @@ Contracts:
   regardless of completion order, so parallel aggregates equal serial
   ones exactly (asserted by ``tests/core/test_executor.py`` and
   ``benchmarks/bench_executor.py``).
-- **Knob precedence** — ``REPRO_WORKERS`` only supplies the *default*
-  (serial at 1, parallel above); explicit ``ExperimentSettings(executor=,
+- **Settings travel with the job** — every :class:`TrialJob` carries
+  its resolved :class:`~repro.core.settings.RunSettings`, and the worker
+  runs the episode under exactly those, so a result depends only on its
+  job, never on the worker's environment or when its pool was forked.
+  ``REPRO_WORKERS`` only supplies the *default* executor (serial at 1,
+  parallel above); explicit ``ExperimentSettings(executor=,
   max_workers=)`` or a directly constructed executor always wins.
-  Workers re-read ``REPRO_HOTPATH``/``REPRO_CLOCK``/``REPRO_SERVE`` from
-  the environment at spawn — in-process overrides do not cross the pool
-  boundary.
 - **Failure surface** — a crashed trial raises ``TrialExecutionError``
   naming the job; it never hangs and never drops results.  The parallel
   stream watches completions (not submission order), so the first
@@ -66,6 +67,7 @@ from dataclasses import dataclass
 from repro.core.config import SystemConfig
 from repro.core.errors import TrialExecutionError
 from repro.core.metrics import EpisodeResult
+from repro.core.settings import RunSettings, current
 from repro.core.types import TaskSpec
 
 #: Executor kinds selectable via settings / ``REPRO_WORKERS``.
@@ -76,14 +78,23 @@ EXECUTOR_KINDS = ("serial", "parallel")
 class TrialJob:
     """One seeded episode of one configured system: the unit of dispatch.
 
-    The triple is fully picklable (frozen dataclasses of primitives all
-    the way down), so a job can cross a process boundary; the worker
-    rebuilds the paradigm loop from it and runs the episode.
+    The job is fully picklable (frozen dataclasses of primitives all the
+    way down), so it can cross a process boundary; the worker rebuilds
+    the paradigm loop from it and runs the episode under ``settings``.
+    A bare ``TrialJob(config, task, seed)`` resolves its settings at
+    construction — in the dispatching process — from the current
+    context (else the environment); either way the config's pins are
+    applied, so ``settings`` is always the fully resolved value.
     """
 
     config: SystemConfig
     task: TaskSpec
     seed: int
+    settings: RunSettings | None = None
+
+    def __post_init__(self) -> None:
+        base = self.settings if self.settings is not None else current()
+        object.__setattr__(self, "settings", base.for_config(self.config))
 
     def describe(self) -> str:
         return f"{self.config.name}/{self.task.env_name} seed={self.seed}"
@@ -94,7 +105,7 @@ def run_trial_job(job: TrialJob) -> EpisodeResult:
     # Imported lazily: runner imports this module for its default executor.
     from repro.core.runner import build_loop
 
-    return build_loop(job.config, job.task, job.seed).run()
+    return build_loop(job.config, job.task, job.seed, settings=job.settings).run()
 
 
 #: A job-execution function.  The default runs a real episode; benches

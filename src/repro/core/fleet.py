@@ -55,14 +55,16 @@ The ledger I/O is built for real N-process contention:
   that replay idempotently over the snapshot.
 
 Jobs are keyed by a **content fingerprint**: a SHA-256 over the
-canonical JSON of ``(config, task, seed)`` plus the result-affecting
-``REPRO_*`` knob set (:func:`knob_fingerprint`).  Changing any such knob
-— say ``REPRO_HOTPATH=0`` or ``REPRO_DETECTOR=vector`` — changes every
-fingerprint, so a stale ledger can never leak results produced under
-different semantics into a resumed run.  Execution-*shape* knobs
-(worker counts, shard layout, flush/compaction tuning, the budget
-itself) are excluded: they change how jobs run, never what an episode
-computes.
+canonical JSON of ``(config, task, seed)``, the job's resolved
+:class:`~repro.core.settings.RunSettings`, and
+:data:`SEMANTICS_VERSION`.  Every value that can change a result is in
+the job itself — ``hotpath=False`` or ``detector="vector"``, whether it
+came from the environment, an explicit setting, or a config pin,
+changes every fingerprint — so a stale ledger can never leak results
+produced under different semantics into a resumed run.  Execution-
+*shape* knobs (worker counts, shard layout, flush/compaction tuning,
+the budget itself) are not part of a job: they change how jobs run,
+never what an episode computes.
 
 Lease expiry bookkeeping runs on ``time.monotonic()`` — a wall-clock
 step (NTP, DST, a VM migration) cannot prematurely expire or immortalize
@@ -96,6 +98,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.envknobs import float_knob, int_knob, raw_knob
 from repro.core.errors import BudgetExceededError
+from repro.core.settings import ENV_KNOBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.executor import TrialExecutor, TrialJob
@@ -106,30 +109,10 @@ try:  # pragma: no cover - fcntl is present on every supported platform
 except ImportError:  # pragma: no cover - windows fallback: no inter-process lock
     fcntl = None  # type: ignore[assignment]
 
-#: ``REPRO_*`` knobs that shape *execution* (parallelism, sharding, the
-#: budget, ledger I/O tuning, diagnostics) without affecting what any
-#: single episode computes.  Everything else ``REPRO_``-prefixed in the
-#: environment is part of the content fingerprint.
-EXECUTION_KNOBS = frozenset(
-    {
-        "REPRO_WORKERS",
-        "REPRO_TRIALS",
-        "REPRO_SUITE_CONCURRENT",
-        "REPRO_PROFILE",
-        "REPRO_LEDGER",
-        "REPRO_SHARDS",
-        "REPRO_SHARD_ID",
-        "REPRO_LEASE_SECONDS",
-        "REPRO_BUDGET_TOKENS",
-        "REPRO_BUDGET_PARTITION",
-        "REPRO_FLEET_POLL",
-        "REPRO_FLUSH_SECONDS",
-        "REPRO_COMPACT_RECORDS",
-        "REPRO_BENCH_ATTEMPTS",
-        "REPRO_REGEN_GOLDENS",
-        "REPRO_SYNTH_CRASH_SEEDS",
-    }
-)
+#: Part of every job fingerprint.  Bump it with any change that alters
+#: what an episode computes under unchanged settings, so a ledger written
+#: by older code can never resume silently.
+SEMANTICS_VERSION = 1
 
 #: Defaults for the fleet knobs (documented in docs/performance.md).
 DEFAULT_LEASE_SECONDS = 300.0
@@ -149,27 +132,24 @@ _GEN_UNLOADED = -1
 
 
 def knob_fingerprint() -> dict[str, str]:
-    """The result-affecting ``REPRO_*`` knob set, as currently exported.
+    """The result-affecting ``REPRO_*`` variables exported in this process.
 
-    Conservative by construction: any knob not known to be pure
-    execution shape participates, so flipping e.g. ``REPRO_HOTPATH`` or
-    ``REPRO_SERVE`` invalidates every ledger fingerprint rather than
-    risking a semantically stale resume.
+    For run records only (empty when none is exported); job fingerprints
+    hash each job's resolved settings, not the environment.
     """
-    return {
-        name: value.strip()
-        for name, value in sorted(os.environ.items())
-        if name.startswith("REPRO_") and name not in EXECUTION_KNOBS
-    }
+    return {name: value for name in ENV_KNOBS if (value := raw_knob(name))}
 
 
-def job_fingerprint(job: "TrialJob", knobs: dict[str, str] | None = None) -> str:
-    """Content fingerprint of one trial job under the active knob set."""
+def job_fingerprint(job: "TrialJob") -> str:
+    """Content fingerprint of one trial job, its settings included."""
     payload = {
         "config": job.config.fingerprint_payload(),
         "task": asdict(job.task),
         "seed": job.seed,
-        "knobs": knobs if knobs is not None else knob_fingerprint(),
+        # Flat primitives: the instance dict is the canonical payload (and
+        # ~100x cheaper than ``asdict`` on the resume path).
+        "settings": vars(job.settings),
+        "semantics": SEMANTICS_VERSION,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -730,8 +710,7 @@ class FleetRunner:
         jobs = list(jobs)
         if not jobs:
             return []
-        knobs = knob_fingerprint()
-        prints = [job_fingerprint(job, knobs) for job in jobs]
+        prints = [job_fingerprint(job) for job in jobs]
         indices_by_print: dict[str, list[int]] = {}
         for index, fingerprint in enumerate(prints):
             indices_by_print.setdefault(fingerprint, []).append(index)

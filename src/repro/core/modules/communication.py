@@ -13,7 +13,7 @@ Optimizations hosted here:
 - ``comm_filter`` (Rec. 10): :meth:`compose` short-circuits (no LLM call)
   when the sender has nothing new to share since its last message.
 
-Hot-path staging (:mod:`repro.core.hotpath`): the sharable payload is a
+Hot-path staging (the ``hotpath`` run setting): the sharable payload is a
 pure function of the known-facts snapshot fixed at perceive time, so
 multi-round dialogue phases reuse one sorted selection per step
 (:meth:`CommunicationModule._payload_for`); delivery itself is the
@@ -23,9 +23,9 @@ paradigm loops' job and, on the hot path, rides the step-batched
 
 from __future__ import annotations
 
-from repro.core import hotpath
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
+from repro.core.settings import current
 from repro.core.types import Fact, Message, Subgoal
 from repro.llm.prompt import COMMUNICATOR_SYSTEM_TEXT, PromptBuilder
 from repro.llm.requests import InferenceRequest
@@ -59,7 +59,7 @@ class CommunicationModule:
         # perceive time, so multi-round dialogue phases recompute the same
         # sorted selection every round.  Cache it per (step, known-facts
         # identity); the reference path recomputes per call, as the seed did.
-        self._fast = hotpath.enabled()
+        self._fast = current().hotpath
         self._payload_step = -1
         self._payload_source: object = None
         self._payload: tuple[Fact, ...] = ()

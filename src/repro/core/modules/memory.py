@@ -17,7 +17,7 @@ where memory says an object should be, but the current observation does
 not show it, the stale belief is dropped — the perception-level correction
 that keeps no-reflection agents from looping forever.
 
-Hot-path retrieval (:mod:`repro.core.hotpath`): the *modeled* retrieval
+Hot-path retrieval (the ``hotpath`` run setting): the *modeled* retrieval
 latency is unchanged — it is still ``base + per_entry × scanned`` over the
 same scanned-entry count, so Fig. 5's curves are byte-identical — but the
 *host* cost of producing a retrieval no longer re-scans the whole episode
@@ -45,10 +45,10 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
-from repro.core import hotpath
 from repro.core.beliefs import Beliefs
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
+from repro.core.settings import current
 from repro.core.types import Fact, Message, Subgoal, _memo_describe
 
 #: Retrieval latency model: fixed overhead + per-scanned-entry cost.
@@ -117,7 +117,7 @@ class MemoryModule:
         # novelty checks on message ingestion.
         self._slot_index = Beliefs()
         # --- hot-path indices (maintained only when the fast path is on) ---
-        self._fast = hotpath.enabled()
+        self._fast = current().hotpath
         #: Per-slot observation history, each list sorted by fact step with
         #: ties in insertion order — the last entry is the newest-wins
         #: resolution candidate for its slot.

@@ -6,7 +6,7 @@ mislabels) and the perception latency is charged to the SENSING budget.
 Systems without a sensing module (Table II's ✗ entries, e.g. MindAgent)
 receive the simulator's symbolic state directly at negligible cost.
 
-Hot-path staging (:mod:`repro.core.hotpath`): the mislabel distractor
+Hot-path staging (the ``hotpath`` run setting): the mislabel distractor
 vocabulary (``env.location_vocabulary()``) is episode-static for every
 shipped environment — room layouts never change mid-episode — so the
 module fetches it once per episode instead of once per step per agent;
@@ -15,21 +15,20 @@ the detector itself consumes the identical rng stream either way (see
 vocabulary must not rely on the hot path, which is the documented
 contract of the staging.
 
-Detector mode: the module captures its detector implementation at
-construction — an explicit ``detector_mode`` from the system config wins
-over the process-wide ``REPRO_DETECTOR`` knob (``loop`` default /
-``vector`` batched draws; see :mod:`repro.perception.detector` for the
+Detector mode: the module captures the run settings' ``detector`` at
+construction (``loop`` default / ``vector`` batched draws; a config's
+``detector_mode`` pin is already applied there — see
+:mod:`repro.core.settings`, and :mod:`repro.perception.detector` for the
 draw-count contract and byte-identity waiver).
 """
 
 from __future__ import annotations
 
-from repro.core import hotpath
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
+from repro.core.settings import current
 from repro.core.types import Fact, Observation
 from repro.envs.base import Environment
-from repro.perception import detector
 from repro.perception.detector import detect
 from repro.perception.models import PerceptionProfile, get_perception
 
@@ -40,22 +39,16 @@ SYMBOLIC_FEED_SECONDS = 0.002
 class SensingModule:
     """Perceive the environment through a (possibly absent) vision model."""
 
-    def __init__(
-        self,
-        context: ModuleContext,
-        model: str | None,
-        detector_mode: str = "",
-    ) -> None:
+    def __init__(self, context: ModuleContext, model: str | None) -> None:
         self.context = context
         self.profile: PerceptionProfile | None = (
             get_perception(model) if model is not None else None
         )
-        self._fast = hotpath.enabled()
+        settings = current()
+        self._fast = settings.hotpath
         self._distractors: list[str] | None = None
-        # Detector mode is episode-static, like the hotpath flag: an
-        # explicit config value wins, else the process-wide REPRO_DETECTOR
-        # knob captured at construction (toggling mid-episode is inert).
-        self.detector_mode = detector_mode or detector.mode()
+        # Episode-static: the detector cannot change between frames.
+        self.detector_mode = settings.detector
 
     def _distractor_values(self, env: Environment) -> list[str]:
         """Mislabel vocabulary, fetched once per episode on the hot path."""

@@ -10,44 +10,56 @@ from __future__ import annotations
 
 import abc
 
-from repro.core import hotpath
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
-from repro.core.envknobs import bool_knob
 from repro.core.bus import DeliveryBus
 from repro.core.clock import SimClock, host_profiler
 from repro.core.config import SystemConfig
 from repro.core.errors import FaultKind
 from repro.core.metrics import EpisodeResult, MetricsCollector
 from repro.core.seeding import derive_seed, rng_for
+from repro.core.settings import RunSettings, bind, current
 from repro.core.types import Decision, Message, StepRecord, TaskSpec
 from repro.envs import make_env
 from repro.envs.base import ExecutionOutcome
-from repro.llm.scheduler import InferenceScheduler, resolve_serve_mode
+from repro.llm.scheduler import InferenceScheduler
 
 
 class ParadigmLoop(abc.ABC):
     """Base class of the four (plus hybrid) paradigm drivers."""
 
-    def __init__(self, config: SystemConfig, task: TaskSpec, seed: int) -> None:
+    def __init__(
+        self,
+        config: SystemConfig,
+        task: TaskSpec,
+        seed: int,
+        settings: RunSettings | None = None,
+    ) -> None:
         self.config = config
         self.task = task
         self.seed = seed
+        #: The episode's settings: the caller's (else the current
+        #: context's) under this config's pins, bound while the loop
+        #: builds its components and while it runs.
+        base = settings if settings is not None else current()
+        self.settings = base.for_config(config)
+        with bind(self.settings):
+            self._build()
+
+    def _build(self) -> None:
+        config, task, seed = self.config, self.task, self.seed
         self.clock = SimClock()
         self.metrics = MetricsCollector(workload=config.name, horizon=task.horizon)
         self.env = make_env(task, rng_for(seed, "env", task.env_name))
         #: The episode's serving layer, shared by every agent's module
         #: stack so phase-concurrent requests can meet in one place.
-        #: Mode: the config's Rec. 1 ``batching`` flag, else ``REPRO_SERVE``.
-        self.scheduler = InferenceScheduler(
-            self.clock, self.metrics, mode=resolve_serve_mode(config)
-        )
-        #: Perception–generation overlap (``REPRO_OVERLAP``): sense step
-        #: t+1 while the engine still generates for step t, per the
-        #: async-pipeline decomposition (arXiv 2509.09560).  Latency-only
-        #: and meaningful only when the serving mode defers charges to a
-        #: flush (the anchor is the flush's charge start); per-call
-        #: serving ignores the knob, keeping the golden path untouched.
-        self._overlap = bool_knob("REPRO_OVERLAP", False) and self.scheduler.defers
+        self.scheduler = InferenceScheduler(self.clock, self.metrics)
+        #: Perception–generation overlap: sense step t+1 while the engine
+        #: still generates for step t, per the async-pipeline
+        #: decomposition (arXiv 2509.09560).  Latency-only and meaningful
+        #: only when the serving mode defers charges to a flush (the
+        #: anchor is the flush's charge start); per-call serving ignores
+        #: the setting, keeping the golden path untouched.
+        self._overlap = self.settings.overlap and self.scheduler.defers
         agent_seed = derive_seed(seed, "agents")
         self.agents: list[EmbodiedAgent] = [
             EmbodiedAgent(
@@ -66,7 +78,7 @@ class ParadigmLoop(abc.ABC):
         #: seed's per-delivery fan-out in :meth:`deliver_message`.
         self.bus: DeliveryBus | None = (
             DeliveryBus(self.agents, self._agents_by_name, self.metrics)
-            if hotpath.enabled()
+            if self.settings.hotpath
             else None
         )
 
@@ -75,6 +87,10 @@ class ParadigmLoop(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def run(self) -> EpisodeResult:
+        with bind(self.settings):
+            return self._run()
+
+    def _run(self) -> EpisodeResult:
         profiler = host_profiler()
         if profiler is not None:
             # Start the probe's interval at the episode boundary so setup
@@ -101,7 +117,11 @@ class ParadigmLoop(abc.ABC):
 
     @abc.abstractmethod
     def step(self, step: int) -> None:
-        """Execute one macro step for all agents."""
+        """Execute one macro step for all agents.
+
+        Runs under the loop's settings binding, which :meth:`run` makes;
+        code that drives steps itself wraps them in ``bind(self.settings)``.
+        """
 
     # ------------------------------------------------------------------ #
     # Shared step fragments
@@ -110,7 +130,7 @@ class ParadigmLoop(abc.ABC):
     def perceive_all(self, step: int) -> dict[str, PerceptionBundle]:
         """Run every agent's perceive concurrently (per-robot compute).
 
-        Under ``REPRO_OVERLAP`` (with a deferring serving mode), sensing
+        Under ``overlap`` (with a deferring serving mode), sensing
         for this step is backdated to where the previous step's flush
         started charging generation latency: perception for step t+1
         runs concurrently with generation for step t, and the clock

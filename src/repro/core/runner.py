@@ -7,21 +7,27 @@ independent, so ``run_trials`` can fan them out across processes via a
 :class:`~repro.core.executor.TrialExecutor`; the default serial executor
 reproduces the seed behaviour bit for bit.
 
+``build_loop`` and ``trial_jobs`` take an optional ``settings``
+(:class:`~repro.core.settings.RunSettings`); without one — and always
+for ``run_episode`` / ``run_trials`` — the current context's apply
+(``with settings.bind(...)``), else the environment's.  The loop
+resolves them under the config's pins and binds them while it builds
+and runs the episode.
+
 The per-step pipeline a built loop drives is, since hot-path phase 3,
 *delivery-staged*: perceive all agents, stage every composed message on
 the step's :class:`~repro.core.bus.DeliveryBus` (prompt-visible
 immediately, modeled latency charged in place), flush the bus — one
 batched belief merge and one batched dialogue-memory commit per receiver
-— then plan, execute, and reflect.  With ``REPRO_HOTPATH`` disabled the
-loops instead run the seed's per-delivery fan-out; both pipelines
-produce byte-identical episodes (the golden equivalence suite asserts
-it), so everything downstream of :func:`run_episode` is
-pipeline-agnostic.
+— then plan, execute, and reflect.  With ``hotpath=False`` the loops
+instead run the seed's per-delivery fan-out; both pipelines produce
+byte-identical episodes (the golden equivalence suite asserts it), so
+everything downstream of :func:`run_episode` is pipeline-agnostic.
 
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by
 default (byte-identical), or occupancy-aware batches per phase under
-``REPRO_SERVE=batched`` / the Rec. 1 ``batching`` optimization — which
+``serve="batched"`` / the Rec. 1 ``batching`` optimization — which
 changes modeled latency only, never task outcomes or token counts.
 """
 
@@ -32,6 +38,7 @@ from repro.core.executor import SerialExecutor, TrialExecutor, TrialJob
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.paradigms import PARADIGM_LOOPS, ParadigmLoop
 from repro.core.seeding import spawn_trial_seeds
+from repro.core.settings import RunSettings, current
 from repro.core.types import TaskSpec
 from repro.envs.tasks import make_task
 
@@ -54,7 +61,12 @@ def build_task(
     )
 
 
-def build_loop(config: SystemConfig, task: TaskSpec, seed: int = 0) -> ParadigmLoop:
+def build_loop(
+    config: SystemConfig,
+    task: TaskSpec,
+    seed: int = 0,
+    settings: RunSettings | None = None,
+) -> ParadigmLoop:
     """Instantiate the paradigm loop, honouring the hierarchy override.
 
     A multi-agent config with ``hierarchy_cluster_size`` set runs under
@@ -64,9 +76,9 @@ def build_loop(config: SystemConfig, task: TaskSpec, seed: int = 0) -> ParadigmL
     if config.is_multi_agent and config.optimizations.hierarchy_cluster_size > 0:
         from repro.optim.hierarchy import HierarchicalLoop
 
-        return HierarchicalLoop(config, task, seed)
+        return HierarchicalLoop(config, task, seed, settings)
     loop_cls = PARADIGM_LOOPS[config.paradigm]
-    return loop_cls(config, task, seed)
+    return loop_cls(config, task, seed, settings)
 
 
 def run_episode(
@@ -89,15 +101,17 @@ def trial_jobs(
     n_agents: int | None = None,
     base_seed: int = 0,
     horizon: int | None = None,
+    settings: RunSettings | None = None,
 ) -> list[TrialJob]:
     """Picklable work items for ``n_trials`` seeded episodes, seed-ordered.
 
-    Tasks are built eagerly in the parent process (task construction is
-    cheap and deterministic in the seed), so workers receive fully
-    specified ``(config, task, seed)`` triples.
+    Tasks and settings are resolved eagerly in the parent process (task
+    construction is cheap and deterministic in the seed), so workers
+    receive fully specified jobs.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1: {n_trials}")
+    base = settings if settings is not None else current()
     jobs = []
     for trial_seed in spawn_trial_seeds(base_seed, n_trials):
         task = build_task(
@@ -107,7 +121,9 @@ def trial_jobs(
             seed=trial_seed,
             horizon=horizon,
         )
-        jobs.append(TrialJob(config=config, task=task, seed=trial_seed))
+        jobs.append(
+            TrialJob(config=config, task=task, seed=trial_seed, settings=base)
+        )
     return jobs
 
 

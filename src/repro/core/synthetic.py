@@ -19,10 +19,9 @@ behavior is written on the job itself:
 - :func:`crash_seed_runner` additionally dies on the seeds named by
   ``REPRO_SYNTH_CRASH_SEEDS`` — the kill switch the crash/resume tests
   and the CI resume smoke flip mid-sweep.  (An env knob rather than a
-  parameter so the kill set crosses the process-pool boundary; it is an
-  execution-shape knob by nature but lives in the fleet fingerprint's
-  excluded set explicitly, so arming it between runs does not invalidate
-  the ledger being resumed.)
+  parameter so the kill set crosses the process-pool boundary; job
+  fingerprints hash only the job and its run settings, so arming it
+  between runs does not invalidate the ledger being resumed.)
 
 All three are module-level by design: process pools pickle runners by
 qualified name.

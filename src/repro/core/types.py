@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
-from repro.core import hotpath
 from repro.core.errors import FaultKind
+from repro.core.settings import current
 
 
 def _memo_describe(obj: object, text: str) -> str:
@@ -26,11 +26,11 @@ def _memo_describe(obj: object, text: str) -> str:
     every step the object is re-rendered into a prompt (memory windows and
     action histories re-render the same instances for many steps).  The
     cache lives outside the dataclass fields — equality, hashing, and
-    pickled round-trips are unaffected.  On the reference path
-    (:mod:`repro.core.hotpath` disabled) nothing is cached, preserving the
-    seed implementation's per-call rendering cost.
+    pickled round-trips are unaffected.  On the reference path (the
+    ``hotpath`` run setting off) nothing is cached, preserving the seed
+    implementation's per-call rendering cost.
     """
-    if hotpath.enabled():
+    if current().hotpath:
         object.__setattr__(obj, "_described", text)
     return text
 
@@ -75,7 +75,7 @@ class Fact:
         cached = self.__dict__.get("_described")
         if cached is not None:
             return cached
-        if hotpath.enabled():
+        if current().hotpath:
             return _memo_describe(
                 self, _render_fact(self.subject, self.relation, self.value)
             )
@@ -136,7 +136,7 @@ class Subgoal:
         cached = self.__dict__.get("_described")
         if cached is not None:
             return cached
-        if hotpath.enabled():
+        if current().hotpath:
             return _memo_describe(
                 self, _render_subgoal(self.name, self.target, self.destination)
             )

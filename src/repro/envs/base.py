@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import hotpath
 from repro.core.beliefs import Beliefs
+from repro.core.settings import current
 from repro.core.types import Candidate, Fact, Observation, Subgoal, TaskSpec
 from repro.envs.candidates import CandidateCache, CandidateSlot, build_all
 from repro.planners.costmodel import ComputeCost, ZERO_COST
@@ -81,7 +81,7 @@ class Environment(abc.ABC):
         # enumeration into slots get per-slot reuse; the rest fall back
         # to full enumeration through their own ``candidates`` override.
         self._candidate_cache: CandidateCache | None = (
-            CandidateCache() if hotpath.enabled() else None
+            CandidateCache() if current().hotpath else None
         )
         # Per-step position staging (hot path only): agent positions only
         # change when an agent executes, and every paradigm loop perceives
@@ -90,7 +90,7 @@ class Environment(abc.ABC):
         # Cleared on tick() and by the execution module after every
         # execute (covering replans and custom loops).
         self._position_cache: dict[str, str] | None = (
-            {} if hotpath.enabled() else None
+            {} if current().hotpath else None
         )
         # candidates() is no longer @abstractmethod (the base class now
         # drives candidate_slots() when provided), so re-create the

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import hotpath
+from repro.core.settings import current
 from repro.planners.astar import AStarResult, astar
 
 Cell = tuple[int, int]
@@ -59,7 +59,7 @@ class RoomGrid:
         # staticness makes a room's passable-cell list reusable, which
         # takes the per-cell passability scan out of every execute-side
         # ``random_cell_in`` (explore/deposit targets, one per navigation).
-        fast = hotpath.enabled()
+        fast = current().hotpath
         self._path_cache: dict[tuple[Cell, Cell], AStarResult] | None = (
             {} if fast else None
         )

@@ -5,6 +5,10 @@ variable (default 5) so benchmark runs can trade precision for speed
 without code changes (``REPRO_TRIALS=2 pytest benchmarks/``), and their
 execution engine from ``REPRO_WORKERS`` (default 1 = serial, bit-identical
 to the seed; >1 fans trials out across that many worker processes).
+Every job they dispatch is stamped with ``ExperimentSettings.run``, the
+resolved :class:`~repro.core.settings.RunSettings` (default: the
+``REPRO_*`` environment), so a grid's results never depend on which
+process runs which episode.
 
 The sweep helpers are grid-shaped on purpose: an experiment declares its
 full grid of cells up front (:class:`GridCell`) and :func:`measure_grid`
@@ -39,6 +43,7 @@ from repro.core.executor import EXECUTOR_KINDS, TrialExecutor, TrialJob, get_exe
 from repro.core.fleet import fleet_from_env
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.runner import build_task, trial_jobs
+from repro.core.settings import RunSettings, current
 
 DEFAULT_TRIALS = 5
 DEFAULT_WORKERS = 1
@@ -71,6 +76,9 @@ class ExperimentSettings:
     executor: str = field(default_factory=executor_from_env)
     #: Worker processes for the parallel executor (ignored when serial).
     max_workers: int = field(default_factory=workers_from_env)
+    #: Run settings every dispatched job carries (default: the current
+    #: context's, else the environment's); config pins apply per cell.
+    run: RunSettings = field(default_factory=current)
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:
@@ -83,6 +91,17 @@ class ExperimentSettings:
     def make_executor(self) -> TrialExecutor:
         """The (shared, pooled) executor these settings select."""
         return get_executor(self.executor, self.max_workers)
+
+
+def sweep_settings() -> ExperimentSettings:
+    """Settings for the long sweep CLIs (Figures 7 and 8, the full suite).
+
+    Those paths consume only finalized aggregates, never the per-span
+    list, so they default to the coarse clock — its totals are
+    byte-identical — while an exported ``REPRO_CLOCK=span`` still forces
+    per-span recording.
+    """
+    return ExperimentSettings(run=RunSettings.from_env(RunSettings(clock="coarse")))
 
 
 # ---------------------------------------------------------------------- #
@@ -180,6 +199,7 @@ def _cell_jobs(cell: GridCell, settings: ExperimentSettings) -> list[TrialJob]:
         n_agents=cell.n_agents,
         base_seed=settings.base_seed,
         horizon=cell.horizon,
+        settings=settings.run,
     )
 
 
@@ -266,5 +286,12 @@ def episode_grid(
             seed=settings.base_seed,
             horizon=cell.horizon,
         )
-        jobs.append(TrialJob(config=cell.config, task=task, seed=settings.base_seed))
+        jobs.append(
+            TrialJob(
+                config=cell.config,
+                task=task,
+                seed=settings.base_seed,
+                settings=settings.run,
+            )
+        )
     return dispatch_jobs(jobs, settings)

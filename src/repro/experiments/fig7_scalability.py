@@ -10,10 +10,11 @@ Paper shapes to preserve:
 - decentralized: success rises then falls (collaboration dilution);
   latency explodes super-linearly (per-agent calls × growing dialogue).
 
-As the longest sweep in the suite, the CLI entry point defaults the
-process to the coarse clock (``REPRO_CLOCK=coarse``): this sweep reads
-only finalized aggregates, never per-span records, and coarse totals are
-byte-identical.  Set ``REPRO_CLOCK=span`` to force per-span recording.
+As the longest sweep in the suite, the CLI entry point runs with the
+coarse clock (:func:`~repro.experiments.common.sweep_settings`): this
+sweep reads only finalized aggregates, never per-span records, and
+coarse totals are byte-identical.  Set ``REPRO_CLOCK=span`` to force
+per-span recording.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_series
-from repro.core.clock import default_to_coarse_for_sweeps
-from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
+from repro.experiments.common import (
+    ExperimentSettings,
+    GridCell,
+    measure_grid,
+    sweep_settings,
+)
 from repro.workloads.registry import get_workload
 
 SUBJECTS = ("mindagent", "coela", "combo")
@@ -123,8 +128,7 @@ def render(result: Fig7Result) -> str:
 
 
 def main() -> None:
-    default_to_coarse_for_sweeps()
-    print(render(run()))
+    print(render(run(sweep_settings())))
 
 
 if __name__ == "__main__":

@@ -13,15 +13,15 @@ are aggregated in seed order, and sections are always stitched in
 canonical order, so only the per-section timing lines vary between
 serial, parallel, and concurrent runs.
 
-Knob precedence: the ``--concurrent-sections`` flag wins over
-``REPRO_SUITE_CONCURRENT``; trial count and executor come from
-``ExperimentSettings`` defaults, i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS``
-unless a caller passes explicit settings.  Concurrent sections share one
-process, so they also share the (single-threaded) ``REPRO_PROFILE``
-probe — profile serial runs only.  As the repo's longest run, the CLI
-entry point defaults the process to the coarse clock (every section
-consumes only finalized aggregates; totals are byte-identical) —
-``REPRO_CLOCK=span`` forces per-span recording.  See
+Settings: trial count and executor come from ``ExperimentSettings``
+defaults, i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS`` unless a caller
+passes explicit settings, and every section's jobs carry the same
+resolved run settings.  Concurrent sections share one process, so they
+also share the (single-threaded) ``REPRO_PROFILE`` probe — profile
+serial runs only.  As the repo's longest run, the CLI entry point uses
+the coarse clock (:func:`~repro.experiments.common.sweep_settings`;
+every section consumes only finalized aggregates, and totals are
+byte-identical) — ``REPRO_CLOCK=span`` forces per-span recording.  See
 docs/performance.md for the full knob table.
 """
 
@@ -33,8 +33,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis.tables import render_table1, render_table2
-from repro.core.clock import default_to_coarse_for_sweeps
-from repro.core.envknobs import bool_knob
+from repro.core.envknobs import bool_knob, int_knob
 from repro.experiments import (
     ablations,
     fig2_latency,
@@ -45,10 +44,9 @@ from repro.experiments import (
     fig7_scalability,
     fig8_serving,
 )
-from repro.core.envknobs import int_knob
 from repro.core.errors import BudgetExceededError
 from repro.core.fleet import budget_scope
-from repro.experiments.common import ExperimentSettings, metered
+from repro.experiments.common import ExperimentSettings, metered, sweep_settings
 
 _SECTIONS = (
     ("Table I", lambda s: render_table1()),
@@ -152,27 +150,21 @@ def run_all(
     return "\n\n".join(blocks)
 
 
-def concurrent_sections_from_env() -> bool:
-    """Truthiness of ``REPRO_SUITE_CONCURRENT`` (0/false/no/off disable)."""
-    return bool_knob("REPRO_SUITE_CONCURRENT", default=False)
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "--concurrent-sections",
-        action=argparse.BooleanOptionalAction,
-        default=concurrent_sections_from_env(),
-        help="run independent report sections concurrently "
-        "(default follows REPRO_SUITE_CONCURRENT)",
+        action="store_true",
+        help="run independent report sections concurrently",
     )
     args = parser.parse_args(argv)
-    default_to_coarse_for_sweeps()
     stopped: list[str] = []
     try:
         print(
             run_all(
-                concurrent_sections=args.concurrent_sections, stopped=stopped
+                sweep_settings(),
+                concurrent_sections=args.concurrent_sections,
+                stopped=stopped,
             )
         )
     except BudgetExceededError as exc:

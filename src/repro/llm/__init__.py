@@ -3,16 +3,10 @@
 from repro.llm.backend import InferenceBackend
 from repro.llm.behavior import BehaviorKernel, DecisionRequest
 from repro.llm.deployment import DeploymentOptions
-from repro.llm.http_backend import HTTPBackend, HTTPBackendError, HTTPOptions
 from repro.llm.profiles import LLMProfile, get_profile, list_profiles
 from repro.llm.prompt import Prompt, PromptBuilder
 from repro.llm.requests import InferenceRequest, InferenceResult
-from repro.llm.scheduler import (
-    SERVE_MODES,
-    InferenceScheduler,
-    resolve_serve_mode,
-    serve_mode_from_env,
-)
+from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, GenerationResult, SimulatedLLM
 from repro.llm.tokenizer import count_tokens
 
@@ -21,9 +15,6 @@ __all__ = [
     "DecisionRequest",
     "DeploymentOptions",
     "GenerationResult",
-    "HTTPBackend",
-    "HTTPBackendError",
-    "HTTPOptions",
     "InferenceBackend",
     "InferenceRequest",
     "InferenceResult",
@@ -37,6 +28,4 @@ __all__ = [
     "count_tokens",
     "get_profile",
     "list_profiles",
-    "resolve_serve_mode",
-    "serve_mode_from_env",
 ]

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import hotpath
 from repro.core.errors import FaultKind
+from repro.core.settings import current
 from repro.core.types import Candidate, Subgoal
 from repro.envs.candidates import FAULT_CODES, FAULT_NONE, candidate_features
 
@@ -244,7 +244,7 @@ class BehaviorKernel:
     )
 
     def __post_init__(self) -> None:
-        self._fast = hotpath.enabled()
+        self._fast = current().hotpath
 
     def _scoreboard(self, request: DecisionRequest) -> _Scoreboard | None:
         """The cached scoreboard on the fast path, ``None`` otherwise.

@@ -6,7 +6,7 @@ candidate actions).  Sections keep their own token counts so experiments
 can report *where* prompt growth comes from — the paper's Fig. 6 attributes
 growth to repeated memory retrieval and concatenated multi-agent dialogue.
 
-Hot-path accounting (:mod:`repro.core.hotpath`): a section's token count is
+Hot-path accounting (the ``hotpath`` run setting): a section's token count is
 computed once at construction and a prompt's total is maintained
 incrementally on ``add``, so reading ``Prompt.tokens`` on every simulated
 LLM call never re-tokenizes the (growing) prompt text.  The builder goes
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from repro.core import hotpath
+from repro.core.settings import current
 from repro.core.types import Candidate, Fact, Message, Observation
 from repro.envs.candidates import candidate_features
 from repro.llm.tokenizer import count_tokens
@@ -386,7 +386,7 @@ class PromptBuilder:
 
     def __init__(self, system_text: str = "", task_text: str = "") -> None:
         self._prompt = Prompt()
-        self._fast = hotpath.enabled()
+        self._fast = current().hotpath
         if system_text:
             self._static("system", system_text)
         if task_text:

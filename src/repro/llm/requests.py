@@ -27,10 +27,10 @@ Purposes name what the tokens buy, matching the generation-length table
 (:data:`repro.llm.simulated.OUTPUT_TOKENS`): ``plan``, ``message``,
 ``action_selection``, ``reflection``, ``primitive``, ``world_model``.
 
-The envelope is backend-agnostic on purpose: the same request serves the
-:class:`~repro.llm.simulated.SimulatedLLM` kernel and the OpenAI-
-compatible :class:`~repro.llm.http_backend.HTTPBackend`, and the
-scheduler's continuous mode adds nothing to it — a request's arrival
+The envelope is backend-agnostic on purpose: the same request would
+serve the :class:`~repro.llm.simulated.SimulatedLLM` kernel or any other
+:class:`~repro.llm.backend.InferenceBackend`, and the scheduler's
+continuous mode adds nothing to it — a request's arrival
 time in the engine queue is the clock position at submit, tracked by the
 scheduler, not a field the caller sets.
 """

@@ -10,12 +10,12 @@ dispatches it to the issuing agent's
 and records the token sample — the accounting the modules previously did
 by hand, now in exactly one place.
 
-Three serving modes (``REPRO_SERVE``):
+Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``):
 
 - ``percall`` (default) — dispatch immediately, in submission order,
   charging each request's own modeled latency at the exact clock position
   the seed charged it.  Byte-identical to the seed pipeline (golden-suite
-  gated, like ``REPRO_HOTPATH``).
+  gated, like the ``hotpath`` setting).
 - ``batched`` — request *content* still resolves at submit time, in
   submission order (the rng stream, decisions, token counts, faults, and
   therefore every task outcome are untouched); only the latency charge is
@@ -40,8 +40,8 @@ Three serving modes (``REPRO_SERVE``):
   the engine replays the arrival-ordered queue at the step boundary:
   each batch starts at ``max(engine free, first arrival)``, admits
   waiting requests up to the occupancy cap
-  (``DeploymentOptions.batch_size`` when configured, else
-  ``REPRO_SERVE_CAP``), and accepts *in-flight joins* — requests that
+  (``DeploymentOptions.batch_size`` when configured, else the
+  ``serve_cap`` setting), and accepts *in-flight joins* — requests that
   arrive while the batch is running join it if a slot is free, extending
   the batch end by the recomputed shared latency (floored at the
   joiner's own prefill+decode service).  Requests that find the engine
@@ -58,10 +58,11 @@ Three serving modes (``REPRO_SERVE``):
   request's issue time is its submit clock position even when its
   content depended on an earlier pending result.
 
-Mode precedence: a config with ``optimizations.serve_mode`` set wins
-(per-cell control for grids); else ``optimizations.batching`` (the
-Rec. 1 transform) selects batched; otherwise ``REPRO_SERVE`` decides
-(default ``percall``).  API-profile groups batch too — that models the
+Mode resolution follows :mod:`repro.core.settings`: a config with
+``optimizations.serve_mode`` set wins (per-cell control for grids); else
+``optimizations.batching`` (the Rec. 1 transform) selects batched;
+otherwise the episode's ``serve`` setting decides (default
+``percall``).  API-profile groups batch too — that models the
 provider's server-side continuous batching, which is exactly how
 concurrent requests from one team would land on a real endpoint.
 
@@ -76,42 +77,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.envknobs import choice_knob, int_knob
+from repro.core.settings import SERVE_MODES, current
 from repro.llm.backend import InferenceBackend
 from repro.llm.requests import InferenceRequest, InferenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.clock import SimClock
-    from repro.core.config import SystemConfig
     from repro.core.metrics import MetricsCollector
-
-#: Serving modes selectable via config / ``REPRO_SERVE``.
-SERVE_MODES = ("percall", "batched", "continuous")
-
-#: Continuous-engine admission cap when the deployment leaves
-#: ``batch_size`` unconfigured (``REPRO_SERVE_CAP`` overrides).
-DEFAULT_OCCUPANCY_CAP = 8
-
-
-def serve_mode_from_env() -> str:
-    """Serving mode from ``REPRO_SERVE`` (default ``percall``)."""
-    return choice_knob("REPRO_SERVE", default="percall", choices=SERVE_MODES)
-
-
-def resolve_serve_mode(config: "SystemConfig") -> str:
-    """The serving mode an episode of ``config`` runs under.
-
-    An explicit ``optimizations.serve_mode`` wins (the per-cell control
-    the serving grids use to mix modes in one process); else the Rec. 1
-    ``batching`` flag selects batched (it is the per-system opt-in the
-    ablation experiments toggle); otherwise the process-wide
-    ``REPRO_SERVE`` default applies.
-    """
-    if config.optimizations.serve_mode:
-        return config.optimizations.serve_mode
-    if config.optimizations.batching:
-        return "batched"
-    return serve_mode_from_env()
 
 
 class _Pending(NamedTuple):
@@ -141,7 +113,8 @@ class InferenceScheduler:
         metrics: "MetricsCollector",
         mode: str | None = None,
     ) -> None:
-        resolved = mode if mode is not None else serve_mode_from_env()
+        settings = current()
+        resolved = mode if mode is not None else settings.serve
         if resolved not in SERVE_MODES:
             raise ValueError(f"mode must be one of {SERVE_MODES}, got {resolved!r}")
         self.mode = resolved
@@ -155,11 +128,11 @@ class InferenceScheduler:
         #: ``batch_size`` unconfigured, and the per-(profile, deployment)
         #: busy-until horizon that persists across flushes so a new
         #: step's arrivals queue behind work still in flight.
-        self.default_cap = int_knob("REPRO_SERVE_CAP", DEFAULT_OCCUPANCY_CAP)
+        self.default_cap = settings.serve_cap
         self._engine_free: dict[tuple, float] = {}
         #: Clock position where the last dispatching flush started
         #: charging — the anchor perception–generation overlap
-        #: (``REPRO_OVERLAP``) backdates the next step's sensing to.
+        #: (the ``overlap`` setting) backdates the next step's sensing to.
         self.overlap_anchor = 0.0
 
     @property

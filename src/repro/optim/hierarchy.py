@@ -37,8 +37,8 @@ def cluster_agents(
 class HierarchicalLoop(ParadigmLoop):
     """Clustered cooperation: central within clusters, decentral across."""
 
-    def __init__(self, config, task, seed) -> None:
-        super().__init__(config, task, seed)
+    def __init__(self, config, task, seed, settings=None) -> None:
+        super().__init__(config, task, seed, settings)
         size = config.optimizations.hierarchy_cluster_size
         if size < 1:
             raise ValueError("HierarchicalLoop requires hierarchy_cluster_size >= 1")

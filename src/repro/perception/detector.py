@@ -7,7 +7,7 @@ corrupted).  Mislabeled location facts are the seed of downstream
 stale-memory faults — the agent will confidently navigate to the wrong
 place, exactly the perception-induced failure mode modular systems exhibit.
 
-Hot-path staging (:mod:`repro.core.hotpath`): the detector's random draws
+Hot-path staging (the ``hotpath`` run setting): the detector's random draws
 are part of the episode's rng stream (the same generator feeds memory
 confusion and execution), so no draw may be skipped or reordered.  The
 optimized path therefore never caches *outcomes*; it only produces the
@@ -24,7 +24,7 @@ identical stream more cheaply:
 The reference path keeps the seed implementation verbatim, so benchmark
 comparisons stay honest.
 
-Detector modes (``REPRO_DETECTOR``): the module additionally hosts a
+Detector modes (the ``detector`` run setting): the module additionally hosts a
 **vector** detector that batches the per-fact draws into three array
 calls — ``rng.random(n)`` for recall, ``rng.random(m)`` for the ``m``
 facts that passed recall (only when a distractor vocabulary exists), and
@@ -38,66 +38,21 @@ fact), so under noisy profiles different facts pass recall and its
 aggregates differ from the loop detector's.
 That is a documented byte-identity waiver: ``loop`` stays the default
 and the reference for every golden suite; ``vector`` ships with its own
-re-baselined goldens (see docs/performance.md).  Mode precedence: an
-explicit ``mode=`` argument wins, then the process-local override, then
-``REPRO_DETECTOR``; the ``loop`` mode dispatches through the existing
-hotpath seam exactly as before.
+re-baselined goldens (see docs/performance.md).  Mode selection: an
+explicit ``mode=`` argument wins, else the run settings' ``detector``
+(:func:`repro.core.settings.current`), which the sensing module captures
+once per episode; the ``loop`` mode dispatches through the hotpath seam.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.core import hotpath
-from repro.core.envknobs import choice_knob
+from repro.core.settings import current
 from repro.core.types import Fact
 from repro.perception.models import PerceptionProfile
-
-#: Valid detector modes: ``loop`` (seed-faithful per-fact draws, the
-#: default and golden reference) and ``vector`` (batched draws, same
-#: draw counts, reordered stream — re-baselined goldens).
-DETECTOR_MODES = ("loop", "vector")
-
-
-def _mode_from_env() -> str:
-    return choice_knob("REPRO_DETECTOR", default="loop", choices=DETECTOR_MODES)
-
-
-_mode = _mode_from_env()
-
-
-def mode() -> str:
-    """The detector mode active in this process (``loop`` / ``vector``)."""
-    return _mode
-
-
-def set_mode(value: str) -> None:
-    """Set the process-local detector mode (workers re-read the env var)."""
-    global _mode
-    if value not in DETECTOR_MODES:
-        raise ValueError(f"detector mode must be one of {DETECTOR_MODES}: {value!r}")
-    _mode = value
-
-
-@contextmanager
-def override_mode(value: str) -> Iterator[None]:
-    """Temporarily force a detector mode (tests and benchmarks).
-
-    Process-local, like :func:`repro.core.hotpath.override`: worker
-    processes of a parallel executor initialize from ``REPRO_DETECTOR``
-    instead, so parallel runs that need a non-default mode must export
-    the variable before the pool is created.
-    """
-    previous = _mode
-    set_mode(value)
-    try:
-        yield
-    finally:
-        set_mode(previous)
 
 
 @dataclass(frozen=True)
@@ -124,13 +79,14 @@ def detect(
     skipped, since a detector cannot invent values outside its vocabulary.
 
     ``mode`` pins the detector implementation for this call (``loop`` /
-    ``vector``); ``None`` defers to the process mode (:func:`set_mode`,
-    ``REPRO_DETECTOR``).  The ``vector`` detector wins regardless of the
-    hotpath flag — it is an explicit opt-in with its own goldens.
+    ``vector``); ``None`` defers to the run settings' ``detector``.  The
+    ``vector`` detector wins regardless of the ``hotpath`` setting — it
+    is an explicit opt-in with its own goldens.
     """
-    if (mode or _mode) == "vector":
+    settings = current()
+    if (mode or settings.detector) == "vector":
         return _detect_vector(ground_facts, profile, rng, distractor_values)
-    if hotpath.enabled():
+    if settings.hotpath:
         return _detect_fast(ground_facts, profile, rng, distractor_values)
     return _detect_reference(ground_facts, profile, rng, distractor_values)
 

@@ -60,9 +60,9 @@ class TestSettle:
             clock.settle(1.0, -0.1, ModuleName.PLANNING)
 
     def test_coarse_mode_sums_identically(self):
-        from repro.core.clock import override_coarse
+        from repro.core.settings import RunSettings, bind
 
-        with override_coarse(True):
+        with bind(RunSettings(clock="coarse")):
             coarse = SimClock()
         assert coarse.settle(5.0, 3.0, ModuleName.PLANNING, phase="p") is None
         assert coarse.now == pytest.approx(5.0)

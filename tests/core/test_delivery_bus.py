@@ -16,18 +16,20 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import clock as clock_mod
-from repro.core import hotpath
 from repro.core.beliefs import Beliefs
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import MemoryModule
+from repro.core.settings import RunSettings, bind
 from repro.core.types import Fact, Message, TaskSpec
 from repro.envs.tasks import make_task
 from repro.envs.transport import TransportEnv
 from repro.perception.detector import detect
 from repro.perception.models import get_perception
+
+OPTIMIZED = RunSettings()
+REFERENCE = RunSettings(hotpath=False)
 
 
 def _facts(step: int, n: int, salt: str = "") -> tuple[Fact, ...]:
@@ -79,7 +81,7 @@ class TestStagedMemoryWrites:
             Message(sender="a1", recipients=("agent_0",), step=2, facts=_facts(2, 3)),
             Message(sender="a2", recipients=("agent_0",), step=2, facts=_facts(1, 2, "m")),
         ]
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             inline = _memory()
             for message in messages:
                 inline.store_message(message)
@@ -94,7 +96,7 @@ class TestStagedMemoryWrites:
             assert staged.dialogue_window(3) == inline.dialogue_window(3)
 
     def test_reads_refuse_uncommitted_staging(self):
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             memory = _memory()
             memory.stage_message(
                 Message(sender="a1", recipients=("agent_0",), step=1, facts=_facts(1, 1))
@@ -114,10 +116,10 @@ class TestDetectorStreamIdentity:
         """Same facts, same result, and — critically — same rng state after."""
         profile = get_perception(profile_name)
         ground = list(_facts(4, 12))
-        with hotpath.override(False):
+        with bind(REFERENCE):
             rng_ref = np.random.default_rng(123)
             reference = detect(ground, profile, rng_ref, distractor_values=distractors)
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             rng_fast = np.random.default_rng(123)
             fast = detect(ground, profile, rng_fast, distractor_values=distractors)
         assert fast == reference
@@ -127,7 +129,7 @@ class TestDetectorStreamIdentity:
     def test_perfect_detector_reports_frame_unchanged(self):
         profile = get_perception("symbolic")
         ground = list(_facts(7, 5))
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             result = detect(ground, profile, np.random.default_rng(0), ["hall"])
         assert result.facts == tuple(ground)
         assert result.missed == 0 and result.mislabeled == 0
@@ -140,9 +142,9 @@ def _transport_env(n_agents: int = 3) -> TransportEnv:
 
 class TestPositionStaging:
     def test_cached_positions_match_reference(self):
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             fast_env = _transport_env()
-        with hotpath.override(False):
+        with bind(REFERENCE):
             ref_env = _transport_env()
         fast_env.tick()
         ref_env.tick()
@@ -152,7 +154,7 @@ class TestPositionStaging:
             assert fast_env.position_of(agent) == ref_env.agent_position(agent)
 
     def test_tick_and_execute_invalidate(self):
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             env = _transport_env()
         env.tick()
         agent = env.agents[0]
@@ -169,9 +171,9 @@ class TestPositionStaging:
         del before
 
     def test_observation_uses_staged_positions(self):
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             fast_env = _transport_env()
-        with hotpath.override(False):
+        with bind(REFERENCE):
             ref_env = _transport_env()
         fast_env.tick()
         ref_env.tick()
@@ -183,35 +185,20 @@ class TestPositionStaging:
 
 
 class TestCoarseSweepDefault:
-    def _restore(self, previous_env: str | None, previous_flag: bool):
-        if previous_env is None:
-            os.environ.pop("REPRO_CLOCK", None)
-        else:
-            os.environ["REPRO_CLOCK"] = previous_env
-        clock_mod.set_coarse(previous_flag)
+    """The sweep CLIs dispatch with the coarse clock unless told otherwise."""
 
-    def test_defaults_to_coarse_when_unset(self):
-        previous_env = os.environ.pop("REPRO_CLOCK", None)
-        previous_flag = clock_mod.coarse_enabled()
-        try:
-            clock_mod.set_coarse(False)
-            assert clock_mod.default_to_coarse_for_sweeps() is True
-            assert os.environ["REPRO_CLOCK"] == "coarse"  # workers inherit
-            assert clock_mod.coarse_enabled()
-        finally:
-            self._restore(previous_env, previous_flag)
+    def test_defaults_to_coarse_when_unset(self, monkeypatch):
+        from repro.experiments.common import sweep_settings
 
-    def test_explicit_span_mode_wins(self):
-        previous_env = os.environ.get("REPRO_CLOCK")
-        previous_flag = clock_mod.coarse_enabled()
-        try:
-            os.environ["REPRO_CLOCK"] = "span"
-            clock_mod.set_coarse(False)
-            assert clock_mod.default_to_coarse_for_sweeps() is False
-            assert os.environ["REPRO_CLOCK"] == "span"
-            assert not clock_mod.coarse_enabled()
-        finally:
-            self._restore(previous_env, previous_flag)
+        monkeypatch.delenv("REPRO_CLOCK", raising=False)
+        assert sweep_settings().run.clock == "coarse"
+        assert "REPRO_CLOCK" not in os.environ  # nothing is exported
+
+    def test_explicit_span_mode_wins(self, monkeypatch):
+        from repro.experiments.common import sweep_settings
+
+        monkeypatch.setenv("REPRO_CLOCK", "span")
+        assert sweep_settings().run.clock == "full"
 
 
 class TestComposePayloadStaging:
@@ -221,7 +208,7 @@ class TestComposePayloadStaging:
         from repro.core.seeding import rng_for
         from repro.llm.simulated import SimulatedLLM
 
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             context = ModuleContext(
                 agent="a0",
                 clock=SimClock(),

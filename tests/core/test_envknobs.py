@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.envknobs import bool_knob, choice_knob, int_knob, raw_knob
+from repro.core.envknobs import bool_knob, choice_knob, float_knob, int_knob, raw_knob
+from repro.core.settings import RunSettings
 
 KNOB = "REPRO_TEST_KNOB"
 
@@ -35,6 +36,15 @@ class TestInt:
         monkeypatch.setenv(KNOB, "0")
         with pytest.raises(ValueError, match=">= 1"):
             int_knob(KNOB, default=5)
+
+
+class TestFloat:
+    def test_parses_with_whitespace_and_validates(self, monkeypatch):
+        monkeypatch.setenv(KNOB, " 2.5 ")
+        assert float_knob(KNOB, default=1.0) == 2.5
+        monkeypatch.setenv(KNOB, "fast")
+        with pytest.raises(ValueError, match=KNOB):
+            float_knob(KNOB, default=1.0)
 
 
 class TestBool:
@@ -81,34 +91,20 @@ class TestAdopters:
         assert workers_from_env() == 4
 
     def test_hotpath_false_spelling(self, monkeypatch):
-        from repro.core.hotpath import _from_env
-
         monkeypatch.setenv("REPRO_HOTPATH", "OFF")
-        assert _from_env() is False
+        assert RunSettings.from_env().hotpath is False
         monkeypatch.delenv("REPRO_HOTPATH")
-        assert _from_env() is True
+        assert RunSettings.from_env().hotpath is True
 
     def test_clock_rejects_junk(self, monkeypatch):
-        from repro.core.clock import _coarse_from_env
-
         monkeypatch.setenv("REPRO_CLOCK", "granular")
         with pytest.raises(ValueError, match="REPRO_CLOCK"):
-            _coarse_from_env()
+            RunSettings.from_env()
         monkeypatch.setenv("REPRO_CLOCK", "coarse")
-        assert _coarse_from_env() is True
+        assert RunSettings.from_env().clock == "coarse"
         monkeypatch.setenv("REPRO_CLOCK", "span")
-        assert _coarse_from_env() is False
-
-    def test_suite_concurrent(self, monkeypatch):
-        from repro.experiments.suite import concurrent_sections_from_env
-
-        monkeypatch.setenv("REPRO_SUITE_CONCURRENT", "1")
-        assert concurrent_sections_from_env() is True
-        monkeypatch.setenv("REPRO_SUITE_CONCURRENT", "off")
-        assert concurrent_sections_from_env() is False
+        assert RunSettings.from_env().clock == "full"
 
     def test_serve_mode(self, monkeypatch):
-        from repro.llm.scheduler import serve_mode_from_env
-
         monkeypatch.setenv("REPRO_SERVE", "batched")
-        assert serve_mode_from_env() == "batched"
+        assert RunSettings.from_env().serve == "batched"

@@ -9,7 +9,6 @@ import pytest
 from repro.core.errors import BudgetExceededError, TrialExecutionError
 from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.fleet import (
-    EXECUTION_KNOBS,
     STATUS_COMPLETE,
     STATUS_IN_PROGRESS,
     STATUS_OVER_BUDGET,
@@ -27,6 +26,7 @@ from repro.core.fleet import (
 from repro.core.fleet import main as fleet_main
 from repro.core.metrics import aggregate
 from repro.core.runner import trial_jobs
+from repro.core.settings import ENV_KNOBS
 from repro.core.synthetic import (
     CRASH_SEEDS_KNOB,
     crash_seed_runner,
@@ -63,26 +63,29 @@ class TestFingerprints:
         assert job_fingerprint(other) not in prints
 
     def test_result_knob_invalidates(self, monkeypatch):
-        job = synth_jobs(1)[0]
-        before = job_fingerprint(job)
+        before = job_fingerprint(synth_jobs(1)[0])
         monkeypatch.setenv("REPRO_HOTPATH", "0")
+        job = synth_jobs(1)[0]  # resolves its settings at construction
+        assert job.settings.hotpath is False
         assert job_fingerprint(job) != before
 
     def test_execution_knobs_do_not_invalidate(self, monkeypatch):
-        job = synth_jobs(1)[0]
-        before = job_fingerprint(job)
+        before = job_fingerprint(synth_jobs(1)[0])
+        knobs = knob_fingerprint()
         for knob in ("REPRO_WORKERS", "REPRO_TRIALS", "REPRO_SHARDS", "REPRO_LEDGER"):
-            assert knob in EXECUTION_KNOBS
+            assert knob not in ENV_KNOBS
             monkeypatch.setenv(knob, "9")
-        assert job_fingerprint(job) == before
+        assert job_fingerprint(synth_jobs(1)[0]) == before
+        assert knob_fingerprint() == knobs
 
     def test_knob_fingerprint_only_repro_vars(self, monkeypatch):
         monkeypatch.setenv("REPRO_DETECTOR", "vector")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("NOT_A_KNOB", "1")
         knobs = knob_fingerprint()
         assert knobs.get("REPRO_DETECTOR") == "vector"
         assert "NOT_A_KNOB" not in knobs
-        assert not any(name in knobs for name in EXECUTION_KNOBS)
+        assert "REPRO_WORKERS" not in knobs
 
 
 class TestLedger:
@@ -187,12 +190,11 @@ class TestCheckpointResume:
         )
 
     def test_knob_change_invalidates_resume(self, ledger, monkeypatch):
-        jobs = synth_jobs(2)
         executor = SerialExecutor(job_runner=sleep_runner)
-        FleetRunner(ledger).run_jobs(jobs, executor)
+        FleetRunner(ledger).run_jobs(synth_jobs(2), executor)
         monkeypatch.setenv("REPRO_HOTPATH", "0")
         rerun = FleetRunner(ledger)
-        rerun.run_jobs(jobs, executor)
+        rerun.run_jobs(synth_jobs(2), executor)
         assert rerun.executed == 2  # nothing restored: fingerprints moved
 
     def test_duplicate_jobs_execute_once(self, ledger):
@@ -360,11 +362,10 @@ class TestEnvConstruction:
 
 class TestIncrementalTail:
     def seed(self, writer, n, name="hist", start=0):
-        knobs = knob_fingerprint()
         prints = []
         for index in range(start, start + n):
             job = synthetic_job(name=f"{name}-{index}", seed=index)
-            fingerprint = job_fingerprint(job, knobs)
+            fingerprint = job_fingerprint(job)
             writer.append_done(fingerprint, job, sleep_runner(job), shard=0)
             prints.append(fingerprint)
         return prints
@@ -472,11 +473,10 @@ class TestBatchedFlush:
 
 class TestCompaction:
     def churn(self, writer, n, start=0):
-        knobs = knob_fingerprint()
         prints = []
         for index in range(start, start + n):
             job = synthetic_job(name=f"churn-{index}", seed=index)
-            fingerprint = job_fingerprint(job, knobs)
+            fingerprint = job_fingerprint(job)
             writer.append_lease(fingerprint, shard=0, ttl_seconds=60)
             writer.append_done(fingerprint, job, sleep_runner(job), shard=0)
             prints.append(fingerprint)
@@ -548,10 +548,7 @@ class TestCompaction:
         assert len(results) == 6
         assert runner.executed == 6 - survivors
         final = JobLedger(path).load()
-        knobs = knob_fingerprint()
-        assert all(
-            final[job_fingerprint(job, knobs)].kind == "done" for job in jobs
-        )
+        assert all(final[job_fingerprint(job)].kind == "done" for job in jobs)
 
     def test_corrupt_snapshot_header_reported_none(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -731,14 +728,15 @@ class TestLedgerEnvKnobs:
         assert runner.ledger.compact_records == 16
 
     def test_io_knobs_do_not_invalidate_fingerprints(self, monkeypatch):
-        job = synth_jobs(1)[0]
-        before = job_fingerprint(job)
+        before = job_fingerprint(synth_jobs(1)[0])
+        knobs = knob_fingerprint()
         for knob in (
             "REPRO_FLUSH_SECONDS",
             "REPRO_COMPACT_RECORDS",
             "REPRO_BUDGET_PARTITION",
             "REPRO_BENCH_ATTEMPTS",
         ):
-            assert knob in EXECUTION_KNOBS
+            assert knob not in ENV_KNOBS
             monkeypatch.setenv(knob, "7")
-        assert job_fingerprint(job) == before
+        assert job_fingerprint(synth_jobs(1)[0]) == before
+        assert knob_fingerprint() == knobs

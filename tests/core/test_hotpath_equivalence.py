@@ -1,26 +1,25 @@
 """Golden equivalence: the optimized hot path reproduces the seed bytes.
 
-The contract of :mod:`repro.core.hotpath` is that every optimization is
+The contract of the ``hotpath`` run setting is that every optimization is
 *observationally invisible*: aggregates, episode results, retrievals, and
 prompts are byte-identical between the optimized path and the reference
-(seed) implementation, across paradigms, capacities, and executors.
+(seed) implementation (``hotpath=False``), across paradigms, capacities,
+and executors.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import hotpath
-from repro.core.clock import SimClock, override_coarse
+from repro.core.clock import SimClock
 from repro.core.config import MemoryConfig
-from repro.core.executor import ParallelExecutor
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import MemoryModule
+from repro.core.settings import RunSettings, bind
 from repro.core.types import Fact, Message, Subgoal
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.llm.prompt import PromptBuilder
@@ -54,28 +53,29 @@ GRID = [
     GridCell(config=get_workload("coela").config, n_agents=6),
 ]
 
-SETTINGS = ExperimentSettings(n_trials=2, executor="serial", max_workers=1)
+OPTIMIZED = RunSettings()
+REFERENCE = RunSettings(hotpath=False)
+SETTINGS = ExperimentSettings(
+    n_trials=2, executor="serial", max_workers=1, run=OPTIMIZED
+)
+REFERENCE_SETTINGS = replace(SETTINGS, run=REFERENCE)
 
 
 class TestGridEquivalence:
     def test_serial_aggregates_byte_identical(self):
-        with hotpath.override(False):
-            reference = measure_grid(GRID, SETTINGS)
-        with hotpath.override(True):
-            optimized = measure_grid(GRID, SETTINGS)
+        reference = measure_grid(GRID, REFERENCE_SETTINGS)
+        optimized = measure_grid(GRID, SETTINGS)
         assert optimized == reference
 
     def test_coarse_clock_aggregates_byte_identical(self):
-        """REPRO_CLOCK=coarse + full optimized path == reference bytes.
+        """The coarse clock + full optimized path == reference bytes.
 
         The acceptance bar of the phase-2 hot path: candidate cache,
         behaviour scoreboard, and coarse span accounting all active at
         once must still reproduce the seed aggregates exactly.
         """
-        with hotpath.override(False):
-            reference = measure_grid(GRID, SETTINGS)
-        with hotpath.override(True), override_coarse(True):
-            coarse = measure_grid(GRID, SETTINGS)
+        reference = measure_grid(GRID, REFERENCE_SETTINGS)
+        coarse = measure_grid(GRID, replace(SETTINGS, run=RunSettings(clock="coarse")))
         assert coarse == reference
 
     def test_candidate_cache_actually_engages(self):
@@ -90,10 +90,9 @@ class TestGridEquivalence:
 
         cell = GRID[4]  # coela: transport env, dialogue-heavy
         task = build_task(cell.config, n_agents=cell.n_agents, seed=0)
-        with hotpath.override(True):
-            loop = build_loop(cell.config, task, seed=0)
-            loop.run()
-            cache = loop.env._candidate_cache
+        loop = build_loop(cell.config, task, seed=0, settings=OPTIMIZED)
+        loop.run()
+        cache = loop.env._candidate_cache
         assert cache is not None
         assert cache.reused_slots > cache.rebuilt_slots
 
@@ -107,10 +106,8 @@ class TestGridEquivalence:
         (the paper's ~20 % CoELA analysis) must agree to the last bit.
         """
         cell = GRID[-1:]
-        with hotpath.override(False):
-            reference = measure_grid(cell, SETTINGS)[0]
-        with hotpath.override(True):
-            batched = measure_grid(cell, SETTINGS)[0]
+        reference = measure_grid(cell, REFERENCE_SETTINGS)[0]
+        batched = measure_grid(cell, SETTINGS)[0]
         # Guard the cell's shape: genuinely many messages, several useful.
         assert reference.mean_messages_sent >= 50
         assert 0.0 < reference.message_usefulness < 1.0
@@ -124,9 +121,8 @@ class TestGridEquivalence:
 
         cell = GRID[-1]
         task = build_task(cell.config, n_agents=cell.n_agents, seed=0)
-        with hotpath.override(True):
-            loop = build_loop(cell.config, task, seed=0)
-            loop.run()
+        loop = build_loop(cell.config, task, seed=0, settings=OPTIMIZED)
+        loop.run()
         assert loop.bus is not None
         assert loop.bus.pending == 0  # every stage was flushed
         # Multi-receiver staging: strictly more deliveries than messages.
@@ -144,32 +140,19 @@ class TestGridEquivalence:
 
         cell = GRID[4]  # coela: plans + composes + reflections + selections
         task = build_task(cell.config, n_agents=cell.n_agents, seed=0)
-        for fast in (True, False):
-            with hotpath.override(fast):
-                loop = build_loop(cell.config, task, seed=0)
-                result = loop.run()
+        for settings in (OPTIMIZED, REFERENCE):
+            loop = build_loop(cell.config, task, seed=0, settings=settings)
+            result = loop.run()
             assert loop.scheduler.mode == "percall"
             assert loop.scheduler.pending == 0
             assert loop.scheduler.dispatched == result.llm_calls > 0
 
     def test_batched_serving_changes_latency_never_outcomes(self):
-        """``REPRO_SERVE=batched`` across the golden grid: task outcomes,
-        token counts, and message metrics are invariant; modeled latency
-        drops wherever a paradigm exposes phase concurrency."""
-        import os
-
-        with hotpath.override(True):
-            percall = measure_grid(GRID, SETTINGS)
-        previous = os.environ.get("REPRO_SERVE")
-        os.environ["REPRO_SERVE"] = "batched"
-        try:
-            with hotpath.override(True):
-                batched = measure_grid(GRID, SETTINGS)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SERVE", None)
-            else:
-                os.environ["REPRO_SERVE"] = previous
+        """Batched serving across the golden grid: task outcomes, token
+        counts, and message metrics are invariant; modeled latency drops
+        wherever a paradigm exposes phase concurrency."""
+        percall = measure_grid(GRID, SETTINGS)
+        batched = measure_grid(GRID, replace(SETTINGS, run=RunSettings(serve="batched")))
         saw_speedup = False
         for reference, served in zip(percall, batched):
             assert served.success_rate == reference.success_rate
@@ -195,48 +178,17 @@ class TestGridEquivalence:
         assert saw_speedup
 
     def test_parallel_workers_match_optimized_serial(self):
-        """REPRO_WORKERS=2 on the reference path == optimized serial.
+        """2 parallel workers on the reference path == optimized serial.
 
-        Workers read ``REPRO_HOTPATH`` from the environment at fork, so a
-        dedicated pool is created inside the env override window.
+        The jobs carry ``hotpath=False``, so the workers run the reference
+        path whatever their environment or fork time.
         """
         small = GRID[:4]
-        with hotpath.override(True):
-            optimized_serial = measure_grid(small, SETTINGS)
-        # Forked workers inherit the in-process flag; spawned workers
-        # re-read the environment variable.  Set both, restoring after.
-        previous_env = os.environ.get("REPRO_HOTPATH")
-        previous_flag = hotpath.enabled()
-        os.environ["REPRO_HOTPATH"] = "0"
-        hotpath.set_enabled(False)
-        try:
-            executor = ParallelExecutor(max_workers=2)
-            try:
-                jobs_settings = replace(SETTINGS, executor="parallel", max_workers=2)
-                # measure_grid resolves its executor through the settings;
-                # build the jobs against the dedicated pool instead.
-                from repro.core.metrics import aggregate
-                from repro.experiments.common import _cell_jobs
-
-                jobs, spans = [], []
-                for cell in small:
-                    cell_jobs = _cell_jobs(cell, jobs_settings)
-                    spans.append(len(cell_jobs))
-                    jobs.extend(cell_jobs)
-                results = executor.run_jobs(jobs)
-                aggregates, cursor = [], 0
-                for span in spans:
-                    aggregates.append(aggregate(results[cursor : cursor + span]))
-                    cursor += span
-            finally:
-                executor.close()
-        finally:
-            if previous_env is None:
-                os.environ.pop("REPRO_HOTPATH", None)
-            else:
-                os.environ["REPRO_HOTPATH"] = previous_env
-            hotpath.set_enabled(previous_flag)
-        assert aggregates == optimized_serial
+        optimized_serial = measure_grid(small, SETTINGS)
+        parallel_reference = replace(
+            REFERENCE_SETTINGS, executor="parallel", max_workers=2
+        )
+        assert measure_grid(small, parallel_reference) == optimized_serial
 
 
 def _facts(step: int, n: int, salt: str = "") -> tuple[Fact, ...]:
@@ -299,10 +251,10 @@ class TestMemoryRetrievalEquivalence:
         > 40 steps), exercising the confused-retrieval fallback with the
         shared rng draw order.
         """
-        with hotpath.override(False):
+        with bind(REFERENCE):
             linear = _module(capacity, dual, seed=7)
             reference = _drive(linear, steps=70)
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             indexed = _module(capacity, dual, seed=7)
             optimized = _drive(indexed, steps=70)
         assert optimized == reference
@@ -312,27 +264,27 @@ class TestMemoryRetrievalEquivalence:
 
     def test_confusion_draws_occurred(self):
         """The capacity=60 schedule actually hits confused retrievals."""
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             module = _module(60, dual=False, seed=7)
             retrievals = _drive(module, steps=70)
         assert any(confused for *_rest, confused in retrievals)
 
     def test_beliefs_equivalent(self):
-        with hotpath.override(False):
+        with bind(REFERENCE):
             linear = _module(10, False, seed=3)
             _drive(linear, steps=30)
             reference = linear.beliefs(30, _facts(30, 4), "room_0")
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             indexed = _module(10, False, seed=3)
             _drive(indexed, steps=30)
             optimized = indexed.beliefs(30, _facts(30, 4), "room_0")
         assert optimized.facts() == reference.facts()
 
     def test_dialogue_window_equivalent(self):
-        with hotpath.override(False):
+        with bind(REFERENCE):
             linear = _module(5, False, seed=5)
             _drive(linear, steps=25)
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             indexed = _module(5, False, seed=5)
             _drive(indexed, steps=25)
         assert indexed.dialogue_window(25) == linear.dialogue_window(25)
@@ -369,9 +321,9 @@ class TestPromptEquivalence:
                 .build()
             )
 
-        with hotpath.override(False):
+        with bind(REFERENCE):
             reference = build()
-        with hotpath.override(True):
+        with bind(OPTIMIZED):
             optimized = build()
         assert optimized.sections == reference.sections
         assert optimized.tokens == reference.tokens

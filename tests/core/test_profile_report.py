@@ -12,15 +12,16 @@ import re
 
 import pytest
 
-from repro.core import hotpath
 from repro.core.clock import (
     ModuleName,
     SimClock,
     enable_host_profiling,
     host_profiler,
-    override_coarse,
 )
 from repro.core.metrics import host_profile_report
+from repro.core.settings import RunSettings, bind
+
+COARSE = RunSettings(clock="coarse")
 
 ROW = re.compile(
     r"^  (?P<key>\S+)\s+(?P<ms>[\d.]+) ms\s+(?P<marks>\d+) marks\s+"
@@ -74,8 +75,8 @@ class TestHostProfileReport:
         assert len(report.splitlines()) == 2  # header + one row
 
     def test_marks_recorded_under_coarse_clock(self, profiler):
-        """REPRO_CLOCK=coarse drops spans, not the host-time probe."""
-        with override_coarse(True):
+        """The coarse clock drops spans, not the host-time probe."""
+        with bind(COARSE):
             clock = SimClock()
             _drive(clock)
         assert clock.spans == []
@@ -91,7 +92,7 @@ class TestCoarseClock:
     def test_totals_match_full_mode(self):
         full = SimClock()
         _drive(full)
-        with override_coarse(True):
+        with bind(COARSE):
             coarse = SimClock()
             _drive(coarse)
         assert coarse.spans == []
@@ -102,7 +103,7 @@ class TestCoarseClock:
         assert list(coarse.elapsed_by_module()) == list(full.elapsed_by_module())
 
     def test_parallel_scope_unaffected(self):
-        with override_coarse(True):
+        with bind(COARSE):
             clock = SimClock()
             with clock.parallel():
                 clock.advance(2.0, ModuleName.SENSING)
@@ -111,7 +112,7 @@ class TestCoarseClock:
         assert clock.elapsed_by_module() == {ModuleName.SENSING: 7.0}
 
     def test_reset_clears_sums(self):
-        with override_coarse(True):
+        with bind(COARSE):
             clock = SimClock()
             _drive(clock)
             clock.reset()
@@ -120,16 +121,16 @@ class TestCoarseClock:
         assert clock.elapsed_by_phase() == {}
 
     def test_flag_captured_at_construction(self):
-        with override_coarse(True):
+        with bind(COARSE):
             clock = SimClock()
-        # Mode flips after construction do not affect this clock.
+        # Settings bound after construction do not affect this clock.
         _drive(clock)
         assert clock.spans == []
 
     def test_hotpath_independent(self):
-        """Coarse clocks work on both hot paths (knobs are orthogonal)."""
+        """Coarse clocks work on both hot paths (settings are orthogonal)."""
         for fast in (False, True):
-            with hotpath.override(fast), override_coarse(True):
+            with bind(RunSettings(hotpath=fast, clock="coarse")):
                 clock = SimClock()
                 _drive(clock)
                 assert clock.elapsed_by_module()[ModuleName.MEMORY] == 2.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runner import build_loop, build_task, run_episode
+from repro.core.settings import RunSettings, bind
 from repro.optim import with_batching, with_continuous_serving, with_hierarchy
 from repro.workloads.registry import get_workload
 
@@ -148,12 +149,12 @@ class TestContinuousEpisodes:
 
 
 class TestPerceptionOverlap:
-    def test_overlap_shaves_latency_without_touching_outcomes(self, monkeypatch):
+    def test_overlap_shaves_latency_without_touching_outcomes(self):
         base = with_continuous_serving(get_workload("coela").config.with_agents(4))
-        monkeypatch.delenv("REPRO_OVERLAP", raising=False)
-        plain = run_episode(base, seed=2)
-        monkeypatch.setenv("REPRO_OVERLAP", "1")
-        overlapped = run_episode(base, seed=2)
+        with bind(RunSettings()):
+            plain = run_episode(base, seed=2)
+        with bind(RunSettings(overlap=True)):
+            overlapped = run_episode(base, seed=2)
         assert outcomes(overlapped) == outcomes(plain)
         assert overlapped.sim_seconds < plain.sim_seconds
         # Full module attribution is preserved; only wall-clock shrinks.
@@ -161,11 +162,11 @@ class TestPerceptionOverlap:
             sum(plain.module_seconds.values())
         )
 
-    def test_overlap_is_inert_under_percall(self, monkeypatch):
+    def test_overlap_is_inert_under_percall(self):
         base = get_workload("coela").config.with_agents(4)
-        monkeypatch.delenv("REPRO_OVERLAP", raising=False)
-        plain = run_episode(base, seed=2)
-        monkeypatch.setenv("REPRO_OVERLAP", "1")
-        overlapped = run_episode(base, seed=2)
+        with bind(RunSettings()):
+            plain = run_episode(base, seed=2)
+        with bind(RunSettings(overlap=True)):
+            overlapped = run_episode(base, seed=2)
         assert outcomes(overlapped) == outcomes(plain)
         assert overlapped.sim_seconds == plain.sim_seconds

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import hotpath
 from repro.core.beliefs import Beliefs
+from repro.core.settings import RunSettings, bind
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs import make_env
 from repro.envs.candidates import CandidateCache, CandidateSlot, build_all
@@ -85,7 +85,7 @@ def _household(seed: int = 3):
 
 @pytest.fixture
 def fast_env():
-    with hotpath.override(True):
+    with bind(RunSettings()):
         yield _household()
 
 
@@ -151,7 +151,7 @@ class TestHouseholdInvalidation:
         ) + 1
 
     def test_reference_path_rebuilds_every_call(self):
-        with hotpath.override(False):
+        with bind(RunSettings(hotpath=False)):
             env = _household()
             beliefs = self._beliefs(env)
             assert env._candidate_cache is None
@@ -163,10 +163,10 @@ class TestHouseholdInvalidation:
 
     def test_both_paths_enumerate_identically(self):
         for seed in (0, 7):
-            with hotpath.override(False):
+            with bind(RunSettings(hotpath=False)):
                 env = _household(seed)
                 reference = env.candidates("agent_0", self._beliefs(env))
-            with hotpath.override(True):
+            with bind(RunSettings()):
                 env = _household(seed)
                 optimized = env.candidates("agent_0", self._beliefs(env))
             assert list(optimized) == reference

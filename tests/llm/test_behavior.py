@@ -201,18 +201,18 @@ class TestScoreboardEquivalence:
                            has_stale_facts=has_stale), pool
 
     def test_scoreboard_matches_scalar_pools(self):
-        from repro.core import hotpath
+        from repro.core.settings import RunSettings, bind
 
         for kwargs, pool in self._requests():
             for seed in range(150):
-                with hotpath.override(True):
+                with bind(RunSettings()):
                     fast_kernel = kernel(reasoning=0.4, compliance=0.9)
                     fast = fast_kernel.decide(
                         DecisionRequest(candidates=tuple(pool), **kwargs),
                         2000,
                         np.random.default_rng(seed),
                     )
-                with hotpath.override(False):
+                with bind(RunSettings(hotpath=False)):
                     slow_kernel = kernel(reasoning=0.4, compliance=0.9)
                     slow = slow_kernel.decide(
                         DecisionRequest(candidates=list(pool), **kwargs),
@@ -226,14 +226,14 @@ class TestScoreboardEquivalence:
 
     def test_scoreboard_actually_engages(self):
         """Guard against the scoreboard silently disabling itself."""
-        from repro.core import hotpath
+        from repro.core.settings import RunSettings, bind
 
-        with hotpath.override(True):
+        with bind(RunSettings()):
             k = kernel(reasoning=0.4, compliance=0.9)
             pool = tuple(self._rich_candidates())
             request = DecisionRequest(candidates=pool, difficulty="hard")
             k.decide(request, 2000, np.random.default_rng(0))
             assert k._scoreboard(request) is not None
-        with hotpath.override(False):
+        with bind(RunSettings(hotpath=False)):
             k = kernel(reasoning=0.4, compliance=0.9)
             assert k._scoreboard(request) is None

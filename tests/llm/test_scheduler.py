@@ -19,7 +19,8 @@ from repro.llm.deployment import DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import PromptBuilder
 from repro.llm.requests import InferenceRequest
-from repro.llm.scheduler import SERVE_MODES, InferenceScheduler, serve_mode_from_env
+from repro.core.settings import RunSettings
+from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
 
 
@@ -59,51 +60,30 @@ def plan_request(words: int = 40, agent: str = "agent_0", phase: str = "plan"):
 class TestMode:
     def test_env_default_is_percall(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE", raising=False)
-        assert serve_mode_from_env() == "percall"
+        assert RunSettings.from_env().serve == "percall"
+        clock, metrics = SimClock(), MetricsCollector(workload="t", horizon=1)
+        assert InferenceScheduler(clock, metrics).mode == "percall"
 
     def test_env_selects_batched(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", " Batched ")
-        assert serve_mode_from_env() == "batched"
+        assert RunSettings.from_env().serve == "batched"
 
     def test_env_selects_continuous(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "continuous")
-        assert serve_mode_from_env() == "continuous"
+        assert RunSettings.from_env().serve == "continuous"
 
     def test_env_rejects_unknown(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "streamed")
         with pytest.raises(ValueError):
-            serve_mode_from_env()
+            RunSettings.from_env()
 
     def test_scheduler_rejects_unknown_mode(self):
         clock, metrics = SimClock(), MetricsCollector(workload="t", horizon=1)
         with pytest.raises(ValueError):
             InferenceScheduler(clock, metrics, mode="streamed")
 
-    def test_config_batching_flag_wins(self, monkeypatch):
-        from repro.llm.scheduler import resolve_serve_mode
-        from repro.workloads.registry import get_workload
-
-        monkeypatch.delenv("REPRO_SERVE", raising=False)
-        base = get_workload("combo").config
-        assert resolve_serve_mode(base) == "percall"
-        assert resolve_serve_mode(base.with_optimizations(batching=True)) == "batched"
-
-    def test_config_serve_mode_beats_batching_flag_and_env(self, monkeypatch):
-        from repro.llm.scheduler import resolve_serve_mode
-        from repro.workloads.registry import get_workload
-
-        monkeypatch.setenv("REPRO_SERVE", "batched")
-        base = get_workload("combo").config
-        pinned = base.with_optimizations(batching=True, serve_mode="continuous")
-        assert resolve_serve_mode(pinned) == "continuous"
-        assert (
-            resolve_serve_mode(base.with_optimizations(serve_mode="percall"))
-            == "percall"
-        )
-
     def test_config_serve_mode_values_mirror_scheduler_modes(self):
-        """config.py inlines the mode names (import-cycle avoidance);
-        this pins the two lists together."""
+        """The config pin accepts exactly the scheduler's modes."""
         from repro.core.config import OptimizationConfig
 
         for mode in SERVE_MODES:

@@ -1,4 +1,4 @@
-"""Re-baselined goldens for ``REPRO_DETECTOR=vector``.
+"""Re-baselined goldens for the vector detector (``REPRO_DETECTOR=vector``).
 
 The vector detector waives byte-identity against the ``loop`` reference
 (the batched stream assigns different uniforms to the recall checks), so
@@ -24,16 +24,19 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core import hotpath
 from repro.core.config import MemoryConfig
 from repro.core.metrics import AggregateResult
+from repro.core.settings import RunSettings
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
-from repro.perception.detector import override_mode
 from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_detector_vector.json"
 
 SETTINGS = ExperimentSettings(n_trials=2, executor="serial", max_workers=1)
+
+
+def _settings(**run) -> ExperimentSettings:
+    return replace(SETTINGS, run=RunSettings(**run))
 
 
 def _grid() -> list[GridCell]:
@@ -77,11 +80,8 @@ def _serialize(aggregates: list[AggregateResult]) -> list[dict]:
 
 
 def test_vector_mode_golden_aggregates():
-    with override_mode("vector"):
-        with hotpath.override(False):
-            reference = measure_grid(_grid(), SETTINGS)
-        with hotpath.override(True):
-            optimized = measure_grid(_grid(), SETTINGS)
+    reference = measure_grid(_grid(), _settings(detector="vector", hotpath=False))
+    optimized = measure_grid(_grid(), _settings(detector="vector"))
     # The hotpath seam is mode-agnostic: within vector mode, optimized
     # and reference aggregates must still match byte for byte.
     assert optimized == reference
@@ -106,8 +106,6 @@ def test_vector_mode_differs_from_loop_under_noise():
     profiles) and the golden above is no longer testing anything.
     """
     grid = _grid()
-    with override_mode("loop"), hotpath.override(True):
-        loop = measure_grid(grid, SETTINGS)
-    with override_mode("vector"), hotpath.override(True):
-        vector = measure_grid(grid, SETTINGS)
+    loop = measure_grid(grid, _settings(detector="loop"))
+    vector = measure_grid(grid, _settings(detector="vector"))
     assert loop != vector

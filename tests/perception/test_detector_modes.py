@@ -1,4 +1,4 @@
-"""REPRO_DETECTOR modes: draw-accounting parity and byte-identity cases.
+"""Detector modes: draw-accounting parity and byte-identity cases.
 
 The vector detector batches the loop detector's per-fact draws into array
 calls.  Its contract (docs/performance.md, phase 4) is the *accounting
@@ -24,10 +24,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
+from repro.core.settings import DETECTOR_MODES, RunSettings, bind, current
 from repro.core.types import Fact
-from repro.perception import detector
-from repro.perception.detector import DETECTOR_MODES, detect, override_mode
+from repro.perception.detector import detect
 from repro.perception.models import PerceptionProfile, get_perception
+
+VECTOR = RunSettings(detector="vector")
 
 
 def facts(n=20):
@@ -146,23 +148,31 @@ class TestDrawAccountingRule:
 
 
 class TestModeKnob:
-    def test_default_is_loop(self):
-        assert detector.mode() == "loop"
+    """The ``detector`` run setting (``REPRO_DETECTOR``) and ``detect(mode=)``."""
 
-    def test_set_mode_rejects_unknown(self):
+    def test_default_is_loop(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DETECTOR", raising=False)
+        assert RunSettings().detector == "loop"
+        assert current().detector == "loop"
+
+    def test_unknown_mode_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
-            detector.set_mode("simd")
+            RunSettings(detector="simd")
+        monkeypatch.setenv("REPRO_DETECTOR", "simd")
+        with pytest.raises(ValueError, match="REPRO_DETECTOR"):
+            RunSettings.from_env()
 
     def test_override_restores_previous(self):
-        assert detector.mode() == "loop"
-        with override_mode("vector"):
-            assert detector.mode() == "vector"
-        assert detector.mode() == "loop"
+        """A binding overrides the settings in scope and restores on exit."""
+        before = current()
+        with bind(VECTOR):
+            assert current().detector == "vector"
+        assert current() == before
 
     def test_explicit_argument_wins_over_process_mode(self):
-        """``mode=`` beats the override; the override beats the default."""
+        """``mode=`` beats the bound settings' detector."""
         ground = facts(20)
-        with override_mode("vector"):
+        with bind(VECTOR):
             explicit = detect(
                 ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="loop"
             )
@@ -172,8 +182,9 @@ class TestModeKnob:
         assert explicit == reference
 
     def test_process_mode_applies_when_argument_omitted(self):
+        """Without ``mode=``, the bound settings' detector applies."""
         ground = facts(20)
-        with override_mode("vector"):
+        with bind(VECTOR):
             ambient = detect(ground, NOISY, np.random.default_rng(5), DISTRACTORS)
         explicit = detect(
             ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="vector"
@@ -184,27 +195,24 @@ class TestModeKnob:
 class TestSensingCapture:
     def test_module_captures_mode_at_construction(self, context):
         """Episode-static capture: the mode is fixed when the module is
-        built, so a mid-episode override cannot change detector behaviour
-        (and with it the rng stream) between frames."""
+        built, so a later binding cannot change detector behaviour (and
+        with it the rng stream) between frames."""
         from repro.core.modules.sensing import SensingModule
 
-        with override_mode("vector"):
+        with bind(VECTOR):
             module = SensingModule(context, model="mask-rcnn")
         assert module.detector_mode == "vector"
-        assert detector.mode() == "loop"
-        explicit = SensingModule(context, model="mask-rcnn", detector_mode="vector")
-        assert explicit.detector_mode == "vector"
-        default = SensingModule(context, model="mask-rcnn")
+        with bind(RunSettings()):
+            default = SensingModule(context, model="mask-rcnn")
+            assert module.detector_mode == "vector"
         assert default.detector_mode == "loop"
 
 
 class TestConfigPin:
     def test_config_values_mirror_detector_modes(self):
-        """config.py keeps its inline copy of the valid modes (avoiding a
-        config -> perception import cycle); this pin breaks if the two
-        drift apart."""
+        """The config pin accepts exactly the run settings' modes."""
         for mode in DETECTOR_MODES:
             OptimizationConfig(detector_mode=mode)  # must validate
-        OptimizationConfig(detector_mode="")  # unset: follow the env knob
+        OptimizationConfig(detector_mode="")  # unset: follow the run settings
         with pytest.raises(ValueError):
             OptimizationConfig(detector_mode="simd")
