@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-hotpath bench-comm bench-planning bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill
+.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -12,29 +12,6 @@ test:
 bench:
 	REPRO_TRIALS=$${REPRO_TRIALS:-2} REPRO_WORKERS=$${REPRO_WORKERS:-2} \
 		$(PYTHON) -m pytest benchmarks/ -x -q
-
-# Episode hot-path speedup (optimized vs reference), with the byte-identical
-# equivalence assert and the >20%-regression gate against
-# benchmarks/baselines/BENCH_hotpath.json.  Emits BENCH_hotpath.json.
-bench-hotpath:
-	REPRO_TRIALS=$${REPRO_TRIALS:-2} \
-		$(PYTHON) -m pytest benchmarks/bench_hotpath.py -x -q -s
-
-# Communication pipeline speedup (step-batched delivery bus vs the seed
-# per-delivery fan-out) on an all-dialogue grid, with the byte-identical
-# equivalence assert and the >20%-regression gate against
-# benchmarks/baselines/BENCH_comm.json.  Emits BENCH_comm.json.
-bench-comm:
-	REPRO_TRIALS=$${REPRO_TRIALS:-2} \
-		$(PYTHON) -m pytest benchmarks/bench_comm.py -x -q -s
-
-# Planning-kernel microbenchmark (scoreboard scoring + prompt assembly,
-# hot-path phase 4) on an episode-shaped synthetic driver, with the
-# identical-outcome asserts and the >20%-regression gate against
-# benchmarks/baselines/BENCH_planning.json.  Emits BENCH_planning.json.
-bench-planning:
-	REPRO_TRIALS=$${REPRO_TRIALS:-2} \
-		$(PYTHON) -m pytest benchmarks/bench_planning.py -x -q -s
 
 # Batched-serving modeled-latency gate (inference scheduler, Rec. 1):
 # outcome invariance plus the >20%-regression gate against
@@ -51,8 +28,8 @@ bench-fleet:
 	REPRO_TRIALS=$${REPRO_TRIALS:-2} \
 		$(PYTHON) -m pytest benchmarks/bench_fleet.py -x -q -s
 
-# The five gated benchmarks CI runs, in one target.
-bench-all: bench-hotpath bench-comm bench-planning bench-serving bench-fleet
+# The gated benchmarks CI runs, in one target.
+bench-all: bench-serving bench-fleet
 
 # Crash/resume drill on the fleet ledger: kill a sweep mid-run, restart
 # against the same ledger, require only the lost episodes to re-run and

@@ -231,22 +231,25 @@ def _grow_history(path: Path, count: int) -> JobLedger:
 
 
 def _polling_bytes(path: Path, history: int) -> tuple[int, int]:
-    """(tail, full-reload) bytes read across POLLS live-append polls."""
+    """(tail, full-reload) bytes read across POLLS live-append polls.
+
+    A full reload of a ledger with no snapshot reads the whole journal,
+    so its cost per poll is the journal's size at that poll.
+    """
     writer = _grow_history(path, history)
     tail_reader = JobLedger(path)
-    full_reader = JobLedger(path, tail=False)
     tail_reader.load()
-    full_reader.load()
     # The initial index build costs one full pass for any reader; the
     # contention signal is what each *subsequent* poll pays.
     tail_reader.bytes_read = 0
-    full_reader.bytes_read = 0
+    full_bytes = 0
     for poll in range(POLLS):
         _append_done(writer, f"live-{poll}", seed=history + poll)
         tail_reader.load()
-        full_reader.load()
-    assert len(tail_reader.load()) == len(full_reader.load()) == history + POLLS
-    return tail_reader.bytes_read, full_reader.bytes_read
+        full_bytes += path.stat().st_size
+    assert not tail_reader.snap_path.exists()
+    assert len(tail_reader.load()) == history + POLLS
+    return tail_reader.bytes_read, full_bytes
 
 
 def test_bench_fleet_contention_read_volume(tmp_path):

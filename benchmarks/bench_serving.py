@@ -1,7 +1,7 @@
 """Batched LLM serving: modeled-latency gate for the scheduler (Rec. 1).
 
-``bench_hotpath`` and ``bench_comm`` gate *host*-time speedups; this
-benchmark gates the serving layer's *modeled* effect: on a grid of
+Host time is measured end to end by ``e2ebench``; this benchmark gates
+the serving layer's *modeled* effect: on a grid of
 paradigms that expose phase concurrency, dispatching requests as
 occupancy-aware batches must cut the modeled end-to-end latency of the
 planning/communication path while leaving every task outcome untouched.

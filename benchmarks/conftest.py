@@ -11,30 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.envknobs import int_knob
 from repro.experiments.common import ExperimentSettings, trials_from_env
 
 BENCH_DEFAULT_TRIALS = 2
-BENCH_DEFAULT_ATTEMPTS = 3
 
 
 @pytest.fixture
 def settings() -> ExperimentSettings:
     return ExperimentSettings(n_trials=trials_from_env(BENCH_DEFAULT_TRIALS))
-
-
-def bench_attempts(default: int = BENCH_DEFAULT_ATTEMPTS) -> int:
-    """How many independent measurement attempts a ratio gate may take.
-
-    Speed gates assert on the *best* attempt and stop early once the
-    gates pass: on a 1-core CI container a single attempt's ratio can be
-    eaten by host noise (runner throttling, co-tenant spikes) even with
-    min-of-rounds inside the attempt, and a retry is the honest fix —
-    the contract is "the optimized path *can* hit this ratio on this
-    machine", not "every sample does".  ``REPRO_BENCH_ATTEMPTS``
-    overrides (minimum 1; raise it on very noisy hosts).
-    """
-    return int_knob("REPRO_BENCH_ATTEMPTS", default, minimum=1)
 
 
 def emit(title: str, body: str) -> None:

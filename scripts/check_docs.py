@@ -1,7 +1,7 @@
 """Documentation checks: links, knob coverage, and doctests.
 
 Run as ``make docs-check`` (CI's ``docs`` and ``serving-docs`` jobs).
-Five offline checks:
+Six offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and
    ``docs/*.md`` must point at an existing file, and every in-document
@@ -15,13 +15,17 @@ Five offline checks:
    (``REPRO_SERVE*``, ``REPRO_OVERLAP``) must also appear in
    ``docs/serving.md`` — the serving guide may not drift behind the
    scheduler it documents.
-3. **Module doctests** — ``doctest.testmod`` over every ``src/repro``
+3. **No stale knobs** — the reverse: every ``REPRO_*`` knob named in
+   ``README.md`` or ``docs/*.md`` must occur in ``src/``,
+   ``benchmarks/``, ``scripts/`` or ``tests/``, so deleting a knob
+   fails until its documentation goes too.
+4. **Module doctests** — ``doctest.testmod`` over every ``src/repro``
    module whose source contains a ``>>>`` prompt, so examples in
    docstrings cannot rot silently.
-4. **Markdown doctests** — the ``>>>`` examples embedded in
+5. **Markdown doctests** — the ``>>>`` examples embedded in
    ``README.md``/``docs/*.md`` run through ``doctest`` too (per file,
    shared globals top to bottom), so guide examples stay executable.
-5. **Quoted baselines** — every ratio in the "Current committed
+6. **Quoted baselines** — every ratio in the "Current committed
    baselines" table of ``docs/performance.md`` must equal the field it
    names in ``benchmarks/baselines/``, and every baseline file must be
    quoted there, so the prose cannot drift from the gates.
@@ -95,11 +99,18 @@ def check_links() -> list[str]:
     return problems
 
 
+def _knobs_in(*roots: str) -> set[str]:
+    """Every ``REPRO_*`` name in the Python files under ``roots``."""
+    found: set[str] = set()
+    for root in roots:
+        for path in (REPO / root).rglob("*.py"):
+            if path != Path(__file__).resolve():
+                found.update(KNOB.findall(path.read_text()))
+    return found
+
+
 def check_knob_coverage() -> list[str]:
-    in_source: set[str] = set()
-    for root in (REPO / "src", REPO / "benchmarks"):
-        for path in root.rglob("*.py"):
-            in_source.update(KNOB.findall(path.read_text()))
+    in_source = _knobs_in("src", "benchmarks")
     problems = []
     documented = set(KNOB.findall(KNOB_DOC.read_text()))
     problems.extend(
@@ -115,6 +126,16 @@ def check_knob_coverage() -> list[str]:
         for knob in sorted(serving_knobs - in_guide)
     )
     return problems
+
+
+def check_stale_knobs() -> list[str]:
+    in_code = _knobs_in("src", "benchmarks", "scripts", "tests")
+    return [
+        f"{doc.relative_to(REPO)}: knob {knob} occurs in no source, "
+        "benchmark, script or test"
+        for doc in DOC_FILES
+        for knob in sorted(set(KNOB.findall(doc.read_text())) - in_code)
+    ]
 
 
 def check_baselines() -> list[str]:
@@ -191,6 +212,7 @@ def main() -> int:
     problems = (
         check_links()
         + check_knob_coverage()
+        + check_stale_knobs()
         + check_baselines()
         + check_doctests()
         + check_markdown_doctests()
@@ -203,7 +225,7 @@ def main() -> int:
     n_links = sum(len(LINK.findall(doc.read_text())) for doc in DOC_FILES)
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
-        "all source knobs documented (serving guide covered), "
+        "all source knobs documented (serving guide covered), no stale knobs, "
         "quoted baselines match, module and markdown doctests green"
     )
     return 0

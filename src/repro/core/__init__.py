@@ -2,7 +2,7 @@
 
 from repro.core.agent import EmbodiedAgent
 from repro.core.beliefs import Beliefs
-from repro.core.clock import LLM_MODULES, MODULE_ORDER, ModuleName, SimClock, Span
+from repro.core.clock import LLM_MODULES, MODULE_ORDER, ModuleName, SimClock
 from repro.core.config import MemoryConfig, OptimizationConfig, SystemConfig
 from repro.core.errors import FaultKind, ReproError, TrialExecutionError
 from repro.core.executor import (
@@ -59,7 +59,6 @@ __all__ = [
     "ReproError",
     "SerialExecutor",
     "SimClock",
-    "Span",
     "StepRecord",
     "Subgoal",
     "SystemConfig",

@@ -28,7 +28,6 @@ from repro.core.modules import (
 )
 from repro.core.modules.memory import ActionRecord, RetrievedMemory
 from repro.core.seeding import rng_for
-from repro.core.settings import current
 from repro.core.types import Decision, Fact, Message, Observation, Subgoal
 from repro.envs.base import Environment, ExecutionOutcome
 from repro.llm.deployment import DeploymentOptions
@@ -157,12 +156,10 @@ class EmbodiedAgent:
         self.config = config
         self.state = AgentState()
         self._static_facts = env.static_facts() if hasattr(env, "static_facts") else []
-        # Static facts never change within an episode; on the hot path the
-        # memoryless perceive() branch copies this prebuilt belief base
-        # instead of re-inserting every static fact each step.
-        self._static_beliefs = (
-            Beliefs.from_facts(self._static_facts) if current().hotpath else None
-        )
+        # Static facts never change within an episode, so the memoryless
+        # perceive() branch copies this prebuilt belief base instead of
+        # re-inserting every static fact each step.
+        self._static_beliefs = Beliefs.from_facts(self._static_facts)
         # The paradigm loop passes its episode-wide scheduler so requests
         # from different agents can meet in one serving layer; a
         # standalone agent gets a private per-call one via ModuleContext.
@@ -244,14 +241,10 @@ class EmbodiedAgent:
                 dialogue=retrieved.dialogue,
                 retrieved=retrieved,
             )
-        if self._static_beliefs is not None:
-            # Freshly sensed facts carry this step's provenance and so
-            # always win their slots against the static base.
-            beliefs = self._static_beliefs.copy()
-            beliefs.overwrite(facts)
-        else:
-            beliefs = Beliefs.from_facts(self._static_facts)
-            beliefs.update(facts)
+        # Freshly sensed facts carry this step's provenance and so always
+        # win their slots against the static base.
+        beliefs = self._static_beliefs.copy()
+        beliefs.overwrite(facts)
         return PerceptionBundle(
             observation=observation,
             current_facts=facts,
@@ -261,31 +254,13 @@ class EmbodiedAgent:
             dialogue=list(self.state.step_dialogue),
         )
 
-    def receive_message(self, message: Message, bundle: PerceptionBundle) -> int:
-        """Integrate an incoming message; returns #novel *knowledge* facts.
-
-        Intent announcements ("I will fetch box_3") are merged into
-        beliefs for conflict avoidance but do not count toward novelty —
-        the paper's usefulness measure is about task-relevant information
-        transfer, and intent refreshes are exactly the redundant dialogue
-        it calls out.
-        """
-        novel = bundle.beliefs.update(message.facts)
-        bundle.beliefs.update(CommunicationModule.intent_facts(message))
-        bundle.dialogue.append(message)
-        if self.memory is not None:
-            self.memory.store_message(message)
-        else:
-            self.state.step_dialogue.append(message)
-        return novel
-
     def stage_message(self, message: Message, bundle: PerceptionBundle) -> None:
-        """Bus-path half of :meth:`receive_message` (repro.core.bus).
+        """Receive one message (:mod:`repro.core.bus` stages it here).
 
         Makes the message visible to this step's later prompts (the
-        dialogue lists) and charges the modeled store latency at the
-        seed's exact clock position, while the belief merge and the
-        memory-index writes wait for the step's batched flush.
+        dialogue lists) and charges the modeled store latency at delivery
+        time, while the belief merge and the memory-index writes wait for
+        the step's batched flush.
         """
         bundle.dialogue.append(message)
         if self.memory is not None:

@@ -1,16 +1,13 @@
-"""Step-batched delivery bus: staged message delivery for the hot path.
+"""Step-batched delivery bus: how messages reach their receivers.
 
-The seed delivers every :class:`~repro.core.types.Message` to every
-receiver *inline*: one ``Agent.receive_message`` per (message, receiver)
-pair, each performing its own belief merge and its own dialogue-memory
-write while the dialogue phase is still composing later messages.  The bus
-restructures that fan-out without changing a byte of what is observed:
+Delivering a :class:`~repro.core.types.Message` means a belief merge and
+a dialogue-memory write per receiver.  The bus batches that fan-out per
+phase without changing what any reader observes:
 
 - **stage** (at compose time) appends the message to each receiver's
   step dialogue — later composes must still see it in their prompts — and
-  charges the modeled ``store_dialogue`` latency at exactly the point on
-  the virtual clock the per-delivery path charged it.  No belief or
-  memory-index work happens yet.
+  charges the modeled ``store_dialogue`` latency on the virtual clock
+  right away.  No belief or memory-index work happens yet.
 - **flush** (once per phase, before anything reads beliefs again) gives
   each receiver *one* batched belief merge over its concatenated delivery
   stream (:meth:`repro.core.beliefs.Beliefs.update_batch`, in delivery
@@ -26,10 +23,6 @@ reads is the receiver's step dialogue (compose prompts).  Beliefs are
 next read by planning, memory by the next retrieval — both after the
 flush points the paradigm loops install.  The memory module's read paths
 guard against a forgotten flush.
-
-The bus exists only on the optimized path (``REPRO_HOTPATH``); the seed
-per-delivery fan-out remains the reference implementation in
-:meth:`repro.core.paradigms.base.ParadigmLoop.deliver_message`.
 """
 
 from __future__ import annotations
@@ -71,10 +64,8 @@ class DeliveryBus:
     ) -> None:
         """Record one message for every recipient, deferring the merges.
 
-        Recipient order is the order the per-delivery path iterated
-        receivers in (the loops build ``message.recipients`` that way), so
-        the per-receiver ``store_dialogue`` charges land on the virtual
-        clock in the seed's exact sequence.
+        Recipients are charged in ``message.recipients`` order, which
+        every loop builds in agent order.
         """
         for name in message.recipients:
             self._by_name[name].stage_message(message, bundles[name])
@@ -85,11 +76,13 @@ class DeliveryBus:
         """Apply every staged delivery: one batched merge per receiver.
 
         Per receiver, the staged messages addressed to it are merged in
-        delivery order — payload facts then intent facts per message,
-        exactly as ``receive_message`` interleaved them — so each payload
-        sees the same prior belief state as on the per-delivery path and
-        novelty counts agree exactly.  Usefulness is then recorded per
-        message (summed over its receivers) in send order.
+        delivery order — payload facts then intent facts per message — so
+        each payload's novelty is counted against the beliefs its earlier
+        deliveries left.  Intent announcements ("I will fetch box_3") are
+        merged for conflict avoidance but never count toward novelty: the
+        paper's usefulness measure is about task-relevant information
+        transfer.  Usefulness is then recorded per message (summed over
+        its receivers) in send order.
         """
         staged = self._staged
         if not staged:
@@ -113,7 +106,7 @@ class DeliveryBus:
             counts = bundles[name].beliefs.update_batch(chunks)
             for position, index in enumerate(indices):
                 # Even positions are payload chunks; intent merges (odd
-                # positions) never count toward novelty, as in the seed.
+                # positions) never count toward novelty.
                 novel_totals[index] += counts[2 * position]
             if agent.memory is not None:
                 agent.memory.commit_staged_messages()

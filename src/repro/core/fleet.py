@@ -58,7 +58,7 @@ Jobs are keyed by a **content fingerprint**: a SHA-256 over the
 canonical JSON of ``(config, task, seed)``, the job's resolved
 :class:`~repro.core.settings.RunSettings`, and
 :data:`SEMANTICS_VERSION`.  Every value that can change a result is in
-the job itself — ``hotpath=False`` or ``detector="vector"``, whether it
+the job itself — ``serve="batched"`` or ``detector="vector"``, whether it
 came from the environment, an explicit setting, or a config pin,
 changes every fingerprint — so a stale ledger can never leak results
 produced under different semantics into a resumed run.  Execution-
@@ -220,11 +220,8 @@ class JobLedger:
     reloads from the snapshot when it moved, so no reader can apply a
     stale byte offset to a compacted file.
 
-    ``tail=False`` disables the incremental index and re-reads snapshot
-    + JSONL from byte 0 on every load — the O(history) reference mode
-    the contention benchmark measures against.  ``bytes_read`` /
-    ``bytes_appended`` / ``loads`` count I/O for that benchmark and for
-    drill stats.
+    ``bytes_read`` / ``bytes_appended`` / ``loads`` count I/O for the
+    contention benchmark and for drill stats.
     """
 
     def __init__(
@@ -232,7 +229,6 @@ class JobLedger:
         path: Path | str,
         flush_seconds: float = 0.0,
         compact_records: int = 0,
-        tail: bool = True,
     ):
         if flush_seconds < 0:
             raise ValueError(f"flush_seconds must be >= 0: {flush_seconds}")
@@ -241,7 +237,6 @@ class JobLedger:
         self.path = Path(path)
         self.flush_seconds = flush_seconds
         self.compact_records = compact_records
-        self.tail = tail
         # --- I/O accounting (benchmarks, drill stats) ---
         self.bytes_read = 0
         self.bytes_appended = 0
@@ -280,8 +275,6 @@ class JobLedger:
         degrades to best-effort replay instead of raising.
         """
         self.loads += 1
-        if not self.tail:
-            self._reset()
         # A compaction can land between our generation probe and the
         # tail read; re-checking the generation afterwards and retrying
         # bounds the race without readers taking the write lock.

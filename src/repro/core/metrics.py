@@ -1,7 +1,7 @@
 """Episode metrics: collection during the loop, aggregation across trials.
 
 The collector is the single sink for everything the paper measures:
-per-module latency spans (Fig. 2), step counts and success (Fig. 3),
+per-module latency totals (Fig. 2), step counts and success (Fig. 3),
 token series per agent/purpose (Fig. 6), message-usefulness counters
 (Sec. V-D), and fault/reflection counts.
 """
@@ -12,13 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.core.clock import (
-    LLM_MODULES,
-    MODULE_ORDER,
-    ModuleName,
-    SimClock,
-    host_profiler,
-)
+from repro.core.clock import LLM_MODULES, MODULE_ORDER, ModuleName, SimClock
 from repro.core.errors import FaultKind
 from repro.core.types import StepRecord
 
@@ -274,35 +268,6 @@ class MetricsCollector:
                 for model, (prompt, output) in sorted(self.deployment_tokens.items())
             },
         )
-
-
-def host_profile_report(top: int | None = None) -> str | None:
-    """Readable breakdown of the ``REPRO_PROFILE`` host-time probe.
-
-    Returns ``None`` when profiling is disabled.  Rows are real (host)
-    seconds of Python work attributed per ``(module, phase)`` of the
-    virtual clock, sorted by cost — the tool for finding where the episode
-    *implementation* spends its time, as opposed to the modeled latencies
-    the figures report.  Host numbers live outside :class:`EpisodeResult`
-    on purpose: results stay byte-identical with the probe on or off.
-    """
-    profiler = host_profiler()
-    if profiler is None:
-        return None
-    rows = sorted(profiler.snapshot().items(), key=lambda item: -item[1][0])
-    if top is not None:
-        rows = rows[:top]
-    if not rows:
-        return "host profile: no marks recorded"
-    width = max(len(f"{module}/{phase}") for (module, phase), _ in rows)
-    lines = ["host-time per (module, phase):"]
-    for (module, phase), (seconds, marks) in rows:
-        mean_us = 1e6 * seconds / max(1, marks)
-        lines.append(
-            f"  {f'{module}/{phase}':<{width}}  "
-            f"{seconds * 1e3:9.2f} ms  {marks:7d} marks  {mean_us:8.1f} us/mark"
-        )
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

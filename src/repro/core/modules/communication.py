@@ -13,19 +13,17 @@ Optimizations hosted here:
 - ``comm_filter`` (Rec. 10): :meth:`compose` short-circuits (no LLM call)
   when the sender has nothing new to share since its last message.
 
-Hot-path staging (the ``hotpath`` run setting): the sharable payload is a
-pure function of the known-facts snapshot fixed at perceive time, so
-multi-round dialogue phases reuse one sorted selection per step
+Payload staging: the sharable payload is a pure function of the
+known-facts snapshot fixed at perceive time, so multi-round dialogue
+phases reuse one sorted selection per step
 (:meth:`CommunicationModule._payload_for`); delivery itself is the
-paradigm loops' job and, on the hot path, rides the step-batched
-:mod:`repro.core.bus` rather than per-receiver calls.
+paradigm loops' job and rides the step-batched :mod:`repro.core.bus`.
 """
 
 from __future__ import annotations
 
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
-from repro.core.settings import current
 from repro.core.types import Fact, Message, Subgoal
 from repro.llm.prompt import COMMUNICATOR_SYSTEM_TEXT, PromptBuilder
 from repro.llm.requests import InferenceRequest
@@ -54,12 +52,10 @@ class CommunicationModule:
         self.llm = llm
         self.filter_redundant = filter_redundant
         self._last_shared: dict[tuple[str, str], str] = {}
-        # Per-step payload staging (hot path only): the sharable payload
-        # depends solely on the known-facts snapshot, which is fixed at
-        # perceive time, so multi-round dialogue phases recompute the same
-        # sorted selection every round.  Cache it per (step, known-facts
-        # identity); the reference path recomputes per call, as the seed did.
-        self._fast = current().hotpath
+        # Per-step payload staging: the sharable payload depends solely on
+        # the known-facts snapshot, which is fixed at perceive time, so
+        # multi-round dialogue phases would recompute the same sorted
+        # selection every round.  Cache it per (step, known-facts identity).
         self._payload_step = -1
         self._payload_source: object = None
         self._payload: tuple[Fact, ...] = ()
@@ -76,16 +72,14 @@ class CommunicationModule:
         candidates.sort(key=lambda fact: fact.step, reverse=True)
         return candidates[:MESSAGE_FACT_BUDGET]
 
-    def _payload_for(self, step: int, known_facts: list[Fact]) -> tuple[Fact, ...] | list[Fact]:
-        """The step's sharable payload, staged once per step on the hot path.
+    def _payload_for(self, step: int, known_facts: list[Fact]) -> tuple[Fact, ...]:
+        """The step's sharable payload, staged once per step.
 
-        Returns a tuple on the hot path so the rendered prompt section can
-        be reused by identity (:mod:`repro.llm.prompt`); the identity check
-        on ``known_facts`` makes the cache valid only while the caller
-        passes the same per-step snapshot (the dialogue phase hoists it).
+        A tuple, so the rendered prompt section can be reused by identity
+        (:mod:`repro.llm.prompt`); the identity check on ``known_facts``
+        makes the cache valid only while the caller passes the same
+        per-step snapshot (the dialogue phase hoists it).
         """
-        if not self._fast:
-            return self.sharable_facts(known_facts)
         if self._payload_step == step and self._payload_source is known_facts:
             return self._payload
         payload = tuple(self.sharable_facts(known_facts))
@@ -94,9 +88,7 @@ class CommunicationModule:
         self._payload = payload
         return payload
 
-    def _is_redundant(
-        self, payload: list[Fact] | tuple[Fact, ...], intent: Subgoal | None
-    ) -> bool:
+    def _is_redundant(self, payload: tuple[Fact, ...], intent: Subgoal | None) -> bool:
         """True when the payload contains nothing the sender hasn't shared.
 
         Intent refreshes alone do not justify a message — announcing a new
@@ -161,7 +153,7 @@ class CommunicationModule:
             sender=self.context.agent,
             recipients=recipients,
             step=step,
-            facts=tuple(payload),
+            facts=payload,
             intent=intent,
         )
 

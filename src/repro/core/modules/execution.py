@@ -64,7 +64,6 @@ class ExecutionModule:
             outcome.compute.seconds() + outcome.actuation_seconds,
             ModuleName.EXECUTION,
             phase=subgoal.name,
-            agent=self.context.agent,
         )
         return outcome
 
@@ -106,10 +105,7 @@ class ExecutionModule:
             )
             if self.context.rng.random() > per_primitive_p:
                 self.context.clock.advance(
-                    DERAILED_ACTUATION_SECONDS,
-                    ModuleName.EXECUTION,
-                    phase="derailed",
-                    agent=self.context.agent,
+                    DERAILED_ACTUATION_SECONDS, ModuleName.EXECUTION, phase="derailed"
                 )
                 return ExecutionOutcome.failure(
                     f"LLM primitive {index + 1}/{n_primitives} derailed",

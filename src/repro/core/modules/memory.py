@@ -17,25 +17,21 @@ where memory says an object should be, but the current observation does
 not show it, the stale belief is dropped — the perception-level correction
 that keeps no-reflection agents from looping forever.
 
-Hot-path retrieval (the ``hotpath`` run setting): the *modeled* retrieval
-latency is unchanged — it is still ``base + per_entry × scanned`` over the
-same scanned-entry count, so Fig. 5's curves are byte-identical — but the
-*host* cost of producing a retrieval no longer re-scans the whole episode
+Indexed retrieval: the *modeled* retrieval latency is ``base +
+per_entry × scanned`` over the in-window entry count (Fig. 5), but the
+*host* cost of producing a retrieval does not re-scan the whole episode
 history every step.  Observations keep a per-slot history index (newest
 entry per ``(subject, relation)``, insertion-ordered within equal steps)
 and a per-step count table, so newest-wins resolution is O(#slots) and the
 scanned-entry count is O(1) amortized; action and dialogue stores append
 in non-decreasing step order, so their retention windows are bisected, not
 filtered.  Confused retrievals (and any out-of-order access the guards
-detect) fall back to the seed's linear scan, which stays byte-identical by
-construction.
+detect) take the linear scan instead, which produces the same retrieval.
 
-Step-batched deliveries (:mod:`repro.core.bus`): on the bus path a
-message's modeled store latency is charged at :meth:`stage_message` time
-(the seed's clock position) while its dialogue/observation writes wait
-for one :meth:`commit_staged_messages` per step — entry-for-entry the
-state :meth:`store_message` would have produced, minus the per-message
-index churn.  Read paths refuse to serve while deliveries are staged.
+Step-batched deliveries (:mod:`repro.core.bus`): a message's modeled store
+latency is charged at :meth:`stage_message` time while its dialogue and
+observation writes wait for one :meth:`commit_staged_messages` per step.
+Read paths refuse to serve while deliveries are staged.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from operator import attrgetter
 from repro.core.beliefs import Beliefs
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
-from repro.core.settings import current
 from repro.core.types import Fact, Message, Subgoal, _memo_describe
 
 #: Retrieval latency model: fixed overhead + per-scanned-entry cost.
@@ -113,11 +108,6 @@ class MemoryModule:
         self._observations: list[Fact] = []
         self._actions: list[ActionRecord] = []
         self._dialogue: list[Message] = []
-        # Incremental slot index over _observations, used for O(payload)
-        # novelty checks on message ingestion.
-        self._slot_index = Beliefs()
-        # --- hot-path indices (maintained only when the fast path is on) ---
-        self._fast = current().hotpath
         #: Per-slot observation history, each list sorted by fact step with
         #: ties in insertion order — the last entry is the newest-wins
         #: resolution candidate for its slot.
@@ -139,9 +129,9 @@ class MemoryModule:
         self._steps_sorted = True
         #: Static facts pre-assembled as a belief base, copied per step.
         self._static_beliefs = Beliefs.from_facts(self._static)
-        #: Step-batched delivery bus staging (hot path only): messages
-        #: whose store latency is already charged but whose writes are
-        #: deferred to one batched :meth:`commit_staged_messages`.
+        #: Step-batched delivery bus staging: messages whose store latency
+        #: is already charged but whose writes are deferred to one batched
+        #: :meth:`commit_staged_messages`.
         self._staged_messages: list[Message] = []
 
     # ------------------------------------------------------------------ #
@@ -150,31 +140,15 @@ class MemoryModule:
 
     def store_observation(self, facts: tuple[Fact, ...]) -> None:
         self._observations.extend(facts)
-        if self._fast:
-            self._index_facts(facts)
-        self._slot_index.update(facts)
+        self._index_facts(facts)
         self._charge(STORE_SECONDS, "store_observation")
 
     def store_action(self, step: int, subgoal: Subgoal, success: bool) -> None:
         self._actions.append(ActionRecord(step=step, subgoal=subgoal, success=success))
-        if self._fast:
-            if self._action_steps and step < self._action_steps[-1]:
-                self._steps_sorted = False
-            self._action_steps.append(step)
+        if self._action_steps and step < self._action_steps[-1]:
+            self._steps_sorted = False
+        self._action_steps.append(step)
         self._charge(STORE_SECONDS, "store_action")
-
-    def store_message(self, message: Message) -> int:
-        """Log a message into dialogue memory; returns #novel payload facts."""
-        novel = self._slot_index.update(message.facts)
-        self._dialogue.append(message)
-        self._observations.extend(message.facts)
-        if self._fast:
-            if self._dialogue_steps and message.step < self._dialogue_steps[-1]:
-                self._steps_sorted = False
-            self._dialogue_steps.append(message.step)
-            self._index_facts(message.facts)
-        self._charge(STORE_SECONDS, "store_dialogue")
-        return novel
 
     # ------------------------------------------------------------------ #
     # Step-batched delivery staging (repro.core.bus)
@@ -183,10 +157,9 @@ class MemoryModule:
     def stage_message(self, message: Message) -> None:
         """Charge one message's store now; defer its write to the commit.
 
-        The bus path of the delivery pipeline: the modeled ``store_dialogue``
-        latency must land on the virtual clock at exactly the point the
-        per-delivery path charged it (between the sender's compose and the
-        next compose), but the dialogue/observation index writes can wait
+        The modeled ``store_dialogue`` latency lands on the virtual clock
+        at delivery time (between the sender's compose and the next
+        compose), but the dialogue/observation index writes can wait
         until the whole step's deliveries are known.  Every stage must be
         followed by :meth:`commit_staged_messages` before the next
         retrieval — the read paths guard against forgotten commits.
@@ -197,11 +170,8 @@ class MemoryModule:
     def commit_staged_messages(self) -> None:
         """Apply all staged message writes in delivery order, in one pass.
 
-        Byte-equivalent to having called :meth:`store_message` per staged
-        message (minus the latency, which :meth:`stage_message` already
-        charged): the dialogue log, the observation store, and the
-        hot-path indices end up entry-for-entry identical because the
-        staged order is the delivery order.
+        The dialogue log, the observation store, and the retrieval indices
+        grow in delivery order; the latency was charged at stage time.
         """
         staged = self._staged_messages
         if not staged:
@@ -211,14 +181,12 @@ class MemoryModule:
         dialogue = self._dialogue
         dialogue_steps = self._dialogue_steps
         for message in staged:
-            self._slot_index.update(message.facts)
             dialogue.append(message)
             observations.extend(message.facts)
-            if self._fast:
-                if dialogue_steps and message.step < dialogue_steps[-1]:
-                    self._steps_sorted = False
-                dialogue_steps.append(message.step)
-                self._index_facts(message.facts)
+            if dialogue_steps and message.step < dialogue_steps[-1]:
+                self._steps_sorted = False
+            dialogue_steps.append(message.step)
+            self._index_facts(message.facts)
 
     def _index_fact(self, fact: Fact) -> None:
         """Maintain the slot-history and step-count indices for one fact."""
@@ -254,7 +222,7 @@ class MemoryModule:
             else:
                 # Message facts can carry older provenance; keep the list
                 # sorted by step with ties in insertion order (insort-right
-                # matches the stable sort of the reference implementation).
+                # matches the stable sort of the linear scan).
                 insort(entries, fact, key=_FACT_STEP)
         if evicted:
             self._evicted_obs += evicted
@@ -274,12 +242,12 @@ class MemoryModule:
                 "(DeliveryBus.flush was not called)"
             )
         start = self._window_start(step)
-        if self._fast and self._steps_sorted:
+        if self._steps_sorted:
             return self._retrieve_indexed(step, start)
         return self._retrieve_linear(step, start)
 
     def _retrieve_linear(self, step: int, start: int) -> RetrievedMemory:
-        """The seed implementation: full scans of every store."""
+        """Full scans of every store, for out-of-order stores."""
         observations = [fact for fact in self._observations if fact.step >= start]
         actions = [record for record in self._actions if record.step >= start]
         dialogue = [message for message in self._dialogue if message.step >= start]
@@ -313,8 +281,8 @@ class MemoryModule:
         confused = self._draw_confusion(step)
         if confused:
             # Confusion needs the full in-window history (which slots are
-            # contested, in first-occurrence order); take the exact seed
-            # path so the extra rng draw sees identical inputs.
+            # contested, in first-occurrence order); take the linear
+            # scan's resolution so the extra rng draw sees identical inputs.
             window = [fact for fact in self._observations if fact.step >= start]
             facts = self._resolve_slots(window, confused=True)
         else:
@@ -361,8 +329,8 @@ class MemoryModule:
         A slot's newest fact overall is also its newest *in-window* fact
         whenever it is in the window at all (the window is a suffix of the
         step axis), so resolution never touches older entries.  Walking
-        the sorted key mirror emits the facts already in the reference
-        path's ``(subject, relation)`` output order (slot keys are
+        the sorted key mirror emits the facts already in the linear
+        scan's ``(subject, relation)`` output order (slot keys are
         unique, so sortedness alone pins the order).
         """
         history = self._slot_history
@@ -412,19 +380,13 @@ class MemoryModule:
         """Static + retrieved + current facts, with negative evidence."""
         if retrieved is None:
             retrieved = self.retrieve(step)
-        if self._fast:
-            # Resolved facts hold one entry per slot with step >= 0, so
-            # they always win against the static base (step 0); current
-            # facts carry this step's provenance, so they win against
-            # anything retrieved.  Plain dict merges equal Beliefs.update
-            # for both.
-            beliefs = self._static_beliefs.copy()
-            beliefs.overwrite(retrieved.facts)
-            beliefs.overwrite(current_facts)
-        else:
-            beliefs = Beliefs.from_facts(self._static)
-            beliefs.update(retrieved.facts)
-            beliefs.update(current_facts)
+        # Resolved facts hold one entry per slot with step >= 0, so they
+        # always win against the static base (step 0); current facts carry
+        # this step's provenance, so they win against anything retrieved.
+        # Plain dict merges equal Beliefs.update for both.
+        beliefs = self._static_beliefs.copy()
+        beliefs.overwrite(retrieved.facts)
+        beliefs.overwrite(current_facts)
         visible_subjects = {fact.subject for fact in current_facts}
         for fact in list(beliefs):
             if (
@@ -438,19 +400,17 @@ class MemoryModule:
     def forget(self, subject: str, relation: str) -> None:
         """Belief repair (reflection): drop all stored facts for a slot."""
         key = (subject, relation)
-        if self._fast:
-            for fact in self._observations:
-                if fact.key() == key:
-                    self._obs_step_counts[fact.step] -= 1
-                    if fact.step < self._evict_start:
-                        self._evicted_obs -= 1
-            if self._slot_history.pop(key, None) is not None:
-                index = bisect_left(self._sorted_slot_keys, key)
-                del self._sorted_slot_keys[index]
+        for fact in self._observations:
+            if fact.key() == key:
+                self._obs_step_counts[fact.step] -= 1
+                if fact.step < self._evict_start:
+                    self._evicted_obs -= 1
+        if self._slot_history.pop(key, None) is not None:
+            index = bisect_left(self._sorted_slot_keys, key)
+            del self._sorted_slot_keys[index]
         self._observations = [
             fact for fact in self._observations if fact.key() != key
         ]
-        self._slot_index.forget(subject, relation)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -467,11 +427,9 @@ class MemoryModule:
                 "the dialogue window (DeliveryBus.flush was not called)"
             )
         start = self._window_start(step)
-        if self._fast and self._steps_sorted:
+        if self._steps_sorted:
             return self._dialogue[bisect_left(self._dialogue_steps, start) :]
         return [message for message in self._dialogue if message.step >= start]
 
     def _charge(self, seconds: float, phase: str) -> None:
-        self.context.clock.advance(
-            seconds, ModuleName.MEMORY, phase=phase, agent=self.context.agent
-        )
+        self.context.clock.advance(seconds, ModuleName.MEMORY, phase=phase)

@@ -6,14 +6,10 @@ mislabels) and the perception latency is charged to the SENSING budget.
 Systems without a sensing module (Table II's ✗ entries, e.g. MindAgent)
 receive the simulator's symbolic state directly at negligible cost.
 
-Hot-path staging (the ``hotpath`` run setting): the mislabel distractor
-vocabulary (``env.location_vocabulary()``) is episode-static for every
-shipped environment — room layouts never change mid-episode — so the
-module fetches it once per episode instead of once per step per agent;
-the detector itself consumes the identical rng stream either way (see
-:mod:`repro.perception.detector`).  Environments with a dynamic location
-vocabulary must not rely on the hot path, which is the documented
-contract of the staging.
+Distractor staging: the mislabel distractor vocabulary
+(``env.location_vocabulary()``) is episode-static — the
+:class:`~repro.envs.base.Environment` contract — so the module fetches it
+once per episode instead of once per step per agent.
 
 Detector mode: the module captures the run settings' ``detector`` at
 construction (``loop`` default / ``vector`` batched draws; a config's
@@ -44,16 +40,12 @@ class SensingModule:
         self.profile: PerceptionProfile | None = (
             get_perception(model) if model is not None else None
         )
-        settings = current()
-        self._fast = settings.hotpath
         self._distractors: list[str] | None = None
         # Episode-static: the detector cannot change between frames.
-        self.detector_mode = settings.detector
+        self.detector_mode = current().detector
 
     def _distractor_values(self, env: Environment) -> list[str]:
-        """Mislabel vocabulary, fetched once per episode on the hot path."""
-        if not self._fast:
-            return env.location_vocabulary()
+        """Mislabel vocabulary, fetched once per episode."""
         distractors = self._distractors
         if distractors is None:
             distractors = env.location_vocabulary()
@@ -65,10 +57,7 @@ class SensingModule:
         ground_facts = env.visible_facts(self.context.agent)
         if self.profile is None:
             self.context.clock.advance(
-                SYMBOLIC_FEED_SECONDS,
-                ModuleName.SENSING,
-                phase="symbolic",
-                agent=self.context.agent,
+                SYMBOLIC_FEED_SECONDS, ModuleName.SENSING, phase="symbolic"
             )
             return tuple(ground_facts)
         result = detect(
@@ -79,10 +68,7 @@ class SensingModule:
             mode=self.detector_mode,
         )
         self.context.clock.advance(
-            result.latency,
-            ModuleName.SENSING,
-            phase=self.profile.name,
-            agent=self.context.agent,
+            result.latency, ModuleName.SENSING, phase=self.profile.name
         )
         return result.facts
 

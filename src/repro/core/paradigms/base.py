@@ -12,7 +12,7 @@ import abc
 
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.bus import DeliveryBus
-from repro.core.clock import SimClock, host_profiler
+from repro.core.clock import SimClock
 from repro.core.config import SystemConfig
 from repro.core.errors import FaultKind
 from repro.core.metrics import EpisodeResult, MetricsCollector
@@ -39,7 +39,7 @@ class ParadigmLoop(abc.ABC):
         self.seed = seed
         #: The episode's settings: the caller's (else the current
         #: context's) under this config's pins, bound while the loop
-        #: builds its components and while it runs.
+        #: builds its components (which keep what they read).
         base = settings if settings is not None else current()
         self.settings = base.for_config(config)
         with bind(self.settings):
@@ -74,28 +74,14 @@ class ParadigmLoop(abc.ABC):
             for name in self.env.agents
         ]
         self._agents_by_name = {agent.name: agent for agent in self.agents}
-        #: Step-batched delivery bus (hot path only); ``None`` selects the
-        #: seed's per-delivery fan-out in :meth:`deliver_message`.
-        self.bus: DeliveryBus | None = (
-            DeliveryBus(self.agents, self._agents_by_name, self.metrics)
-            if self.settings.hotpath
-            else None
-        )
+        #: Step-batched message delivery (:mod:`repro.core.bus`).
+        self.bus = DeliveryBus(self.agents, self._agents_by_name, self.metrics)
 
     # ------------------------------------------------------------------ #
     # Episode driver
     # ------------------------------------------------------------------ #
 
     def run(self) -> EpisodeResult:
-        with bind(self.settings):
-            return self._run()
-
-    def _run(self) -> EpisodeResult:
-        profiler = host_profiler()
-        if profiler is not None:
-            # Start the probe's interval at the episode boundary so setup
-            # work is not billed to the first step's first phase.
-            profiler.sync()
         steps = 0
         for step in range(1, self.task.horizon + 1):
             self.env.tick()
@@ -117,11 +103,7 @@ class ParadigmLoop(abc.ABC):
 
     @abc.abstractmethod
     def step(self, step: int) -> None:
-        """Execute one macro step for all agents.
-
-        Runs under the loop's settings binding, which :meth:`run` makes;
-        code that drives steps itself wraps them in ``bind(self.settings)``.
-        """
+        """Execute one macro step for all agents."""
 
     # ------------------------------------------------------------------ #
     # Shared step fragments
@@ -154,32 +136,19 @@ class ParadigmLoop(abc.ABC):
     ) -> None:
         """Deliver ``message`` to every recipient.
 
-        Reference path: the seed's inline fan-out — one
-        ``receive_message`` (belief merge + memory write) per recipient,
-        usefulness recorded immediately.  Hot path: the delivery is staged
-        on the :class:`~repro.core.bus.DeliveryBus` and merged in batch at
-        the phase's :meth:`flush_deliveries` point.  Recipient iteration
-        order is ``message.recipients``, which every loop builds in agent
-        order, matching the seed's receiver loops exactly.
+        The delivery is staged on the :class:`~repro.core.bus.DeliveryBus`
+        and merged in batch at the phase's :meth:`flush_deliveries` point.
         """
-        if self.bus is not None:
-            self.bus.stage(message, bundles)
-            return
-        novel_total = 0
-        for name in message.recipients:
-            receiver = self._agents_by_name[name]
-            novel_total += receiver.receive_message(message, bundles[name])
-        self.metrics.record_message(useful=novel_total > 0)
+        self.bus.stage(message, bundles)
 
     def flush_deliveries(self, bundles: dict[str, PerceptionBundle]) -> None:
-        """Apply staged deliveries (no-op on the reference path).
+        """Apply staged deliveries.
 
         Must run before anything reads delivery-derived beliefs or
         memory: the loops call it at the end of each dialogue/broadcast
         phase, ahead of planning and execution.
         """
-        if self.bus is not None:
-            self.bus.flush(bundles)
+        self.bus.flush(bundles)
 
     def flush_inference(self) -> None:
         """Dispatch the phase's pending inference requests.

@@ -70,25 +70,19 @@ class DecentralizedLoop(ParadigmLoop):
         post_plan: bool = False,
     ) -> None:
         rounds = 1 if post_plan else dialogue_rounds(len(self.agents))
-        # On the bus path the per-agent known-facts snapshot is hoisted
-        # out of the round loop: it is fixed at perceive time, and a
-        # stable list identity lets the comm module stage its sorted
-        # payload once per step (the reference path rebuilds per round,
-        # as the seed did).
-        staged = self.bus is not None
+        # The per-agent known-facts snapshot is hoisted out of the round
+        # loop: it is fixed at perceive time, and a stable list identity
+        # lets the comm module stage its sorted payload once per step.
         known_by_agent: dict[str, list] = {}
         for _round in range(rounds):
             for agent in self.agents:
                 if agent.comm is None:
                     continue
                 bundle = bundles[agent.name]
-                if staged:
-                    known = known_by_agent.get(agent.name)
-                    if known is None:
-                        known = list(bundle.current_facts) + bundle.memory_facts
-                        known_by_agent[agent.name] = known
-                else:
+                known = known_by_agent.get(agent.name)
+                if known is None:
                     known = list(bundle.current_facts) + bundle.memory_facts
+                    known_by_agent[agent.name] = known
                 message = agent.comm.compose(
                     step=step,
                     recipients=tuple(

@@ -29,10 +29,7 @@ class EndToEndLoop(ParadigmLoop):
         agent = self.agents[0]
         agent.begin_step(step)
         self.clock.advance(
-            VLA_VISION_ENCODE_SECONDS,
-            ModuleName.SENSING,
-            phase="vla_encoder",
-            agent=agent.name,
+            VLA_VISION_ENCODE_SECONDS, ModuleName.SENSING, phase="vla_encoder"
         )
         facts = self.env.visible_facts(agent.name)
         observation = self.env.observation(agent.name, tuple(facts))

@@ -12,17 +12,14 @@ reproduces the seed behaviour bit for bit.
 for ``run_episode`` / ``run_trials`` — the current context's apply
 (``with settings.bind(...)``), else the environment's.  The loop
 resolves them under the config's pins and binds them while it builds
-and runs the episode.
+the episode; its components keep what they read.
 
-The per-step pipeline a built loop drives is, since hot-path phase 3,
-*delivery-staged*: perceive all agents, stage every composed message on
-the step's :class:`~repro.core.bus.DeliveryBus` (prompt-visible
-immediately, modeled latency charged in place), flush the bus — one
-batched belief merge and one batched dialogue-memory commit per receiver
-— then plan, execute, and reflect.  With ``hotpath=False`` the loops
-instead run the seed's per-delivery fan-out; both pipelines produce
-byte-identical episodes (the golden equivalence suite asserts it), so
-everything downstream of :func:`run_episode` is pipeline-agnostic.
+The per-step pipeline a built loop drives is *delivery-staged*: perceive
+all agents, stage every composed message on the step's
+:class:`~repro.core.bus.DeliveryBus` (prompt-visible immediately, modeled
+latency charged in place), flush the bus — one batched belief merge and
+one batched dialogue-memory commit per receiver — then plan, execute,
+and reflect.
 
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by

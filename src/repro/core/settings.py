@@ -1,11 +1,7 @@
 """Run settings: the one value that shapes what an episode computes.
 
-Six settings change an episode's behaviour or its recorded accounting:
+Four settings change an episode's behaviour or its modeled latency:
 
-- ``hotpath`` (``REPRO_HOTPATH``): the optimized inner loop (default) or
-  the seed reference path, which produce byte-identical results;
-- ``clock`` (``REPRO_CLOCK``): ``full`` per-span records or ``coarse``
-  running sums, which report byte-identical totals;
 - ``detector`` (``REPRO_DETECTOR``): the ``loop`` reference detector or
   the ``vector`` one, which has its own goldens;
 - ``serve`` (``REPRO_SERVE``): ``percall`` / ``batched`` /
@@ -15,11 +11,11 @@ Six settings change an episode's behaviour or its recorded accounting:
 - ``overlap`` (``REPRO_OVERLAP``): perception–generation overlap
   (latency only).
 
-A frozen :class:`RunSettings` holds all six, resolved in one fixed
+A frozen :class:`RunSettings` holds all four, resolved in one fixed
 order, each layer overriding the one before:
 
 1. the environment, through :meth:`RunSettings.from_env` — the only
-   parser of those six variables;
+   parser of those four variables;
 2. explicit values: ``ExperimentSettings(run=...)``, ``build_loop(...,
    settings=...)``, or a :func:`bind` block around any entry point;
 3. the system config's pins, through :meth:`RunSettings.for_config`:
@@ -28,11 +24,12 @@ order, each layer overriding the one before:
 
 Every :class:`~repro.core.executor.TrialJob` carries its resolved
 value, and the fleet ledger fingerprints it.  A paradigm loop binds its
-settings (:func:`bind`) while it builds and runs the episode; components
-read them through :func:`current`.  The binding is a
-:mod:`contextvars` variable, so concurrent threads never see each
-other's settings and a worker's result depends only on the job it ran —
-not on when its pool was forked.
+settings (:func:`bind`) while it builds the episode; the components that
+depend on a setting read :func:`current` once, at construction, and keep
+the value, so nothing reads the settings while the episode runs.  The
+binding is a :mod:`contextvars` variable, so concurrent threads never see
+each other's settings and a worker's result depends only on the job it
+ran — not on when its pool was forked.
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ from repro.core.envknobs import bool_knob, choice_knob, int_knob
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.core.config import SystemConfig
 
-#: Span recording modes (``REPRO_CLOCK=span`` is read as ``full``).
-CLOCK_MODES = ("full", "coarse")
 #: Noisy-detector implementations: ``loop`` is the seed-faithful
 #: reference, ``vector`` batches the same draw counts in a reordered
 #: stream (a documented byte-identity waiver; see docs/performance.md).
@@ -61,8 +56,6 @@ DEFAULT_SERVE_CAP = 8
 
 #: The environment variables :meth:`RunSettings.from_env` reads.
 ENV_KNOBS = (
-    "REPRO_HOTPATH",
-    "REPRO_CLOCK",
     "REPRO_DETECTOR",
     "REPRO_SERVE",
     "REPRO_SERVE_CAP",
@@ -74,8 +67,6 @@ ENV_KNOBS = (
 class RunSettings:
     """Every setting that can change an episode's results, resolved."""
 
-    hotpath: bool = True
-    clock: str = "full"
     detector: str = "loop"
     serve: str = "percall"
     serve_cap: int = DEFAULT_SERVE_CAP
@@ -83,7 +74,6 @@ class RunSettings:
 
     def __post_init__(self) -> None:
         for name, choices in (
-            ("clock", CLOCK_MODES),
             ("detector", DETECTOR_MODES),
             ("serve", SERVE_MODES),
         ):
@@ -94,20 +84,14 @@ class RunSettings:
             raise ValueError(f"serve_cap must be >= 1, got {self.serve_cap}")
 
     @classmethod
-    def from_env(cls, defaults: RunSettings | None = None) -> RunSettings:
-        """Settings from the ``REPRO_*`` variables; unset ones keep ``defaults``.
+    def from_env(cls) -> RunSettings:
+        """Settings from the ``REPRO_*`` variables; unset ones keep the defaults.
 
         Values are parsed by :mod:`repro.core.envknobs` (whitespace and
-        case tolerated, malformed values raise naming the variable);
-        ``REPRO_CLOCK=span`` is read as ``full``.
+        case tolerated, malformed values raise naming the variable).
         """
-        base = defaults if defaults is not None else cls()
-        clock = choice_knob(
-            "REPRO_CLOCK", default=base.clock, choices=("full", "span", "coarse")
-        )
+        base = cls()
         return cls(
-            hotpath=bool_knob("REPRO_HOTPATH", default=base.hotpath),
-            clock="full" if clock == "span" else clock,
             detector=choice_knob(
                 "REPRO_DETECTOR", default=base.detector, choices=DETECTOR_MODES
             ),

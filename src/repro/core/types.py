@@ -15,23 +15,19 @@ from functools import lru_cache
 from typing import Any
 
 from repro.core.errors import FaultKind
-from repro.core.settings import current
 
 
 def _memo_describe(obj: object, text: str) -> str:
-    """Cache a ``describe()`` rendering on a frozen instance (hot path only).
+    """Cache a ``describe()`` rendering on a frozen instance.
 
     The value types below are frozen dataclasses whose rendering is a pure
     function of their fields, so the string can be stored once and reused
     every step the object is re-rendered into a prompt (memory windows and
     action histories re-render the same instances for many steps).  The
     cache lives outside the dataclass fields — equality, hashing, and
-    pickled round-trips are unaffected.  On the reference path (the
-    ``hotpath`` run setting off) nothing is cached, preserving the seed
-    implementation's per-call rendering cost.
+    pickled round-trips are unaffected.
     """
-    if current().hotpath:
-        object.__setattr__(obj, "_described", text)
+    object.__setattr__(obj, "_described", text)
     return text
 
 
@@ -75,12 +71,9 @@ class Fact:
         cached = self.__dict__.get("_described")
         if cached is not None:
             return cached
-        if current().hotpath:
-            return _memo_describe(
-                self, _render_fact(self.subject, self.relation, self.value)
-            )
-        relation_text = self.relation.replace("_", " ")
-        return f"{self.subject} {relation_text} {self.value}"
+        return _memo_describe(
+            self, _render_fact(self.subject, self.relation, self.value)
+        )
 
     def key(self) -> tuple[str, str]:
         """Identity of the *slot* this fact fills (subject, relation).
@@ -136,16 +129,9 @@ class Subgoal:
         cached = self.__dict__.get("_described")
         if cached is not None:
             return cached
-        if current().hotpath:
-            return _memo_describe(
-                self, _render_subgoal(self.name, self.target, self.destination)
-            )
-        parts = [self.name.replace("_", " ")]
-        if self.target:
-            parts.append(self.target)
-        if self.destination:
-            parts.append(f"at {self.destination}")
-        return " ".join(parts)
+        return _memo_describe(
+            self, _render_subgoal(self.name, self.target, self.destination)
+        )
 
 
 #: Sentinel subgoal meaning "nothing useful to do this step".

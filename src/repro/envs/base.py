@@ -14,6 +14,16 @@ mineworld, kitchen, tabletop) implements this contract.  Key design points:
   low-level planning (A*/RRT/action-list/grasp), mutates the world, and
   reports primitive counts, compute cost, and actuation time so the
   latency ledger matches the paper's execution-module accounting.
+
+Two contracts let the episode loop reuse work across steps; an
+environment that breaks either produces wrong results, and the committed
+goldens (``tests/core/goldens/``) catch it for the shipped ones:
+
+- ``location_vocabulary()`` is **episode-static**: the sensing module
+  fetches the mislabel distractors once per episode.
+- every :class:`~repro.envs.candidates.CandidateSlot` declares
+  **complete** deps: the candidate cache reuses a slot's candidates
+  whenever its deps compare equal to last step's.
 """
 
 from __future__ import annotations
@@ -25,9 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.beliefs import Beliefs
-from repro.core.settings import current
 from repro.core.types import Candidate, Fact, Observation, Subgoal, TaskSpec
-from repro.envs.candidates import CandidateCache, CandidateSlot, build_all
+from repro.envs.candidates import CandidateCache, CandidateSlot
 from repro.planners.costmodel import ComputeCost, ZERO_COST
 
 
@@ -76,22 +85,18 @@ class Environment(abc.ABC):
         self.rng = rng
         self.agents: list[str] = [f"agent_{i}" for i in range(task.n_agents)]
         self.state = EnvState()
-        # Episode-scoped incremental candidate cache (hot path only; see
+        # Episode-scoped incremental candidate cache (see
         # repro.envs.candidates).  Environments that decompose their
-        # enumeration into slots get per-slot reuse; the rest fall back
-        # to full enumeration through their own ``candidates`` override.
-        self._candidate_cache: CandidateCache | None = (
-            CandidateCache() if current().hotpath else None
-        )
-        # Per-step position staging (hot path only): agent positions only
-        # change when an agent executes, and every paradigm loop perceives
-        # all agents before anyone acts, so the O(n^2) position reads of
-        # the observation pass can share one lookup per agent per step.
+        # enumeration into slots get per-slot reuse; the rest enumerate
+        # fully through their own ``candidates`` override.
+        self._candidate_cache = CandidateCache()
+        # Per-step position staging: agent positions only change when an
+        # agent executes, and every paradigm loop perceives all agents
+        # before anyone acts, so the O(n^2) position reads of the
+        # observation pass can share one lookup per agent per step.
         # Cleared on tick() and by the execution module after every
         # execute (covering replans and custom loops).
-        self._position_cache: dict[str, str] | None = (
-            {} if current().hotpath else None
-        )
+        self._position_cache: dict[str, str] = {}
         # candidates() is no longer @abstractmethod (the base class now
         # drives candidate_slots() when provided), so re-create the
         # construction-time failure a forgotten affordance hook used to
@@ -161,12 +166,9 @@ class Environment(abc.ABC):
         """:meth:`agent_position`, served from the per-step staging cache.
 
         Use this accessor on read paths (perception, observation
-        assembly); it is exactly ``agent_position`` on the reference path
-        and one lookup per agent per step on the hot path.
+        assembly): one lookup per agent per step.
         """
         cache = self._position_cache
-        if cache is None:
-            return self.agent_position(agent)
         position = cache.get(agent)
         if position is None:
             position = self.agent_position(agent)
@@ -180,21 +182,6 @@ class Environment(abc.ABC):
 
     def observation(self, agent: str, facts: tuple[Fact, ...]) -> Observation:
         """Wrap (already noise-filtered) facts into an observation."""
-        if self._position_cache is None:
-            # Reference path: the seed's per-comparison position reads.
-            visible_agents = tuple(
-                other
-                for other in self.agents
-                if other != agent
-                and self.agent_position(other) == self.agent_position(agent)
-            )
-            return Observation(
-                agent=agent,
-                step=self.state.step_index,
-                position=self.agent_position(agent),
-                facts=facts,
-                visible_agents=visible_agents,
-            )
         position = self.position_of(agent)
         visible_agents = tuple(
             other
@@ -210,7 +197,10 @@ class Environment(abc.ABC):
         )
 
     def location_vocabulary(self) -> list[str]:
-        """Plausible location labels, used as mislabel distractors."""
+        """Plausible location labels, used as mislabel distractors.
+
+        Must not change within an episode (see the module docstring).
+        """
         return []
 
     # ------------------------------------------------------------------ #
@@ -224,12 +214,10 @@ class Environment(abc.ABC):
         ground-truth utilities, (b) an explore/idle fallback, and (c) a
         few infeasible/hallucinated options as fault-injection targets.
 
-        Environments either override this directly (seed style, full
-        enumeration every call) or implement :meth:`candidate_slots` and
-        inherit this driver: on the hot path changed slots are rebuilt
-        and unchanged slots reuse last step's candidate objects; on the
-        reference path every slot is built fresh, so both paths produce
-        element-for-element identical sequences.
+        Environments either override this directly (full enumeration
+        every call) or implement :meth:`candidate_slots` and inherit this
+        driver: changed slots are rebuilt and unchanged slots reuse last
+        step's candidate objects.
         """
         slots = self.candidate_slots(agent, beliefs)
         if slots is None:
@@ -237,10 +225,7 @@ class Environment(abc.ABC):
                 f"{type(self).__name__} must override candidates() or "
                 "implement candidate_slots()"
             )
-        cache = self._candidate_cache
-        if cache is not None:
-            return cache.assemble(agent, slots)
-        return build_all(slots)
+        return self._candidate_cache.assemble(agent, slots)
 
     def candidate_slots(
         self, agent: str, beliefs: Beliefs

@@ -1,8 +1,8 @@
 """Incremental candidate enumeration keyed on belief deltas.
 
 Environment ``candidates()`` is one of the dominant per-step costs of the
-optimized episode loop (the ``planning/plan`` phase of ``REPRO_PROFILE``):
-every macro step rebuilds the full list of :class:`~repro.core.types.Candidate`
+episode loop (the ``envs`` layer of the end-to-end benchmark): a naive
+enumeration rebuilds every macro step the full list of :class:`~repro.core.types.Candidate`
 / :class:`~repro.core.types.Subgoal` objects from scratch, even though an
 agent's beliefs — and therefore its affordances — change in only a few slots
 per step.
@@ -20,14 +20,13 @@ This module provides the machinery for rebuilding *only what changed*:
   freshly built groups **in slot order**, so the result is element-for-
   element identical to a full enumeration.
 
-Correctness contract (enforced by ``tests/core/test_hotpath_equivalence.py``
-and ``tests/envs/test_candidate_cache.py``):
+Correctness contract (enforced by the committed goldens,
+``tests/core/test_goldens.py``, and ``tests/envs/test_candidate_cache.py``):
 
 - Deps must be *complete*: anything that can change a slot's built
   candidates — a belief value, an inventory count, an object's holder —
-  must appear in ``deps``.  The reference path (``REPRO_HOTPATH=0``)
-  builds every slot every step, so any missing dep shows up as a
-  byte-level divergence in the golden equivalence suite.
+  must appear in ``deps``.  A missing dep serves a stale slot, which
+  shows up as a divergence from the goldens.
 - Builders must be *pure* given their deps: no RNG draws, no environment
   mutation, and the same deps must always produce value-equal candidates.
 
@@ -145,18 +144,8 @@ def idle_candidates(utility: float) -> list[Candidate]:
     return [Candidate(subgoal=Subgoal(name="idle"), utility=utility)]
 
 
-def build_all(slots: Sequence[CandidateSlot]) -> list[Candidate]:
-    """Reference-path assembly: run every builder, exactly like the seed.
-
-    Shared by ``Environment.candidates`` when the hot path is disabled so
-    both paths enumerate through one decomposition — the cache can only
-    reuse what this function would have built anyway.
-    """
-    return [candidate for slot in slots for candidate in slot.build()]
-
-
 # --------------------------------------------------------------------- #
-# Vectorized candidate features (hot-path phase 4)
+# Vectorized candidate features
 # --------------------------------------------------------------------- #
 
 #: Stable integer coding of ``Candidate.fault``: 0 = no fault, otherwise
@@ -196,8 +185,8 @@ class CandidateFeatures(NamedTuple):
       instead of describing and re-counting per candidate.
 
     Features are a pure function of the candidate values — extraction
-    consumes no randomness and mutates nothing — so both scoring paths
-    stay byte-identical to the scalar reference implementation.
+    consumes no randomness and mutates nothing — so the columnar scoring
+    path picks exactly what the scalar kernel would.
     """
 
     utilities: np.ndarray

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.settings import current
 from repro.planners.astar import AStarResult, astar
 
 Cell = tuple[int, int]
@@ -54,16 +53,13 @@ class RoomGrid:
         if len(self._room_by_name) != len(self.rooms):
             raise ValueError("duplicate room names")
         # Walls never change after construction, so a path is a pure
-        # function of (start, goal) — memoized on the hot path.  Results
-        # are immutable (tuple path), so sharing them is safe.  The same
-        # staticness makes a room's passable-cell list reusable, which
-        # takes the per-cell passability scan out of every execute-side
+        # function of (start, goal) — memoized.  Results are immutable
+        # (tuple path), so sharing them is safe.  The same staticness
+        # makes a room's passable-cell list reusable, which takes the
+        # per-cell passability scan out of every execute-side
         # ``random_cell_in`` (explore/deposit targets, one per navigation).
-        fast = current().hotpath
-        self._path_cache: dict[tuple[Cell, Cell], AStarResult] | None = (
-            {} if fast else None
-        )
-        self._passable_cache: dict[str, list[Cell]] | None = {} if fast else None
+        self._path_cache: dict[tuple[Cell, Cell], AStarResult] = {}
+        self._passable_cache: dict[str, list[Cell]] = {}
 
     def room_named(self, name: str) -> Room:
         try:
@@ -86,33 +82,27 @@ class RoomGrid:
         )
 
     def path(self, start: Cell, goal: Cell) -> AStarResult:
-        cache = self._path_cache
-        if cache is not None:
-            result = cache.get((start, goal))
-            if result is not None:
-                return result
-        result = astar(
-            start=start,
-            goal=goal,
-            passable=self.passable,
-            width=self.width,
-            height=self.height,
-        )
-        if cache is not None:
-            cache[(start, goal)] = result
+        result = self._path_cache.get((start, goal))
+        if result is None:
+            result = astar(
+                start=start,
+                goal=goal,
+                passable=self.passable,
+                width=self.width,
+                height=self.height,
+            )
+            self._path_cache[(start, goal)] = result
         return result
 
     def _passable_cells(self, room_name: str) -> list[Cell]:
-        cache = self._passable_cache
-        if cache is not None:
-            cells = cache.get(room_name)
-            if cells is not None:
-                return cells
-        cells = [
-            cell for cell in self.room_named(room_name).cells() if self.passable(cell)
-        ]
-        if cache is not None:
-            cache[room_name] = cells
+        cells = self._passable_cache.get(room_name)
+        if cells is None:
+            cells = [
+                cell
+                for cell in self.room_named(room_name).cells()
+                if self.passable(cell)
+            ]
+            self._passable_cache[room_name] = cells
         return cells
 
     def random_cell_in(self, room_name: str, rng: np.random.Generator) -> Cell:

@@ -93,17 +93,6 @@ class ExperimentSettings:
         return get_executor(self.executor, self.max_workers)
 
 
-def sweep_settings() -> ExperimentSettings:
-    """Settings for the long sweep CLIs (Figures 7 and 8, the full suite).
-
-    Those paths consume only finalized aggregates, never the per-span
-    list, so they default to the coarse clock — its totals are
-    byte-identical — while an exported ``REPRO_CLOCK=span`` still forces
-    per-span recording.
-    """
-    return ExperimentSettings(run=RunSettings.from_env(RunSettings(clock="coarse")))
-
-
 # ---------------------------------------------------------------------- #
 # Per-section cost metering
 # ---------------------------------------------------------------------- #

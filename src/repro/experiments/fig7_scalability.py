@@ -9,12 +9,6 @@ Paper shapes to preserve:
   complexity) while latency scales mildly (one call per step);
 - decentralized: success rises then falls (collaboration dilution);
   latency explodes super-linearly (per-agent calls × growing dialogue).
-
-As the longest sweep in the suite, the CLI entry point runs with the
-coarse clock (:func:`~repro.experiments.common.sweep_settings`): this
-sweep reads only finalized aggregates, never per-span records, and
-coarse totals are byte-identical.  Set ``REPRO_CLOCK=span`` to force
-per-span recording.
 """
 
 from __future__ import annotations
@@ -22,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_series
-from repro.experiments.common import (
-    ExperimentSettings,
-    GridCell,
-    measure_grid,
-    sweep_settings,
-)
+from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.workloads.registry import get_workload
 
 SUBJECTS = ("mindagent", "coela", "combo")
@@ -128,7 +117,7 @@ def render(result: Fig7Result) -> str:
 
 
 def main() -> None:
-    print(render(run(sweep_settings())))
+    print(render(run()))
 
 
 if __name__ == "__main__":

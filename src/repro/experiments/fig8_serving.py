@@ -39,12 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import checkmark, format_series, format_table
-from repro.experiments.common import (
-    ExperimentSettings,
-    GridCell,
-    measure_grid,
-    sweep_settings,
-)
+from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
 
@@ -217,7 +212,7 @@ def render(result: Fig8Result) -> str:
 
 
 def main() -> None:
-    print(render(run(sweep_settings())))
+    print(render(run()))
 
 
 if __name__ == "__main__":

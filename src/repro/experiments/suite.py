@@ -16,13 +16,8 @@ serial, parallel, and concurrent runs.
 Settings: trial count and executor come from ``ExperimentSettings``
 defaults, i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS`` unless a caller
 passes explicit settings, and every section's jobs carry the same
-resolved run settings.  Concurrent sections share one process, so they
-also share the (single-threaded) ``REPRO_PROFILE`` probe — profile
-serial runs only.  As the repo's longest run, the CLI entry point uses
-the coarse clock (:func:`~repro.experiments.common.sweep_settings`;
-every section consumes only finalized aggregates, and totals are
-byte-identical) — ``REPRO_CLOCK=span`` forces per-span recording.  See
-docs/performance.md for the full knob table.
+resolved run settings.  See docs/performance.md for the full knob
+table.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from repro.experiments import (
 )
 from repro.core.errors import BudgetExceededError
 from repro.core.fleet import budget_scope
-from repro.experiments.common import ExperimentSettings, metered, sweep_settings
+from repro.experiments.common import ExperimentSettings, metered
 
 _SECTIONS = (
     ("Table I", lambda s: render_table1()),
@@ -162,7 +157,6 @@ def main(argv: list[str] | None = None) -> None:
     try:
         print(
             run_all(
-                sweep_settings(),
                 concurrent_sections=args.concurrent_sections,
                 stopped=stopped,
             )

@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import FaultKind
-from repro.core.settings import current
 from repro.core.types import Candidate, Subgoal
 from repro.envs.candidates import FAULT_CODES, FAULT_NONE, candidate_features
 
@@ -99,22 +98,21 @@ class _Scoreboard:
     (:func:`repro.envs.candidates.candidate_features`): the clean subset,
     the top utility tie group (the only candidates a correct pick can
     return), and the per-fault candidate pools, all held as index arrays
-    into the candidate tuple in seed enumeration order — boolean masks
-    and ``np.flatnonzero`` preserve position order, so the tie-break and
-    pool draws stay seed-identical.  A scoreboard is a pure function of
+    into the candidate tuple in enumeration order — boolean masks and
+    ``np.flatnonzero`` preserve position order, so the tie-break and
+    pool draws match the scalar helpers'.  A scoreboard is a pure function of
     ``(candidates, blacklist, has_stale_facts)``; the kernel reuses it
     across steps whenever the environment's candidate cache hands back
     the identical candidate tuple, so unchanged candidates keep their
     scores and only changed sets are re-scored.
 
     This vectorized constructor deliberately *mirrors* — rather than
-    calls — the seed helpers on :class:`BehaviorKernel`
+    calls — the scalar helpers on :class:`BehaviorKernel`
     (``_clean_candidates``, the tie computation in ``_best_choice``,
-    ``_available_faults``).  The implementations stay independent so the
-    golden equivalence suite compares two genuinely separate scoring
-    paths: a bug edited into either alone fails
-    ``tests/core/test_hotpath_equivalence.py`` (and the direct pool
-    comparison in ``tests/llm/test_behavior.py``) instead of silently
+    ``_available_faults``), which still serve one-off candidate lists.
+    The implementations stay independent so a bug edited into either
+    alone fails the direct pool comparison in ``tests/llm/test_behavior.py``
+    (and, on the episode path, the committed goldens) instead of silently
     shifting both paths together.  Change them in lockstep.
     """
 
@@ -227,37 +225,33 @@ class BehaviorKernel:
     Separated from :class:`~repro.llm.simulated.SimulatedLLM` so it can be
     unit- and property-tested without latency modeling.
 
-    On the optimized hot path the kernel memoizes a :class:`_Scoreboard`
-    per candidate set (identity-keyed: a hit requires the very same
-    candidate sequence object, which the environment candidate cache
-    returns while beliefs are unchanged).  On the reference path every
-    helper recomputes from scratch, exactly like the seed.  Scoreboards
-    consume no randomness, so both paths draw identically from the RNG.
+    The kernel memoizes a :class:`_Scoreboard` per candidate set
+    (identity-keyed: a hit requires the very same candidate sequence
+    object, which the environment candidate cache returns while beliefs
+    are unchanged).  One-off candidate lists take the scalar helpers
+    instead.  Scoreboards consume no randomness, so both draw identically
+    from the RNG.
     """
 
     reasoning: float
     format_compliance: float
     context_focus: "callable[[int], float]" = field(repr=False, default=lambda _t: 1.0)
-    _fast: bool = field(default=False, repr=False, compare=False)
     _scoreboards: OrderedDict = field(
         default_factory=OrderedDict, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        self._fast = current().hotpath
-
     def _scoreboard(self, request: DecisionRequest) -> _Scoreboard | None:
-        """The cached scoreboard on the fast path, ``None`` otherwise.
+        """The cached scoreboard for tuple candidates, ``None`` otherwise.
 
         Only tuple candidate sequences are scored eagerly: those come
         from the environment candidate cache and recur across steps, so
         the one-time pool construction amortizes.  One-off lists (e.g.
-        the shrinking pools of a multi-step plan) take the seed's lazy
-        path instead — a scoreboard for them would do strictly more work
-        than the seed on the common no-fault branch and evict useful
-        entries from the LRU.
+        the shrinking pools of a multi-step plan) take the scalar kernel's
+        lazy path instead — a scoreboard for them would do strictly more
+        work on the common no-fault branch and evict useful entries from
+        the LRU.
         """
-        if not self._fast or type(request.candidates) is not tuple:
+        if type(request.candidates) is not tuple:
             return None
         key = (id(request.candidates), request.blacklist, request.has_stale_facts)
         entry = self._scoreboards.get(key)

@@ -6,17 +6,17 @@ candidate actions).  Sections keep their own token counts so experiments
 can report *where* prompt growth comes from — the paper's Fig. 6 attributes
 growth to repeated memory retrieval and concatenated multi-agent dialogue.
 
-Hot-path accounting (the ``hotpath`` run setting): a section's token count is
-computed once at construction and a prompt's total is maintained
-incrementally on ``add``, so reading ``Prompt.tokens`` on every simulated
-LLM call never re-tokenizes the (growing) prompt text.  The builder goes
-further on the optimized path: stable sections (system preambles, task
-descriptions, fixed instructions) are interned and reused across steps and
-episodes, and sections assembled from many rendered pieces (memory facts,
-dialogue, candidates) are counted *additively* from per-piece cached counts
-— valid because the estimator never merges tokens across the space
-separator (see :mod:`repro.llm.tokenizer`) — instead of re-tokenizing the
-joined text each step.
+Incremental accounting: a section's token count is computed once at
+construction and a prompt's total is maintained incrementally on ``add``,
+so reading ``Prompt.tokens`` on every simulated LLM call never
+re-tokenizes the (growing) prompt text.  The builder goes further: stable
+sections (system preambles, task descriptions, fixed instructions) are
+interned and reused across steps and episodes, and sections assembled
+from many rendered pieces (memory facts, dialogue, candidates) are
+counted *additively* from per-piece cached counts — valid because the
+estimator never merges tokens across the space separator (see
+:mod:`repro.llm.tokenizer`) — instead of re-tokenizing the joined text
+each step.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from repro.core.settings import current
 from repro.core.types import Candidate, Fact, Message, Observation
 from repro.envs.candidates import candidate_features
 from repro.llm.tokenizer import count_tokens
@@ -198,7 +197,7 @@ _MEMORY_SECTIONS = _IdentitySectionMemo()
 
 
 def _described_section(name: str, items) -> PromptSection:
-    """Render a period-terminated ``describe()`` section (fast path).
+    """Render a period-terminated ``describe()`` section.
 
     Each item carries a ``_pdot`` instance memo — its period-terminated
     rendering paired with the token count of the bare text — so the
@@ -239,7 +238,7 @@ def _piece_tokens(item: object, text: str) -> int:
     count — is a pure function of their fields, so the count can live on
     the instance and be reused every step the object re-enters a prompt
     (memory windows and dialogue histories re-render the same instances
-    for many steps).  Only used on the fast path.
+    for many steps).
     """
     tokens = item.__dict__.get("_ptokens")
     if tokens is None:
@@ -377,51 +376,40 @@ class PromptBuilder:
     history, and finally the enumerated action candidates — the paper's
     "formalizing the action list" (Sec. II-A).
 
-    On the optimized hot path (captured at construction) stable sections
-    are interned and piecewise sections are token-counted additively from
-    cached per-piece counts; on the reference path every section is built
-    and tokenized exactly as the seed code did.  Both paths produce
-    sections with identical text and token counts.
+    Stable sections are interned and piecewise sections are
+    token-counted additively from cached per-piece counts; every section
+    carries the text and token count plain tokenization would give.
     """
 
     def __init__(self, system_text: str = "", task_text: str = "") -> None:
         self._prompt = Prompt()
-        self._fast = current().hotpath
         if system_text:
             self._static("system", system_text)
         if task_text:
             self._static("task", task_text)
 
     def _static(self, name: str, text: str) -> None:
-        if self._fast:
-            self._prompt.append_section(intern_section(name, text))
-        else:
-            self._prompt.add(name, text)
+        self._prompt.append_section(intern_section(name, text))
 
     def observation(self, observation: Observation | None) -> "PromptBuilder":
         if observation is not None:
-            if self._fast:
-                # The rendering is " "-joined period-terminated clauses
-                # (position line + one per fact), so the token count is
-                # additive over the clauses: the position line via the
-                # (tiny-vocabulary) tokenizer cache, each fact via its
-                # instance memo plus one token for the period.  This
-                # skips re-tokenizing the joined text — the single
-                # largest distinct-string source on the reference path —
-                # while producing the exact same count.
-                text = observation.describe()
-                tokens = observation.__dict__.get("_ptokens")
-                if tokens is None:
-                    head = f"{observation.agent} is at {observation.position}."
-                    tokens = count_tokens(head)
-                    for fact in observation.facts:
-                        tokens += _piece_tokens(fact, fact.describe()) + 1
-                    object.__setattr__(observation, "_ptokens", tokens)
-                self._prompt.append_section(
-                    PromptSection("observation", text, tokens)
-                )
-            else:
-                self._prompt.add("observation", observation.describe())
+            # The rendering is " "-joined period-terminated clauses
+            # (position line + one per fact), so the token count is
+            # additive over the clauses: the position line via the
+            # (tiny-vocabulary) tokenizer cache, each fact via its
+            # instance memo plus one token for the period.  This skips
+            # re-tokenizing the joined text, which would otherwise be the
+            # single largest distinct-string source, while producing the
+            # exact same count.
+            text = observation.describe()
+            tokens = observation.__dict__.get("_ptokens")
+            if tokens is None:
+                head = f"{observation.agent} is at {observation.position}."
+                tokens = count_tokens(head)
+                for fact in observation.facts:
+                    tokens += _piece_tokens(fact, fact.describe()) + 1
+                object.__setattr__(observation, "_ptokens", tokens)
+            self._prompt.append_section(PromptSection("observation", text, tokens))
         return self
 
     def memory(self, facts: "Sequence[Fact]") -> "PromptBuilder":
@@ -429,7 +417,7 @@ class PromptBuilder:
             # Tuple inputs come from per-step staged payloads
             # (communication) whose identity is stable across the step's
             # dialogue rounds; reuse their rendered section wholesale.
-            if self._fast and type(facts) is tuple:
+            if type(facts) is tuple:
                 section = _MEMORY_SECTIONS.get(facts)
                 if section is None:
                     section = _described_section("memory", facts)
@@ -443,18 +431,12 @@ class PromptBuilder:
         """Add a section of period-terminated ``describe()`` renderings.
 
         Renders ``item.describe() + "."`` for each item, space-joined —
-        the shape shared by memory facts and action histories.  The fast
-        path counts tokens additively (each rendered piece plus one token
-        for its period) instead of re-tokenizing the joined text.
+        the shape shared by memory facts and action histories.  Tokens are
+        counted additively (each rendered piece plus one token for its
+        period) instead of re-tokenizing the joined text.
         """
-        if not items:
-            return self
-        if self._fast:
+        if items:
             self._prompt.append_section(_described_section(name, items))
-        else:
-            parts = [item.describe() for item in items]
-            text = " ".join(part + "." for part in parts)
-            self._prompt.add(name, text)
         return self
 
     def dialogue(
@@ -467,58 +449,45 @@ class PromptBuilder:
         dynamics (Fig. 6) while bounding prompt size for large teams.
 
         ``window_key`` names the conversation (normally the rendering
-        agent) so the fast path can render long windows incrementally
-        across steps; callers without a stable identity omit it and pay
-        the full per-window render.
+        agent) so long windows render incrementally across steps; callers
+        without a stable identity omit it and pay the full per-window
+        render.
         """
         if messages:
             recent = messages[-MAX_DIALOGUE_MESSAGES:]
-            if self._fast:
-                if (
-                    window_key is not None
-                    and len(recent) >= _DIALOGUE_MEMO_MIN_MESSAGES
-                ):
-                    section = _DIALOGUE_SECTIONS.section(
-                        window_key, recent, source=messages
-                    )
-                else:
-                    parts = []
-                    append = parts.append
-                    tokens = 0
-                    for message in recent:
-                        memo = message.__dict__
-                        part = memo.get("_described")
-                        if part is None:
-                            part = message.describe()
-                        append(part)
-                        count = memo.get("_ptokens")
-                        if count is None:
-                            count = _piece_tokens(message, part)
-                        tokens += count
-                    section = PromptSection("dialogue", " ".join(parts), tokens)
-                self._prompt.append_section(section)
+            if window_key is not None and len(recent) >= _DIALOGUE_MEMO_MIN_MESSAGES:
+                section = _DIALOGUE_SECTIONS.section(window_key, recent, source=messages)
             else:
-                parts = [message.describe() for message in recent]
-                self._prompt.add("dialogue", " ".join(parts))
+                parts = []
+                append = parts.append
+                tokens = 0
+                for message in recent:
+                    memo = message.__dict__
+                    part = memo.get("_described")
+                    if part is None:
+                        part = message.describe()
+                    append(part)
+                    count = memo.get("_ptokens")
+                    if count is None:
+                        count = _piece_tokens(message, part)
+                    tokens += count
+                section = PromptSection("dialogue", " ".join(parts), tokens)
+            self._prompt.append_section(section)
         return self
 
     def candidates(self, candidates: "Sequence[Candidate]") -> "PromptBuilder":
         if not candidates:
             return self
-        if self._fast:
+        if isinstance(candidates, tuple):
             # Candidate tuples from the env cache keep their identity
             # while beliefs are unchanged; reuse their rendered section.
-            stable = isinstance(candidates, tuple)
-            if stable:
-                section = _CANDIDATE_SECTIONS.get(candidates)
-                if section is not None:
-                    self._prompt.append_section(section)
-                    return self
+            section = _CANDIDATE_SECTIONS.get(candidates)
+            if section is None:
                 # Cache-stable tuples share their columnar features with
                 # the behaviour kernel (:mod:`repro.envs.candidates`):
-                # descriptions are prerendered and token counts pretotaled,
-                # so a miss here is a join plus two adds rather than a
-                # describe + count per candidate.
+                # descriptions are prerendered and token counts
+                # pretotaled, so a miss here is a join plus two adds
+                # rather than a describe + count per candidate.
                 features = candidate_features(candidates)
                 prefixes, _, cumulative = _index_scaffold(len(candidates))
                 text = " ".join(
@@ -528,23 +497,16 @@ class PromptBuilder:
                 tokens = cumulative[len(candidates)] + features.desc_tokens_total
                 section = PromptSection("candidates", text, tokens)
                 _CANDIDATE_SECTIONS.put(candidates, section)
-                self._prompt.append_section(section)
-                return self
-            prefixes, index_tokens, _ = _index_scaffold(len(candidates))
-            lines = []
-            tokens = 0
-            for index, candidate in enumerate(candidates):
-                described = candidate.subgoal.describe()
-                lines.append(prefixes[index] + described)
-                tokens += index_tokens[index] + count_tokens(described)
-            section = PromptSection("candidates", " ".join(lines), tokens)
             self._prompt.append_section(section)
-        else:
-            lines = [
-                f"({index}) {candidate.subgoal.describe()}"
-                for index, candidate in enumerate(candidates)
-            ]
-            self._prompt.add("candidates", " ".join(lines))
+            return self
+        prefixes, index_tokens, _ = _index_scaffold(len(candidates))
+        lines = []
+        tokens = 0
+        for index, candidate in enumerate(candidates):
+            described = candidate.subgoal.describe()
+            lines.append(prefixes[index] + described)
+            tokens += index_tokens[index] + count_tokens(described)
+        self._prompt.append_section(PromptSection("candidates", " ".join(lines), tokens))
         return self
 
     def extra(self, name: str, text: str) -> "PromptBuilder":
@@ -552,7 +514,7 @@ class PromptBuilder:
         return self
 
     def static_extra(self, name: str, text: str) -> "PromptBuilder":
-        """Add a stable section (fixed instruction), interned on the fast path."""
+        """Add a stable section (fixed instruction), interned."""
         if text:
             self._static(name, text)
         return self

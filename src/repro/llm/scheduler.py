@@ -14,8 +14,8 @@ Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``):
 
 - ``percall`` (default) — dispatch immediately, in submission order,
   charging each request's own modeled latency at the exact clock position
-  the seed charged it.  Byte-identical to the seed pipeline (golden-suite
-  gated, like the ``hotpath`` setting).
+  the seed charged it.  Byte-identical to the seed pipeline (pinned by
+  the committed goldens).
 - ``batched`` — request *content* still resolves at submit time, in
   submission order (the rng stream, decisions, token counts, faults, and
   therefore every task outcome are untouched); only the latency charge is
@@ -46,7 +46,7 @@ Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``):
   the batch end by the recomputed shared latency (floored at the
   joiner's own prefill+decode service).  Requests that find the engine
   full wait, and that wait is charged through the clock
-  (:meth:`~repro.core.clock.SimClock.settle` ends each request's span at
+  (:meth:`~repro.core.clock.SimClock.settle` ends each request's charge at
   its absolute completion), so ``batch_size`` caps now cost queueing
   delay instead of splitting batches for free.  Per-request latency is
   attributed via ``MetricsCollector.record_served_request`` and surfaces
@@ -210,9 +210,8 @@ class InferenceScheduler:
         different latency parameters never share a batch — in
         first-submission order; each group becomes one batch (split when
         the deployment caps ``batch_size``).  Multi-request batches
-        charge the shared batch latency once (attributed to the
-        pseudo-agent ``"batch"``, as the seed's batched planner did)
-        plus each request's retry rounds; singleton batches charge
+        charge the shared batch latency once plus each request's retry
+        rounds; singleton batches charge
         exactly like per-call mode.
         """
         if not self._pending:
@@ -254,7 +253,7 @@ class InferenceScheduler:
             [item.result.prompt_tokens for item in items],
             [item.result.output_tokens for item in items],
         )
-        self._clock.advance(batch_latency, first.module, phase=first.phase, agent="batch")
+        self._clock.advance(batch_latency, first.module, phase=first.phase)
         for item in items:
             result = item.result
             if result.rounds > 1:
@@ -280,7 +279,7 @@ class InferenceScheduler:
         first arrival)``, admits every request already waiting (up to
         the occupancy cap), then accepts in-flight joins that arrive
         before it finishes.  Requests the cap excludes wait for the next
-        batch, and the wait is charged as part of their span — the
+        batch, and the wait is charged as part of their latency — the
         queueing cost ``batch_size`` never had under plain batching.
         """
         engines: dict[tuple, list[_Pending]] = {}
@@ -354,7 +353,6 @@ class InferenceScheduler:
                     completion - item.arrival,
                     request.module,
                     phase=request.phase,
-                    agent=request.agent,
                 )
                 self._metrics.record_served_request(
                     wait_seconds=admit - item.arrival,
@@ -366,6 +364,4 @@ class InferenceScheduler:
         return free_at
 
     def _charge(self, request: InferenceRequest, seconds: float) -> None:
-        self._clock.advance(
-            seconds, request.module, phase=request.phase, agent=request.agent
-        )
+        self._clock.advance(seconds, request.module, phase=request.phase)

@@ -33,9 +33,8 @@ _CHARS_PER_SUBWORD = 6
 #: distinct strings per episode, heavily shared across episodes of the
 #: same environment), so 64k entries of mostly sub-100-byte keys is a few
 #: MB ceiling while keeping the steady-state hit rate near 100 %.  The
-#: bound matters: an *unbounded* cache would grow without limit on the
-#: reference path, whose keys are whole joined sections that differ every
-#: step of every episode.
+#: bound matters for callers that count whole joined sections, whose keys
+#: differ every step of every episode.
 _COUNT_CACHE_SIZE = 65536
 
 

@@ -7,22 +7,18 @@ corrupted).  Mislabeled location facts are the seed of downstream
 stale-memory faults — the agent will confidently navigate to the wrong
 place, exactly the perception-induced failure mode modular systems exhibit.
 
-Hot-path staging (the ``hotpath`` run setting): the detector's random draws
-are part of the episode's rng stream (the same generator feeds memory
-confusion and execution), so no draw may be skipped or reordered.  The
-optimized path therefore never caches *outcomes*; it only produces the
-identical stream more cheaply:
+Stream fidelity: the detector's random draws are part of the episode's
+rng stream (the same generator feeds memory confusion and execution), so
+no draw may be skipped or reordered.  The ``loop`` detector therefore
+never caches *outcomes*; it only produces the stream cheaply:
 
 - a perfect detector (``recall >= 1`` and ``mislabel_rate <= 0``, i.e. the
   ``symbolic`` profile) consumes its fixed per-fact draw budget in one
   vectorized ``rng.random(k)`` call — numpy fills scalar and array doubles
   from the same bit stream, so the generator state after the call is
   bit-identical to the per-fact loop — and returns the ground facts;
-- the general path runs the same per-fact loop with bound locals instead
-  of repeated attribute lookups.
-
-The reference path keeps the seed implementation verbatim, so benchmark
-comparisons stay honest.
+- the general path runs the per-fact loop with bound locals instead of
+  repeated attribute lookups.
 
 Detector modes (the ``detector`` run setting): the module additionally hosts a
 **vector** detector that batches the per-fact draws into three array
@@ -38,10 +34,9 @@ fact), so under noisy profiles different facts pass recall and its
 aggregates differ from the loop detector's.
 That is a documented byte-identity waiver: ``loop`` stays the default
 and the reference for every golden suite; ``vector`` ships with its own
-re-baselined goldens (see docs/performance.md).  Mode selection: an
-explicit ``mode=`` argument wins, else the run settings' ``detector``
-(:func:`repro.core.settings.current`), which the sensing module captures
-once per episode; the ``loop`` mode dispatches through the hotpath seam.
+re-baselined goldens (see docs/performance.md).  :func:`detect` takes
+the mode as an argument; the sensing module passes the run settings'
+``detector``, captured once per episode.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.settings import current
 from repro.core.types import Fact
 from repro.perception.models import PerceptionProfile
 
@@ -70,7 +64,7 @@ def detect(
     profile: PerceptionProfile,
     rng: np.random.Generator,
     distractor_values: list[str] | None = None,
-    mode: str | None = None,
+    mode: str = "loop",
 ) -> DetectionResult:
     """Simulate one perception pass over ``ground_facts``.
 
@@ -78,62 +72,20 @@ def detect(
     (e.g. other locations in the scene); without them mislabeling is
     skipped, since a detector cannot invent values outside its vocabulary.
 
-    ``mode`` pins the detector implementation for this call (``loop`` /
-    ``vector``); ``None`` defers to the run settings' ``detector``.  The
-    ``vector`` detector wins regardless of the ``hotpath`` setting — it
-    is an explicit opt-in with its own goldens.
+    ``mode`` selects the detector implementation (``loop`` / ``vector``).
     """
-    settings = current()
-    if (mode or settings.detector) == "vector":
+    if mode == "vector":
         return _detect_vector(ground_facts, profile, rng, distractor_values)
-    if settings.hotpath:
-        return _detect_fast(ground_facts, profile, rng, distractor_values)
-    return _detect_reference(ground_facts, profile, rng, distractor_values)
+    return _detect_loop(ground_facts, profile, rng, distractor_values)
 
 
-def _detect_reference(
+def _detect_loop(
     ground_facts: list[Fact],
     profile: PerceptionProfile,
     rng: np.random.Generator,
     distractor_values: list[str] | None,
 ) -> DetectionResult:
-    """The seed implementation, kept verbatim as the equivalence anchor."""
-    observed: list[Fact] = []
-    missed = 0
-    mislabeled = 0
-    for fact in ground_facts:
-        if rng.random() > profile.recall:
-            missed += 1
-            continue
-        if distractor_values and rng.random() < profile.mislabel_rate:
-            wrong_value = distractor_values[int(rng.integers(len(distractor_values)))]
-            if wrong_value != fact.value:
-                observed.append(
-                    Fact(
-                        subject=fact.subject,
-                        relation=fact.relation,
-                        value=wrong_value,
-                        step=fact.step,
-                    )
-                )
-                mislabeled += 1
-                continue
-        observed.append(fact)
-    return DetectionResult(
-        facts=tuple(observed),
-        missed=missed,
-        mislabeled=mislabeled,
-        latency=profile.latency_s,
-    )
-
-
-def _detect_fast(
-    ground_facts: list[Fact],
-    profile: PerceptionProfile,
-    rng: np.random.Generator,
-    distractor_values: list[str] | None,
-) -> DetectionResult:
-    """Stream-identical detection with less per-fact Python overhead."""
+    """Per-fact detection: recall, then mislabel, interleaved per fact."""
     recall = profile.recall
     mislabel_rate = profile.mislabel_rate
     if recall >= 1.0 and mislabel_rate <= 0.0:

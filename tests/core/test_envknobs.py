@@ -90,20 +90,18 @@ class TestAdopters:
         assert trials_from_env() == 3
         assert workers_from_env() == 4
 
-    def test_hotpath_false_spelling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOTPATH", "OFF")
-        assert RunSettings.from_env().hotpath is False
-        monkeypatch.delenv("REPRO_HOTPATH")
-        assert RunSettings.from_env().hotpath is True
+    def test_overlap_spellings(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OVERLAP", "ON")
+        assert RunSettings.from_env().overlap is True
+        monkeypatch.setenv("REPRO_OVERLAP", "OFF")
+        assert RunSettings.from_env().overlap is False
 
-    def test_clock_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLOCK", "granular")
-        with pytest.raises(ValueError, match="REPRO_CLOCK"):
+    def test_detector_rejects_junk(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DETECTOR", "simd")
+        with pytest.raises(ValueError, match="REPRO_DETECTOR"):
             RunSettings.from_env()
-        monkeypatch.setenv("REPRO_CLOCK", "coarse")
-        assert RunSettings.from_env().clock == "coarse"
-        monkeypatch.setenv("REPRO_CLOCK", "span")
-        assert RunSettings.from_env().clock == "full"
+        monkeypatch.setenv("REPRO_DETECTOR", " Vector ")
+        assert RunSettings.from_env().detector == "vector"
 
     def test_serve_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "batched")

@@ -64,9 +64,9 @@ class TestFingerprints:
 
     def test_result_knob_invalidates(self, monkeypatch):
         before = job_fingerprint(synth_jobs(1)[0])
-        monkeypatch.setenv("REPRO_HOTPATH", "0")
+        monkeypatch.setenv("REPRO_SERVE", "batched")
         job = synth_jobs(1)[0]  # resolves its settings at construction
-        assert job.settings.hotpath is False
+        assert job.settings.serve == "batched"
         assert job_fingerprint(job) != before
 
     def test_execution_knobs_do_not_invalidate(self, monkeypatch):
@@ -192,7 +192,7 @@ class TestCheckpointResume:
     def test_knob_change_invalidates_resume(self, ledger, monkeypatch):
         executor = SerialExecutor(job_runner=sleep_runner)
         FleetRunner(ledger).run_jobs(synth_jobs(2), executor)
-        monkeypatch.setenv("REPRO_HOTPATH", "0")
+        monkeypatch.setenv("REPRO_SERVE", "batched")
         rerun = FleetRunner(ledger)
         rerun.run_jobs(synth_jobs(2), executor)
         assert rerun.executed == 2  # nothing restored: fingerprints moved
@@ -395,16 +395,6 @@ class TestIncrementalTail:
         for _poll in range(5):
             reader.load()
         assert reader.bytes_read == read
-
-    def test_full_reload_mode_rereads_history(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        writer = JobLedger(path)
-        self.seed(writer, 5)
-        size = path.stat().st_size
-        reference = JobLedger(path, tail=False)
-        reference.load()
-        reference.load()
-        assert reference.bytes_read >= 2 * size
 
     def test_torn_line_consumed_once_completed(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -734,7 +724,6 @@ class TestLedgerEnvKnobs:
             "REPRO_FLUSH_SECONDS",
             "REPRO_COMPACT_RECORDS",
             "REPRO_BUDGET_PARTITION",
-            "REPRO_BENCH_ATTEMPTS",
         ):
             assert knob not in ENV_KNOBS
             monkeypatch.setenv(knob, "7")

@@ -107,21 +107,10 @@ class TestMemory:
 
     def test_dialogue_window(self, context):
         memory = self.make(context, capacity=5)
-        memory.store_message(Message(sender="a1", recipients=(), step=1))
-        memory.store_message(Message(sender="a1", recipients=(), step=9))
+        memory.stage_message(Message(sender="a1", recipients=(), step=1))
+        memory.stage_message(Message(sender="a1", recipients=(), step=9))
+        memory.commit_staged_messages()
         assert len(memory.dialogue_window(step=10)) == 1
-
-    def test_store_message_counts_novelty(self, context):
-        memory = self.make(context)
-        novel = memory.store_message(
-            Message(
-                sender="a1",
-                recipients=(),
-                step=1,
-                facts=(Fact("box", "located_in", "hall", step=1),),
-            )
-        )
-        assert novel == 1
 
     def test_dual_memory_skips_confusion(self, context):
         memory = self.make(context, capacity=200, dual=True)

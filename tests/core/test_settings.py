@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.core.config import MemoryConfig
+from repro.core.config import MemoryConfig, SystemConfig
 from repro.core.fleet import job_fingerprint, knob_fingerprint
 from repro.core.runner import build_loop, build_task, trial_jobs
 from repro.core.settings import ENV_KNOBS, RunSettings, bind, current
@@ -125,8 +125,6 @@ def test_resolution_order(case, monkeypatch):
 
 #: A non-default value for every field.
 CHANGED = {
-    "hotpath": False,
-    "clock": "coarse",
     "detector": "vector",
     "serve": "batched",
     "serve_cap": 2,
@@ -163,22 +161,20 @@ def test_fingerprint(change, monkeypatch):
 
 class TestRunSettings:
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOTPATH", "off")
-        monkeypatch.setenv("REPRO_CLOCK", " Coarse ")
+        monkeypatch.setenv("REPRO_DETECTOR", " Vector ")
         monkeypatch.setenv("REPRO_SERVE_CAP", "3")
         monkeypatch.setenv("REPRO_OVERLAP", "1")
         assert RunSettings.from_env() == RunSettings(
-            hotpath=False, clock="coarse", serve_cap=3, overlap=True
+            detector="vector", serve_cap=3, overlap=True
         )
         assert knob_fingerprint() == {
-            "REPRO_HOTPATH": "off",
-            "REPRO_CLOCK": "Coarse",
+            "REPRO_DETECTOR": "Vector",
             "REPRO_SERVE_CAP": "3",
             "REPRO_OVERLAP": "1",
         }
 
     @pytest.mark.parametrize(
-        "bad", [{"clock": "span"}, {"serve": "streamed"}, {"serve_cap": 0}]
+        "bad", [{"detector": "simd"}, {"serve": "streamed"}, {"serve_cap": 0}]
     )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -189,8 +185,8 @@ class TestRunSettings:
         job = synthetic_job(seed=1)
         monkeypatch.delenv("REPRO_DETECTOR")
         assert job.settings.detector == "vector"
-        with bind(RunSettings(hotpath=False)):
-            assert synthetic_job(seed=1).settings.hotpath is False
+        with bind(RunSettings(serve="batched")):
+            assert synthetic_job(seed=1).settings.serve == "batched"
 
     def test_bindings_are_thread_local(self):
         seen = {}
@@ -213,11 +209,45 @@ class TestRunSettings:
         assert seen == {"loop": RunSettings(), "vector": VECTOR}
         assert current() == RunSettings()
 
-    def test_loop_binds_its_settings_while_running(self):
+    def test_loop_binds_its_settings_while_building(self):
         config = get_workload("jarvis-1").config
         task = build_task(config, difficulty="easy", seed=3)
         explicit = build_loop(config, task, seed=3, settings=VECTOR).run()
         with bind(VECTOR):
-            ambient = build_loop(config, task, seed=3).run()
-        assert explicit == ambient
+            ambient = build_loop(config, task, seed=3)
+        assert ambient.run() == explicit  # run outside the binding
         assert build_loop(config, task, seed=3).run() != explicit
+
+
+#: One config per paradigm loop, plus the clustered hierarchy loop.
+LOOP_CONFIGS = {
+    "modular": get_workload("jarvis-1").config,
+    "centralized": get_workload("mindagent").config,
+    "decentralized": get_workload("coela").config,
+    "hybrid": get_workload("hmas").config,
+    "end_to_end": SystemConfig(
+        name="mini-vla",
+        paradigm="end_to_end",
+        env_name="kitchen",
+        planning_model="vla-rt2",
+        sensing_model=None,
+    ),
+    "hierarchy": get_workload("hmas").config.with_optimizations(
+        hierarchy_cluster_size=2
+    ),
+}
+
+
+@pytest.mark.parametrize("paradigm", list(LOOP_CONFIGS))
+def test_episodes_never_read_settings_while_running(paradigm, monkeypatch):
+    """Settings are read where things are built, never mid-episode."""
+    config = LOOP_CONFIGS[paradigm]
+    task = build_task(config, difficulty="easy", seed=2)
+    loop = build_loop(config, task, seed=2, settings=RunSettings(serve="continuous"))
+    expected = build_loop(config, task, seed=2, settings=loop.settings).run()
+
+    def unreadable(cls):
+        raise AssertionError("run settings read while an episode runs")
+
+    monkeypatch.setattr(RunSettings, "from_env", classmethod(unreadable))
+    assert loop.run() == expected

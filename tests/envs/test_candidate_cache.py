@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.beliefs import Beliefs
-from repro.core.settings import RunSettings, bind
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs import make_env
-from repro.envs.candidates import CandidateCache, CandidateSlot, build_all
+from repro.envs.candidates import CandidateCache, CandidateSlot
 
 
 def _slot(key: str, deps: tuple, names: list[str], calls: dict) -> CandidateSlot:
@@ -71,12 +70,6 @@ class TestCandidateCacheFramework:
         cache.assemble("agent_1", [_slot("a", (1,), ["x"], calls)])
         assert calls == {"a": 2}
 
-    def test_build_all_runs_every_builder(self):
-        calls: dict = {}
-        out = build_all([_slot("a", (1,), ["x"], calls), _slot("a2", (1,), ["y"], calls)])
-        assert [c.subgoal.name for c in out] == ["x", "y"]
-        assert calls == {"a": 1, "a2": 1}
-
 
 def _household(seed: int = 3):
     task = TaskSpec(env_name="household", difficulty="easy", n_agents=1, seed=seed)
@@ -85,8 +78,7 @@ def _household(seed: int = 3):
 
 @pytest.fixture
 def fast_env():
-    with bind(RunSettings()):
-        yield _household()
+    return _household()
 
 
 class TestHouseholdInvalidation:
@@ -150,23 +142,20 @@ class TestHouseholdInvalidation:
             [c for c in first if c.subgoal.name == "fetch"]
         ) + 1
 
-    def test_reference_path_rebuilds_every_call(self):
-        with bind(RunSettings(hotpath=False)):
-            env = _household()
-            beliefs = self._beliefs(env)
-            assert env._candidate_cache is None
-            first = env.candidates("agent_0", beliefs)
-            second = env.candidates("agent_0", beliefs)
-        assert first == second
-        assert first is not second
-        assert isinstance(first, list)
-
     def test_both_paths_enumerate_identically(self):
+        """Cached assembly equals building every slot afresh, before and
+        after a belief delta."""
         for seed in (0, 7):
-            with bind(RunSettings(hotpath=False)):
-                env = _household(seed)
-                reference = env.candidates("agent_0", self._beliefs(env))
-            with bind(RunSettings()):
-                env = _household(seed)
-                optimized = env.candidates("agent_0", self._beliefs(env))
-            assert list(optimized) == reference
+            env = _household(seed)
+            beliefs = self._beliefs(env)
+            for _ in range(2):
+                cached = env.candidates("agent_0", beliefs)
+                fresh = [
+                    candidate
+                    for slot in env.candidate_slots("agent_0", beliefs)
+                    for candidate in slot.build()
+                ]
+                assert list(cached) == fresh
+                beliefs.update(
+                    [Fact(list(env.goals)[2], "located_in", "kitchen", step=2)]
+                )

@@ -177,9 +177,9 @@ class TestProperties:
 class TestScoreboardEquivalence:
     """The numpy scoreboard reproduces the scalar pools byte for byte.
 
-    The scoreboard path engages only on the hot path and only for tuple
-    candidate sequences (the env cache's stable tuples); the scalar path
-    is the seed implementation.  Same seed, same request => identical
+    The scoreboard path engages only for tuple candidate sequences (the
+    env cache's stable tuples); one-off lists take the scalar helpers.
+    Same seed, same request => identical
     candidate, fault, retries, and p_correct, across blacklists, stale
     facts, and fault-rich candidate pools.
     """
@@ -201,24 +201,20 @@ class TestScoreboardEquivalence:
                            has_stale_facts=has_stale), pool
 
     def test_scoreboard_matches_scalar_pools(self):
-        from repro.core.settings import RunSettings, bind
-
+        """Tuple candidates (scoreboard) decide exactly like one-off lists
+        (the scalar helpers)."""
         for kwargs, pool in self._requests():
             for seed in range(150):
-                with bind(RunSettings()):
-                    fast_kernel = kernel(reasoning=0.4, compliance=0.9)
-                    fast = fast_kernel.decide(
-                        DecisionRequest(candidates=tuple(pool), **kwargs),
-                        2000,
-                        np.random.default_rng(seed),
-                    )
-                with bind(RunSettings(hotpath=False)):
-                    slow_kernel = kernel(reasoning=0.4, compliance=0.9)
-                    slow = slow_kernel.decide(
-                        DecisionRequest(candidates=list(pool), **kwargs),
-                        2000,
-                        np.random.default_rng(seed),
-                    )
+                fast = kernel(reasoning=0.4, compliance=0.9).decide(
+                    DecisionRequest(candidates=tuple(pool), **kwargs),
+                    2000,
+                    np.random.default_rng(seed),
+                )
+                slow = kernel(reasoning=0.4, compliance=0.9).decide(
+                    DecisionRequest(candidates=list(pool), **kwargs),
+                    2000,
+                    np.random.default_rng(seed),
+                )
                 assert fast.candidate == slow.candidate, (kwargs, seed)
                 assert fast.fault == slow.fault, (kwargs, seed)
                 assert fast.retries == slow.retries, (kwargs, seed)
@@ -226,14 +222,10 @@ class TestScoreboardEquivalence:
 
     def test_scoreboard_actually_engages(self):
         """Guard against the scoreboard silently disabling itself."""
-        from repro.core.settings import RunSettings, bind
-
-        with bind(RunSettings()):
-            k = kernel(reasoning=0.4, compliance=0.9)
-            pool = tuple(self._rich_candidates())
-            request = DecisionRequest(candidates=pool, difficulty="hard")
-            k.decide(request, 2000, np.random.default_rng(0))
-            assert k._scoreboard(request) is not None
-        with bind(RunSettings(hotpath=False)):
-            k = kernel(reasoning=0.4, compliance=0.9)
-            assert k._scoreboard(request) is None
+        k = kernel(reasoning=0.4, compliance=0.9)
+        pool = tuple(self._rich_candidates())
+        request = DecisionRequest(candidates=pool, difficulty="hard")
+        k.decide(request, 2000, np.random.default_rng(0))
+        assert k._scoreboard(request) is not None
+        one_off = DecisionRequest(candidates=list(pool), difficulty="hard")
+        assert k._scoreboard(one_off) is None

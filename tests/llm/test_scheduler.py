@@ -98,12 +98,7 @@ class TestPercall:
         clock, metrics, scheduler, llm = make_parts("percall", seed=5)
         result = scheduler.submit(llm, plan_request())
         assert clock.now == result.latency
-        span = clock.spans[-1]
-        assert (span.module, span.phase, span.agent) == (
-            ModuleName.PLANNING,
-            "plan",
-            "agent_0",
-        )
+        assert clock.elapsed_by_phase() == {(ModuleName.PLANNING, "plan"): result.latency}
         assert metrics.llm_calls == 1
         sample = metrics.token_samples[0]
         assert (sample.step, sample.agent, sample.purpose) == (3, "agent_0", "plan")
@@ -178,8 +173,7 @@ class TestBatched:
             [OUTPUT_TOKENS["plan"]] * len(results),
         )
         assert clock.now == old_path_latency
-        span = clock.spans[-1]
-        assert span.agent == "batch" and span.module is ModuleName.PLANNING
+        assert clock.elapsed_by_phase() == {(ModuleName.PLANNING, "plan"): old_path_latency}
         assert metrics.serve_batches == 1
         assert metrics.serve_batched_requests == len(words)
 
@@ -199,7 +193,10 @@ class TestBatched:
         scheduler.submit(llm, plan_request(agent="a1", phase="replan"))
         scheduler.flush()
         assert metrics.serve_batches == 2
-        assert [span.agent for span in clock.spans] == ["a0", "a1"]
+        assert list(clock.elapsed_by_phase()) == [
+            (ModuleName.PLANNING, "plan"),
+            (ModuleName.PLANNING, "replan"),
+        ]
 
     def test_deployment_batch_size_caps_occupancy(self):
         profile = compliant_profile()

@@ -170,7 +170,7 @@ class TestModeKnob:
         assert current() == before
 
     def test_explicit_argument_wins_over_process_mode(self):
-        """``mode=`` beats the bound settings' detector."""
+        """``mode=`` alone picks the detector; a binding does not."""
         ground = facts(20)
         with bind(VECTOR):
             explicit = detect(
@@ -181,15 +181,14 @@ class TestModeKnob:
         )
         assert explicit == reference
 
-    def test_process_mode_applies_when_argument_omitted(self):
-        """Without ``mode=``, the bound settings' detector applies."""
+    def test_omitted_mode_is_loop_whatever_the_binding(self):
+        """Without ``mode=``, ``detect`` runs the loop detector: it never
+        reads the run settings (the sensing module passes its mode)."""
         ground = facts(20)
         with bind(VECTOR):
             ambient = detect(ground, NOISY, np.random.default_rng(5), DISTRACTORS)
-        explicit = detect(
-            ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="vector"
-        )
-        assert ambient == explicit
+        loop = detect(ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="loop")
+        assert ambient == loop
 
 
 class TestSensingCapture:
