@@ -28,7 +28,7 @@ bench-fleet:
 	REPRO_TRIALS=$${REPRO_TRIALS:-2} \
 		$(PYTHON) -m pytest benchmarks/bench_fleet.py -x -q -s
 
-# The gated benchmarks CI runs, in one target.
+# The two gated benchmarks, in one target (CI's `make bench` runs them too).
 bench-all: bench-serving bench-fleet
 
 # Crash/resume drill on the fleet ledger: kill a sweep mid-run, restart

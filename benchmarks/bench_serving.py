@@ -24,7 +24,7 @@ Gates, mirroring the other benches:
 - **continuous occupancy** — the continuous engine merges cross-phase
   requests into per-(profile, deployment) queues, so its occupancy on
   the coela n=8 cell must be >= the batched occupancy, with a nonzero
-  mean queue delay showing the ``REPRO_SERVE_CAP`` admission cap
+  mean queue delay showing the engine's default admission cap (8)
   actually costs wait time.
 
 Emits ``BENCH_serving.json`` for CI artifacts; the end-to-end ratio,

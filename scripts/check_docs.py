@@ -1,6 +1,6 @@
 """Documentation checks: links, knob coverage, and doctests.
 
-Run as ``make docs-check`` (CI's ``docs`` and ``serving-docs`` jobs).
+Run as ``make docs-check`` (CI's ``docs`` job).
 Six offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and

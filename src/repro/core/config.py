@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.core.errors import ConfigurationError
-from repro.core.settings import DETECTOR_MODES, SERVE_MODES
+from repro.core.settings import SERVE_MODES
 
 PARADIGMS = ("modular", "end_to_end", "centralized", "decentralized", "hybrid")
 
@@ -54,31 +54,22 @@ class OptimizationConfig:
     - ``hierarchy_cluster_size`` > 0: hierarchical cooperation (Rec. 9) —
       agents planned centrally within clusters of this size, decentrally
       across clusters.
-    - ``batching``: aggregate per-agent LLM requests into one batch (Rec. 1).
     - ``quantization`` / ``runtime``: local-model serving options (Rec. 1).
     - ``serve_mode``: pin this system to one inference-serving mode
       (``percall`` / ``batched`` / ``continuous``); empty defers to the
-      ``batching`` flag and the run settings' ``serve``.  The per-cell
-      control the serving grids use to mix modes in one run.
-    - ``detector_mode``: pin this system's noisy detector implementation
-      (``loop`` seed-faithful / ``vector`` batched draws, same draw
-      counts, reordered stream); empty defers to the run settings'
-      ``detector``.  See docs/performance.md for the byte-identity
-      waiver ``vector`` carries.
-
-    The three pins are the last layer of run-settings resolution
-    (:meth:`repro.core.settings.RunSettings.for_config`).
+      run settings' ``serve``.  Rec. 1's request batching is the
+      ``batched`` pin; the serving grids use the pin to mix modes in
+      one run.  It is the last layer of run-settings resolution
+      (:meth:`repro.core.settings.RunSettings.for_config`).
     """
 
     multistep_horizon: int = 1
     plan_then_comm: bool = False
     comm_filter: bool = False
     hierarchy_cluster_size: int = 0
-    batching: bool = False
     quantization: str = ""
     runtime: str = ""
     serve_mode: str = ""
-    detector_mode: str = ""
 
     def __post_init__(self) -> None:
         if self.multistep_horizon < 1:
@@ -92,11 +83,6 @@ class OptimizationConfig:
         if self.serve_mode and self.serve_mode not in SERVE_MODES:
             raise ValueError(
                 f"serve_mode must be '' or one of {SERVE_MODES}: {self.serve_mode!r}"
-            )
-        if self.detector_mode and self.detector_mode not in DETECTOR_MODES:
-            raise ValueError(
-                f"detector_mode must be '' or one of {DETECTOR_MODES}: "
-                f"{self.detector_mode!r}"
             )
 
 

@@ -5,7 +5,7 @@ helpers so the tolerances are uniform: values are whitespace-stripped,
 empty/unset always means "use the default", and malformed values raise a
 ``ValueError`` naming the variable instead of being silently coerced.
 
-Adopters: the six result-affecting knobs, all parsed by
+Adopters: the two result-affecting knobs, both parsed by
 :meth:`repro.core.settings.RunSettings.from_env`; ``REPRO_TRIALS`` /
 ``REPRO_WORKERS`` (``experiments/common.py``); and the fleet and budget
 knobs (``core/fleet.py``, ``experiments/suite.py``).  The knob table
@@ -18,7 +18,8 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 
-#: Spellings every boolean knob accepts as "off".
+#: Spellings every boolean knob accepts as "on" and as "off".
+TRUE_VALUES = frozenset({"1", "on", "true", "yes"})
 FALSE_VALUES = frozenset({"0", "off", "false", "no"})
 
 
@@ -70,12 +71,18 @@ def float_knob(name: str, default: float, minimum: float = 0.0) -> float:
 
 
 def bool_knob(name: str, default: bool) -> bool:
-    """Read a boolean knob: unset means ``default``, :data:`FALSE_VALUES`
-    mean off (case-insensitive), anything else means on."""
+    """Read a boolean knob: unset means ``default``, :data:`TRUE_VALUES`
+    mean on and :data:`FALSE_VALUES` off (case-insensitive); anything
+    else raises ``ValueError`` naming the variable, so a typo cannot
+    silently flip the knob."""
     raw = raw_knob(name).lower()
     if not raw:
         return default
-    return raw not in FALSE_VALUES
+    if raw in TRUE_VALUES:
+        return True
+    if raw in FALSE_VALUES:
+        return False
+    raise ValueError(f"{name} must be 1/on/true/yes or 0/off/false/no, got {raw!r}")
 
 
 def choice_knob(name: str, default: str, choices: Sequence[str]) -> str:

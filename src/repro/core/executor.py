@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from repro.core.config import SystemConfig
 from repro.core.errors import TrialExecutionError
 from repro.core.metrics import EpisodeResult
-from repro.core.settings import RunSettings, current
+from repro.core.settings import RunSettings
 from repro.core.types import TaskSpec
 
 #: Executor kinds selectable via settings / ``REPRO_WORKERS``.
@@ -82,9 +82,9 @@ class TrialJob:
     way down), so it can cross a process boundary; the worker rebuilds
     the paradigm loop from it and runs the episode under ``settings``.
     A bare ``TrialJob(config, task, seed)`` resolves its settings at
-    construction — in the dispatching process — from the current
-    context (else the environment); either way the config's pins are
-    applied, so ``settings`` is always the fully resolved value.
+    construction — in the dispatching process — from the environment;
+    either way the config's pin is applied, so ``settings`` is always
+    the fully resolved value.
     """
 
     config: SystemConfig
@@ -93,7 +93,7 @@ class TrialJob:
     settings: RunSettings | None = None
 
     def __post_init__(self) -> None:
-        base = self.settings if self.settings is not None else current()
+        base = self.settings if self.settings is not None else RunSettings.from_env()
         object.__setattr__(self, "settings", base.for_config(self.config))
 
     def describe(self) -> str:

@@ -58,7 +58,7 @@ Jobs are keyed by a **content fingerprint**: a SHA-256 over the
 canonical JSON of ``(config, task, seed)``, the job's resolved
 :class:`~repro.core.settings.RunSettings`, and
 :data:`SEMANTICS_VERSION`.  Every value that can change a result is in
-the job itself — ``serve="batched"`` or ``detector="vector"``, whether it
+the job itself — ``serve="batched"`` or ``overlap=True``, whether it
 came from the environment, an explicit setting, or a config pin,
 changes every fingerprint — so a stale ledger can never leak results
 produced under different semantics into a resumed run.  Execution-

@@ -10,19 +10,12 @@ Distractor staging: the mislabel distractor vocabulary
 (``env.location_vocabulary()``) is episode-static — the
 :class:`~repro.envs.base.Environment` contract — so the module fetches it
 once per episode instead of once per step per agent.
-
-Detector mode: the module captures the run settings' ``detector`` at
-construction (``loop`` default / ``vector`` batched draws; a config's
-``detector_mode`` pin is already applied there — see
-:mod:`repro.core.settings`, and :mod:`repro.perception.detector` for the
-draw-count contract and byte-identity waiver).
 """
 
 from __future__ import annotations
 
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
-from repro.core.settings import current
 from repro.core.types import Fact, Observation
 from repro.envs.base import Environment
 from repro.perception.detector import detect
@@ -41,8 +34,6 @@ class SensingModule:
             get_perception(model) if model is not None else None
         )
         self._distractors: list[str] | None = None
-        # Episode-static: the detector cannot change between frames.
-        self.detector_mode = current().detector
 
     def _distractor_values(self, env: Environment) -> list[str]:
         """Mislabel vocabulary, fetched once per episode."""
@@ -65,7 +56,6 @@ class SensingModule:
             self.profile,
             self.context.rng,
             distractor_values=self._distractor_values(env),
-            mode=self.detector_mode,
         )
         self.context.clock.advance(
             result.latency, ModuleName.SENSING, phase=self.profile.name

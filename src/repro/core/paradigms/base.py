@@ -17,7 +17,7 @@ from repro.core.config import SystemConfig
 from repro.core.errors import FaultKind
 from repro.core.metrics import EpisodeResult, MetricsCollector
 from repro.core.seeding import derive_seed, rng_for
-from repro.core.settings import RunSettings, bind, current
+from repro.core.settings import RunSettings
 from repro.core.types import Decision, Message, StepRecord, TaskSpec
 from repro.envs import make_env
 from repro.envs.base import ExecutionOutcome
@@ -37,13 +37,11 @@ class ParadigmLoop(abc.ABC):
         self.config = config
         self.task = task
         self.seed = seed
-        #: The episode's settings: the caller's (else the current
-        #: context's) under this config's pins, bound while the loop
-        #: builds its components (which keep what they read).
-        base = settings if settings is not None else current()
+        #: The episode's settings: the caller's (else the environment's)
+        #: under this config's pin, read only while the loop builds.
+        base = settings if settings is not None else RunSettings.from_env()
         self.settings = base.for_config(config)
-        with bind(self.settings):
-            self._build()
+        self._build()
 
     def _build(self) -> None:
         config, task, seed = self.config, self.task, self.seed
@@ -52,7 +50,7 @@ class ParadigmLoop(abc.ABC):
         self.env = make_env(task, rng_for(seed, "env", task.env_name))
         #: The episode's serving layer, shared by every agent's module
         #: stack so phase-concurrent requests can meet in one place.
-        self.scheduler = InferenceScheduler(self.clock, self.metrics)
+        self.scheduler = InferenceScheduler(self.clock, self.metrics, mode=self.settings.serve)
         #: Perception–generation overlap: sense step t+1 while the engine
         #: still generates for step t, per the async-pipeline
         #: decomposition (arXiv 2509.09560).  Latency-only and meaningful

@@ -9,10 +9,9 @@ reproduces the seed behaviour bit for bit.
 
 ``build_loop`` and ``trial_jobs`` take an optional ``settings``
 (:class:`~repro.core.settings.RunSettings`); without one — and always
-for ``run_episode`` / ``run_trials`` — the current context's apply
-(``with settings.bind(...)``), else the environment's.  The loop
-resolves them under the config's pins and binds them while it builds
-the episode; its components keep what they read.
+for ``run_episode`` / ``run_trials`` — the environment's apply.  The
+loop resolves them under the config's pin while it builds the episode
+and hands the serving mode to its scheduler.
 
 The per-step pipeline a built loop drives is *delivery-staged*: perceive
 all agents, stage every composed message on the step's
@@ -24,8 +23,8 @@ and reflect.
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by
 default (byte-identical), or occupancy-aware batches per phase under
-``serve="batched"`` / the Rec. 1 ``batching`` optimization — which
-changes modeled latency only, never task outcomes or token counts.
+``serve="batched"`` / the Rec. 1 ``with_batching`` pin — which changes
+modeled latency only, never task outcomes or token counts.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.core.executor import SerialExecutor, TrialExecutor, TrialJob
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.paradigms import PARADIGM_LOOPS, ParadigmLoop
 from repro.core.seeding import spawn_trial_seeds
-from repro.core.settings import RunSettings, current
+from repro.core.settings import RunSettings
 from repro.core.types import TaskSpec
 from repro.envs.tasks import make_task
 
@@ -108,7 +107,7 @@ def trial_jobs(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1: {n_trials}")
-    base = settings if settings is not None else current()
+    base = settings if settings is not None else RunSettings.from_env()
     jobs = []
     for trial_seed in spawn_trial_seeds(base_seed, n_trials):
         task = build_task(

@@ -43,7 +43,7 @@ from repro.core.executor import EXECUTOR_KINDS, TrialExecutor, TrialJob, get_exe
 from repro.core.fleet import fleet_from_env
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.runner import build_task, trial_jobs
-from repro.core.settings import RunSettings, current
+from repro.core.settings import RunSettings
 
 DEFAULT_TRIALS = 5
 DEFAULT_WORKERS = 1
@@ -76,9 +76,9 @@ class ExperimentSettings:
     executor: str = field(default_factory=executor_from_env)
     #: Worker processes for the parallel executor (ignored when serial).
     max_workers: int = field(default_factory=workers_from_env)
-    #: Run settings every dispatched job carries (default: the current
-    #: context's, else the environment's); config pins apply per cell.
-    run: RunSettings = field(default_factory=current)
+    #: Run settings every dispatched job carries (default: the
+    #: environment's); each cell's config pin applies on top.
+    run: RunSettings = field(default_factory=RunSettings.from_env)
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:

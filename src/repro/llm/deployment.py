@@ -21,6 +21,8 @@ AWQ_PREFILL_SPEEDUP = 1.25
 AWQ_REASONING_RETENTION = 0.985
 MLC_DECODE_SPEEDUP = 1.45
 MLC_OVERHEAD_FACTOR = 0.7
+#: Continuous-engine admission cap when a deployment sets no ``batch_size``.
+DEFAULT_OCCUPANCY_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,16 @@ class DeploymentOptions:
         if self.runtime not in ("", "mlc"):
             raise ValueError(f"unsupported runtime: {self.runtime!r}")
 
-    def occupancy_cap(self, default: int) -> int:
+    def occupancy_cap(self) -> int:
         """Admission cap of the continuous-batching engine.
 
         ``batch_size`` when the deployment configures one (> 1), else
-        the scheduler's ``default`` (``REPRO_SERVE_CAP``).  Under plain
-        batched serving a cap merely splits a flush into smaller
-        batches; under continuous serving requests beyond the cap wait
-        in the engine queue and the wait is charged to the clock.
+        :data:`DEFAULT_OCCUPANCY_CAP`.  Under plain batched serving a cap
+        merely splits a flush into smaller batches; under continuous
+        serving requests beyond the cap wait in the engine queue and the
+        wait is charged to the clock.
         """
-        return self.batch_size if self.batch_size > 1 else default
+        return self.batch_size if self.batch_size > 1 else DEFAULT_OCCUPANCY_CAP
 
     def effective_profile(self, profile: LLMProfile) -> LLMProfile:
         """Apply quantization/runtime transforms to ``profile``."""

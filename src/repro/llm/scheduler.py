@@ -10,7 +10,9 @@ dispatches it to the issuing agent's
 and records the token sample — the accounting the modules previously did
 by hand, now in exactly one place.
 
-Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``):
+Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``, which
+the paradigm loop passes as ``mode``; a scheduler built without one
+serves per call):
 
 - ``percall`` (default) — dispatch immediately, in submission order,
   charging each request's own modeled latency at the exact clock position
@@ -40,17 +42,18 @@ Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``):
   the engine replays the arrival-ordered queue at the step boundary:
   each batch starts at ``max(engine free, first arrival)``, admits
   waiting requests up to the occupancy cap
-  (``DeploymentOptions.batch_size`` when configured, else the
-  ``serve_cap`` setting), and accepts *in-flight joins* — requests that
-  arrive while the batch is running join it if a slot is free, extending
-  the batch end by the recomputed shared latency (floored at the
-  joiner's own prefill+decode service).  Requests that find the engine
-  full wait, and that wait is charged through the clock
-  (:meth:`~repro.core.clock.SimClock.settle` ends each request's charge at
-  its absolute completion), so ``batch_size`` caps now cost queueing
-  delay instead of splitting batches for free.  Per-request latency is
-  attributed via ``MetricsCollector.record_served_request`` and surfaces
-  as ``mean_queue_delay`` / ``mean_request_latency`` /
+  (``DeploymentOptions.batch_size`` when configured, else
+  :data:`~repro.llm.deployment.DEFAULT_OCCUPANCY_CAP`), and accepts
+  *in-flight joins* — requests that arrive while the batch is running
+  join it if a slot is free, extending the batch end by the recomputed
+  shared latency (floored at the joiner's own prefill+decode service).
+  Requests that find the engine full wait, and that wait is charged
+  through the clock (:meth:`~repro.core.clock.SimClock.settle` ends each
+  request's charge at its absolute completion), so ``batch_size`` caps
+  now cost queueing delay instead of splitting batches for free.
+  Per-request latency is attributed via
+  ``MetricsCollector.record_served_request`` and surfaces as
+  ``mean_queue_delay`` / ``mean_request_latency`` /
   ``serve_inflight_joins`` on the episode and aggregate results.
   Because one engine serves the whole step, cross-phase requests (plans,
   action selections, messages) share the queue — the pipelined-stream
@@ -59,12 +62,12 @@ Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``):
   content depended on an earlier pending result.
 
 Mode resolution follows :mod:`repro.core.settings`: a config with
-``optimizations.serve_mode`` set wins (per-cell control for grids); else
-``optimizations.batching`` (the Rec. 1 transform) selects batched;
-otherwise the episode's ``serve`` setting decides (default
-``percall``).  API-profile groups batch too — that models the
-provider's server-side continuous batching, which is exactly how
-concurrent requests from one team would land on a real endpoint.
+``optimizations.serve_mode`` set wins (per-cell control for grids, and
+the Rec. 1 ``with_batching`` transform's ``batched`` pin); otherwise the
+episode's ``serve`` setting decides (default ``percall``).  API-profile
+groups batch too — that models the provider's server-side continuous
+batching, which is exactly how concurrent requests from one team would
+land on a real endpoint.
 
 What batching may and may not change is the layer's contract: success,
 steps, token counts, message metrics, and fault counts are invariant
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.settings import SERVE_MODES, current
+from repro.core.settings import SERVE_MODES
 from repro.llm.backend import InferenceBackend
 from repro.llm.requests import InferenceRequest, InferenceResult
 
@@ -111,24 +114,20 @@ class InferenceScheduler:
         self,
         clock: "SimClock",
         metrics: "MetricsCollector",
-        mode: str | None = None,
+        mode: str = "percall",
     ) -> None:
-        settings = current()
-        resolved = mode if mode is not None else settings.serve
-        if resolved not in SERVE_MODES:
-            raise ValueError(f"mode must be one of {SERVE_MODES}, got {resolved!r}")
-        self.mode = resolved
+        if mode not in SERVE_MODES:
+            raise ValueError(f"mode must be one of {SERVE_MODES}, got {mode!r}")
+        self.mode = mode
         self._clock = clock
         self._metrics = metrics
         self._pending: list[_Pending] = []
         #: Lifetime requests handled — an engagement counter for tests
         #: and diagnostics, never read by the pipeline.
         self.dispatched = 0
-        #: Continuous engine: admission cap for deployments that leave
-        #: ``batch_size`` unconfigured, and the per-(profile, deployment)
-        #: busy-until horizon that persists across flushes so a new
-        #: step's arrivals queue behind work still in flight.
-        self.default_cap = settings.serve_cap
+        #: Continuous engine: the per-(profile, deployment) busy-until
+        #: horizon that persists across flushes so a new step's arrivals
+        #: queue behind work still in flight.
         self._engine_free: dict[tuple, float] = {}
         #: Clock position where the last dispatching flush started
         #: charging — the anchor perception–generation overlap
@@ -295,7 +294,7 @@ class InferenceScheduler:
         """Drain one engine's queue; returns the new busy-until horizon."""
         profile = items[0].backend.profile
         deployment = items[0].backend.deployment
-        cap = deployment.occupancy_cap(self.default_cap)
+        cap = deployment.occupancy_cap()
         # Stable sort: ties in arrival keep submission order.
         queue = sorted(items, key=lambda item: item.arrival)
         index = 0
@@ -319,7 +318,8 @@ class InferenceScheduler:
             # the recomputed shared latency, floored at the joiner's own
             # prefill+decode service (it cannot finish faster than its
             # tokens stream, and the engine's per-call overhead was
-            # already paid when the batch launched).
+            # already paid when the batch launched).  A join never moves
+            # the end earlier, so an earlier joiner keeps its own floor.
             while (
                 index < len(queue)
                 and len(batch) < cap
@@ -337,7 +337,7 @@ class InferenceScheduler:
                     joiner.result.prompt_tokens / profile.prefill_tps
                     + joiner.result.output_tokens / profile.decode_tps
                 )
-                end = max(shared, floor)
+                end = max(end, shared, floor)
             for item, admit, joined in batch:
                 result = item.result
                 completion = end

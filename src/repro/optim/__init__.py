@@ -13,7 +13,6 @@ from repro.optim.recommendations import (
     with_plan_then_comm,
     with_quantization,
     with_serving,
-    with_vector_planning,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "with_plan_then_comm",
     "with_quantization",
     "with_serving",
-    "with_vector_planning",
 ]

@@ -42,8 +42,9 @@ def with_hierarchy(config: SystemConfig, cluster_size: int = 3) -> SystemConfig:
 
 
 def with_batching(config: SystemConfig) -> SystemConfig:
-    """Rec. 1: aggregate per-agent LLM requests into one batch."""
-    return config.with_optimizations(batching=True)
+    """Rec. 1: aggregate per-agent LLM requests into one batch
+    (pins the ``batched`` serving mode)."""
+    return with_serving(config, "batched")
 
 
 def with_serving(config: SystemConfig, mode: str) -> SystemConfig:
@@ -51,8 +52,8 @@ def with_serving(config: SystemConfig, mode: str) -> SystemConfig:
 
     The per-cell control the serving grids (Fig. 8,
     ``benchmarks/bench_serving.py``) use to mix modes in one process.
-    Not in :data:`RECOMMENDATIONS` — the ablation sweeps keep comparing
-    the ``batching`` flag, whose outputs are golden-gated.
+    Not in :data:`RECOMMENDATIONS`, which names Rec. 1's batching as
+    :func:`with_batching`.
     """
     return config.with_optimizations(serve_mode=mode)
 
@@ -61,20 +62,6 @@ def with_continuous_serving(config: SystemConfig) -> SystemConfig:
     """Rec. 1: serve through the continuous-batching engine
     (arrival-time queue, in-flight joins, charged queueing delay)."""
     return with_serving(config, "continuous")
-
-
-def with_vector_planning(config: SystemConfig) -> SystemConfig:
-    """Run the system's noisy detectors in batched ``vector`` mode.
-
-    Pins ``detector_mode="vector"``: per-fact recall/mislabel draws are
-    batched into three array calls with the same per-kind draw counts as
-    the loop detector but a reordered stream, so noisy aggregates carry
-    the documented byte-identity waiver (docs/performance.md).  Not in
-    :data:`RECOMMENDATIONS` — like :func:`with_serving` it is an
-    infrastructure control, not a paper recommendation, and the golden
-    ablation sweeps stay on the ``loop`` reference.
-    """
-    return config.with_optimizations(detector_mode="vector")
 
 
 def with_quantization(config: SystemConfig) -> SystemConfig:

@@ -53,10 +53,16 @@ class TestBool:
         monkeypatch.setenv(KNOB, value)
         assert bool_knob(KNOB, default=True) is False
 
-    @pytest.mark.parametrize("value", ["1", "on", "yes", "anything"])
-    def test_anything_else_is_on(self, monkeypatch, value):
+    @pytest.mark.parametrize("value", ["1", "on", "TRUE", "yes"])
+    def test_true_spellings(self, monkeypatch, value):
         monkeypatch.setenv(KNOB, value)
         assert bool_knob(KNOB, default=False) is True
+
+    @pytest.mark.parametrize("value", ["anything", "flase", "2", "y"])
+    def test_anything_else_raises(self, monkeypatch, value):
+        monkeypatch.setenv(KNOB, value)
+        with pytest.raises(ValueError, match=KNOB):
+            bool_knob(KNOB, default=False)
 
     @pytest.mark.parametrize("default", [True, False])
     def test_unset_uses_default(self, monkeypatch, default):
@@ -95,14 +101,13 @@ class TestAdopters:
         assert RunSettings.from_env().overlap is True
         monkeypatch.setenv("REPRO_OVERLAP", "OFF")
         assert RunSettings.from_env().overlap is False
-
-    def test_detector_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DETECTOR", "simd")
-        with pytest.raises(ValueError, match="REPRO_DETECTOR"):
+        monkeypatch.setenv("REPRO_OVERLAP", "flase")
+        with pytest.raises(ValueError, match="REPRO_OVERLAP"):
             RunSettings.from_env()
-        monkeypatch.setenv("REPRO_DETECTOR", " Vector ")
-        assert RunSettings.from_env().detector == "vector"
 
     def test_serve_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "batched")
         assert RunSettings.from_env().serve == "batched"
+        monkeypatch.setenv("REPRO_SERVE", "streamed")
+        with pytest.raises(ValueError, match="REPRO_SERVE"):
+            RunSettings.from_env()

@@ -79,11 +79,11 @@ class TestFingerprints:
         assert knob_fingerprint() == knobs
 
     def test_knob_fingerprint_only_repro_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DETECTOR", "vector")
+        monkeypatch.setenv("REPRO_SERVE", "continuous")
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("NOT_A_KNOB", "1")
         knobs = knob_fingerprint()
-        assert knobs.get("REPRO_DETECTOR") == "vector"
+        assert knobs.get("REPRO_SERVE") == "continuous"
         assert "NOT_A_KNOB" not in knobs
         assert "REPRO_WORKERS" not in knobs
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runner import build_loop, build_task, run_episode
-from repro.core.settings import RunSettings, bind
+from repro.core.settings import RunSettings
 from repro.optim import with_batching, with_continuous_serving, with_hierarchy
 from repro.workloads.registry import get_workload
 
@@ -121,8 +121,8 @@ class TestContinuousEpisodes:
         # The whole step's requests share one engine, so occupancy can
         # only match or beat the phase-segregated batched groups.
         assert continuous.mean_batch_occupancy >= batched.mean_batch_occupancy
-        # Eight agents expose more than REPRO_SERVE_CAP concurrent
-        # requests per step: the cap makes some of them wait, and the
+        # Eight agents expose more concurrent requests per step than
+        # the default admission cap: the cap makes some of them wait, and the
         # wait is charged (per-request latency >= queue delay > 0).
         assert continuous.mean_queue_delay > 0.0
         assert continuous.mean_request_latency > continuous.mean_queue_delay
@@ -148,13 +148,16 @@ class TestContinuousEpisodes:
         assert 0 < result.serve_batched_requests <= result.llm_calls
 
 
+def run_with_overlap(config, overlap: bool, seed: int = 2):
+    task = build_task(config, seed=seed)
+    return build_loop(config, task, seed, settings=RunSettings(overlap=overlap)).run()
+
+
 class TestPerceptionOverlap:
     def test_overlap_shaves_latency_without_touching_outcomes(self):
         base = with_continuous_serving(get_workload("coela").config.with_agents(4))
-        with bind(RunSettings()):
-            plain = run_episode(base, seed=2)
-        with bind(RunSettings(overlap=True)):
-            overlapped = run_episode(base, seed=2)
+        plain = run_with_overlap(base, overlap=False)
+        overlapped = run_with_overlap(base, overlap=True)
         assert outcomes(overlapped) == outcomes(plain)
         assert overlapped.sim_seconds < plain.sim_seconds
         # Full module attribution is preserved; only wall-clock shrinks.
@@ -164,9 +167,7 @@ class TestPerceptionOverlap:
 
     def test_overlap_is_inert_under_percall(self):
         base = get_workload("coela").config.with_agents(4)
-        with bind(RunSettings()):
-            plain = run_episode(base, seed=2)
-        with bind(RunSettings(overlap=True)):
-            overlapped = run_episode(base, seed=2)
+        plain = run_with_overlap(base, overlap=False)
+        overlapped = run_with_overlap(base, overlap=True)
         assert outcomes(overlapped) == outcomes(plain)
         assert overlapped.sim_seconds == plain.sim_seconds

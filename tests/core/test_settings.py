@@ -7,23 +7,26 @@ job under that job's own settings.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import fields, replace
 
 import pytest
 
+from repro.core.clock import SimClock
 from repro.core.config import MemoryConfig, SystemConfig
 from repro.core.fleet import job_fingerprint, knob_fingerprint
+from repro.core.metrics import MetricsCollector
 from repro.core.runner import build_loop, build_task, trial_jobs
-from repro.core.settings import ENV_KNOBS, RunSettings, bind, current
+from repro.core.settings import ENV_KNOBS, RunSettings
 from repro.core.synthetic import synthetic_job
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
+from repro.llm.scheduler import InferenceScheduler
 from repro.workloads.registry import get_workload
 
 SERIAL = ExperimentSettings(
     n_trials=2, executor="serial", max_workers=1, run=RunSettings()
 )
-VECTOR = RunSettings(detector="vector")
+#: Same outcomes as per-call serving, different latency aggregates.
+CONTINUOUS = RunSettings(serve="continuous")
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +36,7 @@ def _clean_environment(monkeypatch):
 
 
 def _grid() -> list[GridCell]:
-    """The noisy-perception grid of ``test_detector_golden``."""
+    """A hard single-agent cell and a four-agent team."""
     jarvis = get_workload("jarvis-1").config
     return [
         GridCell(
@@ -45,91 +48,61 @@ def _grid() -> list[GridCell]:
 
 
 class TestRegressions:
-    def test_ledger_resume_honours_detector(self, tmp_path, monkeypatch):
-        loop = measure_grid(_grid(), SERIAL)
-        fresh_vector = measure_grid(_grid(), replace(SERIAL, run=VECTOR))
+    def test_ledger_resume_honours_settings(self, tmp_path, monkeypatch):
+        percall = measure_grid(_grid(), SERIAL)
+        fresh = measure_grid(_grid(), replace(SERIAL, run=CONTINUOUS))
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
-        measure_grid(_grid(), SERIAL)  # the ledger now holds loop results
-        resumed = measure_grid(_grid(), replace(SERIAL, run=VECTOR))
-        assert resumed == fresh_vector
-        assert resumed != loop
+        measure_grid(_grid(), SERIAL)  # the ledger now holds per-call results
+        resumed = measure_grid(_grid(), replace(SERIAL, run=CONTINUOUS))
+        assert resumed == fresh
+        assert resumed != percall
 
-    def test_warm_pool_honours_detector(self):
+    def test_warm_pool_honours_settings(self):
         parallel = replace(SERIAL, executor="parallel", max_workers=2)
-        measure_grid(_grid(), parallel)  # forks and warms the shared pool
-        serial_vector = measure_grid(_grid(), replace(SERIAL, run=VECTOR))
-        parallel_vector = measure_grid(_grid(), replace(parallel, run=VECTOR))
-        assert parallel_vector == serial_vector
+        warm = measure_grid(_grid(), parallel)  # forks and warms the shared pool
+        serial = measure_grid(_grid(), replace(SERIAL, run=CONTINUOUS))
+        pooled = measure_grid(_grid(), replace(parallel, run=CONTINUOUS))
+        assert pooled == serial
+        assert pooled != warm
 
 
-#: (env, explicit, config pins, expected (serve, detector)).
+#: (env, explicit, config pins, expected serve).
 RESOLUTION = {
-    "defaults": ({}, None, {}, ("percall", "loop")),
-    "serve-env": ({"REPRO_SERVE": "continuous"}, None, {}, ("continuous", "loop")),
+    "defaults": ({}, None, {}, "percall"),
+    "serve-env": ({"REPRO_SERVE": "continuous"}, None, {}, "continuous"),
     "serve-explicit-beats-env": (
         {"REPRO_SERVE": "continuous"},
         RunSettings(serve="batched"),
         {},
-        ("batched", "loop"),
+        "batched",
     ),
     "serve-pin-beats-explicit": (
         {},
         RunSettings(serve="batched"),
         {"serve_mode": "continuous"},
-        ("continuous", "loop"),
-    ),
-    "serve-batching-beats-explicit": (
-        {"REPRO_SERVE": "percall"},
-        RunSettings(serve="continuous"),
-        {"batching": True},
-        ("batched", "loop"),
-    ),
-    "serve-pin-beats-batching": (
-        {"REPRO_SERVE": "batched"},
-        None,
-        {"batching": True, "serve_mode": "percall"},
-        ("percall", "loop"),
-    ),
-    "detector-env": ({"REPRO_DETECTOR": "vector"}, None, {}, ("percall", "vector")),
-    "detector-explicit-beats-env": (
-        {"REPRO_DETECTOR": "vector"},
-        RunSettings(detector="loop"),
-        {},
-        ("percall", "loop"),
-    ),
-    "detector-pin-beats-explicit": (
-        {},
-        RunSettings(detector="loop"),
-        {"detector_mode": "vector"},
-        ("percall", "vector"),
+        "continuous",
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(RESOLUTION))
 def test_resolution_order(case, monkeypatch):
-    """env < explicit < config pin, for jobs and for the loop's components."""
-    env, explicit, pins, (serve, detector) = RESOLUTION[case]
+    """env < explicit < config pin, for jobs and for the loop's scheduler."""
+    env, explicit, pins, serve = RESOLUTION[case]
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     config = get_workload("embodiedgpt").config
     if pins:
         config = config.with_optimizations(**pins)
     job = trial_jobs(config, 1, difficulty="easy", base_seed=1, settings=explicit)[0]
-    assert (job.settings.serve, job.settings.detector) == (serve, detector)
+    assert job.settings.serve == serve
     loop = build_loop(config, build_task(config, seed=1), seed=1, settings=explicit)
     assert loop.settings == job.settings
     assert loop.scheduler.mode == serve
-    assert loop.agents[0].sensing.detector_mode == detector
 
 
 #: A non-default value for every field.
-CHANGED = {
-    "detector": "vector",
-    "serve": "batched",
-    "serve_cap": 2,
-    "overlap": True,
-}
+CHANGED = {"serve": "batched", "overlap": True}
 
 #: Execution-shape knobs: they change how jobs run, never what one computes.
 EXECUTION_SHAPE = {
@@ -161,62 +134,40 @@ def test_fingerprint(change, monkeypatch):
 
 class TestRunSettings:
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DETECTOR", " Vector ")
-        monkeypatch.setenv("REPRO_SERVE_CAP", "3")
+        monkeypatch.setenv("REPRO_SERVE", " Continuous ")
         monkeypatch.setenv("REPRO_OVERLAP", "1")
-        assert RunSettings.from_env() == RunSettings(
-            detector="vector", serve_cap=3, overlap=True
-        )
+        assert RunSettings.from_env() == RunSettings(serve="continuous", overlap=True)
         assert knob_fingerprint() == {
-            "REPRO_DETECTOR": "Vector",
-            "REPRO_SERVE_CAP": "3",
+            "REPRO_SERVE": "Continuous",
             "REPRO_OVERLAP": "1",
         }
 
     @pytest.mark.parametrize(
-        "bad", [{"detector": "simd"}, {"serve": "streamed"}, {"serve_cap": 0}]
+        "bad",
+        # Only the environment parser canonicalizes case, and an empty
+        # mode is not "unset" here as it is for the config pin.
+        [{"serve": "streamed"}, {"serve": "Batched"}, {"serve": ""}],
     )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
             RunSettings(**bad)
 
     def test_bare_job_resolves_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DETECTOR", "vector")
+        monkeypatch.setenv("REPRO_SERVE", "continuous")
         job = synthetic_job(seed=1)
-        monkeypatch.delenv("REPRO_DETECTOR")
-        assert job.settings.detector == "vector"
-        with bind(RunSettings(serve="batched")):
-            assert synthetic_job(seed=1).settings.serve == "batched"
+        monkeypatch.delenv("REPRO_SERVE")
+        assert job.settings.serve == "continuous"
 
-    def test_bindings_are_thread_local(self):
-        seen = {}
-
-        def worker(name, settings):
-            with bind(settings):
-                barrier.wait(timeout=10)  # both bindings are live at once
-                seen[name] = current()
-
-        barrier = threading.Barrier(2)
-        threads = [
-            threading.Thread(target=worker, args=("loop", RunSettings())),
-            threading.Thread(target=worker, args=("vector", VECTOR)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert seen == {"loop": RunSettings(), "vector": VECTOR}
-        assert current() == RunSettings()
-
-    def test_loop_binds_its_settings_while_building(self):
+    def test_loop_passes_serve_to_its_scheduler(self, monkeypatch):
         config = get_workload("jarvis-1").config
         task = build_task(config, difficulty="easy", seed=3)
-        explicit = build_loop(config, task, seed=3, settings=VECTOR).run()
-        with bind(VECTOR):
-            ambient = build_loop(config, task, seed=3)
-        assert ambient.run() == explicit  # run outside the binding
-        assert build_loop(config, task, seed=3).run() != explicit
+        explicit = build_loop(config, task, seed=3, settings=CONTINUOUS)
+        assert explicit.scheduler.mode == "continuous"
+        monkeypatch.setenv("REPRO_SERVE", "batched")
+        assert build_loop(config, task, seed=3).scheduler.mode == "batched"
+        # A standalone scheduler reads no settings: per call unless told.
+        scheduler = InferenceScheduler(SimClock(), MetricsCollector("t", horizon=1))
+        assert scheduler.mode == "percall"
 
 
 #: One config per paradigm loop, plus the clustered hierarchy loop.

@@ -8,18 +8,23 @@ modeled latency the deleted ``batched_decide`` special case used to
 charge.
 """
 
+from collections.abc import Iterator
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clock import ModuleName, SimClock
 from repro.core.metrics import MetricsCollector
+from repro.core.settings import RunSettings
 from repro.core.types import Candidate, Subgoal
 from repro.llm.behavior import DecisionRequest
-from repro.llm.deployment import DeploymentOptions
+from repro.llm.deployment import DEFAULT_OCCUPANCY_CAP, DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import PromptBuilder
-from repro.llm.requests import InferenceRequest
-from repro.core.settings import RunSettings
+from repro.llm.requests import InferenceRequest, InferenceResult
 from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
 
@@ -30,11 +35,16 @@ def compliant_profile(name: str = "pin-model") -> LLMProfile:
     return base.with_(name=name, format_compliance=1.0)
 
 
-def make_parts(mode: str, seed: int = 0, profile: LLMProfile | str = "gpt-4"):
+def make_parts(
+    mode: str,
+    seed: int = 0,
+    profile: LLMProfile | str = "gpt-4",
+    deployment: DeploymentOptions | None = None,
+):
     clock = SimClock()
     metrics = MetricsCollector(workload="test", horizon=50)
     scheduler = InferenceScheduler(clock, metrics, mode=mode)
-    llm = SimulatedLLM(profile, rng=np.random.default_rng(seed))
+    llm = SimulatedLLM(profile, rng=np.random.default_rng(seed), deployment=deployment)
     return clock, metrics, scheduler, llm
 
 
@@ -280,11 +290,12 @@ class TestContinuous:
         assert con_metrics.token_samples == per_metrics.token_samples
         assert con_metrics.faults == per_metrics.faults
 
-    def test_cap_splits_the_queue_and_charges_wait(self, monkeypatch):
+    def test_cap_splits_the_queue_and_charges_wait(self):
         """Requests beyond the cap wait for the engine — and pay for it."""
-        monkeypatch.setenv("REPRO_SERVE_CAP", "2")
         profile = compliant_profile()
-        clock, metrics, scheduler, llm = make_parts("continuous", profile=profile)
+        clock, metrics, scheduler, llm = make_parts(
+            "continuous", profile=profile, deployment=DeploymentOptions(batch_size=2)
+        )
         results = [
             scheduler.submit(llm, plan_request(words=50, agent=f"a{i}"))
             for i in range(4)
@@ -393,6 +404,88 @@ class TestContinuous:
         scheduler.flush(final=True)
         assert metrics.serve_batches == 1
         assert metrics.serve_batched_requests == 2
+
+
+@dataclass
+class SizedBackend:
+    """A backend whose requests cost exactly the token sizes a test picks."""
+
+    profile: LLMProfile
+    deployment: DeploymentOptions
+    sizes: Iterator[tuple[int, int]]
+
+    def execute(self, request: InferenceRequest) -> InferenceResult:
+        prompt_tokens, output_tokens = next(self.sizes)
+        return InferenceResult(
+            prompt_tokens=prompt_tokens,
+            output_tokens=output_tokens,
+            latency=self.profile.call_latency(prompt_tokens, output_tokens),
+        )
+
+
+#: One request: (arrival gap after the previous one, prompt, output tokens).
+ARRIVALS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=4.0),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=300),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(arrivals=ARRIVALS, batch_size=st.integers(min_value=1, max_value=4))
+def test_continuous_engine_properties(arrivals, batch_size):
+    """Random request streams through one engine, observed per batch.
+
+    ``batch_size`` 1 leaves the deployment unconfigured, so the engine
+    admits up to :data:`DEFAULT_OCCUPANCY_CAP`.
+    """
+    profile = compliant_profile()
+    deployment = DeploymentOptions(batch_size=batch_size)
+    clock = SimClock()
+    metrics = MetricsCollector(workload="t", horizon=1)
+    scheduler = InferenceScheduler(clock, metrics, mode="continuous")
+    backend = SizedBackend(
+        profile, deployment, iter([(prompt, output) for _, prompt, output in arrivals])
+    )
+    served: list[tuple[float, float]] = []
+    batches: list[list[tuple[float, float]]] = []
+
+    def record_served_request(wait_seconds, total_seconds, joined=False):
+        served.append((wait_seconds, total_seconds))
+
+    def record_batch(occupancy):
+        assert len(served) == occupancy  # the batch's requests, just settled
+        batches.append(served[:])
+        served.clear()
+
+    # Spy on this collector instance; the scheduler reports through it.
+    metrics.record_served_request = record_served_request
+    metrics.record_batch = record_batch
+    for gap, _prompt, _output in arrivals:
+        clock.wait(gap)
+        scheduler.submit(backend, plan_request(agent="a0"))
+    scheduler.flush(final=True)
+
+    cap = batch_size if batch_size > 1 else DEFAULT_OCCUPANCY_CAP
+    records = [record for batch in batches for record in batch]
+    assert len(records) == len(arrivals)
+    # Non-decreasing arrivals keep the engine queue in submission order.
+    for (wait, total), (_gap, prompt, output) in zip(records, arrivals):
+        assert wait >= 0.0
+        service = prompt / profile.prefill_tps + output / profile.decode_tps
+        assert total >= service - 1e-9
+    for batch in batches:
+        assert 1 <= len(batch) <= cap
+    start = 0
+    for batch in batches:
+        if len(batch) == 1:
+            (wait, total), (_gap, prompt, output) = batch[0], arrivals[start]
+            assert total == pytest.approx(wait + profile.call_latency(prompt, output))
+        start += len(batch)
 
 
 class TestBatchedStragglers:

@@ -31,6 +31,10 @@ class TestTransforms:
         config = with_comm_filter(get_workload("dmas").config)
         assert config.optimizations.comm_filter
 
+    def test_batching_pins_batched_serving(self):
+        config = with_batching(get_workload("coela").config)
+        assert config.optimizations.serve_mode == "batched"
+
     def test_hierarchy_rejects_single_agent(self):
         with pytest.raises(ValueError):
             with_hierarchy(get_workload("jarvis-1").config)
