@@ -108,6 +108,10 @@ class TestAdopters:
     def test_serve_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "batched")
         assert RunSettings.from_env().serve == "batched"
+
+    def test_serve_rejects_junk(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "streamed")
         with pytest.raises(ValueError, match="REPRO_SERVE"):
             RunSettings.from_env()
+        monkeypatch.setenv("REPRO_SERVE", " Continuous ")
+        assert RunSettings.from_env().serve == "continuous"
