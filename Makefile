@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill
+.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,20 +31,12 @@ bench-fleet:
 # The two gated benchmarks, in one target (CI's `make bench` runs them too).
 bench-all: bench-serving bench-fleet
 
-# Crash/resume drill on the fleet ledger: kill a sweep mid-run, restart
-# against the same ledger, require only the lost episodes to re-run and
-# the aggregates to come back byte-identical.
+# Crash/resume drill on the checkpoint ledger, in two phases: a sweep
+# stopped by an injected crash, then a sweep in a child interpreter
+# SIGKILLed mid-run.  Each restart must re-run only the lost episodes
+# and return aggregates byte-identical to an uninterrupted serial run.
 resume-smoke:
 	$(PYTHON) scripts/resume_smoke.py
-
-# Multi-process kill-and-steal drill: N real shard processes against one
-# ledger, one SIGKILLed mid-sweep; survivors must steal its leases, the
-# restored aggregates must match a serial reference byte-for-byte, and
-# `fleet status` must exit 0.  Run twice: plain, then with batched
-# flushes + compaction engaged.
-fleet-drill:
-	$(PYTHON) scripts/fleet_drill.py --shards 3
-	$(PYTHON) scripts/fleet_drill.py --shards 3 --flush 0.05 --compact 20
 
 lint:
 	ruff check .

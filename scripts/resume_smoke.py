@@ -1,33 +1,37 @@
-"""Crash/resume smoke check for the fleet ledger (CI gate).
+"""Crash/resume drill for the checkpoint ledger (CI gate).
 
-Drill: run a sweep that is killed partway through (a synthetic crash
-injected mid-sweep), then restart it against the same ledger with the
-fault cleared, and require that
+Two phases, both with real episodes and the default flush window:
 
-1. the restart executes *only* the episodes the crash lost (the
-   completed prefix is restored from the ledger, not re-run), and
-2. the resumed aggregates are byte-identical to an uninterrupted serial
-   run of the same sweep.
+1. **Injected crash** — a sweep dies on its third episode (the runner
+   raises), then restarts against the same ledger with the fault
+   cleared.
+2. **SIGKILL** — a child interpreter runs a sweep through
+   ``FleetRunner(JobLedger(path))``; the parent SIGKILLs it once the
+   ledger holds a complete line and before the sweep ends (a child
+   that finishes first fails the drill), then restarts the sweep
+   in-process.
 
-Exercises the real production path (``measure_grid`` ->
-``dispatch_jobs`` -> ``fleet_from_env`` -> ledger) with real episodes —
-the same wiring a suite operator uses via ``REPRO_LEDGER``.  The ledger
-runs with batched appends (bounded flush window) and an aggressive
-compaction threshold, so byte-identical resume is asserted against the
-buffered/compacted write path, not the naive write-per-episode one.
+Each restart must execute exactly the episodes the ledger lacks (the
+rest are restored, not re-run), and its aggregates must be
+byte-identical to an uninterrupted serial run.
 
 Usage::
 
     PYTHONPATH=src python scripts/resume_smoke.py
 
+The script re-invokes itself with ``--sweep <ledger>`` for the child.
 Exits non-zero (with a diagnostic) on any violation.
 """
 
 from __future__ import annotations
 
+import argparse
 import pickle
+import signal
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -40,6 +44,11 @@ from repro.core.runner import trial_jobs  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
 
 N_TRIALS = 4
+#: Episodes in the SIGKILL phase: long enough that the first flush
+#: (after FLUSH_RECORDS episodes or half a second) lands well before
+#: the sweep ends.
+KILL_TRIALS = 256
+KILL_TIMEOUT_SECONDS = 120.0
 
 
 def fail(message: str) -> None:
@@ -47,12 +56,29 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def main() -> None:
+def sweep_jobs(n_trials: int, base_seed: int):
     config = get_workload("embodiedgpt").config
-    jobs = trial_jobs(config, N_TRIALS, difficulty="easy", base_seed=77)
-    uninterrupted = aggregate(SerialExecutor().run_jobs(jobs))
+    return trial_jobs(config, n_trials, difficulty="easy", base_seed=base_seed)
 
-    # A runner that dies when it reaches the third trial's seed.
+
+def check_restart(ledger_path: Path, jobs, uninterrupted, phase: str) -> int:
+    """Restart the sweep; return how many episodes the ledger restored."""
+    restored = len(JobLedger(ledger_path).load())
+    restart = FleetRunner(JobLedger(ledger_path))
+    resumed = aggregate(restart.run_jobs(jobs, SerialExecutor()))
+    if restart.executed != len(jobs) - restored:
+        fail(
+            f"{phase}: restart ran {restart.executed} episodes; the ledger "
+            f"held {restored} of {len(jobs)}, so it should run {len(jobs) - restored}"
+        )
+    if pickle.dumps(resumed) != pickle.dumps(uninterrupted):
+        fail(f"{phase}: resumed aggregates are not byte-identical to the serial run")
+    return restored
+
+
+def injected_crash_phase(tmp: Path) -> str:
+    jobs = sweep_jobs(N_TRIALS, base_seed=77)
+    uninterrupted = aggregate(SerialExecutor().run_jobs(jobs))
     crash_seed = jobs[2].seed
 
     def crash_on_seed(job):
@@ -60,39 +86,73 @@ def main() -> None:
             raise RuntimeError(f"injected crash at seed {job.seed}")
         return run_trial_job(job)
 
+    ledger_path = tmp / "crash-ledger.jsonl"
+    first = FleetRunner(JobLedger(ledger_path))
+    try:
+        first.run_jobs(jobs, SerialExecutor(job_runner=crash_on_seed))
+    except TrialExecutionError:
+        pass
+    else:
+        fail("injected crash did not surface")
+    if first.executed != 2:
+        fail(f"expected 2 episodes before the crash, ran {first.executed}")
+    restored = check_restart(ledger_path, jobs, uninterrupted, "injected crash")
+    if restored != 2:
+        fail(f"injected crash: the ledger restored {restored} episodes, not 2")
+    return f"crash after 2/{N_TRIALS} episodes, restart executed {N_TRIALS - 2}"
+
+
+def sigkill_phase(tmp: Path) -> str:
+    jobs = sweep_jobs(KILL_TRIALS, base_seed=91)
+    uninterrupted = aggregate(SerialExecutor().run_jobs(jobs))
+    ledger_path = tmp / "kill-ledger.jsonl"
+    child = subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--sweep", str(ledger_path)]
+    )
+    try:
+        deadline = time.monotonic() + KILL_TIMEOUT_SECONDS
+        while not (ledger_path.exists() and b"\n" in ledger_path.read_bytes()):
+            if child.poll() is not None:
+                fail(f"sweep child exited ({child.returncode}) before its first flush")
+            if time.monotonic() > deadline:
+                fail("sweep child wrote no complete ledger line before the timeout")
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+        if child.wait() != -signal.SIGKILL:
+            fail(f"sweep child exited ({child.returncode}) before it could be killed")
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    restored = check_restart(ledger_path, jobs, uninterrupted, "SIGKILL")
+    if not 0 < restored < KILL_TRIALS:
+        fail(f"SIGKILL: the ledger held {restored}/{KILL_TRIALS} episodes at the kill")
+    return (
+        f"SIGKILL after {restored}/{KILL_TRIALS} episodes reached the ledger, "
+        f"restart executed {KILL_TRIALS - restored}"
+    )
+
+
+def run_sweep(ledger_path: Path) -> None:
+    """Child mode: the sweep the parent kills."""
+    FleetRunner(JobLedger(ledger_path)).run_jobs(
+        sweep_jobs(KILL_TRIALS, base_seed=91), SerialExecutor()
+    )
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweep", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.sweep:
+        run_sweep(args.sweep)
+        return
     with tempfile.TemporaryDirectory() as tmp:
-        ledger_path = Path(tmp) / "smoke-ledger.jsonl"
-
-        # Batched flushes + a compaction threshold low enough to fire
-        # during this tiny sweep: resume must stay byte-identical with
-        # the full buffered/compacted I/O path engaged.
-        def smoke_ledger() -> JobLedger:
-            return JobLedger(ledger_path, flush_seconds=0.5, compact_records=2)
-
-        first = FleetRunner(smoke_ledger())
-        try:
-            first.run_jobs(jobs, SerialExecutor(job_runner=crash_on_seed))
-        except TrialExecutionError:
-            pass
-        else:
-            fail("injected crash did not surface")
-        if first.executed != 2:
-            fail(f"expected 2 episodes before the crash, ledger has {first.executed}")
-
-        second = FleetRunner(smoke_ledger())
-        resumed = aggregate(second.run_jobs(jobs, SerialExecutor()))
-        if second.executed != N_TRIALS - 2:
-            fail(
-                f"restart re-ran {second.executed} episodes; the completed "
-                f"prefix of 2 should have been restored from the ledger"
-            )
-        if pickle.dumps(resumed) != pickle.dumps(uninterrupted):
-            fail("resumed aggregates are not byte-identical to the serial run")
-
+        crash = injected_crash_phase(Path(tmp))
+        kill = sigkill_phase(Path(tmp))
     print(
-        f"resume-smoke: OK — crash after 2/{N_TRIALS} episodes, restart "
-        f"executed {N_TRIALS - 2}, aggregates byte-identical to the "
-        f"uninterrupted run"
+        f"resume-smoke: OK — {crash}; {kill}; aggregates byte-identical "
+        f"to the uninterrupted runs"
     )
 
 

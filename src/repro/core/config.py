@@ -199,9 +199,10 @@ class SystemConfig:
     def fingerprint_payload(self) -> dict[str, Any]:
         """Canonical, JSON-serializable description of this config.
 
-        The fleet ledger (:mod:`repro.core.fleet`) keys completed
-        episodes by a content hash over this payload, so two processes
-        agree on which jobs are "the same" across restarts and shards.
+        The checkpoint ledger (:mod:`repro.core.fleet`) keys completed
+        episodes by a content hash over this payload, so a restarted
+        process agrees with the one it replaces on which jobs are "the
+        same".
         The contract is the picklability contract with one extra turn:
         every field must render to a stable JSON value (primitives,
         lists, dicts — ``env_params`` included), or fingerprints stop

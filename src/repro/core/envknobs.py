@@ -1,16 +1,16 @@
 """Shared parsing for the ``REPRO_*`` environment knobs.
 
-Every runtime knob in the repo reads the environment through these three
+Every runtime knob in the repo reads the environment through these
 helpers so the tolerances are uniform: values are whitespace-stripped,
 empty/unset always means "use the default", and malformed values raise a
 ``ValueError`` naming the variable instead of being silently coerced.
 
 Adopters: the two result-affecting knobs, both parsed by
 :meth:`repro.core.settings.RunSettings.from_env`; ``REPRO_TRIALS`` /
-``REPRO_WORKERS`` (``experiments/common.py``); and the fleet and budget
-knobs (``core/fleet.py``, ``experiments/suite.py``).  The knob table
-with defaults and the resolution order lives in docs/performance.md and
-the serving-specific knobs in docs/serving.md.
+``REPRO_WORKERS`` (``experiments/common.py``); and ``REPRO_LEDGER``
+(``core/fleet.py``).  The knob table with defaults and the resolution
+order lives in docs/performance.md and the serving-specific knobs in
+docs/serving.md.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ def raw_knob(name: str) -> str:
     return os.environ.get(name, "").strip()
 
 
-def int_knob(name: str, default: int, minimum: int = 1) -> int:
-    """Read an integer knob, tolerating stray whitespace.
+def int_knob(name: str, default: int) -> int:
+    """Read a positive integer knob, tolerating stray whitespace.
 
     Empty / unset values fall back to ``default``; non-integers and
-    values below ``minimum`` raise ``ValueError`` naming the variable.
+    values below 1 raise ``ValueError`` naming the variable.
 
     >>> int_knob("DOCTEST_UNSET_KNOB", default=7)
     7
@@ -44,29 +44,8 @@ def int_knob(name: str, default: int, minimum: int = 1) -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def float_knob(name: str, default: float, minimum: float = 0.0) -> float:
-    """Read a float knob, tolerating stray whitespace.
-
-    Empty / unset values fall back to ``default``; non-numbers and
-    values below ``minimum`` raise ``ValueError`` naming the variable.
-
-    >>> float_knob("DOCTEST_UNSET_KNOB", default=0.25)
-    0.25
-    """
-    raw = raw_knob(name)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
     return value
 
 

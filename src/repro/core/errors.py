@@ -54,22 +54,6 @@ class UnknownModelError(ReproError):
     """Requested LLM/perception model profile does not exist."""
 
 
-class BudgetExceededError(ReproError):
-    """A fleet run hit its ``REPRO_BUDGET_TOKENS`` admission cap.
-
-    Raised by :class:`~repro.core.fleet.FleetRunner` after it stops
-    admitting new trial jobs and the in-flight ones have drained (their
-    results are already persisted in the ledger, so a later run with a
-    raised budget resumes where this one stopped).  ``report`` carries
-    the partial-ledger summary: jobs completed vs. requested, tokens
-    spent against the cap, and the per-deployment token/cost breakdown.
-    """
-
-    def __init__(self, message: str, report: str = ""):
-        super().__init__(message)
-        self.report = report
-
-
 class FaultKind(enum.Enum):
     """Taxonomy of decision faults injected by the simulated LLM.
 

@@ -14,11 +14,10 @@ Two dispatch surfaces:
   bit-identical regardless of which worker finished first.
 - :meth:`TrialExecutor.run_stream` — pipelined mode: accept a (possibly
   lazy) job iterable and yield ``(index, result)`` pairs **in completion
-  order**.  This is what the fleet layer (:mod:`repro.core.fleet`) and
-  the pipelined grid helpers build on: all cells of a sweep stay in
-  flight at once (no per-cell barrier drains the pool), completed
-  episodes can be checkpointed the moment they finish, and a lazy job
-  iterable lets admission stop cleanly when a token budget trips.
+  order**.  This is what the checkpoint ledger (:mod:`repro.core.fleet`)
+  and the pipelined grid helpers build on: all cells of a sweep stay in
+  flight at once (no per-cell barrier drains the pool), and completed
+  episodes can be checkpointed the moment they finish.
 
 ``SerialExecutor`` (the default everywhere) runs jobs in-process exactly
 as the seed code did; ``ParallelExecutor`` fans them out across a
@@ -50,7 +49,7 @@ Contracts:
   stream watches completions (not submission order), so the first
   failure surfaces promptly even while earlier-submitted jobs are still
   running; results that completed before the failure are yielded first,
-  which is what lets the fleet ledger keep them.
+  which is what lets the checkpoint ledger keep them.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def run_trial_job(job: TrialJob) -> EpisodeResult:
 
 
 #: A job-execution function.  The default runs a real episode; benches
-#: and fleet tests substitute module-level synthetic runners (a sleeping
+#: and ledger tests substitute module-level synthetic runners (a sleeping
 #: job, a crash injector) — it must stay picklable for process pools.
 JobRunner = Callable[[TrialJob], EpisodeResult]
 
@@ -118,16 +117,6 @@ class TrialExecutor(ABC):
     """Strategy for running a batch of independent trial jobs."""
 
     kind: str = "abstract"
-
-    @property
-    def concurrency(self) -> int:
-        """How many jobs this executor can usefully keep in flight.
-
-        The fleet layer sizes its budget-admission window from this
-        (``2 * concurrency``): wide enough to keep every worker busy,
-        narrow enough that spend is re-checked before each pull.
-        """
-        return 1
 
     @abstractmethod
     def run_stream(
@@ -138,9 +127,7 @@ class TrialExecutor(ABC):
         Yields ``(submission_index, result)`` pairs in completion order.
         ``window`` bounds how many jobs may be in flight (and therefore
         how far ahead of the consumer the job iterable is pulled);
-        ``None`` submits eagerly for maximum pipelining.  A bounded
-        window is how the fleet layer keeps budget admission honest: the
-        job generator sees up-to-date spend before each pull.
+        ``None`` submits eagerly for maximum pipelining.
 
         A job that raises must surface a :class:`TrialExecutionError`
         naming the failed job — never hang, never drop completed
@@ -206,17 +193,13 @@ class ParallelExecutor(TrialExecutor):
     The pool is created on first use (constructing the executor is free)
     and survives across ``run_jobs`` calls so sweeps amortize worker
     startup.  The stream watches completions: results are yielded the
-    moment any worker finishes (the pipelining the fleet layer's
+    moment any worker finishes (the pipelining the ledger's
     checkpointing rides on), and a worker crash becomes an immediate,
     attributable exception instead of waiting behind earlier-submitted
     jobs that are still running.
     """
 
     kind = "parallel"
-
-    @property
-    def concurrency(self) -> int:
-        return self.max_workers
 
     def __init__(
         self,

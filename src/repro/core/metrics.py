@@ -66,8 +66,7 @@ class EpisodeResult:
     #: Token volume per serving deployment: effective profile name →
     #: ``(prompt_tokens, output_tokens)``, recorded by the inference
     #: scheduler and sorted by name (deterministic equality/pickle).
-    #: The basis of the cost governance layer (``llm/costs.py``,
-    #: ``REPRO_BUDGET_TOKENS``).
+    #: What the per-figure cost footer prices (``llm/costs.py``).
     deployment_tokens: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property

@@ -18,7 +18,7 @@ each layer overriding the one before:
    ``optimizations.serve_mode``.
 
 Every :class:`~repro.core.executor.TrialJob` carries its resolved
-value, and the fleet ledger fingerprints it.  A paradigm loop reads its
+value, and the checkpoint ledger fingerprints it.  A paradigm loop reads its
 settings once, while it builds the episode, and passes ``serve`` to its
 inference scheduler as an argument; nothing reads the settings while
 the episode runs, so a worker's result depends only on the job it ran —

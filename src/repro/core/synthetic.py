@@ -1,4 +1,4 @@
-"""Synthetic trial jobs and runners for executor/fleet benches and drills.
+"""Synthetic trial jobs and runners for dispatch benches and crash tests.
 
 The executor's ``job_runner`` seam accepts any module-level picklable
 ``TrialJob -> EpisodeResult`` function.  Real episodes are the wrong
@@ -17,8 +17,8 @@ behavior is written on the job itself:
   (sleeping jobs are not CPU-bound, so even a 2-core CI machine runs a
   4-worker pool truly concurrently).
 - :func:`crash_seed_runner` additionally dies on the seeds named by
-  ``REPRO_SYNTH_CRASH_SEEDS`` — the kill switch the crash/resume tests
-  and the CI resume smoke flip mid-sweep.  (An env knob rather than a
+  ``REPRO_SYNTH_CRASH_SEEDS`` — the kill switch the executor and ledger
+  crash/resume tests flip mid-sweep.  (An env knob rather than a
   parameter so the kill set crosses the process-pool boundary; job
   fingerprints hash only the job and its run settings, so arming it
   between runs does not invalidate the ledger being resumed.)

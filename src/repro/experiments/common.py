@@ -18,11 +18,10 @@ reassembles results per cell in submission order, so the aggregates are
 byte-identical to a serial run while a straggler cell never idles the
 workers that finished the light cells around it.
 
-Dispatch routes through the fleet layer (:mod:`repro.core.fleet`) when
-``REPRO_LEDGER`` is set: completed episodes checkpoint to the ledger as
-they finish, restarts skip them, shards split the wave, and
-``REPRO_BUDGET_TOKENS`` caps admission.  With the knob unset the wave
-goes straight to the settings' executor, exactly as before.
+Dispatch routes through the checkpoint ledger (:mod:`repro.core.fleet`)
+when ``REPRO_LEDGER`` is set: completed episodes append to the ledger as
+they finish, and a restart restores them instead of re-running them.
+With the knob unset the wave goes straight to the settings' executor.
 
 Per-deployment token spend flows from every episode into the section's
 :class:`CostMeter` (thread-local, so ``--concurrent-sections`` keeps
@@ -198,14 +197,10 @@ def dispatch_jobs(
     """Run one streaming wave of jobs; results in submission order.
 
     The single dispatch seam for every experiment: when ``REPRO_LEDGER``
-    is set the wave routes through the fleet runner (checkpoint/resume,
-    sharding, token budget — with incremental ledger reads and batched
-    appends, so polling cost stays O(new records), not O(history)),
+    is set the wave routes through the fleet runner (checkpoint/resume),
     otherwise straight through the settings' executor.  Either way every
     job is in flight together — no intermediate barriers — and the
-    episode stream feeds the active :class:`CostMeter`.  Under an active
-    :func:`repro.core.fleet.budget_scope` (suite budget partitioning)
-    the runner meters only this wave's own spend.
+    episode stream feeds the active :class:`CostMeter`.
     """
     executor = settings.make_executor()
     fleet = fleet_from_env()

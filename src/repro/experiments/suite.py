@@ -28,7 +28,6 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis.tables import render_table1, render_table2
-from repro.core.envknobs import bool_knob, int_knob
 from repro.experiments import (
     ablations,
     fig2_latency,
@@ -39,8 +38,6 @@ from repro.experiments import (
     fig7_scalability,
     fig8_serving,
 )
-from repro.core.errors import BudgetExceededError
-from repro.core.fleet import budget_scope
 from repro.experiments.common import ExperimentSettings, metered
 
 _SECTIONS = (
@@ -61,31 +58,10 @@ def _run_section(
     title: str,
     runner: Callable[[ExperimentSettings], str],
     settings: ExperimentSettings,
-    partition: int = 0,
-    stopped: list[str] | None = None,
 ) -> str:
     started = time.perf_counter()
     with metered() as meter:
-        if partition > 0:
-            # Per-figure budget partitioning: this section's fleet
-            # dispatches run under a wave-scoped share of the suite
-            # budget, and a trip stops only this section — a runaway
-            # figure cannot starve the rest of the report.
-            try:
-                with budget_scope(partition):
-                    body = runner(settings)
-            except BudgetExceededError as exc:
-                if stopped is not None:
-                    stopped.append(title)
-                body = (
-                    f"[section stopped: its {partition}-token share of "
-                    f"REPRO_BUDGET_TOKENS ran out; completed episodes are "
-                    f"persisted in the ledger]"
-                )
-                if exc.report:
-                    body = f"{body}\n{exc.report}"
-        else:
-            body = runner(settings)
+        body = runner(settings)
     elapsed = time.perf_counter() - started
     rule = "=" * 72
     block = f"{rule}\n{title}  (generated in {elapsed:.1f}s wall)\n{rule}\n{body}"
@@ -96,27 +72,9 @@ def _run_section(
     return block
 
 
-def budget_partition_from_env() -> int:
-    """Per-section token share, or 0 when partitioning is off.
-
-    ``REPRO_BUDGET_PARTITION=1`` (with a nonzero ``REPRO_BUDGET_TOKENS``)
-    splits the suite budget evenly across the report sections; each
-    section then dispatches under a wave-scoped budget of its own, so
-    one over-spending figure trips alone instead of draining the shared
-    ledger cap before later sections run.
-    """
-    if not bool_knob("REPRO_BUDGET_PARTITION", default=False):
-        return 0
-    budget = int_knob("REPRO_BUDGET_TOKENS", 0, minimum=0)
-    if not budget:
-        return 0
-    return max(1, budget // len(_SECTIONS))
-
-
 def run_all(
     settings: ExperimentSettings | None = None,
     concurrent_sections: bool = False,
-    stopped: list[str] | None = None,
 ) -> str:
     """Render the full report, always stitched in canonical section order.
 
@@ -125,17 +83,11 @@ def run_all(
     the settings' executor may fan out to worker processes); the
     rendered blocks are reassembled in ``_SECTIONS`` order, so the
     report content matches the sequential mode modulo timing lines.
-
-    ``stopped`` (when provided) collects the titles of sections halted
-    by a partitioned budget trip — see :func:`budget_partition_from_env`.
     """
     settings = settings or ExperimentSettings()
-    partition = budget_partition_from_env()
 
     def render(section):
-        return _run_section(
-            section[0], section[1], settings, partition=partition, stopped=stopped
-        )
+        return _run_section(section[0], section[1], settings)
 
     if concurrent_sections:
         with ThreadPoolExecutor(max_workers=len(_SECTIONS)) as pool:
@@ -153,27 +105,7 @@ def main(argv: list[str] | None = None) -> None:
         help="run independent report sections concurrently",
     )
     args = parser.parse_args(argv)
-    stopped: list[str] = []
-    try:
-        print(
-            run_all(
-                concurrent_sections=args.concurrent_sections,
-                stopped=stopped,
-            )
-        )
-    except BudgetExceededError as exc:
-        # Unpartitioned ledger-wide budget: admission stopped cleanly —
-        # everything that finished is in the ledger, so a rerun with a
-        # raised budget resumes from here.
-        print(f"suite stopped: {exc}")
-        if exc.report:
-            print(exc.report)
-        raise SystemExit(2) from None
-    if stopped:
-        # Partitioned mode: the other sections completed; still exit 2
-        # so CI/cron wrappers see the budget trip.
-        print(f"suite over budget in: {', '.join(stopped)}")
-        raise SystemExit(2)
+    print(run_all(concurrent_sections=args.concurrent_sections))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,14 @@
 """Per-deployment serving cost model: dollars per token, by profile.
 
 The paper frames generative embodied systems as a *serving cost*
-problem as much as a latency one; a 100x-scale suite run needs a cost
-report per figure, and the fleet layer's ``REPRO_BUDGET_TOKENS`` cap
-needs a consistent accounting basis.  This module is that basis: a flat
-rate table in **dollars per million tokens** (prompt, output) for every
-registered :mod:`~repro.llm.profiles` profile.
+problem as much as a latency one, so the suite prints a cost footer per
+figure.  This module is its accounting basis: a flat rate table in
+**dollars per million tokens** (prompt, output) for every registered
+:mod:`~repro.llm.profiles` profile.
 
 API model rates follow public per-token pricing; local models are
-amortized GPU-time expressed on the same per-token axis (so one budget
-covers mixed fleets).  The absolute numbers are calibration constants
+amortized GPU-time expressed on the same per-token axis (so one footer
+covers mixed deployments).  The absolute numbers are calibration constants
 in the same spirit as the latency profiles — stable, plausible, and
 deterministic — not live price quotes.
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.envknobs import bool_knob, choice_knob, float_knob, int_knob, raw_knob
+from repro.core.envknobs import bool_knob, choice_knob, int_knob, raw_knob
 from repro.core.settings import RunSettings
 
 KNOB = "REPRO_TEST_KNOB"
@@ -36,15 +36,6 @@ class TestInt:
         monkeypatch.setenv(KNOB, "0")
         with pytest.raises(ValueError, match=">= 1"):
             int_knob(KNOB, default=5)
-
-
-class TestFloat:
-    def test_parses_with_whitespace_and_validates(self, monkeypatch):
-        monkeypatch.setenv(KNOB, " 2.5 ")
-        assert float_knob(KNOB, default=1.0) == 2.5
-        monkeypatch.setenv(KNOB, "fast")
-        with pytest.raises(ValueError, match=KNOB):
-            float_knob(KNOB, default=1.0)
 
 
 class TestBool:

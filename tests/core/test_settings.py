@@ -108,10 +108,8 @@ CHANGED = {"serve": "batched", "overlap": True}
 EXECUTION_SHAPE = {
     "REPRO_WORKERS": "4",
     "REPRO_TRIALS": "9",
-    "REPRO_SHARDS": "3",
     "REPRO_LEDGER": "/nonexistent/ledger.jsonl",
-    "REPRO_FLUSH_SECONDS": "7",
-    "REPRO_COMPACT_RECORDS": "7",
+    "REPRO_SYNTH_CRASH_SEEDS": "7",
 }
 
 
