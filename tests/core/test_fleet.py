@@ -298,6 +298,39 @@ class TestEnvConstruction:
         assert pickle.dumps(direct) == pickle.dumps(first)
 
 
+class TestLedgerEnvKnobs:
+    def test_flush_and_compaction_knobs(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(path))
+        runner = fleet_from_env()
+        assert runner.ledger.flush_seconds == 0.5  # batched by default
+        # The retired flush and compaction knobs are inert: the window
+        # stays the default and the journal is never snapshotted.
+        monkeypatch.setenv("REPRO_FLUSH_SECONDS", "0")
+        monkeypatch.setenv("REPRO_COMPACT_RECORDS", "1")
+        runner = fleet_from_env()
+        assert runner.ledger.flush_seconds == 0.5
+        job = synth_jobs(1)[0]
+        for index in range(3):
+            runner.ledger.append_done(f"fp-{index}", job, sleep_runner(job))
+        runner.ledger.flush()
+        assert set(JobLedger(path).load()) == {"fp-0", "fp-1", "fp-2"}
+        assert not path.with_name(path.name + ".snap").exists()
+
+    def test_io_knobs_do_not_invalidate_fingerprints(self, monkeypatch):
+        before = job_fingerprint(synth_jobs(1)[0])
+        knobs = knob_fingerprint()
+        for knob in (
+            "REPRO_FLUSH_SECONDS",
+            "REPRO_COMPACT_RECORDS",
+            "REPRO_BUDGET_PARTITION",
+        ):
+            assert knob not in ENV_KNOBS
+            monkeypatch.setenv(knob, "7")
+        assert job_fingerprint(synth_jobs(1)[0]) == before
+        assert knob_fingerprint() == knobs
+
+
 class TestBatchedFlush:
     def test_buffer_invisible_to_others_until_flush(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
