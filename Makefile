@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke
+.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke e2e-probes
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,12 @@ bench-all: bench-serving bench-fleet
 # and return aggregates byte-identical to an uninterrupted serial run.
 resume-smoke:
 	$(PYTHON) scripts/resume_smoke.py
+
+# Self-test of the end-to-end benchmark (e2ebench/): one reduced traced
+# and untraced pass per workload.  Fails when a change deletes or renames
+# a name e2ebench/probes.py wraps, or moves a digest under tracing.
+e2e-probes:
+	$(PYTHON) -m pytest e2ebench/test_probes.py -q
 
 lint:
 	ruff check .

@@ -29,14 +29,6 @@ class EnvironmentError_(ReproError):
     """
 
 
-class PlanningError(ReproError):
-    """The planning module could not produce any plan at all."""
-
-
-class ExecutionFailure(ReproError):
-    """A low-level planner could not realize a primitive action sequence."""
-
-
 class UnknownWorkloadError(ReproError):
     """Requested workload name is not present in the registry."""
 

@@ -75,10 +75,9 @@ class CommunicationModule:
     def _payload_for(self, step: int, known_facts: list[Fact]) -> tuple[Fact, ...]:
         """The step's sharable payload, staged once per step.
 
-        A tuple, so the rendered prompt section can be reused by identity
-        (:mod:`repro.llm.prompt`); the identity check on ``known_facts``
-        makes the cache valid only while the caller passes the same
-        per-step snapshot (the dialogue phase hoists it).
+        A tuple (it becomes the message's ``facts``); the identity check
+        on ``known_facts`` makes the cache valid only while the caller
+        passes the same per-step snapshot (the dialogue phase hoists it).
         """
         if self._payload_step == step and self._payload_source is known_facts:
             return self._payload
@@ -126,8 +125,8 @@ class CommunicationModule:
         prompt = (
             PromptBuilder(COMMUNICATOR_SYSTEM_TEXT)
             .memory(payload)
-            .dialogue(dialogue, window_key=self.context.agent)
-            .static_extra(
+            .dialogue(dialogue)
+            .extra(
                 "instruction",
                 "Compose a short update for your teammates about what you "
                 "found and what you plan to do next.",

@@ -44,7 +44,8 @@ from operator import attrgetter
 from repro.core.beliefs import Beliefs
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
-from repro.core.types import Fact, Message, Subgoal, _memo_describe
+from repro.core.types import Fact, Message, Subgoal, memoized
+from repro.llm.tokenizer import count_tokens
 
 #: Retrieval latency model: fixed overhead + per-scanned-entry cost.
 RETRIEVE_BASE_SECONDS = 0.02
@@ -70,12 +71,17 @@ class ActionRecord:
     success: bool
 
     def describe(self) -> str:
-        cached = self.__dict__.get("_described")
-        if cached is not None:
-            return cached
         outcome = "succeeded" if self.success else "failed"
-        text = f"at step {self.step} you chose to {self.subgoal.describe()} and it {outcome}"
-        return _memo_describe(self, text)
+        return f"at step {self.step} you chose to {self.subgoal.describe()} and it {outcome}"
+
+    @memoized
+    def tokens(self) -> int:
+        """Token count of :meth:`describe`, counted in two halves that
+        recur across records (the tokenizer is additive over spaces)."""
+        outcome = "succeeded" if self.success else "failed"
+        return count_tokens(f"at step {self.step}") + count_tokens(
+            f"you chose to {self.subgoal.describe()} and it {outcome}"
+        )
 
 
 @dataclass(frozen=True)
@@ -187,10 +193,6 @@ class MemoryModule:
                 self._steps_sorted = False
             dialogue_steps.append(message.step)
             self._index_facts(message.facts)
-
-    def _index_fact(self, fact: Fact) -> None:
-        """Maintain the slot-history and step-count indices for one fact."""
-        self._index_facts((fact,))
 
     def _index_facts(self, facts) -> None:
         """Index a batch of facts with the table lookups bound once.
@@ -415,10 +417,6 @@ class MemoryModule:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def total_entries(self) -> int:
-        return len(self._observations) + len(self._actions) + len(self._dialogue)
 
     def dialogue_window(self, step: int) -> list[Message]:
         if self._staged_messages:

@@ -61,7 +61,7 @@ class PlanningModule:
         if action_records:
             recent = action_records[-MAX_ACTION_RECORDS_IN_PROMPT:]
             builder.described_list("action_history", recent)
-        builder.dialogue(dialogue, window_key=self.context.agent)
+        builder.dialogue(dialogue)
         builder.candidates(candidates)
         return builder.build()
 

@@ -14,7 +14,6 @@ from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.bus import DeliveryBus
 from repro.core.clock import SimClock
 from repro.core.config import SystemConfig
-from repro.core.errors import FaultKind
 from repro.core.metrics import EpisodeResult, MetricsCollector
 from repro.core.seeding import derive_seed, rng_for
 from repro.core.settings import RunSettings
@@ -226,7 +225,3 @@ class ParadigmLoop(abc.ABC):
         if not outcome.success:
             return True
         return decision.fault is not None and outcome.progress_delta <= 0.0
-
-    @staticmethod
-    def fault_of(decision: Decision) -> FaultKind | None:
-        return decision.fault

@@ -97,10 +97,10 @@ class CentralizedLoop(ParadigmLoop):
         )
         builder.observation(central_bundle.observation)
         builder.memory(central_bundle.memory_facts)
-        builder.dialogue(central_bundle.dialogue, window_key=self.central.name)
+        builder.dialogue(central_bundle.dialogue)
         for name, candidates in candidates_by_agent.items():
             builder.candidates(candidates)
-            builder.static_extra("agent_header", f"Options above are for {name}.")
+            builder.extra("agent_header", f"Options above are for {name}.")
         prompt = builder.build()
         prompt_tokens = prompt.tokens
         output_tokens = OUTPUT_TOKENS["plan"] + JOINT_PLAN_TOKENS_PER_AGENT * (
@@ -252,7 +252,7 @@ def filter_assigned(
     ]
     if len(filtered) == len(candidates):
         # Nothing dropped: hand back the caller's sequence unchanged so
-        # identity-keyed caches (candidate features, scoreboards, rendered
-        # sections) keep hitting across the joint plan's per-agent draws.
+        # identity-keyed caches (candidate features, scoreboards) keep
+        # hitting across the joint plan's per-agent draws.
         return candidates
     return filtered or candidates

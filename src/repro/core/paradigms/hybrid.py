@@ -94,10 +94,10 @@ class HybridLoop(CentralizedLoop):
             task_text=self.central.planner.task_text,
         )
         builder.observation(central_bundle.observation)
-        builder.dialogue(central_bundle.dialogue, window_key=self.central.name)
+        builder.dialogue(central_bundle.dialogue)
         for name, candidates in candidates_by_agent.items():
             builder.candidates(candidates)
-            builder.static_extra("agent_header", f"Options above are for {name}.")
+            builder.extra("agent_header", f"Options above are for {name}.")
         prompt = builder.build()
         output_tokens = OUTPUT_TOKENS["plan"] + 45 * (n_agents - 1)
         llm = self.central.planner_llm

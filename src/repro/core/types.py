@@ -4,31 +4,66 @@ The vocabulary follows the paper's Sec. II: environments expose
 *observations* made of symbolic *facts*; planning produces high-level
 *subgoals*; execution lowers subgoals into primitive *actions*;
 communication exchanges *messages*.  Everything is a small, explicit
-dataclass so that prompt rendering, memory storage, and metrics can treat
+dataclass so that prompt accounting, memory storage, and metrics can treat
 them uniformly.
+
+The types a prompt carries (``Fact``, ``Subgoal``, ``Observation``,
+``Message`` and the memory module's ``ActionRecord``) expose ``tokens``:
+the token count of their ``describe()`` rendering, computed once per
+instance and summed by :mod:`repro.llm.prompt` without joining any text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 from repro.core.errors import FaultKind
 
 
-def _memo_describe(obj: object, text: str) -> str:
-    """Cache a ``describe()`` rendering on a frozen instance.
+class memoized:
+    """A read-only attribute computed once per (frozen) instance.
 
-    The value types below are frozen dataclasses whose rendering is a pure
-    function of their fields, so the string can be stored once and reused
-    every step the object is re-rendered into a prompt (memory windows and
-    action histories re-render the same instances for many steps).  The
-    cache lives outside the dataclass fields — equality, hashing, and
-    pickled round-trips are unaffected.
+    A non-data descriptor: the first read stores the value in the
+    instance ``__dict__``, which then shadows the descriptor, so later
+    reads are plain attribute reads.  The value must be a pure function
+    of the instance's fields; concurrent first reads then write the same
+    value, so no lock is needed (``functools.cached_property`` takes one
+    on every first read before Python 3.12).  Dataclass fields, equality
+    and hashing ignore it.
     """
-    object.__setattr__(obj, "_described", text)
-    return text
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self._func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: object, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._func(instance)
+        return value
+
+
+_TOKENS = attrgetter("tokens")
+
+#: ``repro.llm.tokenizer.count_tokens``, bound on first use: the
+#: ``repro.llm`` package imports this module, so a top-level import would
+#: close an import cycle.
+_count_tokens: Callable[[str], int] | None = None
+
+
+def _tokens_in(text: str) -> int:
+    global _count_tokens
+    if _count_tokens is None:
+        from repro.llm.tokenizer import count_tokens
+
+        _count_tokens = count_tokens
+    return _count_tokens(text)
 
 
 #: Environments mint *fresh* ``Fact``/``Subgoal`` instances every step for
@@ -68,12 +103,12 @@ class Fact:
 
     def describe(self) -> str:
         """Render the fact as an English clause for prompt construction."""
-        cached = self.__dict__.get("_described")
-        if cached is not None:
-            return cached
-        return _memo_describe(
-            self, _render_fact(self.subject, self.relation, self.value)
-        )
+        return _render_fact(self.subject, self.relation, self.value)
+
+    @memoized
+    def tokens(self) -> int:
+        """Token count of :meth:`describe`."""
+        return _tokens_in(self.describe())
 
     def key(self) -> tuple[str, str]:
         """Identity of the *slot* this fact fills (subject, relation).
@@ -126,12 +161,12 @@ class Subgoal:
     destination: str = ""
 
     def describe(self) -> str:
-        cached = self.__dict__.get("_described")
-        if cached is not None:
-            return cached
-        return _memo_describe(
-            self, _render_subgoal(self.name, self.target, self.destination)
-        )
+        return _render_subgoal(self.name, self.target, self.destination)
+
+    @memoized
+    def tokens(self) -> int:
+        """Token count of :meth:`describe`."""
+        return _tokens_in(self.describe())
 
 
 #: Sentinel subgoal meaning "nothing useful to do this step".
@@ -166,12 +201,15 @@ class Observation:
     visible_agents: tuple[str, ...] = ()
 
     def describe(self) -> str:
-        cached = self.__dict__.get("_described")
-        if cached is not None:
-            return cached
         lines = [f"{self.agent} is at {self.position}."]
         lines.extend(fact.describe() + "." for fact in self.facts)
-        return _memo_describe(self, " ".join(lines))
+        return " ".join(lines)
+
+    @memoized
+    def tokens(self) -> int:
+        """Token count of :meth:`describe`, summed clause by clause."""
+        head = _tokens_in(f"{self.agent} is at {self.position}.")
+        return head + sum(map(_TOKENS, self.facts)) + len(self.facts)
 
 
 @dataclass(frozen=True)
@@ -196,14 +234,21 @@ class Message:
     def describe(self) -> str:
         if self.text:
             return self.text
-        cached = self.__dict__.get("_described")
-        if cached is not None:
-            return cached
         parts = [f"{self.sender} says:"]
         if self.intent is not None:
             parts.append(f"I will {self.intent.describe()}.")
         parts.extend(fact.describe() + "." for fact in self.facts)
-        return _memo_describe(self, " ".join(parts))
+        return " ".join(parts)
+
+    @memoized
+    def tokens(self) -> int:
+        """Token count of :meth:`describe`, summed clause by clause."""
+        if self.text:
+            return _tokens_in(self.text)
+        total = _tokens_in(f"{self.sender} says:")
+        if self.intent is not None:
+            total += _tokens_in(f"I will {self.intent.describe()}.")
+        return total + sum(map(_TOKENS, self.facts)) + len(self.facts)
 
 
 @dataclass(frozen=True)
@@ -216,10 +261,6 @@ class Decision:
     output_tokens: int
     latency: float
     retries: int = 0
-
-    @property
-    def is_faulty(self) -> bool:
-        return self.fault is not None
 
 
 @dataclass

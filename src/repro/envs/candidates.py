@@ -31,11 +31,11 @@ Correctness contract (enforced by the committed goldens,
   mutation, and the same deps must always produce value-equal candidates.
 
 When all slots hit, ``assemble`` returns the previous **tuple object**
-unchanged.  Downstream caches key on that identity: the behaviour kernel
-reuses its candidate scoreboard (:mod:`repro.llm.behavior`) and the prompt
-builder reuses the rendered candidates section (:mod:`repro.llm.prompt`),
-so an unchanged belief state costs a few tuple compares instead of an
-enumeration, a re-scoring, and a re-render.
+unchanged.  Downstream caches key on that identity: the candidate
+features below, which the behaviour kernel scores
+(:mod:`repro.llm.behavior`) and the prompt builder totals
+(:mod:`repro.llm.prompt`), so an unchanged belief state costs a few tuple
+compares instead of an enumeration and a re-scoring.
 """
 
 from __future__ import annotations
@@ -157,20 +157,11 @@ FAULT_CODES: dict[FaultKind, int] = {
     kind: index + 1 for index, kind in enumerate(FaultKind)
 }
 
-#: The tokenizer is imported lazily: ``repro.llm.behavior`` imports this
-#: module at class-definition time, so a top-level ``repro.llm`` import
-#: here would close an import cycle through the two package __init__s.
-#: Feature extraction only runs at episode time, long after both
-#: packages finished importing, so the first call binds the real
-#: function and every later call pays one module-global read.
-_count_tokens: Callable[[str], int] | None = None
-
-
 class CandidateFeatures(NamedTuple):
     """Columnar ("structure of arrays") view of one candidate sequence.
 
     One pass over the candidates fills numpy columns for everything the
-    planning hot path scores or renders per candidate:
+    planning hot path scores per candidate:
 
     - ``utilities`` / ``feasible`` / ``fault_codes`` feed the behaviour
       kernel's scoreboard (:mod:`repro.llm.behavior`), which derives its
@@ -179,10 +170,9 @@ class CandidateFeatures(NamedTuple):
     - ``subgoals`` supports the only per-candidate predicate that cannot
       be precomputed (blacklist membership — the blacklist arrives with
       the decision request, not with the candidates);
-    - ``described`` / ``desc_tokens`` / ``desc_tokens_total`` feed the
-      prompt builder's candidates section (:mod:`repro.llm.prompt`),
-      which joins prerendered lines and adds pretotaled token counts
-      instead of describing and re-counting per candidate.
+    - ``desc_tokens_total`` is the summed token count of the subgoal
+      descriptions, which the prompt builder's candidates section
+      (:mod:`repro.llm.prompt`) adds instead of counting per candidate.
 
     Features are a pure function of the candidate values — extraction
     consumes no randomness and mutates nothing — so the columnar scoring
@@ -193,26 +183,16 @@ class CandidateFeatures(NamedTuple):
     feasible: np.ndarray
     fault_codes: np.ndarray
     subgoals: tuple[Subgoal, ...]
-    described: tuple[str, ...]
-    desc_tokens: np.ndarray
     desc_tokens_total: int
 
 
 def extract_features(candidates: Sequence[Candidate]) -> CandidateFeatures:
     """One-pass columnar extraction over ``candidates``."""
-    global _count_tokens
-    if _count_tokens is None:
-        from repro.llm.tokenizer import count_tokens
-
-        _count_tokens = count_tokens
-    count = _count_tokens
     codes = FAULT_CODES
     # Comprehension-per-column beats element-wise ndarray assignment for
     # the small candidate sets the environments enumerate: each column is
     # one C-speed pass plus one bulk conversion.
     subgoals = tuple(candidate.subgoal for candidate in candidates)
-    described = tuple(subgoal.describe() for subgoal in subgoals)
-    desc_token_list = [count(text) for text in described]
     return CandidateFeatures(
         utilities=np.array(
             [candidate.utility for candidate in candidates], dtype=np.float64
@@ -228,9 +208,7 @@ def extract_features(candidates: Sequence[Candidate]) -> CandidateFeatures:
             dtype=np.int8,
         ),
         subgoals=subgoals,
-        described=described,
-        desc_tokens=np.array(desc_token_list, dtype=np.int64),
-        desc_tokens_total=sum(desc_token_list),
+        desc_tokens_total=sum(subgoal.tokens for subgoal in subgoals),
     )
 
 

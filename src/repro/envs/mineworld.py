@@ -213,9 +213,6 @@ class MineWorldEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def _have(self, player: _Player, item: str) -> int:
-        return player.count(item)
-
     def _craftable(self, player: _Player, item: str) -> bool:
         """Ingredients available?  (Execution travels to base by itself.)"""
         recipe = RECIPES.get(item)
@@ -228,18 +225,6 @@ class MineWorldEnv(Environment):
             elif player.count(ingredient) < count:
                 return False
         return True
-
-    def _next_needed_craft(self, player: _Player) -> list[str]:
-        """Craftable-now items that advance toward the goal."""
-        return sorted(
-            item
-            for item in self.needed_items
-            if self._item_deficit(player, item) > 0 and self._craftable(player, item)
-        )
-
-    def _item_deficit(self, player: _Player, item: str) -> int:
-        """How many more of ``item`` the tech tree still requires."""
-        return _DeficitCalculator(self, player).item_deficit(item)
 
     def candidate_slots(self, agent: str, beliefs: Beliefs) -> list[CandidateSlot]:
         player = self._players[agent]
@@ -331,9 +316,6 @@ class MineWorldEnv(Environment):
                     Candidate(subgoal=Subgoal(name="gather", target=resource), utility=0.1)
                 )
         return options
-
-    def _resource_deficit(self, player: _Player, resource: str) -> int:
-        return _DeficitCalculator(self, player).resource_deficit(resource)
 
     # ------------------------------------------------------------------ #
     # Execution

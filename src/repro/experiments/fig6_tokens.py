@@ -26,12 +26,6 @@ class TokenTrace:
     series: dict[str, list[tuple[int, int]]]  # "agent:purpose" -> [(step, tokens)]
     slopes: dict[str, float]
 
-    def max_tokens(self) -> int:
-        return max(
-            (tokens for points in self.series.values() for _step, tokens in points),
-            default=0,
-        )
-
 
 @dataclass(frozen=True)
 class Fig6Result:

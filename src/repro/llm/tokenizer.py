@@ -10,9 +10,10 @@ English prose — more than enough fidelity for trend reproduction.
 A load-bearing property: tokens never span whitespace, so counting is
 *additive over space-joined pieces* —
 ``count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)`` for any
-``a``/``b``.  The incremental prompt builder relies on this to account for
-a section built from many small pieces without re-tokenizing the joined
-text (property-tested in ``tests/llm/test_tokenizer.py``).
+``a``/``b``.  Prompts are counted on this basis alone
+(:mod:`repro.llm.prompt`): a section's count is the sum of its pieces'
+memoized counts, and its text is never joined while an episode runs
+(property-tested in ``tests/llm/test_tokenizer.py``).
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ _CHARS_PER_SUBWORD = 6
 
 #: ``count_tokens`` cache bound.  Sized for long-lived worker processes
 #: that run many episodes back to back: the hot path counts short, highly
-#: repetitive pieces (fact/message/subgoal renderings — hundreds of
-#: distinct strings per episode, heavily shared across episodes of the
-#: same environment), so 64k entries of mostly sub-100-byte keys is a few
-#: MB ceiling while keeping the steady-state hit rate near 100 %.  The
-#: bound matters for callers that count whole joined sections, whose keys
-#: differ every step of every episode.
+#: repetitive pieces (fact and subgoal renderings, message heads, fixed
+#: prompt text — hundreds of distinct strings per episode, heavily shared
+#: across episodes of the same environment), so 64k entries of mostly
+#: sub-100-byte keys is a few MB ceiling while keeping the steady-state
+#: hit rate near 100 %.  The bound matters for pieces that differ per
+#: instance, such as action records, whose step number recurs only
+#: across episodes.
 _COUNT_CACHE_SIZE = 65536
 
 

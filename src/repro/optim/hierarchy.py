@@ -143,10 +143,10 @@ class HierarchicalLoop(ParadigmLoop):
         )
         builder.observation(lead_bundle.observation)
         builder.memory(lead_bundle.memory_facts)
-        builder.dialogue(lead_bundle.dialogue, window_key=lead.name)
+        builder.dialogue(lead_bundle.dialogue)
         for name, candidates in candidates_by_agent.items():
             builder.candidates(candidates)
-            builder.static_extra("agent_header", f"Options above are for {name}.")
+            builder.extra("agent_header", f"Options above are for {name}.")
         prompt = builder.build()
         output_tokens = OUTPUT_TOKENS["plan"] + 45 * (len(cluster) - 1)
         self.scheduler.submit(

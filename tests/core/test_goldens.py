@@ -40,6 +40,8 @@ from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import SERVE_MODES, RunSettings
 from repro.experiments.common import ExperimentSettings, GridCell
+from repro.llm.prompt import MAX_DIALOGUE_MESSAGES, PromptBuilder
+from repro.llm.tokenizer import count_tokens
 from repro.workloads.registry import get_workload, list_workloads
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_episodes.json"
@@ -113,6 +115,16 @@ PARALLEL_SLICE = (
     "easy/continuous+overlap/coela",
     "medium/percall/hmas",
     "medium/percall/coela+6agents",
+)
+
+#: Re-run with every prompt rendered and recounted: dialogue lists past
+#: the window cap (coela, 6 agents), a long action history and memory
+#: (jarvis-1, 90-step window), and one candidates section per agent
+#: (centralized mindagent).
+PROMPT_SLICE = (
+    "medium/percall/coela+6agents",
+    "hard/percall/jarvis-1+capacity90",
+    "medium/percall/mindagent+4agents",
 )
 
 
@@ -236,3 +248,35 @@ def test_grid_exercises_every_serving_mode_and_dialogue():
     plain = golden["easy/continuous/coela"]["aggregate"]
     overlapped = golden["easy/continuous+overlap/coela"]["aggregate"]
     assert float(overlapped["mean_sim_minutes"]) < float(plain["mean_sim_minutes"])
+
+
+def test_prompt_arithmetic_matches_rendered_text(monkeypatch):
+    """On a golden slice, every prompt's section counts equal plain
+    tokenization of the section's rendered text, and the prompt's total
+    is their sum, while the episodes still reproduce their goldens."""
+    seen = {"window": 0, "candidate_sections": 0, "history": 0}
+    build = PromptBuilder.build
+
+    def checked_build(builder):
+        prompt = build(builder)
+        for section in prompt.sections:
+            assert section.tokens == count_tokens.__wrapped__(section.text), section.name
+        assert prompt.tokens == sum(section.tokens for section in prompt.sections)
+        names = [section.name for section in prompt.sections]
+        seen["candidate_sections"] = max(
+            seen["candidate_sections"], names.count("candidates")
+        )
+        seen["history"] += "action_history" in names
+        for section in prompt.sections:
+            if section.name == "dialogue":
+                seen["window"] = max(seen["window"], len(section.source))
+        return prompt
+
+    monkeypatch.setattr(PromptBuilder, "build", checked_build)
+    golden = _load_goldens()
+    for cell_id in PROMPT_SLICE:
+        record = _run_cell(*GRID[cell_id])
+        assert json.dumps(record) == json.dumps(golden[cell_id]), cell_id
+    assert seen["window"] == MAX_DIALOGUE_MESSAGES
+    assert seen["candidate_sections"] >= 4
+    assert seen["history"] > 0

@@ -4,8 +4,8 @@ Episode results are pinned by the committed goldens
 (tests/core/test_goldens.py).  This module checks the fast paths those
 goldens run through: the caches really engage, batched serving moves
 only latency, indexed memory retrieval equals the linear scan that
-out-of-order stores fall back to, and incrementally counted prompt
-sections equal plain tokenization.
+out-of-order stores fall back to, and prompt token arithmetic equals
+plain tokenization of the rendered text.
 """
 
 from __future__ import annotations
@@ -233,8 +233,9 @@ class TestMemoryRetrievalEquivalence:
 
 class TestPromptEquivalence:
     def test_builder_sections_identical(self):
-        """Incremental token counts equal plain tokenization, and the
-        identity-cached tuple inputs render what list inputs render."""
+        """Token arithmetic equals plain tokenization of the rendered
+        text, and tuple inputs (candidate tuples pretotaled through
+        ``candidate_features``) build what list inputs build."""
         from repro.core.types import Candidate, Observation
 
         observation = Observation(
@@ -253,18 +254,18 @@ class TestPromptEquivalence:
             for i in range(12)
         )
 
-        def build(sequence, window_key=None):
+        def build(sequence):
             return (
                 PromptBuilder(system_text="be a planner", task_text="tidy the house")
                 .observation(observation)
                 .memory(sequence(memory_facts))
-                .dialogue(messages, window_key=window_key)
+                .dialogue(sequence(messages))
                 .candidates(sequence(candidates))
                 .build()
             )
 
         listed = build(list)
-        cached = build(tuple, window_key="a0")
+        cached = build(tuple)
         assert cached.sections == listed.sections
         assert cached.render() == listed.render()
         for section in listed.sections:

@@ -1,7 +1,16 @@
-"""Tests for structured prompt assembly."""
+"""Tests for structured prompt assembly and its token arithmetic."""
 
+import string
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.modules.memory import ActionRecord
 from repro.core.types import Candidate, Fact, Message, Observation, Subgoal
-from repro.llm.prompt import Prompt, PromptBuilder, PromptSection, intern_section
+from repro.llm.prompt import MAX_DIALOGUE_MESSAGES, Prompt, PromptBuilder, text_section
 from repro.llm.tokenizer import count_tokens
 
 
@@ -19,54 +28,34 @@ class TestPrompt:
         prompt = Prompt().add("a", "one two").add("b", "three")
         assert prompt.tokens == sum(section.tokens for section in prompt.sections)
 
-    def test_tokens_by_section_merges_same_name(self):
-        prompt = Prompt().add("x", "one").add("x", "two three")
-        by_section = prompt.tokens_by_section()
-        assert set(by_section) == {"x"}
-        assert by_section["x"] == prompt.tokens
-
     def test_render_contains_headers(self):
         text = Prompt().add("system", "be good").render()
         assert "[system]" in text and "be good" in text
 
     def test_add_after_tokens_read_never_stale(self):
-        """Reading ``tokens`` then mutating must reflect the mutation."""
+        """Reading ``tokens`` then adding a section counts the addition."""
         prompt = Prompt().add("a", "one two")
         assert prompt.tokens == 2
-        prompt.add("b", "three")
+        prompt = prompt.add("b", "three")
         assert prompt.tokens == 3
-        prompt.add("c", "four five")
+        prompt = prompt.add("c", "four five")
         assert prompt.tokens == 5
-        assert prompt.tokens_by_section() == {"a": 2, "b": 1, "c": 2}
+        assert [section.tokens for section in prompt.sections] == [2, 1, 2]
 
-    def test_out_of_band_sections_growth_recounted(self):
-        """Direct ``sections`` appends (outside add) are detected and recounted.
-
-        Same-length in-place replacement is outside the mutation API and
-        not guarded; growth/shrinkage — the realistic bypass — is.
-        """
-        prompt = Prompt().add("a", "one two")
-        assert prompt.tokens == 2
-        prompt.sections.append(PromptSection("b", "three four five"))
-        assert prompt.tokens == 5
-        prompt.add("c", "six")  # add() after the bypass stays consistent
-        assert prompt.tokens == 6
+    def test_sections_cannot_drift_from_tokens(self):
+        """Sections are frozen with their total: replacing one is refused."""
+        prompt = Prompt().add("a", "one two").add("b", "three")
+        with pytest.raises(TypeError):
+            prompt.sections[0] = prompt.sections[1]
+        assert prompt.tokens == 3
+        assert prompt.tokens == sum(section.tokens for section in prompt.sections)
 
 
 class TestPromptSection:
     def test_tokens_computed_at_construction(self):
-        section = PromptSection("memory", "the red mug")
+        section = text_section("memory", "the red mug")
         assert section.tokens == count_tokens("the red mug")
-
-    def test_precomputed_tokens_respected(self):
-        section = PromptSection("memory", "the red mug", tokens=3)
-        assert section.tokens == 3
-
-    def test_interned_sections_shared(self):
-        first = intern_section("system", "be a careful planner")
-        second = intern_section("system", "be a careful planner")
-        assert first is second
-        assert first.tokens == count_tokens("be a careful planner")
+        assert section.text == "the red mug"
 
 
 class TestPromptBuilder:
@@ -99,7 +88,7 @@ class TestPromptBuilder:
             .candidates([])
             .build()
         )
-        assert prompt.sections == []
+        assert prompt.sections == ()
 
     def test_candidates_enumerated(self):
         candidates = [
@@ -118,3 +107,146 @@ class TestPromptBuilder:
         short = PromptBuilder().dialogue(messages[:1]).build().tokens
         long = PromptBuilder().dialogue(messages).build().tokens
         assert long > short
+
+    def test_dialogue_keeps_the_most_recent_window(self):
+        messages = [
+            Message(sender="a1", recipients=(), step=i, text=f"update {i}") for i in range(60)
+        ]
+        (section,) = PromptBuilder().dialogue(messages).build().sections
+        assert section.source == tuple(messages[-MAX_DIALOGUE_MESSAGES:])
+        assert section.tokens == count_tokens(section.text)
+
+    def test_sections_snapshot_their_inputs(self):
+        """A caller appending to its list after building moves nothing:
+        messages delivered after planning do not reach its prompt."""
+        facts = [Fact("mug", "located_in", "kitchen")]
+        dialogue = [Message(sender="a1", recipients=("a0",), step=1, text="hi")]
+        prompt = PromptBuilder().memory(facts).dialogue(dialogue).build()
+        rendered, tokens = prompt.render(), prompt.tokens
+        facts.append(Fact("book", "located_in", "study"))
+        dialogue.append(Message(sender="a2", recipients=("a0",), step=1, text="more news"))
+        assert prompt.render() == rendered
+        assert prompt.tokens == tokens
+        assert [len(section.source) for section in prompt.sections] == [1, 1]
+
+
+# --------------------------------------------------------------------- #
+# The arithmetic against the rendered text
+# --------------------------------------------------------------------- #
+
+#: Field text with the characters the tokenizer treats differently:
+#: letters (long runs split), digits, punctuation, underscores, spaces.
+WORDS = st.text(alphabet=string.ascii_letters + string.digits + "_.,:'()- ", max_size=14)
+FACTS = st.builds(Fact, WORDS, WORDS, WORDS, st.integers(min_value=0, max_value=300))
+SUBGOALS = st.builds(Subgoal, WORDS, WORDS, WORDS)
+MESSAGES = st.one_of(
+    st.builds(
+        Message,
+        sender=WORDS,
+        recipients=st.just(()),
+        step=st.integers(min_value=0, max_value=300),
+        facts=st.lists(FACTS, max_size=4).map(tuple),
+        intent=st.none() | SUBGOALS,
+    ),
+    st.builds(
+        Message,
+        sender=WORDS,
+        recipients=st.just(()),
+        step=st.integers(min_value=0, max_value=300),
+        text=WORDS,
+    ),
+)
+RECORDS = st.builds(
+    ActionRecord, st.integers(min_value=0, max_value=300), SUBGOALS, st.booleans()
+)
+OBSERVATIONS = st.builds(
+    Observation,
+    agent=WORDS,
+    step=st.integers(min_value=0, max_value=300),
+    position=WORDS,
+    facts=st.lists(FACTS, max_size=6).map(tuple),
+)
+CANDIDATES = st.lists(
+    st.builds(Candidate, subgoal=SUBGOALS, utility=st.floats(min_value=0.0, max_value=1.0)),
+    max_size=14,
+)
+
+
+def _uncached_count(text: str) -> int:
+    return count_tokens.__wrapped__(text)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    observation=st.none() | OBSERVATIONS,
+    memory=st.lists(FACTS, max_size=8),
+    history=st.lists(RECORDS, max_size=6),
+    dialogue=st.lists(MESSAGES, max_size=MAX_DIALOGUE_MESSAGES + 6),
+    candidates=CANDIDATES,
+    instruction=WORDS,
+)
+def test_every_section_counts_its_rendered_text(
+    observation, memory, history, dialogue, candidates, instruction
+):
+    def build(sequence) -> Prompt:
+        return (
+            PromptBuilder(system_text="be a planner", task_text="tidy the house")
+            .observation(observation)
+            .memory(sequence(memory))
+            .described_list("action_history", sequence(history))
+            .dialogue(sequence(dialogue))
+            .candidates(sequence(candidates))
+            .extra("instruction", instruction)
+            .build()
+        )
+
+    listed = build(list)
+    for section in listed.sections:
+        assert section.tokens == _uncached_count(section.text), section.name
+    assert listed.tokens == sum(section.tokens for section in listed.sections)
+    tupled = build(tuple)
+    assert [(s.name, s.tokens) for s in tupled.sections] == [
+        (s.name, s.tokens) for s in listed.sections
+    ]
+    assert tupled.render() == listed.render()
+    assert tupled.tokens == listed.tokens
+
+
+def test_threads_sharing_objects_count_alike():
+    """Concurrent first reads of the shared per-instance ``tokens`` memos
+    (the suite's ``--concurrent-sections`` threads) count what one
+    thread counts."""
+    facts = [Fact(f"obj_{i}", "located_in", f"room_{i % 7}", step=i) for i in range(120)]
+    messages = [
+        Message(sender=f"a{i % 5}", recipients=(), step=i, facts=tuple(facts[i : i + 3]))
+        for i in range(100)
+    ]
+    barrier = threading.Barrier(8)
+    prompts: list[Prompt] = []
+
+    def work() -> None:
+        barrier.wait(timeout=10)
+        for start in range(0, 100, 10):
+            prompt = (
+                PromptBuilder()
+                .memory(facts[start : start + 20])
+                .dialogue(messages[: start + 10])
+                .build()
+            )
+            prompts.append(prompt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(prompts) == 80
+    for prompt in prompts:
+        for section in prompt.sections:
+            assert section.tokens == _uncached_count(section.text)
