@@ -26,7 +26,7 @@ from repro.core.modules import (
     ReflectionModule,
     SensingModule,
 )
-from repro.core.modules.memory import ActionRecord, RetrievedMemory
+from repro.core.modules.memory import ActionRecord
 from repro.core.seeding import rng_for
 from repro.core.types import Decision, Fact, Message, Observation, Subgoal
 from repro.envs.base import Environment, ExecutionOutcome
@@ -77,7 +77,6 @@ class PerceptionBundle:
     memory_facts: list[Fact]
     action_records: list[ActionRecord]
     dialogue: list[Message]
-    retrieved: RetrievedMemory | None = None
 
 
 @dataclass
@@ -239,7 +238,6 @@ class EmbodiedAgent:
                 memory_facts=retrieved.facts,
                 action_records=retrieved.action_records,
                 dialogue=retrieved.dialogue,
-                retrieved=retrieved,
             )
         # Freshly sensed facts carry this step's provenance and so always
         # win their slots against the static base.

@@ -7,14 +7,28 @@ truth).  A belief slot is a ``(subject, relation)`` pair holding the most
 recently learned value; contradicting facts overwrite older ones, and
 stale beliefs — slots whose value no longer matches the world — are the
 mechanism behind the paper's memory-inconsistency observations.
+
+Message deliveries merge slot by slot: a :class:`DeliveryIndex` groups
+one delivery flush's facts by slot once, and every receiver merges from
+that shared index (:meth:`Beliefs.merge_index`, and the memory module's
+commit) instead of walking its own copy of the fact stream.  Per slot,
+the arrival with the highest step wins and a later arrival wins a tie —
+the rule :meth:`Beliefs.update` applies fact by fact — so the result is
+the same.  Slot order inside a ``Beliefs`` is not part of its contract:
+every reader looks slots up by key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.types import Fact
+from repro.core.types import Fact, Message
+
+#: One run of a :class:`DeliveryIndex` slot: consecutive arrivals of one
+#: ``Fact`` object, whether they are payload (``True``) or intent facts,
+#: and the ascending indices of the messages that carried them.
+Run = tuple[Fact, bool, list[int]]
 
 
 @dataclass
@@ -53,35 +67,40 @@ class Beliefs:
                 slots[key] = fact
         return novel
 
-    def update_batch(self, chunks: Iterable[Iterable[Fact]]) -> list[int]:
-        """Merge several fact chunks in order; returns per-chunk novelty.
+    def merge_index(
+        self, index: "DeliveryIndex", addressed: Sequence[bool], useful: list[bool]
+    ) -> None:
+        """Merge the flush arrivals addressed to this receiver, slot by slot.
 
-        The delivery bus (:mod:`repro.core.bus`) concatenates one step's
-        staged message payloads into a single fact stream per receiver and
-        merges it in delivery order.  Each chunk is counted exactly as a
-        separate :meth:`update` call would have counted it — a chunk's
-        facts see every earlier chunk already merged — so batched and
-        per-delivery novelty (the paper's message-usefulness metric) agree
-        fact for fact.  The win is purely host-side: one call and one
-        bound slot table instead of one dict walk per delivery.
+        Equals :meth:`update` applied to each addressed message in
+        delivery order — its payload, then its intent facts — with one
+        step per run instead of one per arrival: inside a run every
+        arrival after the first addressed one re-merges the object the
+        slot already holds (or loses to the same newer fact again).
+        ``useful[i]`` is set when message ``i``'s payload merged a novel
+        fact; intent facts merge but never count toward novelty.
         """
         slots = self._slots
         get = slots.get
-        counts: list[int] = []
-        for chunk in chunks:
-            novel = 0
-            for fact in chunk:
-                key = (fact.subject, fact.relation)
-                existing = get(key)
-                if existing is None:
-                    novel += 1
-                    slots[key] = fact
-                elif fact.step >= existing.step:
-                    if existing.value != fact.value:
-                        novel += 1
-                    slots[key] = fact
-            counts.append(novel)
-        return counts
+        for key, runs in index.slots.items():
+            existing = get(key)
+            merged = existing
+            for fact, payload, carriers in runs:
+                for carrier in carriers:
+                    if addressed[carrier]:
+                        break
+                else:
+                    continue
+                if merged is None:
+                    if payload:
+                        useful[carrier] = True
+                    merged = fact
+                elif fact.step >= merged.step:
+                    if payload and merged.value != fact.value:
+                        useful[carrier] = True
+                    merged = fact
+            if merged is not existing:
+                slots[key] = merged
 
     def overwrite(self, facts: Iterable[Fact]) -> None:
         """Bulk-merge facts that are guaranteed to win their slots.
@@ -119,18 +138,12 @@ class Beliefs:
             out.append(fact.value if fact is not None else None)
         return tuple(out)
 
-    def fact(self, subject: str, relation: str) -> Fact | None:
-        return self._slots.get((subject, relation))
-
     def forget(self, subject: str, relation: str) -> bool:
         """Drop a slot (reflection's belief repair).  True if it existed."""
         return self._slots.pop((subject, relation), None) is not None
 
     def facts(self) -> list[Fact]:
         return list(self._slots.values())
-
-    def subjects(self) -> set[str]:
-        return {subject for subject, _relation in self._slots}
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -143,3 +156,72 @@ class Beliefs:
 
     def copy(self) -> "Beliefs":
         return Beliefs(dict(self._slots))
+
+
+class DeliveryIndex:
+    """One delivery flush's message facts, grouped by belief slot.
+
+    Built once per flush, in delivery order: each message's payload facts,
+    then its intent facts.  ``slots`` maps each ``(subject, relation)``
+    slot to its :data:`Run` list.  A run breaks on object identity, not
+    equality, so equal but distinct facts form separate runs and no
+    result depends on which copy a sender shared.  ``step_counts[i]`` is
+    message ``i``'s ``{fact step: count}`` histogram over its payload,
+    repeats included.
+
+    ``intents[i]`` holds message ``i``'s intent facts (none by default):
+    receivers merge them into beliefs for conflict avoidance, but memory
+    never stores them and they never count toward novelty.
+    """
+
+    __slots__ = ("messages", "slots", "step_counts")
+
+    def __init__(
+        self,
+        messages: Sequence[Message],
+        intents: Sequence[Sequence[Fact]] | None = None,
+    ) -> None:
+        self.messages = messages
+        self.slots: dict[tuple[str, str], list[Run]] = {}
+        self.step_counts: list[dict[int, int]] = []
+        slots = self.slots
+        get = slots.get
+        for index, message in enumerate(messages):
+            payload_facts = message.facts
+            counts: dict[int, int] = {}
+            for fact in payload_facts:
+                counts[fact.step] = counts.get(fact.step, 0) + 1
+            self.step_counts.append(counts)
+            intent_facts = intents[index] if intents is not None else ()
+            for facts, payload in ((payload_facts, True), (intent_facts, False)):
+                for fact in facts:
+                    key = (fact.subject, fact.relation)
+                    runs = get(key)
+                    if runs is None:
+                        slots[key] = [(fact, payload, [index])]
+                        continue
+                    last, last_payload, carriers = runs[-1]
+                    if last is not fact or last_payload is not payload:
+                        runs.append((fact, payload, [index]))
+                    elif carriers[-1] != index:
+                        carriers.append(index)
+
+    def newest(self, addressed: Sequence[bool]) -> Iterator[tuple[tuple[str, str], Fact]]:
+        """Each slot's batch winner among the addressed payload arrivals.
+
+        The winner is the arrival with the highest step, a later arrival
+        winning a tie: what :meth:`Beliefs.update`'s rule leaves after
+        merging those arrivals in order.  Intent runs never take part.
+        Yields ``(slot, fact)`` for every slot with an addressed payload.
+        """
+        for key, runs in self.slots.items():
+            winner = None
+            for fact, payload, carriers in runs:
+                if not payload or (winner is not None and fact.step < winner.step):
+                    continue
+                for carrier in carriers:
+                    if addressed[carrier]:
+                        winner = fact
+                        break
+            if winner is not None:
+                yield key, winner

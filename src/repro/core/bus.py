@@ -8,14 +8,19 @@ phase without changing what any reader observes:
   step dialogue — later composes must still see it in their prompts — and
   charges the modeled ``store_dialogue`` latency on the virtual clock
   right away.  No belief or memory-index work happens yet.
-- **flush** (once per phase, before anything reads beliefs again) gives
-  each receiver *one* batched belief merge over its concatenated delivery
-  stream (:meth:`repro.core.beliefs.Beliefs.update_batch`, in delivery
-  order, so per-message novelty — the paper's usefulness metric — is
-  counted identically) and *one* batched dialogue-memory commit
+- **flush** (once per phase, before anything reads beliefs again)
+  indexes the staged messages once, by belief slot
+  (:class:`repro.core.beliefs.DeliveryIndex`), and marks which of them
+  each receiver was sent.  Every receiver then merges from that shared
+  index slot by slot: its beliefs
+  (:meth:`repro.core.beliefs.Beliefs.merge_index`, which also flags the
+  messages whose payload was novel — the paper's usefulness metric) and
+  its dialogue memory
   (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`).
-  Message-usefulness counters are then recorded per staged message, in
-  send order.
+  Per receiver the work follows the flush's slots and messages, not its
+  fact arrivals; the result equals merging each addressed message in
+  delivery order.  Message-usefulness counters are then recorded per
+  staged message, in send order.
 
 Safe deferral rests on a property of the step pipeline: between a
 delivery and the end of its phase, the only delivery-derived state anyone
@@ -29,8 +34,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.beliefs import DeliveryIndex
 from repro.core.modules.communication import CommunicationModule
-from repro.core.types import Message
+from repro.core.types import Fact, Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.agent import EmbodiedAgent, PerceptionBundle
@@ -73,42 +79,53 @@ class DeliveryBus:
         self.staged_deliveries += len(message.recipients)
 
     def flush(self, bundles: "dict[str, PerceptionBundle]") -> None:
-        """Apply every staged delivery: one batched merge per receiver.
+        """Apply every staged delivery from one shared index.
 
-        Per receiver, the staged messages addressed to it are merged in
-        delivery order — payload facts then intent facts per message — so
-        each payload's novelty is counted against the beliefs its earlier
-        deliveries left.  Intent announcements ("I will fetch box_3") are
-        merged for conflict avoidance but never count toward novelty: the
-        paper's usefulness measure is about task-relevant information
-        transfer.  Usefulness is then recorded per message (summed over
-        its receivers) in send order.
+        The flush indexes its staged messages once
+        (:class:`~repro.core.beliefs.DeliveryIndex`: payload facts, then
+        intent facts, per message in send order).  Each receiver then
+        merges the messages addressed to it slot by slot, so its host work
+        follows the flush's slots and messages, not its fact arrivals:
+        beliefs first (:meth:`~repro.core.beliefs.Beliefs.merge_index`),
+        then memory (:meth:`~repro.core.modules.memory.MemoryModule.commit_staged_messages`).
+        A message is useful when its payload merged a novel fact into some
+        receiver's beliefs.  Intent announcements ("I will fetch box_3")
+        are merged for conflict avoidance but never count toward novelty:
+        the paper's usefulness measure is about task-relevant information
+        transfer.  Usefulness is then recorded per message in send order.
         """
         staged = self._staged
         if not staged:
             return
         self._staged = []
-        intent_chunks = [CommunicationModule.intent_facts(m) for m in staged]
-        novel_totals = [0] * len(staged)
+        index = DeliveryIndex(staged, self._intent_facts(staged))
+        useful = [False] * len(staged)
         for agent in self._agents:
             name = agent.name
-            indices = [
-                index
-                for index, message in enumerate(staged)
-                if name in message.recipients
-            ]
-            if not indices:
+            addressed = [name in message.recipients for message in staged]
+            if True not in addressed:
                 continue
-            chunks: list = []
-            for index in indices:
-                chunks.append(staged[index].facts)
-                chunks.append(intent_chunks[index])
-            counts = bundles[name].beliefs.update_batch(chunks)
-            for position, index in enumerate(indices):
-                # Even positions are payload chunks; intent merges (odd
-                # positions) never count toward novelty.
-                novel_totals[index] += counts[2 * position]
+            bundles[name].beliefs.merge_index(index, addressed, useful)
             if agent.memory is not None:
-                agent.memory.commit_staged_messages()
-        for novel_total in novel_totals:
-            self._metrics.record_message(useful=novel_total > 0)
+                agent.memory.commit_staged_messages(index, addressed)
+        for flag in useful:
+            self._metrics.record_message(useful=flag)
+
+    @staticmethod
+    def _intent_facts(staged: list[Message]) -> list[list[Fact]]:
+        """Each staged message's intent facts, built once per sender intent.
+
+        A sender's dialogue rounds repeat one ``(sender, target, step)``
+        intent, so its messages share one fact object and their arrivals
+        collapse into one run of the index.
+        """
+        built: dict[tuple[str, str, int], list[Fact]] = {}
+        chunks = []
+        for message in staged:
+            intent = message.intent
+            key = (message.sender, intent.target if intent is not None else "", message.step)
+            facts = built.get(key)
+            if facts is None:
+                facts = built[key] = CommunicationModule.intent_facts(message)
+            chunks.append(facts)
+        return chunks

@@ -20,18 +20,22 @@ that keeps no-reflection agents from looping forever.
 Indexed retrieval: the *modeled* retrieval latency is ``base +
 per_entry × scanned`` over the in-window entry count (Fig. 5), but the
 *host* cost of producing a retrieval does not re-scan the whole episode
-history every step.  Observations keep a per-slot history index (newest
-entry per ``(subject, relation)``, insertion-ordered within equal steps)
-and a per-step count table, so newest-wins resolution is O(#slots) and the
-scanned-entry count is O(1) amortized; action and dialogue stores append
-in non-decreasing step order, so their retention windows are bisected, not
-filtered.  Confused retrievals (and any out-of-order access the guards
-detect) take the linear scan instead, which produces the same retrieval.
+history every step.  Observations keep a newest-per-slot map (the stored
+fact with the highest step per ``(subject, relation)``, the later arrival
+winning a tie) and a per-step count table, so newest-wins resolution is
+O(#slots) and the scanned-entry count is O(1) amortized; action and
+dialogue stores append in non-decreasing step order, so their retention
+windows are bisected, not filtered.  Confused retrievals (and any
+out-of-order access the guards detect) take the linear scan instead,
+which produces the same retrieval.
 
 Step-batched deliveries (:mod:`repro.core.bus`): a message's modeled store
 latency is charged at :meth:`stage_message` time while its dialogue and
-observation writes wait for one :meth:`commit_staged_messages` per step.
-Read paths refuse to serve while deliveries are staged.
+observation writes wait for one :meth:`commit_staged_messages` per flush.
+The commit merges slot by slot from the flush's shared
+:class:`~repro.core.beliefs.DeliveryIndex`: each slot's batch winner
+against the stored newest fact, and each message's step histogram into
+the count table.  Read paths refuse to serve while deliveries are staged.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import Sequence
 
-from repro.core.beliefs import Beliefs
+from repro.core.beliefs import Beliefs, DeliveryIndex
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
 from repro.core.types import Fact, Message, Subgoal, memoized
@@ -58,8 +62,6 @@ STORE_SECONDS = 0.006
 CONFUSION_ONSET_STEPS = 40
 CONFUSION_PROB_PER_STEP = 0.035
 CONFUSION_PROB_CAP = 0.5
-
-_FACT_STEP = attrgetter("step")
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,11 @@ class MemoryModule:
         self._observations: list[Fact] = []
         self._actions: list[ActionRecord] = []
         self._dialogue: list[Message] = []
-        #: Per-slot observation history, each list sorted by fact step with
-        #: ties in insertion order — the last entry is the newest-wins
-        #: resolution candidate for its slot.
-        self._slot_history: dict[tuple[str, str], list[Fact]] = {}
-        #: The history's keys kept in sorted order (maintained by insort
-        #: on first sight, removal on :meth:`forget`), so newest-wins
+        #: Newest stored fact per slot: the highest step, the later
+        #: arrival winning a tie — the newest-wins resolution candidate.
+        self._newest: dict[tuple[str, str], Fact] = {}
+        #: The map's keys kept in sorted order (maintained by insort on
+        #: first sight, removal on :meth:`forget`), so newest-wins
         #: resolution emits its sorted output without a per-retrieve sort.
         self._sorted_slot_keys: list[tuple[str, str]] = []
         #: #observations per fact step, for O(1) window-size accounting.
@@ -173,61 +174,77 @@ class MemoryModule:
         self._staged_messages.append(message)
         self._charge(STORE_SECONDS, "store_dialogue")
 
-    def commit_staged_messages(self) -> None:
-        """Apply all staged message writes in delivery order, in one pass.
+    def commit_staged_messages(
+        self,
+        index: DeliveryIndex | None = None,
+        addressed: Sequence[bool] | None = None,
+    ) -> None:
+        """Apply the staged message writes of one delivery flush.
 
-        The dialogue log, the observation store, and the retrieval indices
-        grow in delivery order; the latency was charged at stage time.
+        ``index`` is the flush's shared index and ``addressed`` marks the
+        messages staged here (:meth:`repro.core.bus.DeliveryBus.flush`
+        passes both); without them the commit indexes its own staged
+        messages, all addressed to itself.  The dialogue log and the
+        observation store grow per message, in delivery order.  The
+        newest-per-slot map merges each slot's batch winner
+        (:meth:`~repro.core.beliefs.DeliveryIndex.newest`) against the
+        stored newest fact, and the count table adds each addressed
+        message's step histogram.  The latency was charged at stage
+        time.
         """
         staged = self._staged_messages
         if not staged:
             return
         self._staged_messages = []
+        if index is None:
+            index = DeliveryIndex(staged)
+            addressed = [True] * len(staged)
         observations = self._observations
         dialogue = self._dialogue
         dialogue_steps = self._dialogue_steps
-        for message in staged:
+        step_counts = self._obs_step_counts
+        evict_start = self._evict_start
+        evicted = 0
+        for message, counts, hit in zip(index.messages, index.step_counts, addressed):
+            if not hit:
+                continue
             dialogue.append(message)
             observations.extend(message.facts)
             if dialogue_steps and message.step < dialogue_steps[-1]:
                 self._steps_sorted = False
             dialogue_steps.append(message.step)
-            self._index_facts(message.facts)
+            for step, count in counts.items():
+                step_counts[step] += count
+                if step < evict_start:
+                    evicted += count
+        if evicted:
+            self._evicted_obs += evicted
+        for key, winner in index.newest(addressed):
+            self._keep_newest(key, winner)
 
-    def _index_facts(self, facts) -> None:
-        """Index a batch of facts with the table lookups bound once.
-
-        Fact batches arrive one frame (or one message payload) at a time,
-        so binding the index tables per batch instead of per fact removes
-        most of the attribute traffic of the per-fact form.
-        """
+    def _index_facts(self, facts: tuple[Fact, ...]) -> None:
+        """Index one observation frame."""
         step_counts = self._obs_step_counts
         evict_start = self._evict_start
-        history = self._slot_history
-        get = history.get
-        sorted_keys = self._sorted_slot_keys
         evicted = 0
         for fact in facts:
             step = fact.step
             step_counts[step] += 1
             if step < evict_start:
                 evicted += 1
-            key = (fact.subject, fact.relation)
-            entries = get(key)
-            if entries is None:
-                history[key] = [fact]
-                insort(sorted_keys, key)
-            elif step >= entries[-1].step:
-                # The common case: first-hand observations arrive in step
-                # order.
-                entries.append(fact)
-            else:
-                # Message facts can carry older provenance; keep the list
-                # sorted by step with ties in insertion order (insort-right
-                # matches the stable sort of the linear scan).
-                insort(entries, fact, key=_FACT_STEP)
+            self._keep_newest((fact.subject, fact.relation), fact)
         if evicted:
             self._evicted_obs += evicted
+
+    def _keep_newest(self, key: tuple[str, str], fact: Fact) -> None:
+        """Make ``fact`` its slot's newest unless a higher step is stored
+        (the later of equal steps wins, as in the linear scan)."""
+        stored = self._newest.get(key)
+        if stored is None:
+            insort(self._sorted_slot_keys, key)
+        elif fact.step < stored.step:
+            return
+        self._newest[key] = fact
 
     # ------------------------------------------------------------------ #
     # Retrieval
@@ -326,20 +343,20 @@ class MemoryModule:
         return len(self._observations) - below
 
     def _resolve_from_index(self, start: int) -> list[Fact]:
-        """Newest-wins resolution straight from the slot-history index.
+        """Newest-wins resolution straight from the newest-per-slot map.
 
         A slot's newest fact overall is also its newest *in-window* fact
         whenever it is in the window at all (the window is a suffix of the
-        step axis), so resolution never touches older entries.  Walking
-        the sorted key mirror emits the facts already in the linear
-        scan's ``(subject, relation)`` output order (slot keys are
-        unique, so sortedness alone pins the order).
+        step axis), so the map needs no older entries.  Walking the
+        sorted key mirror emits the facts already in the linear scan's
+        ``(subject, relation)`` output order (slot keys are unique, so
+        sortedness alone pins the order).
         """
-        history = self._slot_history
+        newest = self._newest
         resolved = []
         append = resolved.append
         for key in self._sorted_slot_keys:
-            fact = history[key][-1]
+            fact = newest[key]
             if fact.step >= start:
                 append(fact)
         return resolved
@@ -407,7 +424,7 @@ class MemoryModule:
                 self._obs_step_counts[fact.step] -= 1
                 if fact.step < self._evict_start:
                     self._evicted_obs -= 1
-        if self._slot_history.pop(key, None) is not None:
+        if self._newest.pop(key, None) is not None:
             index = bisect_left(self._sorted_slot_keys, key)
             del self._sorted_slot_keys[index]
         self._observations = [

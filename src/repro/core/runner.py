@@ -16,9 +16,9 @@ and hands the serving mode to its scheduler.
 The per-step pipeline a built loop drives is *delivery-staged*: perceive
 all agents, stage every composed message on the step's
 :class:`~repro.core.bus.DeliveryBus` (prompt-visible immediately, modeled
-latency charged in place), flush the bus — one batched belief merge and
-one batched dialogue-memory commit per receiver — then plan, execute,
-and reflect.
+latency charged in place), flush the bus — index the staged messages
+once, then merge each receiver's beliefs and dialogue memory from that
+index slot by slot — then plan, execute, and reflect.
 
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by

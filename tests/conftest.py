@@ -4,11 +4,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.envs import make_env, make_task
+
+#: Hypothesis profiles.  ``repro`` (every run's default) draws the same
+#: examples each time and keeps no example database, so a failure always
+#: replays; tests keep their own ``max_examples``.  ``deep`` draws ten
+#: times the default count of fresh random examples for a local soak:
+#: ``pytest --hypothesis-profile=deep`` (a failure prints its
+#: ``@reproduce_failure`` blob).
+settings.register_profile("repro", derandomize=True, database=None)
+settings.register_profile(
+    "deep", max_examples=1000, derandomize=False, database=None, print_blob=True
+)
+
+
+def pytest_configure(config) -> None:
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -47,20 +47,11 @@ class TestAccessors:
     def test_value_missing_is_none(self):
         assert Beliefs().value("ghost", "located_in") is None
 
-    def test_fact_returns_fact(self):
-        beliefs = Beliefs.from_facts([fact()])
-        stored = beliefs.fact("mug", "located_in")
-        assert stored is not None and stored.value == "kitchen"
-
     def test_forget(self):
         beliefs = Beliefs.from_facts([fact()])
         assert beliefs.forget("mug", "located_in") is True
         assert beliefs.value("mug", "located_in") is None
         assert beliefs.forget("mug", "located_in") is False
-
-    def test_subjects(self):
-        beliefs = Beliefs.from_facts([fact(), fact(subject="book")])
-        assert beliefs.subjects() == {"mug", "book"}
 
     def test_contains(self):
         beliefs = Beliefs.from_facts([fact()])

@@ -1,7 +1,7 @@
 """Tests for the virtual clock and latency attribution."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import LLM_MODULES, MODULE_ORDER, ModuleName, SimClock
@@ -164,6 +164,119 @@ class TestParallel:
             with clock.parallel():
                 clock.advance(3.0, ModuleName.EXECUTION)
         assert clock.now == pytest.approx(3.0)
+
+
+durations = st.floats(min_value=0.0, max_value=50.0)
+phases = st.sampled_from(("", "a", "b"))
+modules = st.sampled_from(MODULE_ORDER)
+#: Absolute completion times land before, at and after the clock's now.
+completions = st.floats(min_value=0.0, max_value=400.0)
+#: Anchors: stale ones past now, and small or negative ones that clamp.
+anchors = st.floats(-5.0, 5.0) | st.floats(0.0, 400.0)
+charges = st.tuples(st.just("advance"), durations, modules, phases) | st.tuples(
+    st.just("settle"), completions, durations, modules, phases
+)
+#: Inside any scope: charges, nested parallel scopes, and overlapped()
+#: attempts, which must raise.
+scoped_ops = st.recursive(
+    charges | st.tuples(st.just("nested_overlapped"), anchors),
+    lambda inner: st.tuples(st.just("parallel"), st.lists(inner, max_size=4)),
+    max_leaves=6,
+)
+top_level_ops = st.one_of(
+    charges,
+    st.tuples(st.just("wait"), durations),
+    st.tuples(st.just("parallel"), st.lists(scoped_ops, max_size=4)),
+    st.tuples(st.just("overlapped"), anchors, st.lists(scoped_ops, max_size=4)),
+)
+
+
+def _leaf_charges(ops):
+    """The advance/settle charges of a scope body, in charge order."""
+    for op in ops:
+        if op[0] in ("advance", "settle"):
+            yield op
+        elif op[0] == "parallel":
+            yield from _leaf_charges(op[1])
+
+
+def _charge_end(op, base: float) -> float:
+    """Where one charge ends when its scope measures from ``base``."""
+    if op[0] == "advance":
+        return base + op[1]
+    return op[1]  # settle: its absolute completion
+
+
+def _body(op) -> list:
+    """A top-level op's charge-bearing body (the op itself if unscoped)."""
+    if op[0] == "parallel":
+        return op[1]
+    if op[0] == "overlapped":
+        return op[2]
+    return [op]
+
+
+def _expected_end(op, now: float) -> float:
+    """The reference model: where ``now`` lands after one top-level op."""
+    kind = op[0]
+    if kind in ("advance", "wait"):
+        return now + op[1]
+    if kind == "settle":
+        return max(now, op[1])
+    # A parallel scope measures from entry; an overlapped one from its
+    # anchor clamped into [0, now].  Either ends at its latest charge end,
+    # never before it began.
+    base = now if kind == "parallel" else min(now, max(0.0, op[1]))
+    return max([now] + [_charge_end(leaf, base) for leaf in _leaf_charges(_body(op))])
+
+
+def _run(clock: SimClock, op) -> None:
+    kind = op[0]
+    if kind == "advance":
+        clock.advance(op[1], op[2], phase=op[3])
+    elif kind == "settle":
+        clock.settle(op[1], op[2], op[3], phase=op[4])
+    elif kind == "wait":
+        clock.wait(op[1])
+    elif kind == "parallel":
+        with clock.parallel():
+            for inner in op[1]:
+                _run(clock, inner)
+    elif kind == "nested_overlapped":
+        with pytest.raises(ValueError):
+            clock.overlapped(op[1])
+    else:
+        with clock.overlapped(op[1]):
+            for inner in op[2]:
+                _run(clock, inner)
+
+
+class TestNestingProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(program=st.lists(top_level_ops, max_size=8))
+    # A negative anchor clamps to 0, not below it.
+    @example(program=[("overlapped", -3.0, [("advance", 2.0, ModuleName.SENSING, "")])])
+    def test_scopes_match_reference_model(self, program):
+        """Random advance/settle programs in nested parallel() scopes and
+        top-level overlapped() scopes against a reference model: scope
+        ends, monotone ``now``, and totals summed in charge order."""
+        clock = SimClock()
+        module_totals: dict = {}
+        phase_totals: dict = {}
+        for op in program:
+            before = clock.now
+            expected = _expected_end(op, before)
+            _run(clock, op)
+            assert clock.now == expected
+            assert clock.now >= before
+            for leaf in _leaf_charges(_body(op)):
+                duration = leaf[1] if leaf[0] == "advance" else leaf[2]
+                module, phase = leaf[-2], leaf[-1]
+                module_totals[module] = module_totals.get(module, 0.0) + duration
+                key = (module, phase)
+                phase_totals[key] = phase_totals.get(key, 0.0) + duration
+        assert clock.elapsed_by_module() == module_totals
+        assert clock.elapsed_by_phase() == phase_totals
 
 
 class TestReset:

@@ -2,8 +2,9 @@
 
 The episode-level behaviour of the bus is pinned by the committed
 goldens (tests/core/test_goldens.py); these tests pin the component
-contracts it rests on: batched belief merges count novelty exactly like
-sequential updates, one batched commit leaves the same state as
+contracts it rests on: a flush merged slot by slot from one shared index
+equals sequential per-receiver delivery (usefulness, beliefs, memory
+retrieval and modeled time), one batched commit leaves the same state as
 per-message commits, read paths refuse to serve uncommitted staging, the
 detector leaves the rng stream where the seed detector left it, and the
 sensing/position staging caches invalidate when the world moves.
@@ -11,15 +12,22 @@ sensing/position staging caches invalidate when the world moves.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.beliefs import Beliefs
+from repro.core.agent import AgentState, EmbodiedAgent, PerceptionBundle
+from repro.core.beliefs import Beliefs, DeliveryIndex
+from repro.core.bus import DeliveryBus
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
+from repro.core.modules.communication import CommunicationModule
 from repro.core.modules.memory import MemoryModule
-from repro.core.types import Fact, Message, TaskSpec
+from repro.core.types import Fact, Message, Subgoal, TaskSpec
 from repro.envs.tasks import make_task
 from repro.envs.transport import TransportEnv
 from repro.perception.detector import detect
@@ -33,29 +41,372 @@ def _facts(step: int, n: int, salt: str = "") -> tuple[Fact, ...]:
     )
 
 
-class TestUpdateBatch:
-    def test_matches_sequential_updates(self):
-        """Chunked merging counts novelty exactly like per-chunk update()."""
-        chunks = [
-            _facts(3, 4),
-            _facts(2, 3, salt="x"),
-            _facts(3, 4),  # repeat: nothing novel the second time
-            _facts(5, 2),  # fresher provenance over the same slots
-            (),
+# ---------------------------------------------------------------------- #
+# Shared-index flush vs per-receiver sequential delivery
+# ---------------------------------------------------------------------- #
+
+
+@dataclass
+class FlushScenario:
+    """A team, its starting state, and a sequence of delivery flushes."""
+
+    names: tuple[str, ...]
+    #: ``(capacity_steps, dual)`` per agent with memory; absent = no memory.
+    memory: dict[str, tuple[int, bool]]
+    beliefs: dict[str, list[Fact]]
+    #: Observation frames stored before the first flush (memory agents).
+    observations: dict[str, list[tuple[Fact, ...]]]
+    #: Step of the retrieval that precedes the first flush; it moves each
+    #: memory's eviction accumulator, so later commits must count facts
+    #: below the window start.
+    first_step: int
+    #: ``(step, messages)`` per flush; each flush ends with a retrieval at
+    #: ``step`` on every memory.
+    flushes: list[tuple[int, list[Message]]]
+
+
+class _Agent:
+    """The slice of :class:`EmbodiedAgent` the bus drives."""
+
+    stage_message = EmbodiedAgent.stage_message
+
+    def __init__(self, name: str, memory: MemoryModule | None) -> None:
+        self.name = name
+        self.memory = memory
+        self.state = AgentState()
+
+
+class _Recorder:
+    """Records ``record_message`` flags in call order."""
+
+    def __init__(self) -> None:
+        self.flags: list[bool] = []
+
+    def record_message(self, useful: bool) -> None:
+        self.flags.append(useful)
+
+
+def _team(scenario: FlushScenario, linear: bool):
+    """Agents and bundles on one shared clock; ``linear`` pins every
+    memory to the linear retrieval path (the oracle's)."""
+    clock = SimClock()
+    agents, bundles = [], {}
+    for position, name in enumerate(scenario.names):
+        memory = None
+        if name in scenario.memory:
+            capacity, dual = scenario.memory[name]
+            context = ModuleContext(
+                agent=name,
+                clock=clock,
+                metrics=MetricsCollector(workload="test", horizon=100),
+                rng=np.random.default_rng(position),
+            )
+            static = [Fact("wall", "located_in", "hall", step=0)]
+            memory = MemoryModule(context, capacity, static, dual=dual)
+            if linear:
+                memory._steps_sorted = False  # what an out-of-order store sets
+            for frame in scenario.observations.get(name, []):
+                memory.store_observation(frame)
+        agents.append(_Agent(name, memory))
+        bundles[name] = PerceptionBundle(
+            observation=None,
+            current_facts=(),
+            beliefs=Beliefs.from_facts(scenario.beliefs.get(name, [])),
+            memory_facts=[],
+            action_records=[],
+            dialogue=[],
+        )
+    return clock, agents, bundles
+
+
+def _retrievals(agents, step: int) -> list:
+    return [
+        (agent.memory.retrieve(step), agent.memory.dialogue_window(step))
+        for agent in agents
+        if agent.memory is not None
+    ]
+
+
+def _beliefs(bundles) -> dict:
+    return {name: {f.key(): f for f in bundle.beliefs} for name, bundle in bundles.items()}
+
+
+def _via_bus(scenario: FlushScenario):
+    clock, agents, bundles = _team(scenario, linear=False)
+    recorder = _Recorder()
+    bus = DeliveryBus(agents, {agent.name: agent for agent in agents}, recorder)
+    retrievals = [_retrievals(agents, scenario.first_step)]
+    for step, messages in scenario.flushes:
+        for message in messages:
+            bus.stage(message, bundles)
+        bus.flush(bundles)
+        retrievals.append(_retrievals(agents, step))
+    return recorder.flags, _beliefs(bundles), retrievals, clock
+
+
+def _sequential(scenario: FlushScenario):
+    """The oracle: :meth:`Beliefs.update` per addressed message (payload,
+    then intent), per-message memory staging, linear retrieval."""
+    clock, agents, bundles = _team(scenario, linear=True)
+    by_name = {agent.name: agent for agent in agents}
+    flags: list[bool] = []
+    retrievals = [_retrievals(agents, scenario.first_step)]
+    for step, messages in scenario.flushes:
+        for message in messages:
+            for name in message.recipients:
+                by_name[name].stage_message(message, bundles[name])
+        novel = [0] * len(messages)
+        for agent in agents:
+            beliefs = bundles[agent.name].beliefs
+            for position, message in enumerate(messages):
+                if agent.name in message.recipients:
+                    novel[position] += beliefs.update(message.facts)
+                    beliefs.update(CommunicationModule.intent_facts(message))
+            if agent.memory is not None:
+                agent.memory.commit_staged_messages()
+        flags.extend(total > 0 for total in novel)
+        retrievals.append(_retrievals(agents, step))
+    return flags, _beliefs(bundles), retrievals, clock
+
+
+def _check_flush(scenario: FlushScenario) -> list[bool]:
+    """Assert the bus equals the oracle; returns the useful flags."""
+    flags, beliefs, retrievals, clock = _via_bus(scenario)
+    expected_flags, expected_beliefs, expected_retrievals, expected_clock = _sequential(
+        scenario
+    )
+    assert flags == expected_flags
+    assert beliefs == expected_beliefs
+    assert retrievals == expected_retrievals
+    assert clock.elapsed_by_phase() == expected_clock.elapsed_by_phase()
+    assert clock.now == expected_clock.now
+    return flags
+
+
+SUBJECTS = ("box_0", "box_1", "mug")
+#: ``targeted_by`` shares slots with intent facts: the index must not
+#: assume intents and payloads never meet in one slot.
+RELATIONS = ("located_in", "targeted_by")
+VALUES = ("hall", "kitchen", "agent_0", "agent_1")
+
+_pool_facts = st.builds(
+    Fact,
+    subject=st.sampled_from(SUBJECTS),
+    relation=st.sampled_from(RELATIONS),
+    value=st.sampled_from(VALUES),
+    step=st.integers(min_value=0, max_value=4),
+)
+_intents = st.one_of(
+    st.none(),
+    st.just(Subgoal("explore")),
+    st.builds(Subgoal, name=st.just("fetch"), target=st.sampled_from(SUBJECTS)),
+)
+# The strategies below draw indices, resolved modulo the drawn pool and
+# team in ``flush_scenarios``, so no strategy is built per example.
+#: A fact: a shared pool object, a fresh equal copy of one, or (in a
+#: payload) an echo of a fact an earlier speaker of the flush sent — the
+#: same object, as when a teammate passes on what it was told.
+_fact_picks = st.tuples(st.sampled_from(("shared", "copy", "echo")), st.integers(0, 8))
+_agent_picks = st.integers(0, 11)
+_agent_states = st.tuples(
+    st.none() | st.tuples(st.integers(1, 60), st.booleans()),  # memory
+    st.lists(_fact_picks, max_size=3),  # beliefs
+    st.lists(st.lists(_fact_picks, max_size=3), max_size=2),  # observation frames
+)
+_messages = st.tuples(
+    _agent_picks,  # sender
+    # None: the all-but-sender broadcast; else one recipient or a subset.
+    st.none() | _agent_picks.map(lambda pick: [pick]) | st.lists(_agent_picks),
+    st.lists(_fact_picks, max_size=5),
+    _intents,
+)
+#: ``(step gap, dialogue rounds, speakers)`` per flush: every speaker
+#: re-sends its payload tuple and intent each round, as dialogue phases do.
+_flushes = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 3), st.lists(_messages, max_size=4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def flush_scenarios(draw) -> FlushScenario:
+    names = tuple(f"agent_{i}" for i in range(draw(st.integers(2, 12))))
+    # Each drawn fact joins the pool with a conflicting value at its step
+    # and a newer version of itself.
+    pool = []
+    for fact in draw(st.lists(_pool_facts, min_size=1, max_size=3)):
+        other = VALUES[(VALUES.index(fact.value) + 1) % len(VALUES)]
+        pool += [fact, replace(fact, value=other), replace(fact, step=fact.step + 1)]
+
+    def facts(picks, spoken=()) -> tuple[Fact, ...]:
+        out = []
+        for kind, index in picks:
+            if kind == "echo" and spoken:
+                out.append(spoken[index % len(spoken)])
+            elif kind == "copy":
+                out.append(replace(pool[index % len(pool)]))
+            else:
+                out.append(pool[index % len(pool)])
+        return tuple(out)
+
+    def agents(picks) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(names[pick % len(names)] for pick in picks))
+
+    states = {name: draw(_agent_states) for name in names}
+    first_step = draw(st.integers(0, 48))
+    step = first_step
+    flushes = []
+    for gap, rounds, speakers in draw(_flushes):
+        step += gap
+        turns, spoken = [], []
+        for sender_pick, to, picks, intent in speakers:
+            (sender,) = agents([sender_pick])
+            recipients = (
+                tuple(name for name in names if name != sender) if to is None else agents(to)
+            )
+            payload = facts(picks, spoken)
+            spoken.extend(payload)
+            turns.append((sender, recipients, payload, intent))
+        messages = [
+            Message(sender, recipients, step, payload, intent=intent)
+            for _round in range(rounds)
+            for sender, recipients, payload, intent in turns
         ]
-        sequential = Beliefs()
-        expected = [sequential.update(chunk) for chunk in chunks]
-        batched = Beliefs()
-        counts = batched.update_batch(chunks)
-        assert counts == expected
-        assert batched.facts() == sequential.facts()
+        flushes.append((step, messages))
+    return FlushScenario(
+        names=names,
+        memory={name: state[0] for name, state in states.items() if state[0] is not None},
+        beliefs={name: list(facts(state[1])) for name, state in states.items()},
+        observations={name: [facts(frame) for frame in state[2]] for name, state in states.items()},
+        first_step=first_step,
+        flushes=flushes,
+    )
+
+
+def _one_receiver(payloads, preloaded=()) -> FlushScenario:
+    """``agent_1`` sends each payload to ``agent_0`` in one flush."""
+    messages = [
+        Message(sender="agent_1", recipients=("agent_0",), step=9, facts=payload)
+        for payload in payloads
+    ]
+    return FlushScenario(
+        names=("agent_0", "agent_1"),
+        memory={"agent_0": (20, False)},
+        beliefs={"agent_0": list(preloaded)},
+        observations={},
+        first_step=9,
+        flushes=[(9, messages)],
+    )
+
+
+class TestSharedIndexFlush:
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=flush_scenarios())
+    def test_equals_sequential_delivery(self, scenario):
+        """Random teams, recipient sets, payloads and intents: the
+        shared-index flush equals sequential per-message delivery.  The
+        suite's ``repro`` profile derandomizes it and keeps no example
+        database (``tests/conftest.py``)."""
+        _check_flush(scenario)
+
+    def test_matches_sequential_updates(self):
+        """Novelty per message equals per-message update() counts."""
+        flags = _check_flush(
+            _one_receiver(
+                [
+                    _facts(3, 4),
+                    _facts(2, 3, salt="x"),
+                    _facts(3, 4),  # equal copies: nothing novel the second time
+                    _facts(5, 2),  # fresher provenance over the same slots
+                    (),
+                ]
+            )
+        )
+        assert flags == [True, True, False, True, False]
 
     def test_stale_chunk_never_overwrites(self):
+        scenario = _one_receiver([_facts(1, 2)], preloaded=_facts(9, 2))
+        assert _check_flush(scenario) == [False]
+        _flags, beliefs, _retrievals, _clock = _via_bus(scenario)
+        assert all(fact.step == 9 for fact in beliefs["agent_0"].values())
+
+    def test_run_opened_by_own_message(self):
+        """Both agents broadcast one shared fact: each receiver's run
+        starts with its own, unaddressed message, so the merge must take
+        the run's first *addressed* arrival."""
+        shared = Fact("box_0", "located_in", "hall", step=3)
+        messages = [
+            Message(sender, (other,), 5, facts=(shared,))
+            for sender, other in (("agent_0", "agent_1"), ("agent_1", "agent_0"))
+        ]
+        scenario = FlushScenario(
+            names=("agent_0", "agent_1"),
+            memory={"agent_0": (20, False), "agent_1": (20, False)},
+            beliefs={},
+            observations={},
+            first_step=5,
+            flushes=[(5, messages)],
+        )
+        assert _check_flush(scenario) == [True, True]
+        _flags, _beliefs, retrievals, _clock = _via_bus(scenario)
+        for retrieved, _dialogue in retrievals[-1]:
+            assert shared in retrieved.facts
+
+    def test_repeated_arrivals_collapse_into_runs(self):
+        """Dialogue rounds re-send one payload tuple and one intent; the
+        index keeps one run per slot and object, not one per arrival."""
+        payload = _facts(4, 2)
+        messages = [
+            Message(
+                sender="agent_0",
+                recipients=("agent_1",),
+                step=4,
+                facts=payload,
+                intent=Subgoal("fetch", target="box_0"),
+            )
+            for _round in range(3)
+        ]
+        index = DeliveryIndex(messages, DeliveryBus._intent_facts(messages))
+        assert [len(runs) for runs in index.slots.values()] == [1, 1, 1]
+        assert [runs[0][2] for runs in index.slots.values()] == [[0, 1, 2]] * 3
+        assert index.step_counts == [{4: 2}] * 3
+
+    def test_intents_keep_their_step(self):
+        """One sender's intents at two steps in one flush stay two facts."""
+        messages = [
+            Message("agent_1", ("agent_0",), step, intent=Subgoal("fetch", target="box_0"))
+            for step in (3, 4)
+        ]
+        scenario = FlushScenario(
+            names=("agent_0", "agent_1"),
+            memory={},
+            beliefs={},
+            observations={},
+            first_step=4,
+            flushes=[(4, messages)],
+        )
+        _check_flush(scenario)
+        _flags, beliefs, _retrievals, _clock = _via_bus(scenario)
+        assert beliefs["agent_0"][("box_0", "targeted_by")].step == 4
+
+    def test_intent_and_payload_runs_stay_apart(self):
+        """One object arriving first as an intent, then as a payload, forms
+        two runs: the payload arrival alone still counts as novel and is
+        the slot's batch winner for memory."""
+        shared = Fact("box_0", "targeted_by", "agent_1", step=4)
+        messages = [
+            Message("agent_1", ("agent_2",), 4),
+            Message("agent_1", ("agent_0",), 4, facts=(shared,)),
+        ]
+        index = DeliveryIndex(messages, [[shared], []])
+        addressed = [False, True]
+        useful = [False, False]
         beliefs = Beliefs()
-        beliefs.update(_facts(9, 2))
-        counts = beliefs.update_batch([_facts(1, 2)])
-        assert counts == [0]
-        assert all(fact.step == 9 for fact in beliefs.facts())
+        beliefs.merge_index(index, addressed, useful)
+        assert useful == [False, True]
+        assert beliefs.value("box_0", "targeted_by") == "agent_1"
+        assert list(index.newest(addressed)) == [(shared.key(), shared)]
 
 
 def _memory(capacity: int = 20) -> MemoryModule:

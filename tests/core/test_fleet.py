@@ -486,5 +486,5 @@ class LedgerMachine(RuleBasedStateMachine):
 
 TestLedgerStateMachine = LedgerMachine.TestCase
 TestLedgerStateMachine.settings = settings(
-    max_examples=40, stateful_step_count=25, derandomize=True, deadline=None, database=None
+    max_examples=40, stateful_step_count=25, deadline=None
 )

@@ -176,7 +176,7 @@ def _uncached_count(text: str) -> int:
     return count_tokens.__wrapped__(text)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     observation=st.none() | OBSERVATIONS,
     memory=st.lists(FACTS, max_size=8),

@@ -435,7 +435,7 @@ ARRIVALS = st.lists(
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(arrivals=ARRIVALS, batch_size=st.integers(min_value=1, max_value=4))
 def test_continuous_engine_properties(arrivals, batch_size):
     """Random request streams through one engine, observed per batch.
