@@ -20,8 +20,7 @@ frozen value types (``tokens`` in :mod:`repro.core.types`):
   terminating period;
 - dialogue: each of the last :data:`MAX_DIALOGUE_MESSAGES` messages;
 - candidates: each ``"(i) "`` prefix (two parentheses plus one token per
-  digit) plus its subgoal; cache-stable candidate tuples arrive
-  pretotaled from :func:`repro.envs.candidates.candidate_features`;
+  digit) plus its subgoal;
 - fixed text: ``count_tokens(text)``, whose cache serves static text.
 
 Thread safety: the suite's ``--concurrent-sections`` mode runs episodes
@@ -38,7 +37,6 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.types import Candidate, Fact, Message, Observation
-from repro.envs.candidates import candidate_features
 from repro.llm.tokenizer import count_tokens
 
 #: Most recent dialogue messages a prompt carries (context-limit
@@ -46,6 +44,7 @@ from repro.llm.tokenizer import count_tokens
 MAX_DIALOGUE_MESSAGES = 40
 
 _TOKENS = attrgetter("tokens")
+_SUBGOAL_TOKENS = attrgetter("subgoal.tokens")
 
 
 class PromptSection(NamedTuple):
@@ -174,12 +173,8 @@ class PromptBuilder:
     def candidates(self, candidates: Sequence[Candidate]) -> "PromptBuilder":
         if not candidates:
             return self
-        if isinstance(candidates, tuple):
-            described = candidate_features(candidates).desc_tokens_total
-        else:
-            candidates = tuple(candidates)
-            described = sum(candidate.subgoal.tokens for candidate in candidates)
-        tokens = _index_tokens(len(candidates)) + described
+        candidates = tuple(candidates)
+        tokens = _index_tokens(len(candidates)) + sum(map(_SUBGOAL_TOKENS, candidates))
         return self._add("candidates", tokens, candidates, _render_candidates)
 
     def extra(self, name: str, text: str) -> "PromptBuilder":

@@ -234,8 +234,7 @@ class TestMemoryRetrievalEquivalence:
 class TestPromptEquivalence:
     def test_builder_sections_identical(self):
         """Token arithmetic equals plain tokenization of the rendered
-        text, and tuple inputs (candidate tuples pretotaled through
-        ``candidate_features``) build what list inputs build."""
+        text, and tuple inputs build what list inputs build."""
         from repro.core.types import Candidate, Observation
 
         observation = Observation(

@@ -1,5 +1,8 @@
 """Tests for the decision-quality kernel."""
 
+from bisect import bisect_right
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,15 @@ from hypothesis import strategies as st
 from repro.core.errors import FaultKind
 from repro.core.types import Candidate, Subgoal
 from repro.llm.behavior import (
-    BehaviorKernel,
     COORDINATION_PENALTY,
-    DecisionRequest,
+    DIFFICULTY_FACTORS,
+    FAULT_WEIGHTS,
     MAX_FORMAT_RETRIES,
+    BehaviorKernel,
+    DecisionOutcome,
+    DecisionRequest,
+    _kind_cdf,
+    _Scoreboard,
 )
 
 
@@ -174,14 +182,135 @@ class TestProperties:
         assert a.fault == b.fault
 
 
-class TestScoreboardEquivalence:
-    """The numpy scoreboard reproduces the scalar pools byte for byte.
+def reference_pools(request: DecisionRequest):
+    """The scalar analysis the scoreboard replaced: ``(clean, ties,
+    available)``, walking the candidates once per pool and taking the tie
+    group with ``max`` and the ``1e-9`` tolerance."""
+    candidates = list(request.candidates)
+    clean = [
+        candidate
+        for candidate in candidates
+        if candidate.feasible
+        and candidate.fault is None
+        and candidate.subgoal not in request.blacklist
+    ]
+    pool = clean or candidates
+    best_utility = max(candidate.utility for candidate in pool)
+    ties = [candidate for candidate in pool if candidate.utility >= best_utility - 1e-9]
+    best = ties[0]
+    available: dict[FaultKind, list[Candidate]] = {}
+    suboptimal = [candidate for candidate in clean if candidate.utility < best.utility]
+    if suboptimal:
+        available[FaultKind.SUBOPTIMAL] = suboptimal
+    infeasible = [c for c in candidates if not c.feasible and c.fault is None]
+    if infeasible:
+        available[FaultKind.INFEASIBLE] = infeasible
+    hallucinated = [c for c in candidates if c.fault is FaultKind.HALLUCINATION]
+    if hallucinated:
+        available[FaultKind.HALLUCINATION] = hallucinated
+    repeated = [c for c in candidates if c.subgoal in request.blacklist]
+    if repeated:
+        available[FaultKind.REPEATED] = repeated
+    if request.has_stale_facts:
+        stale = [c for c in candidates if c.fault is FaultKind.STALE_MEMORY]
+        available[FaultKind.STALE_MEMORY] = stale or [best]
+    return clean, ties, available
 
-    The scoreboard path engages only for tuple candidate sequences (the
-    env cache's stable tuples); one-off lists take the scalar helpers.
-    Same seed, same request => identical
-    candidate, fault, retries, and p_correct, across blacklists, stale
-    facts, and fault-rich candidate pools.
+
+def reference_decide(
+    k: BehaviorKernel,
+    request: DecisionRequest,
+    prompt_tokens: int,
+    rng: np.random.Generator,
+) -> DecisionOutcome:
+    """The scalar kernel the scoreboard replaced, kept as its oracle: the
+    pools above, and the fault kind drawn with
+    ``rng.choice(len(kinds), p=weights)``."""
+    retries = 0
+    while retries < MAX_FORMAT_RETRIES and rng.random() > k.format_compliance:
+        retries += 1
+    candidates = list(request.candidates)
+    clean, ties, available = reference_pools(request)
+    p_correct = k.probability_correct(request, prompt_tokens)
+    p_correct = 1.0 - (1.0 - p_correct) * min(1.0, len(clean) / 4.0)
+
+    def outcome(candidate, fault):
+        return DecisionOutcome(candidate, fault, retries, p_correct)
+
+    def best_choice():
+        if len(ties) == 1:
+            return ties[0]
+        return ties[int(rng.integers(len(ties)))]
+
+    if retries >= MAX_FORMAT_RETRIES:
+        return outcome(candidates[int(rng.integers(len(candidates)))], FaultKind.FORMAT)
+    if rng.random() < p_correct or not available:
+        return outcome(best_choice(), None)
+    kinds = list(available)
+    weights = np.array([FAULT_WEIGHTS[kind] for kind in kinds], dtype=float)
+    weights /= weights.sum()
+    kind = kinds[int(rng.choice(len(kinds), p=weights))]
+    pool = available[kind]
+    return outcome(pool[int(rng.integers(len(pool)))], kind)
+
+
+def assert_matches_reference(k, candidates, prompt_tokens, seed, **kwargs):
+    """On a tuple and on a list, the scoreboard's pools and ``decide``
+    equal the reference: the chosen position, fault, retries,
+    ``p_correct`` and the generator state after the call."""
+
+    def positions(chosen):
+        return [next(i for i, c in enumerate(candidates) if c is pick) for pick in chosen]
+
+    clean, ties, available = reference_pools(
+        DecisionRequest(candidates=list(candidates), **kwargs)
+    )
+    rng = np.random.default_rng(seed)
+    expected = reference_decide(
+        k, DecisionRequest(candidates=list(candidates), **kwargs), prompt_tokens, rng
+    )
+    expected_state = rng.bit_generator.state
+    for sequence in (tuple, list):
+        request = DecisionRequest(candidates=sequence(candidates), **kwargs)
+        board = _Scoreboard(request)
+        assert positions(board.clean) == positions(clean)
+        assert positions(board.ties) == positions(ties)
+        assert [(kind, positions(pool)) for kind, pool in board.fault_pools().items()] == [
+            (kind, positions(pool)) for kind, pool in available.items()
+        ], (sequence, kwargs)
+        rng = np.random.default_rng(seed)
+        got = k.decide(request, prompt_tokens, rng)
+        assert positions([got.candidate]) == positions([expected.candidate]), (sequence, seed)
+        assert got.fault is expected.fault, (sequence, kwargs, seed)
+        assert got.retries == expected.retries
+        assert got.p_correct == expected.p_correct
+        assert rng.bit_generator.state == expected_state
+
+
+#: A small subgoal vocabulary, so repeats and blacklist hits are common.
+VOCABULARY = [
+    Subgoal(name, target) for name in ("fetch", "explore") for target in ("mug", "box", "")
+]
+#: Utilities with neighbours inside and just outside the 1e-9 tie tolerance.
+UTILITIES = (0.0, 0.25, 0.5, 0.5 + 4e-10, 1.0 - 2e-9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10)
+CANDIDATE_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(VOCABULARY),
+        st.sampled_from(UTILITIES),
+        st.booleans(),
+        st.one_of(st.none(), st.sampled_from(FaultKind)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestScoreboardEquivalence:
+    """The scoreboard decides exactly like the scalar reference above.
+
+    One scoreboard serves tuples and lists alike; both must match the
+    reference draw for draw, across blacklists, stale facts, ties inside
+    the tolerance and fault-rich candidate pools.
     """
 
     def _rich_candidates(self):
@@ -192,40 +321,60 @@ class TestScoreboardEquivalence:
             Candidate(subgoal=Subgoal("tied2", target="box_2"), utility=1.0),
         ]
 
-    def _requests(self):
+    def test_scoreboard_matches_scalar_pools(self):
         pool = self._rich_candidates()
         blacklist = frozenset({Subgoal("tied", target="box_1")})
+        k = kernel(reasoning=0.4, compliance=0.9)
         for has_stale in (False, True):
             for bl in (frozenset(), blacklist):
-                yield dict(difficulty="hard", n_joint=3, blacklist=bl,
-                           has_stale_facts=has_stale), pool
+                for seed in range(150):
+                    assert_matches_reference(
+                        k, pool, 2000, seed, difficulty="hard", n_joint=3,
+                        blacklist=bl, has_stale_facts=has_stale,
+                    )
 
-    def test_scoreboard_matches_scalar_pools(self):
-        """Tuple candidates (scoreboard) decide exactly like one-off lists
-        (the scalar helpers)."""
-        for kwargs, pool in self._requests():
-            for seed in range(150):
-                fast = kernel(reasoning=0.4, compliance=0.9).decide(
-                    DecisionRequest(candidates=tuple(pool), **kwargs),
-                    2000,
-                    np.random.default_rng(seed),
-                )
-                slow = kernel(reasoning=0.4, compliance=0.9).decide(
-                    DecisionRequest(candidates=list(pool), **kwargs),
-                    2000,
-                    np.random.default_rng(seed),
-                )
-                assert fast.candidate == slow.candidate, (kwargs, seed)
-                assert fast.fault == slow.fault, (kwargs, seed)
-                assert fast.retries == slow.retries, (kwargs, seed)
-                assert fast.p_correct == slow.p_correct, (kwargs, seed)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        specs=CANDIDATE_SPECS,
+        blacklist=st.frozensets(st.sampled_from(VOCABULARY), max_size=3),
+        has_stale=st.booleans(),
+        n_joint=st.integers(min_value=1, max_value=12),
+        difficulty=st.sampled_from(sorted(DIFFICULTY_FACTORS)),
+        reasoning=st.floats(min_value=0.0, max_value=1.0),
+        compliance=st.sampled_from([1.0, 0.9, 0.5, 0.05]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_requests_match_reference(
+        self, specs, blacklist, has_stale, n_joint, difficulty, reasoning, compliance, seed
+    ):
+        candidates = [
+            Candidate(subgoal=subgoal, utility=utility, feasible=feasible, fault=fault)
+            for subgoal, utility, feasible, fault in specs
+        ]
+        k = kernel(
+            reasoning=reasoning,
+            compliance=compliance,
+            focus=lambda tokens: 1.0 / (1.0 + tokens / 4000.0),
+        )
+        assert_matches_reference(
+            k, candidates, 1500, seed, difficulty=difficulty, n_joint=n_joint,
+            blacklist=blacklist, has_stale_facts=has_stale,
+        )
 
-    def test_scoreboard_actually_engages(self):
-        """Guard against the scoreboard silently disabling itself."""
-        k = kernel(reasoning=0.4, compliance=0.9)
-        pool = tuple(self._rich_candidates())
-        request = DecisionRequest(candidates=pool, difficulty="hard")
-        k.decide(request, 2000, np.random.default_rng(0))
-        assert k._scoreboard(request) is not None
-        one_off = DecisionRequest(candidates=list(pool), difficulty="hard")
-        assert k._scoreboard(one_off) is None
+    def test_kind_table_inverts_rng_choice(self):
+        """Every non-empty kinds subset x 200 seeds: the cumulative-table
+        draw returns what ``rng.choice`` returns and leaves the generator
+        in the same state."""
+        every_kind = tuple(FAULT_WEIGHTS)
+        for size in range(1, len(every_kind) + 1):
+            for kinds in combinations(every_kind, size):
+                weights = np.array([FAULT_WEIGHTS[kind] for kind in kinds], dtype=float)
+                weights /= weights.sum()
+                table = _kind_cdf(kinds)
+                for seed in range(200):
+                    ours = np.random.default_rng(seed)
+                    theirs = np.random.default_rng(seed)
+                    assert bisect_right(table, ours.random()) == int(
+                        theirs.choice(len(kinds), p=weights)
+                    ), (kinds, seed)
+                    assert ours.bit_generator.state == theirs.bit_generator.state

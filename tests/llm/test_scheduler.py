@@ -8,6 +8,7 @@ modeled latency the deleted ``batched_decide`` special case used to
 charge.
 """
 
+import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import ModuleName, SimClock
+from repro.core.errors import FaultKind
 from repro.core.metrics import MetricsCollector
 from repro.core.settings import RunSettings
 from repro.core.types import Candidate, Subgoal
@@ -24,7 +26,7 @@ from repro.llm.behavior import DecisionRequest
 from repro.llm.deployment import DEFAULT_OCCUPANCY_CAP, DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import PromptBuilder
-from repro.llm.requests import InferenceRequest, InferenceResult
+from repro.llm.requests import PURPOSES, REQUEST_KINDS, InferenceRequest, InferenceResult
 from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
 
@@ -510,3 +512,133 @@ class TestBatchedStragglers:
             for result in results
         )
         assert clock.now == pytest.approx(batch_latency + stragglers)
+
+
+#: Serving groups a stream mixes: (module, phase) pairs the loops use.
+STREAM_PHASES = (
+    (ModuleName.PLANNING, "plan"),
+    (ModuleName.PLANNING, "replan"),
+    (ModuleName.COMMUNICATION, "dialogue"),
+    (ModuleName.REFLECTION, "reflect"),
+    (ModuleName.EXECUTION, "act"),
+)
+STREAM_CANDIDATES = [
+    Candidate(subgoal=Subgoal("fetch", target=target), utility=utility, feasible=feasible)
+    for target, utility, feasible in (
+        ("mug", 1.0, True), ("box", 0.6, True), ("key", 1.0, True), ("lamp", 0.2, False),
+    )
+] + [Candidate(subgoal=Subgoal("fetch", target="ghost"), utility=0.0, feasible=False,
+               fault=FaultKind.HALLUCINATION)]
+
+#: One request of a stream, then whether a phase flush follows it.
+STREAM_REQUESTS = st.tuples(
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(REQUEST_KINDS),
+            "purpose": st.sampled_from(PURPOSES),
+            "phase": st.sampled_from(STREAM_PHASES),
+            "agent": st.integers(min_value=0, max_value=3),
+            "step": st.integers(min_value=0, max_value=5),
+            "words": st.integers(min_value=0, max_value=400),
+            "sequential": st.booleans(),
+            "true_outcome": st.booleans(),
+            "output_tokens": st.integers(min_value=1, max_value=300),
+            "candidates": st.lists(
+                st.sampled_from(STREAM_CANDIDATES), min_size=1, max_size=5
+            ),
+            "as_tuple": st.booleans(),
+        }
+    ),
+    st.booleans(),
+)
+
+
+def stream_request(spec: dict) -> InferenceRequest:
+    module, phase = spec["phase"]
+    kind = spec["kind"]
+    candidates = spec["candidates"]
+    return InferenceRequest(
+        kind=kind,
+        purpose=spec["purpose"],
+        prompt=prompt_of(spec["words"]),
+        module=module,
+        phase=phase,
+        agent=f"a{spec['agent']}",
+        step=spec["step"],
+        decision=DecisionRequest(
+            candidates=tuple(candidates) if spec["as_tuple"] else list(candidates),
+            difficulty="hard",
+        )
+        if kind == "decision"
+        else None,
+        true_outcome=spec["true_outcome"],
+        output_tokens=spec["output_tokens"] if kind == "completion" else None,
+        sequential=spec["sequential"],
+    )
+
+
+def serve_stream(mode: str, stream, seed: int):
+    """Serve ``stream`` under ``mode``; returns (per-request outcomes, metrics)."""
+    clock = SimClock()
+    metrics = MetricsCollector(workload="stream", horizon=10)
+    scheduler = InferenceScheduler(clock, metrics, mode=mode)
+    # Per-agent engines: a flaky local model retries, so rounds vary.
+    llms = [
+        SimulatedLLM(profile, rng=np.random.default_rng(seed + index))
+        for index, profile in enumerate(("gpt-4", "llava-7b", "gpt-4", "llama-3-8b"))
+    ]
+    outcomes = []
+    for spec, flush_after in stream:
+        request = stream_request(spec)
+        result = scheduler.submit(llms[spec["agent"]], request)
+        decision = result.decision
+        outcomes.append(
+            (
+                result.prompt_tokens,
+                result.output_tokens,
+                result.rounds,
+                None if decision is None else (decision.subgoal, decision.fault),
+                result.verdict,
+            )
+        )
+        if flush_after:
+            scheduler.flush()
+    scheduler.flush(final=True)
+    assert scheduler.pending == 0
+    return outcomes, metrics
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    stream=st.lists(STREAM_REQUESTS, min_size=1, max_size=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_outcomes_invariant_across_serving_modes(stream, seed):
+    """Random request streams: a serving mode moves only modeled time.
+
+    Per-request tokens, rounds, decisions, verdicts and every metric
+    outside the clock and the ``serve_*`` latency fields match across
+    the three modes; the deferred modes dispatch every non-sequential
+    request in exactly one batch.
+    """
+    served = {mode: serve_stream(mode, stream, seed) for mode in SERVE_MODES}
+    reference_outcomes, reference = served["percall"]
+    assert reference.llm_calls == len(stream)
+    assert reference.serve_batched_requests == 0
+    deferred = sum(1 for spec, _flush in stream if not spec["sequential"])
+    for mode, (outcomes, metrics) in served.items():
+        assert outcomes == reference_outcomes, mode
+        assert metrics.token_samples == reference.token_samples, mode
+        assert metrics.faults == reference.faults, mode
+        # Everything else the collector holds, bar the serve_* latency fields.
+        assert outcome_fields(metrics) == outcome_fields(reference), mode
+        if mode != "percall":
+            assert metrics.serve_batched_requests == deferred, mode
+
+
+def outcome_fields(metrics: MetricsCollector) -> dict:
+    return {
+        field.name: getattr(metrics, field.name)
+        for field in dataclasses.fields(metrics)
+        if not field.name.startswith("serve_")
+    }
