@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke e2e-probes
+.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke e2e-probes examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,14 +44,22 @@ resume-smoke:
 e2e-probes:
 	$(PYTHON) -m pytest e2ebench/test_probes.py -q
 
+# Run every examples/*.py end to end at one trial per cell; stops at the
+# first example that exits non-zero.
+examples:
+	@for example in examples/*.py; do \
+		echo "== $$example"; \
+		REPRO_TRIALS=1 $(PYTHON) $$example || exit 1; \
+	done
+
 lint:
 	ruff check .
 	ruff format --check .
 
-# Markdown link check over README.md/docs/, REPRO_* knob coverage (the
-# serving guide must cover the serving knobs), and doctests — both on
-# every module that carries them and on the >>> examples embedded in
-# the markdown docs themselves.
+# Markdown link check over README.md/docs/, backticked file references
+# that name no file, REPRO_* knob coverage (the serving guide must cover
+# the serving knobs), and doctests — both on every module that carries
+# them and on the >>> examples embedded in the markdown docs themselves.
 docs-check:
 	$(PYTHON) scripts/check_docs.py
 

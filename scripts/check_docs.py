@@ -1,7 +1,7 @@
-"""Documentation checks: links, knob coverage, and doctests.
+"""Documentation checks: links, file references, knob coverage, and doctests.
 
 Run as ``make docs-check`` (CI's ``docs`` job).
-Six offline checks:
+Seven offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and
    ``docs/*.md`` must point at an existing file, and every in-document
@@ -29,6 +29,13 @@ Six offline checks:
    baselines" table of ``docs/performance.md`` must equal the field it
    names in ``benchmarks/baselines/``, and every baseline file must be
    quoted there, so the prose cannot drift from the gates.
+7. **File references** — every backticked repository path in
+   ``README.md`` and ``docs/*.md`` (a code span that is one path ending
+   in ``.py``, ``.json``, ``.jsonl``, ``.yml``, ``.md`` or ``.toml``)
+   must name an existing file: equal to a repo-relative path, or a
+   ``/``-suffix of one (``core/bus.py`` for ``src/repro/core/bus.py``),
+   after stripping a leading ``./``.  Deleting or moving a file then
+   fails until the docs stop naming it.
 
 Exits non-zero with a list of problems; prints a one-line summary when
 clean.
@@ -39,8 +46,10 @@ from __future__ import annotations
 import doctest
 import importlib
 import json
+import os
 import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,6 +63,11 @@ BASELINES = REPO / "benchmarks" / "baselines"
 SERVING_KNOB_PREFIXES = ("REPRO_SERVE", "REPRO_OVERLAP")
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: A code span holding one repository path (globs such as
+#: ``BENCH_*.json`` and ``path.py: name`` spans do not match).
+FILE_REFERENCE = re.compile(r"`([\w./-]+\.(?:py|json|jsonl|yml|md|toml))`")
+#: Directories whose files the references never name.
+UNLISTED_DIRS = frozenset({".git", "__pycache__", ".e2ebench"})
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 KNOB = re.compile(r"\bREPRO_[A-Z_]+\b")
 #: A row of the baselines table: file, field, and the quoted ratio.
@@ -97,6 +111,38 @@ def check_links() -> list[str]:
                         f"{doc.relative_to(REPO)}: missing anchor -> {target}"
                     )
     return problems
+
+
+def repo_files() -> list[str]:
+    """Repo-relative POSIX paths of every file outside :data:`UNLISTED_DIRS`."""
+    files = []
+    for root, dirs, names in os.walk(REPO):
+        dirs[:] = [name for name in dirs if name not in UNLISTED_DIRS]
+        base = Path(root).relative_to(REPO)
+        files.extend((base / name).as_posix() for name in names)
+    return files
+
+
+def stale_references(markdown: str, files: Iterable[str]) -> list[str]:
+    """The backticked paths in ``markdown`` that name none of ``files``."""
+    suffixes = set()
+    for path in files:
+        parts = path.split("/")
+        suffixes.update("/".join(parts[index:]) for index in range(len(parts)))
+    return [
+        reference
+        for reference in FILE_REFERENCE.findall(markdown)
+        if reference.removeprefix("./") not in suffixes
+    ]
+
+
+def check_file_references() -> list[str]:
+    files = repo_files()
+    return [
+        f"{doc.relative_to(REPO)}: `{reference}` names no file in the repository"
+        for doc in DOC_FILES
+        for reference in stale_references(doc.read_text(), files)
+    ]
 
 
 def _knobs_in(*roots: str) -> set[str]:
@@ -211,6 +257,7 @@ def check_markdown_doctests() -> list[str]:
 def main() -> int:
     problems = (
         check_links()
+        + check_file_references()
         + check_knob_coverage()
         + check_stale_knobs()
         + check_baselines()
@@ -223,10 +270,12 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     n_links = sum(len(LINK.findall(doc.read_text())) for doc in DOC_FILES)
+    n_references = sum(len(FILE_REFERENCE.findall(doc.read_text())) for doc in DOC_FILES)
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
-        "all source knobs documented (serving guide covered), no stale knobs, "
-        "quoted baselines match, module and markdown doctests green"
+        f"{n_references} file references resolve, all source knobs documented "
+        "(serving guide covered), no stale knobs, quoted baselines match, "
+        "module and markdown doctests green"
     )
     return 0
 

@@ -123,13 +123,10 @@ class Beliefs:
     def values_at(self, keys: Iterable[tuple[str, str]]) -> tuple[str | None, ...]:
         """Current values of several slots as one tuple (``None`` = unknown).
 
-        The read-side fingerprint primitive of the incremental candidate
-        cache (:mod:`repro.envs.candidates`): an environment lists the
-        belief slots a candidate group depends on and compares the
-        returned tuple across steps — one method call and one tuple
-        compare instead of re-enumerating the group.  Provenance steps
-        are deliberately excluded: affordances depend on what is believed,
-        not on when it was learned.
+        One call reads a fixed list of slots, such as the deposit and
+        visited slots a MineWorld menu enumerates over.  Provenance steps
+        are excluded: affordances depend on what is believed, not on when
+        it was learned.
         """
         slots = self._slots
         out = []

@@ -11,6 +11,8 @@ several macro steps.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import ActionRecord
@@ -53,7 +55,7 @@ class PlanningModule:
         memory_facts: list[Fact],
         action_records: list[ActionRecord],
         dialogue: list[Message],
-        candidates: list[Candidate],
+        candidates: Sequence[Candidate],
     ) -> Prompt:
         builder = PromptBuilder(PLANNER_SYSTEM_TEXT, self.task_text)
         builder.observation(observation)
@@ -71,7 +73,7 @@ class PlanningModule:
 
     def decide(
         self,
-        candidates: list[Candidate],
+        candidates: Sequence[Candidate],
         prompt: Prompt,
         blacklist: frozenset[Subgoal] = frozenset(),
         n_joint: int = 1,
@@ -106,7 +108,7 @@ class PlanningModule:
 
     def decide_multi(
         self,
-        candidates: list[Candidate],
+        candidates: Sequence[Candidate],
         prompt: Prompt,
         horizon: int,
         blacklist: frozenset[Subgoal] = frozenset(),

@@ -12,6 +12,8 @@ favourable latency scaling of Fig. 7d.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.clock import ModuleName
 from repro.core.paradigms.base import ParadigmLoop
@@ -81,7 +83,7 @@ class CentralizedLoop(ParadigmLoop):
         self,
         step: int,
         central_bundle: PerceptionBundle,
-        candidates_by_agent: dict[str, list[Candidate]],
+        candidates_by_agent: dict[str, Sequence[Candidate]],
         sample_decisions: bool = True,
     ) -> dict[str, Decision]:
         """One LLM call deciding every agent's next subgoal.
@@ -232,8 +234,8 @@ def _central_system_text() -> str:
 
 
 def filter_assigned(
-    candidates: list[Candidate], assigned: set[tuple[str, str]]
-) -> list[Candidate]:
+    candidates: Sequence[Candidate], assigned: set[tuple[str, str]]
+) -> Sequence[Candidate]:
     """Drop options already claimed by an earlier agent in the joint plan.
 
     Conflict-free task assignment is the central paradigm's selling point:
@@ -251,8 +253,6 @@ def filter_assigned(
         or (candidate.subgoal.name, candidate.subgoal.target) not in assigned
     ]
     if len(filtered) == len(candidates):
-        # Nothing dropped: hand back the caller's sequence unchanged so
-        # identity-keyed caches (candidate features, scoreboards) keep
-        # hitting across the joint plan's per-agent draws.
+        # Nothing dropped: hand back the caller's sequence, not a copy.
         return candidates
     return filtered or candidates

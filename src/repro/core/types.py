@@ -66,11 +66,12 @@ def _tokens_in(text: str) -> int:
     return _count_tokens(text)
 
 
-#: Environments mint *fresh* ``Fact``/``Subgoal`` instances every step for
-#: recurring world state and candidate actions, so per-instance caches
-#: miss; these value-keyed caches share one rendering per distinct value
-#: instead.  Sizes cover the vocabulary of every shipped environment many
-#: times over while bounding long multi-episode worker processes.
+#: Environments mint *fresh* ``Fact`` instances every step for recurring
+#: world state, and fresh ``Subgoal`` instances every episode for
+#: candidate actions, so per-instance caches miss; these value-keyed
+#: caches share one rendering per distinct value instead.  Sizes cover
+#: the vocabulary of every shipped environment many times over while
+#: bounding long multi-episode worker processes.
 @lru_cache(maxsize=65536)
 def _render_fact(subject: str, relation: str, value: str) -> str:
     return f"{subject} {relation.replace('_', ' ')} {value}"

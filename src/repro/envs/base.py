@@ -21,9 +21,9 @@ goldens (``tests/core/goldens/``) catch it for the shipped ones:
 
 - ``location_vocabulary()`` is **episode-static**: the sensing module
   fetches the mislabel distractors once per episode.
-- every :class:`~repro.envs.candidates.CandidateSlot` declares
-  **complete** deps: the candidate cache reuses a slot's candidates
-  whenever its deps compare equal to last step's.
+- ``candidates()`` is a pure function of the world state and the beliefs
+  it reads; equal options are one interned object per episode
+  (:meth:`Environment.option`).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.beliefs import Beliefs
+from repro.core.errors import FaultKind
 from repro.core.types import Candidate, Fact, Observation, Subgoal, TaskSpec
-from repro.envs.candidates import CandidateCache, CandidateSlot
 from repro.planners.costmodel import ComputeCost, ZERO_COST
 
 
@@ -85,11 +85,11 @@ class Environment(abc.ABC):
         self.rng = rng
         self.agents: list[str] = [f"agent_{i}" for i in range(task.n_agents)]
         self.state = EnvState()
-        # Episode-scoped incremental candidate cache (see
-        # repro.envs.candidates).  Environments that decompose their
-        # enumeration into slots get per-slot reuse; the rest enumerate
-        # fully through their own ``candidates`` override.
-        self._candidate_cache = CandidateCache()
+        # Episode-scoped intern table of candidate options (see option()):
+        # (name, target, destination, utility, feasible, fault) -> the one
+        # Candidate with those values.
+        self._options: dict[tuple, Candidate] = {}
+        self._hallucinations: dict[int, tuple[Candidate, ...]] = {}
         # Per-step position staging: agent positions only change when an
         # agent executes, and every paradigm loop perceives all agents
         # before anyone acts, so the O(n^2) position reads of the
@@ -97,18 +97,6 @@ class Environment(abc.ABC):
         # Cleared on tick() and by the execution module after every
         # execute (covering replans and custom loops).
         self._position_cache: dict[str, str] = {}
-        # candidates() is no longer @abstractmethod (the base class now
-        # drives candidate_slots() when provided), so re-create the
-        # construction-time failure a forgotten affordance hook used to
-        # get from abc.
-        if (
-            type(self).candidates is Environment.candidates
-            and type(self).candidate_slots is Environment.candidate_slots
-        ):
-            raise TypeError(
-                f"{type(self).__name__} must override candidates() or "
-                "implement candidate_slots()"
-            )
 
     # ------------------------------------------------------------------ #
     # Time
@@ -207,37 +195,38 @@ class Environment(abc.ABC):
     # Affordances and execution
     # ------------------------------------------------------------------ #
 
+    @abc.abstractmethod
     def candidates(self, agent: str, beliefs: Beliefs) -> Sequence[Candidate]:
         """Enumerate subgoal options given the agent's beliefs.
 
         Implementations should include (a) productive options with
         ground-truth utilities, (b) an explore/idle fallback, and (c) a
         few infeasible/hallucinated options as fault-injection targets.
-
-        Environments either override this directly (full enumeration
-        every call) or implement :meth:`candidate_slots` and inherit this
-        driver: changed slots are rebuilt and unchanged slots reuse last
-        step's candidate objects.
+        Build each option with :meth:`option` and return a tuple.
         """
-        slots = self.candidate_slots(agent, beliefs)
-        if slots is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override candidates() or "
-                "implement candidate_slots()"
+
+    def option(
+        self,
+        name: str,
+        target: str = "",
+        destination: str = "",
+        utility: float = 0.0,
+        feasible: bool = True,
+        fault: FaultKind | None = None,
+    ) -> Candidate:
+        """The episode's one :class:`Candidate` with these values.
+
+        Options recur step after step, so each distinct option is built
+        once per environment instance and handed back from then on; its
+        subgoal's memoized token count is then computed once as well.
+        """
+        key = (name, target, destination, utility, feasible, fault)
+        candidate = self._options.get(key)
+        if candidate is None:
+            candidate = self._options[key] = Candidate(
+                Subgoal(name, target, destination), utility, feasible, fault
             )
-        return self._candidate_cache.assemble(agent, slots)
-
-    def candidate_slots(
-        self, agent: str, beliefs: Beliefs
-    ) -> list[CandidateSlot] | None:
-        """Slot decomposition of :meth:`candidates` (``None`` = not adopted).
-
-        Each :class:`~repro.envs.candidates.CandidateSlot` must declare
-        *complete* deps — every belief value and every piece of mutable
-        environment state its builder reads — and builders must be pure.
-        See :mod:`repro.envs.candidates` for the full contract.
-        """
-        return None
+        return candidate
 
     @abc.abstractmethod
     def execute(
@@ -268,16 +257,20 @@ class Environment(abc.ABC):
     # Helpers
     # ------------------------------------------------------------------ #
 
-    def hallucination_candidates(self, count: int = 2) -> list[Candidate]:
-        """Standard fault-injection candidates naming non-existent objects."""
-        from repro.core.errors import FaultKind
+    def hallucination_candidates(self, count: int = 2) -> tuple[Candidate, ...]:
+        """Standard fault-injection candidates naming non-existent objects.
 
-        return [
-            Candidate(
-                subgoal=Subgoal(name="fetch", target=f"imaginary_object_{index}"),
-                utility=0.0,
-                feasible=False,
-                fault=FaultKind.HALLUCINATION,
+        The same tuple of interned options for every call with ``count``.
+        """
+        options = self._hallucinations.get(count)
+        if options is None:
+            options = self._hallucinations[count] = tuple(
+                self.option(
+                    "fetch",
+                    f"imaginary_object_{index}",
+                    feasible=False,
+                    fault=FaultKind.HALLUCINATION,
+                )
+                for index in range(count)
             )
-            for index in range(count)
-        ]
+        return options

@@ -16,20 +16,13 @@ Used by: CMAS (centralized), DMAS (decentralized), HMAS (hybrid).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs.base import Environment, ExecutionOutcome
-from repro.envs.candidates import CandidateSlot, idle_candidates
 from repro.planners.costmodel import ComputeCost
-
-
-def _no_options() -> list[Candidate]:
-    """Builder for a slot whose conditions currently offer nothing."""
-    return []
 
 
 MOVE_BOX_SECONDS = 2.4
@@ -144,67 +137,35 @@ class BoxWorldEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def candidate_slots(self, agent: str, beliefs: Beliefs) -> list[CandidateSlot]:
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
         arm = self._arms[agent]
-        slots: list[CandidateSlot] = []
+        option = self.option
+        options: list[Candidate] = []
         for box in self.boxes.values():
             believed_cell = self._believed_cell(beliefs, box)
             if box.done or believed_cell is None or not arm.reaches(believed_cell):
-                # Emitting the slot with the reason folded into its deps
-                # (rather than skipping it) lets "box became reachable /
-                # done" invalidate exactly this box's group.
-                slots.append(CandidateSlot(f"box:{box.name}", (None,), _no_options))
                 continue
             targeted_by = beliefs.value(box.name, "targeted_by")
-            claimed = targeted_by not in ("", None, agent)
-            slots.append(
-                CandidateSlot(
-                    f"box:{box.name}",
-                    (believed_cell, claimed),
-                    partial(self._box_options, arm, box, believed_cell, claimed),
+            claimed_penalty = 0.5 if targeted_by not in ("", None, agent) else 1.0
+            if box.heavy:
+                options.append(option("lift", box.name, utility=0.9 * claimed_penalty))
+                continue
+            direction = 1 if box.target > believed_cell else -1
+            toward = believed_cell + direction
+            away = believed_cell - direction
+            if arm.reaches(toward) and 0 <= toward < self.n_cells:
+                options.append(
+                    option("move_box", box.name, f"cell_{toward}", utility=0.85 * claimed_penalty)
                 )
-            )
-        slots.append(CandidateSlot("idle", (), partial(idle_candidates, 0.05)))
-        slots.append(CandidateSlot("hallucination", (), self.hallucination_candidates))
-        return slots
-
-    def _box_options(
-        self, arm: _Arm, box: _Box, believed_cell: int, claimed: bool
-    ) -> list[Candidate]:
-        options: list[Candidate] = []
-        claimed_penalty = 0.5 if claimed else 1.0
-        if box.heavy:
-            return [
-                Candidate(
-                    subgoal=Subgoal(name="lift", target=box.name),
-                    utility=0.9 * claimed_penalty,
-                )
-            ]
-        toward = believed_cell + (1 if box.target > believed_cell else -1)
-        away = believed_cell - (1 if box.target > believed_cell else -1)
-        if arm.reaches(toward) and 0 <= toward < self.n_cells:
-            options.append(
-                Candidate(
-                    subgoal=Subgoal(
-                        name="move_box", target=box.name, destination=f"cell_{toward}"
-                    ),
-                    utility=0.85 * claimed_penalty,
-                )
-            )
-        if arm.reaches(away) and 0 <= away < self.n_cells:
-            # Moving a box away from its target is strictly worse than
-            # idling: it must rank below idle or a bystander arm will
-            # "helpfully" play tug-of-war with the productive arm.  It
-            # remains in the list as suboptimal-fault material.
-            options.append(
-                Candidate(
-                    subgoal=Subgoal(
-                        name="move_box", target=box.name, destination=f"cell_{away}"
-                    ),
-                    utility=0.03,
-                )
-            )
-        return options
+            if arm.reaches(away) and 0 <= away < self.n_cells:
+                # Moving a box away from its target is strictly worse than
+                # idling: it must rank below idle or a bystander arm will
+                # "helpfully" play tug-of-war with the productive arm.  It
+                # remains in the list as suboptimal-fault material.
+                options.append(option("move_box", box.name, f"cell_{away}", utility=0.03))
+        options.append(option("idle", utility=0.05))
+        options.extend(self.hallucination_candidates())
+        return tuple(options)
 
     def _believed_cell(self, beliefs: Beliefs, box: _Box) -> int | None:
         value = beliefs.value(box.name, "at_cell")

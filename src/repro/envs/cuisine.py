@@ -14,22 +14,13 @@ Used by: MindAgent (centralized), COMBO (decentralized).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs.base import Environment, ExecutionOutcome
-from repro.envs.candidates import CandidateSlot, idle_candidates
 from repro.planners.costmodel import ComputeCost
-
-
-def _inspect_options() -> list[Candidate]:
-    return [
-        Candidate(subgoal=Subgoal(name="inspect", target=zone), utility=0.25)
-        for zone in ("stove", "assembly")
-    ]
 
 
 #: Kitchen zones on a line; travel time scales with zone distance.
@@ -213,63 +204,32 @@ class CuisineEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def candidate_slots(self, agent: str, beliefs: Beliefs) -> list[CandidateSlot]:
-        slots: list[CandidateSlot] = []
-        for order in self._active_orders():
-            stages = tuple(
-                beliefs.value(order.item_id(name), "stage") or STAGE_NEEDED
-                for name in order.ingredients
-            )
-            slots.append(
-                CandidateSlot(
-                    f"order:{order.name}",
-                    (order.assembled, stages),
-                    partial(self._order_options, order, stages),
-                )
-            )
-        slots.append(CandidateSlot("inspect", (), _inspect_options))
-        slots.append(CandidateSlot("idle", (), partial(idle_candidates, 0.02)))
-        slots.append(CandidateSlot("hallucination", (), self.hallucination_candidates))
-        return slots
-
-    @staticmethod
-    def _order_options(order: _Order, stages: tuple[str, ...]) -> list[Candidate]:
-        if order.assembled:
-            return [
-                Candidate(subgoal=Subgoal(name="serve", target=order.name), utility=1.0)
-            ]
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
+        option = self.option
         options: list[Candidate] = []
-        all_ready_by_belief = True
-        for ingredient, believed_stage in zip(order.ingredients.values(), stages):
-            item = order.item_id(ingredient.name)
-            if believed_stage == STAGE_NEEDED:
-                all_ready_by_belief = False
-                options.append(
-                    Candidate(
-                        subgoal=Subgoal(name="fetch", target=item),
-                        utility=0.8,
-                    )
-                )
-            elif believed_stage == STAGE_FETCHED and ingredient.needs_cook:
-                all_ready_by_belief = False
-                options.append(
-                    Candidate(subgoal=Subgoal(name="cook", target=item), utility=0.9)
-                )
-        if all_ready_by_belief:
-            options.append(
-                Candidate(
-                    subgoal=Subgoal(name="assemble", target=order.name), utility=0.95
-                )
-            )
-        else:
-            options.append(
-                Candidate(
-                    subgoal=Subgoal(name="serve", target=order.name),
-                    utility=0.0,
-                    feasible=False,
-                )
-            )
-        return options
+        for order in self._active_orders():
+            if order.assembled:
+                options.append(option("serve", order.name, utility=1.0))
+                continue
+            all_ready_by_belief = True
+            for ingredient in order.ingredients.values():
+                item = order.item_id(ingredient.name)
+                believed_stage = beliefs.value(item, "stage") or STAGE_NEEDED
+                if believed_stage == STAGE_NEEDED:
+                    all_ready_by_belief = False
+                    options.append(option("fetch", item, utility=0.8))
+                elif believed_stage == STAGE_FETCHED and ingredient.needs_cook:
+                    all_ready_by_belief = False
+                    options.append(option("cook", item, utility=0.9))
+            if all_ready_by_belief:
+                options.append(option("assemble", order.name, utility=0.95))
+            else:
+                options.append(option("serve", order.name, feasible=False))
+        for zone in ("stove", "assembly"):
+            options.append(option("inspect", zone, utility=0.25))
+        options.append(option("idle", utility=0.02))
+        options.extend(self.hallucination_candidates())
+        return tuple(options)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -13,7 +13,6 @@ multi-agent), COHERENT (centralized heterogeneous robots, RRT arms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from repro.core.beliefs import Beliefs
 from repro.core.errors import EnvironmentError_
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs.base import Environment, ExecutionOutcome
-from repro.envs.candidates import CandidateSlot, idle_candidates
 from repro.envs.grid import Cell, RoomGrid, build_row_of_rooms
 from repro.planners.costmodel import ComputeCost
 from repro.planners.grasp import plan_grasp
@@ -183,29 +181,24 @@ class HouseholdEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def candidate_slots(self, agent: str, beliefs: Beliefs) -> list[CandidateSlot]:
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
         me = self._agents[agent]
-        slots: list[CandidateSlot] = []
+        option = self.option
+        options: list[Candidate] = []
 
         if me.carrying:
-            slots.append(
-                CandidateSlot("carry", (me.carrying,), partial(self._carry_options, me))
-            )
+            target_fixture = self.goals.get(me.carrying, "")
+            if target_fixture:
+                options.append(option("deliver", me.carrying, target_fixture, utility=1.0))
+            options.append(option("putdown", me.carrying, utility=0.15))
         else:
             for obj_name, target_fixture in self.goals.items():
-                obj = self.objects[obj_name]
-                offered = (
-                    obj.placed_at != target_fixture
-                    and bool(beliefs.value(obj_name, "located_in"))
+                if (
+                    self.objects[obj_name].placed_at != target_fixture
+                    and beliefs.value(obj_name, "located_in")
                     and beliefs.value(obj_name, "held_by") in (None, "nobody")
-                )
-                slots.append(
-                    CandidateSlot(
-                        f"fetch:{obj_name}",
-                        (offered,),
-                        partial(self._fetch_option, obj_name, offered),
-                    )
-                )
+                ):
+                    options.append(option("fetch", obj_name, utility=0.85))
             # A deliver without holding anything: classic infeasible option.
             first_pending = next(
                 (
@@ -215,70 +208,18 @@ class HouseholdEnv(Environment):
                 ),
                 None,
             )
-            slots.append(
-                CandidateSlot(
-                    "deliver_infeasible",
-                    (first_pending,),
-                    partial(self._infeasible_deliver, first_pending),
+            if first_pending is not None:
+                options.append(
+                    option("deliver", first_pending, self.goals[first_pending], feasible=False)
                 )
-            )
 
         for room_name in self.grid.room_names():
             visited = beliefs.value(room_name, "visited") == "true"
-            slots.append(
-                CandidateSlot(
-                    f"explore:{room_name}",
-                    (visited,),
-                    partial(self._explore_option, room_name, visited),
-                )
-            )
+            options.append(option("explore", room_name, utility=0.12 if visited else 0.4))
 
-        slots.append(CandidateSlot("idle", (), partial(idle_candidates, 0.02)))
-        slots.append(CandidateSlot("hallucination", (), self.hallucination_candidates))
-        return slots
-
-    def _carry_options(self, me: _HouseAgent) -> list[Candidate]:
-        options: list[Candidate] = []
-        target_fixture = self.goals.get(me.carrying, "")
-        if target_fixture:
-            options.append(
-                Candidate(
-                    subgoal=Subgoal(
-                        name="deliver", target=me.carrying, destination=target_fixture
-                    ),
-                    utility=1.0,
-                )
-            )
-        options.append(
-            Candidate(subgoal=Subgoal(name="putdown", target=me.carrying), utility=0.15)
-        )
-        return options
-
-    @staticmethod
-    def _fetch_option(obj_name: str, offered: bool) -> list[Candidate]:
-        if not offered:
-            return []
-        return [Candidate(subgoal=Subgoal(name="fetch", target=obj_name), utility=0.85)]
-
-    def _infeasible_deliver(self, first_pending: str | None) -> list[Candidate]:
-        if first_pending is None:
-            return []
-        return [
-            Candidate(
-                subgoal=Subgoal(
-                    name="deliver",
-                    target=first_pending,
-                    destination=self.goals[first_pending],
-                ),
-                utility=0.0,
-                feasible=False,
-            )
-        ]
-
-    @staticmethod
-    def _explore_option(room_name: str, visited: bool) -> list[Candidate]:
-        utility = 0.12 if visited else 0.4
-        return [Candidate(subgoal=Subgoal(name="explore", target=room_name), utility=utility)]
+        options.append(option("idle", utility=0.02))
+        options.extend(self.hallucination_candidates())
+        return tuple(options)
 
     # ------------------------------------------------------------------ #
     # Execution

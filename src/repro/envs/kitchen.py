@@ -89,27 +89,17 @@ class KitchenEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def candidates(self, agent: str, beliefs: Beliefs) -> list[Candidate]:
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
+        option = self.option
         options: list[Candidate] = []
         for micro in self.micro_tasks.values():
-            believed = beliefs.value(micro.name, "status")
-            if believed == "done":
-                options.append(
-                    Candidate(
-                        subgoal=Subgoal(name="perform", target=micro.name),
-                        utility=0.0,
-                        feasible=False,
-                    )
-                )
+            if beliefs.value(micro.name, "status") == "done":
+                options.append(option("perform", micro.name, feasible=False))
             else:
-                options.append(
-                    Candidate(
-                        subgoal=Subgoal(name="perform", target=micro.name), utility=0.9
-                    )
-                )
-        options.append(Candidate(subgoal=Subgoal(name="idle"), utility=0.02))
+                options.append(option("perform", micro.name, utility=0.9))
+        options.append(option("idle", utility=0.02))
         options.extend(self.hallucination_candidates(count=1))
-        return options
+        return tuple(options)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -16,14 +16,13 @@ iron_pickaxe, ``hard`` → diamond_pickaxe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs.base import Environment, ExecutionOutcome
-from repro.envs.candidates import CandidateSlot, idle_candidates
 from repro.planners.costmodel import ComputeCost
 
 TRAVEL_SECONDS_PER_AREA = 2.2
@@ -75,27 +74,19 @@ GOALS_BY_DIFFICULTY = {
     "hard": "diamond_pickaxe",
 }
 
-#: Belief slots the candidate menu reads (candidate-cache dep keys).
+#: Belief slots the candidate menu reads.
 _DEPOSIT_KEYS = tuple(
     (f"{resource}_deposit", "located_in") for resource in RESOURCE_AREAS
 )
 _AREA_VISITED_KEYS = tuple((area, "visited") for area in AREAS[1:])
-
-
-def _explore_options(visited_values: tuple[str | None, ...]) -> list[Candidate]:
-    return [
-        Candidate(
-            subgoal=Subgoal(name="explore", target=area),
-            utility=0.1 if value == "true" else 0.45,
-        )
-        for area, value in zip(AREAS[1:], visited_values)
-    ]
-
-
-def _return_option(away: bool) -> list[Candidate]:
-    if not away:
-        return []
-    return [Candidate(subgoal=Subgoal(name="explore", target="base"), utility=0.3)]
+#: Craft options are listed in recipe-name order.
+_CRAFT_MENU = tuple(sorted(RECIPES))
+#: What crafting each item needs on hand: a station (count 0 in its
+#: recipe) must be present but is not consumed.
+_ON_HAND = {
+    item: tuple((ingredient, count or 1) for ingredient, count in recipe.items())
+    for item, recipe in RECIPES.items()
+}
 
 
 def requirement_closure(goal: str) -> set[str]:
@@ -119,6 +110,85 @@ def requirement_closure(goal: str) -> set[str]:
             if tool and tool not in needed:
                 frontier.append(tool)
     return needed
+
+
+class DemandStep(NamedTuple):
+    """One node of a goal's demand plan (see :func:`demand_plan`).
+
+    The node's demand is ``base`` (1 for the goal itself, else 0) plus,
+    for each ``(consumer, units)`` whose deficit is positive, ``units``
+    times that deficit, or 1 for a ``units == 0`` station use.
+    ``station`` caps the demand at one; ``gates`` lists the resources the
+    node unlocks as a tool, and a tool the player lacks is demanded while
+    any of them is short.  The deficit is the demand minus the count held,
+    floored at zero.
+    """
+
+    name: str
+    base: int
+    consumers: tuple[tuple[str, int], ...]
+    station: bool
+    gates: tuple[str, ...]
+
+
+def demand_plan(goal: str) -> tuple[DemandStep, ...]:
+    """Fixed evaluation order of ``goal``'s item and resource deficits.
+
+    Demand flows down the tech tree along two kinds of edge: a recipe
+    edge from an item to each needed item that consumes it, and a tool
+    edge from a tool to the consumers of the resource it gates.  Every
+    edge points up the tree, so for every goal the graph is a DAG, and in
+    this topological order each node comes after everything it reads:
+
+    - a needed item after its needed consumers;
+    - a resource after its needed consumers;
+    - a tool after the resources it gates.
+
+    Raises :class:`ValueError` if the tables ever close a cycle.
+    """
+    needed = sorted(requirement_closure(goal))
+    steps = [
+        DemandStep(
+            name=name,
+            base=1 if name == goal else 0,
+            consumers=tuple(
+                (consumer, RECIPES[consumer][name])
+                for consumer in needed
+                if name in RECIPES[consumer]
+            ),
+            station=name in STATIONS,
+            gates=tuple(resource for resource, tool in GATHER_TOOL.items() if tool == name),
+        )
+        for name in needed
+    ]
+    steps.extend(
+        DemandStep(
+            name=resource,
+            base=0,
+            consumers=tuple(
+                (consumer, RECIPES[consumer][resource])
+                for consumer in needed
+                if RECIPES[consumer].get(resource, 0) > 0
+            ),
+            station=False,
+            gates=(),
+        )
+        for resource in RESOURCE_AREAS
+    )
+    # Kahn's algorithm: place every step whose inputs are all placed.
+    pending = {
+        step.name: (step, {consumer for consumer, _ in step.consumers} | set(step.gates))
+        for step in steps
+    }
+    order: list[DemandStep] = []
+    while pending:
+        ready = [step for step, inputs in pending.values() if inputs.isdisjoint(pending)]
+        if not ready:
+            raise ValueError(f"demand graph of {goal!r} has a cycle among {sorted(pending)}")
+        for step in ready:
+            order.append(step)
+            del pending[step.name]
+    return tuple(order)
 
 
 @dataclass
@@ -156,6 +226,7 @@ class MineWorldEnv(Environment):
         if self.goal_item not in RECIPES:
             raise ValueError(f"goal item {self.goal_item!r} is not craftable")
         self.needed_items = requirement_closure(self.goal_item)
+        self._demand_plan = demand_plan(self.goal_item)
         # Deposit areas are shuffled per episode so exploration is real:
         # the agent knows area names but not which resources they host.
         areas = list(AREAS[1:])
@@ -215,71 +286,73 @@ class MineWorldEnv(Environment):
 
     def _craftable(self, player: _Player, item: str) -> bool:
         """Ingredients available?  (Execution travels to base by itself.)"""
-        recipe = RECIPES.get(item)
-        if recipe is None:
-            return False
-        for ingredient, count in recipe.items():
-            if count == 0:
-                if player.count(ingredient) < 1:
-                    return False
-            elif player.count(ingredient) < count:
+        have = player.inventory.get
+        for ingredient, count in _ON_HAND[item]:
+            if have(ingredient, 0) < count:
                 return False
         return True
 
-    def candidate_slots(self, agent: str, beliefs: Beliefs) -> list[CandidateSlot]:
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
         player = self._players[agent]
-        # The craft/gather menu is a pure function of the player's
-        # inventory (deficits, craftability, tool tiers) and the believed
-        # deposit locations; one slot covers both loops so a rebuild
-        # constructs a single demand calculator, exactly like the seed.
-        inventory_state = tuple(sorted(player.inventory.items()))
-        deposits = beliefs.values_at(_DEPOSIT_KEYS)
-        slots = [
-            CandidateSlot(
-                "economy",
-                (inventory_state, deposits),
-                partial(self._economy_options, player, deposits),
-            )
-        ]
+        option = self.option
+        options = self._economy_options(player, beliefs.values_at(_DEPOSIT_KEYS))
         visited = beliefs.values_at(_AREA_VISITED_KEYS)
-        slots.append(
-            CandidateSlot("explore", (visited,), partial(_explore_options, visited))
-        )
-        away = player.area != "base"
-        slots.append(CandidateSlot("return_base", (away,), partial(_return_option, away)))
-        slots.append(CandidateSlot("idle", (), partial(idle_candidates, 0.02)))
-        slots.append(CandidateSlot("hallucination", (), self.hallucination_candidates))
-        return slots
+        for area, value in zip(AREAS[1:], visited):
+            options.append(option("explore", area, utility=0.1 if value == "true" else 0.45))
+        if player.area != "base":
+            options.append(option("explore", "base", utility=0.3))
+        options.append(option("idle", utility=0.02))
+        options.extend(self.hallucination_candidates())
+        return tuple(options)
+
+    def deficits(self, inventory: dict[str, int]) -> dict[str, int]:
+        """Item and resource deficits toward the goal, for ``inventory``.
+
+        One pass over the goal's :func:`demand_plan` in integer
+        arithmetic: every node's consumers and gated resources are
+        evaluated before it.  Items outside the requirement closure are
+        absent (no deficit).
+        """
+        deficit: dict[str, int] = {}
+        for name, base, consumers, station, gates in self._demand_plan:
+            demanded = base
+            for consumer, units in consumers:
+                short = deficit[consumer]
+                if short > 0:
+                    demanded += units * short if units else 1
+            if station and demanded > 1:
+                demanded = 1
+            have = inventory.get(name, 0)
+            if gates and not demanded and not have:
+                # A missing tool is demanded while a resource it gates is short.
+                for resource in gates:
+                    if deficit[resource] > 0:
+                        demanded = 1
+                        break
+            deficit[name] = demanded - have if demanded > have else 0
+        return deficit
 
     def _economy_options(
         self, player: _Player, deposits: tuple[str | None, ...]
     ) -> list[Candidate]:
-        calculator = _DeficitCalculator(self, player)
+        deficit = self.deficits(player.inventory)
+        option = self.option
         options: list[Candidate] = []
 
-        for item in sorted(RECIPES):
+        for item in _CRAFT_MENU:
             craftable = self._craftable(player, item)
-            needed = item in self.needed_items and calculator.item_deficit(item) > 0
+            needed = deficit.get(item, 0) > 0
             if craftable and needed:
                 utility = 1.0 if item == self.goal_item else 0.9
-                options.append(
-                    Candidate(subgoal=Subgoal(name="craft", target=item), utility=utility)
-                )
+                options.append(option("craft", item, utility=utility))
             elif craftable:
-                options.append(  # side-branch bait: feasible but useless
-                    Candidate(subgoal=Subgoal(name="craft", target=item), utility=0.15)
-                )
+                # Side-branch bait: feasible but useless.
+                options.append(option("craft", item, utility=0.15))
             elif needed:
-                options.append(
-                    Candidate(
-                        subgoal=Subgoal(name="craft", target=item),
-                        utility=0.0,
-                        feasible=False,
-                    )
-                )
+                options.append(option("craft", item, feasible=False))
 
         for resource, known_area in zip(RESOURCE_AREAS, deposits):
-            deficit = calculator.resource_deficit(resource)
+            short = deficit[resource] > 0
             tool = GATHER_TOOL[resource]
             has_tool = not tool or player.count(tool) >= 1
             if known_area is None:
@@ -288,33 +361,17 @@ class MineWorldEnv(Environment):
                 # at a lower utility than a remembered location.  This is
                 # how memory-less systems (MP5, DEPS) make progress, and
                 # why memory saves steps rather than being a hard gate.
-                if deficit > 0 and has_tool:
-                    options.append(
-                        Candidate(
-                            subgoal=Subgoal(
-                                name="gather", target=resource, destination="search"
-                            ),
-                            utility=0.6,
-                        )
-                    )
+                if short and has_tool:
+                    options.append(option("gather", resource, "search", utility=0.6))
                 continue
-            if deficit > 0 and has_tool:
-                options.append(
-                    Candidate(subgoal=Subgoal(name="gather", target=resource), utility=0.8)
-                )
-            elif deficit > 0:
-                options.append(
-                    Candidate(
-                        subgoal=Subgoal(name="gather", target=resource),
-                        utility=0.0,
-                        feasible=False,  # lacking the tool tier
-                    )
-                )
+            if short and has_tool:
+                options.append(option("gather", resource, utility=0.8))
+            elif short:
+                # Lacking the tool tier.
+                options.append(option("gather", resource, feasible=False))
             elif has_tool:
                 # Over-gathering bait: feasible but pointless.
-                options.append(
-                    Candidate(subgoal=Subgoal(name="gather", target=resource), utility=0.1)
-                )
+                options.append(option("gather", resource, utility=0.1))
         return options
 
     # ------------------------------------------------------------------ #
@@ -470,69 +527,3 @@ class MineWorldEnv(Environment):
             f"Open world crafting task: obtain a {self.goal_item}. Resources "
             "must be gathered with the right tool tier and crafted at base."
         )
-
-
-class _DeficitCalculator:
-    """Memoized demand propagation over the tech-tree DAG.
-
-    Demand flows down from the goal: recipe ingredients are demanded in
-    proportion to their consumers' deficits, stations at most once, and a
-    tool is demanded while any resource gated on it still has a deficit.
-    The tool edge can close a cycle through shared ingredients (sticks
-    feed every pickaxe tier), so re-entrant queries conservatively return
-    zero — the cycle only exists in the heuristic demand estimate, never
-    in the crafting DAG itself.
-    """
-
-    def __init__(self, env: "MineWorldEnv", player: _Player) -> None:
-        self.env = env
-        self.player = player
-        self._memo: dict[str, int] = {}
-        self._in_progress: set[str] = set()
-
-    def item_deficit(self, item: str) -> int:
-        if item in self._memo:
-            return self._memo[item]
-        if item in self._in_progress:
-            return 0
-        self._in_progress.add(item)
-        try:
-            deficit = self._compute_item(item)
-        finally:
-            self._in_progress.discard(item)
-        self._memo[item] = deficit
-        return deficit
-
-    def _compute_item(self, item: str) -> int:
-        player = self.player
-        if item == self.env.goal_item:
-            return 0 if player.count(item) >= 1 else 1
-        demanded = 0
-        for consumer in self.env.needed_items:
-            recipe = RECIPES.get(consumer, {})
-            if item not in recipe:
-                continue
-            consumer_deficit = self.item_deficit(consumer)
-            if consumer_deficit <= 0:
-                continue
-            count = recipe[item]
-            demanded += 1 if count == 0 else count * consumer_deficit
-        if item in STATIONS:
-            demanded = min(demanded, 1)
-        if player.count(item) == 0 and self._is_needed_tool(item):
-            demanded = max(demanded, 1)
-        return max(0, demanded - player.count(item))
-
-    def resource_deficit(self, resource: str) -> int:
-        demanded = 0
-        for consumer in self.env.needed_items:
-            recipe = RECIPES.get(consumer, {})
-            if resource in recipe and self.item_deficit(consumer) > 0:
-                demanded += recipe[resource] * max(1, self.item_deficit(consumer))
-        return max(0, demanded - self.player.count(resource))
-
-    def _is_needed_tool(self, item: str) -> bool:
-        for resource, tool in GATHER_TOOL.items():
-            if tool == item and self.resource_deficit(resource) > 0:
-                return True
-        return False

@@ -149,8 +149,9 @@ class TabletopEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def candidates(self, agent: str, beliefs: Beliefs) -> list[Candidate]:
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
         arm = self._arms[agent]
+        option = self.option
         options: list[Candidate] = []
         for obj in self.objects.values():
             if obj.delivered:
@@ -162,29 +163,16 @@ class TabletopEnv(Environment):
             can_reach_object = arm.reaches(obj.position)
             can_reach_zone = arm.reaches(obj.zone_center)
             if can_reach_object and can_reach_zone:
-                options.append(
-                    Candidate(
-                        subgoal=Subgoal(name="transport", target=obj.name), utility=0.95
-                    )
-                )
+                options.append(option("transport", obj.name, utility=0.95))
             elif can_reach_object:
                 if not self._in_exchange(obj.position):
-                    options.append(
-                        Candidate(
-                            subgoal=Subgoal(name="stage", target=obj.name), utility=0.7
-                        )
-                    )
+                    options.append(option("stage", obj.name, utility=0.7))
             elif can_reach_zone:
-                options.append(  # cannot grab it yet: infeasible until staged
-                    Candidate(
-                        subgoal=Subgoal(name="transport", target=obj.name),
-                        utility=0.0,
-                        feasible=False,
-                    )
-                )
-        options.append(Candidate(subgoal=Subgoal(name="idle"), utility=0.05))
+                # Cannot grab it yet: infeasible until staged.
+                options.append(option("transport", obj.name, feasible=False))
+        options.append(option("idle", utility=0.05))
         options.extend(self.hallucination_candidates(count=1))
-        return options
+        return tuple(options)
 
     # ------------------------------------------------------------------ #
     # Execution

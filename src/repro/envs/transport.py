@@ -11,7 +11,6 @@ the paper measures on CoELA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -19,46 +18,8 @@ from repro.core.beliefs import Beliefs
 from repro.core.errors import EnvironmentError_
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
 from repro.envs.base import Environment, ExecutionOutcome
-from repro.envs.candidates import CandidateSlot, idle_candidates
 from repro.envs.grid import Cell, RoomGrid, build_row_of_rooms
 from repro.planners.costmodel import ComputeCost
-
-
-def _deposit_option(n_carrying: int) -> list[Candidate]:
-    # Returning pays off more the fuller the hands are.
-    return [
-        Candidate(
-            subgoal=Subgoal(name="deposit"),
-            utility=0.7 + 0.3 * (n_carrying / CARRY_CAPACITY),
-        )
-    ]
-
-
-def _pickup_option(obj_name: str, offered: bool) -> list[Candidate]:
-    if not offered:
-        return []
-    return [Candidate(subgoal=Subgoal(name="pickup", target=obj_name), utility=0.85)]
-
-
-def _infeasible_pickup(first_pending: str | None) -> list[Candidate]:
-    if first_pending is None:
-        return []
-    return [
-        Candidate(
-            subgoal=Subgoal(name="pickup", target=first_pending),
-            utility=0.0,
-            feasible=False,
-        )
-    ]
-
-
-def _explore_option(room_name: str, visited: bool) -> list[Candidate]:
-    return [
-        Candidate(
-            subgoal=Subgoal(name="explore", target=room_name),
-            utility=0.12 if visited else 0.42,
-        )
-    ]
 
 
 MOVE_SECONDS = 0.4
@@ -167,29 +128,19 @@ class TransportEnv(Environment):
     # Affordances
     # ------------------------------------------------------------------ #
 
-    def candidate_slots(self, agent: str, beliefs: Beliefs) -> list[CandidateSlot]:
+    def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
         me = self._agents[agent]
         n_carrying = len(me.carrying)
-        slots: list[CandidateSlot] = []
+        option = self.option
+        options: list[Candidate] = []
 
         if me.carrying:
-            slots.append(
-                CandidateSlot("deposit", (n_carrying,), partial(_deposit_option, n_carrying))
-            )
+            # Returning pays off more the fuller the hands are.
+            options.append(option("deposit", utility=0.7 + 0.3 * (n_carrying / CARRY_CAPACITY)))
         if n_carrying < CARRY_CAPACITY:
             for obj in self.objects.values():
-                offered = (
-                    not obj.delivered
-                    and not obj.held_by
-                    and bool(beliefs.value(obj.name, "located_in"))
-                )
-                slots.append(
-                    CandidateSlot(
-                        f"pickup:{obj.name}",
-                        (offered,),
-                        partial(_pickup_option, obj.name, offered),
-                    )
-                )
+                if not obj.delivered and not obj.held_by and beliefs.value(obj.name, "located_in"):
+                    options.append(option("pickup", obj.name, utility=0.85))
         else:
             first_pending = next(
                 (
@@ -199,27 +150,16 @@ class TransportEnv(Environment):
                 ),
                 None,
             )
-            slots.append(
-                CandidateSlot(
-                    "pickup_full",
-                    (first_pending,),
-                    partial(_infeasible_pickup, first_pending),
-                )
-            )
+            if first_pending is not None:
+                options.append(option("pickup", first_pending, feasible=False))
 
         for room_name in self.grid.room_names()[1:]:
             visited = beliefs.value(room_name, "visited") == "true"
-            slots.append(
-                CandidateSlot(
-                    f"explore:{room_name}",
-                    (visited,),
-                    partial(_explore_option, room_name, visited),
-                )
-            )
+            options.append(option("explore", room_name, utility=0.12 if visited else 0.42))
 
-        slots.append(CandidateSlot("idle", (), partial(idle_candidates, 0.02)))
-        slots.append(CandidateSlot("hallucination", (), self.hallucination_candidates))
-        return slots
+        options.append(option("idle", utility=0.02))
+        options.extend(self.hallucination_candidates())
+        return tuple(options)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Fact, Subgoal
 from repro.envs import make_env, make_task
 from repro.envs.mineworld import (
+    AREAS,
     GATHER_TOOL,
     RECIPES,
+    RESOURCE_AREAS,
+    STATIONS,
+    demand_plan,
     requirement_closure,
 )
 
@@ -181,3 +187,173 @@ class TestRecipeTable:
             assert removable, f"cycle among {sorted(remaining)}"
             for item in removable:
                 del remaining[item]
+
+
+# ---------------------------------------------------------------------- #
+# The one-pass demand plan against the recursive calculator it replaced
+# ---------------------------------------------------------------------- #
+
+
+class _ReferenceDeficits:
+    """Memoized recursive demand propagation, kept as the plan's oracle.
+
+    Demand flows down from the goal: recipe ingredients are demanded in
+    proportion to their consumers' deficits, stations at most once, and a
+    tool is demanded while any resource gated on it still has a deficit.
+    A re-entrant query returns zero; on the shipped tables it never
+    happens, since the demand graph is a DAG.
+    """
+
+    def __init__(self, goal: str, needed: set[str], inventory: dict[str, int]) -> None:
+        self.goal = goal
+        self.needed = needed
+        self.inventory = inventory
+        self._memo: dict[str, int] = {}
+        self._in_progress: set[str] = set()
+
+    def count(self, item: str) -> int:
+        return self.inventory.get(item, 0)
+
+    def item_deficit(self, item: str) -> int:
+        if item in self._memo:
+            return self._memo[item]
+        if item in self._in_progress:
+            return 0
+        self._in_progress.add(item)
+        try:
+            deficit = self._compute_item(item)
+        finally:
+            self._in_progress.discard(item)
+        self._memo[item] = deficit
+        return deficit
+
+    def _compute_item(self, item: str) -> int:
+        if item == self.goal:
+            return 0 if self.count(item) >= 1 else 1
+        demanded = 0
+        for consumer in self.needed:
+            recipe = RECIPES.get(consumer, {})
+            if item not in recipe:
+                continue
+            consumer_deficit = self.item_deficit(consumer)
+            if consumer_deficit <= 0:
+                continue
+            count = recipe[item]
+            demanded += 1 if count == 0 else count * consumer_deficit
+        if item in STATIONS:
+            demanded = min(demanded, 1)
+        if self.count(item) == 0 and self._is_needed_tool(item):
+            demanded = max(demanded, 1)
+        return max(0, demanded - self.count(item))
+
+    def resource_deficit(self, resource: str) -> int:
+        demanded = 0
+        for consumer in self.needed:
+            recipe = RECIPES.get(consumer, {})
+            if resource in recipe and self.item_deficit(consumer) > 0:
+                demanded += recipe[resource] * max(1, self.item_deficit(consumer))
+        return max(0, demanded - self.count(resource))
+
+    def _is_needed_tool(self, item: str) -> bool:
+        return any(
+            tool == item and self.resource_deficit(resource) > 0
+            for resource, tool in GATHER_TOOL.items()
+        )
+
+
+def reference_economy(env, inventory: dict[str, int], deposits) -> list[tuple]:
+    """The craft and gather menu as (name, target, destination, utility,
+    feasible, fault) rows, computed through :class:`_ReferenceDeficits`."""
+    calculator = _ReferenceDeficits(env.goal_item, env.needed_items, inventory)
+    count = calculator.count
+
+    def craftable(item: str) -> bool:
+        return all(
+            count(ingredient) >= max(1, units) for ingredient, units in RECIPES[item].items()
+        )
+
+    rows: list[tuple] = []
+    for item in sorted(RECIPES):
+        needed = item in env.needed_items and calculator.item_deficit(item) > 0
+        if craftable(item) and needed:
+            utility = 1.0 if item == env.goal_item else 0.9
+            rows.append(("craft", item, "", utility, True, None))
+        elif craftable(item):
+            rows.append(("craft", item, "", 0.15, True, None))
+        elif needed:
+            rows.append(("craft", item, "", 0.0, False, None))
+    for resource, known_area in zip(RESOURCE_AREAS, deposits):
+        deficit = calculator.resource_deficit(resource)
+        tool = GATHER_TOOL[resource]
+        has_tool = not tool or count(tool) >= 1
+        if known_area is None:
+            if deficit > 0 and has_tool:
+                rows.append(("gather", resource, "search", 0.6, True, None))
+            continue
+        if deficit > 0 and has_tool:
+            rows.append(("gather", resource, "", 0.8, True, None))
+        elif deficit > 0:
+            rows.append(("gather", resource, "", 0.0, False, None))
+        elif has_tool:
+            rows.append(("gather", resource, "", 0.1, True, None))
+    return rows
+
+
+def _rows(candidates) -> list[tuple]:
+    return [
+        (c.subgoal.name, c.subgoal.target, c.subgoal.destination, c.utility, c.feasible, c.fault)
+        for c in candidates
+    ]
+
+
+_STOCK = sorted(set(RECIPES) | set(RESOURCE_AREAS))
+
+
+class TestDemandPlan:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        goal=st.sampled_from(sorted(RECIPES)),
+        # Sparse inventories (absent = 0) keep many consumers short at once,
+        # which is where the station clamp and the tool gate bite.
+        inventory=st.dictionaries(st.sampled_from(_STOCK), st.integers(min_value=1, max_value=6)),
+        deposits=st.lists(
+            st.sampled_from((None, *AREAS)),
+            min_size=len(RESOURCE_AREAS),
+            max_size=len(RESOURCE_AREAS),
+        ),
+    )
+    def test_economy_options_match_reference(self, goal, inventory, deposits):
+        env = make_env(make_task("mineworld", difficulty="easy", seed=0, goal_item=goal))
+        player = env._players["agent_0"]
+        player.inventory = inventory
+        deposits = tuple(deposits)
+        options = env._economy_options(player, deposits)
+        assert _rows(options) == reference_economy(env, player.inventory, deposits)
+
+    @pytest.mark.parametrize("goal", sorted(RECIPES))
+    def test_plan_evaluates_every_node_after_what_it_reads(self, goal):
+        position = {step.name: index for index, step in enumerate(demand_plan(goal))}
+        needed = requirement_closure(goal)
+        assert set(position) == needed | set(RESOURCE_AREAS)
+        for name in position:
+            for consumer in needed:
+                if name in RECIPES[consumer]:
+                    assert position[consumer] < position[name], (name, consumer)
+        for resource, tool in GATHER_TOOL.items():
+            if tool in needed:
+                assert position[resource] < position[tool], (tool, resource)
+
+    @pytest.mark.parametrize(
+        "item,recipe,goal",
+        [
+            # A recipe edge back down the tree: planks that need sticks.
+            ("planks", {"log": 1, "stick": 1}, "stick"),
+            # A tool edge closing the loop: the pickaxe that mines
+            # cobblestone needs cobblestone.
+            ("wooden_pickaxe", {"stick": 2, "cobblestone": 1, "crafting_table": 0}, "furnace"),
+        ],
+    )
+    def test_cyclic_table_raises(self, monkeypatch, item, recipe, goal):
+        monkeypatch.setitem(RECIPES, item, recipe)
+        with pytest.raises(ValueError, match="cycle"):
+            demand_plan(goal)

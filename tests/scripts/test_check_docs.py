@@ -1,0 +1,37 @@
+"""The stale file-reference check of ``scripts/check_docs.py``."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+_spec = importlib.util.spec_from_file_location("check_docs", ROOT / "scripts" / "check_docs.py")
+check_docs = sys.modules["check_docs"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_docs)
+
+FILES = ["src/repro/envs/base.py", "docs/performance.md", "pyproject.toml"]
+
+
+def test_present_path_passes():
+    text = "See `src/repro/envs/base.py` and `./docs/performance.md`."
+    assert check_docs.stale_references(text, FILES) == []
+
+
+def test_missing_path_fails():
+    text = "The cache lives in `envs/candidates.py`; see `envs/base.py`."
+    assert check_docs.stale_references(text, FILES) == ["envs/candidates.py"]
+
+
+def test_bare_basename_resolves_by_suffix():
+    assert check_docs.stale_references("`pyproject.toml`, `base.py`", FILES) == []
+    # A suffix must end at a path separator.
+    assert check_docs.stale_references("`ase.py`", FILES) == ["ase.py"]
+
+
+def test_globs_and_annotated_spans_are_not_references():
+    text = "`BENCH_*.json`, `envs/*.py` and `core/bus.py: DeliveryBus`"
+    assert check_docs.stale_references(text, FILES) == []
+
+
+def test_repository_docs_name_only_existing_files():
+    assert check_docs.check_file_references() == []
