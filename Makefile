@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke e2e-probes examples
+.PHONY: test bench bench-serving bench-fleet bench-all lint format suite suite-identity docs-check resume-smoke e2e-probes examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -69,3 +69,10 @@ format:
 
 suite:
 	$(PYTHON) -m repro.experiments.suite
+
+# The report must not depend on how it ran: at one trial per cell, a
+# serial run into a fresh ledger, a 2-worker run without one, and a run
+# resumed against the full ledger must print identical reports (timing
+# line aside), and the resume must append nothing to the ledger.
+suite-identity:
+	$(PYTHON) scripts/suite_identity.py

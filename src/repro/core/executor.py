@@ -15,8 +15,8 @@ Two dispatch surfaces:
 - :meth:`TrialExecutor.run_stream` — pipelined mode: accept a (possibly
   lazy) job iterable and yield ``(index, result)`` pairs **in completion
   order**.  This is what the checkpoint ledger (:mod:`repro.core.fleet`)
-  and the pipelined grid helpers build on: all cells of a sweep stay in
-  flight at once (no per-cell barrier drains the pool), and completed
+  and the pipelined grid helpers build on: all cells of a sweep share
+  one stream (no per-cell barrier drains the pool), and completed
   episodes can be checkpointed the moment they finish.
 
 ``SerialExecutor`` (the default everywhere) runs jobs in-process exactly
@@ -26,7 +26,9 @@ obtains an executor from :func:`get_executor`, which caches one pool per
 *effective* ``(kind, worker count)`` — an unset worker count resolves to
 :func:`default_worker_count` before keying, so ``max_workers=None`` and
 an explicit default share one pool — and a full suite run reuses its
-workers instead of re-forking per experiment cell.
+workers instead of re-forking per experiment cell.  Executors are
+driven from one thread: a suite run is one stream, so neither the pool
+nor the shared-executor cache takes a lock.
 
 Contracts:
 
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
@@ -71,6 +72,12 @@ from repro.core.types import TaskSpec
 
 #: Executor kinds selectable via settings / ``REPRO_WORKERS``.
 EXECUTOR_KINDS = ("serial", "parallel")
+
+#: In-flight jobs per worker when a stream is given no ``window``: enough
+#: queued work that no worker idles while the consumer handles a
+#: completion, and few enough that each wait round watches a handful of
+#: futures rather than the whole wave.
+IN_FLIGHT_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class TrialExecutor(ABC):
         Yields ``(submission_index, result)`` pairs in completion order.
         ``window`` bounds how many jobs may be in flight (and therefore
         how far ahead of the consumer the job iterable is pulled);
-        ``None`` submits eagerly for maximum pipelining.
+        ``None`` lets the executor pick the bound from its worker count.
 
         A job that raises must surface a :class:`TrialExecutionError`
         naming the failed job — never hang, never drop completed
@@ -196,7 +203,9 @@ class ParallelExecutor(TrialExecutor):
     moment any worker finishes (the pipelining the ledger's
     checkpointing rides on), and a worker crash becomes an immediate,
     attributable exception instead of waiting behind earlier-submitted
-    jobs that are still running.
+    jobs that are still running.  Without a ``window``, at most
+    :data:`IN_FLIGHT_PER_WORKER` jobs per worker are in flight, so the
+    cost of each wait round stays flat however long the wave is.
     """
 
     kind = "parallel"
@@ -211,21 +220,18 @@ class ParallelExecutor(TrialExecutor):
         self.max_workers = max_workers or default_worker_count()
         self._runner = job_runner
         self._pool: futures.ProcessPoolExecutor | None = None
-        # run_jobs may be called from several threads at once (suite
-        # --concurrent-sections); guard pool creation so only one pool
-        # of workers ever exists per executor.
-        self._lock = threading.Lock()
 
     def _ensure_pool(self) -> futures.ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = futures.ProcessPoolExecutor(max_workers=self.max_workers)
-            return self._pool
+        if self._pool is None:
+            self._pool = futures.ProcessPoolExecutor(max_workers=self.max_workers)
+        return self._pool
 
     def run_stream(
         self, jobs: Iterable[TrialJob], window: int | None = None
     ) -> Iterator[tuple[int, EpisodeResult]]:
-        if window is not None and window < 1:
+        if window is None:
+            window = IN_FLIGHT_PER_WORKER * self.max_workers
+        elif window < 1:
             raise ValueError(f"window must be >= 1: {window}")
         pool = self._ensure_pool()
         source = enumerate(jobs)
@@ -234,7 +240,7 @@ class ParallelExecutor(TrialExecutor):
 
         def top_up() -> None:
             nonlocal exhausted
-            while not exhausted and (window is None or len(in_flight) < window):
+            while not exhausted and len(in_flight) < window:
                 try:
                     index, job = next(source)
                 except StopIteration:
@@ -278,10 +284,9 @@ class ParallelExecutor(TrialExecutor):
                 future.cancel()
 
     def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
 
 def make_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
@@ -294,7 +299,6 @@ def make_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
 
 
 _SHARED: dict[tuple[str, int], TrialExecutor] = {}
-_SHARED_LOCK = threading.Lock()
 
 
 def _shared_key(kind: str, max_workers: int | None) -> tuple[str, int]:
@@ -315,23 +319,20 @@ def get_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
 
     Parallel executors own a process pool, so experiment helpers share
     one instance per configuration rather than re-forking workers for
-    every cell of a sweep.  Thread-safe (concurrent suite sections
-    resolve their executor through here); pools are shut down at
-    interpreter exit.
+    every cell of a sweep.  Callers resolve and drive executors from one
+    thread; pools are shut down at interpreter exit.
     """
     key = _shared_key(kind, max_workers)
-    with _SHARED_LOCK:
-        if key not in _SHARED:
-            _SHARED[key] = make_executor(key[0], max_workers=key[1])
-        return _SHARED[key]
+    if key not in _SHARED:
+        _SHARED[key] = make_executor(key[0], max_workers=key[1])
+    return _SHARED[key]
 
 
 def shutdown_shared_executors() -> None:
     """Close every cached executor (used by tests and atexit)."""
-    with _SHARED_LOCK:
-        for executor in _SHARED.values():
-            executor.close()
-        _SHARED.clear()
+    for executor in _SHARED.values():
+        executor.close()
+    _SHARED.clear()
 
 
 atexit.register(shutdown_shared_executors)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.core.config import SystemConfig
+from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.optim import (
     with_batching,
@@ -60,15 +61,15 @@ class AblationsResult:
         return baseline.total_minutes / optimized.total_minutes
 
 
-def _cases() -> list[tuple[str, str, SystemConfig, SystemConfig]]:
-    """(recommendation, workload, baseline config, optimized config)."""
+def _cases() -> list[tuple[str, str, str, SystemConfig]]:
+    """(recommendation, workload, variant, config) in report order."""
     coela = get_workload("coela").config
     combo = get_workload("combo").config
     dmas = get_workload("dmas").config
     mindagent = get_workload("mindagent").config
     coela_big_memory = coela.with_memory_capacity(60)
     mindagent_8 = mindagent.with_agents(8)
-    return [
+    pairs = [
         ("rec1_batching", "combo", combo, with_batching(combo)),
         ("rec1_quantization", "combo", combo, with_quantization(combo)),
         ("rec1_mlc_runtime", "combo", combo, with_mlc_runtime(combo)),
@@ -83,19 +84,19 @@ def _cases() -> list[tuple[str, str, SystemConfig, SystemConfig]]:
         ("rec9_hierarchy", "mindagent(n=8)", mindagent_8, with_hierarchy(mindagent_8, 4)),
         ("rec10_comm_filter", "dmas", dmas, with_comm_filter(dmas)),
     ]
+    return [
+        (recommendation, workload, variant, config)
+        for recommendation, workload, baseline, optimized in pairs
+        for variant, config in (("baseline", baseline), ("optimized", optimized))
+    ]
 
 
-def run(settings: ExperimentSettings | None = None) -> AblationsResult:
-    settings = settings or ExperimentSettings()
-    cases = []
-    grid = []
-    for recommendation, workload, baseline_config, optimized_config in _cases():
-        for variant, config in (
-            ("baseline", baseline_config),
-            ("optimized", optimized_config),
-        ):
-            cases.append((recommendation, workload, variant))
-            grid.append(GridCell(config=config))
+def grid() -> list[GridCell]:
+    """One cell per (recommendation, variant)."""
+    return [GridCell(config=config) for *_, config in _cases()]
+
+
+def summarize(aggregates: list[AggregateResult]) -> AblationsResult:
     rows = [
         AblationRow(
             recommendation=recommendation,
@@ -106,11 +107,14 @@ def run(settings: ExperimentSettings | None = None) -> AblationsResult:
             llm_calls=aggregate.mean_llm_calls,
             messages_sent=aggregate.mean_messages_sent,
         )
-        for (recommendation, workload, variant), aggregate in zip(
-            cases, measure_grid(grid, settings)
-        )
+        for (recommendation, workload, variant, _), aggregate in zip(_cases(), aggregates)
     ]
     return AblationsResult(rows=rows)
+
+
+def run(settings: ExperimentSettings | None = None) -> AblationsResult:
+    settings = settings or ExperimentSettings()
+    return summarize(measure_grid(grid(), settings))
 
 
 def render(result: AblationsResult) -> str:

@@ -13,28 +13,23 @@ process runs which episode.
 The sweep helpers are grid-shaped on purpose: an experiment declares its
 full grid of cells up front (:class:`GridCell`) and :func:`measure_grid`
 flattens cells x trials into **one streaming wave** of picklable jobs —
-every job in the pool at once, no barrier at any cell boundary — then
+one stream through the pool, no barrier at any cell boundary — then
 reassembles results per cell in submission order, so the aggregates are
 byte-identical to a serial run while a straggler cell never idles the
-workers that finished the light cells around it.
+workers that finished the light cells around it.  The steps are public
+(:func:`grid_jobs` or :func:`episode_jobs`, :func:`dispatch_jobs`,
+:func:`aggregate_grid`) because the suite builds every figure's jobs
+first and sends them all as one wave.
 
 Dispatch routes through the checkpoint ledger (:mod:`repro.core.fleet`)
 when ``REPRO_LEDGER`` is set: completed episodes append to the ledger as
 they finish, and a restart restores them instead of re-running them.
 With the knob unset the wave goes straight to the settings' executor.
-
-Per-deployment token spend flows from every episode into the section's
-:class:`CostMeter` (thread-local, so ``--concurrent-sections`` keeps
-each figure's bill separate), which the suite renders as a cost footer
-per figure.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.core.config import SystemConfig
 from repro.core.envknobs import int_knob
@@ -93,78 +88,6 @@ class ExperimentSettings:
 
 
 # ---------------------------------------------------------------------- #
-# Per-section cost metering
-# ---------------------------------------------------------------------- #
-
-
-class CostMeter:
-    """Per-deployment token totals for one report section.
-
-    Every episode dispatched while a meter is active (see
-    :func:`metered`) contributes its ``deployment_tokens``; the suite
-    renders the totals as a cost footer per figure.  Token counts are
-    seeded and deterministic, so — unlike wall-clock timing lines — the
-    footer is byte-identical across serial, parallel, and resumed runs.
-    """
-
-    def __init__(self) -> None:
-        self._tokens: dict[str, list[int]] = {}
-
-    def add_results(self, results: list[EpisodeResult]) -> None:
-        for result in results:
-            for model, (prompt, output) in result.deployment_tokens.items():
-                bucket = self._tokens.setdefault(model, [0, 0])
-                bucket[0] += prompt
-                bucket[1] += output
-
-    def totals(self) -> dict[str, tuple[int, int]]:
-        return {
-            model: (prompt, output)
-            for model, (prompt, output) in sorted(self._tokens.items())
-        }
-
-    @property
-    def empty(self) -> bool:
-        return not self._tokens
-
-    def describe(self) -> str:
-        """One-line cost footer: total dollars plus per-deployment split."""
-        from repro.llm.costs import cost_breakdown
-
-        costs = cost_breakdown(self.totals())
-        total = sum(costs.values())
-        parts = ", ".join(f"{model} ${cost:.4f}" for model, cost in costs.items())
-        return f"LLM serving cost: ${total:.4f}  ({parts})"
-
-
-_ACTIVE_METER = threading.local()
-
-
-@contextmanager
-def metered() -> Iterator[CostMeter]:
-    """Collect deployment token spend for everything dispatched inside.
-
-    Thread-local, so concurrent suite sections (each section runs wholly
-    on its own thread) meter independently.  Nesting restores the outer
-    meter on exit; the inner scope's episodes bill to the inner meter
-    only.
-    """
-    meter = CostMeter()
-    previous = getattr(_ACTIVE_METER, "meter", None)
-    _ACTIVE_METER.meter = meter
-    try:
-        yield meter
-    finally:
-        _ACTIVE_METER.meter = previous
-
-
-def _record_cost(results: list[EpisodeResult]) -> None:
-    meter = getattr(_ACTIVE_METER, "meter", None)
-    if meter is not None:
-        meter.add_results(results)
-
-
-# ---------------------------------------------------------------------- #
 # Grid dispatch
 # ---------------------------------------------------------------------- #
 
@@ -191,6 +114,48 @@ def _cell_jobs(cell: GridCell, settings: ExperimentSettings) -> list[TrialJob]:
     )
 
 
+def grid_jobs(cells: list[GridCell], settings: ExperimentSettings) -> list[TrialJob]:
+    """Every cell's ``n_trials`` jobs, cell-major and seed-minor.
+
+    That is the exact order the seed code ran them serially, so
+    :func:`aggregate_grid` can read the results back by position.
+    """
+    return [job for cell in cells for job in _cell_jobs(cell, settings)]
+
+
+def aggregate_grid(
+    results: list[EpisodeResult], settings: ExperimentSettings
+) -> list[AggregateResult]:
+    """Aggregate a grid's submission-ordered results, one per cell."""
+    trials = settings.n_trials
+    return [
+        aggregate(results[start : start + trials])
+        for start in range(0, len(results), trials)
+    ]
+
+
+def episode_jobs(cells: list[GridCell], settings: ExperimentSettings) -> list[TrialJob]:
+    """One job per cell, at ``settings.base_seed`` itself."""
+    jobs = []
+    for cell in cells:
+        task = build_task(
+            cell.config,
+            difficulty=cell.difficulty or settings.difficulty,
+            n_agents=cell.n_agents,
+            seed=settings.base_seed,
+            horizon=cell.horizon,
+        )
+        jobs.append(
+            TrialJob(
+                config=cell.config,
+                task=task,
+                seed=settings.base_seed,
+                settings=settings.run,
+            )
+        )
+    return jobs
+
+
 def dispatch_jobs(
     jobs: list[TrialJob], settings: ExperimentSettings
 ) -> list[EpisodeResult]:
@@ -198,18 +163,14 @@ def dispatch_jobs(
 
     The single dispatch seam for every experiment: when ``REPRO_LEDGER``
     is set the wave routes through the fleet runner (checkpoint/resume),
-    otherwise straight through the settings' executor.  Either way every
-    job is in flight together — no intermediate barriers — and the
-    episode stream feeds the active :class:`CostMeter`.
+    otherwise straight through the settings' executor.  Either way the
+    jobs share one stream, with no intermediate barriers.
     """
     executor = settings.make_executor()
     fleet = fleet_from_env()
     if fleet is not None:
-        results = fleet.run_jobs(jobs, executor)
-    else:
-        results = executor.run_jobs(jobs)
-    _record_cost(results)
-    return results
+        return fleet.run_jobs(jobs, executor)
+    return executor.run_jobs(jobs)
 
 
 def measure(
@@ -231,26 +192,14 @@ def measure_grid(
 ) -> list[AggregateResult]:
     """Measure every cell of a grid through one streaming wave.
 
-    All cells' trials are flattened into a single job list (cell-major,
-    seed-minor — the exact order the seed code ran them serially) and
-    submitted to the pool together, so a straggler cell shares the
-    workers with every cell behind it; results are regrouped per cell in
-    submission order and aggregated, making the output byte-identical to
-    the serial run.  Output order matches input cell order.
+    All cells' trials are flattened into a single job list
+    (:func:`grid_jobs`) and submitted to the pool together, so a
+    straggler cell shares the workers with every cell behind it; results
+    are regrouped per cell in submission order and aggregated, making
+    the output byte-identical to the serial run.  Output order matches
+    input cell order.
     """
-    jobs = []
-    spans = []
-    for cell in cells:
-        cell_jobs = _cell_jobs(cell, settings)
-        spans.append(len(cell_jobs))
-        jobs.extend(cell_jobs)
-    results = dispatch_jobs(jobs, settings)
-    aggregates = []
-    cursor = 0
-    for span in spans:
-        aggregates.append(aggregate(results[cursor : cursor + span]))
-        cursor += span
-    return aggregates
+    return aggregate_grid(dispatch_jobs(grid_jobs(cells, settings), settings), settings)
 
 
 def episode_grid(
@@ -261,21 +210,4 @@ def episode_grid(
     For experiments that need raw per-episode traces (e.g. Fig. 6 token
     series) rather than aggregates.
     """
-    jobs = []
-    for cell in cells:
-        task = build_task(
-            cell.config,
-            difficulty=cell.difficulty or settings.difficulty,
-            n_agents=cell.n_agents,
-            seed=settings.base_seed,
-            horizon=cell.horizon,
-        )
-        jobs.append(
-            TrialJob(
-                config=cell.config,
-                task=task,
-                seed=settings.base_seed,
-                settings=settings.run,
-            )
-        )
-    return dispatch_jobs(jobs, settings)
+    return dispatch_jobs(episode_jobs(cells, settings), settings)

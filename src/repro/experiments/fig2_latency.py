@@ -20,6 +20,7 @@ from repro.analysis.profiler import (
 )
 from repro.analysis.report import format_bar_chart, format_table
 from repro.core.clock import MODULE_ORDER
+from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.workloads.registry import WORKLOAD_SUITE
 
@@ -33,11 +34,18 @@ class Fig2Result:
         return mean_llm_fraction(self.profiles)
 
 
+def grid() -> list[GridCell]:
+    """One cell per suite workload, in registry order."""
+    return [GridCell(config=workload.config) for workload in WORKLOAD_SUITE]
+
+
+def summarize(aggregates: list[AggregateResult]) -> Fig2Result:
+    return Fig2Result(profiles=[profile_from_aggregate(agg) for agg in aggregates])
+
+
 def run(settings: ExperimentSettings | None = None) -> Fig2Result:
     settings = settings or ExperimentSettings()
-    cells = [GridCell(config=workload.config) for workload in WORKLOAD_SUITE]
-    aggregates = measure_grid(cells, settings)
-    return Fig2Result(profiles=[profile_from_aggregate(agg) for agg in aggregates])
+    return summarize(measure_grid(grid(), settings))
 
 
 def render(result: Fig2Result) -> str:

@@ -9,6 +9,11 @@ w/o reflection ≈ 1.88× steps and −33.3 pp success; w/o execution drives
 tasks to the step limit; w/o communication is not significant.  Cells
 where the baseline system lacks the module are "Not Applicable", exactly
 as in the paper's figure.
+
+Difficulty: ``python -m repro.experiments.fig3_sensitivity`` (and
+:func:`run` without settings) ablates on hard tasks, while the suite
+runs Figure 3 at the suite's difficulty (medium), like every other
+section, so the two print different numbers.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
+from repro.core.config import SystemConfig
 from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.workloads.registry import get_workload
@@ -73,36 +79,41 @@ class Fig3Result:
         ) / len(pairs)
 
 
-def _module_present(config, ablation: str) -> bool:
-    return config.module_flags()[ablation]
+def _variants() -> list[tuple[str, str, SystemConfig | None]]:
+    """``(subject, variant, config)`` in report order; ``config`` is
+    ``None`` where the subject lacks the module ("Not Applicable")."""
+    variants: list[tuple[str, str, SystemConfig | None]] = []
+    for subject in SUBJECTS:
+        config = get_workload(subject).config
+        variants.append((subject, "baseline", config))
+        for ablation in ABLATIONS:
+            present = config.module_flags()[ablation]
+            variants.append((subject, ablation, config.without(ablation) if present else None))
+    return variants
+
+
+def grid() -> list[GridCell]:
+    """One cell per applicable variant, in report order."""
+    return [GridCell(config=config) for _, _, config in _variants() if config is not None]
+
+
+def summarize(aggregates: list[AggregateResult]) -> Fig3Result:
+    measured = iter(aggregates)
+    return Fig3Result(
+        cells=[
+            _cell(subject, variant, next(measured))
+            if config is not None
+            else AblationCell(workload=subject, ablation=variant, applicable=False)
+            for subject, variant, config in _variants()
+        ]
+    )
 
 
 def run(settings: ExperimentSettings | None = None) -> Fig3Result:
     # The paper ablates on each system's long-horizon tasks; the hard
     # difficulty tier is our equivalent.
     settings = settings or ExperimentSettings(difficulty="hard")
-    variants: list[tuple[str, str, bool]] = []  # (subject, variant, applicable)
-    grid: list[GridCell] = []
-    for subject in SUBJECTS:
-        config = get_workload(subject).config
-        variants.append((subject, "baseline", True))
-        grid.append(GridCell(config=config))
-        for ablation in ABLATIONS:
-            if not _module_present(config, ablation):
-                variants.append((subject, ablation, False))
-                continue
-            variants.append((subject, ablation, True))
-            grid.append(GridCell(config=config.without(ablation)))
-    aggregates = iter(measure_grid(grid, settings))
-    cells: list[AblationCell] = []
-    for subject, variant, applicable in variants:
-        if applicable:
-            cells.append(_cell(subject, variant, next(aggregates)))
-        else:
-            cells.append(
-                AblationCell(workload=subject, ablation=variant, applicable=False)
-            )
-    return Fig3Result(cells=cells)
+    return summarize(measure_grid(grid(), settings))
 
 
 def _cell(workload: str, ablation: str, result: AggregateResult) -> AblationCell:

@@ -13,8 +13,11 @@ workload fails outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from repro.analysis.report import format_table
+from repro.core.clock import ModuleName
+from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.workloads.registry import get_workload
 
@@ -69,17 +72,19 @@ class Fig4Result:
         ]
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig4Result:
-    settings = settings or ExperimentSettings()
-    cases = [(subject, model) for subject in SUBJECTS for model in MODELS]
-    grid = [
+def grid() -> list[GridCell]:
+    """One cell per (subject, planning model)."""
+    return [
         GridCell(config=get_workload(subject).config.with_planner(model))
-        for subject, model in cases
+        for subject, model in product(SUBJECTS, MODELS)
     ]
+
+
+def summarize(aggregates: list[AggregateResult]) -> Fig4Result:
     cells = []
-    for (subject, model), aggregate in zip(cases, measure_grid(grid, settings)):
+    for (subject, model), aggregate in zip(product(SUBJECTS, MODELS), aggregates):
         per_inference = (
-            aggregate.module_seconds.get(_PLANNING, 0.0) / aggregate.mean_llm_calls
+            aggregate.module_seconds.get(ModuleName.PLANNING, 0.0) / aggregate.mean_llm_calls
             if aggregate.mean_llm_calls
             else 0.0
         )
@@ -93,6 +98,11 @@ def run(settings: ExperimentSettings | None = None) -> Fig4Result:
             )
         )
     return Fig4Result(cells=cells)
+
+
+def run(settings: ExperimentSettings | None = None) -> Fig4Result:
+    settings = settings or ExperimentSettings()
+    return summarize(measure_grid(grid(), settings))
 
 
 def render(result: Fig4Result) -> str:
@@ -130,11 +140,6 @@ def render(result: Fig4Result) -> str:
         "(paper: smaller local model lowers success and raises end-to-end runtime)"
     )
     return table + "\n\n" + summary
-
-
-from repro.core.clock import ModuleName  # noqa: E402
-
-_PLANNING = ModuleName.PLANNING
 
 
 def main() -> None:

@@ -14,9 +14,11 @@ with capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from repro.analysis.report import format_series
 from repro.core.clock import ModuleName
+from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.envs.tasks import default_horizon
 from repro.workloads.registry import get_workload
@@ -58,29 +60,27 @@ class Fig5Result:
         )
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig5Result:
-    settings = settings or ExperimentSettings()
-    cases = []
-    grid = []
-    for subject in SUBJECTS:
-        base_config = get_workload(subject).config
-        for difficulty in DIFFICULTIES:
-            horizon = int(
-                HORIZON_SCALE * default_horizon(base_config.env_name, difficulty)
-            )
-            for capacity in CAPACITIES:
-                cases.append((subject, difficulty, capacity))
-                grid.append(
-                    GridCell(
-                        config=base_config.with_memory_capacity(capacity),
-                        difficulty=difficulty,
-                        horizon=horizon,
-                    )
-                )
+def grid() -> list[GridCell]:
+    """One cell per (subject, difficulty, capacity), under the tightened
+    step budget."""
     cells = []
-    for (subject, difficulty, capacity), aggregate in zip(
-        cases, measure_grid(grid, settings)
-    ):
+    for subject, difficulty, capacity in product(SUBJECTS, DIFFICULTIES, CAPACITIES):
+        base_config = get_workload(subject).config
+        horizon = int(HORIZON_SCALE * default_horizon(base_config.env_name, difficulty))
+        cells.append(
+            GridCell(
+                config=base_config.with_memory_capacity(capacity),
+                difficulty=difficulty,
+                horizon=horizon,
+            )
+        )
+    return cells
+
+
+def summarize(aggregates: list[AggregateResult]) -> Fig5Result:
+    cells = []
+    cases = product(SUBJECTS, DIFFICULTIES, CAPACITIES)
+    for (subject, difficulty, capacity), aggregate in zip(cases, aggregates):
         retrieval = aggregate.module_seconds.get(ModuleName.MEMORY, 0.0)
         cells.append(
             MemoryCell(
@@ -93,6 +93,11 @@ def run(settings: ExperimentSettings | None = None) -> Fig5Result:
             )
         )
     return Fig5Result(cells=cells)
+
+
+def run(settings: ExperimentSettings | None = None) -> Fig5Result:
+    settings = settings or ExperimentSettings()
+    return summarize(measure_grid(grid(), settings))
 
 
 def render(result: Fig5Result) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_series
 from repro.analysis.series import growth_slope, token_series_by_agent_purpose
+from repro.core.metrics import EpisodeResult
 from repro.experiments.common import ExperimentSettings, GridCell, episode_grid
 from repro.workloads.registry import get_workload
 
@@ -38,15 +39,24 @@ class Fig6Result:
         raise KeyError(f"no trace for {workload}")
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig6Result:
-    settings = settings or ExperimentSettings()
-    cells = [GridCell(config=get_workload(subject).config) for subject in SUBJECTS]
+def grid() -> list[GridCell]:
+    """One cell per traced subject; the figure reads one raw episode each."""
+    return [GridCell(config=get_workload(subject).config) for subject in SUBJECTS]
+
+
+def summarize(episodes: list[EpisodeResult]) -> Fig6Result:
+    """The figure from one episode per :func:`grid` cell."""
     traces = []
-    for subject, episode in zip(SUBJECTS, episode_grid(cells, settings)):
+    for subject, episode in zip(SUBJECTS, episodes):
         series = token_series_by_agent_purpose(episode)
         slopes = {name: growth_slope(points) for name, points in series.items()}
         traces.append(TokenTrace(workload=subject, series=series, slopes=slopes))
     return Fig6Result(traces=traces)
+
+
+def run(settings: ExperimentSettings | None = None) -> Fig6Result:
+    settings = settings or ExperimentSettings()
+    return summarize(episode_grid(grid(), settings))
 
 
 def render(result: Fig6Result) -> str:

@@ -14,8 +14,10 @@ Paper shapes to preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from repro.analysis.report import format_series
+from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.workloads.registry import get_workload
 
@@ -49,36 +51,34 @@ class Fig7Result:
         )
 
 
+def grid() -> list[GridCell]:
+    """One cell per (subject, difficulty, team size)."""
+    return [
+        GridCell(config=get_workload(subject).config, difficulty=difficulty, n_agents=n_agents)
+        for subject, difficulty, n_agents in product(SUBJECTS, DIFFICULTIES, AGENT_COUNTS)
+    ]
+
+
+def summarize(aggregates: list[AggregateResult]) -> Fig7Result:
+    cases = product(SUBJECTS, DIFFICULTIES, AGENT_COUNTS)
+    return Fig7Result(
+        cells=[
+            ScaleCell(
+                workload=subject,
+                difficulty=difficulty,
+                n_agents=n_agents,
+                success_rate=aggregate.success_rate,
+                total_minutes=aggregate.mean_sim_minutes,
+                llm_calls=aggregate.mean_llm_calls,
+            )
+            for (subject, difficulty, n_agents), aggregate in zip(cases, aggregates)
+        ]
+    )
+
+
 def run(settings: ExperimentSettings | None = None) -> Fig7Result:
     settings = settings or ExperimentSettings()
-    cases = [
-        (subject, difficulty, n_agents)
-        for subject in SUBJECTS
-        for difficulty in DIFFICULTIES
-        for n_agents in AGENT_COUNTS
-    ]
-    grid = [
-        GridCell(
-            config=get_workload(subject).config,
-            difficulty=difficulty,
-            n_agents=n_agents,
-        )
-        for subject, difficulty, n_agents in cases
-    ]
-    cells = [
-        ScaleCell(
-            workload=subject,
-            difficulty=difficulty,
-            n_agents=n_agents,
-            success_rate=aggregate.success_rate,
-            total_minutes=aggregate.mean_sim_minutes,
-            llm_calls=aggregate.mean_llm_calls,
-        )
-        for (subject, difficulty, n_agents), aggregate in zip(
-            cases, measure_grid(grid, settings)
-        )
-    ]
-    return Fig7Result(cells=cells)
+    return summarize(measure_grid(grid(), settings))
 
 
 def render(result: Fig7Result) -> str:

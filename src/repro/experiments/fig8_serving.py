@@ -37,8 +37,10 @@ code paths ``REPRO_SERVE=batched`` / ``REPRO_SERVE=continuous`` engage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from repro.analysis.report import checkmark, format_series, format_table
+from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
@@ -88,27 +90,23 @@ class Fig8Result:
         )
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig8Result:
-    settings = settings or ExperimentSettings()
-    cases = [
-        (subject, n_agents)
-        for subject in SUBJECTS
-        for n_agents in AGENT_COUNTS
-    ]
+def grid() -> list[GridCell]:
+    """One cell per (subject, team size, serving mode), modes innermost."""
     transforms = {
         "percall": lambda config: config,
         "batched": with_batching,
         "continuous": with_continuous_serving,
     }
-    grid = []
-    for subject, n_agents in cases:
-        base = get_workload(subject).config
-        for mode in MODES:
-            grid.append(GridCell(config=transforms[mode](base), n_agents=n_agents))
-    aggregates = measure_grid(grid, settings)
+    return [
+        GridCell(config=transforms[mode](get_workload(subject).config), n_agents=n_agents)
+        for subject, n_agents, mode in product(SUBJECTS, AGENT_COUNTS, MODES)
+    ]
+
+
+def summarize(aggregates: list[AggregateResult]) -> Fig8Result:
     width = len(MODES)
     cells = []
-    for index, (subject, n_agents) in enumerate(cases):
+    for index, (subject, n_agents) in enumerate(product(SUBJECTS, AGENT_COUNTS)):
         percall = aggregates[width * index]
         batched = aggregates[width * index + 1]
         continuous = aggregates[width * index + 2]
@@ -136,6 +134,11 @@ def run(settings: ExperimentSettings | None = None) -> Fig8Result:
             )
         )
     return Fig8Result(cells=cells)
+
+
+def run(settings: ExperimentSettings | None = None) -> Fig8Result:
+    settings = settings or ExperimentSettings()
+    return summarize(measure_grid(grid(), settings))
 
 
 def render(result: Fig8Result) -> str:

@@ -23,10 +23,11 @@ frozen value types (``tokens`` in :mod:`repro.core.types`):
   digit) plus its subgoal;
 - fixed text: ``count_tokens(text)``, whose cache serves static text.
 
-Thread safety: the suite's ``--concurrent-sections`` mode runs episodes
-on threads of one process.  Sections and prompts are immutable, and the
-only shared state is ``functools.lru_cache`` (thread-safe) plus
-idempotent per-instance memo writes of pure values.
+Sections and prompts are immutable and nothing here takes a lock: the
+only shared state is ``functools.lru_cache`` plus idempotent
+per-instance memo writes of pure values, so a thread that races another
+to a first read stores the same count.  The simulator itself drives
+episodes from one thread per process.
 """
 
 from __future__ import annotations

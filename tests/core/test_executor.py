@@ -9,6 +9,7 @@ from repro.core.config import SystemConfig
 from repro.core.errors import TrialExecutionError
 from repro.core.executor import (
     EXECUTOR_KINDS,
+    IN_FLIGHT_PER_WORKER,
     ParallelExecutor,
     SerialExecutor,
     TrialJob,
@@ -168,6 +169,22 @@ class TestStreaming:
                 assert len(pulled) <= yielded + 2
             assert yielded == 5
         assert pulled == [1, 2, 3, 4, 5]
+
+    def test_default_window_is_bounded_by_worker_count(self):
+        pulled = []
+
+        def lazy_jobs():
+            for seed in range(1, 21):
+                pulled.append(seed)
+                yield synthetic_job(seed=seed, duration=0.002)
+
+        with ParallelExecutor(max_workers=2, job_runner=sleep_runner) as executor:
+            leads = [
+                len(pulled) - consumed
+                for consumed, _ in enumerate(executor.run_stream(lazy_jobs()))
+            ]
+        assert len(leads) == 20
+        assert max(leads) == IN_FLIGHT_PER_WORKER * 2
 
     def test_failure_preserves_earlier_completions(self, monkeypatch):
         monkeypatch.setenv(CRASH_SEEDS_KNOB, "3")

@@ -3,21 +3,29 @@
 These run with a single trial (fast) and assert structural properties —
 every cell present, applicability marked correctly, renders non-empty —
 plus the cheap directional claims.  Full-shape verification lives in the
-benchmarks and EXPERIMENTS.md.
+benchmarks and EXPERIMENTS.md.  The suite's single wave (one dispatch,
+per-section slices and cost footers) is driven by a cheap deterministic
+stand-in for episodes.
 """
 
 import pytest
 
+from repro.core.clock import ModuleName
+from repro.core.executor import SerialExecutor, TrialJob
+from repro.core.fleet import JobLedger, job_fingerprint
+from repro.core.metrics import EpisodeResult, TokenSample
 from repro.experiments import fig3_sensitivity, fig6_tokens, suite
 from repro.experiments.common import (
     ExperimentSettings,
     GridCell,
+    dispatch_jobs,
+    grid_jobs,
     measure,
     measure_grid,
-    metered,
     trials_from_env,
     workers_from_env,
 )
+from repro.llm.costs import tokens_cost
 from repro.workloads import get_workload
 
 FAST = ExperimentSettings(n_trials=1, base_seed=3, difficulty="easy")
@@ -83,41 +91,168 @@ class TestCommon:
 
 
 class TestCostMetering:
-    def test_meter_collects_dispatched_episodes(self):
-        with metered() as meter:
-            measure(get_workload("embodiedgpt").config, FAST)
-        assert not meter.empty
-        totals = meter.totals()
-        assert all(prompt > 0 for prompt, _ in totals.values())
-        line = meter.describe()
-        assert line.startswith("LLM serving cost: $")
-        for model in totals:
-            assert model in line
+    """Each suite section's footer prices that section's own episodes."""
 
-    def test_meter_scopes_nest_and_restore(self):
-        with metered() as outer:
-            with metered() as inner:
-                measure(get_workload("embodiedgpt").config, FAST)
-            snapshot = inner.totals()
-            measure(get_workload("jarvis-1").config, FAST)
-        assert snapshot and inner.totals() == snapshot  # no leak from outer scope
-        assert not outer.empty
+    @pytest.fixture(scope="class")
+    def episodes(self):
+        cells = [GridCell(config=get_workload("embodiedgpt").config)]
+        return dispatch_jobs(grid_jobs(cells, FAST), FAST)
 
-    def test_dispatch_outside_meter_is_fine(self):
-        measure(get_workload("embodiedgpt").config, FAST)  # no active meter
+    def test_meter_collects_dispatched_episodes(self, episodes):
+        footer = suite.section_block("Probe", "body", episodes).splitlines()[-1]
+        assert footer.startswith("LLM serving cost: $")
+        spent = _deployment_tokens(episodes)
+        assert spent and all(prompt > 0 for prompt, _ in spent.values())
+        for model in spent:
+            assert model in footer
 
-    def test_suite_section_footer_carries_cost(self):
-        block = suite._run_section(
-            "Probe",
-            lambda s: (measure(get_workload("embodiedgpt").config, s), "body")[1],
-            FAST,
-        )
-        assert "LLM serving cost: $" in block
-        assert block.splitlines()[-1].startswith("LLM serving cost:")
+    def test_suite_section_footer_carries_cost(self, episodes):
+        block = suite.section_block("Probe", "body", episodes)
+        assert block.splitlines()[-1] == _footer(episodes)
 
     def test_suite_section_without_episodes_has_no_footer(self):
-        block = suite._run_section("Probe", lambda s: "body", FAST)
+        block = suite.section_block("Probe", "body", [])
         assert "LLM serving cost" not in block
+        assert block.splitlines()[-1] == "body"
+
+
+def _deployment_tokens(results: list[EpisodeResult]) -> dict[str, tuple[int, int]]:
+    """Per-deployment token sums, added up here rather than by ``aggregate``."""
+    spent: dict[str, tuple[int, int]] = {}
+    for result in results:
+        for model, (prompt, output) in result.deployment_tokens.items():
+            before = spent.get(model, (0, 0))
+            spent[model] = (before[0] + prompt, before[1] + output)
+    return spent
+
+
+def _footer(results: list[EpisodeResult]) -> str:
+    costs = {
+        model: tokens_cost(model, prompt, output)
+        for model, (prompt, output) in sorted(_deployment_tokens(results).items())
+    }
+    parts = ", ".join(f"{model} ${cost:.4f}" for model, cost in costs.items())
+    return f"LLM serving cost: ${sum(costs.values()):.4f}  ({parts})"
+
+
+# ---------------------------------------------------------------------- #
+# The suite as one wave, driven by a cheap stand-in for episodes
+# ---------------------------------------------------------------------- #
+
+
+def stand_in_episode(job: TrialJob) -> EpisodeResult:
+    """A deterministic episode whose numbers depend on the whole job."""
+    mark = int(job_fingerprint(job)[:8], 16)
+    steps = 1 + mark % 17
+    prompt, output = 100 + mark % 900, 10 + mark % 90
+    return EpisodeResult(
+        workload=job.config.name,
+        success=mark % 3 > 0,
+        steps=steps,
+        horizon=job.task.horizon,
+        sim_seconds=float(steps * (1 + mark % 7)),
+        goal_progress=(mark % 11) / 10.0,
+        module_seconds={
+            ModuleName.PLANNING: float(1 + mark % 13),
+            ModuleName.MEMORY: float(mark % 5),
+            ModuleName.EXECUTION: float(1 + mark % 3),
+        },
+        llm_calls=1 + mark % 4,
+        prompt_tokens=prompt,
+        output_tokens=output,
+        messages_sent=mark % 6,
+        messages_useful=mark % 4,
+        faults={},
+        reflections_triggered=0,
+        replans=0,
+        records=[],
+        token_samples=[
+            TokenSample(step, "agent_0", "plan", prompt + step * (mark % 9), output)
+            for step in range(steps)
+        ],
+        deployment_tokens={job.config.planning_model: (prompt, output)},
+    )
+
+
+class StandInExecutor(SerialExecutor):
+    """Serial stand-in that counts its streams and records their results."""
+
+    def __init__(self):
+        super().__init__(job_runner=stand_in_episode)
+        self.streams = 0
+        self.results: list[EpisodeResult] = []
+
+    def run_stream(self, jobs, window=None):
+        self.streams += 1
+        for index, result in super().run_stream(jobs, window):
+            self.results.append(result)
+            yield index, result
+
+
+RULE = "=" * 72
+TITLES = ["Table I", "Table II"] + [title for title, _, _ in suite._FIGURES]
+
+
+def _sections(report: str) -> dict[str, str]:
+    """Title -> section content (body plus any footer) of a report."""
+    head, *chunks = report.split(RULE + "\n")
+    assert head == ""
+    titles = [title.rstrip("\n") for title in chunks[0::2]]
+    assert titles == TITLES
+    return {title: content.rstrip("\n") for title, content in zip(titles, chunks[1::2])}
+
+
+def _without_timing(report: str) -> str:
+    body, timing = report.rsplit("\n", 1)
+    assert timing.startswith("Report generated in ") and timing.endswith("s wall")
+    return body
+
+
+class TestSuiteWave:
+    @pytest.fixture
+    def stand_in(self, monkeypatch):
+        executor = StandInExecutor()
+        monkeypatch.setattr(ExperimentSettings, "make_executor", lambda self: executor)
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        return executor
+
+    def test_one_dispatch_per_report(self, stand_in):
+        suite.run_all(FAST)
+        assert stand_in.streams == 1
+
+    def test_sections_match_their_modules(self, stand_in):
+        report = suite.run_all(FAST)
+        sections = _sections(_without_timing(report))
+        assert "LLM serving cost" not in sections["Table I"]
+        assert "LLM serving cost" not in sections["Table II"]
+        for title, module, _ in suite._FIGURES:
+            stand_in.results.clear()
+            body = module.render(module.run(FAST))
+            own = list(stand_in.results)
+            assert sections[title] == f"{body}\n{_footer(own)}", title
+
+    def test_one_ledger_load_per_report_and_full_resume(
+        self, stand_in, monkeypatch, tmp_path
+    ):
+        ledger = tmp_path / "suite.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        loads = []
+        original = JobLedger.load
+
+        def counted(self):
+            loads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(JobLedger, "load", counted)
+        first = suite.run_all(FAST)
+        assert len(loads) == 1 and stand_in.streams == 1
+        size = ledger.stat().st_size
+        assert size > 0
+        second = suite.run_all(FAST)
+        assert len(loads) == 2
+        assert stand_in.streams == 1  # a full resume starts no stream
+        assert ledger.stat().st_size == size
+        assert _without_timing(second) == _without_timing(first)
 
 
 class TestFig3Structure:

@@ -213,9 +213,11 @@ def test_every_section_counts_its_rendered_text(
 
 
 def test_threads_sharing_objects_count_alike():
-    """Concurrent first reads of the shared per-instance ``tokens`` memos
-    (the suite's ``--concurrent-sections`` threads) count what one
-    thread counts."""
+    """Concurrent first reads of the shared ``memoized`` ``tokens`` count
+    what one thread counts.  The memo takes no lock: a racing first read
+    may compute a count twice but stores the same value.  The simulator
+    drives episodes from one thread per process; this pins the lock-free
+    contract for callers that share prompt inputs across threads."""
     facts = [Fact(f"obj_{i}", "located_in", f"room_{i % 7}", step=i) for i in range(120)]
     messages = [
         Message(sender=f"a{i % 5}", recipients=(), step=i, facts=tuple(facts[i : i + 3]))
