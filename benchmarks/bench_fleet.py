@@ -2,11 +2,12 @@
 
 The grid helpers used to drain the worker pool at every cell boundary:
 a cell's stragglers idled every worker that had finished the light
-trials around them.  The pipelined dispatch
-(:meth:`~repro.core.executor.TrialExecutor.run_stream`, which
+trials around them.  The pipelined dispatch (one
+:func:`~repro.core.fleet.dispatch` call over the whole sweep, which
 ``measure_grid``/``episode_grid`` now ride) keeps the *whole sweep* in
 flight at once, so the pool's tail is one straggler long instead of one
-per cell.
+per cell.  Both arms go through ``dispatch``: the barriered reference
+makes one call per cell.
 
 The sweep here is shaped like the worst honest case: one heavy cell
 (two 0.5 s episodes) buried in light cells (0.1 s episodes), dispatched
@@ -36,6 +37,7 @@ from pathlib import Path
 from conftest import emit
 
 from repro.core.executor import ParallelExecutor, TrialJob
+from repro.core.fleet import dispatch
 from repro.core.synthetic import sleep_runner, synthetic_job
 
 ROUNDS = 2
@@ -84,23 +86,23 @@ def _grid() -> list[list[TrialJob]]:
 
 
 def _barriered(cells, executor):
-    """The pre-fleet reference: one batch per cell, a barrier between."""
+    """The pre-fleet reference: one dispatch per cell, a barrier between."""
     results = []
     for cell in cells:
-        results.extend(executor.run_jobs(cell))
+        results.extend(dispatch(cell, executor))
     return results
 
 
 def _pipelined(cells, executor):
     """One streaming wave over the flattened sweep (what measure_grid does)."""
-    return executor.run_jobs([job for cell in cells for job in cell])
+    return dispatch([job for cell in cells for job in cell], executor)
 
 
 def test_bench_fleet_pipelining(benchmark):
     cells = _grid()
     with ParallelExecutor(max_workers=WORKERS, job_runner=sleep_runner) as executor:
         # Warm the pool so neither mode pays worker fork-time.
-        executor.run_jobs([synthetic_job(name="warmup", duration=0.0)])
+        dispatch([synthetic_job(name="warmup", duration=0.0)], executor)
 
         reference = _barriered(cells, executor)
         pipelined = _pipelined(cells, executor)

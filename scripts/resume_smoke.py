@@ -2,18 +2,18 @@
 
 Two phases, both with real episodes and the default flush window:
 
-1. **Injected crash** — a sweep dies on its third episode (the runner
-   raises), then restarts against the same ledger with the fault
-   cleared.
+1. **Injected crash** — a sweep whose job list repeats every job dies
+   on its third distinct episode (the runner raises), then restarts
+   against the same ledger with the fault cleared.
 2. **SIGKILL** — a child interpreter runs a sweep through
-   ``FleetRunner(JobLedger(path))``; the parent SIGKILLs it once the
-   ledger holds a complete line and before the sweep ends (a child
-   that finishes first fails the drill), then restarts the sweep
-   in-process.
+   ``dispatch(jobs, executor, JobLedger(path))``; the parent SIGKILLs
+   it once the ledger holds a complete line and before the sweep ends
+   (a child that finishes first fails the drill), then restarts the
+   sweep in-process.
 
-Each restart must execute exactly the episodes the ledger lacks (the
-rest are restored, not re-run), and its aggregates must be
-byte-identical to an uninterrupted serial run.
+Each restart must execute exactly the distinct episodes the ledger
+lacks, once each (the rest are restored, not re-run), and its
+aggregates must be byte-identical to an uninterrupted serial run.
 
 Usage::
 
@@ -38,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.errors import TrialExecutionError  # noqa: E402
 from repro.core.executor import SerialExecutor, run_trial_job  # noqa: E402
-from repro.core.fleet import FleetRunner, JobLedger  # noqa: E402
+from repro.core.fleet import JobLedger, dispatch, job_fingerprint  # noqa: E402
 from repro.core.metrics import aggregate  # noqa: E402
 from repro.core.runner import trial_jobs  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
@@ -61,25 +61,41 @@ def sweep_jobs(n_trials: int, base_seed: int):
     return trial_jobs(config, n_trials, difficulty="easy", base_seed=base_seed)
 
 
+def counted(runner):
+    """A serial executor over ``runner``, and the jobs it completed."""
+    ran = []
+
+    def run(job):
+        result = runner(job)
+        ran.append(job)
+        return result
+
+    return SerialExecutor(job_runner=run), ran
+
+
 def check_restart(ledger_path: Path, jobs, uninterrupted, phase: str) -> int:
-    """Restart the sweep; return how many episodes the ledger restored."""
-    restored = len(JobLedger(ledger_path).load())
-    restart = FleetRunner(JobLedger(ledger_path))
-    resumed = aggregate(restart.run_jobs(jobs, SerialExecutor()))
-    if restart.executed != len(jobs) - restored:
+    """Restart the sweep; return how many distinct episodes the ledger restored."""
+    held = JobLedger(ledger_path).load()
+    distinct = list(dict.fromkeys(job_fingerprint(job) for job in jobs))
+    lacking = [fingerprint for fingerprint in distinct if fingerprint not in held]
+    executor, ran = counted(run_trial_job)
+    resumed = aggregate(dispatch(jobs, executor, JobLedger(ledger_path)))
+    if [job_fingerprint(job) for job in ran] != lacking:
         fail(
-            f"{phase}: restart ran {restart.executed} episodes; the ledger "
-            f"held {restored} of {len(jobs)}, so it should run {len(jobs) - restored}"
+            f"{phase}: restart ran {len(ran)} episodes; the ledger lacked "
+            f"{len(lacking)} of {len(distinct)} distinct jobs, each of which "
+            f"must run once, in submission order"
         )
     if pickle.dumps(resumed) != pickle.dumps(uninterrupted):
         fail(f"{phase}: resumed aggregates are not byte-identical to the serial run")
-    return restored
+    return len(distinct) - len(lacking)
 
 
 def injected_crash_phase(tmp: Path) -> str:
-    jobs = sweep_jobs(N_TRIALS, base_seed=77)
-    uninterrupted = aggregate(SerialExecutor().run_jobs(jobs))
-    crash_seed = jobs[2].seed
+    distinct = sweep_jobs(N_TRIALS, base_seed=77)
+    jobs = distinct + distinct[::-1]  # every job twice
+    uninterrupted = aggregate([run_trial_job(job) for job in jobs])
+    crash_seed = distinct[2].seed
 
     def crash_on_seed(job):
         if job.seed == crash_seed:
@@ -87,24 +103,27 @@ def injected_crash_phase(tmp: Path) -> str:
         return run_trial_job(job)
 
     ledger_path = tmp / "crash-ledger.jsonl"
-    first = FleetRunner(JobLedger(ledger_path))
+    executor, ran = counted(crash_on_seed)
     try:
-        first.run_jobs(jobs, SerialExecutor(job_runner=crash_on_seed))
+        dispatch(jobs, executor, JobLedger(ledger_path))
     except TrialExecutionError:
         pass
     else:
         fail("injected crash did not surface")
-    if first.executed != 2:
-        fail(f"expected 2 episodes before the crash, ran {first.executed}")
+    if len(ran) != 2:
+        fail(f"expected 2 episodes before the crash, ran {len(ran)}")
     restored = check_restart(ledger_path, jobs, uninterrupted, "injected crash")
     if restored != 2:
         fail(f"injected crash: the ledger restored {restored} episodes, not 2")
-    return f"crash after 2/{N_TRIALS} episodes, restart executed {N_TRIALS - 2}"
+    return (
+        f"crash after 2/{N_TRIALS} distinct episodes (each job listed twice), "
+        f"restart executed {N_TRIALS - 2}"
+    )
 
 
 def sigkill_phase(tmp: Path) -> str:
     jobs = sweep_jobs(KILL_TRIALS, base_seed=91)
-    uninterrupted = aggregate(SerialExecutor().run_jobs(jobs))
+    uninterrupted = aggregate([run_trial_job(job) for job in jobs])
     ledger_path = tmp / "kill-ledger.jsonl"
     child = subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--sweep", str(ledger_path)]
@@ -135,9 +154,7 @@ def sigkill_phase(tmp: Path) -> str:
 
 def run_sweep(ledger_path: Path) -> None:
     """Child mode: the sweep the parent kills."""
-    FleetRunner(JobLedger(ledger_path)).run_jobs(
-        sweep_jobs(KILL_TRIALS, base_seed=91), SerialExecutor()
-    )
+    dispatch(sweep_jobs(KILL_TRIALS, base_seed=91), SerialExecutor(), JobLedger(ledger_path))
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -12,11 +12,7 @@ from repro.analysis.report import (
     format_series,
     format_table,
 )
-from repro.analysis.series import (
-    growth_slope,
-    token_series_by_agent_purpose,
-    total_tokens_per_step,
-)
+from repro.analysis.series import growth_slope, token_series_by_agent_purpose
 from repro.analysis.tables import render_table1, render_table2, suite_rows, taxonomy_rows
 
 __all__ = [
@@ -34,5 +30,4 @@ __all__ = [
     "suite_rows",
     "taxonomy_rows",
     "token_series_by_agent_purpose",
-    "total_tokens_per_step",
 ]

@@ -30,14 +30,6 @@ def token_series_by_agent_purpose(
     return dict(series)
 
 
-def total_tokens_per_step(result: EpisodeResult) -> list[tuple[int, int]]:
-    """Total LLM prompt tokens consumed at each step (all calls, all agents)."""
-    totals: dict[int, int] = defaultdict(int)
-    for sample in result.token_samples:
-        totals[sample.step] += sample.prompt_tokens
-    return sorted(totals.items())
-
-
 def growth_slope(series: list[tuple[int, int]]) -> float:
     """Least-squares slope of tokens over steps (tokens/step).
 

@@ -7,17 +7,15 @@ worker processes without perturbing determinism.  A
 :class:`TrialExecutor` receives picklable :class:`TrialJob` work items
 and produces their :class:`~repro.core.metrics.EpisodeResult`\\ s.
 
-Two dispatch surfaces:
-
-- :meth:`TrialExecutor.run_jobs` — batch mode: run every job, return
-  results **in submission order** so aggregation downstream is
-  bit-identical regardless of which worker finished first.
-- :meth:`TrialExecutor.run_stream` — pipelined mode: accept a (possibly
-  lazy) job iterable and yield ``(index, result)`` pairs **in completion
-  order**.  This is what the checkpoint ledger (:mod:`repro.core.fleet`)
-  and the pipelined grid helpers build on: all cells of a sweep share
-  one stream (no per-cell barrier drains the pool), and completed
-  episodes can be checkpointed the moment they finish.
+One dispatch surface, :meth:`TrialExecutor.run_stream`: it accepts a
+(possibly lazy) job iterable and yields ``(index, result)`` pairs **in
+completion order**, so a whole sweep shares one stream (no per-cell
+barrier drains the pool) and each episode can be checkpointed the
+moment it finishes.  :func:`repro.core.fleet.dispatch` is the only code
+that turns a job list into **submission-ordered** results: it runs each
+distinct job once through this stream and reassembles by position, so
+aggregation downstream is bit-identical regardless of which worker
+finished first.
 
 ``SerialExecutor`` (the default everywhere) runs jobs in-process exactly
 as the seed code did; ``ParallelExecutor`` fans them out across a
@@ -35,9 +33,10 @@ Contracts:
 - **Picklability** — a :class:`TrialJob` is frozen dataclasses of
   primitives all the way down; anything added to configs or tasks must
   stay picklable or parallel dispatch breaks.
-- **Byte-identity** — ``run_jobs`` results return in submission order
-  regardless of completion order, so parallel aggregates equal serial
-  ones exactly (asserted by ``tests/core/test_executor.py`` and
+- **Byte-identity** — every yielded index names the job it came from,
+  so ``dispatch`` returns results in submission order regardless of
+  completion order, and parallel aggregates equal serial ones exactly
+  (asserted by ``tests/core/test_executor.py`` and
   ``benchmarks/bench_executor.py``).
 - **Settings travel with the job** — every :class:`TrialJob` carries
   its resolved :class:`~repro.core.settings.RunSettings`, and the worker
@@ -141,20 +140,6 @@ class TrialExecutor(ABC):
         results (completions that beat the failure are yielded first).
         """
 
-    def run_jobs(self, jobs: Iterable[TrialJob]) -> list[EpisodeResult]:
-        """Run every job and return results in submission order.
-
-        Built on :meth:`run_stream`: dispatch is pipelined/completion-
-        ordered, the returned list is submission-ordered, so aggregates
-        are byte-identical to a serial pass.
-        """
-        jobs = list(jobs)
-        results: list[EpisodeResult | None] = [None] * len(jobs)
-        for index, result in self.run_stream(jobs):
-            results[index] = result
-        # run_stream either yields every index or raises; the cast is safe.
-        return results  # type: ignore[return-value]
-
     def close(self) -> None:
         """Release worker resources; the executor is unusable afterwards."""
 
@@ -198,7 +183,7 @@ class ParallelExecutor(TrialExecutor):
     """Fan jobs out across a lazily created process pool.
 
     The pool is created on first use (constructing the executor is free)
-    and survives across ``run_jobs`` calls so sweeps amortize worker
+    and survives across streams so sweeps amortize worker
     startup.  The stream watches completions: results are yielded the
     moment any worker finishes (the pipelining the ledger's
     checkpointing rides on), and a worker crash becomes an immediate,

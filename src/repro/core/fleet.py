@@ -1,14 +1,14 @@
-"""Checkpoint journal for trial sweeps: restartable, byte-identical resume.
+"""Job dispatch and the checkpoint journal: each distinct job runs once.
 
-With ``REPRO_LEDGER`` set, every grid dispatch goes through a
-:class:`FleetRunner`: it restores the episodes the ledger already holds,
-streams the rest through the executor
-(:meth:`~repro.core.executor.TrialExecutor.run_stream`), and appends each
-completion as it lands.  A killed sweep, restarted against the same
+:func:`dispatch` is the one path from a job list to submission-ordered
+results.  It fingerprints every job, restores what the ledger already
+holds, streams each remaining distinct job once through
+:meth:`~repro.core.executor.TrialExecutor.run_stream`, and fans the
+results back out, so jobs that a wave repeats share one result.  With a
+ledger (``REPRO_LEDGER``, :func:`ledger_from_env`) each completion is
+appended as it lands: a killed sweep, restarted against the same
 ledger, re-runs only what the ledger lacks, and its aggregates are
-byte-identical to an uninterrupted run.  With the knob unset,
-:func:`fleet_from_env` returns ``None`` and the grid helpers dispatch
-straight to their executor.
+byte-identical to an uninterrupted run.
 
 The ledger (:class:`JobLedger`) is a JSONL journal, one line per
 completed episode, written by one process per sweep and read whole at
@@ -21,7 +21,8 @@ canonical JSON of ``(config, task, seed)``, the job's resolved
 :data:`SEMANTICS_VERSION`.  Every value that can change a result is in
 the job itself — ``serve="batched"`` or ``overlap=True``, whether it
 came from the environment, an explicit setting, or a config pin,
-changes every fingerprint — so a stale ledger can never leak results
+changes every fingerprint — so two jobs share a result only when they
+compute the same episode, and a stale ledger can never leak results
 produced under different semantics into a resumed run.  Execution-shape
 knobs (worker counts, the ledger path) change how jobs run, never what
 an episode computes, so they are not part of a job.
@@ -197,53 +198,46 @@ class JobLedger:
         self._buffer.clear()
 
 
-class FleetRunner:
-    """Dispatch trial jobs through a ledger: restore, run the rest, record.
+def dispatch(
+    jobs: list["TrialJob"],
+    executor: "TrialExecutor",
+    ledger: JobLedger | None = None,
+) -> list["EpisodeResult"]:
+    """Run (or restore) every job; results in submission order.
 
-    One instance per :func:`fleet_from_env` call; ``executed`` counts
-    the episodes it ran rather than restored.
+    Each distinct fingerprint runs at most once: the jobs the ledger
+    lacks stream through ``executor.run_stream`` as one list, in
+    first-occurrence order, and jobs with equal fingerprints share one
+    result object.  With a ledger, every completion is appended as it
+    lands and every exit path flushes, so an episode that finished
+    before a crash is never lost to the exception.  A full resume
+    starts no stream.
     """
-
-    def __init__(self, ledger: JobLedger):
-        self.ledger = ledger
-        self.executed = 0
-
-    def run_jobs(
-        self, jobs: list["TrialJob"], executor: "TrialExecutor"
-    ) -> list["EpisodeResult"]:
-        """Run (or restore) every job; results in submission order.
-
-        Identical jobs run once.  The missing episodes stream through
-        ``executor.run_stream`` and are appended as they complete; every
-        exit path flushes, so an episode that finished before a crash is
-        never lost to the exception.  A full resume starts no stream.
-        """
-        jobs = list(jobs)
-        prints = [job_fingerprint(job) for job in jobs]
-        unique: dict[str, "TrialJob"] = {}
-        for fingerprint, job in zip(prints, jobs):
-            unique.setdefault(fingerprint, job)
-        try:
-            done = self.ledger.load()
-            results = {fp: decode_result(done[fp]) for fp in unique if fp in done}
-            pending = [fp for fp in unique if fp not in results]
-            if pending:
-                wave = [unique[fp] for fp in pending]
-                for index, result in executor.run_stream(wave):
-                    fingerprint = pending[index]
-                    results[fingerprint] = result
-                    self.executed += 1
-                    self.ledger.append_done(fingerprint, wave[index], result)
-        finally:
-            self.ledger.flush()
-        return [results[fp] for fp in prints]
+    prints = [job_fingerprint(job) for job in jobs]
+    unique: dict[str, "TrialJob"] = {}
+    for fingerprint, job in zip(prints, jobs):
+        unique.setdefault(fingerprint, job)
+    try:
+        done = ledger.load() if ledger is not None else {}
+        results = {fp: decode_result(done[fp]) for fp in unique if fp in done}
+        pending = [fp for fp in unique if fp not in results]
+        if pending:
+            wave = [unique[fp] for fp in pending]
+            for index, result in executor.run_stream(wave):
+                results[pending[index]] = result
+                if ledger is not None:
+                    ledger.append_done(pending[index], wave[index], result)
+    finally:
+        if ledger is not None:
+            ledger.flush()
+    return [results[fp] for fp in prints]
 
 
-def fleet_from_env() -> FleetRunner | None:
-    """A runner over the ``REPRO_LEDGER`` journal, or ``None`` when unset.
+def ledger_from_env() -> JobLedger | None:
+    """The ``REPRO_LEDGER`` journal, or ``None`` when the knob is unset.
 
     Read at every call, so tests and long-lived processes can retarget
     ledgers without rebuilding settings objects.
     """
     path = raw_knob("REPRO_LEDGER")
-    return FleetRunner(JobLedger(path)) if path else None
+    return JobLedger(path) if path else None

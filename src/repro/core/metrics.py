@@ -28,9 +28,13 @@ class TokenSample:
     output_tokens: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeResult:
-    """Everything measured in one episode."""
+    """Everything measured in one episode.
+
+    Frozen: a dispatch hands one result to every slot that repeats its
+    job, so no slot may change it.
+    """
 
     workload: str
     success: bool

@@ -3,9 +3,11 @@
 ``run_episode`` executes one seeded episode of a configured system;
 ``run_trials`` repeats it across independent seeds and aggregates —
 the unit of measurement for every figure in the paper.  Trials are
-independent, so ``run_trials`` can fan them out across processes via a
-:class:`~repro.core.executor.TrialExecutor`; the default serial executor
-reproduces the seed behaviour bit for bit.
+independent, so ``run_trials`` dispatches them
+(:func:`repro.core.fleet.dispatch`) through a
+:class:`~repro.core.executor.TrialExecutor` that can fan them out across
+processes; the default serial executor reproduces the seed behaviour
+bit for bit.
 
 ``build_loop`` and ``trial_jobs`` take an optional ``settings``
 (:class:`~repro.core.settings.RunSettings`); without one — and always
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from repro.core.config import SystemConfig
 from repro.core.executor import SerialExecutor, TrialExecutor, TrialJob
+from repro.core.fleet import dispatch
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.paradigms import PARADIGM_LOOPS, ParadigmLoop
 from repro.core.seeding import spawn_trial_seeds
@@ -147,5 +150,4 @@ def run_trials(
         base_seed=base_seed,
         horizon=horizon,
     )
-    runner = executor if executor is not None else SerialExecutor()
-    return aggregate(runner.run_jobs(jobs))
+    return aggregate(dispatch(jobs, executor or SerialExecutor()))

@@ -21,10 +21,11 @@ workers that finished the light cells around it.  The steps are public
 :func:`aggregate_grid`) because the suite builds every figure's jobs
 first and sends them all as one wave.
 
-Dispatch routes through the checkpoint ledger (:mod:`repro.core.fleet`)
-when ``REPRO_LEDGER`` is set: completed episodes append to the ledger as
-they finish, and a restart restores them instead of re-running them.
-With the knob unset the wave goes straight to the settings' executor.
+Every wave goes through :func:`repro.core.fleet.dispatch`, so a job the
+wave repeats (a Fig. 7 cell in Fig. 8's per-call arm, say) runs once.
+With ``REPRO_LEDGER`` set, completed episodes also append to the
+checkpoint ledger as they finish, and a restart restores them instead
+of re-running them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.config import SystemConfig
 from repro.core.envknobs import int_knob
 from repro.core.executor import EXECUTOR_KINDS, TrialExecutor, TrialJob, get_executor
-from repro.core.fleet import fleet_from_env
+from repro.core.fleet import dispatch, ledger_from_env
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.runner import build_task, trial_jobs
 from repro.core.settings import RunSettings
@@ -161,16 +162,12 @@ def dispatch_jobs(
 ) -> list[EpisodeResult]:
     """Run one streaming wave of jobs; results in submission order.
 
-    The single dispatch seam for every experiment: when ``REPRO_LEDGER``
-    is set the wave routes through the fleet runner (checkpoint/resume),
-    otherwise straight through the settings' executor.  Either way the
-    jobs share one stream, with no intermediate barriers.
+    The single dispatch seam for every experiment: each distinct job
+    runs once through the settings' executor, restored from and
+    appended to the ``REPRO_LEDGER`` journal when that is set.  The jobs
+    share one stream, with no intermediate barriers.
     """
-    executor = settings.make_executor()
-    fleet = fleet_from_env()
-    if fleet is not None:
-        return fleet.run_jobs(jobs, executor)
-    return executor.run_jobs(jobs)
+    return dispatch(jobs, settings.make_executor(), ledger_from_env())
 
 
 def measure(

@@ -19,6 +19,7 @@ from repro.core.executor import (
     run_trial_job,
     shutdown_shared_executors,
 )
+from repro.core.fleet import dispatch
 from repro.core.metrics import EpisodeResult
 from repro.core.runner import build_task, run_trials, trial_jobs
 from repro.core.synthetic import (
@@ -102,8 +103,8 @@ class TestDeterminism:
     def test_results_in_submission_order(self, parallel4):
         config = get_workload("embodiedgpt").config
         jobs = trial_jobs(config, 6, difficulty="easy", base_seed=3)
-        parallel_results = parallel4.run_jobs(jobs)
-        serial_results = SerialExecutor().run_jobs(jobs)
+        parallel_results = dispatch(jobs, parallel4)
+        serial_results = dispatch(jobs, SerialExecutor())
         assert [r.sim_seconds for r in parallel_results] == [
             r.sim_seconds for r in serial_results
         ]
@@ -117,21 +118,21 @@ class TestCrashIsolation:
 
     def test_worker_crash_surfaces_clear_error(self, parallel4):
         with pytest.raises(TrialExecutionError) as excinfo:
-            parallel4.run_jobs([self._bad_job()])
+            dispatch([self._bad_job()], parallel4)
         message = str(excinfo.value)
         assert "no-such-model" in message
         assert "seed=1" in message
 
     def test_pool_survives_a_crash(self, parallel4):
         with pytest.raises(TrialExecutionError):
-            parallel4.run_jobs([self._bad_job()])
+            dispatch([self._bad_job()], parallel4)
         config = get_workload("embodiedgpt").config
-        results = parallel4.run_jobs(trial_jobs(config, 2, difficulty="easy"))
+        results = dispatch(trial_jobs(config, 2, difficulty="easy"), parallel4)
         assert len(results) == 2
 
     def test_serial_crash_wraps_identically(self):
         with pytest.raises(TrialExecutionError) as excinfo:
-            SerialExecutor().run_jobs([self._bad_job()])
+            dispatch([self._bad_job()], SerialExecutor())
         assert "no-such-model" in str(excinfo.value)
 
 
@@ -149,7 +150,7 @@ class TestStreaming:
         stream = list(parallel4.run_stream(jobs))
         assert sorted(index for index, _ in stream) == list(range(6))
         by_index = dict(stream)
-        serial = SerialExecutor().run_jobs(jobs)
+        serial = dispatch(jobs, SerialExecutor())
         for index, expected in enumerate(serial):
             assert pickle.dumps(by_index[index]) == pickle.dumps(expected)
 
@@ -254,4 +255,5 @@ class TestFactoriesAndPooling:
 
     def test_empty_batch_is_a_noop(self):
         with ParallelExecutor(max_workers=2) as executor:
-            assert executor.run_jobs([]) == []
+            assert dispatch([], executor) == []
+            assert list(executor.run_stream([])) == []

@@ -1,28 +1,30 @@
 """Checkpoint ledger tests: fingerprints, the journal, and resume."""
 
 import json
+import os
 import pickle
 import shutil
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.errors import TrialExecutionError
-from repro.core.executor import ParallelExecutor, SerialExecutor
+from repro.core.executor import ParallelExecutor, SerialExecutor, run_trial_job
 from repro.core.fleet import (
     FLUSH_RECORDS,
-    FleetRunner,
     JobLedger,
     decode_result,
+    dispatch,
     encode_result,
-    fleet_from_env,
     job_fingerprint,
     knob_fingerprint,
+    ledger_from_env,
 )
 from repro.core.metrics import aggregate
 from repro.core.runner import trial_jobs
@@ -43,6 +45,17 @@ def real_jobs(n_trials=3, base_seed=11):
 
 def synth_jobs(n=4, **kwargs):
     return [synthetic_job(seed=seed, **kwargs) for seed in range(1, n + 1)]
+
+
+def counting(runner=sleep_runner):
+    """A serial executor over ``runner``, and the list of jobs it runs."""
+    ran = []
+
+    def run(job):
+        ran.append(job)
+        return runner(job)
+
+    return SerialExecutor(job_runner=run), ran
 
 
 def record_line(record: dict) -> bytes:
@@ -95,7 +108,7 @@ class TestFingerprints:
 class TestLedger:
     def test_done_round_trips_byte_identically(self, ledger):
         job = real_jobs(1)[0]
-        result = SerialExecutor().run_jobs([job])[0]
+        result = run_trial_job(job)
         assert pickle.dumps(decode_result(encode_result(result))) == pickle.dumps(
             result
         )
@@ -151,39 +164,37 @@ class TestLedger:
 class TestCheckpointResume:
     def test_resume_skips_done_and_matches_serial(self, ledger):
         jobs = real_jobs(3)
-        serial = SerialExecutor().run_jobs(jobs)
+        alone = [run_trial_job(job) for job in jobs]
 
-        first = FleetRunner(ledger)
-        results = first.run_jobs(jobs, SerialExecutor())
-        assert first.executed == 3
+        executor, ran = counting(run_trial_job)
+        results = dispatch(jobs, executor, ledger)
+        assert len(ran) == 3
 
-        second = FleetRunner(ledger)
-        resumed = second.run_jobs(jobs, SerialExecutor())
-        assert second.executed == 0
-        for a, b, c in zip(serial, results, resumed):
+        resumed = dispatch(jobs, executor, ledger)
+        assert len(ran) == 3  # nothing more ran: every episode restored
+        for a, b, c in zip(alone, results, resumed):
             assert pickle.dumps(a) == pickle.dumps(b) == pickle.dumps(c)
-        assert pickle.dumps(aggregate(resumed)) == pickle.dumps(aggregate(serial))
+        assert pickle.dumps(aggregate(resumed)) == pickle.dumps(aggregate(alone))
 
     def test_crash_mid_sweep_persists_completed_prefix(self, tmp_path, monkeypatch):
         # The default flush window: the prefix persists because every
-        # exit path of run_jobs flushes, not because each append does.
+        # exit path of dispatch flushes, not because each append does.
         ledger = JobLedger(tmp_path / "ledger.jsonl")
         jobs = synth_jobs(5)
         monkeypatch.setenv(CRASH_SEEDS_KNOB, "4")
         crashing = SerialExecutor(job_runner=crash_seed_runner)
-        runner = FleetRunner(ledger)
         with pytest.raises(TrialExecutionError):
-            runner.run_jobs(jobs, crashing)
+            dispatch(jobs, crashing, ledger)
         assert len(ledger.load()) == 3  # seeds 1-3 completed before the crash
 
         # Restart against the same ledger with the fault cleared: only
         # the missing episodes run, and the output matches a run that
         # never crashed.
         monkeypatch.delenv(CRASH_SEEDS_KNOB)
-        resumed = FleetRunner(ledger)
-        results = resumed.run_jobs(jobs, SerialExecutor(job_runner=sleep_runner))
-        assert resumed.executed == 2
-        uninterrupted = SerialExecutor(job_runner=sleep_runner).run_jobs(jobs)
+        executor, ran = counting()
+        results = dispatch(jobs, executor, ledger)
+        assert [job.seed for job in ran] == [4, 5]
+        uninterrupted = [sleep_runner(job) for job in jobs]
         assert pickle.dumps(aggregate(results)) == pickle.dumps(
             aggregate(uninterrupted)
         )
@@ -193,44 +204,50 @@ class TestCheckpointResume:
         monkeypatch.setenv(CRASH_SEEDS_KNOB, "5,6")
         with ParallelExecutor(max_workers=2, job_runner=crash_seed_runner) as pool:
             with pytest.raises(TrialExecutionError, match="seed"):
-                FleetRunner(ledger).run_jobs(jobs, pool)
+                dispatch(jobs, pool, ledger)
         survivors = len(ledger.load())
         assert survivors >= 1  # at least the completions that beat the crash
 
         monkeypatch.delenv(CRASH_SEEDS_KNOB)
-        resumed = FleetRunner(ledger)
-        results = resumed.run_jobs(jobs, SerialExecutor(job_runner=sleep_runner))
-        assert resumed.executed == 6 - survivors
-        uninterrupted = SerialExecutor(job_runner=sleep_runner).run_jobs(jobs)
+        executor, ran = counting()
+        results = dispatch(jobs, executor, ledger)
+        assert len(ran) == 6 - survivors
+        uninterrupted = [sleep_runner(job) for job in jobs]
         assert pickle.dumps(aggregate(results)) == pickle.dumps(
             aggregate(uninterrupted)
         )
 
     def test_knob_change_invalidates_resume(self, ledger, monkeypatch):
-        executor = SerialExecutor(job_runner=sleep_runner)
-        FleetRunner(ledger).run_jobs(synth_jobs(2), executor)
+        executor, ran = counting()
+        dispatch(synth_jobs(2), executor, ledger)
         monkeypatch.setenv("REPRO_SERVE", "batched")
-        rerun = FleetRunner(ledger)
-        rerun.run_jobs(synth_jobs(2), executor)
-        assert rerun.executed == 2  # nothing restored: fingerprints moved
+        dispatch(synth_jobs(2), executor, ledger)
+        assert len(ran) == 4  # nothing restored: fingerprints moved
 
     def test_duplicate_jobs_execute_once(self, ledger):
         job = synth_jobs(1)[0]
-        runner = FleetRunner(ledger)
-        results = runner.run_jobs(
-            [job, job, job], SerialExecutor(job_runner=sleep_runner)
-        )
-        assert runner.executed == 1
+        executor, ran = counting()
+        results = dispatch([job, job, job], executor, ledger)
+        assert len(ran) == 1
         assert len(results) == 3
-        assert pickle.dumps(results[0]) == pickle.dumps(results[2])
+        assert results[0] is results[1] is results[2]
+        assert len(ledger.load()) == 1
+
+    def test_duplicate_jobs_execute_once_without_ledger(self):
+        first, second = synth_jobs(2)
+        executor, ran = counting()
+        results = dispatch([first, second, first, first, second], executor)
+        assert ran == [first, second]
+        assert results[0] is results[2] is results[3]
+        assert results[1] is results[4]
+        assert pickle.dumps(results[1]) == pickle.dumps(sleep_runner(second))
 
     def test_parent_format_ledger_resumes_its_journal(self, ledger):
         """A ledger the sharded runner wrote: its journal's done records
         restore, its leases are ignored, and its compaction snapshot is
         never read — episodes moved there re-run, to the same bytes."""
         jobs = synth_jobs(5)
-        executor = SerialExecutor(job_runner=sleep_runner)
-        results = executor.run_jobs(jobs)
+        results = [sleep_runner(job) for job in jobs]
         prints = [job_fingerprint(job) for job in jobs]
 
         def lease(index, shard=0):
@@ -261,9 +278,9 @@ class TestCheckpointResume:
         snapshot = record_line({"kind": "snap", "generation": 1, "records": 1})
         snap.write_bytes(snapshot + record_line(done(4)))
 
-        runner = FleetRunner(ledger)
-        resumed = runner.run_jobs(jobs, executor)
-        assert runner.executed == 3  # 2 and 3 were only leased; 4 sits in .snap
+        executor, ran = counting()
+        resumed = dispatch(jobs, executor, ledger)
+        assert len(ran) == 3  # 2 and 3 were only leased; 4 sits in .snap
         assert [pickle.dumps(r) for r in resumed] == [pickle.dumps(r) for r in results]
         assert snap.read_bytes() == snapshot + record_line(done(4))
         assert set(JobLedger(ledger.path).load()) == set(prints)
@@ -272,14 +289,14 @@ class TestCheckpointResume:
 class TestEnvConstruction:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
-        assert fleet_from_env() is None
+        assert ledger_from_env() is None
 
     def test_env_knobs_select_runner(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", f" {tmp_path / 'l.jsonl'} ")
-        runner = fleet_from_env()
-        assert runner is not None
-        assert runner.ledger.path == tmp_path / "l.jsonl"
-        assert runner.ledger.flush_seconds == 0.5  # batched by default
+        ledger = ledger_from_env()
+        assert ledger is not None
+        assert ledger.path == tmp_path / "l.jsonl"
+        assert ledger.flush_seconds == 0.5  # batched by default
 
     def test_grid_dispatch_routes_through_ledger(self, tmp_path, monkeypatch):
         from repro.experiments.common import ExperimentSettings, measure
@@ -302,18 +319,17 @@ class TestLedgerEnvKnobs:
     def test_flush_and_compaction_knobs(self, tmp_path, monkeypatch):
         path = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(path))
-        runner = fleet_from_env()
-        assert runner.ledger.flush_seconds == 0.5  # batched by default
+        assert ledger_from_env().flush_seconds == 0.5  # batched by default
         # The retired flush and compaction knobs are inert: the window
         # stays the default and the journal is never snapshotted.
         monkeypatch.setenv("REPRO_FLUSH_SECONDS", "0")
         monkeypatch.setenv("REPRO_COMPACT_RECORDS", "1")
-        runner = fleet_from_env()
-        assert runner.ledger.flush_seconds == 0.5
+        ledger = ledger_from_env()
+        assert ledger.flush_seconds == 0.5
         job = synth_jobs(1)[0]
         for index in range(3):
-            runner.ledger.append_done(f"fp-{index}", job, sleep_runner(job))
-        runner.ledger.flush()
+            ledger.append_done(f"fp-{index}", job, sleep_runner(job))
+        ledger.flush()
         assert set(JobLedger(path).load()) == {"fp-0", "fp-1", "fp-2"}
         assert not path.with_name(path.name + ".snap").exists()
 
@@ -393,9 +409,9 @@ class TestCorruptLedger:
     def test_lease_for_unknown_fingerprint_tolerated(self, ledger):
         lease = {"kind": "lease", "fingerprint": "no-such-job", "expires": 0.0}
         ledger.path.write_bytes(record_line(lease))
-        runner = FleetRunner(ledger)
-        results = runner.run_jobs(synth_jobs(2), SerialExecutor(job_runner=sleep_runner))
-        assert len(results) == 2 and runner.executed == 2
+        executor, ran = counting()
+        results = dispatch(synth_jobs(2), executor, ledger)
+        assert len(results) == 2 and len(ran) == 2
         assert "no-such-job" not in ledger.load()
 
     def test_mid_file_garbage_skipped(self, ledger):
@@ -405,6 +421,98 @@ class TestCorruptLedger:
             handle.write(b"%% corrupted by a disk hiccup %%\n[1, 2]\n\xff\xfe\n")
         JobLedger(ledger.path, flush_seconds=0).append_done("fp-2", job, sleep_runner(job))
         assert set(JobLedger(ledger.path).load()) == {"fp-1", "fp-2"}
+
+
+# ---------------------------------------------------------------------- #
+# Property: dispatch streams each fingerprint the ledger lacks once
+# ---------------------------------------------------------------------- #
+
+#: Distinct jobs with distinct results; a drawn job list repeats them.
+POOL = [synthetic_job(seed=seed, prompt_tokens=10 * seed) for seed in range(1, 6)]
+POOL_PRINTS = [job_fingerprint(job) for job in POOL]
+ALONE = [pickle.dumps(sleep_runner(job)) for job in POOL]
+
+
+class RecordingExecutor(SerialExecutor):
+    """Serial executor that records the job list of every stream it starts."""
+
+    def __init__(self):
+        super().__init__(job_runner=crash_seed_runner)
+        self.streams: list[list] = []
+
+    def run_stream(self, jobs, window=None):
+        assert isinstance(jobs, list)
+        self.streams.append(jobs)
+        return super().run_stream(jobs, window)
+
+    def streamed(self) -> list[list[str]]:
+        """Each stream's fingerprints, in submission order."""
+        return [[job_fingerprint(job) for job in stream] for stream in self.streams]
+
+
+def appended_prints(ledger: JobLedger, before: int) -> list[str]:
+    """Fingerprints of the lines written past byte offset ``before``."""
+    blob = ledger.path.read_bytes()[before:] if ledger.path.exists() else b""
+    return [json.loads(line)["fingerprint"] for line in blob.splitlines()]
+
+
+def ledger_size(ledger: JobLedger) -> int:
+    return ledger.path.stat().st_size if ledger.path.exists() else 0
+
+
+class TestDispatchProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, len(POOL) - 1), max_size=10),
+        stored=st.sets(st.integers(0, len(POOL) - 1)),
+        crash=st.none() | st.integers(0, len(POOL) - 1),
+    )
+    def test_runs_each_missing_fingerprint_once(self, picks, stored, crash):
+        jobs = [POOL[pick] for pick in picks]
+        missing = [pick for pick in dict.fromkeys(picks) if pick not in stored]
+        crash_at = missing.index(crash) if crash in missing else len(missing)
+
+        def check_slots(results):
+            assert [pickle.dumps(result) for result in results] == [
+                ALONE[pick] for pick in picks
+            ]
+            for a, result in enumerate(results):
+                for b, other in enumerate(results):
+                    assert (result is other) == (picks[a] == picks[b])
+
+        # Without a ledger every distinct fingerprint streams once.
+        executor = RecordingExecutor()
+        check_slots(dispatch(jobs, executor))
+        distinct = [POOL_PRINTS[pick] for pick in dict.fromkeys(picks)]
+        assert executor.streamed() == ([distinct] if distinct else [])
+
+        with tempfile.TemporaryDirectory() as directory:
+            ledger = JobLedger(Path(directory) / "ledger.jsonl", flush_seconds=3600)
+            for pick in sorted(stored):
+                ledger.append_done(POOL_PRINTS[pick], POOL[pick], sleep_runner(POOL[pick]))
+            ledger.flush()
+            before = ledger_size(ledger)
+
+            executor = RecordingExecutor()
+            armed = {} if crash is None else {CRASH_SEEDS_KNOB: str(POOL[crash].seed)}
+            with mock.patch.dict(os.environ, armed):
+                if crash_at < len(missing):
+                    with pytest.raises(TrialExecutionError):
+                        dispatch(jobs, executor, ledger)
+                else:
+                    check_slots(dispatch(jobs, executor, ledger))
+            lacked = [POOL_PRINTS[pick] for pick in missing]
+            assert executor.streamed() == ([lacked] if lacked else [])
+            # Exactly the completions before the crash reached the ledger.
+            assert appended_prints(ledger, before) == lacked[:crash_at]
+
+            # A restart runs only the rest; then a full resume streams nothing.
+            for rest in (lacked[crash_at:], []):
+                executor = RecordingExecutor()
+                before = ledger_size(ledger)
+                check_slots(dispatch(jobs, executor, ledger))
+                assert executor.streamed() == ([rest] if rest else [])
+                assert appended_prints(ledger, before) == rest
 
 
 # ---------------------------------------------------------------------- #

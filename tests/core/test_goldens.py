@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.core.config import MemoryConfig
 from repro.core.executor import TrialJob
+from repro.core.fleet import dispatch
 from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import SERVE_MODES, RunSettings
@@ -225,7 +226,7 @@ def test_parallel_executor_matches_goldens():
         n_trials=N_TRIALS, executor="parallel", max_workers=2, run=BASE
     )
     jobs = [job for cell_id in PARALLEL_SLICE for job in _jobs(*GRID[cell_id])]
-    results = settings.make_executor().run_jobs(jobs)
+    results = dispatch(jobs, settings.make_executor())
     for index, cell_id in enumerate(PARALLEL_SLICE):
         cell_results = results[index * N_TRIALS : (index + 1) * N_TRIALS]
         expected = dict(golden[cell_id])

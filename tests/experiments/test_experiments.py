@@ -14,7 +14,7 @@ from repro.core.clock import ModuleName
 from repro.core.executor import SerialExecutor, TrialJob
 from repro.core.fleet import JobLedger, job_fingerprint
 from repro.core.metrics import EpisodeResult, TokenSample
-from repro.experiments import fig3_sensitivity, fig6_tokens, suite
+from repro.experiments import common, fig3_sensitivity, fig6_tokens, suite
 from repro.experiments.common import (
     ExperimentSettings,
     GridCell,
@@ -175,18 +175,15 @@ def stand_in_episode(job: TrialJob) -> EpisodeResult:
 
 
 class StandInExecutor(SerialExecutor):
-    """Serial stand-in that counts its streams and records their results."""
+    """Serial stand-in that records the job list of every stream it starts."""
 
     def __init__(self):
         super().__init__(job_runner=stand_in_episode)
-        self.streams = 0
-        self.results: list[EpisodeResult] = []
+        self.streams: list[list[TrialJob]] = []
 
     def run_stream(self, jobs, window=None):
-        self.streams += 1
-        for index, result in super().run_stream(jobs, window):
-            self.results.append(result)
-            yield index, result
+        self.streams.append(jobs)
+        return super().run_stream(jobs, window)
 
 
 RULE = "=" * 72
@@ -208,6 +205,13 @@ def _without_timing(report: str) -> str:
     return body
 
 
+#: The one-trial suite wave: jobs submitted, and distinct fingerprints
+#: among them (Fig. 8's per-call arm repeats Fig. 7 cells, Fig. 3's
+#: baselines repeat Fig. 2's workloads, and so on).
+FAST_WAVE_JOBS = 233
+FAST_WAVE_DISTINCT = 209
+
+
 class TestSuiteWave:
     @pytest.fixture
     def stand_in(self, monkeypatch):
@@ -216,20 +220,59 @@ class TestSuiteWave:
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         return executor
 
+    @staticmethod
+    def _one_stream_of_distinct_jobs(stand_in):
+        assert len(stand_in.streams) == 1
+        prints = [job_fingerprint(job) for job in stand_in.streams[0]]
+        assert len(prints) == len(set(prints)) == FAST_WAVE_DISTINCT
+
     def test_one_dispatch_per_report(self, stand_in):
         suite.run_all(FAST)
-        assert stand_in.streams == 1
+        self._one_stream_of_distinct_jobs(stand_in)
 
-    def test_sections_match_their_modules(self, stand_in):
+    def test_fingerprints_group_exactly_equal_jobs(self, stand_in, monkeypatch):
+        """Dispatch shares a result between jobs with equal fingerprints,
+        so on the suite's wave that must mean equal jobs, and vice versa."""
+        wave: list[TrialJob] = []
+        original = suite.dispatch_jobs
+
+        def captured(jobs, settings):
+            wave.extend(jobs)
+            return original(jobs, settings)
+
+        monkeypatch.setattr(suite, "dispatch_jobs", captured)
+        suite.run_all(FAST)
+        assert len(wave) == FAST_WAVE_JOBS
+        by_print: dict[str, list[TrialJob]] = {}
+        for job in wave:
+            by_print.setdefault(job_fingerprint(job), []).append(job)
+        classes: list[TrialJob] = []
+        for job in wave:
+            if not any(job == other for other in classes):
+                classes.append(job)
+        assert all(job == group[0] for group in by_print.values() for job in group)
+        assert len(classes) == len(by_print) == FAST_WAVE_DISTINCT
+
+    def test_sections_match_their_modules(self, stand_in, monkeypatch):
+        """Each footer prices every result its module's run returns,
+        repeated jobs included, though each distinct job ran once."""
+        returned: list[EpisodeResult] = []
+        original = common.dispatch_jobs
+
+        def recorded(jobs, settings):
+            results = original(jobs, settings)
+            returned.extend(results)
+            return results
+
+        monkeypatch.setattr(common, "dispatch_jobs", recorded)
         report = suite.run_all(FAST)
         sections = _sections(_without_timing(report))
         assert "LLM serving cost" not in sections["Table I"]
         assert "LLM serving cost" not in sections["Table II"]
         for title, module, _ in suite._FIGURES:
-            stand_in.results.clear()
+            returned.clear()
             body = module.render(module.run(FAST))
-            own = list(stand_in.results)
-            assert sections[title] == f"{body}\n{_footer(own)}", title
+            assert sections[title] == f"{body}\n{_footer(returned)}", title
 
     def test_one_ledger_load_per_report_and_full_resume(
         self, stand_in, monkeypatch, tmp_path
@@ -245,12 +288,13 @@ class TestSuiteWave:
 
         monkeypatch.setattr(JobLedger, "load", counted)
         first = suite.run_all(FAST)
-        assert len(loads) == 1 and stand_in.streams == 1
+        assert len(loads) == 1
+        self._one_stream_of_distinct_jobs(stand_in)
+        assert len(ledger.read_bytes().splitlines()) == FAST_WAVE_DISTINCT
         size = ledger.stat().st_size
-        assert size > 0
         second = suite.run_all(FAST)
         assert len(loads) == 2
-        assert stand_in.streams == 1  # a full resume starts no stream
+        assert len(stand_in.streams) == 1  # a full resume starts no stream
         assert ledger.stat().st_size == size
         assert _without_timing(second) == _without_timing(first)
 
