@@ -57,7 +57,8 @@ lint:
 	ruff format --check .
 
 # Markdown link check over README.md/docs/, backticked file references
-# that name no file, REPRO_* knob coverage (the serving guide must cover
+# that name no file, `path.py: name` spans naming nothing that file
+# defines, REPRO_* knob coverage (the serving guide must cover
 # the serving knobs), and doctests — both on every module that carries
 # them and on the >>> examples embedded in the markdown docs themselves.
 docs-check:

@@ -1,7 +1,7 @@
 """Documentation checks: links, file references, knob coverage, and doctests.
 
 Run as ``make docs-check`` (CI's ``docs`` job).
-Seven offline checks:
+Eight offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and
    ``docs/*.md`` must point at an existing file, and every in-document
@@ -36,6 +36,13 @@ Seven offline checks:
    ``/``-suffix of one (``core/bus.py`` for ``src/repro/core/bus.py``),
    after stripping a leading ``./``.  Deleting or moving a file then
    fails until the docs stop naming it.
+8. **Symbol references** — every backticked ``path.py: name`` span in
+   ``README.md`` and ``docs/*.md`` (a call signature may follow the
+   name) must name a function, class, ``Class.member`` or module-level
+   assignment of a file the path resolves to as in check 7, found by
+   parsing that file with ``ast``; a method also resolves by its bare
+   name.  Deleting or renaming a symbol then fails until the docs stop
+   naming it.
 
 Exits non-zero with a list of problems; prints a one-line summary when
 clean.
@@ -43,7 +50,9 @@ clean.
 
 from __future__ import annotations
 
+import ast
 import doctest
+import functools
 import importlib
 import json
 import os
@@ -66,6 +75,9 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A code span holding one repository path (globs such as
 #: ``BENCH_*.json`` and ``path.py: name`` spans do not match).
 FILE_REFERENCE = re.compile(r"`([\w./-]+\.(?:py|json|jsonl|yml|md|toml))`")
+#: A code span naming a symbol of a Python file: ``path.py: name``, where
+#: ``name`` may be ``Class.member`` and may be followed by a signature.
+SYMBOL_REFERENCE = re.compile(r"`([\w./-]+\.py): ([A-Za-z_][\w.]*)[^`]*`")
 #: Directories whose files the references never name.
 UNLISTED_DIRS = frozenset({".git", "__pycache__", ".e2ebench"})
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -142,6 +154,56 @@ def check_file_references() -> list[str]:
         f"{doc.relative_to(REPO)}: `{reference}` names no file in the repository"
         for doc in DOC_FILES
         for reference in stale_references(doc.read_text(), files)
+    ]
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a module- or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+@functools.cache
+def defined_names(path: str) -> frozenset[str]:
+    """Module-level functions, classes and assignments of one repository
+    file, plus each class member both bare and as ``Class.member``."""
+    names: set[str] = set()
+    for node in ast.parse((REPO / path).read_text()).body:
+        names.update(_bound_names(node))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                for name in _bound_names(member):
+                    names.update((name, f"{node.name}.{name}"))
+    return frozenset(names)
+
+
+def stale_symbols(markdown: str, files: Iterable[str]) -> list[str]:
+    """The ``path.py: name`` spans in ``markdown`` that no file defines.
+
+    ``files`` are repository-relative paths; a span's path resolves to
+    each file it equals or is a ``/``-suffix of.
+    """
+    files = list(files)
+    stale = []
+    for path, name in SYMBOL_REFERENCE.findall(markdown):
+        path = path.removeprefix("./")
+        matches = [file for file in files if file == path or file.endswith("/" + path)]
+        if not any(name in defined_names(file) for file in matches):
+            stale.append(f"{path}: {name}")
+    return stale
+
+
+def check_symbol_references() -> list[str]:
+    files = [file for file in repo_files() if file.endswith(".py")]
+    return [
+        f"{doc.relative_to(REPO)}: `{reference}` names nothing that file defines"
+        for doc in DOC_FILES
+        for reference in stale_symbols(doc.read_text(), files)
     ]
 
 
@@ -258,6 +320,7 @@ def main() -> int:
     problems = (
         check_links()
         + check_file_references()
+        + check_symbol_references()
         + check_knob_coverage()
         + check_stale_knobs()
         + check_baselines()
@@ -271,9 +334,11 @@ def main() -> int:
         return 1
     n_links = sum(len(LINK.findall(doc.read_text())) for doc in DOC_FILES)
     n_references = sum(len(FILE_REFERENCE.findall(doc.read_text())) for doc in DOC_FILES)
+    n_symbols = sum(len(SYMBOL_REFERENCE.findall(doc.read_text())) for doc in DOC_FILES)
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
-        f"{n_references} file references resolve, all source knobs documented "
+        f"{n_references} file and {n_symbols} symbol references resolve, "
+        "all source knobs documented "
         "(serving guide covered), no stale knobs, quoted baselines match, "
         "module and markdown doctests green"
     )

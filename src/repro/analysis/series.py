@@ -2,32 +2,21 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.core.metrics import EpisodeResult
 
 
-def token_series_by_agent_purpose(
-    result: EpisodeResult,
-    purposes: tuple[str, ...] = ("plan", "message"),
-) -> dict[str, list[tuple[int, int]]]:
+def token_series_by_agent_purpose(result: EpisodeResult) -> dict[str, list[tuple[int, int]]]:
     """Per (agent, purpose) series of (step, prompt_tokens).
 
-    Matches Fig. 6's per-agent plan/message token traces.  When an agent
-    makes several calls of one purpose in a step (retries, dialogue
-    rounds), the largest prompt is kept — that is the context-growth
-    signal.
+    Fig. 6's per-agent plan/message token traces, paired up from the flat
+    :attr:`~repro.core.metrics.EpisodeResult.prompt_series`; each point
+    is the largest prompt of the step (retries and dialogue rounds make
+    several) — that is the context-growth signal.
     """
-    best: dict[tuple[str, str, int], int] = defaultdict(int)
-    for sample in result.token_samples:
-        if sample.purpose not in purposes:
-            continue
-        key = (sample.agent, sample.purpose, sample.step)
-        best[key] = max(best[key], sample.prompt_tokens)
-    series: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for (agent, purpose, step), tokens in sorted(best.items()):
-        series[f"{agent}:{purpose}"].append((step, tokens))
-    return dict(series)
+    return {
+        name: list(zip(flat[0::2], flat[1::2]))
+        for name, flat in result.prompt_series.items()
+    }
 
 
 def growth_slope(series: list[tuple[int, int]]) -> float:

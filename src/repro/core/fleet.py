@@ -54,9 +54,10 @@ except ImportError:  # pragma: no cover - windows fallback: no inter-process loc
     fcntl = None  # type: ignore[assignment]
 
 #: Part of every job fingerprint.  Bump it with any change that alters
-#: what an episode computes under unchanged settings, so a ledger written
-#: by older code can never resume silently.
-SEMANTICS_VERSION = 1
+#: what an episode computes or what its ledger payload holds under
+#: unchanged settings, so a ledger written by older code can never resume
+#: silently: its lines no longer match, and their jobs run again.
+SEMANTICS_VERSION = 2
 
 #: Staged records are flushed at most this many seconds apart...
 DEFAULT_FLUSH_SECONDS = 0.5

@@ -19,7 +19,7 @@ from repro.core.types import StepRecord
 
 @dataclass(frozen=True)
 class TokenSample:
-    """Prompt/output tokens of one LLM call, for Fig. 6 token-growth plots."""
+    """Prompt/output tokens of one LLM call (kept by the collector)."""
 
     step: int
     agent: str
@@ -33,7 +33,11 @@ class EpisodeResult:
     """Everything measured in one episode.
 
     Frozen: a dispatch hands one result to every slot that repeats its
-    job, so no slot may change it.
+    job, so no slot may change it.  Its size does not grow with the
+    episode's calls: the per-step records and per-call token samples stay
+    on the :class:`MetricsCollector` that ran the loop, and only Fig. 6's
+    per-step series, :attr:`prompt_series`, survives as flat ints.  This
+    is what a worker pickles and a ledger line holds.
     """
 
     workload: str
@@ -51,8 +55,6 @@ class EpisodeResult:
     faults: dict[FaultKind, int]
     reflections_triggered: int
     replans: int
-    records: list[StepRecord]
-    token_samples: list[TokenSample]
     #: Inference-serving statistics (``REPRO_SERVE=batched`` /
     #: Rec. 1 batching): dispatch groups flushed and requests they
     #: carried.  Both zero under per-call serving.
@@ -72,6 +74,11 @@ class EpisodeResult:
     #: scheduler and sorted by name (deterministic equality/pickle).
     #: What the per-figure cost footer prices (``llm/costs.py``).
     deployment_tokens: dict[str, tuple[int, int]] = field(default_factory=dict)
+    #: Fig. 6's prompt growth: ``"agent:purpose"`` → flat, step-sorted
+    #: ``(step, tokens, step, tokens, …)``, where ``tokens`` is the
+    #: largest prompt of that agent's calls of that purpose in the step
+    #: (plan and message calls only; keys sorted by agent, then purpose).
+    prompt_series: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def sim_minutes(self) -> float:
@@ -157,7 +164,12 @@ class EpisodeResult:
 
 @dataclass
 class MetricsCollector:
-    """Mutable sink used by modules during an episode."""
+    """Mutable sink used by modules during an episode.
+
+    ``records`` (one per agent-step) and ``token_samples`` (one per LLM
+    call) are for in-process readers of a loop's ``metrics``: the result
+    :meth:`finalize` returns does not carry them.
+    """
 
     workload: str
     horizon: int
@@ -259,8 +271,6 @@ class MetricsCollector:
             faults=dict(self.faults),
             reflections_triggered=self.reflections_triggered,
             replans=self.replans,
-            records=self.records,
-            token_samples=self.token_samples,
             serve_batches=self.serve_batches,
             serve_batched_requests=self.serve_batched_requests,
             serve_queue_seconds=self.serve_queue_seconds,
@@ -270,7 +280,20 @@ class MetricsCollector:
                 model: (prompt, output)
                 for model, (prompt, output) in sorted(self.deployment_tokens.items())
             },
+            prompt_series=self._prompt_series(),
         )
+
+    def _prompt_series(self) -> dict[str, tuple[int, ...]]:
+        """:attr:`EpisodeResult.prompt_series` over the recorded samples."""
+        best: dict[tuple[str, str, int], int] = {}
+        for sample in self.token_samples:
+            if sample.purpose in ("plan", "message"):
+                key = (sample.agent, sample.purpose, sample.step)
+                best[key] = max(best.get(key, 0), sample.prompt_tokens)
+        series: dict[str, list[int]] = {}
+        for (agent, purpose, step), tokens in sorted(best.items()):
+            series.setdefault(f"{agent}:{purpose}", []).extend((step, tokens))
+        return {name: tuple(flat) for name, flat in series.items()}
 
 
 @dataclass(frozen=True)

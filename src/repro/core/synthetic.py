@@ -100,8 +100,6 @@ def sleep_runner(job: TrialJob) -> EpisodeResult:
         faults={},
         reflections_triggered=0,
         replans=0,
-        records=[],
-        token_samples=[],
         deployment_tokens={model: (prompt, output)} if prompt or output else {},
     )
 

@@ -32,12 +32,6 @@ class TokenTrace:
 class Fig6Result:
     traces: list[TokenTrace]
 
-    def trace(self, workload: str) -> TokenTrace:
-        for trace in self.traces:
-            if trace.workload == workload:
-                return trace
-        raise KeyError(f"no trace for {workload}")
-
 
 def grid() -> list[GridCell]:
     """One cell per traced subject; the figure reads one raw episode each."""

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core import fleet
 from repro.core.errors import TrialExecutionError
 from repro.core.executor import ParallelExecutor, SerialExecutor, run_trial_job
 from repro.core.fleet import (
@@ -26,8 +27,8 @@ from repro.core.fleet import (
     knob_fingerprint,
     ledger_from_env,
 )
-from repro.core.metrics import aggregate
-from repro.core.runner import trial_jobs
+from repro.core.metrics import EpisodeResult, aggregate
+from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import ENV_KNOBS
 from repro.core.synthetic import (
     CRASH_SEEDS_KNOB,
@@ -284,6 +285,33 @@ class TestCheckpointResume:
         assert [pickle.dumps(r) for r in resumed] == [pickle.dumps(r) for r in results]
         assert snap.read_bytes() == snapshot + record_line(done(4))
         assert set(JobLedger(ledger.path).load()) == set(prints)
+
+    def test_version_one_ledger_restores_nothing(self, ledger, monkeypatch):
+        """A line from before results dropped their per-step lists, keyed
+        by the job's version-1 fingerprint: the job runs again instead of
+        restoring a result that lacks ``prompt_series``."""
+        job = real_jobs(1)[0]
+        loop = build_loop(job.config, job.task, job.seed, settings=job.settings)
+        fresh = loop.run()
+        state = dict(vars(fresh))
+        del state["prompt_series"]
+        state["records"] = loop.metrics.records
+        state["token_samples"] = loop.metrics.token_samples
+        parent_shape = object.__new__(EpisodeResult)
+        parent_shape.__dict__.update(state)  # what a version-1 payload unpickles to
+        with monkeypatch.context() as patch:
+            patch.setattr(fleet, "SEMANTICS_VERSION", 1)
+            old_print = job_fingerprint(job)
+        ledger.append_done(old_print, job, parent_shape)
+        before = ledger.path.read_bytes()
+
+        executor, ran = counting(run_trial_job)
+        [result] = dispatch([job], executor, ledger)
+        assert ran == [job]
+        after = ledger.path.read_bytes()
+        assert after.startswith(before)
+        assert len(after[len(before) :].splitlines()) == 1
+        assert pickle.dumps(result) == pickle.dumps(fresh)
 
 
 class TestEnvConstruction:

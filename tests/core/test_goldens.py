@@ -5,8 +5,10 @@ Each record pins one grid cell of two seeded trials:
 - ``aggregate`` — the cell's canonical :class:`AggregateResult`;
 - ``phases`` — each episode's per-(module, phase) latency totals, in the
   order the clock first saw each key;
-- ``episodes`` — one SHA-256 per episode over its canonical
-  :class:`EpisodeResult` (every step record and token sample included).
+- ``episodes`` — one SHA-256 per episode over its golden-era canonical
+  form: the canonical :class:`EpisodeResult` without ``prompt_series``,
+  plus every step record and token sample of the collector that ran it
+  (results carried both lists when the goldens were recorded).
 
 The grid covers the 14 registered workloads on easy under each serving
 mode, on easy under continuous serving with perception–generation
@@ -31,13 +33,15 @@ import enum
 import hashlib
 import json
 import os
+import pickle
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
 from repro.core.config import MemoryConfig
 from repro.core.executor import TrialJob
 from repro.core.fleet import dispatch
-from repro.core.metrics import EpisodeResult, aggregate
+from repro.core.metrics import EpisodeResult, MetricsCollector, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import SERVE_MODES, RunSettings
 from repro.experiments.common import ExperimentSettings, GridCell
@@ -162,33 +166,63 @@ def _key(key: object) -> str:
     return str(key)
 
 
-def _episode_digest(result: EpisodeResult) -> str:
-    blob = json.dumps(_canonical(result), separators=(",", ":"))
+def _episode_digest(result: EpisodeResult, metrics: MetricsCollector) -> str:
+    """SHA-256 of the golden-era canonical form of one episode."""
+    canonical = _canonical(result)
+    del canonical["prompt_series"]
+    canonical["records"] = _canonical(metrics.records)
+    canonical["token_samples"] = _canonical(metrics.token_samples)
+    blob = json.dumps(dict(sorted(canonical.items())), separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _record(results: list[EpisodeResult], phases: list[dict] | None) -> dict:
-    record = {"aggregate": _canonical(aggregate(results))}
-    if phases is not None:
-        record["phases"] = phases
-    record["episodes"] = [_episode_digest(result) for result in results]
-    return record
+def _reference_series(samples: list) -> dict[str, list[tuple[int, int]]]:
+    """Fig. 6's series as the raw samples gave it before results dropped
+    them: the largest plan or message prompt per (agent, purpose, step)."""
+    best: dict[tuple[str, str, int], int] = defaultdict(int)
+    for sample in samples:
+        if sample.purpose not in ("plan", "message"):
+            continue
+        key = (sample.agent, sample.purpose, sample.step)
+        best[key] = max(best[key], sample.prompt_tokens)
+    series: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    for (agent, purpose, step), tokens in sorted(best.items()):
+        series[f"{agent}:{purpose}"].append((step, tokens))
+    return dict(series)
+
+
+def _episode(job: TrialJob):
+    """One golden episode in-process: its result and the loop that ran it."""
+    loop = build_loop(job.config, job.task, job.seed, settings=job.settings)
+    return loop.run(), loop
 
 
 def _run_cell(cell: GridCell, run: RunSettings) -> dict:
-    """Run a cell's trials in-process, keeping each episode's clock."""
+    """Run a cell's trials in-process, keeping each episode's clock.
+
+    Also the oracle for Fig. 6's series: each result's ``prompt_series``
+    must equal :func:`_reference_series` over its collector's samples.
+    """
     results = []
     phases = []
+    digests = []
     for job in _jobs(cell, run):
-        loop = build_loop(job.config, job.task, job.seed, settings=job.settings)
-        results.append(loop.run())
+        result, loop = _episode(job)
+        results.append(result)
         phases.append(
             {
                 f"{module.value}/{phase}": repr(seconds)
                 for (module, phase), seconds in loop.clock.elapsed_by_phase().items()
             }
         )
-    return _record(results, phases)
+        digests.append(_episode_digest(result, loop.metrics))
+        reference = _reference_series(loop.metrics.token_samples)
+        assert result.prompt_series == {
+            name: tuple(value for point in points for value in point)
+            for name, points in reference.items()
+        }, job.describe()
+        assert list(result.prompt_series) == list(reference), job.describe()
+    return {"aggregate": _canonical(aggregate(results)), "phases": phases, "episodes": digests}
 
 
 def _load_goldens() -> dict:
@@ -220,7 +254,9 @@ def test_episodes_match_goldens():
 
 
 def test_parallel_executor_matches_goldens():
-    """Two pool workers reproduce the serial records' aggregates and episodes."""
+    """Two pool workers reproduce the serial aggregates, and each pool
+    result pickles equal to the in-process result of its job, whose
+    episode digest is the golden one."""
     golden = _load_goldens()
     settings = ExperimentSettings(
         n_trials=N_TRIALS, executor="parallel", max_workers=2, run=BASE
@@ -229,9 +265,13 @@ def test_parallel_executor_matches_goldens():
     results = dispatch(jobs, settings.make_executor())
     for index, cell_id in enumerate(PARALLEL_SLICE):
         cell_results = results[index * N_TRIALS : (index + 1) * N_TRIALS]
-        expected = dict(golden[cell_id])
-        del expected["phases"]  # clocks stay in the workers
-        assert _record(cell_results, None) == expected, cell_id
+        expected = golden[cell_id]["aggregate"]
+        assert _canonical(aggregate(cell_results)) == expected, cell_id
+    for index, (job, result) in enumerate(zip(jobs, results)):
+        local, loop = _episode(job)
+        assert pickle.dumps(result) == pickle.dumps(local), job.describe()
+        digests = golden[PARALLEL_SLICE[index // N_TRIALS]]["episodes"]
+        assert _episode_digest(local, loop.metrics) == digests[index % N_TRIALS]
 
 
 def test_grid_exercises_every_serving_mode_and_dialogue():

@@ -9,16 +9,30 @@ call structure.
 import pytest
 
 from repro.core.clock import ModuleName
-from repro.core.runner import run_episode
+from repro.core.runner import build_loop, build_task
 from repro.workloads import WORKLOAD_SUITE, get_workload
 
 
 @pytest.fixture(scope="module")
-def suite_results():
-    return {
-        workload.name: run_episode(workload.config, seed=1, difficulty="easy")
-        for workload in WORKLOAD_SUITE
-    }
+def suite_loops():
+    """Workload name -> its loop after one easy episode, and the result."""
+    runs = {}
+    for workload in WORKLOAD_SUITE:
+        config = workload.config
+        loop = build_loop(config, build_task(config, difficulty="easy", seed=1), seed=1)
+        runs[workload.name] = (loop, loop.run())
+    return runs
+
+
+@pytest.fixture(scope="module")
+def suite_results(suite_loops):
+    return {name: result for name, (_loop, result) in suite_loops.items()}
+
+
+@pytest.fixture(scope="module")
+def suite_metrics(suite_loops):
+    """Workload name -> the collector that kept its records and samples."""
+    return {name: loop.metrics for name, (loop, _result) in suite_loops.items()}
 
 
 class TestLatencyInvariants:
@@ -58,14 +72,15 @@ class TestTokenAccounting:
             assert result.prompt_tokens > 0, name
             assert result.output_tokens > 0, name
 
-    def test_token_samples_match_call_counts(self, suite_results):
+    def test_token_samples_match_call_counts(self, suite_results, suite_metrics):
         for name, result in suite_results.items():
-            assert len(result.token_samples) <= result.llm_calls, name
+            assert len(suite_metrics[name].token_samples) <= result.llm_calls, name
 
-    def test_steps_recorded(self, suite_results):
+    def test_steps_recorded(self, suite_results, suite_metrics):
         for name, result in suite_results.items():
-            assert result.records, name
-            assert max(record.step for record in result.records) <= result.steps
+            records = suite_metrics[name].records
+            assert records, name
+            assert max(record.step for record in records) <= result.steps
 
 
 class TestParadigmStructure:
@@ -79,23 +94,23 @@ class TestParadigmStructure:
             if not workload.config.is_multi_agent:
                 assert suite_results[workload.name].messages_sent == 0, workload.name
 
-    def test_coela_runs_action_selection_calls(self, suite_results):
+    def test_coela_runs_action_selection_calls(self, suite_metrics):
         purposes = {
-            sample.purpose for sample in suite_results["coela"].token_samples
+            sample.purpose for sample in suite_metrics["coela"].token_samples
         }
         assert "action_selection" in purposes
 
-    def test_centralized_plans_once_per_step(self, suite_results):
-        result = suite_results["cmas"]
-        plan_samples = [s for s in result.token_samples if s.purpose == "plan"]
+    def test_centralized_plans_once_per_step(self, suite_metrics):
+        metrics = suite_metrics["cmas"]
+        plan_samples = [s for s in metrics.token_samples if s.purpose == "plan"]
         steps_with_plans = {s.step for s in plan_samples}
         # one joint call per step (replans allowed): <= 2 per step on average
         assert len(plan_samples) <= 2 * len(steps_with_plans)
 
-    def test_decentralized_plans_per_agent(self, suite_results):
-        result = suite_results["dmas"]
+    def test_decentralized_plans_per_agent(self, suite_metrics):
+        metrics = suite_metrics["dmas"]
         config = get_workload("dmas").config
-        plan_samples = [s for s in result.token_samples if s.purpose == "plan"]
+        plan_samples = [s for s in metrics.token_samples if s.purpose == "plan"]
         agents_planning = {s.agent for s in plan_samples}
         assert len(agents_planning) == config.default_agents
 

@@ -1,5 +1,8 @@
 """Tests for metrics collection and aggregation."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 from repro.core.clock import MODULE_ORDER, ModuleName, SimClock
 from repro.core.errors import FaultKind
 from repro.core.metrics import EpisodeResult, MetricsCollector, aggregate
+from repro.core.runner import build_loop, build_task
 from repro.core.types import StepRecord, Subgoal
+from repro.workloads import get_workload
 
 
 def build_result(
@@ -60,6 +65,27 @@ class TestEpisodeResult:
     def test_faults_recorded(self):
         assert build_result().faults[FaultKind.SUBOPTIMAL] == 1
 
+    def test_constant_size(self):
+        """No field is a list, and a multi-agent episode's pickle names no
+        per-step record or per-call sample: those stay on the collector."""
+        assert not [
+            spec.name
+            for spec in dataclasses.fields(EpisodeResult)
+            if str(spec.type).startswith("list")
+        ]
+        config = get_workload("coela").config
+        task = build_task(config, difficulty="medium", n_agents=4, seed=0)
+        loop = build_loop(config, task, seed=0)
+        result = loop.run()
+        assert loop.metrics.records and loop.metrics.token_samples
+        assert not [
+            name for name, value in vars(result).items() if isinstance(value, list)
+        ]
+        assert len(result.prompt_series) > 4  # plan and message series per agent
+        blob = pickle.dumps(result)
+        assert b"StepRecord" not in blob
+        assert b"TokenSample" not in blob
+
 
 class TestCollector:
     def test_token_samples_recorded(self):
@@ -67,6 +93,22 @@ class TestCollector:
         collector.record_llm_call(3, "a1", "message", 200, 70)
         sample = collector.token_samples[0]
         assert (sample.step, sample.agent, sample.purpose) == (3, "a1", "message")
+
+    def test_prompt_series_keeps_the_largest_prompt_per_step(self):
+        collector = MetricsCollector(workload="w", horizon=10)
+        for step, agent, purpose, tokens in [
+            (2, "a1", "plan", 300),
+            (1, "a1", "plan", 250),
+            (2, "a1", "plan", 320),  # a replan: the larger prompt counts
+            (2, "a1", "plan", 310),
+            (2, "a0", "message", 90),
+            (2, "a0", "action_selection", 999),  # not a traced purpose
+            (3, "a0", "reflection", 999),
+        ]:
+            collector.record_llm_call(step, agent, purpose, tokens, 10)
+        result = collector.finalize(SimClock(), success=True, steps=3, goal_progress=1.0)
+        assert result.prompt_series == {"a0:message": (2, 90), "a1:plan": (1, 250, 2, 320)}
+        assert list(result.prompt_series) == ["a0:message", "a1:plan"]
 
     def test_none_fault_ignored(self):
         collector = MetricsCollector(workload="w", horizon=10)

@@ -35,11 +35,17 @@ def outcomes(result) -> tuple:
     return tuple(getattr(result, field) for field in OUTCOME_FIELDS)
 
 
+def run_loop(config, seed: int):
+    """One medium episode's result and the loop whose metrics hold its records."""
+    loop = build_loop(config, build_task(config, seed=seed), seed)
+    return loop.run(), loop
+
+
 class TestBatchedEpisodes:
     def test_decentralized_team_batches_per_agent_calls(self):
         base = get_workload("coela").config.with_agents(4)
-        percall = run_episode(base, seed=2)
-        batched = run_episode(with_batching(base), seed=2)
+        percall, percall_loop = run_loop(base, seed=2)
+        batched, batched_loop = run_loop(with_batching(base), seed=2)
         assert outcomes(batched) == outcomes(percall)
         assert batched.sim_seconds < percall.sim_seconds
         # Plans, composes, selections, and reflections all expose the
@@ -50,10 +56,10 @@ class TestBatchedEpisodes:
         # Per-step records (subgoals chosen, execution outcomes) agree.
         assert [
             (record.step, record.agent, record.subgoal)
-            for record in batched.records
+            for record in batched_loop.metrics.records
         ] == [
             (record.step, record.agent, record.subgoal)
-            for record in percall.records
+            for record in percall_loop.metrics.records
         ]
 
     def test_centralized_has_no_concurrency_to_batch(self):

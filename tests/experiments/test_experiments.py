@@ -13,7 +13,7 @@ import pytest
 from repro.core.clock import ModuleName
 from repro.core.executor import SerialExecutor, TrialJob
 from repro.core.fleet import JobLedger, job_fingerprint
-from repro.core.metrics import EpisodeResult, TokenSample
+from repro.core.metrics import EpisodeResult
 from repro.experiments import common, fig3_sensitivity, fig6_tokens, suite
 from repro.experiments.common import (
     ExperimentSettings,
@@ -165,12 +165,14 @@ def stand_in_episode(job: TrialJob) -> EpisodeResult:
         faults={},
         reflections_triggered=0,
         replans=0,
-        records=[],
-        token_samples=[
-            TokenSample(step, "agent_0", "plan", prompt + step * (mark % 9), output)
-            for step in range(steps)
-        ],
         deployment_tokens={job.config.planning_model: (prompt, output)},
+        prompt_series={
+            "agent_0:plan": tuple(
+                value
+                for step in range(steps)
+                for value in (step, prompt + step * (mark % 9))
+            )
+        },
     )
 
 

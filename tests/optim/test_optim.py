@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.runner import run_episode
+from repro.core.runner import build_loop, build_task, run_episode
 from repro.optim import (
     RECOMMENDATIONS,
     cluster_agents,
@@ -84,9 +84,11 @@ class TestOptimizationEffects:
         def plan_calls_per_step(config) -> float:
             calls = steps = 0
             for seed in range(3):
-                result = run_episode(config, seed=seed, difficulty="easy")
+                task = build_task(config, difficulty="easy", seed=seed)
+                loop = build_loop(config, task, seed)
+                result = loop.run()
                 calls += sum(
-                    1 for sample in result.token_samples if sample.purpose == "plan"
+                    1 for sample in loop.metrics.token_samples if sample.purpose == "plan"
                 )
                 steps += result.steps
             return calls / max(1, steps)

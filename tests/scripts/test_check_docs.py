@@ -35,3 +35,36 @@ def test_globs_and_annotated_spans_are_not_references():
 
 def test_repository_docs_name_only_existing_files():
     assert check_docs.check_file_references() == []
+
+
+PY_FILES = ["src/repro/core/fleet.py", "src/repro/envs/base.py", "src/repro/core/settings.py"]
+
+
+def test_defined_symbols_resolve():
+    text = (
+        "`core/fleet.py: dispatch(jobs, executor, ledger=None)`, "
+        "`core/fleet.py: SEMANTICS_VERSION`, `fleet.py: JobLedger.append_done`, "
+        "`envs/base.py: candidates` and `core/settings.py: RunSettings`"
+    )
+    assert check_docs.stale_symbols(text, PY_FILES) == []
+
+
+def test_stale_symbol_fails():
+    # FleetRunner was deleted from core/fleet.py; the docs may not name it.
+    text = "`core/fleet.py: FleetRunner`, `core/fleet.py: JobLedger.run_jobs`"
+    assert check_docs.stale_symbols(text, PY_FILES) == [
+        "core/fleet.py: FleetRunner",
+        "core/fleet.py: JobLedger.run_jobs",
+    ]
+
+
+def test_symbol_in_missing_file_fails():
+    text = "`envs/candidates.py: candidates` and `ase.py: Environment`"
+    assert check_docs.stale_symbols(text, PY_FILES) == [
+        "envs/candidates.py: candidates",
+        "ase.py: Environment",
+    ]
+
+
+def test_repository_docs_name_only_defined_symbols():
+    assert check_docs.check_symbol_references() == []
