@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-serving bench-fleet bench-all lint format suite suite-identity docs-check resume-smoke e2e-probes examples
+.PHONY: test bench bench-serving bench-fleet bench-all lint format suite suite-identity docs-check resume-smoke e2e-probes examples reach
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,15 @@ examples:
 		echo "== $$example"; \
 		REPRO_TRIALS=1 $(PYTHON) $$example || exit 1; \
 	done
+
+# Reach ratchet: runs CI's run set (the one-trial suite serially and at
+# 2 workers, every example, the golden grid, resume-smoke, the benchmarks
+# at 2 trials and 2 workers, one e2ebench pass per workload) under a
+# sys.setprofile hook, and fails on any src/repro function that none of
+# them calls unless scripts/reach.py allowlists it, and on any
+# allowlisted function that one of them calls.
+reach:
+	$(PYTHON) scripts/reach.py
 
 lint:
 	ruff check .

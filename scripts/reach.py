@@ -1,0 +1,271 @@
+"""Check that every function in ``src/repro`` is reached by a run path.
+
+Runs what CI runs, at CI's trial counts, with a ``sys.setprofile`` hook
+that records every function of ``src/repro`` each interpreter calls:
+
+1. ``python -m repro.experiments.suite`` at ``REPRO_TRIALS=1``, serially
+   and at ``REPRO_WORKERS=2``;
+2. every ``examples/*.py`` at ``REPRO_TRIALS=1``;
+3. ``pytest tests/core/test_goldens.py`` (the golden grid and its
+   2-worker slice);
+4. ``scripts/resume_smoke.py``;
+5. ``pytest benchmarks/ --benchmark-disable`` at ``REPRO_TRIALS=2
+   REPRO_WORKERS=2`` (pytest-benchmark pauses the profiler around each
+   measured call unless benchmarking is disabled);
+6. one untraced one-trial ``e2ebench/episode_pass.py`` pass per workload
+   that ``BENCHMARK.json`` lists.
+
+The hook is a ``sitecustomize.py`` written into a fresh temporary
+directory that goes first on each command's ``PYTHONPATH``; it writes
+its ``(path, co_qualname)`` pairs next to its own file when its
+interpreter exits, forked pool workers included.  Every ``def`` under
+``src/repro`` (read with ``ast``; abstract methods and ``Protocol``
+members have no body that runs and are skipped) must be reached, unless
+:data:`ALLOWED` lists it with its reason, and no listed ``def`` may be
+reached: the list only shrinks.
+
+Usage::
+
+    python scripts/reach.py        # or: make reach
+
+Prints the counts; exits non-zero, naming each offending ``def``, when
+the run set and the list disagree or a command of the run set fails.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
+
+#: Reasons a ``def`` may stay unreached by every run path.
+REASONS = ("cli", "test oracle", "test seam", "interface")
+
+#: ``path.py: qualname`` (path relative to ``src/repro``) of every
+#: ``def`` no run path reaches by design, with its reason.
+ALLOWED = {
+    "experiments/ablations.py: main": "cli",
+    "experiments/fig2_latency.py: main": "cli",
+    "experiments/fig3_sensitivity.py: main": "cli",
+    "experiments/fig4_local_models.py: main": "cli",
+    "experiments/fig5_memory.py: main": "cli",
+    "experiments/fig6_tokens.py: main": "cli",
+    "experiments/fig7_scalability.py: main": "cli",
+    "experiments/fig8_serving.py: main": "cli",
+    "experiments/fig8_serving.py: run": "cli",
+    "llm/prompt.py: Prompt.render": "test oracle",
+    "core/clock.py: SimClock.wait": "test seam",
+    "core/bus.py: DeliveryBus.pending": "test seam",
+    "llm/scheduler.py: InferenceScheduler.pending": "test seam",
+    "envs/kitchen.py: KitchenEnv.expected_primitives": "interface",
+}
+
+HOOK = '''\
+"""Records which functions under {root!r} this interpreter calls."""
+
+import atexit
+import json
+import multiprocessing.util
+import os
+import sys
+import tempfile
+
+_ROOT = {root!r}
+_OUT = os.path.dirname(os.path.abspath(__file__))
+#: ``inspect.CO_NEWLOCALS``: set on function bodies, never on module or
+#: class bodies.
+_CO_NEWLOCALS = 0x0002
+_codes = {{}}
+
+
+def _profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        _codes[id(code)] = code
+
+
+def _dump():
+    sys.setprofile(None)
+    reached = sorted(
+        {{
+            (os.path.relpath(code.co_filename, _ROOT), code.co_qualname)
+            for code in _codes.values()
+            if code.co_filename.startswith(_ROOT + os.sep)
+            and code.co_flags & _CO_NEWLOCALS
+            and not code.co_name.startswith("<")  # lambdas and comprehensions
+        }}
+    )
+    fd, _ = tempfile.mkstemp(prefix=f"reach-{{os.getpid()}}-", suffix=".json", dir=_OUT)
+    with os.fdopen(fd, "w") as out:
+        json.dump(reached, out)
+
+
+def _after_fork(_):
+    # A pool worker clears every finalizer registered before it started
+    # and leaves through os._exit, so atexit never runs there.  It may
+    # have been forked from a thread the profiler was never set on.
+    _codes.clear()
+    multiprocessing.util.Finalize(None, _dump, exitpriority=100)
+    sys.setprofile(_profile)
+
+
+multiprocessing.util.register_after_fork(_dump, _after_fork)
+atexit.register(_dump)
+sys.setprofile(_profile)
+'''
+
+
+def write_hook(directory: Path, root: Path) -> None:
+    """Write the hook into ``directory``, recording functions under ``root``."""
+    (directory / "sitecustomize.py").write_text(HOOK.format(root=str(root.resolve())))
+
+
+def read_dump(dump: Path) -> set[str]:
+    """Every ``path.py: qualname`` one hooked interpreter recorded."""
+    return {
+        f"{Path(path).as_posix()}: {qualname}"
+        for path, qualname in json.loads(dump.read_text())
+    }
+
+
+def read_dumps(directory: Path) -> set[str]:
+    """Every ``path.py: qualname`` the hooked interpreters recorded."""
+    return set().union(*map(read_dump, directory.glob("reach-*.json")))
+
+
+def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    names = set()
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute):
+            names.add(target.attr)
+        elif isinstance(target, ast.Name):
+            names.add(target.id)
+    return names
+
+
+def _is_protocol(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(base, ast.Name) and base.id == "Protocol")
+        or (isinstance(base, ast.Attribute) and base.attr == "Protocol")
+        for base in node.bases
+    )
+
+
+def module_defs(tree: ast.Module) -> set[str]:
+    """The ``co_qualname`` of every ``def`` in ``tree`` that has a body to run."""
+    found = set()
+
+    def visit(node: ast.AST, prefix: str, skip: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", skip or _is_protocol(child))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                if not skip and "abstractmethod" not in _decorator_names(child):
+                    found.add(qualname)
+                visit(child, f"{qualname}.<locals>.", skip)
+            else:
+                visit(child, prefix, skip)
+
+    visit(tree, "", False)
+    return found
+
+
+def enumerate_defs(package: Path) -> set[str]:
+    """Every ``path.py: qualname`` under ``package`` that has a body to run."""
+    defs = set()
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs.update(f"{relative}: {qualname}" for qualname in module_defs(tree))
+    return defs
+
+
+def check(defs: set[str], reached: set[str], allowed: dict[str, str]) -> list[str]:
+    """What the ratchet fails on: one line per offending ``def``."""
+    unlisted = defs - reached - set(allowed)
+    problems = [f"unreached and not allowlisted: {name}" for name in sorted(unlisted)]
+    problems += [f"allowlisted but reached: {name}" for name in sorted(set(allowed) & reached)]
+    problems += [f"allowlisted but defined nowhere: {name}" for name in sorted(set(allowed) - defs)]
+    problems += [
+        f"unknown reason {reason!r}: {name}"
+        for name, reason in sorted(allowed.items())
+        if reason not in REASONS
+    ]
+    return problems
+
+
+def run_set(out_dir: Path):
+    """Yield each command CI runs, with its ``REPRO_*`` settings."""
+    python = sys.executable
+    one = {"REPRO_TRIALS": "1"}
+    yield [python, "-m", "repro.experiments.suite"], one
+    yield [python, "-m", "repro.experiments.suite"], {**one, "REPRO_WORKERS": "2"}
+    for example in sorted(ROOT.glob("examples/*.py")):
+        yield [python, str(example.relative_to(ROOT))], one
+    yield [python, "-m", "pytest", "-q", "tests/core/test_goldens.py"], {}
+    yield [python, "scripts/resume_smoke.py"], {}
+    yield (
+        [python, "-m", "pytest", "-x", "-q", "benchmarks/", "--benchmark-disable"],
+        {"REPRO_TRIALS": "2", "REPRO_WORKERS": "2"},
+    )
+    for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+        yield [
+            python, "e2ebench/episode_pass.py", "--workload", workload["name"],
+            "--seed", "2025", "--trials", "1", "--launched", repr(time.monotonic()),
+            "--out", str(out_dir),
+        ], {}
+
+
+def trace_run_set(hook_dir: Path, out_dir: Path) -> None:
+    """Run every command of the run set under the hook in ``hook_dir``."""
+    env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(hook_dir), str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    for command, knobs in run_set(out_dir):
+        settings = [f"{key}={value}" for key, value in knobs.items()]
+        shown = " ".join(settings + ["python"] + command[1:])
+        print(f"reach: {shown}", flush=True)
+        done = subprocess.run(command, cwd=ROOT, env={**env, **knobs}, stdout=subprocess.DEVNULL)
+        if done.returncode != 0:
+            print(f"reach: FAIL — exit {done.returncode} from {shown}")
+            raise SystemExit(1)
+
+
+def main() -> None:
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
+        hook_dir = Path(tmp) / "hook"
+        hook_dir.mkdir()
+        write_hook(hook_dir, PACKAGE)
+        trace_run_set(hook_dir, Path(tmp) / "out")
+        reached = read_dumps(hook_dir)
+    defs = enumerate_defs(PACKAGE)
+    problems = check(defs, reached, ALLOWED)
+    unreached = defs - reached
+    print(
+        f"reach: {len(defs)} defs in src/repro, {len(defs & reached)} reached, "
+        f"{len(unreached)} unreached ({len(unreached & set(ALLOWED))} of "
+        f"{len(ALLOWED)} allowlisted); {time.monotonic() - start:.0f}s"
+    )
+    for problem in problems:
+        print(f"  {problem}")
+    if problems:
+        print(f"reach: FAIL — {len(problems)} problem(s)")
+        raise SystemExit(1)
+    print("reach: OK")
+
+
+if __name__ == "__main__":
+    main()

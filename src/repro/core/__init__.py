@@ -23,8 +23,6 @@ from repro.core.metrics import (
 )
 from repro.core.runner import build_loop, build_task, run_episode, run_trials, trial_jobs
 from repro.core.types import (
-    Action,
-    ActionResult,
     Candidate,
     Decision,
     Fact,
@@ -36,8 +34,6 @@ from repro.core.types import (
 )
 
 __all__ = [
-    "Action",
-    "ActionResult",
     "AggregateResult",
     "Beliefs",
     "Candidate",

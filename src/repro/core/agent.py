@@ -154,11 +154,11 @@ class EmbodiedAgent:
         self.name = name
         self.config = config
         self.state = AgentState()
-        self._static_facts = env.static_facts() if hasattr(env, "static_facts") else []
+        static_facts = env.static_facts()
         # Static facts never change within an episode, so the memoryless
         # perceive() branch copies this prebuilt belief base instead of
         # re-inserting every static fact each step.
-        self._static_beliefs = Beliefs.from_facts(self._static_facts)
+        self._static_beliefs = Beliefs.from_facts(static_facts)
         # The paradigm loop passes its episode-wide scheduler so requests
         # from different agents can meet in one serving layer; a
         # standalone agent gets a private per-call one via ModuleContext.
@@ -187,7 +187,7 @@ class EmbodiedAgent:
             self.memory = MemoryModule(
                 context=self.context,
                 capacity_steps=config.memory.capacity_steps,
-                static_facts=self._static_facts,
+                static_facts=static_facts,
                 dual=config.memory.dual,
             )
         self.comm: CommunicationModule | None = None
@@ -326,11 +326,3 @@ class EmbodiedAgent:
             if self.memory is not None and report.forget_subject:
                 self.memory.forget(report.forget_subject, report.forget_relation)
         return report
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def static_facts(self) -> list[Fact]:
-        return list(self._static_facts)

@@ -139,17 +139,11 @@ class Beliefs:
         """Drop a slot (reflection's belief repair).  True if it existed."""
         return self._slots.pop((subject, relation), None) is not None
 
-    def facts(self) -> list[Fact]:
-        return list(self._slots.values())
-
     def __len__(self) -> int:
         return len(self._slots)
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self._slots.values())
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._slots
 
     def copy(self) -> "Beliefs":
         return Beliefs(dict(self._slots))

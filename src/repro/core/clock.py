@@ -161,13 +161,6 @@ class SimClock:
         """Total attributed duration per (module, phase)."""
         return dict(self._phase_seconds)
 
-    def reset(self) -> None:
-        self.now = 0.0
-        self._module_seconds.clear()
-        self._phase_seconds.clear()
-        self._parallel_depth = 0
-        self._parallel_front = 0.0
-
 
 class _ParallelScope:
     """Implements :meth:`SimClock.parallel`; supports nesting."""

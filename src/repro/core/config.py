@@ -17,7 +17,7 @@ from typing import Any
 from repro.core.errors import ConfigurationError
 from repro.core.settings import SERVE_MODES
 
-PARADIGMS = ("modular", "end_to_end", "centralized", "decentralized", "hybrid")
+PARADIGMS = ("modular", "centralized", "decentralized", "hybrid")
 
 #: Module names accepted by :meth:`SystemConfig.without`.
 ABLATABLE_MODULES = ("sensing", "communication", "memory", "reflection", "execution")

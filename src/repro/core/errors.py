@@ -66,16 +66,6 @@ class FaultKind(enum.Enum):
     FORMAT = "format"
     STALE_MEMORY = "stale_memory"
 
-    @property
-    def wastes_step(self) -> bool:
-        """Whether this fault consumes an environment step when acted on.
-
-        Format faults are caught at parse time and only cost LLM latency;
-        every other fault produces an action that is executed (and fails or
-        wastes effort), consuming a step.
-        """
-        return self is not FaultKind.FORMAT
-
 
 #: Faults that a reflection module is able to detect after execution by
 #: comparing the pre- and post-states (format faults never reach execution).

@@ -85,42 +85,6 @@ class EpisodeResult:
         return self.sim_seconds / 60.0
 
     @property
-    def cost_usd(self) -> float:
-        """Modeled serving cost of the episode in dollars.
-
-        Priced from :attr:`deployment_tokens` through the rate table in
-        :mod:`repro.llm.costs` (imported lazily: the llm layer imports
-        this module).
-        """
-        from repro.llm.costs import total_cost
-
-        return total_cost(self.deployment_tokens)
-
-    @property
-    def mean_batch_occupancy(self) -> float:
-        """Mean requests per dispatched batch (0 under per-call serving)."""
-        if self.serve_batches == 0:
-            return 0.0
-        return self.serve_batched_requests / self.serve_batches
-
-    @property
-    def mean_queue_delay(self) -> float:
-        """Mean seconds a request waited for batch admission (continuous
-        serving only; 0.0 in the modes without an arrival queue)."""
-        if self.serve_batched_requests == 0:
-            return 0.0
-        return self.serve_queue_seconds / self.serve_batched_requests
-
-    @property
-    def mean_request_latency(self) -> float:
-        """Mean arrival-to-completion seconds per served request
-        (continuous serving only): queue wait + batch service + any
-        straggler retry rounds."""
-        if self.serve_batched_requests == 0:
-            return 0.0
-        return self.serve_request_seconds / self.serve_batched_requests
-
-    @property
     def seconds_per_step(self) -> float:
         return self.sim_seconds / max(1, self.steps)
 

@@ -24,10 +24,10 @@ history every step.  Observations keep a newest-per-slot map (the stored
 fact with the highest step per ``(subject, relation)``, the later arrival
 winning a tie) and a per-step count table, so newest-wins resolution is
 O(#slots) and the scanned-entry count is O(1) amortized; action and
-dialogue stores append in non-decreasing step order, so their retention
-windows are bisected, not filtered.  Confused retrievals (and any
-out-of-order access the guards detect) take the linear scan instead,
-which produces the same retrieval.
+dialogue stores append in non-decreasing step order (an out-of-order
+store raises ``ValueError``), so their retention windows are bisected,
+not filtered.  Confused retrievals resolve slots from a scan of the
+in-window observations instead.
 
 Step-batched deliveries (:mod:`repro.core.bus`): a message's modeled store
 latency is charged at :meth:`stage_message` time while its dialogue and
@@ -129,11 +129,10 @@ class MemoryModule:
         #: ``_evict_start`` (the window start already accounted for).
         self._evict_start = 0
         self._evicted_obs = 0
-        #: Append-order step columns of the action/dialogue stores plus a
-        #: monotonicity guard; bisecting them is only valid while sorted.
+        #: Step columns of the action/dialogue stores, non-decreasing
+        #: (the stores refuse an out-of-order step), so windows bisect.
         self._action_steps: list[int] = []
         self._dialogue_steps: list[int] = []
-        self._steps_sorted = True
         #: Static facts pre-assembled as a belief base, copied per step.
         self._static_beliefs = Beliefs.from_facts(self._static)
         #: Step-batched delivery bus staging: messages whose store latency
@@ -151,9 +150,8 @@ class MemoryModule:
         self._charge(STORE_SECONDS, "store_observation")
 
     def store_action(self, step: int, subgoal: Subgoal, success: bool) -> None:
+        _check_order("action", step, self._action_steps)
         self._actions.append(ActionRecord(step=step, subgoal=subgoal, success=success))
-        if self._action_steps and step < self._action_steps[-1]:
-            self._steps_sorted = False
         self._action_steps.append(step)
         self._charge(STORE_SECONDS, "store_action")
 
@@ -208,10 +206,9 @@ class MemoryModule:
         for message, counts, hit in zip(index.messages, index.step_counts, addressed):
             if not hit:
                 continue
+            _check_order("dialogue", message.step, dialogue_steps)
             dialogue.append(message)
             observations.extend(message.facts)
-            if dialogue_steps and message.step < dialogue_steps[-1]:
-                self._steps_sorted = False
             dialogue_steps.append(message.step)
             for step, count in counts.items():
                 step_counts[step] += count
@@ -238,7 +235,7 @@ class MemoryModule:
 
     def _keep_newest(self, key: tuple[str, str], fact: Fact) -> None:
         """Make ``fact`` its slot's newest unless a higher step is stored
-        (the later of equal steps wins, as in the linear scan)."""
+        (the later of equal steps wins, as in :meth:`_resolve_slots`)."""
         stored = self._newest.get(key)
         if stored is None:
             insort(self._sorted_slot_keys, key)
@@ -261,33 +258,6 @@ class MemoryModule:
                 "(DeliveryBus.flush was not called)"
             )
         start = self._window_start(step)
-        if self._steps_sorted:
-            return self._retrieve_indexed(step, start)
-        return self._retrieve_linear(step, start)
-
-    def _retrieve_linear(self, step: int, start: int) -> RetrievedMemory:
-        """Full scans of every store, for out-of-order stores."""
-        observations = [fact for fact in self._observations if fact.step >= start]
-        actions = [record for record in self._actions if record.step >= start]
-        dialogue = [message for message in self._dialogue if message.step >= start]
-        scanned = len(observations) + len(actions) + len(dialogue)
-        if not self.dual:
-            scanned += len(self._static)
-        latency = RETRIEVE_BASE_SECONDS + RETRIEVE_PER_ENTRY_SECONDS * scanned
-        self._charge(latency, "retrieve")
-
-        confused = self._draw_confusion(step)
-        facts = self._resolve_slots(observations, confused)
-        return RetrievedMemory(
-            facts=facts,
-            action_records=actions,
-            dialogue=dialogue,
-            scanned_entries=scanned,
-            confused=confused,
-        )
-
-    def _retrieve_indexed(self, step: int, start: int) -> RetrievedMemory:
-        """Index-served retrieval: same scanned count, same modeled latency."""
         scanned = self._observations_in_window(start)
         actions = self._actions[bisect_left(self._action_steps, start) :]
         dialogue = self._dialogue[bisect_left(self._dialogue_steps, start) :]
@@ -300,8 +270,7 @@ class MemoryModule:
         confused = self._draw_confusion(step)
         if confused:
             # Confusion needs the full in-window history (which slots are
-            # contested, in first-occurrence order); take the linear
-            # scan's resolution so the extra rng draw sees identical inputs.
+            # contested, in first-occurrence order).
             window = [fact for fact in self._observations if fact.step >= start]
             facts = self._resolve_slots(window, confused=True)
         else:
@@ -315,7 +284,7 @@ class MemoryModule:
         )
 
     def _draw_confusion(self, step: int) -> bool:
-        """One rng draw shared by both retrieval paths (same draw order)."""
+        """One rng draw per retrieval once the window passes the onset."""
         window_steps = min(step, self.capacity_steps)
         overflow = window_steps - CONFUSION_ONSET_STEPS
         if overflow > 0 and not self.dual:
@@ -348,7 +317,7 @@ class MemoryModule:
         A slot's newest fact overall is also its newest *in-window* fact
         whenever it is in the window at all (the window is a suffix of the
         step axis), so the map needs no older entries.  Walking the
-        sorted key mirror emits the facts already in the linear scan's
+        sorted key mirror emits the facts already in :meth:`_resolve_slots`'s
         ``(subject, relation)`` output order (slot keys are unique, so
         sortedness alone pins the order).
         """
@@ -431,20 +400,13 @@ class MemoryModule:
             fact for fact in self._observations if fact.key() != key
         ]
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def dialogue_window(self, step: int) -> list[Message]:
-        if self._staged_messages:
-            raise RuntimeError(
-                "staged message deliveries must be committed before reading "
-                "the dialogue window (DeliveryBus.flush was not called)"
-            )
-        start = self._window_start(step)
-        if self._steps_sorted:
-            return self._dialogue[bisect_left(self._dialogue_steps, start) :]
-        return [message for message in self._dialogue if message.step >= start]
-
     def _charge(self, seconds: float, phase: str) -> None:
         self.context.clock.advance(seconds, ModuleName.MEMORY, phase=phase)
+
+
+def _check_order(store: str, step: int, steps: list[int]) -> None:
+    """Refuse a store whose step precedes the last one stored."""
+    if steps and step < steps[-1]:
+        raise ValueError(
+            f"out-of-order {store} store: step {step} after step {steps[-1]}"
+        )

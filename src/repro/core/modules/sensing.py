@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.core.clock import ModuleName
 from repro.core.modules.base import ModuleContext
-from repro.core.types import Fact, Observation
+from repro.core.types import Fact
 from repro.envs.base import Environment
 from repro.perception.detector import detect
 from repro.perception.models import PerceptionProfile, get_perception
@@ -61,6 +61,3 @@ class SensingModule:
             result.latency, ModuleName.SENSING, phase=self.profile.name
         )
         return result.facts
-
-    def observation(self, env: Environment, facts: tuple[Fact, ...]) -> Observation:
-        return env.observation(self.context.agent, facts)

@@ -3,13 +3,11 @@
 from repro.core.paradigms.base import ParadigmLoop
 from repro.core.paradigms.centralized import CentralizedLoop
 from repro.core.paradigms.decentralized import DecentralizedLoop, dialogue_rounds
-from repro.core.paradigms.end_to_end import EndToEndLoop
 from repro.core.paradigms.hybrid import HybridLoop
 from repro.core.paradigms.modular import ModularLoop
 
 PARADIGM_LOOPS: dict[str, type[ParadigmLoop]] = {
     "modular": ModularLoop,
-    "end_to_end": EndToEndLoop,
     "centralized": CentralizedLoop,
     "decentralized": DecentralizedLoop,
     "hybrid": HybridLoop,
@@ -18,7 +16,6 @@ PARADIGM_LOOPS: dict[str, type[ParadigmLoop]] = {
 __all__ = [
     "CentralizedLoop",
     "DecentralizedLoop",
-    "EndToEndLoop",
     "HybridLoop",
     "ModularLoop",
     "PARADIGM_LOOPS",

@@ -12,7 +12,7 @@ import abc
 
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.bus import DeliveryBus
-from repro.core.clock import SimClock
+from repro.core.clock import ModuleName, SimClock
 from repro.core.config import SystemConfig
 from repro.core.metrics import EpisodeResult, MetricsCollector
 from repro.core.seeding import derive_seed, rng_for
@@ -20,11 +20,13 @@ from repro.core.settings import RunSettings
 from repro.core.types import Decision, Message, StepRecord, TaskSpec
 from repro.envs import make_env
 from repro.envs.base import ExecutionOutcome
+from repro.llm.prompt import PromptBuilder
+from repro.llm.requests import InferenceRequest
 from repro.llm.scheduler import InferenceScheduler
 
 
 class ParadigmLoop(abc.ABC):
-    """Base class of the four (plus hybrid) paradigm drivers."""
+    """Base class of the modular, centralized, decentralized and hybrid loops."""
 
     def __init__(
         self,
@@ -218,6 +220,30 @@ class ParadigmLoop(abc.ABC):
                 return retry_outcome
         self.metrics.record_step(record)
         return outcome
+
+    def action_selection_call(self, step: int, agent: EmbodiedAgent, decision: Decision) -> None:
+        """CoELA's extra LLM pass selecting the low-level action of a plan."""
+        prompt = (
+            PromptBuilder()
+            .extra(
+                "instruction",
+                "Select the concrete low level action realizing "
+                f"{decision.subgoal.describe()} from the valid action list.",
+            )
+            .build()
+        )
+        self.scheduler.submit(
+            agent.planner_llm,
+            InferenceRequest(
+                kind="generation",
+                purpose="action_selection",
+                prompt=prompt,
+                module=ModuleName.PLANNING,
+                phase="action_selection",
+                agent=agent.name,
+                step=step,
+            ),
+        )
 
     @staticmethod
     def is_wasteful(decision: Decision, outcome: ExecutionOutcome) -> bool:

@@ -27,7 +27,7 @@ the ``flush_inference`` points below.
 
 from __future__ import annotations
 
-from repro.core.agent import EmbodiedAgent, PerceptionBundle
+from repro.core.agent import PerceptionBundle
 from repro.core.paradigms.base import ParadigmLoop
 
 
@@ -47,7 +47,7 @@ class DecentralizedLoop(ParadigmLoop):
         for agent in self.agents:
             decisions[agent.name] = agent.plan(self.env, bundles[agent.name])
             if self.config.action_selection_llm:
-                self._action_selection_call(step, agent, decisions[agent.name])
+                self.action_selection_call(step, agent, decisions[agent.name])
         # Per-agent plans (and CoELA's action selections) are issued
         # independently: under batched serving they dispatch here as one
         # batch per purpose.
@@ -103,34 +103,3 @@ class DecentralizedLoop(ParadigmLoop):
             # one compose batch per round.
             self.flush_inference()
         self.flush_deliveries(bundles)
-
-    # ------------------------------------------------------------------ #
-    # CoELA's extra action-selection stage
-    # ------------------------------------------------------------------ #
-
-    def _action_selection_call(self, step: int, agent: EmbodiedAgent, decision) -> None:
-        from repro.core.clock import ModuleName
-        from repro.llm.prompt import PromptBuilder
-        from repro.llm.requests import InferenceRequest
-
-        prompt = (
-            PromptBuilder()
-            .extra(
-                "instruction",
-                "Select the concrete low level action realizing "
-                f"{decision.subgoal.describe()} from the valid action list.",
-            )
-            .build()
-        )
-        self.scheduler.submit(
-            agent.planner_llm,
-            InferenceRequest(
-                kind="generation",
-                purpose="action_selection",
-                prompt=prompt,
-                module=ModuleName.PLANNING,
-                phase="action_selection",
-                agent=agent.name,
-                step=step,
-            ),
-        )

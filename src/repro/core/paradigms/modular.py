@@ -8,10 +8,7 @@ suite members use it, but the flag is honoured for custom systems).
 
 from __future__ import annotations
 
-from repro.core.clock import ModuleName
 from repro.core.paradigms.base import ParadigmLoop
-from repro.llm.prompt import PromptBuilder
-from repro.llm.requests import InferenceRequest
 
 
 class ModularLoop(ParadigmLoop):
@@ -23,29 +20,5 @@ class ModularLoop(ParadigmLoop):
         bundle = agent.perceive(self.env)
         decision = agent.plan(self.env, bundle)
         if self.config.action_selection_llm:
-            self._action_selection_call(step, agent, decision)
+            self.action_selection_call(step, agent, decision)
         self.execute_and_reflect(step, agent, bundle, decision)
-
-    def _action_selection_call(self, step: int, agent, decision) -> None:
-        """The extra low-level action-selection LLM pass some systems run."""
-        prompt = (
-            PromptBuilder()
-            .extra(
-                "instruction",
-                "Select the concrete action realizing the plan step "
-                f"{decision.subgoal.describe()} from the valid action list.",
-            )
-            .build()
-        )
-        self.scheduler.submit(
-            agent.planner_llm,
-            InferenceRequest(
-                kind="generation",
-                purpose="action_selection",
-                prompt=prompt,
-                module=ModuleName.PLANNING,
-                phase="action_selection",
-                agent=agent.name,
-                step=step,
-            ),
-        )

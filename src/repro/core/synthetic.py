@@ -16,30 +16,21 @@ behavior is written on the job itself:
   ``benchmarks/bench_fleet.py``'s pipelined-vs-barriered comparison
   (sleeping jobs are not CPU-bound, so even a 2-core CI machine runs a
   4-worker pool truly concurrently).
-- :func:`crash_seed_runner` additionally dies on the seeds named by
-  ``REPRO_SYNTH_CRASH_SEEDS`` — the kill switch the executor and ledger
-  crash/resume tests flip mid-sweep.  (An env knob rather than a
-  parameter so the kill set crosses the process-pool boundary; job
-  fingerprints hash only the job and its run settings, so arming it
-  between runs does not invalidate the ledger being resumed.)
 
-All three are module-level by design: process pools pickle runners by
-qualified name.
+Both are module-level by design: process pools pickle runners by
+qualified name.  The crash tests wrap :func:`sleep_runner` in a runner
+that dies on the seeds it is handed (``crash_runner`` in
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core.config import SystemConfig
 from repro.core.executor import TrialJob
 from repro.core.metrics import EpisodeResult
 from repro.core.types import TaskSpec
-
-#: Environment knob naming seeds (comma-separated) on which
-#: :func:`crash_seed_runner` raises instead of completing.
-CRASH_SEEDS_KNOB = "REPRO_SYNTH_CRASH_SEEDS"
 
 _SYNTH_ENV = "kitchen"  # any registered env name; the loop never runs
 
@@ -103,15 +94,3 @@ def sleep_runner(job: TrialJob) -> EpisodeResult:
         deployment_tokens={model: (prompt, output)} if prompt or output else {},
     )
 
-
-def crash_seeds() -> frozenset[int]:
-    """The armed kill set from ``REPRO_SYNTH_CRASH_SEEDS`` (may be empty)."""
-    raw = os.environ.get(CRASH_SEEDS_KNOB, "")
-    return frozenset(int(part) for part in raw.split(",") if part.strip())
-
-
-def crash_seed_runner(job: TrialJob) -> EpisodeResult:
-    """Like :func:`sleep_runner`, but dies on seeds in the armed kill set."""
-    if job.seed in crash_seeds():
-        raise RuntimeError(f"synthetic crash injected at seed {job.seed}")
-    return sleep_runner(job)

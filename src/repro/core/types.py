@@ -121,34 +121,6 @@ class Fact:
 
 
 @dataclass(frozen=True)
-class Action:
-    """A primitive action executable by the environment in one micro-step."""
-
-    verb: str
-    agent: str
-    target: str = ""
-    destination: str = ""
-
-    def describe(self) -> str:
-        parts = [self.verb]
-        if self.target:
-            parts.append(self.target)
-        if self.destination:
-            parts.append(f"to {self.destination}")
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class ActionResult:
-    """Outcome of applying one primitive action."""
-
-    action: Action
-    success: bool
-    duration: float
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class Subgoal:
     """A high-level plan step produced by the planning module.
 

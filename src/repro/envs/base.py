@@ -11,14 +11,16 @@ mineworld, kitchen, tabletop) implements this contract.  Key design points:
   truth), so missing memory manifests as exploration candidates and stale
   memory as doomed-but-plausible options.
 - **Grounded execution**: ``execute(agent, subgoal, rng)`` runs real
-  low-level planning (A*/RRT/action-list/grasp), mutates the world, and
+  low-level planning (A*/RRT/grasp), mutates the world, and
   reports primitive counts, compute cost, and actuation time so the
   latency ledger matches the paper's execution-module accounting.
 
-Two contracts let the episode loop reuse work across steps; an
-environment that breaks either produces wrong results, and the committed
+Three contracts let the episode loop reuse work across steps; an
+environment that breaks one produces wrong results, and the committed
 goldens (``tests/core/goldens/``) catch it for the shipped ones:
 
+- ``static_facts()`` is read once, when an agent is built: memory keeps
+  it as the long-term store and every step's beliefs start from it.
 - ``location_vocabulary()`` is **episode-static**: the sensing module
   fetches the mislabel distractors once per episode.
 - ``candidates()`` is a pure function of the world state and the beliefs
@@ -147,6 +149,11 @@ class Environment(abc.ABC):
         """Ground-truth facts perceivable from the agent's position."""
 
     @abc.abstractmethod
+    def static_facts(self) -> list[Fact]:
+        """Facts every agent knows from the start and that never change
+        within an episode (targets, recipes, floor plan)."""
+
+    @abc.abstractmethod
     def agent_position(self, agent: str) -> str:
         """Human-readable position label for prompts."""
 
@@ -184,12 +191,12 @@ class Environment(abc.ABC):
             visible_agents=visible_agents,
         )
 
+    @abc.abstractmethod
     def location_vocabulary(self) -> list[str]:
         """Plausible location labels, used as mislabel distractors.
 
         Must not change within an episode (see the module docstring).
         """
-        return []
 
     # ------------------------------------------------------------------ #
     # Affordances and execution

@@ -1,14 +1,8 @@
-"""Boxworld environment: BoxNet1/BoxNet2, Warehouse, and BoxLift substitute.
+"""Boxworld environment: a BoxNet1 substitute.
 
-A line of cells with fixed robot arms.  Each arm reaches its base cell and
-the adjacent cells; boxes must be relayed arm-to-arm toward target cells.
-The ``boxlift`` variant adds heavy boxes that two arms must lift in the
-same macro step — the canonical coordination stressor from the CMAS/DMAS/
-HMAS paper.  Variants are selected through ``TaskSpec.params["variant"]``:
-
-- ``boxnet1`` (default): arms packed shoulder to shoulder (short relays).
-- ``warehouse``: arms spread out, so relays take twice the handoffs.
-- ``boxlift``: half the boxes are heavy and need synchronized lifting.
+A line of cells with fixed robot arms packed shoulder to shoulder.  Each
+arm reaches its base cell and the adjacent cells; boxes must be relayed
+arm-to-arm toward target cells.
 
 Used by: CMAS (centralized), DMAS (decentralized), HMAS (hybrid).
 """
@@ -26,12 +20,9 @@ from repro.planners.costmodel import ComputeCost
 
 
 MOVE_BOX_SECONDS = 2.4
-LIFT_SECONDS = 3.0
 PRIMITIVES_PER_MOVE = 4
-PRIMITIVES_PER_LIFT = 3
 
 _DIFFICULTY_SETTINGS = {"easy": 6, "medium": 10, "hard": 14}
-VARIANTS = ("boxnet1", "boxnet2", "warehouse", "boxlift")
 
 
 @dataclass
@@ -39,12 +30,10 @@ class _Box:
     name: str
     cell: int
     target: int
-    heavy: bool = False
-    lifted: bool = False
 
     @property
     def done(self) -> bool:
-        return self.lifted if self.heavy else self.cell == self.target
+        return self.cell == self.target
 
 
 @dataclass
@@ -65,34 +54,22 @@ class BoxWorldEnv(Environment):
         super().__init__(task, rng)
         if task.n_agents < 2:
             raise ValueError("boxworld needs at least 2 arms")
-        self.variant: str = str(task.params.get("variant", "boxnet1"))
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown boxworld variant {self.variant!r}")
-
-        spacing = 2 if self.variant == "warehouse" else 1
         self._arms: dict[str, _Arm] = {
-            agent: _Arm(name=agent, base=index * spacing)
-            for index, agent in enumerate(self.agents)
+            agent: _Arm(name=agent, base=index) for index, agent in enumerate(self.agents)
         }
-        self.n_cells = (len(self.agents) - 1) * spacing + 1
+        self.n_cells = len(self.agents)
 
         n_boxes = _DIFFICULTY_SETTINGS[task.difficulty]
-        heavy_fraction = 0.5 if self.variant == "boxlift" else 0.0
         self.boxes: dict[str, _Box] = {}
         for index in range(n_boxes):
             start = int(rng.integers(self.n_cells))
             target = int(rng.integers(self.n_cells))
             while target == start and self.n_cells > 1:
                 target = int(rng.integers(self.n_cells))
-            heavy = rng.random() < heavy_fraction
-            self.boxes[f"box_{index}"] = _Box(
-                name=f"box_{index}", cell=start, target=target, heavy=heavy
-            )
-        self._lift_support: dict[str, set[str]] = {}
-
-    def tick(self) -> None:
-        super().tick()
-        self._lift_support.clear()
+            # A draw per box that nothing reads: the goldens pin the
+            # environment's rng stream, so it stays.
+            rng.random()
+            self.boxes[f"box_{index}"] = _Box(name=f"box_{index}", cell=start, target=target)
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -121,14 +98,10 @@ class BoxWorldEnv(Environment):
         return sorted(facts, key=lambda fact: (fact.subject, fact.relation))
 
     def static_facts(self) -> list[Fact]:
-        facts = []
-        for box in sorted(self.boxes.values(), key=lambda b: b.name):
-            facts.append(
-                Fact(subject=box.name, relation="target", value=f"cell_{box.target}")
-            )
-            if box.heavy:
-                facts.append(Fact(subject=box.name, relation="weight", value="heavy"))
-        return facts
+        return [
+            Fact(subject=box.name, relation="target", value=f"cell_{box.target}")
+            for box in sorted(self.boxes.values(), key=lambda b: b.name)
+        ]
 
     def location_vocabulary(self) -> list[str]:
         return [f"cell_{index}" for index in range(self.n_cells)]
@@ -147,9 +120,6 @@ class BoxWorldEnv(Environment):
                 continue
             targeted_by = beliefs.value(box.name, "targeted_by")
             claimed_penalty = 0.5 if targeted_by not in ("", None, agent) else 1.0
-            if box.heavy:
-                options.append(option("lift", box.name, utility=0.9 * claimed_penalty))
-                continue
             direction = 1 if box.target > believed_cell else -1
             toward = believed_cell + direction
             away = believed_cell - direction
@@ -185,8 +155,6 @@ class BoxWorldEnv(Environment):
     ) -> ExecutionOutcome:
         if subgoal.name == "move_box":
             return self._do_move(agent, subgoal)
-        if subgoal.name == "lift":
-            return self._do_lift(agent, subgoal)
         if subgoal.name == "idle":
             return ExecutionOutcome(
                 success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
@@ -196,8 +164,6 @@ class BoxWorldEnv(Environment):
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:
         if subgoal.name == "move_box":
             return PRIMITIVES_PER_MOVE + 2  # reach, align, grab, move, place, release
-        if subgoal.name == "lift":
-            return PRIMITIVES_PER_LIFT + 2
         return 1
 
     def _do_move(self, agent: str, subgoal: Subgoal) -> ExecutionOutcome:
@@ -207,8 +173,6 @@ class BoxWorldEnv(Environment):
         arm = self._arms[agent]
         if box.done:
             return ExecutionOutcome.failure("box already done")
-        if box.heavy:
-            return ExecutionOutcome.failure("box too heavy to move alone")
         if not arm.reaches(box.cell):
             return ExecutionOutcome.failure("box out of reach")
         try:
@@ -236,36 +200,6 @@ class BoxWorldEnv(Environment):
             reason="" if new_distance < old_distance else "moved away from target",
         )
 
-    def _do_lift(self, agent: str, subgoal: Subgoal) -> ExecutionOutcome:
-        box = self.boxes.get(subgoal.target)
-        if box is None:
-            return ExecutionOutcome.failure(f"no such box {subgoal.target!r}")
-        arm = self._arms[agent]
-        if not box.heavy:
-            return ExecutionOutcome.failure("box does not need lifting")
-        if box.lifted:
-            return ExecutionOutcome.failure("box already lifted")
-        if not arm.reaches(box.cell):
-            return ExecutionOutcome.failure("box out of reach")
-        supporters = self._lift_support.setdefault(box.name, set())
-        supporters.add(agent)
-        if len(supporters) >= 2:
-            box.lifted = True
-            return ExecutionOutcome(
-                success=True,
-                primitive_count=PRIMITIVES_PER_LIFT,
-                compute=ComputeCost(actionlist_actions=PRIMITIVES_PER_LIFT),
-                actuation_seconds=LIFT_SECONDS,
-                progress_delta=1.0 / max(1, len(self.boxes)),
-            )
-        return ExecutionOutcome(
-            success=True,
-            primitive_count=PRIMITIVES_PER_LIFT,
-            compute=ComputeCost(actionlist_actions=PRIMITIVES_PER_LIFT),
-            actuation_seconds=LIFT_SECONDS,
-            reason="waiting for lift partner",
-        )
-
     # ------------------------------------------------------------------ #
     # Goals
     # ------------------------------------------------------------------ #
@@ -275,11 +209,7 @@ class BoxWorldEnv(Environment):
         return done / max(1, len(self.boxes))
 
     def describe_task(self) -> str:
-        heavies = sum(1 for box in self.boxes.values() if box.heavy)
-        text = (
-            f"Box relay task ({self.variant}): move all {len(self.boxes)} boxes "
+        return (
+            f"Box relay task (boxnet1): move all {len(self.boxes)} boxes "
             "to their target cells by passing them between robot arms."
         )
-        if heavies:
-            text += f" {heavies} boxes are heavy and need two arms lifting together."
-        return text

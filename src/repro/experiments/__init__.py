@@ -9,7 +9,7 @@ from repro.experiments import (
     fig6_tokens,
     fig7_scalability,
 )
-from repro.experiments.common import ExperimentSettings, measure, trials_from_env
+from repro.experiments.common import ExperimentSettings, trials_from_env
 
 __all__ = [
     "ExperimentSettings",
@@ -20,6 +20,5 @@ __all__ = [
     "fig5_memory",
     "fig6_tokens",
     "fig7_scalability",
-    "measure",
     "trials_from_env",
 ]

@@ -170,20 +170,6 @@ def dispatch_jobs(
     return dispatch(jobs, settings.make_executor(), ledger_from_env())
 
 
-def measure(
-    config: SystemConfig,
-    settings: ExperimentSettings,
-    difficulty: str | None = None,
-    n_agents: int | None = None,
-    horizon: int | None = None,
-) -> AggregateResult:
-    """One experiment cell: ``n_trials`` aggregated episodes."""
-    cell = GridCell(
-        config=config, difficulty=difficulty, n_agents=n_agents, horizon=horizon
-    )
-    return measure_grid([cell], settings)[0]
-
-
 def measure_grid(
     cells: list[GridCell], settings: ExperimentSettings
 ) -> list[AggregateResult]:

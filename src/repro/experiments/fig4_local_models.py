@@ -64,13 +64,6 @@ class Fig4Result:
         values = [cell.total_minutes for cell in self.cells if cell.model == model]
         return sum(values) / len(values) if values else 0.0
 
-    def failures(self, model: str) -> list[str]:
-        return [
-            cell.workload
-            for cell in self.cells
-            if cell.model == model and cell.success_rate == 0.0
-        ]
-
 
 def grid() -> list[GridCell]:
     """One cell per (subject, planning model)."""

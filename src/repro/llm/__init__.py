@@ -3,7 +3,7 @@
 from repro.llm.backend import InferenceBackend
 from repro.llm.behavior import BehaviorKernel, DecisionRequest
 from repro.llm.deployment import DeploymentOptions
-from repro.llm.profiles import LLMProfile, get_profile, list_profiles
+from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import Prompt, PromptBuilder
 from repro.llm.requests import InferenceRequest, InferenceResult
 from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
@@ -27,5 +27,4 @@ __all__ = [
     "SimulatedLLM",
     "count_tokens",
     "get_profile",
-    "list_profiles",
 ]

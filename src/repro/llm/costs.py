@@ -38,7 +38,6 @@ RATES_PER_MTOK: dict[str, tuple[float, float]] = {
     "llava-8b": (0.12, 0.12),
     "llava-7b": (0.10, 0.10),
     "clip-selector": (0.01, 0.01),
-    "vla-rt2": (0.15, 0.15),
 }
 
 #: Fallback for profiles without a table entry (e.g. test stand-ins):

@@ -89,10 +89,6 @@ def get_profile(name: str) -> LLMProfile:
         raise UnknownModelError(f"unknown LLM profile {name!r}; known: {known}") from None
 
 
-def list_profiles() -> list[str]:
-    return sorted(_PROFILES)
-
-
 GPT4 = register_profile(
     LLMProfile(
         name="gpt-4",
@@ -222,23 +218,5 @@ CLIP_SELECTOR = register_profile(
         context_window=77,
         focus_midpoint=3000.0,
         focus_slope=1000.0,
-    )
-)
-
-#: Vision-language-action models used by the end-to-end paradigm: one
-#: forward pass per control tick, short outputs, no deliberate reasoning.
-VLA_RT2 = register_profile(
-    LLMProfile(
-        name="vla-rt2",
-        deployment="local",
-        params_billion=55.0,
-        overhead_s=0.05,
-        prefill_tps=5000.0,
-        decode_tps=120.0,
-        reasoning=0.88,
-        format_compliance=1.0,
-        context_window=2048,
-        focus_midpoint=1800.0,
-        focus_slope=600.0,
     )
 )

@@ -84,12 +84,6 @@ class Prompt:
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "tokens", sum(map(_TOKENS, sections)))
 
-    def add(self, name: str, text: str) -> "Prompt":
-        """This prompt plus a fixed-text section (empty text is skipped)."""
-        if not text:
-            return self
-        return Prompt(self.sections + (text_section(name, text),))
-
     def render(self) -> str:
         return "\n\n".join(
             f"[{section.name}]\n{section.text}" for section in self.sections

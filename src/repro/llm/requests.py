@@ -11,7 +11,7 @@ recording uniformly (:mod:`repro.llm.scheduler`).
 
 The four request kinds mirror the call shapes the modules actually make:
 
-- ``decision`` — choose one candidate (planning, VLA action selection);
+- ``decision`` — choose one candidate (planning);
   carries a :class:`~repro.llm.behavior.DecisionRequest` and yields a
   :class:`~repro.core.types.Decision`.
 - ``generation`` — free-form generation (messages, action selection

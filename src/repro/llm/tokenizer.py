@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable
 
 _WORD_RE = re.compile(r"[A-Za-z]+|\d|[^\sA-Za-z\d]")
 
@@ -52,6 +51,12 @@ def count_tokens(text: str) -> int:
     0
     >>> count_tokens("pick up the red mug")
     5
+    >>> count_tokens("pick up") + count_tokens("the red mug")
+    5
+    >>> count_tokens("abcdefghijkl, 42.")
+    6
+    >>> count_tokens("   ")
+    0
     """
     if not text:
         return 0
@@ -63,17 +68,3 @@ def count_tokens(text: str) -> int:
             total += 1
     return total
 
-
-def count_tokens_many(texts: Iterable[str]) -> int:
-    """Sum of token counts over ``texts`` (convenience for fact lists).
-
-    Accepts any iterable of strings, including single-pass generators:
-
-    >>> count_tokens_many(["pick up", "the red mug"])
-    5
-    >>> count_tokens_many(word for word in "pick up the red mug".split())
-    5
-    >>> count_tokens_many([])
-    0
-    """
-    return sum(count_tokens(text) for text in texts)

@@ -52,10 +52,6 @@ def get_perception(name: str) -> PerceptionProfile:
         ) from None
 
 
-def list_perception_profiles() -> list[str]:
-    return sorted(_PROFILES)
-
-
 VIT = register_perception(
     PerceptionProfile(
         name="vit", latency_s=0.11, recall=0.94, mislabel_rate=0.02, modality="rgb"

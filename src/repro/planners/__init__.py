@@ -1,6 +1,5 @@
-"""Low-level planners: A*, RRT, action lists, grasping, and cost models."""
+"""Low-level planners: A*, RRT, grasping, and cost models."""
 
-from repro.planners.actionlist import ActionListResult, expand_action_list
 from repro.planners.astar import AStarResult, astar, manhattan
 from repro.planners.costmodel import ComputeCost, ZERO_COST
 from repro.planners.grasp import GraspResult, plan_grasp
@@ -8,14 +7,12 @@ from repro.planners.rrt import CircleObstacle, RRTResult, rrt_plan
 
 __all__ = [
     "AStarResult",
-    "ActionListResult",
     "CircleObstacle",
     "ComputeCost",
     "GraspResult",
     "RRTResult",
     "ZERO_COST",
     "astar",
-    "expand_action_list",
     "manhattan",
     "plan_grasp",
     "rrt_plan",

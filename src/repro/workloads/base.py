@@ -58,7 +58,6 @@ class Workload:
         flags = self.config.module_flags()
         category = {
             "modular": "single-modular",
-            "end_to_end": "single-end-to-end",
             "centralized": "multi-centralized",
             "decentralized": "multi-decentralized",
             "hybrid": "multi-decentralized",

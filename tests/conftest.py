@@ -9,6 +9,12 @@ from hypothesis import settings
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
+from repro.core.modules.memory import (
+    RETRIEVE_BASE_SECONDS,
+    RETRIEVE_PER_ENTRY_SECONDS,
+    RetrievedMemory,
+)
+from repro.core.synthetic import sleep_runner
 from repro.envs import make_env, make_task
 
 #: Hypothesis profiles.  ``repro`` (every run's default) draws the same
@@ -48,6 +54,43 @@ def context(clock, metrics, rng) -> ModuleContext:
     ctx = ModuleContext(agent="agent_0", clock=clock, metrics=metrics, rng=rng)
     ctx.set_step(1)
     return ctx
+
+
+def crash_runner(job, seeds: frozenset[int] = frozenset()):
+    """:func:`~repro.core.synthetic.sleep_runner`, dying on ``seeds``.
+
+    Arm it as ``functools.partial(crash_runner, seeds=frozenset({...}))``:
+    the partial of a module-level function pickles, so a fork-started
+    pool's workers receive the kill set with each job.
+    """
+    if job.seed in seeds:
+        raise RuntimeError(f"synthetic crash injected at seed {job.seed}")
+    return sleep_runner(job)
+
+
+def linear_retrieve(memory, step: int) -> RetrievedMemory:
+    """``MemoryModule.retrieve`` by full scans of every store.
+
+    The reference the index-served retrieval must equal, its latency
+    charge and rng draws included.  Pin a module to it with
+    ``memory.retrieve = functools.partial(linear_retrieve, memory)``.
+    """
+    start = max(0, step - memory.capacity_steps)
+    observations = [fact for fact in memory._observations if fact.step >= start]
+    actions = [record for record in memory._actions if record.step >= start]
+    dialogue = [message for message in memory._dialogue if message.step >= start]
+    scanned = len(observations) + len(actions) + len(dialogue)
+    if not memory.dual:
+        scanned += len(memory._static)
+    memory._charge(RETRIEVE_BASE_SECONDS + RETRIEVE_PER_ENTRY_SECONDS * scanned, "retrieve")
+    confused = memory._draw_confusion(step)
+    return RetrievedMemory(
+        facts=memory._resolve_slots(observations, confused),
+        action_records=actions,
+        dialogue=dialogue,
+        scanned_entries=scanned,
+        confused=confused,
+    )
 
 
 def small_env(name: str, difficulty: str = "easy", n_agents: int = 1, seed: int = 0, **params):

@@ -53,11 +53,6 @@ class TestAccessors:
         assert beliefs.value("mug", "located_in") is None
         assert beliefs.forget("mug", "located_in") is False
 
-    def test_contains(self):
-        beliefs = Beliefs.from_facts([fact()])
-        assert ("mug", "located_in") in beliefs
-        assert ("mug", "held_by") not in beliefs
-
     def test_copy_is_independent(self):
         beliefs = Beliefs.from_facts([fact()])
         clone = beliefs.copy()

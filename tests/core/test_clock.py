@@ -279,15 +279,6 @@ class TestNestingProperties:
         assert clock.elapsed_by_phase() == phase_totals
 
 
-class TestReset:
-    def test_reset_clears_everything(self, clock):
-        clock.advance(1.0, ModuleName.PLANNING)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.elapsed_by_module() == {}
-        assert clock.elapsed_by_phase() == {}
-
-
 class TestConstants:
     def test_module_order_covers_all_modules(self):
         assert set(MODULE_ORDER) == set(ModuleName)

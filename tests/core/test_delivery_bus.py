@@ -13,9 +13,11 @@ sensing/position staging caches invalidate when the world moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import linear_retrieve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +90,7 @@ class _Recorder:
 
 def _team(scenario: FlushScenario, linear: bool):
     """Agents and bundles on one shared clock; ``linear`` pins every
-    memory to the linear retrieval path (the oracle's)."""
+    memory to the full-scan reference retrieval (the oracle's)."""
     clock = SimClock()
     agents, bundles = [], {}
     for position, name in enumerate(scenario.names):
@@ -104,7 +106,7 @@ def _team(scenario: FlushScenario, linear: bool):
             static = [Fact("wall", "located_in", "hall", step=0)]
             memory = MemoryModule(context, capacity, static, dual=dual)
             if linear:
-                memory._steps_sorted = False  # what an out-of-order store sets
+                memory.retrieve = partial(linear_retrieve, memory)
             for frame in scenario.observations.get(name, []):
                 memory.store_observation(frame)
         agents.append(_Agent(name, memory))
@@ -120,11 +122,7 @@ def _team(scenario: FlushScenario, linear: bool):
 
 
 def _retrievals(agents, step: int) -> list:
-    return [
-        (agent.memory.retrieve(step), agent.memory.dialogue_window(step))
-        for agent in agents
-        if agent.memory is not None
-    ]
+    return [agent.memory.retrieve(step) for agent in agents if agent.memory is not None]
 
 
 def _beliefs(bundles) -> dict:
@@ -350,7 +348,7 @@ class TestSharedIndexFlush:
         )
         assert _check_flush(scenario) == [True, True]
         _flags, _beliefs, retrievals, _clock = _via_bus(scenario)
-        for retrieved, _dialogue in retrievals[-1]:
+        for retrieved in retrievals[-1]:
             assert shared in retrieved.facts
 
     def test_repeated_arrivals_collapse_into_runs(self):
@@ -441,7 +439,7 @@ class TestStagedMemoryWrites:
         inline.context.set_step(3)
         staged.context.set_step(3)
         assert staged.retrieve(3) == inline.retrieve(3)
-        assert staged.dialogue_window(3) == inline.dialogue_window(3)
+        assert staged.retrieve(3).dialogue == inline.retrieve(3).dialogue
 
     def test_reads_refuse_uncommitted_staging(self):
         memory = _memory()
@@ -450,8 +448,6 @@ class TestStagedMemoryWrites:
         )
         with pytest.raises(RuntimeError, match="staged"):
             memory.retrieve(1)
-        with pytest.raises(RuntimeError, match="staged"):
-            memory.dialogue_window(1)
         memory.commit_staged_messages()
         assert memory.retrieve(1).dialogue  # served again after commit
 

@@ -2,10 +2,11 @@
 
 import pickle
 import time
+from functools import partial
 
 import pytest
+from conftest import crash_runner
 
-from repro.core.config import SystemConfig
 from repro.core.errors import TrialExecutionError
 from repro.core.executor import (
     EXECUTOR_KINDS,
@@ -22,25 +23,11 @@ from repro.core.executor import (
 from repro.core.fleet import dispatch
 from repro.core.metrics import EpisodeResult
 from repro.core.runner import build_task, run_trials, trial_jobs
-from repro.core.synthetic import (
-    CRASH_SEEDS_KNOB,
-    crash_seed_runner,
-    sleep_runner,
-    synthetic_job,
-)
+from repro.core.synthetic import sleep_runner, synthetic_job
 from repro.workloads import get_workload
 
-#: One representative workload per paradigm loop (end-to-end is a custom
-#: config because the 14-workload suite has no end-to-end entry).
+#: One representative workload per paradigm loop.
 PARADIGM_WORKLOADS = ("jarvis-1", "mindagent", "coela", "hmas")
-
-END_TO_END = SystemConfig(
-    name="mini-vla",
-    paradigm="end_to_end",
-    env_name="kitchen",
-    planning_model="vla-rt2",
-    sensing_model=None,
-)
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +70,6 @@ class TestDeterminism:
         assert parallel == serial
         # Byte-identical, not merely approximately equal: the aggregate
         # survives a round-trip through pickle with the same payload.
-        assert pickle.dumps(parallel) == pickle.dumps(serial)
-
-    def test_parallel_matches_serial_end_to_end_paradigm(self, parallel4):
-        serial = run_trials(END_TO_END, n_trials=3, difficulty="easy", base_seed=13)
-        parallel = run_trials(
-            END_TO_END, n_trials=3, difficulty="easy", base_seed=13, executor=parallel4
-        )
         assert pickle.dumps(parallel) == pickle.dumps(serial)
 
     def test_default_executor_is_serial(self):
@@ -187,23 +167,22 @@ class TestStreaming:
         assert len(leads) == 20
         assert max(leads) == IN_FLIGHT_PER_WORKER * 2
 
-    def test_failure_preserves_earlier_completions(self, monkeypatch):
-        monkeypatch.setenv(CRASH_SEEDS_KNOB, "3")
+    def test_failure_preserves_earlier_completions(self):
         jobs = [synthetic_job(seed=seed) for seed in range(1, 6)]
-        executor = SerialExecutor(job_runner=crash_seed_runner)
+        executor = SerialExecutor(job_runner=partial(crash_runner, seeds=frozenset({3})))
         seen = []
         with pytest.raises(TrialExecutionError, match="seed=3"):
             for index, _ in executor.run_stream(jobs):
                 seen.append(index)
         assert seen == [0, 1]
 
-    def test_parallel_failure_names_job_promptly(self, monkeypatch):
+    def test_parallel_failure_names_job_promptly(self):
         # The crashing job is submitted last behind slow jobs; the
         # completion watch surfaces it without waiting for the stragglers.
-        monkeypatch.setenv(CRASH_SEEDS_KNOB, "9")
         jobs = [synthetic_job(seed=seed, duration=0.3) for seed in (1, 2)]
         jobs.append(synthetic_job(seed=9))
-        with ParallelExecutor(max_workers=4, job_runner=crash_seed_runner) as executor:
+        crashing = partial(crash_runner, seeds=frozenset({9}))
+        with ParallelExecutor(max_workers=4, job_runner=crashing) as executor:
             started = time.perf_counter()
             with pytest.raises(TrialExecutionError, match="seed=9"):
                 list(executor.run_stream(jobs))

@@ -1,15 +1,15 @@
 """Checkpoint ledger tests: fingerprints, the journal, and resume."""
 
 import json
-import os
 import pickle
 import shutil
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
-from unittest import mock
 
 import pytest
+from conftest import crash_runner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -30,12 +30,7 @@ from repro.core.fleet import (
 from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import ENV_KNOBS
-from repro.core.synthetic import (
-    CRASH_SEEDS_KNOB,
-    crash_seed_runner,
-    sleep_runner,
-    synthetic_job,
-)
+from repro.core.synthetic import sleep_runner, synthetic_job
 from repro.workloads import get_workload
 
 
@@ -90,7 +85,7 @@ class TestFingerprints:
     def test_execution_knobs_do_not_invalidate(self, monkeypatch):
         before = job_fingerprint(synth_jobs(1)[0])
         knobs = knob_fingerprint()
-        for knob in ("REPRO_WORKERS", "REPRO_TRIALS", "REPRO_SYNTH_CRASH_SEEDS", "REPRO_LEDGER"):
+        for knob in ("REPRO_WORKERS", "REPRO_TRIALS", "REPRO_LEDGER"):
             assert knob not in ENV_KNOBS
             monkeypatch.setenv(knob, "9")
         assert job_fingerprint(synth_jobs(1)[0]) == before
@@ -177,13 +172,12 @@ class TestCheckpointResume:
             assert pickle.dumps(a) == pickle.dumps(b) == pickle.dumps(c)
         assert pickle.dumps(aggregate(resumed)) == pickle.dumps(aggregate(alone))
 
-    def test_crash_mid_sweep_persists_completed_prefix(self, tmp_path, monkeypatch):
+    def test_crash_mid_sweep_persists_completed_prefix(self, tmp_path):
         # The default flush window: the prefix persists because every
         # exit path of dispatch flushes, not because each append does.
         ledger = JobLedger(tmp_path / "ledger.jsonl")
         jobs = synth_jobs(5)
-        monkeypatch.setenv(CRASH_SEEDS_KNOB, "4")
-        crashing = SerialExecutor(job_runner=crash_seed_runner)
+        crashing = SerialExecutor(job_runner=partial(crash_runner, seeds=frozenset({4})))
         with pytest.raises(TrialExecutionError):
             dispatch(jobs, crashing, ledger)
         assert len(ledger.load()) == 3  # seeds 1-3 completed before the crash
@@ -191,7 +185,6 @@ class TestCheckpointResume:
         # Restart against the same ledger with the fault cleared: only
         # the missing episodes run, and the output matches a run that
         # never crashed.
-        monkeypatch.delenv(CRASH_SEEDS_KNOB)
         executor, ran = counting()
         results = dispatch(jobs, executor, ledger)
         assert [job.seed for job in ran] == [4, 5]
@@ -200,16 +193,15 @@ class TestCheckpointResume:
             aggregate(uninterrupted)
         )
 
-    def test_worker_crash_mid_sweep_resumes_parallel(self, ledger, monkeypatch):
+    def test_worker_crash_mid_sweep_resumes_parallel(self, ledger):
         jobs = synth_jobs(6, duration=0.01)
-        monkeypatch.setenv(CRASH_SEEDS_KNOB, "5,6")
-        with ParallelExecutor(max_workers=2, job_runner=crash_seed_runner) as pool:
+        crashing = partial(crash_runner, seeds=frozenset({5, 6}))
+        with ParallelExecutor(max_workers=2, job_runner=crashing) as pool:
             with pytest.raises(TrialExecutionError, match="seed"):
                 dispatch(jobs, pool, ledger)
         survivors = len(ledger.load())
         assert survivors >= 1  # at least the completions that beat the crash
 
-        monkeypatch.delenv(CRASH_SEEDS_KNOB)
         executor, ran = counting()
         results = dispatch(jobs, executor, ledger)
         assert len(ran) == 6 - survivors
@@ -327,19 +319,19 @@ class TestEnvConstruction:
         assert ledger.flush_seconds == 0.5  # batched by default
 
     def test_grid_dispatch_routes_through_ledger(self, tmp_path, monkeypatch):
-        from repro.experiments.common import ExperimentSettings, measure
+        from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "grid.jsonl"))
         settings = ExperimentSettings(
             n_trials=2, executor="serial", max_workers=1, difficulty="easy"
         )
-        config = get_workload("embodiedgpt").config
-        first = measure(config, settings)
+        cells = [GridCell(config=get_workload("embodiedgpt").config)]
+        first = measure_grid(cells, settings)[0]
         assert (tmp_path / "grid.jsonl").exists()
-        second = measure(config, settings)  # restored wholly from ledger
+        second = measure_grid(cells, settings)[0]  # restored wholly from ledger
         assert pickle.dumps(first) == pickle.dumps(second)
         monkeypatch.delenv("REPRO_LEDGER")
-        direct = measure(config, settings)
+        direct = measure_grid(cells, settings)[0]
         assert pickle.dumps(direct) == pickle.dumps(first)
 
 
@@ -462,10 +454,11 @@ ALONE = [pickle.dumps(sleep_runner(job)) for job in POOL]
 
 
 class RecordingExecutor(SerialExecutor):
-    """Serial executor that records the job list of every stream it starts."""
+    """Serial executor that records the job list of every stream it
+    starts, and whose runner dies on the seeds in ``crash_seeds``."""
 
-    def __init__(self):
-        super().__init__(job_runner=crash_seed_runner)
+    def __init__(self, crash_seeds: frozenset[int] = frozenset()):
+        super().__init__(job_runner=partial(crash_runner, seeds=crash_seeds))
         self.streams: list[list] = []
 
     def run_stream(self, jobs, window=None):
@@ -521,14 +514,14 @@ class TestDispatchProperty:
             ledger.flush()
             before = ledger_size(ledger)
 
-            executor = RecordingExecutor()
-            armed = {} if crash is None else {CRASH_SEEDS_KNOB: str(POOL[crash].seed)}
-            with mock.patch.dict(os.environ, armed):
-                if crash_at < len(missing):
-                    with pytest.raises(TrialExecutionError):
-                        dispatch(jobs, executor, ledger)
-                else:
-                    check_slots(dispatch(jobs, executor, ledger))
+            executor = RecordingExecutor(
+                frozenset() if crash is None else frozenset({POOL[crash].seed})
+            )
+            if crash_at < len(missing):
+                with pytest.raises(TrialExecutionError):
+                    dispatch(jobs, executor, ledger)
+            else:
+                check_slots(dispatch(jobs, executor, ledger))
             lacked = [POOL_PRINTS[pick] for pick in missing]
             assert executor.streamed() == ([lacked] if lacked else [])
             # Exactly the completions before the crash reached the ledger.

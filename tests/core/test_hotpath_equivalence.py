@@ -4,17 +4,19 @@ Episode results are pinned by the committed goldens
 (tests/core/test_goldens.py).  This module checks the fast paths those
 goldens run through: the delivery bus and the inference scheduler
 really engage, batched serving moves only latency, indexed memory
-retrieval equals the linear scan that out-of-order stores fall back to,
-and prompt token arithmetic equals plain tokenization of the rendered
+retrieval equals a full scan of every store (``linear_retrieve`` in
+``tests/conftest.py``), and prompt token arithmetic equals plain tokenization of the rendered
 text.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import linear_retrieve
 
 from repro.core.clock import SimClock
 from repro.core.config import MemoryConfig
@@ -160,7 +162,7 @@ def _drive(module: MemoryModule, steps: int) -> list:
 
 
 def _module(capacity: int, dual: bool, seed: int, linear: bool = False) -> MemoryModule:
-    """A memory module; ``linear`` pins it to the out-of-order fallback."""
+    """A memory module; ``linear`` pins it to the full-scan reference."""
     context = ModuleContext(
         agent="agent_0",
         clock=SimClock(),
@@ -171,7 +173,7 @@ def _module(capacity: int, dual: bool, seed: int, linear: bool = False) -> Memor
     static = [Fact(f"wall_{i}", "located_in", "hall", step=0) for i in range(3)]
     module = MemoryModule(context, capacity_steps=capacity, static_facts=static, dual=dual)
     if linear:
-        module._steps_sorted = False  # what an out-of-order store sets
+        module.retrieve = partial(linear_retrieve, module)
     return module
 
 
@@ -209,14 +211,14 @@ class TestMemoryRetrievalEquivalence:
         indexed = _module(10, False, seed=3)
         _drive(indexed, steps=30)
         optimized = indexed.beliefs(30, _facts(30, 4), "room_0")
-        assert optimized.facts() == reference.facts()
+        assert list(optimized) == list(reference)
 
     def test_dialogue_window_equivalent(self):
         linear = _module(5, False, seed=5, linear=True)
         _drive(linear, steps=25)
         indexed = _module(5, False, seed=5)
         _drive(indexed, steps=25)
-        assert indexed.dialogue_window(25) == linear.dialogue_window(25)
+        assert indexed.retrieve(25).dialogue == linear.retrieve(25).dialogue
 
 
 class TestPromptEquivalence:

@@ -132,7 +132,7 @@ class TestDeploymentCost:
     def test_untagged_calls_carry_no_deployment(self):
         result = build_result()
         assert result.deployment_tokens == {}
-        assert result.cost_usd == 0.0
+        assert aggregate([result]).cost_usd == 0.0
 
     def test_episode_cost_prices_each_deployment(self):
         collector = MetricsCollector(workload="probe", horizon=10)
@@ -140,7 +140,7 @@ class TestDeploymentCost:
         result = collector.finalize(
             SimClock(), success=True, steps=1, goal_progress=1.0
         )
-        assert result.cost_usd == pytest.approx(36.0)
+        assert aggregate([result]).cost_usd == pytest.approx(36.0)
 
     def test_aggregate_sums_deployments_across_trials(self):
         def tagged(prompt, output, model):

@@ -110,7 +110,20 @@ class TestMemory:
         memory.stage_message(Message(sender="a1", recipients=(), step=1))
         memory.stage_message(Message(sender="a1", recipients=(), step=9))
         memory.commit_staged_messages()
-        assert len(memory.dialogue_window(step=10)) == 1
+        assert len(memory.retrieve(step=10).dialogue) == 1
+
+    def test_out_of_order_store_raises(self, context):
+        """Windows are bisected over step-ordered stores, so a store that
+        goes back in time is refused rather than served wrong."""
+        memory = self.make(context)
+        memory.store_action(5, Subgoal("fetch", target="mug"), True)
+        with pytest.raises(ValueError, match="out-of-order action"):
+            memory.store_action(4, Subgoal("fetch", target="mug"), True)
+        memory.stage_message(Message(sender="a1", recipients=(), step=5))
+        memory.commit_staged_messages()
+        memory.stage_message(Message(sender="a1", recipients=(), step=3))
+        with pytest.raises(ValueError, match="out-of-order dialogue"):
+            memory.commit_staged_messages()
 
     def test_dual_memory_skips_confusion(self, context):
         memory = self.make(context, capacity=200, dual=True)

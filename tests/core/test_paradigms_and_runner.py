@@ -38,22 +38,10 @@ class TestLoopsRun:
     def test_all_paradigm_loops_registered(self):
         assert set(PARADIGM_LOOPS) == {
             "modular",
-            "end_to_end",
             "centralized",
             "decentralized",
             "hybrid",
         }
-
-    def test_end_to_end_paradigm_runs(self):
-        config = SystemConfig(
-            name="mini-vla",
-            paradigm="end_to_end",
-            env_name="kitchen",
-            planning_model="vla-rt2",
-            sensing_model=None,
-        )
-        result = run_episode(config, seed=1, difficulty="easy")
-        assert result.steps >= 1
 
     def test_success_stops_early(self):
         result = run_episode(modular_config(), seed=2, difficulty="easy")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.metrics import aggregate
 from repro.core.runner import build_loop, build_task, run_episode
 from repro.core.settings import RunSettings
 from repro.optim import with_batching, with_continuous_serving, with_hierarchy
@@ -51,7 +52,7 @@ class TestBatchedEpisodes:
         # Plans, composes, selections, and reflections all expose the
         # full team per phase; singleton groups (replans) dilute the
         # mean below 4 but concurrency must dominate.
-        assert batched.mean_batch_occupancy > 2.0
+        assert aggregate([batched]).mean_batch_occupancy > 2.0
         assert batched.serve_batches > 0
         # Per-step records (subgoals chosen, execution outcomes) agree.
         assert [
@@ -77,7 +78,7 @@ class TestBatchedEpisodes:
         batched = run_episode(with_batching(base), seed=0)
         assert outcomes(batched) == outcomes(percall)
         # Two cluster leads plan concurrently each step.
-        assert batched.mean_batch_occupancy > 1.0
+        assert aggregate([batched]).mean_batch_occupancy > 1.0
         assert batched.sim_seconds < percall.sim_seconds
 
     def test_single_agent_occupancy_is_one(self):
@@ -85,7 +86,7 @@ class TestBatchedEpisodes:
         batched = run_episode(with_batching(base), seed=1)
         percall = run_episode(base, seed=1)
         assert outcomes(batched) == outcomes(percall)
-        assert batched.mean_batch_occupancy == 1.0
+        assert aggregate([batched]).mean_batch_occupancy == 1.0
         assert batched.sim_seconds == pytest.approx(percall.sim_seconds, rel=1e-9)
 
     def test_loop_finishes_with_nothing_pending(self):
@@ -101,9 +102,9 @@ class TestBatchedEpisodes:
     def test_percall_reports_no_batches(self):
         result = run_episode(get_workload("coela").config.with_agents(4), seed=2)
         assert result.serve_batches == 0
-        assert result.mean_batch_occupancy == 0.0
-        assert result.mean_queue_delay == 0.0
-        assert result.mean_request_latency == 0.0
+        assert aggregate([result]).mean_batch_occupancy == 0.0
+        assert aggregate([result]).mean_queue_delay == 0.0
+        assert aggregate([result]).mean_request_latency == 0.0
         assert result.serve_inflight_joins == 0
 
     def test_batched_reports_no_queue_metrics(self):
@@ -113,7 +114,7 @@ class TestBatchedEpisodes:
             with_batching(get_workload("coela").config.with_agents(4)), seed=2
         )
         assert result.serve_batches > 0
-        assert result.mean_queue_delay == 0.0
+        assert aggregate([result]).mean_queue_delay == 0.0
         assert result.serve_inflight_joins == 0
 
 
@@ -124,14 +125,15 @@ class TestContinuousEpisodes:
         batched = run_episode(with_batching(base), seed=2)
         continuous = run_episode(with_continuous_serving(base), seed=2)
         assert outcomes(continuous) == outcomes(percall)
+        served = aggregate([continuous])
         # The whole step's requests share one engine, so occupancy can
         # only match or beat the phase-segregated batched groups.
-        assert continuous.mean_batch_occupancy >= batched.mean_batch_occupancy
+        assert served.mean_batch_occupancy >= aggregate([batched]).mean_batch_occupancy
         # Eight agents expose more concurrent requests per step than
         # the default admission cap: the cap makes some of them wait, and the
         # wait is charged (per-request latency >= queue delay > 0).
-        assert continuous.mean_queue_delay > 0.0
-        assert continuous.mean_request_latency > continuous.mean_queue_delay
+        assert served.mean_queue_delay > 0.0
+        assert served.mean_request_latency > served.mean_queue_delay
         assert continuous.serve_inflight_joins > 0
         assert continuous.sim_seconds < percall.sim_seconds
 
@@ -140,7 +142,7 @@ class TestContinuousEpisodes:
         percall = run_episode(base, seed=1)
         continuous = run_episode(with_continuous_serving(base), seed=1)
         assert outcomes(continuous) == outcomes(percall)
-        assert continuous.mean_batch_occupancy >= 1.0
+        assert aggregate([continuous]).mean_batch_occupancy >= 1.0
 
     def test_loop_finishes_with_nothing_pending(self):
         config = with_continuous_serving(get_workload("coela").config.with_agents(4))

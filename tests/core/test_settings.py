@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.clock import SimClock
-from repro.core.config import MemoryConfig, SystemConfig
+from repro.core.config import MemoryConfig
 from repro.core.fleet import job_fingerprint, knob_fingerprint
 from repro.core.metrics import MetricsCollector
 from repro.core.runner import build_loop, build_task, trial_jobs
@@ -109,7 +109,6 @@ EXECUTION_SHAPE = {
     "REPRO_WORKERS": "4",
     "REPRO_TRIALS": "9",
     "REPRO_LEDGER": "/nonexistent/ledger.jsonl",
-    "REPRO_SYNTH_CRASH_SEEDS": "7",
 }
 
 
@@ -174,13 +173,6 @@ LOOP_CONFIGS = {
     "centralized": get_workload("mindagent").config,
     "decentralized": get_workload("coela").config,
     "hybrid": get_workload("hmas").config,
-    "end_to_end": SystemConfig(
-        name="mini-vla",
-        paradigm="end_to_end",
-        env_name="kitchen",
-        planning_model="vla-rt2",
-        sensing_model=None,
-    ),
     "hierarchy": get_workload("hmas").config.with_optimizations(
         hierarchy_cluster_size=2
     ),

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.errors import FaultKind, REFLECTABLE_FAULTS
 from repro.core.types import (
-    Action,
     Candidate,
     DIFFICULTIES,
     Fact,
@@ -32,10 +31,6 @@ class TestFact:
 
 
 class TestActionAndSubgoal:
-    def test_action_describe(self):
-        action = Action(verb="move", agent="a0", target="box", destination="cell_2")
-        assert "move" in action.describe() and "cell_2" in action.describe()
-
     def test_subgoal_describe_without_destination(self):
         assert Subgoal(name="fetch", target="mug").describe() == "fetch mug"
 
@@ -97,14 +92,6 @@ class TestDifficulty:
 
 
 class TestFaultKind:
-    def test_format_does_not_waste_step(self):
-        assert FaultKind.FORMAT.wastes_step is False
-
-    def test_other_faults_waste_steps(self):
-        for fault in FaultKind:
-            if fault is not FaultKind.FORMAT:
-                assert fault.wastes_step
-
     def test_reflectable_excludes_format(self):
         assert FaultKind.FORMAT not in REFLECTABLE_FAULTS
         assert FaultKind.SUBOPTIMAL in REFLECTABLE_FAULTS

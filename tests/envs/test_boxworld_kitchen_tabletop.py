@@ -6,7 +6,6 @@ import pytest
 from repro.core.beliefs import Beliefs
 from repro.core.types import Subgoal
 from repro.envs import make_env, make_task
-from repro.envs.boxworld import VARIANTS
 from repro.envs.kitchen import ATTEMPT_SUCCESS_P, MICRO_TASKS
 
 
@@ -40,7 +39,7 @@ def omniscient(env):
 class TestBoxWorld:
     def test_move_toward_target_progresses(self, rng):
         env = boxworld()
-        box = next(b for b in env.boxes.values() if not b.heavy and not b.done)
+        box = next(b for b in env.boxes.values() if not b.done)
         arm = next(a for a in env.agents if env._arms[a].reaches(box.cell))
         toward = box.cell + (1 if box.target > box.cell else -1)
         if env._arms[arm].reaches(toward):
@@ -65,34 +64,6 @@ class TestBoxWorld:
             )
             assert not outcome.success
 
-    def test_heavy_box_needs_two_lifters(self, rng):
-        env = boxworld(variant="boxlift", seed=3, n_agents=4)
-        heavy = next((b for b in env.boxes.values() if b.heavy), None)
-        if heavy is None:
-            pytest.skip("no heavy box drawn for this seed")
-        lifters = [a for a in env.agents if env._arms[a].reaches(heavy.cell)]
-        if len(lifters) < 2:
-            pytest.skip("not enough arms in reach")
-        first = env.execute(lifters[0], Subgoal(name="lift", target=heavy.name), rng)
-        assert first.success and not heavy.lifted
-        assert "waiting" in first.reason
-        second = env.execute(lifters[1], Subgoal(name="lift", target=heavy.name), rng)
-        assert second.success and heavy.lifted
-
-    def test_lift_support_resets_each_step(self, rng):
-        env = boxworld(variant="boxlift", seed=3, n_agents=4)
-        heavy = next((b for b in env.boxes.values() if b.heavy), None)
-        if heavy is None:
-            pytest.skip("no heavy box drawn for this seed")
-        lifters = [a for a in env.agents if env._arms[a].reaches(heavy.cell)]
-        if len(lifters) < 2:
-            pytest.skip("not enough arms in reach")
-        env.execute(lifters[0], Subgoal(name="lift", target=heavy.name), rng)
-        env.tick()  # the partner never showed up; support resets
-        again = env.execute(lifters[1], Subgoal(name="lift", target=heavy.name), rng)
-        assert not heavy.lifted
-        assert "waiting" in again.reason
-
     def test_single_clean_move_candidate_per_direction(self):
         env = boxworld()
         candidates = env.candidates(env.agents[0], omniscient(env))
@@ -105,19 +76,6 @@ class TestBoxWorld:
         assert idle
         for away in away_moves:
             assert away.utility < idle[0].utility
-
-    def test_variant_validation(self):
-        with pytest.raises(ValueError):
-            boxworld(variant="boxnet9")
-
-    def test_all_variants_construct(self):
-        for variant in VARIANTS:
-            assert boxworld(variant=variant).variant == variant
-
-    def test_warehouse_spreads_arms(self):
-        packed = boxworld(variant="boxnet1", n_agents=3)
-        spread = boxworld(variant="warehouse", n_agents=3)
-        assert spread.n_cells > packed.n_cells
 
 
 class TestKitchen:

@@ -20,7 +20,6 @@ from repro.experiments.common import (
     GridCell,
     dispatch_jobs,
     grid_jobs,
-    measure,
     measure_grid,
     trials_from_env,
     workers_from_env,
@@ -81,13 +80,13 @@ class TestCommon:
             ExperimentSettings(n_trials=1, max_workers=0)
 
     def test_measure_runs(self):
-        result = measure(get_workload("embodiedgpt").config, FAST)
+        result = measure_grid([GridCell(config=get_workload("embodiedgpt").config)], FAST)[0]
         assert result.n_trials == 1
 
     def test_measure_grid_matches_measure(self):
         configs = [get_workload(name).config for name in ("embodiedgpt", "jarvis-1")]
         grid_results = measure_grid([GridCell(config=c) for c in configs], FAST)
-        assert grid_results == [measure(c, FAST) for c in configs]
+        assert grid_results == [measure_grid([GridCell(config=c)], FAST)[0] for c in configs]
 
 
 class TestCostMetering:

@@ -22,7 +22,6 @@ BUILTIN_PROFILES = (
     "llama-7b-ft",
     "llava-7b",
     "llava-8b",
-    "vla-rt2",
 )
 
 

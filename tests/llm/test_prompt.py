@@ -21,30 +21,31 @@ class TestPrompt:
         assert prompt.render() == ""
 
     def test_add_skips_empty_text(self):
-        prompt = Prompt().add("a", "").add("b", "hello")
+        prompt = PromptBuilder().extra("a", "").extra("b", "hello").build()
         assert [section.name for section in prompt.sections] == ["b"]
 
     def test_tokens_sum_sections(self):
-        prompt = Prompt().add("a", "one two").add("b", "three")
+        prompt = PromptBuilder().extra("a", "one two").extra("b", "three").build()
         assert prompt.tokens == sum(section.tokens for section in prompt.sections)
 
     def test_render_contains_headers(self):
-        text = Prompt().add("system", "be good").render()
+        text = PromptBuilder().extra("system", "be good").build().render()
         assert "[system]" in text and "be good" in text
 
     def test_add_after_tokens_read_never_stale(self):
         """Reading ``tokens`` then adding a section counts the addition."""
-        prompt = Prompt().add("a", "one two")
+        draft = PromptBuilder().extra("a", "one two")
+        prompt = draft.build()
         assert prompt.tokens == 2
-        prompt = prompt.add("b", "three")
+        prompt = draft.extra("b", "three").build()
         assert prompt.tokens == 3
-        prompt = prompt.add("c", "four five")
+        prompt = draft.extra("c", "four five").build()
         assert prompt.tokens == 5
         assert [section.tokens for section in prompt.sections] == [2, 1, 2]
 
     def test_sections_cannot_drift_from_tokens(self):
         """Sections are frozen with their total: replacing one is refused."""
-        prompt = Prompt().add("a", "one two").add("b", "three")
+        prompt = PromptBuilder().extra("a", "one two").extra("b", "three").build()
         with pytest.raises(TypeError):
             prompt.sections[0] = prompt.sections[1]
         assert prompt.tokens == 3

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.llm import tokenizer
-from repro.llm.tokenizer import count_tokens, count_tokens_many
+from repro.llm.tokenizer import count_tokens
 
 
 class TestCountTokens:
@@ -28,16 +28,6 @@ class TestCountTokens:
 
     def test_whitespace_free(self):
         assert count_tokens("   \n\t  ") == 0
-
-    def test_many_sums(self):
-        assert count_tokens_many(["a b", "c"]) == count_tokens("a b") + count_tokens("c")
-
-    def test_many_accepts_any_iterable(self):
-        # Generators, tuples, and dict views — not just lists.
-        assert count_tokens_many(text for text in ("a b", "c")) == 3
-        assert count_tokens_many(("a b", "c")) == 3
-        assert count_tokens_many({"a b": 1, "c": 2}.keys()) == 3
-        assert count_tokens_many(iter([])) == 0
 
     def test_cache_is_bounded(self):
         # The lru cache must carry an explicit bound so long multi-episode

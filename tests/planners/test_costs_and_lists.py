@@ -1,12 +1,10 @@
-"""Tests for cost models, action-list expansion, and grasp simulation."""
+"""Tests for cost models and grasp simulation."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.types import Action
-from repro.planners.actionlist import expand_action_list
 from repro.planners.costmodel import ComputeCost, ZERO_COST
 from repro.planners.grasp import GRASP_ATTEMPT_ACTUATION_S, plan_grasp
 
@@ -36,26 +34,6 @@ class TestComputeCost:
             astar_expansions=expansions + 1, rrt_iterations=iterations
         )
         assert bigger.seconds() >= smaller.seconds()
-
-
-class TestActionList:
-    def test_valid_expansion(self):
-        actions = [Action(verb="move", agent="a0"), Action(verb="pick", agent="a0")]
-        result = expand_action_list(actions, frozenset({"move", "pick"}))
-        assert result.valid
-        assert len(result.actions) == 2
-
-    def test_unknown_verb_invalid(self):
-        actions = [Action(verb="teleport", agent="a0")]
-        result = expand_action_list(actions, frozenset({"move"}))
-        assert not result.valid
-        assert "teleport" in result.reason
-        assert result.actions == ()
-
-    def test_empty_list_costs_minimum(self):
-        result = expand_action_list([], frozenset({"move"}))
-        assert result.valid
-        assert result.cost.actionlist_actions == 1
 
 
 class TestGrasp:

@@ -1,0 +1,141 @@
+"""The reach probe: its ``def`` enumeration, its ratchet and its hook."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+reach = sys.modules["reach"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+FIXTURE = '''
+import abc
+import functools
+from typing import Protocol
+
+
+def decorate(func):
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
+class Shape(Protocol):
+    def area(self) -> int: ...
+
+
+class Base(abc.ABC):
+    @abc.abstractmethod
+    def area(self) -> int:
+        """No body runs."""
+
+
+class Square(Base):
+    def __init__(self, side):
+        self.side = side
+
+    def area(self):
+        return self.side**2
+
+    @property
+    def perimeter(self):
+        return 4 * self.side
+
+
+@decorate
+def scaled(square, factor):
+    def scale(value):
+        return value * factor
+
+    return scale(square.area())
+'''
+
+#: Calls every ``def`` of :data:`FIXTURE` that has a body to run.
+DRIVE_FIXTURE = "import fixture; s = fixture.Square(2); s.perimeter; fixture.scaled(s, 3)"
+
+
+def run_hooked(code: str, hook_dir: Path, *paths: Path) -> str:
+    """Run ``code`` in a child interpreter under the hook; its stdout."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(str(path) for path in (hook_dir, *paths))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_enumeration_matches_the_qualnames_the_hook_records(tmp_path):
+    source, hook_dir = tmp_path / "source", tmp_path / "hook"
+    source.mkdir()
+    hook_dir.mkdir()
+    (source / "fixture.py").write_text(FIXTURE)
+    reach.write_hook(hook_dir, source)
+    run_hooked(DRIVE_FIXTURE, hook_dir, source)
+    expected = {
+        "fixture.py: decorate",
+        "fixture.py: decorate.<locals>.wrapper",
+        "fixture.py: Square.__init__",
+        "fixture.py: Square.area",
+        "fixture.py: Square.perimeter",
+        "fixture.py: scaled",
+        "fixture.py: scaled.<locals>.scale",
+    }
+    assert reach.read_dumps(hook_dir) == expected
+    # The abstract method and the Protocol member have no body to run.
+    assert reach.enumerate_defs(source) == expected
+
+
+def test_ratchet_fails_both_ways_and_passes_when_the_list_matches():
+    defs = {"a.py: used", "a.py: cli", "a.py: dead"}
+    reached = {"a.py: used"}
+    assert reach.check(defs, reached, {"a.py: cli": "cli", "a.py: dead": "interface"}) == []
+    assert reach.check(defs, reached, {"a.py: cli": "cli"}) == [
+        "unreached and not allowlisted: a.py: dead"
+    ]
+    allowed = {"a.py: cli": "cli", "a.py: dead": "interface", "a.py: used": "test seam"}
+    assert reach.check(defs, reached, allowed) == ["allowlisted but reached: a.py: used"]
+    assert reach.check(set(), set(), {"a.py: gone": "cli"}) == [
+        "allowlisted but defined nowhere: a.py: gone"
+    ]
+    assert reach.check({"a.py: cli"}, set(), {"a.py: cli": "unused"}) == [
+        "unknown reason 'unused': a.py: cli"
+    ]
+
+
+def test_allowlist_names_only_defs_with_a_reason():
+    defs = reach.enumerate_defs(reach.PACKAGE)
+    assert set(reach.ALLOWED) <= defs
+    assert set(reach.ALLOWED.values()) <= set(reach.REASONS)
+    assert len(reach.ALLOWED) <= 14
+
+
+def test_pool_workers_dump_what_they_call(tmp_path):
+    """A forked worker leaves through ``os._exit``: without the hook's
+    after-fork finalizer it would dump nothing."""
+    reach.write_hook(tmp_path, reach.PACKAGE)
+    code = textwrap.dedent(
+        """
+        import os
+        from repro.core.executor import ParallelExecutor
+        from repro.core.synthetic import sleep_runner, synthetic_job
+
+        jobs = [synthetic_job(seed=1), synthetic_job(seed=2)]
+        with ParallelExecutor(max_workers=2, job_runner=sleep_runner) as executor:
+            assert len(list(executor.run_stream(jobs))) == 2
+        print(os.getpid())
+        """
+    )
+    parent = int(run_hooked(code, tmp_path, reach.SRC))
+    dumps = {
+        int(path.name.split("-")[1]): reach.read_dump(path)
+        for path in tmp_path.glob("reach-*.json")
+    }
+    assert "core/synthetic.py: sleep_runner" not in dumps.pop(parent)
+    assert any("core/synthetic.py: sleep_runner" in dump for dump in dumps.values())
