@@ -13,7 +13,9 @@ Each record pins one grid cell of two seeded trials:
 The grid covers the 14 registered workloads on easy under each serving
 mode, on easy under continuous serving with perception–generation
 overlap, and on medium per-call, plus memory-capacity and team-size
-variants.  The goldens were recorded from the seed implementation, so a
+variants and the optimized configs of the ablations (the hierarchical
+loop, multi-step planning, plan-then-communicate and the message
+filter).  The goldens were recorded from the seed implementation, so a
 reordered rng draw, a skipped cache invalidation, or a float summed in a
 different order fails here.  A slice is re-run on the 2-worker parallel
 executor against the same records.
@@ -47,6 +49,12 @@ from repro.core.settings import SERVE_MODES, RunSettings
 from repro.experiments.common import ExperimentSettings, GridCell
 from repro.llm.prompt import MAX_DIALOGUE_MESSAGES, PromptBuilder
 from repro.llm.tokenizer import count_tokens
+from repro.optim import (
+    with_comm_filter,
+    with_hierarchy,
+    with_multistep_planning,
+    with_plan_then_comm,
+)
 from repro.workloads.registry import get_workload, list_workloads
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_episodes.json"
@@ -106,6 +114,20 @@ def _grid() -> dict[str, tuple[GridCell, RunSettings]]:
         "medium/percall/coela+6agents": GridCell(
             config=get_workload("coela").config, n_agents=6
         ),
+        # The optimized configs of the ablations (Recs. 7-10), whose loops
+        # and phases the workload cells never run.
+        "medium/percall/mindagent+8agents+hierarchy4": GridCell(
+            config=with_hierarchy(get_workload("mindagent").config.with_agents(8), 4)
+        ),
+        "medium/percall/combo+multistep3": GridCell(
+            config=with_multistep_planning(get_workload("combo").config, 3)
+        ),
+        "medium/percall/coela+plan-then-comm": GridCell(
+            config=with_plan_then_comm(get_workload("coela").config)
+        ),
+        "medium/percall/dmas+comm-filter": GridCell(
+            config=with_comm_filter(get_workload("dmas").config)
+        ),
     }
     for cell_id, cell in variants.items():
         cells[cell_id] = (cell, BASE)
@@ -120,6 +142,7 @@ PARALLEL_SLICE = (
     "easy/continuous+overlap/coela",
     "medium/percall/hmas",
     "medium/percall/coela+6agents",
+    "medium/percall/mindagent+8agents+hierarchy4",
 )
 
 #: Re-run with every prompt rendered and recounted: dialogue lists past
@@ -277,8 +300,9 @@ def test_parallel_executor_matches_goldens():
 def test_grid_exercises_every_serving_mode_and_dialogue():
     """Guard the grid's shape: the goldens must keep testing something.
 
-    Deferred serving batches requests, overlap moves latency, and the
-    team cells send many messages of which only some are useful.
+    Deferred serving batches requests, overlap moves latency, the team
+    cells send many messages of which only some are useful, and each
+    optimized cell runs the path its recommendation adds.
     """
     golden = _load_goldens()
     coela = golden["medium/percall/coela+6agents"]["aggregate"]
@@ -289,6 +313,17 @@ def test_grid_exercises_every_serving_mode_and_dialogue():
     plain = golden["easy/continuous/coela"]["aggregate"]
     overlapped = golden["easy/continuous+overlap/coela"]["aggregate"]
     assert float(overlapped["mean_sim_minutes"]) < float(plain["mean_sim_minutes"])
+
+    def charged(cell_id: str, key: str) -> bool:
+        return all(key in phases for phases in golden[cell_id]["phases"])
+
+    def messages(cell_id: str) -> float:
+        return float(golden[cell_id]["aggregate"]["mean_messages_sent"])
+
+    assert charged("medium/percall/mindagent+8agents+hierarchy4", "planning/cluster_plan")
+    assert charged("medium/percall/combo+multistep3", "planning/plan_multi")
+    assert messages("medium/percall/coela+plan-then-comm") < messages("medium/percall/coela")
+    assert messages("medium/percall/dmas+comm-filter") < messages("medium/percall/dmas")
 
 
 def test_prompt_arithmetic_matches_rendered_text(monkeypatch):
