@@ -270,7 +270,6 @@ class EmbodiedAgent:
         self,
         env: Environment,
         bundle: PerceptionBundle,
-        n_joint: int = 1,
         extra_blacklist: frozenset[Subgoal] = frozenset(),
     ) -> Decision:
         """One planning decision (serving the plan queue when multi-step)."""
@@ -297,9 +296,7 @@ class EmbodiedAgent:
             self.state.plan_queue = decisions[1:]
             decision = decisions[0]
         else:
-            decision = self.planner.decide(
-                candidates, prompt, blacklist=blacklist, n_joint=n_joint
-            )
+            decision = self.planner.decide(candidates, prompt, blacklist=blacklist)
         repeated = self.state.maybe_repeat_fault(decision, self.context.rng)
         if repeated is not decision:
             self.context.metrics.record_fault(repeated.fault)

@@ -145,6 +145,10 @@ class Beliefs:
     def __iter__(self) -> Iterator[Fact]:
         return iter(self._slots.values())
 
+    # ``in`` would fall back to __iter__ and compare a slot key with Facts,
+    # silently reading False: look slots up with :meth:`value` instead.
+    __contains__ = None
+
     def copy(self) -> "Beliefs":
         return Beliefs(dict(self._slots))
 

@@ -87,14 +87,13 @@ class CommunicationModule:
         self._payload = payload
         return payload
 
-    def _is_redundant(self, payload: tuple[Fact, ...], intent: Subgoal | None) -> bool:
+    def _is_redundant(self, payload: tuple[Fact, ...]) -> bool:
         """True when the payload contains nothing the sender hasn't shared.
 
         Intent refreshes alone do not justify a message — announcing a new
         subgoal every step is precisely the redundant dialogue the paper
         identifies; knowledge transfer is what makes a message useful.
         """
-        del intent  # kept in the signature for custom filter subclasses
         last_shared = self._last_shared
         for fact in payload:
             if last_shared.get((fact.subject, fact.relation)) != fact.value:
@@ -118,9 +117,7 @@ class CommunicationModule:
         there is something to say.
         """
         payload = self._payload_for(step, known_facts)
-        if (self.filter_redundant or force_filter) and self._is_redundant(
-            payload, intent
-        ):
+        if (self.filter_redundant or force_filter) and self._is_redundant(payload):
             return None
         prompt = (
             PromptBuilder(COMMUNICATOR_SYSTEM_TEXT)

@@ -25,8 +25,9 @@ fact with the highest step per ``(subject, relation)``, the later arrival
 winning a tie) and a per-step count table, so newest-wins resolution is
 O(#slots) and the scanned-entry count is O(1) amortized; action and
 dialogue stores append in non-decreasing step order (an out-of-order
-store raises ``ValueError``), so their retention windows are bisected,
-not filtered.  Confused retrievals resolve slots from a scan of the
+store raises ``ValueError``, as does a retrieval whose window start
+moves backwards), so their retention windows are bisected, not
+filtered.  Confused retrievals resolve slots from a scan of the
 in-window observations instead.
 
 Step-batched deliveries (:mod:`repro.core.bus`): a message's modeled store
@@ -296,20 +297,17 @@ class MemoryModule:
         """#stored observation facts with ``step >= start`` in O(1) amortized.
 
         The retention window's start is non-decreasing over an episode, so
-        evicted counts accumulate; a backwards query (tests may probe one)
-        recounts from the per-step table instead of corrupting the
-        accumulator.
+        evicted counts accumulate; a start that moves backwards raises
+        ``ValueError``, as an out-of-order store does.
         """
-        if start >= self._evict_start:
-            for evicted_step in range(self._evict_start, start):
-                self._evicted_obs += self._obs_step_counts.get(evicted_step, 0)
-            self._evict_start = start
-            below = self._evicted_obs
-        else:
-            below = sum(
-                count for s, count in self._obs_step_counts.items() if s < start
+        if start < self._evict_start:
+            raise ValueError(
+                f"retention window moved backwards: start {start} after {self._evict_start}"
             )
-        return len(self._observations) - below
+        for evicted_step in range(self._evict_start, start):
+            self._evicted_obs += self._obs_step_counts.get(evicted_step, 0)
+        self._evict_start = start
+        return len(self._observations) - self._evicted_obs
 
     def _resolve_from_index(self, start: int) -> list[Fact]:
         """Newest-wins resolution straight from the newest-per-slot map.

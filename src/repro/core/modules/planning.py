@@ -76,29 +76,20 @@ class PlanningModule:
         candidates: Sequence[Candidate],
         prompt: Prompt,
         blacklist: frozenset[Subgoal] = frozenset(),
-        n_joint: int = 1,
-        quality_bonus: float = 1.0,
-        purpose: str = "plan",
-        charge_agent: str | None = None,
     ) -> Decision:
-        """One planning decision; latency charged to PLANNING."""
+        """One planning decision for this agent; latency charged to PLANNING."""
         request = DecisionRequest(
-            candidates=candidates,
-            difficulty=self.difficulty,
-            n_joint=n_joint,
-            blacklist=blacklist,
-            quality_bonus=quality_bonus,
+            candidates=candidates, difficulty=self.difficulty, blacklist=blacklist
         )
-        agent = charge_agent if charge_agent is not None else self.context.agent
         result = self.context.scheduler.submit(
             self.llm,
             InferenceRequest(
                 kind="decision",
-                purpose=purpose,
+                purpose="plan",
                 prompt=prompt,
                 module=ModuleName.PLANNING,
-                phase=purpose,
-                agent=agent,
+                phase="plan",
+                agent=self.context.agent,
                 step=self.context.step,
                 decision=request,
             ),

@@ -3,6 +3,7 @@
 from repro.core.paradigms.base import ParadigmLoop
 from repro.core.paradigms.centralized import CentralizedLoop
 from repro.core.paradigms.decentralized import DecentralizedLoop, dialogue_rounds
+from repro.core.paradigms.hierarchical import HierarchicalLoop, cluster_agents
 from repro.core.paradigms.hybrid import HybridLoop
 from repro.core.paradigms.modular import ModularLoop
 
@@ -16,9 +17,11 @@ PARADIGM_LOOPS: dict[str, type[ParadigmLoop]] = {
 __all__ = [
     "CentralizedLoop",
     "DecentralizedLoop",
+    "HierarchicalLoop",
     "HybridLoop",
     "ModularLoop",
     "PARADIGM_LOOPS",
     "ParadigmLoop",
+    "cluster_agents",
     "dialogue_rounds",
 ]

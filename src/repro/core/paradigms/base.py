@@ -3,12 +3,16 @@
 A paradigm loop owns the environment, the clock, the metrics collector,
 and the per-agent module stacks; subclasses implement one macro step.
 The scaffold handles ticking, horizon enforcement, and result finalizing,
-so every paradigm measures success/steps/latency identically.
+so every paradigm measures success/steps/latency identically.  The
+team loops (centralized, hybrid, hierarchical) share one joint planner:
+:meth:`~ParadigmLoop.joint_call`, :meth:`~ParadigmLoop.joint_decisions`
+and :meth:`~ParadigmLoop.execute_team`.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.bus import DeliveryBus
@@ -17,16 +21,21 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import EpisodeResult, MetricsCollector
 from repro.core.seeding import derive_seed, rng_for
 from repro.core.settings import RunSettings
-from repro.core.types import Decision, Message, StepRecord, TaskSpec
+from repro.core.types import Candidate, Decision, Fact, Message, StepRecord, TaskSpec
 from repro.envs import make_env
 from repro.envs.base import ExecutionOutcome
-from repro.llm.prompt import PromptBuilder
+from repro.llm.behavior import DecisionRequest
+from repro.llm.prompt import Prompt, PromptBuilder
 from repro.llm.requests import InferenceRequest
 from repro.llm.scheduler import InferenceScheduler
+from repro.llm.simulated import OUTPUT_TOKENS
+
+#: Output tokens a joint plan spends per additional agent.
+JOINT_PLAN_TOKENS_PER_AGENT = 45
 
 
 class ParadigmLoop(abc.ABC):
-    """Base class of the modular, centralized, decentralized and hybrid loops."""
+    """Base class of every paradigm loop."""
 
     def __init__(
         self,
@@ -164,25 +173,11 @@ class ParadigmLoop(abc.ABC):
         self.scheduler.flush()
 
     def execute_and_reflect(
-        self,
-        step: int,
-        agent: EmbodiedAgent,
-        bundle: PerceptionBundle,
-        decision: Decision,
-        allow_replan: bool = True,
+        self, step: int, agent: EmbodiedAgent, bundle: PerceptionBundle, decision: Decision
     ) -> ExecutionOutcome:
-        """Act, record, reflect, and optionally replan-once within the step."""
+        """Act, record, reflect, and replan once within the step if told to."""
         outcome = agent.act(self.env, decision)
-        record = StepRecord(
-            step=step,
-            agent=agent.name,
-            subgoal=decision.subgoal,
-            fault=decision.fault,
-            primitive_count=outcome.primitive_count,
-            execution_success=outcome.success,
-            prompt_tokens=decision.prompt_tokens,
-            output_tokens=decision.output_tokens,
-        )
+        record = _step_record(step, agent, decision, outcome)
         report = agent.reflect(self.env, decision, outcome)
         agent.state.note_outcome(
             decision,
@@ -191,7 +186,7 @@ class ParadigmLoop(abc.ABC):
         )
         if report is not None and report.judged_failure:
             record.reflected = True
-            if allow_replan and report.should_replan:
+            if report.should_replan:
                 record.replanned = True
                 self.metrics.replans += 1
                 bundle.beliefs.forget(report.forget_subject, report.forget_relation)
@@ -205,18 +200,7 @@ class ParadigmLoop(abc.ABC):
                 )
                 retry_outcome = agent.act(self.env, retry)
                 self.metrics.record_step(record)
-                self.metrics.record_step(
-                    StepRecord(
-                        step=step,
-                        agent=agent.name,
-                        subgoal=retry.subgoal,
-                        fault=retry.fault,
-                        primitive_count=retry_outcome.primitive_count,
-                        execution_success=retry_outcome.success,
-                        prompt_tokens=retry.prompt_tokens,
-                        output_tokens=retry.output_tokens,
-                    )
-                )
+                self.metrics.record_step(_step_record(step, agent, retry, retry_outcome))
                 return retry_outcome
         self.metrics.record_step(record)
         return outcome
@@ -251,3 +235,159 @@ class ParadigmLoop(abc.ABC):
         if not outcome.success:
             return True
         return decision.fault is not None and outcome.progress_delta <= 0.0
+
+    # ------------------------------------------------------------------ #
+    # Joint planning (centralized, hybrid and hierarchical teams)
+    # ------------------------------------------------------------------ #
+
+    def joint_call(
+        self,
+        step: int,
+        lead: EmbodiedAgent,
+        bundle: PerceptionBundle,
+        candidates_by_agent: dict[str, Sequence[Candidate]],
+        system_text: str,
+        phase: str,
+        memory_facts: Sequence[Fact],
+    ) -> Prompt:
+        """Submit one call on ``lead``'s planner that plans for every agent
+        of ``candidates_by_agent`` (the caller's: a refined call reuses the
+        ones its priming call saw); prompt and output grow with the team."""
+        builder = PromptBuilder(system_text=system_text, task_text=lead.planner.task_text)
+        builder.observation(bundle.observation)
+        builder.memory(memory_facts)
+        builder.dialogue(bundle.dialogue)
+        for name, candidates in candidates_by_agent.items():
+            builder.candidates(candidates)
+            builder.extra("agent_header", f"Options above are for {name}.")
+        prompt = builder.build()
+        extra_agents = len(candidates_by_agent) - 1
+        self.scheduler.submit(
+            lead.planner_llm,
+            InferenceRequest(
+                kind="completion",
+                purpose="plan",
+                prompt=prompt,
+                module=ModuleName.PLANNING,
+                phase=phase,
+                agent=lead.name,
+                step=step,
+                output_tokens=OUTPUT_TOKENS["plan"] + JOINT_PLAN_TOKENS_PER_AGENT * extra_agents,
+            ),
+        )
+        return prompt
+
+    def joint_decisions(
+        self,
+        step: int,
+        lead: EmbodiedAgent,
+        members: Sequence[EmbodiedAgent],
+        candidates_by_agent: dict[str, Sequence[Candidate]],
+        prompt: Prompt,
+        lead_prompt_tokens: int,
+        quality_bonus: float = 1.0,
+    ) -> dict[str, Decision]:
+        """Draw each member's subgoal from one joint call, in turn, on
+        ``lead``'s stream: every draw carries the coordination penalty of
+        ``len(members)`` and skips targets earlier members were assigned.
+        Only the lead's decision reports prompt tokens."""
+        decisions: dict[str, Decision] = {}
+        blacklist = lead.state.blacklisted(step)
+        rng = lead.context.rng
+        assigned: set[tuple[str, str]] = set()
+        for member in members:
+            request = DecisionRequest(
+                candidates=filter_assigned(candidates_by_agent[member.name], assigned),
+                difficulty=self.env.task.difficulty,
+                n_joint=len(members),
+                blacklist=blacklist,
+                quality_bonus=quality_bonus,
+            )
+            outcome = lead.planner_llm.kernel.decide(request, prompt.tokens, rng)
+            decision = Decision(
+                subgoal=outcome.candidate.subgoal,
+                fault=outcome.fault,
+                prompt_tokens=lead_prompt_tokens if member is lead else 0,
+                output_tokens=0,
+                latency=0.0,
+            )
+            decision = member.state.maybe_repeat_fault(decision, rng)
+            self.metrics.record_fault(decision.fault)
+            decisions[member.name] = decision
+            member.state.last_intent = decision.subgoal
+            if decision.subgoal.target:
+                assigned.add((decision.subgoal.name, decision.subgoal.target))
+        return decisions
+
+    def execute_team(
+        self,
+        step: int,
+        decisions: dict[str, Decision],
+        bundles: dict[str, PerceptionBundle],
+        lead_of: dict[str, EmbodiedAgent],
+    ) -> None:
+        """Run every agent's decision: a lead acts and reflects itself; a
+        worker only acts, and its lead reviews the outcome."""
+        for agent in self.agents:
+            decision = decisions[agent.name]
+            lead = lead_of[agent.name]
+            if agent is lead:
+                self.execute_and_reflect(step, agent, bundles[agent.name], decision)
+                continue
+            outcome = agent.act(self.env, decision)
+            # The lead's reflection verifies the worker (COHERENT's
+            # execution-feedback-adjustment loop) and corrects it centrally.
+            corrected = False
+            if lead.reflection is not None:
+                report = lead.reflection.review(step, decision, outcome)
+                if report.judged_failure:
+                    corrected = True
+                    lead.state.add_blacklist(decision.subgoal, step)
+                    if lead.memory is not None and report.forget_subject:
+                        lead.memory.forget(report.forget_subject, report.forget_relation)
+            agent.state.note_outcome(
+                decision, wasted=self.is_wasteful(decision, outcome), corrected=corrected
+            )
+            record = _step_record(step, agent, decision, outcome)
+            record.reflected = corrected
+            self.metrics.record_step(record)
+
+
+def _step_record(
+    step: int, agent: EmbodiedAgent, decision: Decision, outcome: ExecutionOutcome
+) -> StepRecord:
+    return StepRecord(
+        step=step,
+        agent=agent.name,
+        subgoal=decision.subgoal,
+        fault=decision.fault,
+        primitive_count=outcome.primitive_count,
+        execution_success=outcome.success,
+        prompt_tokens=decision.prompt_tokens,
+        output_tokens=decision.output_tokens,
+    )
+
+
+def filter_assigned(
+    candidates: Sequence[Candidate], assigned: set[tuple[str, str]]
+) -> Sequence[Candidate]:
+    """Drop options already claimed by an earlier agent in the joint plan.
+
+    Conflict-free task assignment is the central paradigm's selling point:
+    the coordinator never deliberately sends two robots after the same
+    object.  Untargeted options (explore, idle) are always retained, and
+    if deduplication would leave nothing, the original list survives so
+    the agent still acts.
+    """
+    if not assigned:
+        return candidates
+    filtered = [
+        candidate
+        for candidate in candidates
+        if not candidate.subgoal.target
+        or (candidate.subgoal.name, candidate.subgoal.target) not in assigned
+    ]
+    if len(filtered) == len(candidates):
+        # Nothing dropped: hand back the caller's sequence, not a copy.
+        return candidates
+    return filtered or candidates

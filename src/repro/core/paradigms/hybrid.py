@@ -10,45 +10,52 @@ between centralized (2 central calls instead of 1) and decentralized
 
 from __future__ import annotations
 
-from repro.core.clock import ModuleName
-from repro.core.paradigms.centralized import CentralizedLoop, filter_assigned
+from repro.core.paradigms.centralized import CENTRAL_SYSTEM_TEXT, CentralizedLoop
 from repro.core.types import Decision
-from repro.llm.behavior import DecisionRequest
-from repro.llm.prompt import PromptBuilder
-from repro.llm.requests import InferenceRequest
-from repro.llm.simulated import OUTPUT_TOKENS
 
 #: Joint-plan quality multiplier after a local feedback round: workers
 #: flag infeasibilities the central planner cannot see, recovering part of
 #: the coordination penalty.
 FEEDBACK_QUALITY_BONUS = 1.08
 
+REFINE_SYSTEM_TEXT = (
+    "Refine the joint plan considering the feedback each robot "
+    "just provided about feasibility and conflicts."
+)
+
 
 class HybridLoop(CentralizedLoop):
     """HMAS: initial central plan → worker feedback → refined central plan."""
 
-    def step(self, step: int) -> None:
-        bundles = self.perceive_all(step)
-        central_bundle = self._aggregate_feedback(bundles)
-        candidates_by_agent = {
-            agent.name: self.env.candidates(agent.name, central_bundle.beliefs)
-            for agent in self.agents
-        }
-        # Initial proposal primes the dialogue (its decisions are discarded
-        # after feedback, but its latency and tokens are fully paid).
-        self._joint_plan(step, central_bundle, candidates_by_agent, sample_decisions=False)
-        feedback_received = self._feedback_round(step, bundles)
-        decisions = self._refined_plan(
-            step, central_bundle, candidates_by_agent, feedback_received
+    def plan_step(self, step, bundles, central_bundle, candidates_by_agent) -> dict[str, Decision]:
+        central = self.central
+        # Initial proposal primes the dialogue: no decisions are drawn
+        # from it, but its latency and tokens are fully paid.
+        self.joint_call(
+            step,
+            central,
+            central_bundle,
+            candidates_by_agent,
+            CENTRAL_SYSTEM_TEXT,
+            "joint_plan",
+            central_bundle.memory_facts,
         )
-        self._broadcast_instructions(step, decisions, bundles)
-        for agent in self.agents:
-            decision = decisions[agent.name]
-            if agent is self.central:
-                self.execute_and_reflect(step, agent, central_bundle, decision)
-            else:
-                outcome = agent.act(self.env, decision)
-                self._record_worker(step, agent, decision, outcome)
+        feedback_received = self._feedback_round(step, bundles)
+        # The refinement reads the feedback through the dialogue, plans
+        # over the candidates the proposal saw, and carries no memory.
+        prompt = self.joint_call(
+            step,
+            central,
+            central_bundle,
+            candidates_by_agent,
+            REFINE_SYSTEM_TEXT,
+            "refine_plan",
+            (),
+        )
+        bonus = FEEDBACK_QUALITY_BONUS if feedback_received else 1.0
+        return self.joint_decisions(
+            step, central, self.agents, candidates_by_agent, prompt, 0, bonus
+        )
 
     def _feedback_round(self, step: int, bundles) -> bool:
         """Each worker sends one short feedback message to the centre.
@@ -80,64 +87,3 @@ class HybridLoop(CentralizedLoop):
         # under batched serving they dispatch here as one batch.
         self.flush_inference()
         return any_feedback
-
-    def _refined_plan(
-        self, step: int, central_bundle, candidates_by_agent, feedback_received: bool = True
-    ) -> dict[str, Decision]:
-        """Second central call, boosted by the feedback it just received."""
-        n_agents = len(self.agents)
-        builder = PromptBuilder(
-            system_text=(
-                "Refine the joint plan considering the feedback each robot "
-                "just provided about feasibility and conflicts."
-            ),
-            task_text=self.central.planner.task_text,
-        )
-        builder.observation(central_bundle.observation)
-        builder.dialogue(central_bundle.dialogue)
-        for name, candidates in candidates_by_agent.items():
-            builder.candidates(candidates)
-            builder.extra("agent_header", f"Options above are for {name}.")
-        prompt = builder.build()
-        output_tokens = OUTPUT_TOKENS["plan"] + 45 * (n_agents - 1)
-        llm = self.central.planner_llm
-        self.scheduler.submit(
-            llm,
-            InferenceRequest(
-                kind="completion",
-                purpose="plan",
-                prompt=prompt,
-                module=ModuleName.PLANNING,
-                phase="refine_plan",
-                agent=self.central.name,
-                step=step,
-                output_tokens=output_tokens,
-            ),
-        )
-        decisions: dict[str, Decision] = {}
-        blacklist = self.central.state.blacklisted(step)
-        bonus = FEEDBACK_QUALITY_BONUS if feedback_received else 1.0
-        assigned: set[tuple[str, str]] = set()
-        for agent in self.agents:
-            request = DecisionRequest(
-                candidates=filter_assigned(candidates_by_agent[agent.name], assigned),
-                difficulty=self.env.task.difficulty,
-                n_joint=n_agents,
-                blacklist=blacklist,
-                quality_bonus=bonus,
-            )
-            outcome = llm.kernel.decide(request, prompt.tokens, self.central.context.rng)
-            decision = Decision(
-                subgoal=outcome.candidate.subgoal,
-                fault=outcome.fault,
-                prompt_tokens=0,
-                output_tokens=0,
-                latency=0.0,
-            )
-            decision = agent.state.maybe_repeat_fault(decision, self.central.context.rng)
-            self.metrics.record_fault(decision.fault)
-            decisions[agent.name] = decision
-            agent.state.last_intent = decision.subgoal
-            if decision.subgoal.target:
-                assigned.add((decision.subgoal.name, decision.subgoal.target))
-        return decisions

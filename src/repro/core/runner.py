@@ -35,7 +35,7 @@ from repro.core.config import SystemConfig
 from repro.core.executor import SerialExecutor, TrialExecutor, TrialJob
 from repro.core.fleet import dispatch
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
-from repro.core.paradigms import PARADIGM_LOOPS, ParadigmLoop
+from repro.core.paradigms import PARADIGM_LOOPS, HierarchicalLoop, ParadigmLoop
 from repro.core.seeding import spawn_trial_seeds
 from repro.core.settings import RunSettings
 from repro.core.types import TaskSpec
@@ -73,8 +73,6 @@ def build_loop(
     base paradigm.
     """
     if config.is_multi_agent and config.optimizations.hierarchy_cluster_size > 0:
-        from repro.optim.hierarchy import HierarchicalLoop
-
         return HierarchicalLoop(config, task, seed, settings)
     loop_cls = PARADIGM_LOOPS[config.paradigm]
     return loop_cls(config, task, seed, settings)

@@ -1,6 +1,5 @@
-"""Optimization strategies from the paper's recommendations (Sec. IV-VI)."""
+"""Config transforms for the paper's optimization recommendations (Sec. IV-VI)."""
 
-from repro.optim.hierarchy import HierarchicalLoop, cluster_agents
 from repro.optim.recommendations import (
     RECOMMENDATIONS,
     with_batching,
@@ -16,9 +15,7 @@ from repro.optim.recommendations import (
 )
 
 __all__ = [
-    "HierarchicalLoop",
     "RECOMMENDATIONS",
-    "cluster_agents",
     "with_batching",
     "with_comm_filter",
     "with_continuous_serving",

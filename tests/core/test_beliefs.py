@@ -1,5 +1,6 @@
 """Tests for the belief store (slot semantics, staleness, novelty)."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -52,6 +53,13 @@ class TestAccessors:
         assert beliefs.forget("mug", "located_in") is True
         assert beliefs.value("mug", "located_in") is None
         assert beliefs.forget("mug", "located_in") is False
+
+    def test_membership_test_raises(self):
+        """A slot-key membership test cannot silently read False."""
+        beliefs = Beliefs.from_facts([fact()])
+        with pytest.raises(TypeError):
+            ("mug", "located_in") in beliefs
+        assert list(beliefs) == [fact()]
 
     def test_copy_is_independent(self):
         beliefs = Beliefs.from_facts([fact()])

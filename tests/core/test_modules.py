@@ -125,6 +125,15 @@ class TestMemory:
         with pytest.raises(ValueError, match="out-of-order dialogue"):
             memory.commit_staged_messages()
 
+    def test_backwards_window_raises(self, context):
+        """The window start only moves forward, so a retrieval whose window
+        starts before an earlier one's is refused."""
+        memory = self.make(context, capacity=5)
+        memory.store_observation((Fact("mug", "located_in", "kitchen", step=1),))
+        memory.retrieve(step=50)
+        with pytest.raises(ValueError, match="window moved backwards"):
+            memory.retrieve(step=10)
+
     def test_dual_memory_skips_confusion(self, context):
         memory = self.make(context, capacity=200, dual=True)
         for step in range(1, 120):

@@ -1,11 +1,15 @@
 """Integration tests: paradigm loops, agent assembly, and the runners."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.core
 from repro.core.agent import AgentState, FAULT_REPEAT_CAP
 from repro.core.config import MemoryConfig, SystemConfig
 from repro.core.metrics import EpisodeResult
-from repro.core.paradigms import PARADIGM_LOOPS
+from repro.core.paradigms import PARADIGM_LOOPS, HierarchicalLoop
 from repro.core.paradigms.decentralized import dialogue_rounds
 from repro.core.runner import build_loop, build_task, run_episode, run_trials
 from repro.core.types import Decision, Subgoal
@@ -88,7 +92,7 @@ class TestRunner:
             run_trials(modular_config(), n_trials=0)
 
     def test_hierarchy_override_selects_loop(self):
-        from repro.optim import HierarchicalLoop, with_hierarchy
+        from repro.optim import with_hierarchy
 
         config = with_hierarchy(get_workload("mindagent").config.with_agents(4), 2)
         loop = build_loop(config, build_task(config, difficulty="easy"), seed=0)
@@ -187,3 +191,50 @@ class TestAblationsRun:
         baseline = run_episode(config, seed=3, difficulty="easy")
         crippled = run_episode(config.without("execution"), seed=3, difficulty="easy")
         assert crippled.steps >= baseline.steps
+
+
+#: The layers built on ``repro.core``, which core itself must not import.
+UPPER_LAYERS = ("repro.optim", "repro.experiments", "repro.analysis", "repro.workloads")
+
+
+def _imported_modules(path: Path, package: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of every import in ``path``, nested ones included;
+    ``from a import b`` yields both ``a`` and ``a.b``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[: len(parts) - node.level + 1] if node.level else [])
+            module = ".".join(filter(None, (base, node.module or "")))
+            found.append((node.lineno, module))
+            found += [(node.lineno, f"{module}.{alias.name}") for alias in node.names]
+    return found
+
+
+class TestLayering:
+    def test_core_imports_no_upper_layer(self):
+        root = Path(repro.core.__file__).parent
+        offenders = []
+        checked = 0
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root.parent.parent)
+            package = ".".join(relative.parent.parts)
+            checked += 1
+            for line, name in _imported_modules(path, package):
+                if any(name == layer or name.startswith(layer + ".") for layer in UPPER_LAYERS):
+                    offenders.append(f"{relative}:{line} imports {name}")
+        assert checked > 20  # every core module, paradigms and modules included
+        assert not offenders, offenders
+
+    def test_import_walk_sees_nested_and_relative_imports(self, tmp_path):
+        module = tmp_path / "mod.py"
+        module.write_text(
+            "def build():\n"
+            "    from repro.optim.recommendations import with_hierarchy\n"
+            "    from .. import workloads\n"
+        )
+        names = [name for _, name in _imported_modules(module, "repro.core")]
+        assert "repro.optim.recommendations" in names
+        assert "repro.workloads" in names

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.paradigms import cluster_agents
 from repro.core.runner import build_loop, build_task, run_episode
 from repro.optim import (
     RECOMMENDATIONS,
-    cluster_agents,
     with_batching,
     with_comm_filter,
     with_dual_memory,
