@@ -302,7 +302,7 @@ class MemoryModule:
         """
         if start < self._evict_start:
             raise ValueError(
-                f"retention window moved backwards: start {start} after {self._evict_start}"
+                f"retention window moved backwards: start {start} below {self._evict_start}"
             )
         for evicted_step in range(self._evict_start, start):
             self._evicted_obs += self._obs_step_counts.get(evicted_step, 0)

@@ -175,7 +175,7 @@ class ParadigmLoop(abc.ABC):
     def execute_and_reflect(
         self, step: int, agent: EmbodiedAgent, bundle: PerceptionBundle, decision: Decision
     ) -> ExecutionOutcome:
-        """Act, record, reflect, and replan once within the step if told to."""
+        """Act, record, reflect, and replan once within the step when reflection asks."""
         outcome = agent.act(self.env, decision)
         record = _step_record(step, agent, decision, outcome)
         report = agent.reflect(self.env, decision, outcome)

@@ -15,9 +15,10 @@ mode, on easy under continuous serving with perception–generation
 overlap, and on medium per-call, plus memory-capacity and team-size
 variants and the optimized configs of the ablations (the hierarchical
 loop, multi-step planning, plan-then-communicate and the message
-filter).  The goldens were recorded from the seed implementation, so a
-reordered rng draw, a skipped cache invalidation, or a float summed in a
-different order fails here.  A slice is re-run on the 2-worker parallel
+filter).  The goldens were recorded from the seed implementation (the
+ablation cells from the tree just before the team loops shared one joint
+planner), so a reordered rng draw, a skipped cache invalidation, or a
+float summed in a different order fails here.  A slice is re-run on the 2-worker parallel
 executor against the same records.
 
 Regenerate after an intentional behaviour change with::

@@ -201,11 +201,11 @@ def _imported_modules(path: Path, package: str) -> list[tuple[int, str]]:
     """(line, dotted name) of every import in ``path``, nested ones included;
     ``from a import b`` yields both ``a`` and ``a.b``."""
     found = []
+    parts = package.split(".")
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            parts = package.split(".")
             base = ".".join(parts[: len(parts) - node.level + 1] if node.level else [])
             module = ".".join(filter(None, (base, node.module or "")))
             found.append((node.lineno, module))
@@ -216,16 +216,14 @@ def _imported_modules(path: Path, package: str) -> list[tuple[int, str]]:
 class TestLayering:
     def test_core_imports_no_upper_layer(self):
         root = Path(repro.core.__file__).parent
+        paths = sorted(root.rglob("*.py"))
+        assert len(paths) > 20  # every core module, paradigms and modules included
         offenders = []
-        checked = 0
-        for path in sorted(root.rglob("*.py")):
+        for path in paths:
             relative = path.relative_to(root.parent.parent)
-            package = ".".join(relative.parent.parts)
-            checked += 1
-            for line, name in _imported_modules(path, package):
+            for line, name in _imported_modules(path, ".".join(relative.parent.parts)):
                 if any(name == layer or name.startswith(layer + ".") for layer in UPPER_LAYERS):
                     offenders.append(f"{relative}:{line} imports {name}")
-        assert checked > 20  # every core module, paradigms and modules included
         assert not offenders, offenders
 
     def test_import_walk_sees_nested_and_relative_imports(self, tmp_path):
