@@ -68,8 +68,10 @@ lint:
 # Markdown link check over README.md/docs/, backticked file references
 # that name no file, `path.py: name` spans naming nothing that file
 # defines, REPRO_* knob coverage (the serving guide must cover
-# the serving knobs), and doctests — both on every module that carries
-# them and on the >>> examples embedded in the markdown docs themselves.
+# the serving knobs), every quoted "N grid cells" against the record
+# count of the golden episodes file, and doctests — both on every module
+# that carries them and on the >>> examples embedded in the markdown
+# docs themselves.
 docs-check:
 	$(PYTHON) scripts/check_docs.py
 

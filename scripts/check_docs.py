@@ -1,7 +1,7 @@
 """Documentation checks: links, file references, knob coverage, and doctests.
 
 Run as ``make docs-check`` (CI's ``docs`` job).
-Eight offline checks:
+Nine offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and
    ``docs/*.md`` must point at an existing file, and every in-document
@@ -43,6 +43,10 @@ Eight offline checks:
    parsing that file with ``ast``; a method also resolves by its bare
    name.  Deleting or renaming a symbol then fails until the docs stop
    naming it.
+9. **Golden cell count** — every "N grid cells" in ``README.md`` and
+   ``docs/*.md`` must equal the number of records in
+   ``tests/core/goldens/GOLDEN_episodes.json``, so adding or dropping a
+   golden cell fails until the docs quote the new size.
 
 Exits non-zero with a list of problems; prints a one-line summary when
 clean.
@@ -66,6 +70,7 @@ DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 KNOB_DOC = REPO / "docs" / "performance.md"
 SERVING_DOC = REPO / "docs" / "serving.md"
 BASELINES = REPO / "benchmarks" / "baselines"
+GOLDENS = REPO / "tests" / "core" / "goldens" / "GOLDEN_episodes.json"
 
 #: Knob prefixes the serving guide must cover in addition to the master
 #: table in performance.md.
@@ -82,6 +87,8 @@ SYMBOL_REFERENCE = re.compile(r"`([\w./-]+\.py): ([A-Za-z_][\w.]*)[^`]*`")
 UNLISTED_DIRS = frozenset({".git", "__pycache__", ".e2ebench"})
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 KNOB = re.compile(r"\bREPRO_[A-Z_]+\b")
+#: A quoted size of the golden grid ("82 grid cells").
+GRID_CELLS = re.compile(r"\b(\d[\d,]*)\s+grid\s+cells\b")
 #: A row of the baselines table: file, field, and the quoted ratio.
 BASELINE_ROW = re.compile(
     r"^\|[^|]*\|\s*`(BENCH_\w+\.json)`\s*\|\s*`(\w+)`\s*\|\s*\*\*([\d.]+)×\*\*",
@@ -274,6 +281,30 @@ def check_baselines() -> list[str]:
     return problems
 
 
+def golden_cell_count(path: Path = GOLDENS) -> int:
+    """The number of records (grid cells) in a golden episodes file."""
+    return len(json.loads(path.read_text()))
+
+
+def stale_cell_counts(markdown: str, cells: int) -> list[str]:
+    """The "N grid cells" quotes in ``markdown`` whose N is not ``cells``."""
+    return [
+        quoted
+        for quoted in GRID_CELLS.findall(markdown)
+        if int(quoted.replace(",", "")) != cells
+    ]
+
+
+def check_golden_cells() -> list[str]:
+    cells = golden_cell_count()
+    return [
+        f"{doc.relative_to(REPO)}: quotes {quoted} grid cells, "
+        f"{GOLDENS.relative_to(REPO)} holds {cells}"
+        for doc in DOC_FILES
+        for quoted in stale_cell_counts(doc.read_text(), cells)
+    ]
+
+
 def check_doctests() -> list[str]:
     problems = []
     src = REPO / "src"
@@ -324,6 +355,7 @@ def main() -> int:
         + check_knob_coverage()
         + check_stale_knobs()
         + check_baselines()
+        + check_golden_cells()
         + check_doctests()
         + check_markdown_doctests()
     )
@@ -339,8 +371,8 @@ def main() -> int:
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
         f"{n_references} file and {n_symbols} symbol references resolve, "
         "all source knobs documented "
-        "(serving guide covered), no stale knobs, quoted baselines match, "
-        "module and markdown doctests green"
+        "(serving guide covered), no stale knobs, quoted baselines and "
+        "golden cell counts match, module and markdown doctests green"
     )
     return 0
 

@@ -111,7 +111,7 @@ class SystemConfig:
             raise ConfigurationError(
                 f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}"
             )
-        multi = self.paradigm in ("centralized", "decentralized", "hybrid")
+        multi = self.is_multi_agent
         if multi and self.default_agents < 2:
             raise ConfigurationError(
                 f"{self.paradigm} system {self.name!r} needs >= 2 agents"
@@ -119,6 +119,28 @@ class SystemConfig:
         # A multi-agent system *without* a communication model is legal:
         # it is exactly the paper's "w/o Communication" ablation (agents
         # coordinate only through the environment).
+
+        # Refuse every flag the loop built for this system would ignore.
+        optimizations = self.optimizations
+        hierarchy = optimizations.hierarchy_cluster_size > 0
+        if hierarchy and not multi:
+            raise ConfigurationError(
+                f"{self.paradigm} system {self.name!r}: hierarchy_cluster_size "
+                "applies to multi-agent paradigms only"
+            )
+        if optimizations.plan_then_comm and (
+            self.paradigm != "decentralized" or hierarchy
+        ):
+            raise ConfigurationError(
+                f"{self.paradigm} system {self.name!r}: plan_then_comm is read "
+                "only by the decentralized loop without hierarchy"
+            )
+        joint = self.paradigm in ("centralized", "hybrid") or hierarchy
+        if joint and (optimizations.multistep_horizon > 1 or self.action_selection_llm):
+            raise ConfigurationError(
+                f"{self.paradigm} system {self.name!r}: the joint planner reads "
+                "neither multistep_horizon nor action_selection_llm"
+            )
 
     # ------------------------------------------------------------------ #
     # Transformations

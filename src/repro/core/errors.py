@@ -56,7 +56,6 @@ class FaultKind(enum.Enum):
     - ``HALLUCINATION``: references an object/location that does not exist.
     - ``REPEATED``: re-issues an action already known to have failed.
     - ``FORMAT``: output not parseable; costs a retry round-trip.
-    - ``STALE_MEMORY``: acts on an outdated fact (memory inconsistency).
     """
 
     SUBOPTIMAL = "suboptimal"
@@ -64,17 +63,3 @@ class FaultKind(enum.Enum):
     HALLUCINATION = "hallucination"
     REPEATED = "repeated"
     FORMAT = "format"
-    STALE_MEMORY = "stale_memory"
-
-
-#: Faults that a reflection module is able to detect after execution by
-#: comparing the pre- and post-states (format faults never reach execution).
-REFLECTABLE_FAULTS = frozenset(
-    {
-        FaultKind.SUBOPTIMAL,
-        FaultKind.INFEASIBLE,
-        FaultKind.HALLUCINATION,
-        FaultKind.REPEATED,
-        FaultKind.STALE_MEMORY,
-    }
-)

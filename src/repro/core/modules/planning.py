@@ -152,8 +152,6 @@ class PlanningModule:
                 fault=outcome.fault,
                 prompt_tokens=prompt_tokens if index == 0 else 0,
                 output_tokens=0,
-                latency=0.0,
-                retries=0,
             )
             self.context.metrics.record_fault(decision.fault)
             decisions.append(decision)

@@ -309,7 +309,6 @@ class ParadigmLoop(abc.ABC):
                 fault=outcome.fault,
                 prompt_tokens=lead_prompt_tokens if member is lead else 0,
                 output_tokens=0,
-                latency=0.0,
             )
             decision = member.state.maybe_repeat_fault(decision, rng)
             self.metrics.record_fault(decision.fault)

@@ -68,11 +68,13 @@ def build_loop(
 ) -> ParadigmLoop:
     """Instantiate the paradigm loop, honouring the hierarchy override.
 
-    A multi-agent config with ``hierarchy_cluster_size`` set runs under
-    the clustered cooperative loop (Recommendation 9) regardless of its
-    base paradigm.
+    A config with ``hierarchy_cluster_size`` set (multi-agent only, which
+    :class:`~repro.core.config.SystemConfig` enforces) runs under the
+    clustered cooperative loop (Recommendation 9) regardless of its base
+    paradigm.  That holds for a hybrid system too: Rec. 9 replaces the
+    hybrid loop's feedback round by design.
     """
-    if config.is_multi_agent and config.optimizations.hierarchy_cluster_size > 0:
+    if config.optimizations.hierarchy_cluster_size > 0:
         return HierarchicalLoop(config, task, seed, settings)
     loop_cls = PARADIGM_LOOPS[config.paradigm]
     return loop_cls(config, task, seed, settings)

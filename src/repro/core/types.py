@@ -190,10 +190,7 @@ class Message:
     """An inter-agent message in a multi-agent system.
 
     ``facts`` is the sharable knowledge payload; ``intent`` the sender's
-    declared next subgoal.  ``novel_facts`` is filled in on delivery with
-    the number of payload facts the receiver did not already know — the
-    paper's measure of message usefulness (Sec. V-D: only ~20 % of CoELA's
-    messages contribute).
+    declared next subgoal.
     """
 
     sender: str
@@ -202,7 +199,6 @@ class Message:
     facts: tuple[Fact, ...] = ()
     intent: Subgoal | None = None
     text: str = ""
-    novel_facts: int = 0
 
     def describe(self) -> str:
         if self.text:
@@ -226,14 +222,14 @@ class Message:
 
 @dataclass(frozen=True)
 class Decision:
-    """The outcome of one simulated-LLM decision call."""
+    """The outcome of one simulated-LLM decision call (its latency and
+    retry rounds are on the :class:`~repro.llm.requests.InferenceResult`
+    that carries it)."""
 
     subgoal: Subgoal
     fault: FaultKind | None
     prompt_tokens: int
     output_tokens: int
-    latency: float
-    retries: int = 0
 
 
 @dataclass

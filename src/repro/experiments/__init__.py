@@ -1,4 +1,5 @@
-"""Per-figure/table experiment harnesses (see DESIGN.md's experiment index)."""
+"""Per-figure/table experiment harnesses (docs/workloads.md maps each
+workload to the figures it feeds)."""
 
 from repro.experiments import (
     ablations,

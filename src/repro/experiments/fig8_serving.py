@@ -23,10 +23,9 @@ Shapes to expect:
 The continuous column adds the queueing dimension: one engine per
 (profile, deployment) pair serves the whole step's requests in arrival
 order, so occupancy can only match or beat the batched column, and once
-a team exposes more concurrency than the engine's default admission cap
-(8) admits, the queue-delay column turns nonzero — the serving cost
-``batch_size`` caps never had under plain batching (docs/serving.md
-walks through the model).
+a team exposes more concurrency than the engine's admission cap (8)
+admits, the queue-delay column turns nonzero: requests the cap excludes
+wait for the next batch (docs/serving.md walks through the model).
 
 The sweep's batched and continuous arms use the config-level Rec. 1
 transforms (:func:`repro.optim.with_batching`,
@@ -208,8 +207,8 @@ def render(result: Fig8Result) -> str:
         "size, centralized is pinned at its single joint call.  The "
         "continuous columns add the queueing dimension: cross-phase engine "
         "queues lift occupancy, and once a team exposes more concurrency "
-        "than the engine's admission cap admits, requests wait — the queue (s) column "
-        "prices what batch_size caps used to do for free)"
+        "than the engine's admission cap admits, requests wait, and the "
+        "queue (s) column prices that wait)"
     )
     return "\n\n".join(blocks)
 

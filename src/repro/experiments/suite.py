@@ -6,8 +6,7 @@ Usage::
     REPRO_TRIALS=2 python -m repro.experiments.suite    # quick pass
     REPRO_WORKERS=8 python -m repro.experiments.suite   # parallel trials
 
-The output of this module is the source for EXPERIMENTS.md.  Every
-figure section declares its grid first; the suite sends all of their
+Every figure section declares its grid first; the suite sends all of their
 jobs through one :func:`~repro.experiments.common.dispatch_jobs` call
 (one executor stream, one ledger load under ``REPRO_LEDGER``), slices
 the submission-ordered results back per section and renders the

@@ -1,21 +1,18 @@
 """Simulated LLM substrate: profiles, prompts, behaviour, serving."""
 
-from repro.llm.backend import InferenceBackend
 from repro.llm.behavior import BehaviorKernel, DecisionRequest
 from repro.llm.deployment import DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import Prompt, PromptBuilder
 from repro.llm.requests import InferenceRequest, InferenceResult
 from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
-from repro.llm.simulated import OUTPUT_TOKENS, GenerationResult, SimulatedLLM
+from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
 from repro.llm.tokenizer import count_tokens
 
 __all__ = [
     "BehaviorKernel",
     "DecisionRequest",
     "DeploymentOptions",
-    "GenerationResult",
-    "InferenceBackend",
     "InferenceRequest",
     "InferenceResult",
     "InferenceScheduler",

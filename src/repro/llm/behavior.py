@@ -1,8 +1,9 @@
 """The decision-quality kernel of the simulated LLM.
 
-This module is the behavioural core of the substitution described in
-DESIGN.md: instead of sampling text from a transformer, a decision call
-selects among enumerated :class:`~repro.core.types.Candidate` subgoals.
+This module is the behavioural core of the simulated LLM
+(docs/architecture.md): instead of sampling text from a transformer, a
+decision call selects among enumerated
+:class:`~repro.core.types.Candidate` subgoals.
 The probability of a *correct* selection composes the factors the paper
 identifies empirically:
 
@@ -48,7 +49,6 @@ FAULT_WEIGHTS: dict[FaultKind, float] = {
     FaultKind.INFEASIBLE: 0.22,
     FaultKind.HALLUCINATION: 0.12,
     FaultKind.REPEATED: 0.12,
-    FaultKind.STALE_MEMORY: 0.08,
 }
 
 #: Retries attempted on format (parse) failures before giving up and
@@ -64,7 +64,6 @@ class DecisionRequest:
     difficulty: str = "medium"
     n_joint: int = 1
     blacklist: frozenset[Subgoal] = frozenset()
-    has_stale_facts: bool = False
     quality_bonus: float = 1.0  # e.g. fine-tuning or symbolic augmentation
 
     def __post_init__(self) -> None:
@@ -131,8 +130,7 @@ class _Scoreboard:
         """Map each injectable fault kind to the candidates realizing it.
 
         Built only when a decision errs, in :data:`FAULT_WEIGHTS` order;
-        a kind no candidate realizes is absent, except ``STALE_MEMORY``,
-        which a request with stale facts realizes as the first tie.
+        a kind no candidate realizes is absent.
         """
         request = self.request
         candidates = request.candidates
@@ -165,13 +163,6 @@ class _Scoreboard:
             ]
             if repeated:
                 pools[FaultKind.REPEATED] = repeated
-        if request.has_stale_facts:
-            stale = [
-                candidate
-                for candidate in candidates
-                if candidate.fault is FaultKind.STALE_MEMORY
-            ]
-            pools[FaultKind.STALE_MEMORY] = stale or self.ties[:1]
         return pools
 
 
@@ -184,7 +175,7 @@ def _kind_cdf(kinds: tuple[FaultKind, ...]) -> tuple[float, ...]:
     draw into it.  The same arithmetic here makes
     ``bisect_right(table, rng.random())`` consume the same draw and
     return the same index.  One table per distinct kinds tuple: at most
-    31.
+    15.
     """
     weights = np.array([FAULT_WEIGHTS[kind] for kind in kinds], dtype=float)
     weights /= weights.sum()

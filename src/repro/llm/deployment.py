@@ -21,7 +21,7 @@ AWQ_PREFILL_SPEEDUP = 1.25
 AWQ_REASONING_RETENTION = 0.985
 MLC_DECODE_SPEEDUP = 1.45
 MLC_OVERHEAD_FACTOR = 0.7
-#: Continuous-engine admission cap when a deployment sets no ``batch_size``.
+#: How many requests one continuous-engine batch admits.
 DEFAULT_OCCUPANCY_CAP = 8
 
 
@@ -29,38 +29,20 @@ DEFAULT_OCCUPANCY_CAP = 8
 class DeploymentOptions:
     """How a model is served.
 
-    ``batch_size`` caps how many concurrent requests the inference
-    scheduler (:mod:`repro.llm.scheduler`) may aggregate into one call
-    when batched serving is active; the default of 1 means *no
-    configured limit* (the scheduler batches whatever a phase exposes).
-    Batching amortizes the fixed overhead while decode proceeds at a
-    modest per-request slowdown (batched decoding is nearly free until
-    compute bound).  ``quantization`` currently supports ``"awq"``;
-    ``runtime`` supports ``"mlc"``.
+    ``quantization`` currently supports ``"awq"``; ``runtime`` supports
+    ``"mlc"``.  Batching needs no option: the inference scheduler
+    (:mod:`repro.llm.scheduler`) batches whatever a phase exposes, and
+    :meth:`batched_call_latency` prices the batch.
     """
 
-    batch_size: int = 1
     quantization: str = ""  # "" | "awq"
     runtime: str = ""  # "" | "mlc"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
         if self.quantization not in ("", "awq"):
             raise ValueError(f"unsupported quantization: {self.quantization!r}")
         if self.runtime not in ("", "mlc"):
             raise ValueError(f"unsupported runtime: {self.runtime!r}")
-
-    def occupancy_cap(self) -> int:
-        """Admission cap of the continuous-batching engine.
-
-        ``batch_size`` when the deployment configures one (> 1), else
-        :data:`DEFAULT_OCCUPANCY_CAP`.  Under plain batched serving a cap
-        merely splits a flush into smaller batches; under continuous
-        serving requests beyond the cap wait in the engine queue and the
-        wait is charged to the clock.
-        """
-        return self.batch_size if self.batch_size > 1 else DEFAULT_OCCUPANCY_CAP
 
     def effective_profile(self, profile: LLMProfile) -> LLMProfile:
         """Apply quantization/runtime transforms to ``profile``."""
@@ -97,7 +79,7 @@ class DeploymentOptions:
         penalty (batched decode keeps the GPU memory-bandwidth bound).
 
         ``profile`` is used as-is: pass the *effective* profile (a
-        backend's ``profile`` attribute already carries the
+        ``SimulatedLLM``'s ``profile`` attribute already carries the
         quantization/runtime transforms — re-applying them here would
         double-count the speedups).  A batch of one request costs exactly
         :meth:`~repro.llm.profiles.LLMProfile.call_latency`.

@@ -9,7 +9,7 @@ figures emerge: GPT-4 planning calls land in the 4-8 s range, Llama-3-8B
 calls are ~2-3x faster per inference but substantially less reliable.
 
 Capability values are synthetic calibration constants, not claims about
-the real models; see DESIGN.md Sec. 2 for the substitution rationale.
+the real models.
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
 """Typed request/response envelopes for module-to-LLM inference calls.
 
-Before the serving layer existed, every module talked to its
-:class:`~repro.llm.simulated.SimulatedLLM` through ad-hoc method calls
-(``decide`` / ``generate`` / ``judge``) and then advanced the episode
-clock and metrics sink itself.  An :class:`InferenceRequest` captures one
-such call as data — what is being asked (kind, purpose, prompt, decision
-candidates) *and* how its cost must be attributed (module, phase, agent,
-step) — so a scheduler can own dispatch, clock charging, and metric
-recording uniformly (:mod:`repro.llm.scheduler`).
+An :class:`InferenceRequest` describes one call as data: what is being
+asked (kind, purpose, prompt, decision candidates) *and* how its cost
+must be attributed (module, phase, agent, step).  Modules submit it to
+the scheduler (:mod:`repro.llm.scheduler`), which owns dispatch, clock
+charging and metric recording uniformly, and which hands it to the
+issuing agent's :class:`~repro.llm.simulated.SimulatedLLM`.
 
-The four request kinds mirror the call shapes the modules actually make:
+The four request kinds mirror the call shapes the modules make:
 
 - ``decision`` — choose one candidate (planning);
   carries a :class:`~repro.llm.behavior.DecisionRequest` and yields a
@@ -21,18 +19,15 @@ The four request kinds mirror the call shapes the modules actually make:
 - ``completion`` — a latency-and-tokens-only call whose *content* the
   caller samples itself from the behaviour kernel (the joint/refined/
   cluster plans and multi-step planning, where one call covers several
-  decisions).  Backends model the call's cost but draw no randomness.
+  decisions).  The model prices the call but draws no randomness.
 
 Purposes name what the tokens buy, matching the generation-length table
 (:data:`repro.llm.simulated.OUTPUT_TOKENS`): ``plan``, ``message``,
-``action_selection``, ``reflection``, ``primitive``, ``world_model``.
+``action_selection``, ``reflection``, ``primitive``.
 
-The envelope is backend-agnostic on purpose: the same request would
-serve the :class:`~repro.llm.simulated.SimulatedLLM` kernel or any other
-:class:`~repro.llm.backend.InferenceBackend`, and the scheduler's
-continuous mode adds nothing to it — a request's arrival
-time in the engine queue is the clock position at submit, tracked by the
-scheduler, not a field the caller sets.
+The scheduler's continuous mode adds nothing to the envelope: a
+request's arrival time in the engine queue is the clock position at
+submit, tracked by the scheduler, not a field the caller sets.
 """
 
 from __future__ import annotations
@@ -44,31 +39,24 @@ from repro.core.types import Decision
 from repro.llm.behavior import DecisionRequest
 from repro.llm.prompt import Prompt
 
-#: Request kinds a backend must serve.
+#: Request kinds the model serves.
 REQUEST_KINDS = ("decision", "generation", "judgement", "completion")
 
 #: Call purposes with calibrated generation lengths (see
 #: :data:`repro.llm.simulated.OUTPUT_TOKENS`).
-PURPOSES = (
-    "plan",
-    "message",
-    "action_selection",
-    "reflection",
-    "primitive",
-    "world_model",
-)
+PURPOSES = ("plan", "message", "action_selection", "reflection", "primitive")
 
 
 @dataclass(frozen=True)
 class InferenceRequest:
     """One module-to-LLM call, as data.
 
-    ``module`` / ``phase`` / ``agent`` / ``step`` are the attribution
-    the issuing module previously applied by hand: the virtual-clock
-    span tag and the token-sample row this call must produce.  They are
-    part of the request so the scheduler can reproduce the seed's
-    accounting byte-for-byte in per-call mode and re-attribute latency
-    in batched mode without asking the caller anything.
+    ``module`` / ``phase`` / ``agent`` / ``step`` are the call's
+    attribution: the virtual-clock span tag and the token-sample row it
+    must produce.  They are part of the request so the scheduler can
+    charge it per call, or re-attribute its latency inside a batch,
+    without asking the caller anything.  ``purpose`` must be one of
+    :data:`PURPOSES`.
     """
 
     kind: str
@@ -96,6 +84,8 @@ class InferenceRequest:
     def __post_init__(self) -> None:
         if self.kind not in REQUEST_KINDS:
             raise ValueError(f"kind must be one of {REQUEST_KINDS}, got {self.kind!r}")
+        if self.purpose not in PURPOSES:
+            raise ValueError(f"purpose must be one of {PURPOSES}, got {self.purpose!r}")
         if self.kind == "decision" and self.decision is None:
             raise ValueError("decision requests need a DecisionRequest")
         if self.kind == "completion" and self.output_tokens is None:

@@ -5,10 +5,9 @@ from many agents should meet a scheduler, not a method call.  This module
 is that scheduler.  Each paradigm loop owns one
 :class:`InferenceScheduler`; every module-to-LLM call site submits a
 typed :class:`~repro.llm.requests.InferenceRequest` and the scheduler
-dispatches it to the issuing agent's
-:class:`~repro.llm.backend.InferenceBackend`, charges the virtual clock,
-and records the token sample — the accounting the modules previously did
-by hand, now in exactly one place.
+hands it to the issuing agent's :class:`~repro.llm.simulated.SimulatedLLM`,
+charges the virtual clock, and records the token sample, all in exactly
+one place.
 
 Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``, which
 the paradigm loop passes as ``mode``; a scheduler built without one
@@ -42,15 +41,14 @@ serves per call):
   the engine replays the arrival-ordered queue at the step boundary:
   each batch starts at ``max(engine free, first arrival)``, admits
   waiting requests up to the occupancy cap
-  (``DeploymentOptions.batch_size`` when configured, else
-  :data:`~repro.llm.deployment.DEFAULT_OCCUPANCY_CAP`), and accepts
+  (:data:`~repro.llm.deployment.DEFAULT_OCCUPANCY_CAP`), and accepts
   *in-flight joins* — requests that arrive while the batch is running
   join it if a slot is free, extending the batch end by the recomputed
   shared latency (floored at the joiner's own prefill+decode service).
   Requests that find the engine full wait, and that wait is charged
   through the clock (:meth:`~repro.core.clock.SimClock.settle` ends each
-  request's charge at its absolute completion), so ``batch_size`` caps
-  now cost queueing delay instead of splitting batches for free.
+  request's charge at its absolute completion), so the cap costs
+  queueing delay.
   Per-request latency is attributed via
   ``MetricsCollector.record_served_request`` and surfaces as
   ``mean_queue_delay`` / ``mean_request_latency`` /
@@ -81,18 +79,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.settings import SERVE_MODES
-from repro.llm.backend import InferenceBackend
+from repro.llm.deployment import DEFAULT_OCCUPANCY_CAP
 from repro.llm.requests import InferenceRequest, InferenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.clock import SimClock
     from repro.core.metrics import MetricsCollector
+    from repro.llm.simulated import SimulatedLLM
 
 
 class _Pending(NamedTuple):
     """One submitted-but-uncharged request (deferred serving modes)."""
 
-    backend: InferenceBackend
+    llm: SimulatedLLM
     request: InferenceRequest
     result: InferenceResult
     #: Clock position at submit — the request's arrival time in the
@@ -150,15 +149,13 @@ class InferenceScheduler:
     # Submission
     # ------------------------------------------------------------------ #
 
-    def submit(
-        self, backend: InferenceBackend, request: InferenceRequest
-    ) -> InferenceResult:
+    def submit(self, llm: SimulatedLLM, request: InferenceRequest) -> InferenceResult:
         """Serve one request through the active mode.
 
-        Content always resolves now (the backend executes in submission
-        order, keeping the rng stream seed-identical); per-call mode also
-        charges the clock now, the deferred modes (batched, continuous)
-        postpone the charge to the next dispatching :meth:`flush` —
+        Content always resolves now (``llm`` executes requests in
+        submission order, keeping the rng stream seed-identical); per-call
+        mode also charges the clock now, the deferred modes (batched,
+        continuous) postpone the charge to the next dispatching :meth:`flush` —
         except for requests marked ``sequential``, whose issuance
         depended on an earlier result and which therefore charge
         per-call in every mode.  Continuous mode additionally records
@@ -167,12 +164,10 @@ class InferenceScheduler:
         the token sample and (for decisions) the fault count land
         immediately, in the seed's order.
         """
-        result = backend.execute(request)
+        result = llm.execute(request)
         self.dispatched += 1
         if self.mode != "percall" and not request.sequential:
-            self._pending.append(
-                _Pending(backend, request, result, arrival=self._clock.now)
-            )
+            self._pending.append(_Pending(llm, request, result, arrival=self._clock.now))
         else:
             self._charge(request, result.latency)
         self._metrics.record_llm_call(
@@ -181,7 +176,7 @@ class InferenceScheduler:
             purpose=request.purpose,
             prompt_tokens=result.prompt_tokens,
             output_tokens=result.output_tokens,
-            model=backend.profile.name,
+            model=llm.profile.name,
         )
         if result.decision is not None:
             self._metrics.record_fault(result.decision.fault)
@@ -207,11 +202,10 @@ class InferenceScheduler:
         (effective profile, deployment options, module, phase, purpose),
         the profile compared by value so same-named profiles with
         different latency parameters never share a batch — in
-        first-submission order; each group becomes one batch (split when
-        the deployment caps ``batch_size``).  Multi-request batches
-        charge the shared batch latency once plus each request's retry
-        rounds; singleton batches charge
-        exactly like per-call mode.
+        first-submission order; each group becomes one batch.
+        Multi-request batches charge the shared batch latency once plus
+        each request's retry rounds; singleton batches charge exactly
+        like per-call mode.
         """
         if not self._pending:
             return
@@ -224,31 +218,27 @@ class InferenceScheduler:
             return
         groups: dict[tuple, list[_Pending]] = {}
         for item in pending:
-            backend, request = item.backend, item.request
+            llm, request = item.llm, item.request
             key = (
-                backend.profile,
-                backend.deployment,
+                llm.profile,
+                llm.deployment,
                 request.module,
                 request.phase,
                 request.purpose,
             )
             groups.setdefault(key, []).append(item)
         for items in groups.values():
-            cap = items[0].backend.deployment.batch_size
-            size = cap if cap > 1 else len(items)
-            for start in range(0, len(items), size):
-                self._dispatch_batch(items[start : start + size])
+            self._dispatch_batch(items)
 
     def _dispatch_batch(self, items: list[_Pending]) -> None:
         if len(items) == 1:
-            backend, request, result = items[0][:3]
-            self._charge(request, result.latency)
+            self._charge(items[0].request, items[0].result.latency)
             self._metrics.record_batch(1)
             return
-        backend = items[0].backend
+        llm = items[0].llm
         first = items[0].request
-        batch_latency = backend.deployment.batched_call_latency(
-            backend.profile,
+        batch_latency = llm.deployment.batched_call_latency(
+            llm.profile,
             [item.result.prompt_tokens for item in items],
             [item.result.output_tokens for item in items],
         )
@@ -257,7 +247,7 @@ class InferenceScheduler:
             result = item.result
             if result.rounds > 1:
                 # Stragglers: each retry re-issues the request alone.
-                per_call = item.backend.profile.call_latency(
+                per_call = item.llm.profile.call_latency(
                     result.prompt_tokens, result.output_tokens
                 )
                 self._charge(item.request, (result.rounds - 1) * per_call)
@@ -278,12 +268,11 @@ class InferenceScheduler:
         first arrival)``, admits every request already waiting (up to
         the occupancy cap), then accepts in-flight joins that arrive
         before it finishes.  Requests the cap excludes wait for the next
-        batch, and the wait is charged as part of their latency — the
-        queueing cost ``batch_size`` never had under plain batching.
+        batch, and the wait is charged as part of their latency.
         """
         engines: dict[tuple, list[_Pending]] = {}
         for item in pending:
-            key = (item.backend.profile, item.backend.deployment)
+            key = (item.llm.profile, item.llm.deployment)
             engines.setdefault(key, []).append(item)
         for key, items in engines.items():
             self._engine_free[key] = self._run_engine(
@@ -292,9 +281,8 @@ class InferenceScheduler:
 
     def _run_engine(self, items: list[_Pending], free_at: float) -> float:
         """Drain one engine's queue; returns the new busy-until horizon."""
-        profile = items[0].backend.profile
-        deployment = items[0].backend.deployment
-        cap = deployment.occupancy_cap()
+        profile = items[0].llm.profile
+        deployment = items[0].llm.deployment
         # Stable sort: ties in arrival keep submission order.
         queue = sorted(items, key=lambda item: item.arrival)
         index = 0
@@ -303,7 +291,7 @@ class InferenceScheduler:
             batch: list[tuple[_Pending, float, bool]] = []  # (item, admit, joined)
             while (
                 index < len(queue)
-                and len(batch) < cap
+                and len(batch) < DEFAULT_OCCUPANCY_CAP
                 and queue[index].arrival <= start
             ):
                 batch.append((queue[index], start, False))
@@ -322,7 +310,7 @@ class InferenceScheduler:
             # the end earlier, so an earlier joiner keeps its own floor.
             while (
                 index < len(queue)
-                and len(batch) < cap
+                and len(batch) < DEFAULT_OCCUPANCY_CAP
                 and queue[index].arrival < end
             ):
                 joiner = queue[index]

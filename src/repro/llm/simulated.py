@@ -1,48 +1,40 @@
 """The simulated LLM engine: behaviour kernel + latency model.
 
 ``SimulatedLLM`` is the drop-in substitute for "a GPT-4 API call" or "local
-Llama inference" everywhere in the stack, and the reference implementation
-of the :class:`~repro.llm.backend.InferenceBackend` protocol: the
-:meth:`SimulatedLLM.execute` entry point serves the typed request
-envelopes of :mod:`repro.llm.requests` for the scheduler.  It is *pure*
-with respect to time: calls return their modeled latency and the
-scheduler advances the episode's virtual clock, which keeps the engine
-trivially unit-testable.
+Llama inference" everywhere in the stack.  Its one entry point,
+:meth:`SimulatedLLM.execute`, serves the typed request envelopes of
+:mod:`repro.llm.requests`, and the scheduler (:mod:`repro.llm.scheduler`)
+is its only caller.  It is *pure* with respect to time: a call returns
+its modeled latency and the scheduler advances the episode's virtual
+clock, which keeps the engine trivially unit-testable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.types import Decision
+from repro.core.types import Candidate, Decision, Subgoal
 from repro.llm.behavior import BehaviorKernel, DecisionRequest
 from repro.llm.deployment import DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
-from repro.llm.prompt import Prompt
 from repro.llm.requests import InferenceRequest, InferenceResult
 
 #: Typical generation lengths (tokens) per call purpose, matching the mix
 #: of calls the paper attributes to each module (plans are long, action
-#: selections short).
+#: selections short).  Its keys are :data:`repro.llm.requests.PURPOSES`.
 OUTPUT_TOKENS = {
     "plan": 130,
     "message": 70,
     "action_selection": 24,
     "reflection": 32,
     "primitive": 16,
-    "world_model": 90,
 }
 
-
-@dataclass(frozen=True)
-class GenerationResult:
-    """Outcome of a free-form generation call (message, verdict, ...)."""
-
-    prompt_tokens: int
-    output_tokens: int
-    latency: float
+#: What a judgement's accuracy is computed for: one obvious option at the
+#: default difficulty, so only the model and the prompt length matter.
+_JUDGE_REQUEST = DecisionRequest(
+    candidates=(Candidate(subgoal=Subgoal(name="judge"), utility=1.0),)
+)
 
 
 class SimulatedLLM:
@@ -55,7 +47,7 @@ class SimulatedLLM:
     rng:
         Episode-scoped random generator; all stochasticity flows from it.
     deployment:
-        Serving options (batching, quantization, runtime).
+        Serving options (quantization, runtime).
     """
 
     def __init__(
@@ -73,132 +65,59 @@ class SimulatedLLM:
             format_compliance=self.profile.format_compliance,
             context_focus=self.profile.context_focus,
         )
-        self.calls = 0
-        self.total_prompt_tokens = 0
-        self.total_output_tokens = 0
-
-    # ------------------------------------------------------------------ #
-    # Decision calls (planning / action selection)
-    # ------------------------------------------------------------------ #
-
-    def decide(
-        self,
-        request: DecisionRequest,
-        prompt: Prompt,
-        purpose: str = "plan",
-    ) -> Decision:
-        """Choose one candidate; returns the decision with modeled latency.
-
-        Each format retry costs a full additional round-trip (the caller
-        re-issues the request), which is how malformed outputs from small
-        local models inflate end-to-end latency (paper Sec. V-A).
-        """
-        prompt_tokens = prompt.tokens
-        output_tokens = OUTPUT_TOKENS.get(purpose, OUTPUT_TOKENS["plan"])
-        outcome = self.kernel.decide(request, prompt_tokens, self._rng)
-        calls = 1 + outcome.retries
-        latency = calls * self.profile.call_latency(prompt_tokens, output_tokens)
-        self._account(calls * prompt_tokens, calls * output_tokens, calls)
-        return Decision(
-            subgoal=outcome.candidate.subgoal,
-            fault=outcome.fault,
-            prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens,
-            latency=latency,
-            retries=outcome.retries,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Generation calls (messages, verdicts, captions)
-    # ------------------------------------------------------------------ #
-
-    def generate(self, prompt: Prompt, purpose: str = "message") -> GenerationResult:
-        """Free-form generation: costs latency, returns token accounting."""
-        prompt_tokens = prompt.tokens
-        output_tokens = OUTPUT_TOKENS.get(purpose, OUTPUT_TOKENS["message"])
-        latency = self.profile.call_latency(prompt_tokens, output_tokens)
-        self._account(prompt_tokens, output_tokens, 1)
-        return GenerationResult(
-            prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens,
-            latency=latency,
-        )
-
-    def judge(self, prompt: Prompt, true_outcome: bool) -> tuple[bool, GenerationResult]:
-        """Binary judgment (used by reflection): detect ``true_outcome``.
-
-        Detection is asymmetric, like real outcome verification: spotting
-        a failed action from the state diff is reliable (true-positive
-        rate = the model's reasoning score), while falsely condemning a
-        step that visibly succeeded is rare (a quarter of the miss rate).
-        Weak reflectors therefore mostly *miss* failures rather than
-        sabotage good steps.
-        """
-        result = self.generate(prompt, purpose="reflection")
-        accuracy = self.kernel.probability_correct(
-            DecisionRequest(candidates=[_JUDGE_CANDIDATE]), result.prompt_tokens
-        )
-        if true_outcome:
-            verdict = self._rng.random() < accuracy
-        else:
-            false_positive_rate = (1.0 - accuracy) * 0.1
-            verdict = self._rng.random() < false_positive_rate
-        return verdict, result
-
-    # ------------------------------------------------------------------ #
-    # Backend protocol (repro.llm.backend.InferenceBackend)
-    # ------------------------------------------------------------------ #
 
     def execute(self, request: InferenceRequest) -> InferenceResult:
-        """Serve one typed request envelope (the scheduler's entry point).
+        """Serve one request: its content now, its modeled cost in the result.
 
-        Content (decision, verdict, token counts) is resolved now, in
-        request order, so the rng stream is independent of how the
-        scheduler later charges latency; ``completion`` requests model
-        only the call's cost — their content is the caller's to sample —
-        and, matching the seed's joint-plan cost model, do not touch the
-        per-engine accounting counters.
+        Content resolves here, in request order, so the rng stream does
+        not depend on how the scheduler later charges latency.  A call
+        costs :meth:`~repro.llm.profiles.LLMProfile.call_latency` at the
+        prompt's tokens and the purpose's :data:`OUTPUT_TOKENS` (a
+        ``completion`` names its own output length).  Per kind:
+
+        - ``decision``: the kernel's draws choose one candidate.  Each
+          format retry costs a full extra round trip, which is how
+          malformed outputs from small local models inflate end-to-end
+          latency (paper Sec. V-A).
+        - ``judgement``: one draw detects ``true_outcome``.  Detection is
+          asymmetric, like real outcome verification: a failed action is
+          spotted with the model's accuracy on one obvious option, while
+          a step that visibly succeeded is falsely condemned at a tenth
+          of the miss rate.  Weak reflectors therefore mostly *miss*
+          failures rather than sabotage good steps.
+        - ``generation`` and ``completion``: no draw; a completion's
+          content is the caller's to sample from :attr:`kernel`.
         """
+        prompt_tokens = request.prompt.tokens
+        if request.kind == "completion":
+            output_tokens = request.output_tokens
+        else:
+            output_tokens = OUTPUT_TOKENS[request.purpose]
+        latency = self.profile.call_latency(prompt_tokens, output_tokens)
         if request.kind == "decision":
-            assert request.decision is not None  # __post_init__ guarantees
-            decision = self.decide(request.decision, request.prompt, request.purpose)
+            outcome = self.kernel.decide(request.decision, prompt_tokens, self._rng)
+            rounds = 1 + outcome.retries
             return InferenceResult(
-                prompt_tokens=decision.prompt_tokens,
-                output_tokens=decision.output_tokens,
-                latency=decision.latency,
-                rounds=1 + decision.retries,
-                decision=decision,
-            )
-        if request.kind == "generation":
-            generated = self.generate(request.prompt, purpose=request.purpose)
-            return InferenceResult(
-                prompt_tokens=generated.prompt_tokens,
-                output_tokens=generated.output_tokens,
-                latency=generated.latency,
+                prompt_tokens=prompt_tokens,
+                output_tokens=output_tokens,
+                latency=rounds * latency,
+                rounds=rounds,
+                decision=Decision(
+                    subgoal=outcome.candidate.subgoal,
+                    fault=outcome.fault,
+                    prompt_tokens=prompt_tokens,
+                    output_tokens=output_tokens,
+                ),
             )
         if request.kind == "judgement":
-            verdict, generated = self.judge(request.prompt, request.true_outcome)
+            accuracy = self.kernel.probability_correct(_JUDGE_REQUEST, prompt_tokens)
+            rate = accuracy if request.true_outcome else (1.0 - accuracy) * 0.1
             return InferenceResult(
-                prompt_tokens=generated.prompt_tokens,
-                output_tokens=generated.output_tokens,
-                latency=generated.latency,
-                verdict=verdict,
+                prompt_tokens=prompt_tokens,
+                output_tokens=output_tokens,
+                latency=latency,
+                verdict=self._rng.random() < rate,
             )
-        # "completion": latency/token model only (validated by the request).
-        assert request.output_tokens is not None
-        prompt_tokens = request.prompt.tokens
         return InferenceResult(
-            prompt_tokens=prompt_tokens,
-            output_tokens=request.output_tokens,
-            latency=self.profile.call_latency(prompt_tokens, request.output_tokens),
+            prompt_tokens=prompt_tokens, output_tokens=output_tokens, latency=latency
         )
-
-    def _account(self, prompt_tokens: int, output_tokens: int, calls: int) -> None:
-        self.calls += calls
-        self.total_prompt_tokens += prompt_tokens
-        self.total_output_tokens += output_tokens
-
-
-from repro.core.types import Candidate, Subgoal  # noqa: E402  (cycle-free tail import)
-
-_JUDGE_CANDIDATE = Candidate(subgoal=Subgoal(name="judge"), utility=1.0)

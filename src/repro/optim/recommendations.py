@@ -36,8 +36,6 @@ def with_comm_filter(config: SystemConfig) -> SystemConfig:
 
 def with_hierarchy(config: SystemConfig, cluster_size: int = 3) -> SystemConfig:
     """Rec. 9: clustered cooperation for multi-agent systems."""
-    if not config.is_multi_agent:
-        raise ValueError("hierarchy applies to multi-agent systems only")
     return config.with_optimizations(hierarchy_cluster_size=cluster_size)
 
 

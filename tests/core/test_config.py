@@ -58,6 +58,66 @@ class TestValidation:
             OptimizationConfig(hierarchy_cluster_size=-1)
 
 
+def system(paradigm: str, action_selection_llm: bool = False, **optimizations) -> SystemConfig:
+    builder = single_agent_config if paradigm == "modular" else multi_agent_config
+    return builder(
+        paradigm=paradigm,
+        action_selection_llm=action_selection_llm,
+        optimizations=OptimizationConfig(**optimizations),
+    )
+
+
+#: One system per flag that the loop built for it would silently ignore:
+#: only the decentralized loop without hierarchy reads ``plan_then_comm``,
+#: the joint planner (centralized, hybrid, any hierarchy) reads neither
+#: ``multistep_horizon`` nor ``action_selection_llm``, and a single agent
+#: has no clusters.
+IGNORED_FLAGS = {
+    "plan_then_comm/modular": ("modular", False, {"plan_then_comm": True}),
+    "plan_then_comm/centralized": ("centralized", False, {"plan_then_comm": True}),
+    "plan_then_comm/hybrid": ("hybrid", False, {"plan_then_comm": True}),
+    "plan_then_comm/hierarchy": (
+        "decentralized", False, {"plan_then_comm": True, "hierarchy_cluster_size": 2}
+    ),
+    "multistep/centralized": ("centralized", False, {"multistep_horizon": 3}),
+    "multistep/hybrid": ("hybrid", False, {"multistep_horizon": 3}),
+    "multistep/hierarchy": (
+        "decentralized", False, {"multistep_horizon": 3, "hierarchy_cluster_size": 2}
+    ),
+    "action_selection/centralized": ("centralized", True, {}),
+    "action_selection/hybrid": ("hybrid", True, {}),
+    "action_selection/hierarchy": ("decentralized", True, {"hierarchy_cluster_size": 2}),
+    "hierarchy/modular": ("modular", False, {"hierarchy_cluster_size": 2}),
+}
+
+#: Each flag on a loop that reads it, and Rec. 9 on every multi-agent
+#: paradigm (on a hybrid system it replaces the feedback round by design).
+READ_FLAGS = {
+    "plan_then_comm/decentralized": ("decentralized", False, {"plan_then_comm": True}),
+    "multistep/decentralized": ("decentralized", False, {"multistep_horizon": 3}),
+    "multistep/modular": ("modular", False, {"multistep_horizon": 3}),
+    "action_selection/decentralized": ("decentralized", True, {}),
+    "action_selection/modular": ("modular", True, {}),
+    "hierarchy/centralized": ("centralized", False, {"hierarchy_cluster_size": 2}),
+    "hierarchy/decentralized": ("decentralized", False, {"hierarchy_cluster_size": 2}),
+    "hierarchy/hybrid": ("hybrid", False, {"hierarchy_cluster_size": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(IGNORED_FLAGS))
+def test_flags_a_loop_ignores_are_refused(case):
+    paradigm, action_selection_llm, optimizations = IGNORED_FLAGS[case]
+    with pytest.raises(ConfigurationError):
+        system(paradigm, action_selection_llm, **optimizations)
+
+
+@pytest.mark.parametrize("case", list(READ_FLAGS))
+def test_flags_a_loop_reads_are_accepted(case):
+    paradigm, action_selection_llm, optimizations = READ_FLAGS[case]
+    config = system(paradigm, action_selection_llm, **optimizations)
+    assert config.paradigm == paradigm
+
+
 class TestAblation:
     @pytest.mark.parametrize(
         "module", ["sensing", "communication", "memory", "reflection", "execution"]

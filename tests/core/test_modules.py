@@ -249,7 +249,6 @@ class TestReflection:
             fault=fault,
             prompt_tokens=100,
             output_tokens=20,
-            latency=1.0,
         )
 
     def failed_outcome(self):
@@ -273,7 +272,6 @@ class TestReflection:
             fault=None,
             prompt_tokens=0,
             output_tokens=0,
-            latency=0.0,
         )
         for _ in range(30):
             report = module.review(1, decision, self.failed_outcome())

@@ -109,7 +109,7 @@ class TestAgentState:
     def test_repeat_fault_requires_uncorrected(self, rng):
         state = AgentState()
         decision = Decision(
-            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0, latency=0
+            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0
         )
         assert state.maybe_repeat_fault(decision, rng) is decision
 
@@ -122,11 +122,10 @@ class TestAgentState:
             fault=FaultKind.SUBOPTIMAL,
             prompt_tokens=0,
             output_tokens=0,
-            latency=0,
         )
         state.note_outcome(bad, wasted=True, corrected=False)
         fresh = Decision(
-            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0, latency=0
+            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0
         )
         repeats = sum(
             1
@@ -144,12 +143,11 @@ class TestAgentState:
             fault=FaultKind.SUBOPTIMAL,
             prompt_tokens=0,
             output_tokens=0,
-            latency=0,
         )
         state.note_outcome(bad, wasted=True, corrected=False)
         state.note_outcome(bad, wasted=True, corrected=True)
         fresh = Decision(
-            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0, latency=0
+            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0
         )
         assert state.maybe_repeat_fault(fresh, rng) is fresh
 
@@ -162,12 +160,11 @@ class TestAgentState:
             fault=FaultKind.REPEATED,
             prompt_tokens=0,
             output_tokens=0,
-            latency=0,
         )
         for _ in range(FAULT_REPEAT_CAP + 2):
             state.note_outcome(bad, wasted=True, corrected=False)
         fresh = Decision(
-            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0, latency=0
+            subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0
         )
         assert state.maybe_repeat_fault(fresh, rng) is fresh
 

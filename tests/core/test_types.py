@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.errors import FaultKind, REFLECTABLE_FAULTS
 from repro.core.types import (
     Candidate,
     DIFFICULTIES,
@@ -89,9 +88,3 @@ class TestDifficulty:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             validate_difficulty("nightmare")
-
-
-class TestFaultKind:
-    def test_reflectable_excludes_format(self):
-        assert FaultKind.FORMAT not in REFLECTABLE_FAULTS
-        assert FaultKind.SUBOPTIMAL in REFLECTABLE_FAULTS

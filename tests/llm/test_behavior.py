@@ -211,9 +211,6 @@ def reference_pools(request: DecisionRequest):
     repeated = [c for c in candidates if c.subgoal in request.blacklist]
     if repeated:
         available[FaultKind.REPEATED] = repeated
-    if request.has_stale_facts:
-        stale = [c for c in candidates if c.fault is FaultKind.STALE_MEMORY]
-        available[FaultKind.STALE_MEMORY] = stale or [best]
     return clean, ties, available
 
 
@@ -309,14 +306,15 @@ class TestScoreboardEquivalence:
     """The scoreboard decides exactly like the scalar reference above.
 
     One scoreboard serves tuples and lists alike; both must match the
-    reference draw for draw, across blacklists, stale facts, ties inside
-    the tolerance and fault-rich candidate pools.
+    reference draw for draw, across blacklists, ties inside the
+    tolerance and fault-rich candidate pools.
     """
 
     def _rich_candidates(self):
         return candidates_basic() + [
-            Candidate(subgoal=Subgoal("stale", target="room_b"), utility=0.4,
-                      fault=FaultKind.STALE_MEMORY),
+            # Tagged with a kind no pool realizes: neither clean nor drawn.
+            Candidate(subgoal=Subgoal("tagged", target="room_b"), utility=0.4,
+                      fault=FaultKind.FORMAT),
             Candidate(subgoal=Subgoal("tied", target="box_1"), utility=1.0),
             Candidate(subgoal=Subgoal("tied2", target="box_2"), utility=1.0),
         ]
@@ -325,19 +323,16 @@ class TestScoreboardEquivalence:
         pool = self._rich_candidates()
         blacklist = frozenset({Subgoal("tied", target="box_1")})
         k = kernel(reasoning=0.4, compliance=0.9)
-        for has_stale in (False, True):
-            for bl in (frozenset(), blacklist):
-                for seed in range(150):
-                    assert_matches_reference(
-                        k, pool, 2000, seed, difficulty="hard", n_joint=3,
-                        blacklist=bl, has_stale_facts=has_stale,
-                    )
+        for bl in (frozenset(), blacklist):
+            for seed in range(150):
+                assert_matches_reference(
+                    k, pool, 2000, seed, difficulty="hard", n_joint=3, blacklist=bl
+                )
 
     @settings(max_examples=400, deadline=None)
     @given(
         specs=CANDIDATE_SPECS,
         blacklist=st.frozensets(st.sampled_from(VOCABULARY), max_size=3),
-        has_stale=st.booleans(),
         n_joint=st.integers(min_value=1, max_value=12),
         difficulty=st.sampled_from(sorted(DIFFICULTY_FACTORS)),
         reasoning=st.floats(min_value=0.0, max_value=1.0),
@@ -345,7 +340,7 @@ class TestScoreboardEquivalence:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_random_requests_match_reference(
-        self, specs, blacklist, has_stale, n_joint, difficulty, reasoning, compliance, seed
+        self, specs, blacklist, n_joint, difficulty, reasoning, compliance, seed
     ):
         candidates = [
             Candidate(subgoal=subgoal, utility=utility, feasible=feasible, fault=fault)
@@ -358,7 +353,7 @@ class TestScoreboardEquivalence:
         )
         assert_matches_reference(
             k, candidates, 1500, seed, difficulty=difficulty, n_joint=n_joint,
-            blacklist=blacklist, has_stale_facts=has_stale,
+            blacklist=blacklist,
         )
 
     def test_kind_table_inverts_rng_choice(self):

@@ -1,4 +1,4 @@
-"""Tests for deployment options (batching, AWQ, MLC)."""
+"""Tests for deployment options (AWQ, MLC) and batch pricing."""
 
 import pytest
 
@@ -11,10 +11,6 @@ from repro.llm.profiles import get_profile
 
 
 class TestValidation:
-    def test_batch_size_positive(self):
-        with pytest.raises(ValueError):
-            DeploymentOptions(batch_size=0)
-
     def test_unknown_quantization(self):
         with pytest.raises(ValueError):
             DeploymentOptions(quantization="int3")
@@ -68,7 +64,7 @@ class TestRuntime:
 class TestBatching:
     def test_batch_amortizes_overhead(self):
         profile = get_profile("llava-7b")
-        options = DeploymentOptions(batch_size=4)
+        options = DeploymentOptions()
         batched = options.batched_call_latency(profile, [500] * 4, [100] * 4)
         serial = 4 * profile.call_latency(500, 100)
         assert batched < serial

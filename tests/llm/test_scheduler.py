@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import ModuleName, SimClock
@@ -210,20 +210,6 @@ class TestBatched:
             (ModuleName.PLANNING, "replan"),
         ]
 
-    def test_deployment_batch_size_caps_occupancy(self):
-        profile = compliant_profile()
-        clock, metrics, scheduler, _ = make_parts("batched", profile=profile)
-        capped = SimulatedLLM(
-            profile,
-            rng=np.random.default_rng(0),
-            deployment=DeploymentOptions(batch_size=2),
-        )
-        for i in range(5):
-            scheduler.submit(capped, plan_request(agent=f"a{i}"))
-        scheduler.flush()
-        assert metrics.serve_batches == 3  # 2 + 2 + 1
-        assert metrics.serve_batched_requests == 5
-
     def test_sequential_requests_never_pend(self):
         """A serial chain (LLM primitives) charges per-call in batched mode."""
         clock, metrics, scheduler, llm = make_parts("batched", profile=compliant_profile())
@@ -295,26 +281,25 @@ class TestContinuous:
     def test_cap_splits_the_queue_and_charges_wait(self):
         """Requests beyond the cap wait for the engine — and pay for it."""
         profile = compliant_profile()
-        clock, metrics, scheduler, llm = make_parts(
-            "continuous", profile=profile, deployment=DeploymentOptions(batch_size=2)
-        )
+        clock, metrics, scheduler, llm = make_parts("continuous", profile=profile)
+        cap = DEFAULT_OCCUPANCY_CAP
         results = [
             scheduler.submit(llm, plan_request(words=50, agent=f"a{i}"))
-            for i in range(4)
+            for i in range(cap + 2)
         ]
         scheduler.flush(final=True)
         first_end = DeploymentOptions().batched_call_latency(
             profile,
-            [result.prompt_tokens for result in results[:2]],
-            [result.output_tokens for result in results[:2]],
+            [result.prompt_tokens for result in results[:cap]],
+            [result.output_tokens for result in results[:cap]],
         )
         second_service = DeploymentOptions().batched_call_latency(
             profile,
-            [result.prompt_tokens for result in results[2:]],
-            [result.output_tokens for result in results[2:]],
+            [result.prompt_tokens for result in results[cap:]],
+            [result.output_tokens for result in results[cap:]],
         )
         assert metrics.serve_batches == 2
-        assert metrics.serve_batched_requests == 4
+        assert metrics.serve_batched_requests == cap + 2
         # Both excluded requests arrived at 0 and waited out batch one.
         assert metrics.serve_queue_seconds == pytest.approx(2 * first_end)
         assert metrics.serve_inflight_joins == 0
@@ -438,15 +423,13 @@ ARRIVALS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(arrivals=ARRIVALS, batch_size=st.integers(min_value=1, max_value=4))
-def test_continuous_engine_properties(arrivals, batch_size):
-    """Random request streams through one engine, observed per batch.
-
-    ``batch_size`` 1 leaves the deployment unconfigured, so the engine
-    admits up to :data:`DEFAULT_OCCUPANCY_CAP`.
-    """
+@given(arrivals=ARRIVALS)
+@example(arrivals=[(0.0, 400, 60)] * 12)  # more simultaneous arrivals than the cap
+def test_continuous_engine_properties(arrivals):
+    """Random request streams through one engine, observed per batch;
+    no batch admits more than :data:`DEFAULT_OCCUPANCY_CAP` requests."""
     profile = compliant_profile()
-    deployment = DeploymentOptions(batch_size=batch_size)
+    deployment = DeploymentOptions()
     clock = SimClock()
     metrics = MetricsCollector(workload="t", horizon=1)
     scheduler = InferenceScheduler(clock, metrics, mode="continuous")
@@ -472,7 +455,7 @@ def test_continuous_engine_properties(arrivals, batch_size):
         scheduler.submit(backend, plan_request(agent="a0"))
     scheduler.flush(final=True)
 
-    cap = batch_size if batch_size > 1 else DEFAULT_OCCUPANCY_CAP
+    cap = DEFAULT_OCCUPANCY_CAP
     records = [record for batch in batches for record in batch]
     assert len(records) == len(arrivals)
     # Non-decreasing arrivals keep the engine queue in submission order.

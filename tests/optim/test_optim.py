@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.core.paradigms import cluster_agents
 from repro.core.runner import build_loop, build_task, run_episode
 from repro.optim import (
@@ -36,7 +37,7 @@ class TestTransforms:
         assert config.optimizations.serve_mode == "batched"
 
     def test_hierarchy_rejects_single_agent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             with_hierarchy(get_workload("jarvis-1").config)
 
     def test_dual_memory_sets_flag(self):

@@ -1,6 +1,7 @@
-"""The stale file-reference check of ``scripts/check_docs.py``."""
+"""The reference and golden-cell-count checks of ``scripts/check_docs.py``."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -68,3 +69,18 @@ def test_symbol_in_missing_file_fails():
 
 def test_repository_docs_name_only_defined_symbols():
     assert check_docs.check_symbol_references() == []
+
+
+def test_stale_golden_cell_count_fails(tmp_path):
+    goldens = tmp_path / "GOLDEN_episodes.json"
+    goldens.write_text(json.dumps({f"cell-{index}": "digest" for index in range(82)}))
+    cells = check_docs.golden_cell_count(goldens)
+    assert cells == 82
+    text = "Goldens (`tests/core/test_goldens.py`, 78 grid cells) pin behaviour."
+    assert check_docs.stale_cell_counts(text, cells) == ["78"]
+    wrapped = "runs 82 grid\ncells, and elsewhere 1,024 grid cells"
+    assert check_docs.stale_cell_counts(wrapped, cells) == ["1,024"]
+
+
+def test_repository_docs_quote_the_golden_cell_count():
+    assert check_docs.check_golden_cells() == []
