@@ -57,7 +57,9 @@ examples:
 # at 2 trials and 2 workers, one e2ebench pass per workload) under a
 # sys.setprofile hook, and fails on any src/repro function that none of
 # them calls unless scripts/reach.py allowlists it, and on any
-# allowlisted function that one of them calls.
+# allowlisted function that one of them calls.  A static check does the
+# same for attributes: every attribute a src/repro class declares must be
+# read by name somewhere in src/repro, or be allowlisted with its reader.
 reach:
 	$(PYTHON) scripts/reach.py
 

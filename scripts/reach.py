@@ -1,4 +1,4 @@
-"""Check that every function in ``src/repro`` is reached by a run path.
+"""Check that every function in ``src/repro`` is reached and every attribute read.
 
 Runs what CI runs, at CI's trial counts, with a ``sys.setprofile`` hook
 that records every function of ``src/repro`` each interpreter calls:
@@ -24,12 +24,21 @@ members have no body that runs and are skipped) must be reached, unless
 :data:`ALLOWED` lists it with its reason, and no listed ``def`` may be
 reached: the list only shrinks.
 
+Data that nothing reads survives a per-``def`` check, so a static check
+covers attributes as well: every attribute a ``src/repro`` class declares
+(a field in the class body, or a ``self.x = ...`` in one of its methods)
+must be loaded by name somewhere in ``src/repro`` (``obj.x``, or a string
+passed to ``getattr`` or ``attrgetter``; an augmented assignment alone is
+not a read), unless :data:`ALLOWED_ATTRIBUTES` lists it with its reader
+outside ``src/repro``.  The same four rules apply to that list.
+
 Usage::
 
     python scripts/reach.py        # or: make reach
 
-Prints the counts; exits non-zero, naming each offending ``def``, when
-the run set and the list disagree or a command of the run set fails.
+Prints the counts; exits non-zero, naming each offending ``def`` or
+attribute, when the run set, the tree and the lists disagree or a command
+of the run set fails.
 """
 
 from __future__ import annotations
@@ -48,25 +57,47 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 #: Reasons a ``def`` may stay unreached by every run path.
-REASONS = ("cli", "test oracle", "test seam", "interface")
+REASONS = ("test oracle", "test seam", "interface")
 
 #: ``path.py: qualname`` (path relative to ``src/repro``) of every
 #: ``def`` no run path reaches by design, with its reason.
 ALLOWED = {
-    "experiments/ablations.py: main": "cli",
-    "experiments/fig2_latency.py: main": "cli",
-    "experiments/fig3_sensitivity.py: main": "cli",
-    "experiments/fig4_local_models.py: main": "cli",
-    "experiments/fig5_memory.py: main": "cli",
-    "experiments/fig6_tokens.py: main": "cli",
-    "experiments/fig7_scalability.py: main": "cli",
-    "experiments/fig8_serving.py: main": "cli",
-    "experiments/fig8_serving.py: run": "cli",
     "llm/prompt.py: Prompt.render": "test oracle",
     "core/clock.py: SimClock.wait": "test seam",
     "core/bus.py: DeliveryBus.pending": "test seam",
     "llm/scheduler.py: InferenceScheduler.pending": "test seam",
     "envs/kitchen.py: KitchenEnv.expected_primitives": "interface",
+}
+
+#: Who reads an attribute that no code in ``src/repro`` loads by name.
+ATTRIBUTE_REASONS = (
+    "e2ebench",  # its digests (through ``asdict``) or its probes
+    "golden digest",  # tests/core/test_goldens.py hashes it
+    "test oracle",  # tests check the modeled behaviour against it
+    "unpacked",  # read by tuple unpacking
+    "catalog",  # a column of the paper's tables
+    "open item",  # ROADMAP.md names the change that will read it
+)
+
+#: ``path.py: Class.attr`` of every declared attribute that no code in
+#: ``src/repro`` loads by name, with its reader outside ``src/repro``.
+ALLOWED_ATTRIBUTES = {
+    "core/metrics.py: AggregateResult.mean_goal_progress": "e2ebench",
+    "core/metrics.py: AggregateResult.mean_request_latency": "e2ebench",
+    "core/metrics.py: AggregateResult.message_usefulness": "e2ebench",
+    "core/fleet.py: JobLedger.bytes_read": "e2ebench",
+    "core/fleet.py: JobLedger.bytes_appended": "e2ebench",
+    "core/types.py: StepRecord.reflected": "golden digest",
+    "core/types.py: StepRecord.replanned": "golden digest",
+    "core/types.py: StepRecord.execution_success": "golden digest",
+    "core/modules/memory.py: RetrievedMemory.scanned_entries": "test oracle",
+    "core/modules/memory.py: RetrievedMemory.confused": "test oracle",
+    "llm/behavior.py: DecisionOutcome.p_correct": "test oracle",
+    "experiments/fig8_serving.py: ServingCell.inflight_joins": "test oracle",
+    "experiments/fig4_local_models.py: ModelCell.seconds_per_inference": "test oracle",
+    "envs/mineworld.py: DemandStep.station": "unpacked",
+    "workloads/base.py: Workload.datasets": "catalog",
+    "llm/profiles.py: LLMProfile.context_window": "open item",
 }
 
 HOOK = '''\
@@ -191,18 +222,125 @@ def enumerate_defs(package: Path) -> set[str]:
     return defs
 
 
-def check(defs: set[str], reached: set[str], allowed: dict[str, str]) -> list[str]:
-    """What the ratchet fails on: one line per offending ``def``."""
-    unlisted = defs - reached - set(allowed)
-    problems = [f"unreached and not allowlisted: {name}" for name in sorted(unlisted)]
-    problems += [f"allowlisted but reached: {name}" for name in sorted(set(allowed) & reached)]
-    problems += [f"allowlisted but defined nowhere: {name}" for name in sorted(set(allowed) - defs)]
+def _ratchet(
+    names: set[str],
+    used: set[str],
+    allowed: dict[str, str],
+    reasons: tuple[str, ...],
+    unused_word: str,
+    used_word: str,
+) -> list[str]:
+    unlisted = names - used - set(allowed)
+    problems = [f"{unused_word} and not allowlisted: {name}" for name in sorted(unlisted)]
+    problems += [f"allowlisted but {used_word}: {name}" for name in sorted(set(allowed) & used)]
+    problems += [
+        f"allowlisted but defined nowhere: {name}" for name in sorted(set(allowed) - names)
+    ]
     problems += [
         f"unknown reason {reason!r}: {name}"
         for name, reason in sorted(allowed.items())
-        if reason not in REASONS
+        if reason not in reasons
     ]
     return problems
+
+
+def check(defs: set[str], reached: set[str], allowed: dict[str, str]) -> list[str]:
+    """What the ratchet fails on: one line per offending ``def``."""
+    return _ratchet(defs, reached, allowed, REASONS, "unreached", "reached")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _self_stores(method: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Every ``x`` of a ``self.x = ...`` (plain or annotated) in ``method``."""
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for store in ast.walk(target):
+                if (
+                    isinstance(store, ast.Attribute)
+                    and isinstance(store.value, ast.Name)
+                    and store.value.id == "self"
+                ):
+                    names.add(store.attr)
+    return names
+
+
+def module_attributes(tree: ast.Module) -> set[str]:
+    """``Class.attr`` of every attribute a class in ``tree`` declares."""
+    found = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.ClassDef):
+                visit(child, prefix)
+                continue
+            qualname = prefix + child.name
+            for statement in child.body:
+                if isinstance(statement, ast.Assign):
+                    targets = statement.targets
+                elif isinstance(statement, ast.AnnAssign):
+                    targets = [statement.target]
+                elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.update(f"{qualname}.{name}" for name in _self_stores(statement))
+                    continue
+                else:
+                    continue
+                found.update(
+                    f"{qualname}.{target.id}"
+                    for target in targets
+                    if isinstance(target, ast.Name) and not _is_dunder(target.id)
+                )
+            visit(child, f"{qualname}.")
+
+    visit(tree, "")
+    return found
+
+
+def _called_name(call: ast.Call) -> str | None:
+    function = call.func
+    if isinstance(function, ast.Attribute):
+        return function.attr
+    return function.id if isinstance(function, ast.Name) else None
+
+
+def module_reads(tree: ast.Module) -> set[str]:
+    """Every attribute name ``tree`` loads: ``obj.x``, or a string passed
+    to ``getattr`` or ``attrgetter`` (each part of a dotted path)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and _called_name(node) in ("getattr", "attrgetter"):
+            for argument in node.args:
+                if isinstance(argument, ast.Constant) and isinstance(argument.value, str):
+                    names.update(argument.value.split("."))
+    return names
+
+
+def enumerate_attributes(package: Path) -> tuple[set[str], set[str]]:
+    """Every ``path.py: Class.attr`` declared under ``package``, and those
+    of them whose name some code under ``package`` loads."""
+    declared, loaded = set(), set()
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        declared.update(f"{relative}: {name}" for name in module_attributes(tree))
+        loaded |= module_reads(tree)
+    return declared, {name for name in declared if name.rpartition(".")[2] in loaded}
+
+
+def check_attributes(declared: set[str], read: set[str], allowed: dict[str, str]) -> list[str]:
+    """What the attribute check fails on: one line per offending attribute."""
+    return _ratchet(declared, read, allowed, ATTRIBUTE_REASONS, "unread", "read")
 
 
 def run_set(out_dir: Path):
@@ -252,12 +390,20 @@ def main() -> None:
         trace_run_set(hook_dir, Path(tmp) / "out")
         reached = read_dumps(hook_dir)
     defs = enumerate_defs(PACKAGE)
+    declared, read = enumerate_attributes(PACKAGE)
     problems = check(defs, reached, ALLOWED)
+    problems += check_attributes(declared, read, ALLOWED_ATTRIBUTES)
     unreached = defs - reached
+    unread = declared - read
     print(
         f"reach: {len(defs)} defs in src/repro, {len(defs & reached)} reached, "
         f"{len(unreached)} unreached ({len(unreached & set(ALLOWED))} of "
         f"{len(ALLOWED)} allowlisted); {time.monotonic() - start:.0f}s"
+    )
+    print(
+        f"reach: {len(declared)} attributes declared in src/repro, {len(read)} read, "
+        f"{len(unread)} unread ({len(unread & set(ALLOWED_ATTRIBUTES))} of "
+        f"{len(ALLOWED_ATTRIBUTES)} allowlisted)"
     )
     for problem in problems:
         print(f"  {problem}")

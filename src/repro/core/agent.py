@@ -71,7 +71,7 @@ def deployment_for(model: str, config: SystemConfig) -> DeploymentOptions:
 class PerceptionBundle:
     """Everything one perceive() pass produces for downstream modules."""
 
-    observation: Observation | None
+    observation: Observation
     current_facts: tuple[Fact, ...]
     beliefs: Beliefs
     memory_facts: list[Fact]
@@ -225,8 +225,8 @@ class EmbodiedAgent:
     def perceive(self, env: Environment) -> PerceptionBundle:
         """Sense, store, retrieve, and assemble beliefs for this step."""
         facts = self.sensing.sense(env)
-        position = env.position_of(self.name)
-        observation = env.observation(self.name, facts)
+        position = env.agent_position(self.name)
+        observation = env.observation(self.name, position, facts)
         if self.memory is not None:
             self.memory.store_observation(facts)
             retrieved = self.memory.retrieve(self.context.step)

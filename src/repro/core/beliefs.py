@@ -164,9 +164,9 @@ class DeliveryIndex:
     message ``i``'s ``{fact step: count}`` histogram over its payload,
     repeats included.
 
-    ``intents[i]`` holds message ``i``'s intent facts (none by default):
-    receivers merge them into beliefs for conflict avoidance, but memory
-    never stores them and they never count toward novelty.
+    ``intents[i]`` holds message ``i``'s intent facts: receivers merge
+    them into beliefs for conflict avoidance, but memory never stores
+    them and they never count toward novelty.
     """
 
     __slots__ = ("messages", "slots", "step_counts")
@@ -174,7 +174,7 @@ class DeliveryIndex:
     def __init__(
         self,
         messages: Sequence[Message],
-        intents: Sequence[Sequence[Fact]] | None = None,
+        intents: Sequence[Sequence[Fact]],
     ) -> None:
         self.messages = messages
         self.slots: dict[tuple[str, str], list[Run]] = {}
@@ -187,8 +187,7 @@ class DeliveryIndex:
             for fact in payload_facts:
                 counts[fact.step] = counts.get(fact.step, 0) + 1
             self.step_counts.append(counts)
-            intent_facts = intents[index] if intents is not None else ()
-            for facts, payload in ((payload_facts, True), (intent_facts, False)):
+            for facts, payload in ((payload_facts, True), (intents[index], False)):
                 for fact in facts:
                     key = (fact.subject, fact.relation)
                     runs = get(key)

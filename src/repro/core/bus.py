@@ -56,9 +56,6 @@ class DeliveryBus:
         self._by_name = agents_by_name
         self._metrics = metrics
         self._staged: list[Message] = []
-        #: Lifetime (message, receiver) pairs staged — an engagement
-        #: counter for tests and diagnostics, never read by the pipeline.
-        self.staged_deliveries = 0
 
     @property
     def pending(self) -> int:
@@ -76,7 +73,6 @@ class DeliveryBus:
         for name in message.recipients:
             self._by_name[name].stage_message(message, bundles[name])
         self._staged.append(message)
-        self.staged_deliveries += len(message.recipients)
 
     def flush(self, bundles: "dict[str, PerceptionBundle]") -> None:
         """Apply every staged delivery from one shared index.

@@ -57,9 +57,6 @@ class ExecutionModule:
 
     def _grounded(self, env: Environment, subgoal: Subgoal) -> ExecutionOutcome:
         outcome = env.execute(self.context.agent, subgoal, self.context.rng)
-        # Execution may have moved this agent; drop the per-step position
-        # staging so any later read this step recomputes.
-        env.invalidate_positions()
         self.context.clock.advance(
             outcome.compute.seconds() + outcome.actuation_seconds,
             ModuleName.EXECUTION,

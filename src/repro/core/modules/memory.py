@@ -173,17 +173,12 @@ class MemoryModule:
         self._staged_messages.append(message)
         self._charge(STORE_SECONDS, "store_dialogue")
 
-    def commit_staged_messages(
-        self,
-        index: DeliveryIndex | None = None,
-        addressed: Sequence[bool] | None = None,
-    ) -> None:
+    def commit_staged_messages(self, index: DeliveryIndex, addressed: Sequence[bool]) -> None:
         """Apply the staged message writes of one delivery flush.
 
         ``index`` is the flush's shared index and ``addressed`` marks the
         messages staged here (:meth:`repro.core.bus.DeliveryBus.flush`
-        passes both); without them the commit indexes its own staged
-        messages, all addressed to itself.  The dialogue log and the
+        passes both).  The dialogue log and the
         observation store grow per message, in delivery order.  The
         newest-per-slot map merges each slot's batch winner
         (:meth:`~repro.core.beliefs.DeliveryIndex.newest`) against the
@@ -195,9 +190,6 @@ class MemoryModule:
         if not staged:
             return
         self._staged_messages = []
-        if index is None:
-            index = DeliveryIndex(staged)
-            addressed = [True] * len(staged)
         observations = self._observations
         dialogue = self._dialogue
         dialogue_steps = self._dialogue_steps
@@ -361,11 +353,9 @@ class MemoryModule:
         step: int,
         current_facts: tuple[Fact, ...],
         position: str,
-        retrieved: RetrievedMemory | None = None,
+        retrieved: RetrievedMemory,
     ) -> Beliefs:
         """Static + retrieved + current facts, with negative evidence."""
-        if retrieved is None:
-            retrieved = self.retrieve(step)
         # Resolved facts hold one entry per slot with step >= 0, so they
         # always win against the static base (step 0); current facts carry
         # this step's provenance, so they win against anything retrieved.

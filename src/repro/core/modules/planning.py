@@ -51,7 +51,7 @@ class PlanningModule:
 
     def build_prompt(
         self,
-        observation: Observation | None,
+        observation: Observation,
         memory_facts: list[Fact],
         action_records: list[ActionRecord],
         dialogue: list[Message],
@@ -110,10 +110,8 @@ class PlanningModule:
         grows sub-linearly per extra subgoal.  Decision quality is sampled
         per subgoal (a long plan can be right early and wrong late).
         """
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1: {horizon}")
-        if horizon == 1:
-            return [self.decide(candidates, prompt, blacklist=blacklist)]
+        if horizon < 2:
+            raise ValueError(f"horizon must be >= 2: {horizon}")
         request = DecisionRequest(
             candidates=candidates,
             difficulty=self.difficulty,

@@ -29,7 +29,6 @@ class ReflectionReport:
     """Outcome of one reflection pass."""
 
     judged_failure: bool
-    true_failure: bool
     should_replan: bool
     forget_subject: str = ""
     forget_relation: str = ""
@@ -79,9 +78,7 @@ class ReflectionModule:
         )
         verdict = result.verdict
         if not verdict:
-            return ReflectionReport(
-                judged_failure=False, true_failure=true_failure, should_replan=False
-            )
+            return ReflectionReport(judged_failure=False, should_replan=False)
         self.context.metrics.reflections_triggered += 1
         forget_subject = ""
         forget_relation = ""
@@ -98,7 +95,6 @@ class ReflectionModule:
             forget_relation = "located_in"
         return ReflectionReport(
             judged_failure=True,
-            true_failure=true_failure,
             should_replan=True,
             forget_subject=forget_subject,
             forget_relation=forget_relation,

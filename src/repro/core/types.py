@@ -142,10 +142,6 @@ class Subgoal:
         return _tokens_in(self.describe())
 
 
-#: Sentinel subgoal meaning "nothing useful to do this step".
-IDLE = Subgoal(name="idle")
-
-
 @dataclass(frozen=True)
 class Candidate:
     """A subgoal option offered to the simulated LLM for selection.
@@ -171,7 +167,6 @@ class Observation:
     step: int
     position: str
     facts: tuple[Fact, ...]
-    visible_agents: tuple[str, ...] = ()
 
     def describe(self) -> str:
         lines = [f"{self.agent} is at {self.position}."]
@@ -198,11 +193,8 @@ class Message:
     step: int
     facts: tuple[Fact, ...] = ()
     intent: Subgoal | None = None
-    text: str = ""
 
     def describe(self) -> str:
-        if self.text:
-            return self.text
         parts = [f"{self.sender} says:"]
         if self.intent is not None:
             parts.append(f"I will {self.intent.describe()}.")
@@ -212,8 +204,6 @@ class Message:
     @memoized
     def tokens(self) -> int:
         """Token count of :meth:`describe`, summed clause by clause."""
-        if self.text:
-            return _tokens_in(self.text)
         total = _tokens_in(f"{self.sender} says:")
         if self.intent is not None:
             total += _tokens_in(f"I will {self.intent.describe()}.")

@@ -92,13 +92,6 @@ class Environment(abc.ABC):
         # Candidate with those values.
         self._options: dict[tuple, Candidate] = {}
         self._hallucinations: dict[int, tuple[Candidate, ...]] = {}
-        # Per-step position staging: agent positions only change when an
-        # agent executes, and every paradigm loop perceives all agents
-        # before anyone acts, so the O(n^2) position reads of the
-        # observation pass can share one lookup per agent per step.
-        # Cleared on tick() and by the execution module after every
-        # execute (covering replans and custom loops).
-        self._position_cache: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # Time
@@ -112,8 +105,6 @@ class Environment(abc.ABC):
         """
         self.state.step_index += 1
         self.state.claims.clear()
-        if self._position_cache:
-            self._position_cache.clear()
 
     def claim(self, resource: str, agent: str) -> bool:
         """Claim a contended resource for this macro step.
@@ -157,39 +148,9 @@ class Environment(abc.ABC):
     def agent_position(self, agent: str) -> str:
         """Human-readable position label for prompts."""
 
-    def position_of(self, agent: str) -> str:
-        """:meth:`agent_position`, served from the per-step staging cache.
-
-        Use this accessor on read paths (perception, observation
-        assembly): one lookup per agent per step.
-        """
-        cache = self._position_cache
-        position = cache.get(agent)
-        if position is None:
-            position = self.agent_position(agent)
-            cache[agent] = position
-        return position
-
-    def invalidate_positions(self) -> None:
-        """Drop staged positions after world mutation (execution module)."""
-        if self._position_cache:
-            self._position_cache.clear()
-
-    def observation(self, agent: str, facts: tuple[Fact, ...]) -> Observation:
-        """Wrap (already noise-filtered) facts into an observation."""
-        position = self.position_of(agent)
-        visible_agents = tuple(
-            other
-            for other in self.agents
-            if other != agent and self.position_of(other) == position
-        )
-        return Observation(
-            agent=agent,
-            step=self.state.step_index,
-            position=position,
-            facts=facts,
-            visible_agents=visible_agents,
-        )
+    def observation(self, agent: str, position: str, facts: tuple[Fact, ...]) -> Observation:
+        """Wrap (already noise-filtered) facts seen from ``position``."""
+        return Observation(agent=agent, step=self.state.step_index, position=position, facts=facts)
 
     @abc.abstractmethod
     def location_vocabulary(self) -> list[str]:

@@ -145,11 +145,3 @@ def render(result: AblationsResult) -> str:
             f"{recommendation}: {result.latency_speedup(recommendation):.2f}x latency"
         )
     return table + "\n\n" + "\n".join(speedups)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

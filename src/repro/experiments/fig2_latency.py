@@ -66,11 +66,3 @@ def render(result: Fig2Result) -> str:
         f"{100.0 * result.mean_llm_fraction:.1f}% (paper: 70.2%)"
     )
     return "\n\n".join([part_a, part_b, summary])
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

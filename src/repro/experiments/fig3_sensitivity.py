@@ -156,11 +156,3 @@ def render(result: Fig3Result) -> str:
         "w/o execution -> step limit; w/o communication not significant)"
     )
     return table + "\n\n" + "\n".join(summary_lines)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

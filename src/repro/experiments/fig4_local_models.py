@@ -133,11 +133,3 @@ def render(result: Fig4Result) -> str:
         "(paper: smaller local model lowers success and raises end-to-end runtime)"
     )
     return table + "\n\n" + summary
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -145,11 +145,3 @@ def render(result: Fig5Result) -> str:
         "steps fall; retrieval time grows with capacity)"
     )
     return "\n\n".join(blocks)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

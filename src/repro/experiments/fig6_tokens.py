@@ -78,11 +78,3 @@ def render(result: Fig6Result) -> str:
         blocks.append(f"token growth slopes — {slope_text}")
     blocks.append("(paper: token length increases as tasks progress)")
     return "\n\n".join(blocks)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -114,11 +114,3 @@ def render(result: Fig7Result) -> str:
         "decentralized latency explodes and success peaks then declines)"
     )
     return "\n\n".join(blocks)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

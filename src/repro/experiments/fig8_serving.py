@@ -40,7 +40,7 @@ from itertools import product
 
 from repro.analysis.report import checkmark, format_series, format_table
 from repro.core.metrics import AggregateResult
-from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
+from repro.experiments.common import GridCell
 from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
 
@@ -135,11 +135,6 @@ def summarize(aggregates: list[AggregateResult]) -> Fig8Result:
     return Fig8Result(cells=cells)
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig8Result:
-    settings = settings or ExperimentSettings()
-    return summarize(measure_grid(grid(), settings))
-
-
 def render(result: Fig8Result) -> str:
     blocks = []
     rows = []
@@ -211,11 +206,3 @@ def render(result: Fig8Result) -> str:
         "queue (s) column prices that wait)"
     )
     return "\n\n".join(blocks)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

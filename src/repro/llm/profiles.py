@@ -26,7 +26,6 @@ class LLMProfile:
 
     name: str
     deployment: str  # "api" | "local"
-    params_billion: float
     overhead_s: float  # fixed per-call latency (network RTT / launch)
     prefill_tps: float  # prompt tokens processed per second
     decode_tps: float  # output tokens generated per second
@@ -93,7 +92,6 @@ GPT4 = register_profile(
     LLMProfile(
         name="gpt-4",
         deployment="api",
-        params_billion=1760.0,
         overhead_s=0.85,
         prefill_tps=3200.0,
         decode_tps=30.0,
@@ -109,7 +107,6 @@ LLAMA3_70B = register_profile(
     LLMProfile(
         name="llama-3-70b",
         deployment="local",
-        params_billion=70.0,
         overhead_s=0.15,
         prefill_tps=420.0,
         decode_tps=13.0,
@@ -125,7 +122,6 @@ LLAMA_13B = register_profile(
     LLMProfile(
         name="llama-13b",
         deployment="local",
-        params_billion=13.0,
         overhead_s=0.08,
         prefill_tps=1500.0,
         decode_tps=32.0,
@@ -141,7 +137,6 @@ LLAMA3_8B = register_profile(
     LLMProfile(
         name="llama-3-8b",
         deployment="local",
-        params_billion=8.0,
         overhead_s=0.06,
         prefill_tps=2400.0,
         decode_tps=46.0,
@@ -159,7 +154,6 @@ LLAMA_7B_FT = register_profile(
     LLMProfile(
         name="llama-7b-ft",
         deployment="local",
-        params_billion=7.0,
         overhead_s=0.05,
         prefill_tps=2600.0,
         decode_tps=50.0,
@@ -175,7 +169,6 @@ LLAVA_8B = register_profile(
     LLMProfile(
         name="llava-8b",
         deployment="local",
-        params_billion=8.0,
         overhead_s=0.09,
         prefill_tps=2100.0,
         decode_tps=42.0,
@@ -191,7 +184,6 @@ LLAVA_7B = register_profile(
     LLMProfile(
         name="llava-7b",
         deployment="local",
-        params_billion=7.0,
         overhead_s=0.08,
         prefill_tps=2200.0,
         decode_tps=44.0,
@@ -209,7 +201,6 @@ CLIP_SELECTOR = register_profile(
     LLMProfile(
         name="clip-selector",
         deployment="local",
-        params_billion=0.4,
         overhead_s=0.03,
         prefill_tps=20000.0,
         decode_tps=2000.0,

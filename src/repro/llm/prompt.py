@@ -134,9 +134,7 @@ class PromptBuilder:
         self._sections.append(PromptSection(name, tokens, source, renderer))
         return self
 
-    def observation(self, observation: Observation | None) -> "PromptBuilder":
-        if observation is None:
-            return self
+    def observation(self, observation: Observation) -> "PromptBuilder":
         return self._add("observation", observation.tokens, observation, Observation.describe)
 
     def memory(self, facts: Sequence[Fact]) -> "PromptBuilder":

@@ -121,9 +121,6 @@ class InferenceScheduler:
         self._clock = clock
         self._metrics = metrics
         self._pending: list[_Pending] = []
-        #: Lifetime requests handled — an engagement counter for tests
-        #: and diagnostics, never read by the pipeline.
-        self.dispatched = 0
         #: Continuous engine: the per-(profile, deployment) busy-until
         #: horizon that persists across flushes so a new step's arrivals
         #: queue behind work still in flight.
@@ -165,7 +162,6 @@ class InferenceScheduler:
         immediately, in the seed's order.
         """
         result = llm.execute(request)
-        self.dispatched += 1
         if self.mode != "percall" and not request.sequential:
             self._pending.append(_Pending(llm, request, result, arrival=self._clock.now))
         else:

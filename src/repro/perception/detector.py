@@ -42,8 +42,6 @@ class DetectionResult:
     """What the perception model reported for one frame."""
 
     facts: tuple[Fact, ...]
-    missed: int
-    mislabeled: int
     latency: float
 
 
@@ -71,47 +69,25 @@ def detect(
         draws = 2 * len(ground_facts) if distractor_values else len(ground_facts)
         if draws:
             rng.random(draws)
-        return DetectionResult(
-            facts=tuple(ground_facts),
-            missed=0,
-            mislabeled=0,
-            latency=profile.latency_s,
-        )
+        return DetectionResult(facts=tuple(ground_facts), latency=profile.latency_s)
     observed: list[Fact] = []
     append = observed.append
     random = rng.random
-    missed = 0
-    mislabeled = 0
-    if distractor_values:
-        n_distractors = len(distractor_values)
-        for fact in ground_facts:
-            if random() > recall:
-                missed += 1
-                continue
-            if random() < mislabel_rate:
-                wrong_value = distractor_values[int(rng.integers(n_distractors))]
-                if wrong_value != fact.value:
-                    append(
-                        Fact(
-                            subject=fact.subject,
-                            relation=fact.relation,
-                            value=wrong_value,
-                            step=fact.step,
-                        )
+    for fact in ground_facts:
+        if random() > recall:
+            continue
+        if distractor_values and random() < mislabel_rate:
+            wrong_value = distractor_values[int(rng.integers(len(distractor_values)))]
+            if wrong_value != fact.value:
+                append(
+                    Fact(
+                        subject=fact.subject,
+                        relation=fact.relation,
+                        value=wrong_value,
+                        step=fact.step,
                     )
-                    mislabeled += 1
-                    continue
-            append(fact)
-    else:
-        for fact in ground_facts:
-            if random() > recall:
-                missed += 1
+                )
                 continue
-            append(fact)
-    return DetectionResult(
-        facts=tuple(observed),
-        missed=missed,
-        mislabeled=mislabeled,
-        latency=profile.latency_s,
-    )
+        append(fact)
+    return DetectionResult(facts=tuple(observed), latency=profile.latency_s)
 

@@ -23,7 +23,6 @@ class PerceptionProfile:
     latency_s: float  # per-frame inference latency
     recall: float  # probability a visible fact is detected
     mislabel_rate: float  # probability a detected fact has a wrong value
-    modality: str  # "rgb" | "pointcloud" | "symbolic" | "generative"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.recall <= 1.0:
@@ -53,15 +52,11 @@ def get_perception(name: str) -> PerceptionProfile:
 
 
 VIT = register_perception(
-    PerceptionProfile(
-        name="vit", latency_s=0.11, recall=0.94, mislabel_rate=0.02, modality="rgb"
-    )
+    PerceptionProfile(name="vit", latency_s=0.11, recall=0.94, mislabel_rate=0.02)
 )
 
 MINECLIP = register_perception(
-    PerceptionProfile(
-        name="mineclip", latency_s=0.09, recall=0.92, mislabel_rate=0.03, modality="rgb"
-    )
+    PerceptionProfile(name="mineclip", latency_s=0.09, recall=0.92, mislabel_rate=0.03)
 )
 
 MASK_RCNN = register_perception(
@@ -70,26 +65,19 @@ MASK_RCNN = register_perception(
         latency_s=0.18,
         recall=0.91,
         mislabel_rate=0.03,
-        modality="rgb",
     )
 )
 
 DINO = register_perception(
-    PerceptionProfile(
-        name="dino", latency_s=0.14, recall=0.95, mislabel_rate=0.02, modality="rgb"
-    )
+    PerceptionProfile(name="dino", latency_s=0.14, recall=0.95, mislabel_rate=0.02)
 )
 
 VILD = register_perception(
-    PerceptionProfile(
-        name="vild", latency_s=0.16, recall=0.93, mislabel_rate=0.03, modality="rgb"
-    )
+    PerceptionProfile(name="vild", latency_s=0.16, recall=0.93, mislabel_rate=0.03)
 )
 
 OWL_VIT = register_perception(
-    PerceptionProfile(
-        name="owl-vit", latency_s=0.15, recall=0.94, mislabel_rate=0.02, modality="rgb"
-    )
+    PerceptionProfile(name="owl-vit", latency_s=0.15, recall=0.94, mislabel_rate=0.02)
 )
 
 POINTCLOUD = register_perception(
@@ -98,7 +86,6 @@ POINTCLOUD = register_perception(
         latency_s=0.22,
         recall=0.90,
         mislabel_rate=0.02,
-        modality="pointcloud",
     )
 )
 
@@ -109,7 +96,6 @@ SYMBOLIC = register_perception(
         latency_s=0.005,
         recall=1.0,
         mislabel_rate=0.0,
-        modality="symbolic",
     )
 )
 
@@ -121,6 +107,5 @@ DIFFUSION_WORLD_MODEL = register_perception(
         latency_s=0.85,
         recall=0.97,
         mislabel_rate=0.05,
-        modality="generative",
     )
 )

@@ -25,7 +25,6 @@ CANDIDATES_PER_ATTEMPT = 8
 @dataclass(frozen=True)
 class GraspResult:
     success: bool
-    attempts: int
     cost: ComputeCost
     actuation_seconds: float
 
@@ -51,7 +50,6 @@ def plan_grasp(
             break
     return GraspResult(
         success=success,
-        attempts=attempts,
         cost=ComputeCost(grasp_evaluations=attempts * CANDIDATES_PER_ATTEMPT),
         actuation_seconds=attempts * GRASP_ATTEMPT_ACTUATION_S,
     )

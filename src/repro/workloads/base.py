@@ -8,7 +8,7 @@ Table I that are categorized but not benchmarked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import SystemConfig
 
@@ -47,8 +47,6 @@ class Workload:
     config: SystemConfig
     application: str
     datasets: str
-    notes: str = ""
-    aliases: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def name(self) -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.beliefs import DeliveryIndex
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
@@ -91,6 +92,13 @@ def linear_retrieve(memory, step: int) -> RetrievedMemory:
         scanned_entries=scanned,
         confused=confused,
     )
+
+
+def commit_alone(memory, messages) -> None:
+    """Commit ``messages``, staged on ``memory`` in this order, as a flush
+    that addressed them all to this one receiver: from their own index."""
+    index = DeliveryIndex(messages, [()] * len(messages))
+    memory.commit_staged_messages(index, [True] * len(messages))
 
 
 def small_env(name: str, difficulty: str = "easy", n_agents: int = 1, seed: int = 0, **params):

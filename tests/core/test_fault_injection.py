@@ -15,7 +15,6 @@ from repro.llm.profiles import LLMProfile, register_profile
 _CHAOS = LLMProfile(
     name="chaos-planner",
     deployment="local",
-    params_billion=0.1,
     overhead_s=0.01,
     prefill_tps=10000.0,
     decode_tps=1000.0,
@@ -30,7 +29,6 @@ _CHAOS = LLMProfile(
 _GIBBERISH = LLMProfile(
     name="gibberish-planner",
     deployment="local",
-    params_billion=0.1,
     overhead_s=0.01,
     prefill_tps=10000.0,
     decode_tps=1000.0,

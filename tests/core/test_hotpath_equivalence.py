@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import linear_retrieve
+from conftest import commit_alone, linear_retrieve
 
 from repro.core.clock import SimClock
 from repro.core.config import MemoryConfig
@@ -73,23 +73,39 @@ class TestGridEquivalence:
     def test_delivery_bus_actually_engages(self):
         """Guard against the bus silently not staging anything."""
         loop = _loop(GRID[-1])
+        deliveries = []
+        stage = loop.bus.stage
+
+        def counting_stage(message, bundles):
+            deliveries.append(len(message.recipients))
+            stage(message, bundles)
+
+        loop.bus.stage = counting_stage
         loop.run()
         assert loop.bus.pending == 0  # every stage was flushed
         # Multi-receiver staging: strictly more deliveries than messages.
-        assert loop.bus.staged_deliveries > loop.metrics.messages_sent > 0
+        assert sum(deliveries) > loop.metrics.messages_sent > 0
 
     def test_inference_scheduler_actually_engages(self):
         """Guard against call sites silently bypassing the serving layer.
 
-        Every LLM call must route through the loop's scheduler: the
-        engagement counter equals the episode's recorded call count
-        (nothing records a token sample without a submit).
+        Every LLM call must route through the loop's scheduler: its
+        submits equal the episode's recorded call count (nothing records
+        a token sample without a submit).
         """
         loop = _loop(GRID[4])  # coela: plans + composes + reflections + selections
+        submits = []
+        submit = loop.scheduler.submit
+
+        def counting_submit(llm, request):
+            submits.append(request)
+            return submit(llm, request)
+
+        loop.scheduler.submit = counting_submit
         result = loop.run()
         assert loop.scheduler.mode == "percall"
         assert loop.scheduler.pending == 0
-        assert loop.scheduler.dispatched == result.llm_calls > 0
+        assert len(submits) == result.llm_calls > 0
 
     def test_batched_serving_changes_latency_never_outcomes(self):
         """Batched serving across the golden grid: task outcomes, token
@@ -144,7 +160,7 @@ def _drive(module: MemoryModule, steps: int) -> list:
                 facts=_facts(max(0, step - 7), 2, salt="m"),
             )
             module.stage_message(message)
-            module.commit_staged_messages()
+            commit_alone(module, [message])
         module.store_action(step, Subgoal("fetch", target=f"obj_{step % 6}"), step % 2 == 0)
         if step % 11 == 0:
             module.forget(f"obj_{step % 4}", "located_in")
@@ -207,10 +223,10 @@ class TestMemoryRetrievalEquivalence:
     def test_beliefs_equivalent(self):
         linear = _module(10, False, seed=3, linear=True)
         _drive(linear, steps=30)
-        reference = linear.beliefs(30, _facts(30, 4), "room_0")
+        reference = linear.beliefs(30, _facts(30, 4), "room_0", linear.retrieve(30))
         indexed = _module(10, False, seed=3)
         _drive(indexed, steps=30)
-        optimized = indexed.beliefs(30, _facts(30, 4), "room_0")
+        optimized = indexed.beliefs(30, _facts(30, 4), "room_0", indexed.retrieve(30))
         assert list(optimized) == list(reference)
 
     def test_dialogue_window_equivalent(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import commit_alone
 
 from repro.core.clock import ModuleName
 from repro.core.modules.communication import CommunicationModule
@@ -10,7 +11,7 @@ from repro.core.modules.memory import MemoryModule
 from repro.core.modules.planning import PlanningModule
 from repro.core.modules.reflection import ReflectionModule
 from repro.core.modules.sensing import SensingModule
-from repro.core.types import Candidate, Decision, Fact, Message, Subgoal
+from repro.core.types import Candidate, Decision, Fact, Message, Observation, Subgoal
 from repro.envs import make_env, make_task
 from repro.envs.base import ExecutionOutcome
 from repro.llm.simulated import SimulatedLLM
@@ -89,13 +90,17 @@ class TestMemory:
     def test_beliefs_apply_negative_evidence(self, context):
         memory = self.make(context, capacity=30)
         memory.store_observation((Fact("mug", "located_in", "kitchen", step=1),))
-        beliefs = memory.beliefs(step=2, current_facts=(), position="kitchen")
+        beliefs = memory.beliefs(
+            step=2, current_facts=(), position="kitchen", retrieved=memory.retrieve(2)
+        )
         assert beliefs.value("mug", "located_in") is None
 
     def test_negative_evidence_needs_matching_room(self, context):
         memory = self.make(context, capacity=30)
         memory.store_observation((Fact("mug", "located_in", "kitchen", step=1),))
-        beliefs = memory.beliefs(step=2, current_facts=(), position="bedroom")
+        beliefs = memory.beliefs(
+            step=2, current_facts=(), position="bedroom", retrieved=memory.retrieve(2)
+        )
         assert beliefs.value("mug", "located_in") == "kitchen"
 
     def test_forget_removes_slot_history(self, context):
@@ -107,9 +112,10 @@ class TestMemory:
 
     def test_dialogue_window(self, context):
         memory = self.make(context, capacity=5)
-        memory.stage_message(Message(sender="a1", recipients=(), step=1))
-        memory.stage_message(Message(sender="a1", recipients=(), step=9))
-        memory.commit_staged_messages()
+        messages = [Message(sender="a1", recipients=(), step=step) for step in (1, 9)]
+        for message in messages:
+            memory.stage_message(message)
+        commit_alone(memory, messages)
         assert len(memory.retrieve(step=10).dialogue) == 1
 
     def test_out_of_order_store_raises(self, context):
@@ -119,11 +125,12 @@ class TestMemory:
         memory.store_action(5, Subgoal("fetch", target="mug"), True)
         with pytest.raises(ValueError, match="out-of-order action"):
             memory.store_action(4, Subgoal("fetch", target="mug"), True)
-        memory.stage_message(Message(sender="a1", recipients=(), step=5))
-        memory.commit_staged_messages()
-        memory.stage_message(Message(sender="a1", recipients=(), step=3))
+        later, earlier = (Message(sender="a1", recipients=(), step=step) for step in (5, 3))
+        memory.stage_message(later)
+        commit_alone(memory, [later])
+        memory.stage_message(earlier)
         with pytest.raises(ValueError, match="out-of-order dialogue"):
-            memory.commit_staged_messages()
+            commit_alone(memory, [earlier])
 
     def test_backwards_window_raises(self, context):
         """The window start only moves forward, so a retrieval whose window
@@ -150,6 +157,10 @@ class TestMemory:
             self.make(context, capacity=0)
 
 
+#: A step-1 observation from the kitchen with no facts in view.
+KITCHEN = Observation(agent="agent_0", step=1, position="kitchen", facts=())
+
+
 class TestPlanning:
     def candidates(self):
         return [
@@ -159,14 +170,14 @@ class TestPlanning:
 
     def test_decide_charges_planning_budget(self, context, clock, metrics):
         planner = PlanningModule(context, make_llm(), task_text="do things", difficulty="easy")
-        prompt = planner.build_prompt(None, [], [], [], self.candidates())
+        prompt = planner.build_prompt(KITCHEN, [], [], [], self.candidates())
         planner.decide(self.candidates(), prompt)
         assert clock.elapsed_by_module()[ModuleName.PLANNING] > 0.5
         assert metrics.llm_calls == 1
 
     def test_multi_step_single_call(self, context, metrics):
         planner = PlanningModule(context, make_llm(), task_text="t", difficulty="easy")
-        prompt = planner.build_prompt(None, [], [], [], self.candidates())
+        prompt = planner.build_prompt(KITCHEN, [], [], [], self.candidates())
         decisions = planner.decide_multi(self.candidates(), prompt, horizon=3)
         assert len(decisions) == 3
         assert metrics.llm_calls == 1
@@ -177,16 +188,18 @@ class TestPlanning:
             Candidate(subgoal=Subgoal(f"option_{i}"), utility=1.0 - 0.1 * i)
             for i in range(4)
         ]
-        prompt = planner.build_prompt(None, [], [], [], candidates)
+        prompt = planner.build_prompt(KITCHEN, [], [], [], candidates)
         decisions = planner.decide_multi(candidates, prompt, horizon=3)
         names = [d.subgoal.name for d in decisions]
         assert len(set(names)) == 3
 
     def test_horizon_validation(self, context):
         planner = PlanningModule(context, make_llm(), task_text="t", difficulty="easy")
-        prompt = planner.build_prompt(None, [], [], [], self.candidates())
-        with pytest.raises(ValueError):
-            planner.decide_multi(self.candidates(), prompt, horizon=0)
+        prompt = planner.build_prompt(KITCHEN, [], [], [], self.candidates())
+        # One subgoal is a plain decision (EmbodiedAgent.plan calls decide).
+        for horizon in (0, 1):
+            with pytest.raises(ValueError):
+                planner.decide_multi(self.candidates(), prompt, horizon=horizon)
 
 
 class TestCommunication:

@@ -96,8 +96,7 @@ class TestBatchedEpisodes:
         result = loop.run()
         assert loop.scheduler.mode == "batched"
         assert loop.scheduler.pending == 0
-        assert loop.scheduler.dispatched == result.llm_calls > 0
-        assert result.serve_batched_requests == result.llm_calls
+        assert result.serve_batched_requests == result.llm_calls > 0
 
     def test_percall_reports_no_batches(self):
         result = run_episode(get_workload("coela").config.with_agents(4), seed=2)

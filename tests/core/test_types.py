@@ -6,7 +6,6 @@ from repro.core.types import (
     Candidate,
     DIFFICULTIES,
     Fact,
-    IDLE,
     Message,
     Observation,
     Subgoal,
@@ -32,10 +31,6 @@ class TestFact:
 class TestActionAndSubgoal:
     def test_subgoal_describe_without_destination(self):
         assert Subgoal(name="fetch", target="mug").describe() == "fetch mug"
-
-    def test_idle_sentinel(self):
-        assert IDLE.name == "idle"
-        assert IDLE.target == ""
 
     def test_subgoal_hashable(self):
         assert len({Subgoal("a"), Subgoal("a"), Subgoal("b")}) == 2
@@ -74,10 +69,6 @@ class TestMessage:
         assert "a0 says:" in text
         assert "I will pickup box." in text
         assert "box located in hall." in text
-
-    def test_explicit_text_wins(self):
-        message = Message(sender="a0", recipients=(), step=0, text="custom")
-        assert message.describe() == "custom"
 
 
 class TestDifficulty:

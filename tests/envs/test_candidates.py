@@ -42,7 +42,6 @@ def _rollout(env, steps: int = ROLLOUT_STEPS):
             key=lambda c: c.utility,
         )
         env.execute(agent, best.subgoal, rng)
-        env.invalidate_positions()
 
 
 def _fields(candidate: Candidate) -> tuple:

@@ -43,10 +43,12 @@ class TestObservation:
     def test_observation_wraps_facts(self, env):
         agent = env.agents[0]
         facts = tuple(env.visible_facts(agent))
-        observation = env.observation(agent, facts)
+        position = env.agent_position(agent)
+        observation = env.observation(agent, position, facts)
         assert observation.agent == agent
         assert observation.facts == facts
-        assert observation.position == env.agent_position(agent)
+        assert observation.position == position
+        assert observation.step == env.state.step_index
 
     def test_static_facts_stable(self, env):
         assert env.static_facts() == env.static_facts()

@@ -255,7 +255,7 @@ class TestSuiteWave:
         assert len(classes) == len(by_print) == FAST_WAVE_DISTINCT
 
     def test_sections_match_their_modules(self, stand_in, monkeypatch):
-        """Each footer prices every result its module's run returns,
+        """Each footer prices every result its module's grid returns,
         repeated jobs included, though each distinct job ran once."""
         returned: list[EpisodeResult] = []
         original = common.dispatch_jobs
@@ -270,9 +270,10 @@ class TestSuiteWave:
         sections = _sections(_without_timing(report))
         assert "LLM serving cost" not in sections["Table I"]
         assert "LLM serving cost" not in sections["Table II"]
-        for title, module, _ in suite._FIGURES:
+        for title, module, episodes in suite._FIGURES:
             returned.clear()
-            body = module.render(module.run(FAST))
+            run_grid = common.episode_grid if episodes else common.measure_grid
+            body = module.render(module.summarize(run_grid(module.grid(), FAST)))
             assert sections[title] == f"{body}\n{_footer(returned)}", title
 
     def test_one_ledger_load_per_report_and_full_resume(

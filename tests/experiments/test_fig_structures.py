@@ -14,7 +14,7 @@ from repro.experiments import (
     fig7_scalability,
     fig8_serving,
 )
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import ExperimentSettings, measure_grid
 
 FAST = ExperimentSettings(n_trials=1, base_seed=9, difficulty="easy")
 
@@ -112,7 +112,7 @@ class TestFig8:
         original_counts = module.AGENT_COUNTS
         module.AGENT_COUNTS = (2, 4)
         try:
-            return module.run(FAST)
+            return module.summarize(measure_grid(module.grid(), FAST))
         finally:
             module.AGENT_COUNTS = original_counts
 

@@ -25,7 +25,7 @@ class TestValidation:
     def test_bad_deployment(self):
         with pytest.raises(ValueError):
             LLMProfile(
-                name="x", deployment="cloud", params_billion=1, overhead_s=0.1,
+                name="x", deployment="cloud", overhead_s=0.1,
                 prefill_tps=100, decode_tps=10, reasoning=0.5,
                 format_compliance=0.9, context_window=1000,
                 focus_midpoint=100, focus_slope=10,
@@ -34,7 +34,7 @@ class TestValidation:
     def test_bad_reasoning(self):
         with pytest.raises(ValueError):
             LLMProfile(
-                name="x", deployment="local", params_billion=1, overhead_s=0.1,
+                name="x", deployment="local", overhead_s=0.1,
                 prefill_tps=100, decode_tps=10, reasoning=1.5,
                 format_compliance=0.9, context_window=1000,
                 focus_midpoint=100, focus_slope=10,

@@ -67,7 +67,9 @@ class TestPromptBuilder:
             position="kitchen",
             facts=(Fact("mug", "located_in", "kitchen"),),
         )
-        message = Message(sender="a1", recipients=("a0",), step=1, text="hi there")
+        message = Message(
+            sender="a1", recipients=("a0",), step=1, facts=(Fact("cup", "located_in", "hall"),)
+        )
         candidates = [Candidate(subgoal=Subgoal("fetch", target="mug"), utility=1.0)]
         prompt = (
             PromptBuilder(system_text="sys", task_text="task")
@@ -83,7 +85,6 @@ class TestPromptBuilder:
     def test_empty_inputs_skip_sections(self):
         prompt = (
             PromptBuilder()
-            .observation(None)
             .memory([])
             .dialogue([])
             .candidates([])
@@ -102,7 +103,13 @@ class TestPromptBuilder:
 
     def test_dialogue_grows_tokens(self):
         messages = [
-            Message(sender="a1", recipients=(), step=i, text=f"message number {i} with content")
+            Message(
+                sender="a1",
+                recipients=(),
+                step=i,
+                facts=(Fact(f"item_{i}", "located_in", "hall"),),
+                intent=Subgoal("fetch", target=f"item_{i}"),
+            )
             for i in range(5)
         ]
         short = PromptBuilder().dialogue(messages[:1]).build().tokens
@@ -111,7 +118,8 @@ class TestPromptBuilder:
 
     def test_dialogue_keeps_the_most_recent_window(self):
         messages = [
-            Message(sender="a1", recipients=(), step=i, text=f"update {i}") for i in range(60)
+            Message(sender="a1", recipients=(), step=i, intent=Subgoal("fetch", target=f"box_{i}"))
+            for i in range(60)
         ]
         (section,) = PromptBuilder().dialogue(messages).build().sections
         assert section.source == tuple(messages[-MAX_DIALOGUE_MESSAGES:])
@@ -121,11 +129,11 @@ class TestPromptBuilder:
         """A caller appending to its list after building moves nothing:
         messages delivered after planning do not reach its prompt."""
         facts = [Fact("mug", "located_in", "kitchen")]
-        dialogue = [Message(sender="a1", recipients=("a0",), step=1, text="hi")]
+        dialogue = [Message(sender="a1", recipients=("a0",), step=1, facts=tuple(facts))]
         prompt = PromptBuilder().memory(facts).dialogue(dialogue).build()
         rendered, tokens = prompt.render(), prompt.tokens
         facts.append(Fact("book", "located_in", "study"))
-        dialogue.append(Message(sender="a2", recipients=("a0",), step=1, text="more news"))
+        dialogue.append(Message(sender="a2", recipients=("a0",), step=1, intent=Subgoal("explore")))
         assert prompt.render() == rendered
         assert prompt.tokens == tokens
         assert [len(section.source) for section in prompt.sections] == [1, 1]
@@ -140,22 +148,13 @@ class TestPromptBuilder:
 WORDS = st.text(alphabet=string.ascii_letters + string.digits + "_.,:'()- ", max_size=14)
 FACTS = st.builds(Fact, WORDS, WORDS, WORDS, st.integers(min_value=0, max_value=300))
 SUBGOALS = st.builds(Subgoal, WORDS, WORDS, WORDS)
-MESSAGES = st.one_of(
-    st.builds(
-        Message,
-        sender=WORDS,
-        recipients=st.just(()),
-        step=st.integers(min_value=0, max_value=300),
-        facts=st.lists(FACTS, max_size=4).map(tuple),
-        intent=st.none() | SUBGOALS,
-    ),
-    st.builds(
-        Message,
-        sender=WORDS,
-        recipients=st.just(()),
-        step=st.integers(min_value=0, max_value=300),
-        text=WORDS,
-    ),
+MESSAGES = st.builds(
+    Message,
+    sender=WORDS,
+    recipients=st.just(()),
+    step=st.integers(min_value=0, max_value=300),
+    facts=st.lists(FACTS, max_size=4).map(tuple),
+    intent=st.none() | SUBGOALS,
 )
 RECORDS = st.builds(
     ActionRecord, st.integers(min_value=0, max_value=300), SUBGOALS, st.booleans()
@@ -179,7 +178,7 @@ def _uncached_count(text: str) -> int:
 
 @settings(max_examples=120, deadline=None)
 @given(
-    observation=st.none() | OBSERVATIONS,
+    observation=OBSERVATIONS,
     memory=st.lists(FACTS, max_size=8),
     history=st.lists(RECORDS, max_size=6),
     dialogue=st.lists(MESSAGES, max_size=MAX_DIALOGUE_MESSAGES + 6),

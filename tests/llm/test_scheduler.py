@@ -115,7 +115,7 @@ class TestPercall:
         sample = metrics.token_samples[0]
         assert (sample.step, sample.agent, sample.purpose) == (3, "agent_0", "plan")
         assert sample.prompt_tokens == result.prompt_tokens
-        assert scheduler.pending == 0 and scheduler.dispatched == 1
+        assert scheduler.pending == 0
 
     def test_flush_is_a_noop(self):
         clock, _metrics, scheduler, llm = make_parts("percall")

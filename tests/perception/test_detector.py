@@ -27,13 +27,19 @@ def facts(n=20):
     return [Fact(f"obj_{i}", "located_in", "room_a", step=1) for i in range(n)]
 
 
-NOISY = PerceptionProfile(
-    name="noisy", latency_s=0.1, recall=0.7, mislabel_rate=0.4, modality="rgb"
-)
+NOISY = PerceptionProfile(name="noisy", latency_s=0.1, recall=0.7, mislabel_rate=0.4)
 
 #: Distractors that never collide with any ground value, so every fired
 #: mislabel draw is observable as a corrupted fact (``k == mislabeled``).
 DISTRACTORS = ["room_x", "room_y"]
+
+
+def missed_and_mislabeled(ground, result) -> tuple[int, int]:
+    """Facts the pass dropped, and reported facts whose value differs from
+    the ground truth (ground subjects are distinct)."""
+    truth = {fact.subject: fact.value for fact in ground}
+    mislabeled = sum(fact.value != truth[fact.subject] for fact in result.facts)
+    return len(ground) - len(result.facts), mislabeled
 
 
 class CountingRNG:
@@ -66,14 +72,13 @@ class TestDrawAccountingRule:
             ground = facts(20)
             result = detect(ground, NOISY, rng, DISTRACTORS)
             n = len(ground)
-            m = n - result.missed
+            missed, mislabeled = missed_and_mislabeled(ground, result)
             # n recall uniforms + m mislabel uniforms.
-            assert rng.uniforms == n + m, seed
+            assert rng.uniforms == n + (n - missed), seed
             # One integer draw per fired mislabel; distractors never
             # equal ground values, so every fired draw shows up as a
             # corrupted fact.
-            assert rng.ints == result.mislabeled, seed
-            assert len(result.facts) + result.missed == n
+            assert rng.ints == mislabeled, seed
 
     def test_noisy_without_distractors_follows_rule(self):
         for seed in range(100):
@@ -83,7 +88,7 @@ class TestDrawAccountingRule:
             # The mislabel category vanishes without a vocabulary.
             assert rng.uniforms == len(ground)
             assert rng.ints == 0
-            assert result.mislabeled == 0
+            assert missed_and_mislabeled(ground, result)[1] == 0
 
     @pytest.mark.parametrize(
         "distractors", [None, DISTRACTORS], ids=["no-vocabulary", "vocabulary"]
@@ -96,7 +101,6 @@ class TestDrawAccountingRule:
         ground = facts(20)
         result = detect(ground, get_perception("symbolic"), rng, distractors)
         assert tuple(result.facts) == tuple(ground)
-        assert result.missed == 0 and result.mislabeled == 0
         per_fact = 2 if distractors else 1
         assert (rng.uniforms, rng.ints) == (per_fact * len(ground), 0)
 
@@ -104,5 +108,4 @@ class TestDrawAccountingRule:
         rng = CountingRNG(0)
         result = detect([], NOISY, rng, DISTRACTORS)
         assert result.facts == ()
-        assert result.missed == 0 and result.mislabeled == 0
         assert rng.uniforms == 0 and rng.ints == 0

@@ -27,13 +27,9 @@ class TestRegistry:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PerceptionProfile(
-                name="x", latency_s=0.1, recall=0.0, mislabel_rate=0.0, modality="rgb"
-            )
+            PerceptionProfile(name="x", latency_s=0.1, recall=0.0, mislabel_rate=0.0)
         with pytest.raises(ValueError):
-            PerceptionProfile(
-                name="x", latency_s=0.1, recall=0.9, mislabel_rate=1.0, modality="rgb"
-            )
+            PerceptionProfile(name="x", latency_s=0.1, recall=0.9, mislabel_rate=1.0)
 
 
 class TestDetection:
@@ -41,8 +37,6 @@ class TestDetection:
         ground = facts()
         result = detect(ground, get_perception("symbolic"), rng)
         assert list(result.facts) == ground
-        assert result.missed == 0
-        assert result.mislabeled == 0
 
     def test_latency_from_profile(self, rng):
         result = detect(facts(), get_perception("mask-rcnn"), rng)
@@ -50,28 +44,25 @@ class TestDetection:
 
     def test_imperfect_recall_drops_facts(self):
         rng = np.random.default_rng(0)
-        low_recall = PerceptionProfile(
-            name="blurry", latency_s=0.1, recall=0.3, mislabel_rate=0.0, modality="rgb"
-        )
-        result = detect(facts(100), low_recall, rng)
+        low_recall = PerceptionProfile(name="blurry", latency_s=0.1, recall=0.3, mislabel_rate=0.0)
+        ground = facts(100)
+        result = detect(ground, low_recall, rng)
         assert 0 < len(result.facts) < 100
-        assert result.missed == 100 - len(result.facts)
+        # Without mislabeling, every reported fact is a ground fact.
+        assert all(fact in ground for fact in result.facts)
 
     def test_mislabeling_needs_distractors(self):
         rng = np.random.default_rng(0)
-        sloppy = PerceptionProfile(
-            name="sloppy", latency_s=0.1, recall=1.0, mislabel_rate=0.9, modality="rgb"
-        )
+        sloppy = PerceptionProfile(name="sloppy", latency_s=0.1, recall=1.0, mislabel_rate=0.9)
         clean = detect(facts(50), sloppy, rng)
-        assert clean.mislabeled == 0  # no distractor vocabulary provided
+        # No distractor vocabulary provided: every value stays true.
+        assert all(fact.value == "room_a" for fact in clean.facts)
         noisy = detect(facts(50), sloppy, rng, distractor_values=["room_b", "room_c"])
-        assert noisy.mislabeled > 0
+        assert any(fact.value != "room_a" for fact in noisy.facts)
 
     def test_mislabeled_fact_keeps_subject(self):
         rng = np.random.default_rng(3)
-        sloppy = PerceptionProfile(
-            name="sloppy2", latency_s=0.1, recall=1.0, mislabel_rate=0.95, modality="rgb"
-        )
+        sloppy = PerceptionProfile(name="sloppy2", latency_s=0.1, recall=1.0, mislabel_rate=0.95)
         result = detect(facts(5), sloppy, rng, distractor_values=["room_z"])
         for fact in result.facts:
             assert fact.subject.startswith("obj_")
@@ -84,5 +75,8 @@ class TestDetection:
         profile = get_perception("vild")
         ground = facts(30)
         result = detect(ground, profile, rng, distractor_values=["room_b"])
-        assert len(result.facts) + result.missed == len(ground)
-        assert 0 <= result.mislabeled <= len(result.facts)
+        # Each reported fact is one ground fact, in ground order, with its
+        # true value or the distractor.
+        reported = [fact.subject for fact in result.facts]
+        assert reported == [fact.subject for fact in ground if fact.subject in reported]
+        assert all(fact.value in ("room_a", "room_b") for fact in result.facts)

@@ -1,4 +1,5 @@
-"""The reach probe: its ``def`` enumeration, its ratchet and its hook."""
+"""The reach probe: its ``def`` enumeration, its ratchet, its hook and
+its attribute check."""
 
 import importlib.util
 import os
@@ -93,19 +94,20 @@ def test_enumeration_matches_the_qualnames_the_hook_records(tmp_path):
 
 
 def test_ratchet_fails_both_ways_and_passes_when_the_list_matches():
-    defs = {"a.py: used", "a.py: cli", "a.py: dead"}
+    defs = {"a.py: used", "a.py: seam", "a.py: dead"}
     reached = {"a.py: used"}
-    assert reach.check(defs, reached, {"a.py: cli": "cli", "a.py: dead": "interface"}) == []
-    assert reach.check(defs, reached, {"a.py: cli": "cli"}) == [
+    allowed = {"a.py: seam": "test seam", "a.py: dead": "interface"}
+    assert reach.check(defs, reached, allowed) == []
+    assert reach.check(defs, reached, {"a.py: seam": "test seam"}) == [
         "unreached and not allowlisted: a.py: dead"
     ]
-    allowed = {"a.py: cli": "cli", "a.py: dead": "interface", "a.py: used": "test seam"}
+    allowed = {**allowed, "a.py: used": "test oracle"}
     assert reach.check(defs, reached, allowed) == ["allowlisted but reached: a.py: used"]
-    assert reach.check(set(), set(), {"a.py: gone": "cli"}) == [
+    assert reach.check(set(), set(), {"a.py: gone": "test seam"}) == [
         "allowlisted but defined nowhere: a.py: gone"
     ]
-    assert reach.check({"a.py: cli"}, set(), {"a.py: cli": "unused"}) == [
-        "unknown reason 'unused': a.py: cli"
+    assert reach.check({"a.py: seam"}, set(), {"a.py: seam": "cli"}) == [
+        "unknown reason 'cli': a.py: seam"
     ]
 
 
@@ -113,7 +115,102 @@ def test_allowlist_names_only_defs_with_a_reason():
     defs = reach.enumerate_defs(reach.PACKAGE)
     assert set(reach.ALLOWED) <= defs
     assert set(reach.ALLOWED.values()) <= set(reach.REASONS)
-    assert len(reach.ALLOWED) <= 14
+    assert len(reach.ALLOWED) <= 5
+
+
+ATTRIBUTES = '''
+from dataclasses import dataclass
+from operator import attrgetter
+
+
+@dataclass
+class Point:
+    x: int
+    y: int
+    label: str = ""
+    LIMIT = 3
+
+
+class Counter:
+    def __init__(self):
+        self.count = 0
+        self.name: str = "c"
+
+    def bump(self):
+        self.count += 1
+        return getattr(self, "name")
+
+
+def show(point, counter):
+    return point.x, attrgetter("y")(point), counter.bump()
+'''
+
+
+def scan(tmp_path: Path, source: str = ATTRIBUTES) -> tuple[set[str], set[str]]:
+    """Declared and read attributes of a one-module tree holding ``source``."""
+    (tmp_path / "fixture.py").write_text(source)
+    return reach.enumerate_attributes(tmp_path)
+
+
+def test_attributes_are_class_fields_and_self_stores(tmp_path):
+    declared, _read = scan(tmp_path)
+    assert declared == {
+        "fixture.py: Point.x",
+        "fixture.py: Point.y",
+        "fixture.py: Point.label",
+        "fixture.py: Point.LIMIT",
+        "fixture.py: Counter.count",
+        "fixture.py: Counter.name",
+    }
+
+
+def test_reads_through_attribute_getattr_and_attrgetter_pass(tmp_path):
+    _declared, read = scan(tmp_path)
+    assert read == {"fixture.py: Point.x", "fixture.py: Point.y", "fixture.py: Counter.name"}
+
+
+def test_unread_field_fails(tmp_path):
+    declared, read = scan(tmp_path)
+    allowed = {"fixture.py: Point.LIMIT": "catalog", "fixture.py: Counter.count": "e2ebench"}
+    assert reach.check_attributes(declared, read, allowed) == [
+        "unread and not allowlisted: fixture.py: Point.label"
+    ]
+
+
+def test_augmented_assignment_alone_is_not_a_read(tmp_path):
+    declared, read = scan(tmp_path)
+    allowed = {"fixture.py: Point.LIMIT": "catalog", "fixture.py: Point.label": "catalog"}
+    assert reach.check_attributes(declared, read, allowed) == [
+        "unread and not allowlisted: fixture.py: Counter.count"
+    ]
+
+
+def test_attribute_allowlist_fails_on_read_missing_and_unknown_reason_entries(tmp_path):
+    declared, read = scan(tmp_path)
+    allowed = {
+        "fixture.py: Point.LIMIT": "catalog",
+        "fixture.py: Point.label": "catalog",
+        "fixture.py: Counter.count": "test oracle",
+    }
+    assert reach.check_attributes(declared, read, allowed) == []
+
+    def problems(name: str, reason: str) -> list[str]:
+        return reach.check_attributes(declared, read, {**allowed, name: reason})
+
+    assert problems("fixture.py: Point.x", "unpacked") == [
+        "allowlisted but read: fixture.py: Point.x"
+    ]
+    assert problems("fixture.py: Point.z", "catalog") == [
+        "allowlisted but defined nowhere: fixture.py: Point.z"
+    ]
+    assert problems("fixture.py: Point.label", "cli") == [
+        "unknown reason 'cli': fixture.py: Point.label"
+    ]
+
+
+def test_every_attribute_of_the_tree_is_read_or_allowlisted():
+    declared, read = reach.enumerate_attributes(reach.PACKAGE)
+    assert reach.check_attributes(declared, read, reach.ALLOWED_ATTRIBUTES) == []
 
 
 def test_pool_workers_dump_what_they_call(tmp_path):
