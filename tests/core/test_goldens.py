@@ -13,13 +13,16 @@ Each record pins one grid cell of two seeded trials:
 The grid covers the 14 registered workloads on easy under each serving
 mode, on easy under continuous serving with perception–generation
 overlap, and on medium per-call, plus memory-capacity and team-size
-variants and the optimized configs of the ablations (the hierarchical
+variants, the optimized configs of the ablations (the hierarchical
 loop, multi-step planning, plan-then-communicate and the message
-filter).  The goldens were recorded from the seed implementation (the
-ablation cells from the tree just before the team loops shared one joint
-planner), so a reordered rng draw, a skipped cache invalidation, or a
-float summed in a different order fails here.  A slice is re-run on the 2-worker parallel
-executor against the same records.
+filter) and a memoryless team that talks.  The goldens were recorded
+from the seed implementation (the ablation cells from the tree just
+before the team loops shared one joint planner, the memoryless team
+from the tree just before the delivery bus became the only owner of
+staged deliveries), so a reordered rng draw, a skipped cache
+invalidation, or a float summed in a different order fails here.  A
+slice is re-run on the 2-worker parallel executor against the same
+records.
 
 Regenerate after an intentional behaviour change with::
 
@@ -128,6 +131,11 @@ def _grid() -> dict[str, tuple[GridCell, RunSettings]]:
         ),
         "medium/percall/dmas+comm-filter": GridCell(
             config=with_comm_filter(get_workload("dmas").config)
+        ),
+        # A team that talks without memory: deliveries reach only the
+        # prompt dialogue and the beliefs, and charge no dialogue store.
+        "medium/percall/coela+no-memory": GridCell(
+            config=get_workload("coela").config.without("memory")
         ),
     }
     for cell_id, cell in variants.items():
@@ -302,8 +310,9 @@ def test_grid_exercises_every_serving_mode_and_dialogue():
     """Guard the grid's shape: the goldens must keep testing something.
 
     Deferred serving batches requests, overlap moves latency, the team
-    cells send many messages of which only some are useful, and each
-    optimized cell runs the path its recommendation adds.
+    cells send many messages of which only some are useful, each
+    optimized cell runs the path its recommendation adds, and the
+    memoryless team delivers messages without storing them.
     """
     golden = _load_goldens()
     coela = golden["medium/percall/coela+6agents"]["aggregate"]
@@ -325,6 +334,9 @@ def test_grid_exercises_every_serving_mode_and_dialogue():
     assert charged("medium/percall/combo+multistep3", "planning/plan_multi")
     assert messages("medium/percall/coela+plan-then-comm") < messages("medium/percall/coela")
     assert messages("medium/percall/dmas+comm-filter") < messages("medium/percall/dmas")
+    no_memory = "medium/percall/coela+no-memory"
+    assert messages(no_memory) > 0
+    assert not any("memory/store_dialogue" in phases for phases in golden[no_memory]["phases"])
 
 
 def test_prompt_arithmetic_matches_rendered_text(monkeypatch):
