@@ -64,7 +64,6 @@ REASONS = ("test oracle", "test seam", "interface")
 ALLOWED = {
     "llm/prompt.py: Prompt.render": "test oracle",
     "core/clock.py: SimClock.wait": "test seam",
-    "core/bus.py: DeliveryBus.pending": "test seam",
     "llm/scheduler.py: InferenceScheduler.pending": "test seam",
     "envs/kitchen.py: KitchenEnv.expected_primitives": "interface",
 }

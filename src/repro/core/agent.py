@@ -2,7 +2,7 @@
 
 An :class:`EmbodiedAgent` owns one instance of each configured building
 block plus the episode-transient state (fault blacklist, plan queue,
-per-step dialogue when memory is absent).  Paradigm loops drive agents
+fault self-conditioning).  Paradigm loops drive agents
 through the shared pipeline helpers here, so ablations (module = None)
 behave identically across paradigms.
 """
@@ -85,7 +85,6 @@ class AgentState:
 
     blacklist: deque = field(default_factory=lambda: deque(maxlen=BLACKLIST_SIZE))
     plan_queue: list[Decision] = field(default_factory=list)
-    step_dialogue: list[Message] = field(default_factory=list)
     last_intent: Subgoal | None = None
     uncorrected_fault: Subgoal | None = None
     fault_repeats: int = 0
@@ -149,7 +148,7 @@ class EmbodiedAgent:
         clock: SimClock,
         metrics: MetricsCollector,
         seed: int,
-        scheduler: InferenceScheduler | None = None,
+        scheduler: InferenceScheduler,
     ) -> None:
         self.name = name
         self.config = config
@@ -160,8 +159,7 @@ class EmbodiedAgent:
         # re-inserting every static fact each step.
         self._static_beliefs = Beliefs.from_facts(static_facts)
         # The paradigm loop passes its episode-wide scheduler so requests
-        # from different agents can meet in one serving layer; a
-        # standalone agent gets a private per-call one via ModuleContext.
+        # from different agents can meet in one serving layer.
         self.context = ModuleContext(
             agent=name,
             clock=clock,
@@ -220,7 +218,6 @@ class EmbodiedAgent:
 
     def begin_step(self, step: int) -> None:
         self.context.set_step(step)
-        self.state.step_dialogue.clear()
 
     def perceive(self, env: Environment) -> PerceptionBundle:
         """Sense, store, retrieve, and assemble beliefs for this step."""
@@ -249,22 +246,8 @@ class EmbodiedAgent:
             beliefs=beliefs,
             memory_facts=[],
             action_records=[],
-            dialogue=list(self.state.step_dialogue),
+            dialogue=[],
         )
-
-    def stage_message(self, message: Message, bundle: PerceptionBundle) -> None:
-        """Receive one message (:mod:`repro.core.bus` stages it here).
-
-        Makes the message visible to this step's later prompts (the
-        dialogue lists) and charges the modeled store latency at delivery
-        time, while the belief merge and the memory-index writes wait for
-        the step's batched flush.
-        """
-        bundle.dialogue.append(message)
-        if self.memory is not None:
-            self.memory.stage_message(message)
-        else:
-            self.state.step_dialogue.append(message)
 
     def plan(
         self,

@@ -2,12 +2,16 @@
 
 Delivering a :class:`~repro.core.types.Message` means a belief merge and
 a dialogue-memory write per receiver.  The bus batches that fan-out per
-phase without changing what any reader observes:
+phase without changing what any reader observes, and it alone holds a
+phase's staged deliveries:
 
-- **stage** (at compose time) appends the message to each receiver's
-  step dialogue — later composes must still see it in their prompts — and
-  charges the modeled ``store_dialogue`` latency on the virtual clock
-  right away.  No belief or memory-index work happens yet.
+- **stage** (at compose time) walks the message's recipients once: it
+  appends the message to each receiver's step dialogue — later composes
+  must still see it in their prompts — and charges each receiver with
+  memory the modeled ``store_dialogue`` latency on the virtual clock
+  right away
+  (:meth:`repro.core.modules.memory.MemoryModule.charge_store`).  No
+  belief or memory-index work happens yet.
 - **flush** (once per phase, before anything reads beliefs again)
   indexes the staged messages once, by belief slot
   (:class:`repro.core.beliefs.DeliveryIndex`), and marks which of them
@@ -26,8 +30,10 @@ Safe deferral rests on a property of the step pipeline: between a
 delivery and the end of its phase, the only delivery-derived state anyone
 reads is the receiver's step dialogue (compose prompts).  Beliefs are
 next read by planning, memory by the next retrieval — both after the
-flush points the paradigm loops install.  The memory module's read paths
-guard against a forgotten flush.
+flush points the paradigm loops install.
+:meth:`repro.core.paradigms.base.ParadigmLoop.run` refuses to end a step
+with deliveries still :attr:`~DeliveryBus.pending`, so a forgotten flush
+fails at its step boundary, with or without memory.
 """
 
 from __future__ import annotations
@@ -46,14 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DeliveryBus:
     """Collects one step's message deliveries and applies them in batch."""
 
-    def __init__(
-        self,
-        agents: "list[EmbodiedAgent]",
-        agents_by_name: "dict[str, EmbodiedAgent]",
-        metrics: "MetricsCollector",
-    ) -> None:
-        self._agents = agents
-        self._by_name = agents_by_name
+    def __init__(self, agents: "list[EmbodiedAgent]", metrics: "MetricsCollector") -> None:
+        #: Each agent's memory (``None`` without one), in agent order.
+        self._memory_of = {agent.name: agent.memory for agent in agents}
         self._metrics = metrics
         self._staged: list[Message] = []
 
@@ -65,13 +66,19 @@ class DeliveryBus:
     def stage(
         self, message: Message, bundles: "dict[str, PerceptionBundle]"
     ) -> None:
-        """Record one message for every recipient, deferring the merges.
+        """Make one message visible to every recipient, deferring the merges.
 
-        Recipients are charged in ``message.recipients`` order, which
-        every loop builds in agent order.
+        Each recipient's dialogue gets the message, and each recipient
+        with memory is charged its ``store_dialogue`` latency, in
+        ``message.recipients`` order (which every loop builds in agent
+        order).
         """
+        memory_of = self._memory_of
         for name in message.recipients:
-            self._by_name[name].stage_message(message, bundles[name])
+            bundles[name].dialogue.append(message)
+            memory = memory_of[name]
+            if memory is not None:
+                memory.charge_store("store_dialogue")
         self._staged.append(message)
 
     def flush(self, bundles: "dict[str, PerceptionBundle]") -> None:
@@ -96,14 +103,13 @@ class DeliveryBus:
         self._staged = []
         index = DeliveryIndex(staged, self._intent_facts(staged))
         useful = [False] * len(staged)
-        for agent in self._agents:
-            name = agent.name
+        for name, memory in self._memory_of.items():
             addressed = [name in message.recipients for message in staged]
             if True not in addressed:
                 continue
             bundles[name].beliefs.merge_index(index, addressed, useful)
-            if agent.memory is not None:
-                agent.memory.commit_staged_messages(index, addressed)
+            if memory is not None:
+                memory.commit_staged_messages(index, addressed)
         for flag in useful:
             self._metrics.record_message(useful=flag)
 

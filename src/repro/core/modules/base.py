@@ -31,17 +31,8 @@ class ModuleContext:
     metrics: MetricsCollector
     rng: np.random.Generator
     #: The episode's serving layer.  Paradigm loops pass their shared
-    #: scheduler so cross-agent requests can batch; a standalone module
-    #: stack (unit tests, ad-hoc drivers) defaults to a private per-call
-    #: scheduler bound to the same clock/metrics, which reproduces the
-    #: pre-scheduler accounting exactly.
-    scheduler: InferenceScheduler | None = None
-
-    def __post_init__(self) -> None:
-        if self.scheduler is None:
-            self.scheduler = InferenceScheduler(
-                self.clock, self.metrics, mode="percall"
-            )
+    #: scheduler so cross-agent requests can batch.
+    scheduler: InferenceScheduler
 
     @property
     def step(self) -> int:

@@ -30,13 +30,14 @@ moves backwards), so their retention windows are bisected, not
 filtered.  Confused retrievals resolve slots from a scan of the
 in-window observations instead.
 
-Step-batched deliveries (:mod:`repro.core.bus`): a message's modeled store
-latency is charged at :meth:`stage_message` time while its dialogue and
-observation writes wait for one :meth:`commit_staged_messages` per flush.
-The commit merges slot by slot from the flush's shared
+Step-batched deliveries (:mod:`repro.core.bus`): the bus owns what is
+staged.  It charges a message's modeled store latency through
+:meth:`charge_store` when it stages the message, and its dialogue and
+observation writes wait for one :meth:`commit_staged_messages` per
+flush.  The commit merges slot by slot from the flush's shared
 :class:`~repro.core.beliefs.DeliveryIndex`: each slot's batch winner
 against the stored newest fact, and each message's step histogram into
-the count table.  Read paths refuse to serve while deliveries are staged.
+the count table.
 """
 
 from __future__ import annotations
@@ -136,60 +137,46 @@ class MemoryModule:
         self._dialogue_steps: list[int] = []
         #: Static facts pre-assembled as a belief base, copied per step.
         self._static_beliefs = Beliefs.from_facts(self._static)
-        #: Step-batched delivery bus staging: messages whose store latency
-        #: is already charged but whose writes are deferred to one batched
-        #: :meth:`commit_staged_messages`.
-        self._staged_messages: list[Message] = []
 
     # ------------------------------------------------------------------ #
     # Stores
     # ------------------------------------------------------------------ #
 
+    def charge_store(self, phase: str) -> None:
+        """Charge one store's modeled latency to ``(memory, phase)``.
+
+        The observation and action stores charge their own writes here.
+        :meth:`repro.core.bus.DeliveryBus.stage` charges a delivered
+        message here (phase ``store_dialogue``), between the sender's
+        compose and the next one, while the message's write waits for
+        :meth:`commit_staged_messages`.
+        """
+        self.context.clock.advance(STORE_SECONDS, ModuleName.MEMORY, phase=phase)
+
     def store_observation(self, facts: tuple[Fact, ...]) -> None:
         self._observations.extend(facts)
         self._index_facts(facts)
-        self._charge(STORE_SECONDS, "store_observation")
+        self.charge_store("store_observation")
 
     def store_action(self, step: int, subgoal: Subgoal, success: bool) -> None:
         _check_order("action", step, self._action_steps)
         self._actions.append(ActionRecord(step=step, subgoal=subgoal, success=success))
         self._action_steps.append(step)
-        self._charge(STORE_SECONDS, "store_action")
-
-    # ------------------------------------------------------------------ #
-    # Step-batched delivery staging (repro.core.bus)
-    # ------------------------------------------------------------------ #
-
-    def stage_message(self, message: Message) -> None:
-        """Charge one message's store now; defer its write to the commit.
-
-        The modeled ``store_dialogue`` latency lands on the virtual clock
-        at delivery time (between the sender's compose and the next
-        compose), but the dialogue/observation index writes can wait
-        until the whole step's deliveries are known.  Every stage must be
-        followed by :meth:`commit_staged_messages` before the next
-        retrieval — the read paths guard against forgotten commits.
-        """
-        self._staged_messages.append(message)
-        self._charge(STORE_SECONDS, "store_dialogue")
+        self.charge_store("store_action")
 
     def commit_staged_messages(self, index: DeliveryIndex, addressed: Sequence[bool]) -> None:
-        """Apply the staged message writes of one delivery flush.
+        """Apply the message writes of one delivery flush.
 
         ``index`` is the flush's shared index and ``addressed`` marks the
-        messages staged here (:meth:`repro.core.bus.DeliveryBus.flush`
-        passes both).  The dialogue log and the
-        observation store grow per message, in delivery order.  The
-        newest-per-slot map merges each slot's batch winner
-        (:meth:`~repro.core.beliefs.DeliveryIndex.newest`) against the
-        stored newest fact, and the count table adds each addressed
+        messages sent to this memory
+        (:meth:`repro.core.bus.DeliveryBus.flush` passes both).  The
+        dialogue log and the observation store grow per message, in
+        delivery order.  The newest-per-slot map merges each slot's batch
+        winner (:meth:`~repro.core.beliefs.DeliveryIndex.newest`) against
+        the stored newest fact, and the count table adds each addressed
         message's step histogram.  The latency was charged at stage
         time.
         """
-        staged = self._staged_messages
-        if not staged:
-            return
-        self._staged_messages = []
         observations = self._observations
         dialogue = self._dialogue
         dialogue_steps = self._dialogue_steps
@@ -245,11 +232,6 @@ class MemoryModule:
 
     def retrieve(self, step: int) -> RetrievedMemory:
         """Fetch everything within the retention window, with latency."""
-        if self._staged_messages:
-            raise RuntimeError(
-                "staged message deliveries must be committed before retrieval "
-                "(DeliveryBus.flush was not called)"
-            )
         start = self._window_start(step)
         scanned = self._observations_in_window(start)
         actions = self._actions[bisect_left(self._action_steps, start) :]
@@ -258,7 +240,7 @@ class MemoryModule:
         if not self.dual:
             scanned += len(self._static)
         latency = RETRIEVE_BASE_SECONDS + RETRIEVE_PER_ENTRY_SECONDS * scanned
-        self._charge(latency, "retrieve")
+        self.context.clock.advance(latency, ModuleName.MEMORY, phase="retrieve")
 
         confused = self._draw_confusion(step)
         if confused:
@@ -387,9 +369,6 @@ class MemoryModule:
         self._observations = [
             fact for fact in self._observations if fact.key() != key
         ]
-
-    def _charge(self, seconds: float, phase: str) -> None:
-        self.context.clock.advance(seconds, ModuleName.MEMORY, phase=phase)
 
 
 def _check_order(store: str, step: int, steps: list[int]) -> None:

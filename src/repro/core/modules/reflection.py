@@ -24,6 +24,16 @@ from repro.llm.simulated import SimulatedLLM
 FETCH_LIKE_SUBGOALS = frozenset({"fetch", "pickup", "gather", "transport", "stage"})
 
 
+def is_wasteful(decision: Decision, outcome: ExecutionOutcome) -> bool:
+    """A step that consumed time without advancing the task: it failed
+    outright, or it "succeeded" but was a faulty choice that made no
+    progress.  This is the ground truth a reflection judge tries to
+    recover."""
+    if not outcome.success:
+        return True
+    return decision.fault is not None and outcome.progress_delta <= 0.0
+
+
 @dataclass(frozen=True)
 class ReflectionReport:
     """Outcome of one reflection pass."""
@@ -48,11 +58,6 @@ class ReflectionModule:
         outcome: ExecutionOutcome,
     ) -> ReflectionReport:
         """Judge whether the executed step achieved its intent."""
-        # Ground truth the judge is trying to recover: the step failed
-        # outright, or it "succeeded" but was a faulty (wasteful) choice.
-        true_failure = (not outcome.success) or (
-            decision.fault is not None and outcome.progress_delta <= 0.0
-        )
         prompt = (
             PromptBuilder(REFLECTOR_SYSTEM_TEXT)
             .extra("intent", f"The plan step was: {decision.subgoal.describe()}.")
@@ -73,7 +78,7 @@ class ReflectionModule:
                 phase="review",
                 agent=self.context.agent,
                 step=step,
-                true_outcome=true_failure,
+                true_outcome=is_wasteful(decision, outcome),
             ),
         )
         verdict = result.verdict

@@ -19,9 +19,10 @@ from repro.core.bus import DeliveryBus
 from repro.core.clock import ModuleName, SimClock
 from repro.core.config import SystemConfig
 from repro.core.metrics import EpisodeResult, MetricsCollector
+from repro.core.modules.reflection import is_wasteful
 from repro.core.seeding import derive_seed, rng_for
 from repro.core.settings import RunSettings
-from repro.core.types import Candidate, Decision, Fact, Message, StepRecord, TaskSpec
+from repro.core.types import Candidate, Decision, Fact, StepRecord, TaskSpec
 from repro.envs import make_env
 from repro.envs.base import ExecutionOutcome
 from repro.llm.behavior import DecisionRequest
@@ -81,9 +82,9 @@ class ParadigmLoop(abc.ABC):
             )
             for name in self.env.agents
         ]
-        self._agents_by_name = {agent.name: agent for agent in self.agents}
-        #: Step-batched message delivery (:mod:`repro.core.bus`).
-        self.bus = DeliveryBus(self.agents, self._agents_by_name, self.metrics)
+        #: Step-batched message delivery (:mod:`repro.core.bus`): the
+        #: team loops stage on it and flush it at their phase ends.
+        self.bus = DeliveryBus(self.agents, self.metrics)
 
     # ------------------------------------------------------------------ #
     # Episode driver
@@ -94,6 +95,11 @@ class ParadigmLoop(abc.ABC):
         for step in range(1, self.task.horizon + 1):
             self.env.tick()
             self.step(step)
+            if self.bus.pending:
+                raise RuntimeError(
+                    f"step {step} ended with {self.bus.pending} staged message(s) "
+                    "unflushed (DeliveryBus.flush was not called)"
+                )
             # Step-boundary serving flush: whatever the step's phases
             # left pending is dispatched before the next step — and
             # before finalize.  ``final`` marks it as the step boundary,
@@ -139,25 +145,6 @@ class ParadigmLoop(abc.ABC):
                 bundles[agent.name] = agent.perceive(self.env)
         return bundles
 
-    def deliver_message(
-        self, message: Message, bundles: dict[str, PerceptionBundle]
-    ) -> None:
-        """Deliver ``message`` to every recipient.
-
-        The delivery is staged on the :class:`~repro.core.bus.DeliveryBus`
-        and merged in batch at the phase's :meth:`flush_deliveries` point.
-        """
-        self.bus.stage(message, bundles)
-
-    def flush_deliveries(self, bundles: dict[str, PerceptionBundle]) -> None:
-        """Apply staged deliveries.
-
-        Must run before anything reads delivery-derived beliefs or
-        memory: the loops call it at the end of each dialogue/broadcast
-        phase, ahead of planning and execution.
-        """
-        self.bus.flush(bundles)
-
     def flush_inference(self) -> None:
         """Dispatch the phase's pending inference requests.
 
@@ -181,7 +168,7 @@ class ParadigmLoop(abc.ABC):
         report = agent.reflect(self.env, decision, outcome)
         agent.state.note_outcome(
             decision,
-            wasted=self.is_wasteful(decision, outcome),
+            wasted=is_wasteful(decision, outcome),
             corrected=report is not None and report.judged_failure,
         )
         if report is not None and report.judged_failure:
@@ -228,13 +215,6 @@ class ParadigmLoop(abc.ABC):
                 step=step,
             ),
         )
-
-    @staticmethod
-    def is_wasteful(decision: Decision, outcome: ExecutionOutcome) -> bool:
-        """A step that consumed time without advancing the task."""
-        if not outcome.success:
-            return True
-        return decision.fault is not None and outcome.progress_delta <= 0.0
 
     # ------------------------------------------------------------------ #
     # Joint planning (centralized, hybrid and hierarchical teams)
@@ -345,7 +325,7 @@ class ParadigmLoop(abc.ABC):
                     if lead.memory is not None and report.forget_subject:
                         lead.memory.forget(report.forget_subject, report.forget_relation)
             agent.state.note_outcome(
-                decision, wasted=self.is_wasteful(decision, outcome), corrected=corrected
+                decision, wasted=is_wasteful(decision, outcome), corrected=corrected
             )
             record = _step_record(step, agent, decision, outcome)
             record.reflected = corrected

@@ -112,9 +112,9 @@ class CentralizedLoop(ParadigmLoop):
         )
         if message is None:
             return
-        self.deliver_message(message, bundles)
+        self.bus.stage(message, bundles)
         # The workers' beliefs must hold the broadcast before execution.
-        self.flush_deliveries(bundles)
+        self.bus.flush(bundles)
         # Serving phase boundary: the broadcast never batches with the
         # execution-side calls that follow it.
         self.flush_inference()

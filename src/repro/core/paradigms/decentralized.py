@@ -96,10 +96,10 @@ class DecentralizedLoop(ParadigmLoop):
                 )
                 if message is None:
                     continue
-                self.deliver_message(message, bundles)
+                self.bus.stage(message, bundles)
             # A round's composes are the phase-concurrent unit: each
             # speaker drafts against the dialogue as it stood when the
             # round began its turn order, so batched serving dispatches
             # one compose batch per round.
             self.flush_inference()
-        self.flush_deliveries(bundles)
+        self.bus.flush(bundles)

@@ -71,9 +71,9 @@ class HierarchicalLoop(ParadigmLoop):
             )
             if message is None:
                 continue
-            self.deliver_message(message, bundles)
+            self.bus.stage(message, bundles)
         # Cluster planning reads the leads' merged beliefs next.
-        self.flush_deliveries(bundles)
+        self.bus.flush(bundles)
         # The leads' round of composes is the phase-concurrent unit.
         self.flush_inference()
 

@@ -78,11 +78,11 @@ class HybridLoop(CentralizedLoop):
             )
             if message is None:
                 continue
-            self.deliver_message(message, bundles)
+            self.bus.stage(message, bundles)
             any_feedback = True
         # The centre's refined plan follows immediately; merge its staged
         # feedback before that second call reads anything belief-derived.
-        self.flush_deliveries(bundles)
+        self.bus.flush(bundles)
         # The workers' feedback composes are the phase-concurrent unit:
         # under batched serving they dispatch here as one batch.
         self.flush_inference()

@@ -16,11 +16,13 @@ loop resolves them under the config's pin while it builds the episode
 and hands the serving mode to its scheduler.
 
 The per-step pipeline a built loop drives is *delivery-staged*: perceive
-all agents, stage every composed message on the step's
+all agents, stage every composed message on the loop's
 :class:`~repro.core.bus.DeliveryBus` (prompt-visible immediately, modeled
 latency charged in place), flush the bus — index the staged messages
 once, then merge each receiver's beliefs and dialogue memory from that
-index slot by slot — then plan, execute, and reflect.
+index slot by slot — then plan, execute, and reflect.  The bus alone
+holds what is staged, and the loop refuses to end a step with a
+delivery still staged.
 
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.seeding import rng_for
 from repro.core.types import TaskSpec
 from repro.envs.base import Environment, ExecutionOutcome
 from repro.envs.boxworld import BoxWorldEnv
@@ -27,15 +26,13 @@ ENVIRONMENTS: dict[str, type[Environment]] = {
 }
 
 
-def make_env(task: TaskSpec, rng: np.random.Generator | None = None) -> Environment:
+def make_env(task: TaskSpec, rng: np.random.Generator) -> Environment:
     """Instantiate the environment named by ``task.env_name``."""
     try:
         env_cls = ENVIRONMENTS[task.env_name]
     except KeyError:
         known = ", ".join(sorted(ENVIRONMENTS))
         raise KeyError(f"unknown environment {task.env_name!r}; known: {known}") from None
-    if rng is None:
-        rng = rng_for(task.seed, "env", task.env_name)
     return env_cls(task, rng)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.beliefs import DeliveryIndex
-from repro.core.clock import SimClock
+from repro.core.clock import ModuleName, SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import (
@@ -15,8 +15,11 @@ from repro.core.modules.memory import (
     RETRIEVE_PER_ENTRY_SECONDS,
     RetrievedMemory,
 )
+from repro.core.seeding import rng_for
 from repro.core.synthetic import sleep_runner
+from repro.core.types import TaskSpec
 from repro.envs import make_env, make_task
+from repro.llm.scheduler import InferenceScheduler
 
 #: Hypothesis profiles.  ``repro`` (every run's default) draws the same
 #: examples each time and keeps no example database, so a failure always
@@ -50,9 +53,26 @@ def metrics() -> MetricsCollector:
     return MetricsCollector(workload="test", horizon=50)
 
 
+def percall_scheduler(clock: SimClock, metrics: MetricsCollector) -> InferenceScheduler:
+    """A standalone module stack's serving layer: every submit dispatches
+    at once and charges ``clock``, as the loop's default mode does."""
+    return InferenceScheduler(clock, metrics, mode="percall")
+
+
+def env_rng(task: TaskSpec) -> np.random.Generator:
+    """A standalone environment's generator, derived from the task's seed."""
+    return rng_for(task.seed, "env", task.env_name)
+
+
 @pytest.fixture
 def context(clock, metrics, rng) -> ModuleContext:
-    ctx = ModuleContext(agent="agent_0", clock=clock, metrics=metrics, rng=rng)
+    ctx = ModuleContext(
+        agent="agent_0",
+        clock=clock,
+        metrics=metrics,
+        rng=rng,
+        scheduler=percall_scheduler(clock, metrics),
+    )
     ctx.set_step(1)
     return ctx
 
@@ -83,7 +103,11 @@ def linear_retrieve(memory, step: int) -> RetrievedMemory:
     scanned = len(observations) + len(actions) + len(dialogue)
     if not memory.dual:
         scanned += len(memory._static)
-    memory._charge(RETRIEVE_BASE_SECONDS + RETRIEVE_PER_ENTRY_SECONDS * scanned, "retrieve")
+    memory.context.clock.advance(
+        RETRIEVE_BASE_SECONDS + RETRIEVE_PER_ENTRY_SECONDS * scanned,
+        ModuleName.MEMORY,
+        phase="retrieve",
+    )
     confused = memory._draw_confusion(step)
     return RetrievedMemory(
         facts=memory._resolve_slots(observations, confused),
@@ -95,8 +119,8 @@ def linear_retrieve(memory, step: int) -> RetrievedMemory:
 
 
 def commit_alone(memory, messages) -> None:
-    """Commit ``messages``, staged on ``memory`` in this order, as a flush
-    that addressed them all to this one receiver: from their own index."""
+    """Commit ``messages`` to ``memory`` in this order, as a flush that
+    addressed them all to this one receiver: from their own index."""
     index = DeliveryIndex(messages, [()] * len(messages))
     memory.commit_staged_messages(index, [True] * len(messages))
 
@@ -104,7 +128,7 @@ def commit_alone(memory, messages) -> None:
 def small_env(name: str, difficulty: str = "easy", n_agents: int = 1, seed: int = 0, **params):
     """Convenience environment factory for tests."""
     task = make_task(name, difficulty=difficulty, n_agents=n_agents, seed=seed, **params)
-    return make_env(task)
+    return make_env(task, env_rng(task))
 
 
 @pytest.fixture

@@ -5,9 +5,9 @@ goldens (tests/core/test_goldens.py); these tests pin the component
 contracts it rests on: a flush merged slot by slot from one shared index
 equals sequential per-receiver delivery (usefulness, beliefs, memory
 retrieval and modeled time), one batched commit leaves the same state as
-per-message commits, read paths refuse to serve uncommitted staging, the
-detector leaves the rng stream where the seed detector left it, and a
-step's composes share one staged payload.
+per-message commits, a step that ends with deliveries still staged fails
+at its boundary, the detector leaves the rng stream where the seed
+detector left it, and a step's composes share one staged payload.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import commit_alone, linear_retrieve
+from conftest import commit_alone, linear_retrieve, percall_scheduler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.agent import AgentState, EmbodiedAgent, PerceptionBundle
+from repro.core.agent import PerceptionBundle
 from repro.core.beliefs import Beliefs, DeliveryIndex
 from repro.core.bus import DeliveryBus
 from repro.core.clock import SimClock
@@ -29,9 +29,13 @@ from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.communication import CommunicationModule
 from repro.core.modules.memory import MemoryModule
+from repro.core.paradigms.base import ParadigmLoop
+from repro.core.runner import build_task
+from repro.core.settings import RunSettings
 from repro.core.types import Fact, Message, Observation, Subgoal
 from repro.perception.detector import detect
 from repro.perception.models import get_perception
+from repro.workloads.registry import get_workload
 
 
 def _facts(step: int, n: int, salt: str = "") -> tuple[Fact, ...]:
@@ -66,14 +70,18 @@ class FlushScenario:
 
 
 class _Agent:
-    """The slice of :class:`EmbodiedAgent` the bus drives."""
-
-    stage_message = EmbodiedAgent.stage_message
+    """The slice of :class:`~repro.core.agent.EmbodiedAgent` the bus
+    reads, plus the oracle's per-receiver staging."""
 
     def __init__(self, name: str, memory: MemoryModule | None) -> None:
         self.name = name
         self.memory = memory
-        self.state = AgentState()
+
+    def stage(self, message: Message, bundle: PerceptionBundle) -> None:
+        """Show ``message`` to this step's prompts, then charge its store."""
+        bundle.dialogue.append(message)
+        if self.memory is not None:
+            self.memory.charge_store("store_dialogue")
 
 
 class _Recorder:
@@ -95,11 +103,13 @@ def _team(scenario: FlushScenario, linear: bool):
         memory = None
         if name in scenario.memory:
             capacity, dual = scenario.memory[name]
+            metrics = MetricsCollector(workload="test", horizon=100)
             context = ModuleContext(
                 agent=name,
                 clock=clock,
-                metrics=MetricsCollector(workload="test", horizon=100),
+                metrics=metrics,
                 rng=np.random.default_rng(position),
+                scheduler=percall_scheduler(clock, metrics),
             )
             static = [Fact("wall", "located_in", "hall", step=0)]
             memory = MemoryModule(context, capacity, static, dual=dual)
@@ -130,7 +140,7 @@ def _beliefs(bundles) -> dict:
 def _via_bus(scenario: FlushScenario):
     clock, agents, bundles = _team(scenario, linear=False)
     recorder = _Recorder()
-    bus = DeliveryBus(agents, {agent.name: agent for agent in agents}, recorder)
+    bus = DeliveryBus(agents, recorder)
     retrievals = [_retrievals(agents, scenario.first_step)]
     for step, messages in scenario.flushes:
         for message in messages:
@@ -141,8 +151,9 @@ def _via_bus(scenario: FlushScenario):
 
 
 def _sequential(scenario: FlushScenario):
-    """The oracle: :meth:`Beliefs.update` per addressed message (payload,
-    then intent), per-message memory staging, linear retrieval."""
+    """The oracle: per-receiver staging (:meth:`_Agent.stage`),
+    :meth:`Beliefs.update` per addressed message (payload, then intent),
+    per-receiver memory commits, linear retrieval."""
     clock, agents, bundles = _team(scenario, linear=True)
     by_name = {agent.name: agent for agent in agents}
     flags: list[bool] = []
@@ -150,7 +161,7 @@ def _sequential(scenario: FlushScenario):
     for step, messages in scenario.flushes:
         for message in messages:
             for name in message.recipients:
-                by_name[name].stage_message(message, bundles[name])
+                by_name[name].stage(message, bundles[name])
         novel = [0] * len(messages)
         for agent in agents:
             beliefs = bundles[agent.name].beliefs
@@ -407,11 +418,14 @@ class TestSharedIndexFlush:
 
 
 def _memory(capacity: int = 20) -> MemoryModule:
+    clock = SimClock()
+    metrics = MetricsCollector(workload="test", horizon=50)
     context = ModuleContext(
         agent="agent_0",
-        clock=SimClock(),
-        metrics=MetricsCollector(workload="test", horizon=50),
+        clock=clock,
+        metrics=metrics,
         rng=np.random.default_rng(11),
+        scheduler=percall_scheduler(clock, metrics),
     )
     context.set_step(1)
     return MemoryModule(context, capacity_steps=capacity, static_facts=[], dual=False)
@@ -426,11 +440,11 @@ class TestStagedMemoryWrites:
         ]
         inline = _memory()
         for message in messages:
-            inline.stage_message(message)
+            inline.charge_store("store_dialogue")
             commit_alone(inline, [message])
         staged = _memory()
-        for message in messages:
-            staged.stage_message(message)
+        for _ in messages:
+            staged.charge_store("store_dialogue")
         commit_alone(staged, messages)
         assert staged.context.clock.elapsed_by_phase() == (
             inline.context.clock.elapsed_by_phase()
@@ -440,14 +454,31 @@ class TestStagedMemoryWrites:
         assert staged.retrieve(3) == inline.retrieve(3)
         assert staged.retrieve(3).dialogue == inline.retrieve(3).dialogue
 
-    def test_reads_refuse_uncommitted_staging(self):
-        memory = _memory()
-        message = Message(sender="a1", recipients=("agent_0",), step=1, facts=_facts(1, 1))
-        memory.stage_message(message)
-        with pytest.raises(RuntimeError, match="staged"):
-            memory.retrieve(1)
-        commit_alone(memory, [message])
-        assert memory.retrieve(1).dialogue  # served again after commit
+
+class _StagesWithoutFlush(ParadigmLoop):
+    """A team loop whose step stages one broadcast and never flushes."""
+
+    steps = 0
+
+    def step(self, step: int) -> None:
+        self.steps += 1
+        bundles = self.perceive_all(step)
+        speaker, *listeners = self.agents
+        message = Message(speaker.name, tuple(agent.name for agent in listeners), step)
+        self.bus.stage(message, bundles)
+
+
+class TestForgottenFlush:
+    def test_run_refuses_an_unflushed_step(self):
+        """A step that ends with deliveries still staged raises at its own
+        boundary, before the next step perceives, with memory or without."""
+        coela = get_workload("coela").config
+        for config in (coela, coela.without("memory")):
+            task = build_task(config, difficulty="easy", seed=0)
+            loop = _StagesWithoutFlush(config, task, seed=0, settings=RunSettings())
+            with pytest.raises(RuntimeError, match="DeliveryBus.flush was not called"):
+                loop.run()
+            assert loop.steps == 1, config.name
 
 
 #: The seed detector's next draw after ``_facts(4, 12)`` under
@@ -486,11 +517,14 @@ class TestComposePayloadStaging:
         from repro.core.seeding import rng_for
         from repro.llm.simulated import SimulatedLLM
 
+        clock = SimClock()
+        metrics = MetricsCollector(workload="test", horizon=10)
         context = ModuleContext(
             agent="a0",
-            clock=SimClock(),
-            metrics=MetricsCollector(workload="test", horizon=10),
+            clock=clock,
+            metrics=metrics,
             rng=np.random.default_rng(3),
+            scheduler=percall_scheduler(clock, metrics),
         )
         context.set_step(1)
         comm = CommunicationModule(

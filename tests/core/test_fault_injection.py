@@ -6,6 +6,8 @@ consequences the paper describes: wasted steps, reflection recovery,
 loops without reflection, and metric attribution.
 """
 
+from conftest import small_env
+
 from repro.core.config import MemoryConfig, SystemConfig
 from repro.core.errors import FaultKind
 from repro.core.runner import run_episode
@@ -124,9 +126,8 @@ class TestHallucinationPath:
     def test_hallucinated_fetch_fails_and_wastes_step(self, rng):
         from repro.core.beliefs import Beliefs
         from repro.core.types import Subgoal
-        from repro.envs import make_env, make_task
 
-        env = make_env(make_task("household", difficulty="easy", seed=0))
+        env = small_env("household", difficulty="easy", seed=0)
         env.tick()
         outcome = env.execute(
             "agent_0", Subgoal(name="fetch", target="imaginary_object_0"), rng
@@ -135,9 +136,8 @@ class TestHallucinationPath:
 
     def test_hallucination_candidates_marked(self):
         from repro.core.beliefs import Beliefs
-        from repro.envs import make_env, make_task
 
-        env = make_env(make_task("household", difficulty="easy", seed=0))
+        env = small_env("household", difficulty="easy", seed=0)
         env.tick()
         candidates = env.candidates("agent_0", Beliefs())
         ghosts = [c for c in candidates if c.fault is FaultKind.HALLUCINATION]

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import commit_alone, linear_retrieve
+from conftest import commit_alone, linear_retrieve, percall_scheduler
 
 from repro.core.clock import SimClock
 from repro.core.config import MemoryConfig
@@ -159,7 +159,7 @@ def _drive(module: MemoryModule, steps: int) -> list:
                 step=step,
                 facts=_facts(max(0, step - 7), 2, salt="m"),
             )
-            module.stage_message(message)
+            module.charge_store("store_dialogue")
             commit_alone(module, [message])
         module.store_action(step, Subgoal("fetch", target=f"obj_{step % 6}"), step % 2 == 0)
         if step % 11 == 0:
@@ -179,11 +179,14 @@ def _drive(module: MemoryModule, steps: int) -> list:
 
 def _module(capacity: int, dual: bool, seed: int, linear: bool = False) -> MemoryModule:
     """A memory module; ``linear`` pins it to the full-scan reference."""
+    clock = SimClock()
+    metrics = MetricsCollector(workload="test", horizon=200)
     context = ModuleContext(
         agent="agent_0",
-        clock=SimClock(),
-        metrics=MetricsCollector(workload="test", horizon=200),
+        clock=clock,
+        metrics=metrics,
         rng=np.random.default_rng(seed),
+        scheduler=percall_scheduler(clock, metrics),
     )
     context.set_step(1)
     static = [Fact(f"wall_{i}", "located_in", "hall", step=0) for i in range(3)]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import commit_alone
+from conftest import commit_alone, small_env
 
 from repro.core.clock import ModuleName
 from repro.core.modules.communication import CommunicationModule
@@ -12,7 +12,6 @@ from repro.core.modules.planning import PlanningModule
 from repro.core.modules.reflection import ReflectionModule
 from repro.core.modules.sensing import SensingModule
 from repro.core.types import Candidate, Decision, Fact, Message, Observation, Subgoal
-from repro.envs import make_env, make_task
 from repro.envs.base import ExecutionOutcome
 from repro.llm.simulated import SimulatedLLM
 
@@ -23,7 +22,7 @@ def make_llm(profile="gpt-4", seed=0):
 
 @pytest.fixture
 def env():
-    built = make_env(make_task("household", difficulty="easy", seed=0))
+    built = small_env("household", difficulty="easy", seed=0)
     built.tick()
     return built
 
@@ -113,8 +112,6 @@ class TestMemory:
     def test_dialogue_window(self, context):
         memory = self.make(context, capacity=5)
         messages = [Message(sender="a1", recipients=(), step=step) for step in (1, 9)]
-        for message in messages:
-            memory.stage_message(message)
         commit_alone(memory, messages)
         assert len(memory.retrieve(step=10).dialogue) == 1
 
@@ -126,9 +123,7 @@ class TestMemory:
         with pytest.raises(ValueError, match="out-of-order action"):
             memory.store_action(4, Subgoal("fetch", target="mug"), True)
         later, earlier = (Message(sender="a1", recipients=(), step=step) for step in (5, 3))
-        memory.stage_message(later)
         commit_alone(memory, [later])
-        memory.stage_message(earlier)
         with pytest.raises(ValueError, match="out-of-order dialogue"):
             commit_alone(memory, [earlier])
 

@@ -2,29 +2,27 @@
 
 import numpy as np
 import pytest
+from conftest import small_env
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Subgoal
-from repro.envs import make_env, make_task
 from repro.envs.kitchen import ATTEMPT_SUCCESS_P, MICRO_TASKS
 
 
 def boxworld(seed=0, n_agents=3, difficulty="easy", **params):
-    env = make_env(
-        make_task("boxworld", difficulty=difficulty, n_agents=n_agents, seed=seed, **params)
-    )
+    env = small_env("boxworld", difficulty=difficulty, n_agents=n_agents, seed=seed, **params)
     env.tick()
     return env
 
 
 def kitchen(seed=0, difficulty="easy"):
-    env = make_env(make_task("kitchen", difficulty=difficulty, seed=seed))
+    env = small_env("kitchen", difficulty=difficulty, seed=seed)
     env.tick()
     return env
 
 
 def tabletop(seed=0, n_agents=2, difficulty="easy"):
-    env = make_env(make_task("tabletop", difficulty=difficulty, n_agents=n_agents, seed=seed))
+    env = small_env("tabletop", difficulty=difficulty, n_agents=n_agents, seed=seed)
     env.tick()
     return env
 

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import small_env
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Candidate, Fact, Subgoal
-from repro.envs import ENVIRONMENTS, make_env, make_task
+from repro.envs import ENVIRONMENTS
 
 ROLLOUT_STEPS = 8
 
 
 def _env(name: str, seed: int = 3):
     n_agents = 2 if name == "boxworld" else 1
-    return make_env(make_task(name, difficulty="medium", n_agents=n_agents, seed=seed))
+    return small_env(name, difficulty="medium", n_agents=n_agents, seed=seed)
 
 
 def _rollout(env, steps: int = ROLLOUT_STEPS):
@@ -96,7 +97,7 @@ class TestHouseholdDeltas:
     """A belief delta changes exactly the options that read it."""
 
     def _setup(self):
-        env = make_env(make_task("household", difficulty="easy", n_agents=1, seed=3))
+        env = small_env("household", difficulty="easy", n_agents=1, seed=3)
         beliefs = Beliefs.from_facts(env.static_facts())
         beliefs.update(
             [

@@ -6,6 +6,7 @@ subgoals, and claim semantics.
 """
 
 import pytest
+from conftest import env_rng
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Subgoal
@@ -17,7 +18,7 @@ MULTI_AGENT_ONLY = {"boxworld"}
 def env_for(name: str, seed: int = 0, difficulty: str = "medium"):
     n_agents = 2 if name in MULTI_AGENT_ONLY else 1
     task = make_task(name, difficulty=difficulty, n_agents=n_agents, seed=seed)
-    return make_env(task)
+    return make_env(task, env_rng(task))
 
 
 def full_beliefs(env, agent):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import env_rng
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Subgoal
@@ -12,7 +13,7 @@ def build(seed=0, difficulty="easy", n_agents=1, **params):
     task = make_task(
         "household", difficulty=difficulty, n_agents=n_agents, seed=seed, **params
     )
-    env = make_env(task)
+    env = make_env(task, env_rng(task))
     env.tick()
     return env
 

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import small_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Fact, Subgoal
-from repro.envs import make_env, make_task
 from repro.envs.mineworld import (
     AREAS,
     GATHER_TOOL,
@@ -20,7 +20,7 @@ from repro.envs.mineworld import (
 
 
 def build(difficulty="easy", seed=0, **params):
-    env = make_env(make_task("mineworld", difficulty=difficulty, seed=seed, **params))
+    env = small_env("mineworld", difficulty=difficulty, seed=seed, **params)
     env.tick()
     return env
 
@@ -323,7 +323,7 @@ class TestDemandPlan:
         ),
     )
     def test_economy_options_match_reference(self, goal, inventory, deposits):
-        env = make_env(make_task("mineworld", difficulty="easy", seed=0, goal_item=goal))
+        env = small_env("mineworld", difficulty="easy", seed=0, goal_item=goal)
         player = env._players["agent_0"]
         player.inventory = inventory
         deposits = tuple(deposits)

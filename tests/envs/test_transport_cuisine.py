@@ -1,20 +1,21 @@
 """Behavioural tests for the transport and cuisine environments."""
 
+from conftest import small_env
+
 from repro.core.beliefs import Beliefs
 from repro.core.types import Subgoal
-from repro.envs import make_env, make_task
 from repro.envs.cuisine import RECIPES, STAGE_FETCHED, ZONES
 from repro.envs.transport import CARRY_CAPACITY
 
 
 def transport(seed=0, n_agents=2, difficulty="easy"):
-    env = make_env(make_task("transport", difficulty=difficulty, n_agents=n_agents, seed=seed))
+    env = small_env("transport", difficulty=difficulty, n_agents=n_agents, seed=seed)
     env.tick()
     return env
 
 
 def cuisine(seed=0, n_agents=2, difficulty="easy"):
-    env = make_env(make_task("cuisine", difficulty=difficulty, n_agents=n_agents, seed=seed))
+    env = small_env("cuisine", difficulty=difficulty, n_agents=n_agents, seed=seed)
     env.tick()
     return env
 
