@@ -82,7 +82,8 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FILE_REFERENCE = re.compile(r"`([\w./-]+\.(?:py|json|jsonl|yml|md|toml))`")
 #: A code span naming a symbol of a Python file: ``path.py: name``, where
 #: ``name`` may be ``Class.member`` and may be followed by a signature.
-SYMBOL_REFERENCE = re.compile(r"`([\w./-]+\.py): ([A-Za-z_][\w.]*)[^`]*`")
+#: Any whitespace may follow the colon, so a span wrapped there counts.
+SYMBOL_REFERENCE = re.compile(r"`([\w./-]+\.py):\s+([A-Za-z_][\w.]*)[^`]*`")
 #: Directories whose files the references never name.
 UNLISTED_DIRS = frozenset({".git", "__pycache__", ".e2ebench"})
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)

@@ -9,18 +9,21 @@ stale beliefs — slots whose value no longer matches the world — are the
 mechanism behind the paper's memory-inconsistency observations.
 
 Message deliveries merge slot by slot: a :class:`DeliveryIndex` groups
-one delivery flush's facts by slot once, and every receiver merges from
-that shared index (:meth:`Beliefs.merge_index`, and the memory module's
-commit) instead of walking its own copy of the fact stream.  Per slot,
-the arrival with the highest step wins and a later arrival wins a tie —
-the rule :meth:`Beliefs.update` applies fact by fact — so the result is
-the same.  Slot order inside a ``Beliefs`` is not part of its contract:
+one delivery flush's facts by slot once, finds each slot's best payload
+run once, and every receiver merges from that shared index
+(:meth:`Beliefs.merge_index`, and the memory module's commit) instead of
+walking its own copy of the fact stream.  Per slot, the arrival with the
+highest step wins and a later arrival wins a tie — the rule
+:meth:`Beliefs.update` applies fact by fact — so the result is the
+same.  Slot order inside a ``Beliefs`` is not part of its contract:
 every reader looks slots up by key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.types import Fact, Message
@@ -29,6 +32,8 @@ from repro.core.types import Fact, Message
 #: ``Fact`` object, whether they are payload (``True``) or intent facts,
 #: and the ascending indices of the messages that carried them.
 Run = tuple[Fact, bool, list[int]]
+
+_STEP = attrgetter("step")
 
 
 @dataclass
@@ -154,22 +159,31 @@ class Beliefs:
 
 
 class DeliveryIndex:
-    """One delivery flush's message facts, grouped by belief slot.
+    """One delivery flush, indexed once for every receiver.
 
-    Built once per flush, in delivery order: each message's payload facts,
-    then its intent facts.  ``slots`` maps each ``(subject, relation)``
-    slot to its :data:`Run` list.  A run breaks on object identity, not
-    equality, so equal but distinct facts form separate runs and no
-    result depends on which copy a sender shared.  ``step_counts[i]`` is
-    message ``i``'s ``{fact step: count}`` histogram over its payload,
-    repeats included.
+    Built once per flush, in delivery order, from what every receiver
+    needs; a receiver then only selects the messages addressed to it.
+
+    - Per message, columns aligned with ``messages``: ``steps`` (message
+      steps, which may not decrease: a flush that goes back in time
+      raises ``ValueError``) and ``payloads`` (payload fact tuples).
+      ``low_step`` is the flush's lowest payload fact step.
+    - Per slot, ``slots`` maps each ``(subject, relation)`` slot to its
+      :data:`Run` list over each message's payload facts, then its
+      intent facts.  A run breaks on object identity, not equality, so
+      equal but distinct facts form separate runs and no result depends
+      on which copy a sender shared.
+    - ``best`` maps each slot with a payload arrival to its best payload
+      run: the highest step, a later run winning a tie.  A receiver sent
+      one of its carriers has that run's fact as the slot's batch winner;
+      :meth:`addressed_winner` walks the runs for the others.
 
     ``intents[i]`` holds message ``i``'s intent facts: receivers merge
     them into beliefs for conflict avoidance, but memory never stores
     them and they never count toward novelty.
     """
 
-    __slots__ = ("messages", "slots", "step_counts")
+    __slots__ = ("messages", "steps", "payloads", "low_step", "slots", "best")
 
     def __init__(
         self,
@@ -177,45 +191,52 @@ class DeliveryIndex:
         intents: Sequence[Sequence[Fact]],
     ) -> None:
         self.messages = messages
+        self.steps = steps = [message.step for message in messages]
+        for earlier, later in zip(steps, steps[1:]):
+            if later < earlier:
+                raise ValueError(f"out-of-order flush: message step {later} after step {earlier}")
+        self.payloads = payloads = [message.facts for message in messages]
+        self.low_step = min(map(_STEP, chain.from_iterable(payloads)), default=0)
         self.slots: dict[tuple[str, str], list[Run]] = {}
-        self.step_counts: list[dict[int, int]] = []
+        self.best: dict[tuple[str, str], Run] = {}
         slots = self.slots
+        best = self.best
         get = slots.get
-        for index, message in enumerate(messages):
-            payload_facts = message.facts
-            counts: dict[int, int] = {}
-            for fact in payload_facts:
-                counts[fact.step] = counts.get(fact.step, 0) + 1
-            self.step_counts.append(counts)
+        for index, payload_facts in enumerate(payloads):
             for facts, payload in ((payload_facts, True), (intents[index], False)):
                 for fact in facts:
                     key = (fact.subject, fact.relation)
                     runs = get(key)
                     if runs is None:
-                        slots[key] = [(fact, payload, [index])]
-                        continue
-                    last, last_payload, carriers = runs[-1]
-                    if last is not fact or last_payload is not payload:
-                        runs.append((fact, payload, [index]))
-                    elif carriers[-1] != index:
-                        carriers.append(index)
+                        run = (fact, payload, [index])
+                        slots[key] = [run]
+                    else:
+                        last, last_payload, carriers = runs[-1]
+                        if last is fact and last_payload is payload:
+                            if carriers[-1] != index:
+                                carriers.append(index)
+                            continue
+                        run = (fact, payload, [index])
+                        runs.append(run)
+                    # Only a new run can change the slot's best: a
+                    # repeat extends the slot's last run.
+                    if payload:
+                        top = best.get(key)
+                        if top is None or fact.step >= top[0].step:
+                            best[key] = run
 
-    def newest(self, addressed: Sequence[bool]) -> Iterator[tuple[tuple[str, str], Fact]]:
-        """Each slot's batch winner among the addressed payload arrivals.
-
-        The winner is the arrival with the highest step, a later arrival
-        winning a tie: what :meth:`Beliefs.update`'s rule leaves after
-        merging those arrivals in order.  Intent runs never take part.
-        Yields ``(slot, fact)`` for every slot with an addressed payload.
-        """
-        for key, runs in self.slots.items():
-            winner = None
-            for fact, payload, carriers in runs:
-                if not payload or (winner is not None and fact.step < winner.step):
-                    continue
-                for carrier in carriers:
-                    if addressed[carrier]:
-                        winner = fact
-                        break
-            if winner is not None:
-                yield key, winner
+    def addressed_winner(self, key: tuple[str, str], addressed: Sequence[bool]) -> Fact | None:
+        """``key``'s batch winner among the payload arrivals addressed to
+        one receiver (``None`` if it was sent none): the arrival with the
+        highest step, a later arrival winning a tie — what
+        :meth:`Beliefs.update`'s rule leaves after merging them in order.
+        Intent runs never take part."""
+        winner = None
+        for fact, payload, carriers in self.slots[key]:
+            if not payload or (winner is not None and fact.step < winner.step):
+                continue
+            for carrier in carriers:
+                if addressed[carrier]:
+                    winner = fact
+                    break
+        return winner

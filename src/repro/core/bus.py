@@ -7,22 +7,24 @@ phase's staged deliveries:
 
 - **stage** (at compose time) walks the message's recipients once: it
   appends the message to each receiver's step dialogue — later composes
-  must still see it in their prompts — and charges each receiver with
-  memory the modeled ``store_dialogue`` latency on the virtual clock
-  right away
-  (:meth:`repro.core.modules.memory.MemoryModule.charge_store`).  No
+  must still see it in their prompts — and counts the receivers with
+  memory.  Their modeled ``store_dialogue`` latency is charged right
+  away, all k of them in one call on the team's shared clock
+  (:meth:`repro.core.modules.memory.MemoryModule.charge_store` with
+  ``times=k``), which leaves every float as k single charges would.  No
   belief or memory-index work happens yet.
-- **flush** (once per phase, before anything reads beliefs again)
-  indexes the staged messages once, by belief slot
-  (:class:`repro.core.beliefs.DeliveryIndex`), and marks which of them
-  each receiver was sent.  Every receiver then merges from that shared
-  index slot by slot: its beliefs
-  (:meth:`repro.core.beliefs.Beliefs.merge_index`, which also flags the
-  messages whose payload was novel — the paper's usefulness metric) and
-  its dialogue memory
-  (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`).
-  Per receiver the work follows the flush's slots and messages, not its
-  fact arrivals; the result equals merging each addressed message in
+- **flush** (once per phase, before anything reads beliefs again) splits
+  the fan-out into work done once and work done per receiver.  Once per
+  flush it builds the :class:`repro.core.beliefs.DeliveryIndex`: the
+  message steps and payload tuples as columns, the staged facts grouped
+  by belief slot, and each slot's best payload run.  Per receiver it
+  marks which messages the receiver was sent, then merges its beliefs
+  slot by slot (:meth:`repro.core.beliefs.Beliefs.merge_index`, which
+  also flags the messages whose payload was novel — the paper's
+  usefulness metric) and commits its dialogue memory
+  (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`:
+  bulk selections from the columns, one order check, one winner lookup
+  per slot).  The result equals merging each addressed message in
   delivery order.  Message-usefulness counters are then recorded per
   staged message, in send order.
 
@@ -55,6 +57,12 @@ class DeliveryBus:
     def __init__(self, agents: "list[EmbodiedAgent]", metrics: "MetricsCollector") -> None:
         #: Each agent's memory (``None`` without one), in agent order.
         self._memory_of = {agent.name: agent.memory for agent in agents}
+        memories = [memory for memory in self._memory_of.values() if memory is not None]
+        if len({id(memory.context.clock) for memory in memories}) > 1:
+            raise ValueError("a team's memories must share one clock")
+        #: The memory that charges every staged receiver's store: all of
+        #: them charge the same latency to the same shared clock.
+        self._store_charger = memories[0] if memories else None
         self._metrics = metrics
         self._staged: list[Message] = []
 
@@ -68,29 +76,32 @@ class DeliveryBus:
     ) -> None:
         """Make one message visible to every recipient, deferring the merges.
 
-        Each recipient's dialogue gets the message, and each recipient
-        with memory is charged its ``store_dialogue`` latency, in
-        ``message.recipients`` order (which every loop builds in agent
-        order).
+        Each recipient's dialogue gets the message.  The k recipients
+        with memory are charged their ``store_dialogue`` latency in one
+        ``charge_store(..., times=k)`` call, which leaves the shared
+        clock exactly as k single charges would.
         """
         memory_of = self._memory_of
+        charged = 0
         for name in message.recipients:
             bundles[name].dialogue.append(message)
-            memory = memory_of[name]
-            if memory is not None:
-                memory.charge_store("store_dialogue")
+            if memory_of[name] is not None:
+                charged += 1
+        if charged:
+            self._store_charger.charge_store("store_dialogue", charged)
         self._staged.append(message)
 
     def flush(self, bundles: "dict[str, PerceptionBundle]") -> None:
         """Apply every staged delivery from one shared index.
 
         The flush indexes its staged messages once
-        (:class:`~repro.core.beliefs.DeliveryIndex`: payload facts, then
-        intent facts, per message in send order).  Each receiver then
-        merges the messages addressed to it slot by slot, so its host work
-        follows the flush's slots and messages, not its fact arrivals:
-        beliefs first (:meth:`~repro.core.beliefs.Beliefs.merge_index`),
-        then memory (:meth:`~repro.core.modules.memory.MemoryModule.commit_staged_messages`).
+        (:class:`~repro.core.beliefs.DeliveryIndex`: per-message columns,
+        then payload facts and intent facts per slot, in send order).
+        Each receiver then merges the messages addressed to it from that
+        index, so its host work follows the flush's slots and messages,
+        not its fact arrivals: beliefs first
+        (:meth:`~repro.core.beliefs.Beliefs.merge_index`), then memory
+        (:meth:`~repro.core.modules.memory.MemoryModule.commit_staged_messages`).
         A message is useful when its payload merged a novel fact into some
         receiver's beliefs.  Intent announcements ("I will fetch box_3")
         are merged for conflict avoidance but never count toward novelty:

@@ -89,15 +89,54 @@ class SimClock:
         except KeyError:
             phases[key] = duration
 
-    def advance(self, duration: float, module: ModuleName, phase: str = "") -> None:
-        """Advance virtual time by ``duration`` seconds, attributed."""
+    def advance(self, duration: float, module: ModuleName, phase: str = "", times: int = 1) -> None:
+        """Advance virtual time by ``duration`` seconds, attributed.
+
+        ``times=k`` makes k identical charges in one call: each running
+        sum, and ``now`` outside a scope, takes k sequential additions of
+        ``duration``, so every float equals what k separate calls leave,
+        inside :meth:`parallel` and :meth:`overlapped` scopes too.
+        ``times=0`` charges nothing.
+        """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
+        if times != 1:
+            self._advance_repeated(duration, module, phase, times)
+            return
         self._attribute(duration, module, phase)
         if self._parallel_depth > 0:
             self._parallel_front = max(self._parallel_front, self.now + duration)
         else:
             self.now += duration
+
+    def _advance_repeated(
+        self, duration: float, module: ModuleName, phase: str, times: int
+    ) -> None:
+        """:meth:`advance`'s ``times=k`` charge, addition by addition."""
+        if times < 0:
+            raise ValueError(f"times must be non-negative, got {times}")
+        if times == 0:
+            return
+        for totals, key in (
+            (self._module_seconds, module),
+            (self._phase_seconds, (module, phase)),
+        ):
+            total = totals.get(key)
+            additions = times
+            if total is None:
+                total = duration
+                additions -= 1
+            for _ in range(additions):
+                total += duration
+            totals[key] = total
+        if self._parallel_depth > 0:
+            # Inside a scope ``now`` stays put, so k charges reach one front.
+            self._parallel_front = max(self._parallel_front, self.now + duration)
+        else:
+            now = self.now
+            for _ in range(times):
+                now += duration
+            self.now = now
 
     def wait(self, duration: float) -> None:
         """Advance time without attributing it to a module (idle/env time)."""

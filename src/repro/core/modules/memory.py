@@ -34,10 +34,11 @@ Step-batched deliveries (:mod:`repro.core.bus`): the bus owns what is
 staged.  It charges a message's modeled store latency through
 :meth:`charge_store` when it stages the message, and its dialogue and
 observation writes wait for one :meth:`commit_staged_messages` per
-flush.  The commit merges slot by slot from the flush's shared
-:class:`~repro.core.beliefs.DeliveryIndex`: each slot's batch winner
-against the stored newest fact, and each message's step histogram into
-the count table.
+flush.  The commit selects from the flush's shared
+:class:`~repro.core.beliefs.DeliveryIndex`, which holds what is the same
+for every receiver: the dialogue log, the observation store and the
+count table grow in bulk from its per-message columns, and each slot's
+batch winner merges against the stored newest fact.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Sequence
 
 from repro.core.beliefs import Beliefs, DeliveryIndex
@@ -64,6 +67,8 @@ STORE_SECONDS = 0.006
 CONFUSION_ONSET_STEPS = 40
 CONFUSION_PROB_PER_STEP = 0.035
 CONFUSION_PROB_CAP = 0.5
+
+_STEP = attrgetter("step")
 
 
 @dataclass(frozen=True)
@@ -142,16 +147,19 @@ class MemoryModule:
     # Stores
     # ------------------------------------------------------------------ #
 
-    def charge_store(self, phase: str) -> None:
-        """Charge one store's modeled latency to ``(memory, phase)``.
+    def charge_store(self, phase: str, times: int = 1) -> None:
+        """Charge ``times`` stores' modeled latency to ``(memory, phase)``.
 
         The observation and action stores charge their own writes here.
         :meth:`repro.core.bus.DeliveryBus.stage` charges a delivered
         message here (phase ``store_dialogue``), between the sender's
         compose and the next one, while the message's write waits for
-        :meth:`commit_staged_messages`.
+        :meth:`commit_staged_messages`: one call with ``times=k`` for its
+        k receivers with memory, which share the loop's clock, leaves
+        the clock exactly as k calls would
+        (:meth:`repro.core.clock.SimClock.advance`).
         """
-        self.context.clock.advance(STORE_SECONDS, ModuleName.MEMORY, phase=phase)
+        self.context.clock.advance(STORE_SECONDS, ModuleName.MEMORY, phase, times)
 
     def store_observation(self, facts: tuple[Fact, ...]) -> None:
         self._observations.extend(facts)
@@ -169,35 +177,38 @@ class MemoryModule:
 
         ``index`` is the flush's shared index and ``addressed`` marks the
         messages sent to this memory
-        (:meth:`repro.core.bus.DeliveryBus.flush` passes both).  The
-        dialogue log and the observation store grow per message, in
-        delivery order.  The newest-per-slot map merges each slot's batch
-        winner (:meth:`~repro.core.beliefs.DeliveryIndex.newest`) against
-        the stored newest fact, and the count table adds each addressed
-        message's step histogram.  The latency was charged at stage
-        time.
+        (:meth:`repro.core.bus.DeliveryBus.flush` passes both).  The index
+        holds everything that is the same for every receiver, so the
+        commit only selects from it: the dialogue log, its step column,
+        the observation store and the count table grow in bulk from the
+        index's columns, in delivery order, after one order check (the
+        index already refused steps that decrease within the flush).  The
+        newest-per-slot map takes each slot's batch winner: the slot's
+        best payload run when this memory was sent one of its carriers,
+        else :meth:`~repro.core.beliefs.DeliveryIndex.addressed_winner`.
+        The latency was charged at stage time.
         """
-        observations = self._observations
-        dialogue = self._dialogue
-        dialogue_steps = self._dialogue_steps
-        step_counts = self._obs_step_counts
+        first_step = next(compress(index.steps, addressed), None)
+        if first_step is None:
+            return
+        _check_order("dialogue", first_step, self._dialogue_steps)
+        self._dialogue.extend(compress(index.messages, addressed))
+        self._dialogue_steps.extend(compress(index.steps, addressed))
+        facts = list(chain.from_iterable(compress(index.payloads, addressed)))
+        self._observations.extend(facts)
+        self._obs_step_counts.update(map(_STEP, facts))
         evict_start = self._evict_start
-        evicted = 0
-        for message, counts, hit in zip(index.messages, index.step_counts, addressed):
-            if not hit:
-                continue
-            _check_order("dialogue", message.step, dialogue_steps)
-            dialogue.append(message)
-            observations.extend(message.facts)
-            dialogue_steps.append(message.step)
-            for step, count in counts.items():
-                step_counts[step] += count
-                if step < evict_start:
-                    evicted += count
-        if evicted:
-            self._evicted_obs += evicted
-        for key, winner in index.newest(addressed):
-            self._keep_newest(key, winner)
+        if index.low_step < evict_start:
+            self._evicted_obs += sum(1 for fact in facts if fact.step < evict_start)
+        for key, (fact, _payload, carriers) in index.best.items():
+            for carrier in carriers:
+                if addressed[carrier]:
+                    break
+            else:
+                fact = index.addressed_winner(key, addressed)
+                if fact is None:
+                    continue
+            self._keep_newest(key, fact)
 
     def _index_facts(self, facts: tuple[Fact, ...]) -> None:
         """Index one observation frame."""

@@ -39,6 +39,15 @@ def dialogue_rounds(n_agents: int) -> int:
 class DecentralizedLoop(ParadigmLoop):
     """Peer-to-peer cooperation with dialogue-based coordination."""
 
+    def _build(self) -> None:
+        super()._build()
+        #: Each agent's broadcast recipients: every teammate, in agent
+        #: order, built once per episode.
+        self._recipients = {
+            agent.name: tuple(other.name for other in self.agents if other is not agent)
+            for agent in self.agents
+        }
+
     def step(self, step: int) -> None:
         bundles = self.perceive_all(step)
         if not self.config.optimizations.plan_then_comm:
@@ -85,9 +94,7 @@ class DecentralizedLoop(ParadigmLoop):
                     known_by_agent[agent.name] = known
                 message = agent.comm.compose(
                     step=step,
-                    recipients=tuple(
-                        other.name for other in self.agents if other is not agent
-                    ),
+                    recipients=self._recipients[agent.name],
                     known_facts=known,
                     intent=agent.state.last_intent,
                     dialogue=bundle.dialogue,

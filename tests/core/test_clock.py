@@ -173,8 +173,16 @@ modules = st.sampled_from(MODULE_ORDER)
 completions = st.floats(min_value=0.0, max_value=400.0)
 #: Anchors: stale ones past now, and small or negative ones that clamp.
 anchors = st.floats(-5.0, 5.0) | st.floats(0.0, 400.0)
-charges = st.tuples(st.just("advance"), durations, modules, phases) | st.tuples(
-    st.just("settle"), completions, durations, modules, phases
+#: ``times`` covers no charge, one, and several identical ones.
+repeat_counts = st.integers(0, 7)
+charges = (
+    st.tuples(st.just("advance"), durations, modules, phases)
+    | st.tuples(st.just("settle"), completions, durations, modules, phases)
+    | st.tuples(st.just("repeated"), durations, modules, phases, repeat_counts)
+    # A negative duration (at any count) or count must raise and charge
+    # nothing.
+    | st.tuples(st.just("invalid"), st.floats(-5.0, -0.001), modules, phases, repeat_counts)
+    | st.tuples(st.just("invalid"), durations, modules, phases, st.integers(-3, -1))
 )
 #: Inside any scope: charges, nested parallel scopes, and overlapped()
 #: attempts, which must raise.
@@ -192,10 +200,15 @@ top_level_ops = st.one_of(
 
 
 def _leaf_charges(ops):
-    """The advance/settle charges of a scope body, in charge order."""
+    """The advance/settle charges of a scope body, in charge order; a
+    repeated charge expands into its ``times`` single advances."""
     for op in ops:
         if op[0] in ("advance", "settle"):
             yield op
+        elif op[0] == "repeated":
+            _kind, duration, module, phase, times = op
+            for _ in range(times):
+                yield ("advance", duration, module, phase)
         elif op[0] == "parallel":
             yield from _leaf_charges(op[1])
 
@@ -216,13 +229,20 @@ def _body(op) -> list:
     return [op]
 
 
+def _expected_sequential(op, now: float) -> float:
+    """Where an unscoped charge leaves ``now``: one addition per advance."""
+    for leaf in _leaf_charges([op]):
+        now = now + leaf[1] if leaf[0] == "advance" else max(now, leaf[1])
+    return now
+
+
 def _expected_end(op, now: float) -> float:
     """The reference model: where ``now`` lands after one top-level op."""
     kind = op[0]
-    if kind in ("advance", "wait"):
+    if kind == "wait":
         return now + op[1]
-    if kind == "settle":
-        return max(now, op[1])
+    if kind in ("advance", "settle", "repeated", "invalid"):
+        return _expected_sequential(op, now)
     # A parallel scope measures from entry; an overlapped one from its
     # anchor clamped into [0, now].  Either ends at its latest charge end,
     # never before it began.
@@ -234,6 +254,11 @@ def _run(clock: SimClock, op) -> None:
     kind = op[0]
     if kind == "advance":
         clock.advance(op[1], op[2], phase=op[3])
+    elif kind == "repeated":
+        clock.advance(op[1], op[2], phase=op[3], times=op[4])
+    elif kind == "invalid":
+        with pytest.raises(ValueError):
+            clock.advance(op[1], op[2], phase=op[3], times=op[4])
     elif kind == "settle":
         clock.settle(op[1], op[2], op[3], phase=op[4])
     elif kind == "wait":
@@ -256,10 +281,25 @@ class TestNestingProperties:
     @given(program=st.lists(top_level_ops, max_size=8))
     # A negative anchor clamps to 0, not below it.
     @example(program=[("overlapped", -3.0, [("advance", 2.0, ModuleName.SENSING, "")])])
+    # Repeated charges at top level and in both scopes, where k additions
+    # differ from one multiplication (7 * 0.1 != 0.1 + ... + 0.1), and the
+    # charges that must add nothing.
+    @example(
+        program=[
+            ("repeated", 0.1, ModuleName.MEMORY, "a", 7),
+            ("parallel", [("repeated", 0.7, ModuleName.MEMORY, "b", 7)]),
+            ("overlapped", 0.05, [("repeated", 0.7, ModuleName.SENSING, "", 7)]),
+            ("repeated", 9.0, ModuleName.PLANNING, "", 0),
+            ("invalid", -1.0, ModuleName.PLANNING, "", 2),
+            ("invalid", 1.0, ModuleName.REFLECTION, "", -1),
+        ]
+    )
     def test_scopes_match_reference_model(self, program):
-        """Random advance/settle programs in nested parallel() scopes and
-        top-level overlapped() scopes against a reference model: scope
-        ends, monotone ``now``, and totals summed in charge order."""
+        """Random advance/settle programs, repeated charges included, in
+        nested parallel() scopes and top-level overlapped() scopes against
+        a reference model that expands a ``times=k`` advance into k single
+        ones: scope ends, monotone ``now``, and totals summed in charge
+        order with their keys in first-charge order."""
         clock = SimClock()
         module_totals: dict = {}
         phase_totals: dict = {}
@@ -277,6 +317,8 @@ class TestNestingProperties:
                 phase_totals[key] = phase_totals.get(key, 0.0) + duration
         assert clock.elapsed_by_module() == module_totals
         assert clock.elapsed_by_phase() == phase_totals
+        assert list(clock.elapsed_by_module()) == list(module_totals)
+        assert list(clock.elapsed_by_phase()) == list(phase_totals)
 
 
 class TestConstants:

@@ -292,6 +292,26 @@ def flush_scenarios(draw) -> FlushScenario:
     )
 
 
+def _newest(index: DeliveryIndex, addressed):
+    """The winner oracle: each slot's batch winner among the addressed
+    payload arrivals, by a walk over every run of every slot.
+
+    The winner is the arrival with the highest step, a later arrival
+    winning a tie: what :meth:`Beliefs.update`'s rule leaves after
+    merging those arrivals in order.  Intent runs never take part.
+    Yields ``(slot, fact)`` for every slot with an addressed payload.
+    """
+    for key, runs in index.slots.items():
+        winner = None
+        for fact, payload, carriers in runs:
+            if not payload or (winner is not None and fact.step < winner.step):
+                continue
+            if any(addressed[carrier] for carrier in carriers):
+                winner = fact
+        if winner is not None:
+            yield key, winner
+
+
 def _one_receiver(payloads, preloaded=()) -> FlushScenario:
     """``agent_1`` sends each payload to ``agent_0`` in one flush."""
     messages = [
@@ -378,7 +398,15 @@ class TestSharedIndexFlush:
         index = DeliveryIndex(messages, DeliveryBus._intent_facts(messages))
         assert [len(runs) for runs in index.slots.values()] == [1, 1, 1]
         assert [runs[0][2] for runs in index.slots.values()] == [[0, 1, 2]] * 3
-        assert index.step_counts == [{4: 2}] * 3
+        # The per-message columns every receiver selects from.
+        assert index.steps == [4, 4, 4]
+        assert all(facts is payload for facts in index.payloads)
+        assert index.low_step == 4
+        # Each payload slot's best run is its one run; the intent slot has none.
+        assert {key: run[2] for key, run in index.best.items()} == {
+            fact.key(): [0, 1, 2] for fact in payload
+        }
+        assert all(index.best[key] is index.slots[key][0] for key in index.best)
 
     def test_intents_keep_their_step(self):
         """One sender's intents at two steps in one flush stay two facts."""
@@ -414,7 +442,9 @@ class TestSharedIndexFlush:
         beliefs.merge_index(index, addressed, useful)
         assert useful == [False, True]
         assert beliefs.value("box_0", "targeted_by") == "agent_1"
-        assert list(index.newest(addressed)) == [(shared.key(), shared)]
+        assert list(_newest(index, addressed)) == [(shared.key(), shared)]
+        assert index.best == {shared.key(): index.slots[shared.key()][1]}
+        assert index.addressed_winner(shared.key(), addressed) is shared
 
 
 def _memory(capacity: int = 20) -> MemoryModule:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import commit_alone, small_env
 
+from repro.core.beliefs import DeliveryIndex
 from repro.core.clock import ModuleName
 from repro.core.modules.communication import CommunicationModule
 from repro.core.modules.execution import ExecutionModule
@@ -126,6 +127,27 @@ class TestMemory:
         commit_alone(memory, [later])
         with pytest.raises(ValueError, match="out-of-order dialogue"):
             commit_alone(memory, [earlier])
+
+    def test_flush_with_decreasing_steps_raises(self, context):
+        """A flush whose message steps go back in time is refused whole:
+        nothing of it reaches the stores."""
+        memory = self.make(context)
+        messages = [Message(sender="a1", recipients=(), step=step) for step in (4, 2)]
+        with pytest.raises(ValueError, match="out-of-order flush"):
+            commit_alone(memory, messages)
+        assert memory.retrieve(step=5).dialogue == []
+
+    def test_flush_older_than_stored_dialogue_raises(self, context):
+        """The first message a flush addresses to a memory may not precede
+        its stored dialogue; unaddressed older messages do not count."""
+        memory = self.make(context)
+        commit_alone(memory, [Message(sender="a1", recipients=(), step=5)])
+        older, newer = (Message(sender="a1", recipients=(), step=step) for step in (3, 7))
+        index = DeliveryIndex([older, newer], [(), ()])
+        with pytest.raises(ValueError, match="out-of-order dialogue store: step 3 after step 5"):
+            memory.commit_staged_messages(index, [True, True])
+        memory.commit_staged_messages(index, [False, True])
+        assert [message.step for message in memory.retrieve(step=8).dialogue] == [5, 7]
 
     def test_backwards_window_raises(self, context):
         """The window start only moves forward, so a retrieval whose window

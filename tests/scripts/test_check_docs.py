@@ -59,6 +59,23 @@ def test_stale_symbol_fails():
     ]
 
 
+def test_span_wrapped_after_the_colon_resolves():
+    text = "guarded by `core/fleet.py:\nJobLedger.append_done` and `envs/base.py:\n  candidates`"
+    assert check_docs.SYMBOL_REFERENCE.findall(text) == [
+        ("core/fleet.py", "JobLedger.append_done"),
+        ("envs/base.py", "candidates"),
+    ]
+    assert check_docs.stale_symbols(text, PY_FILES) == []
+
+
+def test_stale_span_wrapped_after_the_colon_fails():
+    text = "see `core/fleet.py:\nFleetRunner` and `core/settings.py:\n    RunSettings.shard`"
+    assert check_docs.stale_symbols(text, PY_FILES) == [
+        "core/fleet.py: FleetRunner",
+        "core/settings.py: RunSettings.shard",
+    ]
+
+
 def test_symbol_in_missing_file_fails():
     text = "`envs/candidates.py: candidates` and `ase.py: Environment`"
     assert check_docs.stale_symbols(text, PY_FILES) == [
