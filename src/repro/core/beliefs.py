@@ -22,8 +22,6 @@ every reader looks slots up by key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.types import Fact, Message
@@ -32,8 +30,6 @@ from repro.core.types import Fact, Message
 #: ``Fact`` object, whether they are payload (``True``) or intent facts,
 #: and the ascending indices of the messages that carried them.
 Run = tuple[Fact, bool, list[int]]
-
-_STEP = attrgetter("step")
 
 
 @dataclass
@@ -167,7 +163,6 @@ class DeliveryIndex:
     - Per message, columns aligned with ``messages``: ``steps`` (message
       steps, which may not decrease: a flush that goes back in time
       raises ``ValueError``) and ``payloads`` (payload fact tuples).
-      ``low_step`` is the flush's lowest payload fact step.
     - Per slot, ``slots`` maps each ``(subject, relation)`` slot to its
       :data:`Run` list over each message's payload facts, then its
       intent facts.  A run breaks on object identity, not equality, so
@@ -175,15 +170,16 @@ class DeliveryIndex:
       on which copy a sender shared.
     - ``best`` maps each slot with a payload arrival to its best payload
       run: the highest step, a later run winning a tie.  A receiver sent
-      one of its carriers has that run's fact as the slot's batch winner;
-      :meth:`addressed_winner` walks the runs for the others.
+      one of its carriers has that run's fact as the slot's batch winner
+      (:meth:`winners`); :meth:`addressed_winner` walks the runs for the
+      others.
 
     ``intents[i]`` holds message ``i``'s intent facts: receivers merge
     them into beliefs for conflict avoidance, but memory never stores
     them and they never count toward novelty.
     """
 
-    __slots__ = ("messages", "steps", "payloads", "low_step", "slots", "best")
+    __slots__ = ("messages", "steps", "payloads", "slots", "best")
 
     def __init__(
         self,
@@ -196,7 +192,6 @@ class DeliveryIndex:
             if later < earlier:
                 raise ValueError(f"out-of-order flush: message step {later} after step {earlier}")
         self.payloads = payloads = [message.facts for message in messages]
-        self.low_step = min(map(_STEP, chain.from_iterable(payloads)), default=0)
         self.slots: dict[tuple[str, str], list[Run]] = {}
         self.best: dict[tuple[str, str], Run] = {}
         slots = self.slots
@@ -224,6 +219,21 @@ class DeliveryIndex:
                         top = best.get(key)
                         if top is None or fact.step >= top[0].step:
                             best[key] = run
+
+    def winners(self, addressed: Sequence[bool]) -> Iterator[tuple[tuple[str, str], Fact]]:
+        """``(slot, batch winner)`` for every slot one receiver was sent a
+        payload arrival for, ``addressed`` marking its messages: the
+        slot's best run when one of its carriers is addressed, else
+        :meth:`addressed_winner`."""
+        for key, (fact, _payload, carriers) in self.best.items():
+            for carrier in carriers:
+                if addressed[carrier]:
+                    break
+            else:
+                fact = self.addressed_winner(key, addressed)
+                if fact is None:
+                    continue
+            yield key, fact
 
     def addressed_winner(self, key: tuple[str, str], addressed: Sequence[bool]) -> Fact | None:
         """``key``'s batch winner among the payload arrivals addressed to

@@ -112,23 +112,14 @@ class SimClock:
     def _advance_repeated(
         self, duration: float, module: ModuleName, phase: str, times: int
     ) -> None:
-        """:meth:`advance`'s ``times=k`` charge, addition by addition."""
+        """:meth:`advance`'s ``times=k`` charge: k attributions, then k
+        additions to ``now`` outside a scope."""
         if times < 0:
             raise ValueError(f"times must be non-negative, got {times}")
         if times == 0:
             return
-        for totals, key in (
-            (self._module_seconds, module),
-            (self._phase_seconds, (module, phase)),
-        ):
-            total = totals.get(key)
-            additions = times
-            if total is None:
-                total = duration
-                additions -= 1
-            for _ in range(additions):
-                total += duration
-            totals[key] = total
+        for _ in range(times):
+            self._attribute(duration, module, phase)
         if self._parallel_depth > 0:
             # Inside a scope ``now`` stays put, so k charges reach one front.
             self._parallel_front = max(self._parallel_front, self.now + duration)

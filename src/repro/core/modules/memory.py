@@ -183,10 +183,10 @@ class MemoryModule:
         the observation store and the count table grow in bulk from the
         index's columns, in delivery order, after one order check (the
         index already refused steps that decrease within the flush).  The
-        newest-per-slot map takes each slot's batch winner: the slot's
-        best payload run when this memory was sent one of its carriers,
-        else :meth:`~repro.core.beliefs.DeliveryIndex.addressed_winner`.
-        The latency was charged at stage time.
+        newest-per-slot map takes each slot's batch winner
+        (:meth:`~repro.core.beliefs.DeliveryIndex.winners`: the slot's best
+        payload run when this memory was sent one of its carriers, else a
+        walk over the slot's runs).  The latency was charged at stage time.
         """
         first_step = next(compress(index.steps, addressed), None)
         if first_step is None:
@@ -196,18 +196,13 @@ class MemoryModule:
         self._dialogue_steps.extend(compress(index.steps, addressed))
         facts = list(chain.from_iterable(compress(index.payloads, addressed)))
         self._observations.extend(facts)
-        self._obs_step_counts.update(map(_STEP, facts))
+        # The addressed facts share a few steps, so the eviction count
+        # sums per step, not per fact.
+        counts = Counter(map(_STEP, facts))
+        self._obs_step_counts.update(counts)
         evict_start = self._evict_start
-        if index.low_step < evict_start:
-            self._evicted_obs += sum(1 for fact in facts if fact.step < evict_start)
-        for key, (fact, _payload, carriers) in index.best.items():
-            for carrier in carriers:
-                if addressed[carrier]:
-                    break
-            else:
-                fact = index.addressed_winner(key, addressed)
-                if fact is None:
-                    continue
+        self._evicted_obs += sum(count for step, count in counts.items() if step < evict_start)
+        for key, fact in index.winners(addressed):
             self._keep_newest(key, fact)
 
     def _index_facts(self, facts: tuple[Fact, ...]) -> None:

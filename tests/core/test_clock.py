@@ -283,11 +283,17 @@ class TestNestingProperties:
     @example(program=[("overlapped", -3.0, [("advance", 2.0, ModuleName.SENSING, "")])])
     # Repeated charges at top level and in both scopes, where k additions
     # differ from one multiplication (7 * 0.1 != 0.1 + ... + 0.1), and the
-    # charges that must add nothing.
+    # charges that must add nothing, nor move a scope's end.
     @example(
         program=[
             ("repeated", 0.1, ModuleName.MEMORY, "a", 7),
-            ("parallel", [("repeated", 0.7, ModuleName.MEMORY, "b", 7)]),
+            (
+                "parallel",
+                [
+                    ("repeated", 0.7, ModuleName.MEMORY, "b", 7),
+                    ("repeated", 9.0, ModuleName.PLANNING, "", 0),
+                ],
+            ),
             ("overlapped", 0.05, [("repeated", 0.7, ModuleName.SENSING, "", 7)]),
             ("repeated", 9.0, ModuleName.PLANNING, "", 0),
             ("invalid", -1.0, ModuleName.PLANNING, "", 2),

@@ -5,9 +5,11 @@ goldens (tests/core/test_goldens.py); these tests pin the component
 contracts it rests on: a flush merged slot by slot from one shared index
 equals sequential per-receiver delivery (usefulness, beliefs, memory
 retrieval and modeled time), one batched commit leaves the same state as
-per-message commits, a step that ends with deliveries still staged fails
-at its boundary, the detector leaves the rng stream where the seed
-detector left it, and a step's composes share one staged payload.
+per-message commits, the bus refuses memories on separate clocks (it
+charges their stores on one), a step that ends with deliveries still
+staged fails at its boundary, the detector leaves the rng stream where
+the seed detector left it, and a step's composes share one staged
+payload.
 """
 
 from __future__ import annotations
@@ -178,7 +180,13 @@ def _sequential(scenario: FlushScenario):
 
 
 def _check_flush(scenario: FlushScenario) -> list[bool]:
-    """Assert the bus equals the oracle; returns the useful flags."""
+    """Assert the bus equals the oracle, and each receiver's memory
+    winners equal the winner oracle's; returns the useful flags."""
+    for _step, messages in scenario.flushes:
+        index = DeliveryIndex(messages, DeliveryBus._intent_facts(messages))
+        for name in scenario.names:
+            addressed = [name in message.recipients for message in messages]
+            assert dict(index.winners(addressed)) == dict(_newest(index, addressed))
     flags, beliefs, retrievals, clock = _via_bus(scenario)
     expected_flags, expected_beliefs, expected_retrievals, expected_clock = _sequential(
         scenario
@@ -401,7 +409,6 @@ class TestSharedIndexFlush:
         # The per-message columns every receiver selects from.
         assert index.steps == [4, 4, 4]
         assert all(facts is payload for facts in index.payloads)
-        assert index.low_step == 4
         # Each payload slot's best run is its one run; the intent slot has none.
         assert {key: run[2] for key, run in index.best.items()} == {
             fact.key(): [0, 1, 2] for fact in payload
@@ -442,7 +449,6 @@ class TestSharedIndexFlush:
         beliefs.merge_index(index, addressed, useful)
         assert useful == [False, True]
         assert beliefs.value("box_0", "targeted_by") == "agent_1"
-        assert list(_newest(index, addressed)) == [(shared.key(), shared)]
         assert index.best == {shared.key(): index.slots[shared.key()][1]}
         assert index.addressed_winner(shared.key(), addressed) is shared
 
@@ -483,6 +489,13 @@ class TestStagedMemoryWrites:
         staged.context.set_step(3)
         assert staged.retrieve(3) == inline.retrieve(3)
         assert staged.retrieve(3).dialogue == inline.retrieve(3).dialogue
+
+    def test_bus_refuses_memories_on_separate_clocks(self):
+        """The bus charges every staged store on one memory's clock, so
+        it refuses a team whose memories keep separate clocks."""
+        agents = [_Agent("agent_0", _memory()), _Agent("agent_1", _memory())]
+        with pytest.raises(ValueError, match="share one clock"):
+            DeliveryBus(agents, _Recorder())
 
 
 class _StagesWithoutFlush(ParadigmLoop):
