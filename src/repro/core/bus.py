@@ -17,11 +17,12 @@ phase's staged deliveries:
   the fan-out into work done once and work done per receiver.  Once per
   flush it builds the :class:`repro.core.beliefs.DeliveryIndex`: the
   message steps and payload tuples as columns, the staged facts grouped
-  by belief slot, and each slot's best payload run.  Per receiver it
-  marks which messages the receiver was sent, then merges its beliefs
-  slot by slot (:meth:`repro.core.beliefs.Beliefs.merge_index`, which
-  also flags the messages whose payload was novel — the paper's
-  usefulness metric) and commits its dialogue memory
+  by belief slot, and each slot's best payload run; one pass over the
+  (message, recipient) pairs marks which messages each receiver was
+  sent.  Per receiver it then merges its beliefs slot by slot
+  (:meth:`repro.core.beliefs.Beliefs.merge_index`, which also flags the
+  messages whose payload was novel — the paper's usefulness metric) and
+  commits its dialogue memory
   (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`:
   bulk selections from the columns, one order check, one winner lookup
   per slot).  The result equals merging each addressed message in
@@ -114,8 +115,14 @@ class DeliveryBus:
         self._staged = []
         index = DeliveryIndex(staged, self._intent_facts(staged))
         useful = [False] * len(staged)
+        # Every receiver's addressed mask, from one pass over the
+        # (message, recipient) pairs.
+        addressed_by = {name: [False] * len(staged) for name in self._memory_of}
+        for position, message in enumerate(staged):
+            for name in message.recipients:
+                addressed_by[name][position] = True
         for name, memory in self._memory_of.items():
-            addressed = [name in message.recipients for message in staged]
+            addressed = addressed_by[name]
             if True not in addressed:
                 continue
             bundles[name].beliefs.merge_index(index, addressed, useful)

@@ -196,12 +196,15 @@ class MemoryModule:
         self._dialogue_steps.extend(compress(index.steps, addressed))
         facts = list(chain.from_iterable(compress(index.payloads, addressed)))
         self._observations.extend(facts)
-        # The addressed facts share a few steps, so the eviction count
-        # sums per step, not per fact.
-        counts = Counter(map(_STEP, facts))
-        self._obs_step_counts.update(counts)
+        step_counts = self._obs_step_counts
         evict_start = self._evict_start
-        self._evicted_obs += sum(count for step, count in counts.items() if step < evict_start)
+        evicted = 0
+        # The addressed facts share a few steps: count them per step.
+        for step, count in Counter(map(_STEP, facts)).items():
+            step_counts[step] += count
+            if step < evict_start:
+                evicted += count
+        self._evicted_obs += evicted
         for key, fact in index.winners(addressed):
             self._keep_newest(key, fact)
 
