@@ -21,10 +21,7 @@ every reader looks slots up by key.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.types import Fact, Message
@@ -33,8 +30,6 @@ from repro.core.types import Fact, Message
 #: ``Fact`` object, whether they are payload (``True``) or intent facts,
 #: and the ascending indices of the messages that carried them.
 Run = tuple[Fact, bool, list[int]]
-
-_STEP = attrgetter("step")
 
 
 @dataclass
@@ -167,8 +162,7 @@ class DeliveryIndex:
 
     - Per message, columns aligned with ``messages``: ``steps`` (message
       steps, which may not decrease: a flush that goes back in time
-      raises ``ValueError``) and ``payloads`` (payload fact tuples);
-      ``fact_steps`` counts the flush's payload facts per fact step.
+      raises ``ValueError``) and ``payloads`` (payload fact tuples).
     - Per slot, ``slots`` maps each ``(subject, relation)`` slot to its
       :data:`Run` list over each message's payload facts, then its
       intent facts.  A run breaks on object identity, not equality, so
@@ -185,7 +179,7 @@ class DeliveryIndex:
     them and they never count toward novelty.
     """
 
-    __slots__ = ("messages", "steps", "payloads", "fact_steps", "slots", "best")
+    __slots__ = ("messages", "steps", "payloads", "slots", "best")
 
     def __init__(
         self,
@@ -198,7 +192,6 @@ class DeliveryIndex:
             if later < earlier:
                 raise ValueError(f"out-of-order flush: message step {later} after step {earlier}")
         self.payloads = payloads = [message.facts for message in messages]
-        self.fact_steps = Counter(map(_STEP, chain.from_iterable(payloads)))
         self.slots: dict[tuple[str, str], list[Run]] = {}
         self.best: dict[tuple[str, str], Run] = {}
         slots = self.slots

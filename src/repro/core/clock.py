@@ -72,11 +72,7 @@ class SimClock:
     _module_seconds: dict = field(default_factory=dict, repr=False)
     _phase_seconds: dict = field(default_factory=dict, repr=False)
 
-    def _attribute(
-        self, duration: float, module: ModuleName, phase: str, times: int = 1
-    ) -> None:
-        """Add ``times >= 1`` charges of ``duration`` to the running sums,
-        one addition each, so every sum equals ``times`` single calls."""
+    def _attribute(self, duration: float, module: ModuleName, phase: str) -> None:
         # In-place += with a KeyError fallback: the accumulator keys (a
         # handful of modules/phases) are hit tens of thousands of times,
         # so the steady state is one dict indexing operation instead of a
@@ -92,16 +88,10 @@ class SimClock:
             phases[key] += duration
         except KeyError:
             phases[key] = duration
-        if times > 1:
-            module_total = totals[module]
-            phase_total = phases[key]
-            for _ in range(times - 1):
-                module_total += duration
-                phase_total += duration
-            totals[module] = module_total
-            phases[key] = phase_total
 
-    def advance(self, duration: float, module: ModuleName, phase: str = "", times: int = 1) -> None:
+    def advance(
+        self, duration: float, module: ModuleName, phase: str = "", times: int = 1
+    ) -> None:
         """Advance virtual time by ``duration`` seconds, attributed.
 
         ``times=k`` makes k identical charges in one call: each running
@@ -130,7 +120,8 @@ class SimClock:
             raise ValueError(f"times must be non-negative, got {times}")
         if times == 0:
             return
-        self._attribute(duration, module, phase, times)
+        for _ in range(times):
+            self._attribute(duration, module, phase)
         if self._parallel_depth > 0:
             # Inside a scope ``now`` stays put, so k charges reach one front.
             self._parallel_front = max(self._parallel_front, self.now + duration)

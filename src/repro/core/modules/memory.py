@@ -47,7 +47,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import attrgetter, not_
+from operator import attrgetter
 from typing import Sequence
 
 from repro.core.beliefs import Beliefs, DeliveryIndex
@@ -194,21 +194,13 @@ class MemoryModule:
         _check_order("dialogue", first_step, self._dialogue_steps)
         self._dialogue.extend(compress(index.messages, addressed))
         self._dialogue_steps.extend(compress(index.steps, addressed))
-        self._observations.extend(chain.from_iterable(compress(index.payloads, addressed)))
-        # The addressed facts' steps, counted on the smaller side: a
-        # broadcast's receiver misses only its own messages, so it takes
-        # the flush's counts less those of the facts it missed.
-        misses = addressed.count(False)
-        if misses < len(addressed) - misses:
-            missed = chain.from_iterable(compress(index.payloads, map(not_, addressed)))
-            counts = index.fact_steps - Counter(map(_STEP, missed))
-        else:
-            counts = Counter(map(_STEP, chain.from_iterable(compress(index.payloads, addressed))))
+        facts = list(chain.from_iterable(compress(index.payloads, addressed)))
+        self._observations.extend(facts)
         step_counts = self._obs_step_counts
         evict_start = self._evict_start
         evicted = 0
         # The facts share a few steps: account for them per step.
-        for step, count in counts.items():
+        for step, count in Counter(map(_STEP, facts)).items():
             step_counts[step] += count
             if step < evict_start:
                 evicted += count
