@@ -7,11 +7,12 @@ Usage (from the root of a checkout)::
 
 ``--base`` names the parent revision; the change is this checkout's
 working tree.  The committed files of ``--base`` are exported into a
-temporary directory, removed on exit, so the parent runs exactly what
-``git archive`` holds.  Each pair runs ``e2ebench/run.py`` once per side,
-and the side that runs first alternates from pair to pair, so a slow
-spell of the host does not always land on one side.  Every run's
-last-line JSON is kept (``--out`` writes them all to a file).
+temporary directory, removed on exit (a SIGTERM included), so the
+parent runs exactly what ``git archive`` holds.  Each pair runs
+``e2ebench/run.py`` once per side, and the side that runs first
+alternates from pair to pair, so a slow spell of the host does not
+always land on one side.  Every run's last-line JSON is kept
+(``--out`` writes them all to a file).
 
 For every metric the report prints, per side, the median, the quartiles,
 the pairs the change won and each run's value.  Verdicts:
@@ -37,6 +38,7 @@ import argparse
 import json
 import math
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -207,6 +209,10 @@ def print_table(base: list[dict], change: list[dict], names: list[str], better: 
             )
 
 
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent revision (git rev)")
@@ -222,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = spec["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end + spec.get("per_layer", [])}
+    # A SIGTERM (a stopped comparison, a CI or session timeout) unwinds
+    # like an exception: the finally block removes the export, and
+    # subprocess.run kills the benchmark run it was waiting for.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     base_root = Path(tempfile.mkdtemp(prefix="ab-parent-"))
     base: list[dict] = []
     change: list[dict] = []
@@ -239,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(base_root, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
 
     report = judge(base, change, end_to_end, args.claim, better.get(args.claim, "lower"))
     if args.out is not None:

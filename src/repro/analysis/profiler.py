@@ -29,7 +29,12 @@ class LatencyProfile:
 
 def profile_from_aggregate(result: AggregateResult) -> LatencyProfile:
     breakdown = result.module_breakdown()
-    llm_fraction = sum(breakdown.get(module, 0.0) for module in LLM_MODULES)
+    # Summed in MODULE_ORDER, as EpisodeResult.llm_fraction is: the
+    # LLM_MODULES frozenset iterates in an order that varies between
+    # processes, and the float sum with it.
+    llm_fraction = sum(
+        breakdown.get(module, 0.0) for module in MODULE_ORDER if module in LLM_MODULES
+    )
     return LatencyProfile(
         workload=result.workload,
         seconds_per_step=result.mean_seconds_per_step,

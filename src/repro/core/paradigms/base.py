@@ -160,12 +160,20 @@ class ParadigmLoop(abc.ABC):
         self.scheduler.flush()
 
     def execute_and_reflect(
-        self, step: int, agent: EmbodiedAgent, bundle: PerceptionBundle, decision: Decision
+        self,
+        step: int,
+        agent: EmbodiedAgent,
+        bundle: PerceptionBundle,
+        decision: Decision,
+        reviewer: EmbodiedAgent | None = None,
     ) -> ExecutionOutcome:
-        """Act, record, reflect, and replan once within the step when reflection asks."""
+        """Act, record, and have ``reviewer`` (else ``agent`` itself)
+        reflect on the outcome, applying its repairs; an agent that
+        reviews itself replans once within the step when reflection asks."""
         outcome = agent.act(self.env, decision)
         record = _step_record(step, agent, decision, outcome)
-        report = agent.reflect(self.env, decision, outcome)
+        reviewer = agent if reviewer is None else reviewer
+        report = reviewer.reflect(self.env, decision, outcome)
         agent.state.note_outcome(
             decision,
             wasted=is_wasteful(decision, outcome),
@@ -173,7 +181,7 @@ class ParadigmLoop(abc.ABC):
         )
         if report is not None and report.judged_failure:
             record.reflected = True
-            if report.should_replan:
+            if reviewer is agent and report.should_replan:
                 record.replanned = True
                 self.metrics.replans += 1
                 bundle.beliefs.forget(report.forget_subject, report.forget_relation)
@@ -191,6 +199,31 @@ class ParadigmLoop(abc.ABC):
                 return retry_outcome
         self.metrics.record_step(record)
         return outcome
+
+    def speak(
+        self,
+        step: int,
+        agent: EmbodiedAgent,
+        recipients: tuple[str, ...],
+        known_facts: list[Fact],
+        bundles: dict[str, PerceptionBundle],
+        force_filter: bool = False,
+    ) -> bool:
+        """Compose ``agent``'s message about its current intent, against
+        its own dialogue, and stage it on the bus; False when the
+        communication module filtered it.  ``agent`` must have one."""
+        message = agent.comm.compose(
+            step=step,
+            recipients=recipients,
+            known_facts=known_facts,
+            intent=agent.state.last_intent,
+            dialogue=bundles[agent.name].dialogue,
+            force_filter=force_filter,
+        )
+        if message is None:
+            return False
+        self.bus.stage(message, bundles)
+        return True
 
     def action_selection_call(self, step: int, agent: EmbodiedAgent, decision: Decision) -> None:
         """CoELA's extra LLM pass selecting the low-level action of a plan."""
@@ -305,31 +338,15 @@ class ParadigmLoop(abc.ABC):
         bundles: dict[str, PerceptionBundle],
         lead_of: dict[str, EmbodiedAgent],
     ) -> None:
-        """Run every agent's decision: a lead acts and reflects itself; a
-        worker only acts, and its lead reviews the outcome."""
+        """Run every agent's decision, reviewed by its lead: a lead reviews
+        (and may replan) itself; a worker's outcome is verified by its lead
+        (COHERENT's execution-feedback-adjustment loop), whose blacklist
+        and memory take the repair."""
         for agent in self.agents:
-            decision = decisions[agent.name]
-            lead = lead_of[agent.name]
-            if agent is lead:
-                self.execute_and_reflect(step, agent, bundles[agent.name], decision)
-                continue
-            outcome = agent.act(self.env, decision)
-            # The lead's reflection verifies the worker (COHERENT's
-            # execution-feedback-adjustment loop) and corrects it centrally.
-            corrected = False
-            if lead.reflection is not None:
-                report = lead.reflection.review(step, decision, outcome)
-                if report.judged_failure:
-                    corrected = True
-                    lead.state.add_blacklist(decision.subgoal, step)
-                    if lead.memory is not None and report.forget_subject:
-                        lead.memory.forget(report.forget_subject, report.forget_relation)
-            agent.state.note_outcome(
-                decision, wasted=is_wasteful(decision, outcome), corrected=corrected
+            name = agent.name
+            self.execute_and_reflect(
+                step, agent, bundles[name], decisions[name], reviewer=lead_of[name]
             )
-            record = _step_record(step, agent, decision, outcome)
-            record.reflected = corrected
-            self.metrics.record_step(record)
 
 
 def _step_record(

@@ -40,7 +40,7 @@ class CentralizedLoop(ParadigmLoop):
             for agent in self.agents
         }
         decisions = self.plan_step(step, bundles, central_bundle, candidates_by_agent)
-        self._broadcast_instructions(step, decisions, bundles)
+        self._broadcast_instructions(step, bundles)
         # Reflection is the central agent's job: workers run without
         # their own replan loop, and the centre reviews them.
         self.execute_team(step, decisions, bundles, dict.fromkeys(decisions, self.central))
@@ -92,27 +92,17 @@ class CentralizedLoop(ParadigmLoop):
     # Instruction broadcast
     # ------------------------------------------------------------------ #
 
-    def _broadcast_instructions(
-        self,
-        step: int,
-        decisions: dict[str, Decision],
-        bundles: dict[str, PerceptionBundle],
-    ) -> None:
-        """One communication call turns the joint plan into instructions."""
-        comm = self.central.comm
-        if comm is None:
+    def _broadcast_instructions(self, step: int, bundles: dict[str, PerceptionBundle]) -> None:
+        """One communication call turns the joint plan into instructions;
+        it speaks the centre's own subgoal, its ``last_intent`` since
+        :meth:`joint_decisions`."""
+        central = self.central
+        if central.comm is None:
             return  # w/o communication: symbolic dispatch, zero cost
-        known = list(bundles[self.central.name].current_facts)
-        message = comm.compose(
-            step=step,
-            recipients=tuple(a.name for a in self.agents if a is not self.central),
-            known_facts=known,
-            intent=decisions[self.central.name].subgoal,
-            dialogue=bundles[self.central.name].dialogue,
-        )
-        if message is None:
+        recipients = tuple(a.name for a in self.agents if a is not central)
+        known = list(bundles[central.name].current_facts)
+        if not self.speak(step, central, recipients, known, bundles):
             return
-        self.bus.stage(message, bundles)
         # The workers' beliefs must hold the broadcast before execution.
         self.bus.flush(bundles)
         # Serving phase boundary: the broadcast never batches with the

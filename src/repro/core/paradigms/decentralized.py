@@ -87,23 +87,14 @@ class DecentralizedLoop(ParadigmLoop):
             for agent in self.agents:
                 if agent.comm is None:
                     continue
-                bundle = bundles[agent.name]
                 known = known_by_agent.get(agent.name)
                 if known is None:
+                    bundle = bundles[agent.name]
                     known = list(bundle.current_facts) + bundle.memory_facts
                     known_by_agent[agent.name] = known
-                message = agent.comm.compose(
-                    step=step,
-                    recipients=self._recipients[agent.name],
-                    known_facts=known,
-                    intent=agent.state.last_intent,
-                    dialogue=bundle.dialogue,
-                    # Rec. 8: after planning, only speak when there is news.
-                    force_filter=post_plan,
-                )
-                if message is None:
-                    continue
-                self.bus.stage(message, bundles)
+                recipients = self._recipients[agent.name]
+                # Rec. 8: after planning, only speak when there is news.
+                self.speak(step, agent, recipients, known, bundles, force_filter=post_plan)
             # A round's composes are the phase-concurrent unit: each
             # speaker drafts against the dialogue as it stood when the
             # round began its turn order, so batched serving dispatches

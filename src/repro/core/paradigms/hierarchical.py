@@ -62,16 +62,9 @@ class HierarchicalLoop(ParadigmLoop):
             if lead.comm is None:
                 continue
             bundle = bundles[lead.name]
-            message = lead.comm.compose(
-                step=step,
-                recipients=tuple(other.name for other in leads if other is not lead),
-                known_facts=list(bundle.current_facts) + bundle.memory_facts,
-                intent=lead.state.last_intent,
-                dialogue=bundle.dialogue,
-            )
-            if message is None:
-                continue
-            self.bus.stage(message, bundles)
+            recipients = tuple(other.name for other in leads if other is not lead)
+            known = list(bundle.current_facts) + bundle.memory_facts
+            self.speak(step, lead, recipients, known, bundles)
         # Cluster planning reads the leads' merged beliefs next.
         self.bus.flush(bundles)
         # The leads' round of composes is the phase-concurrent unit.

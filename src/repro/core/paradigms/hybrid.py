@@ -68,18 +68,9 @@ class HybridLoop(CentralizedLoop):
         for agent in self.agents:
             if agent is self.central or agent.comm is None:
                 continue
-            bundle = bundles[agent.name]
-            message = agent.comm.compose(
-                step=step,
-                recipients=(self.central.name,),
-                known_facts=list(bundle.current_facts),
-                intent=agent.state.last_intent,
-                dialogue=bundle.dialogue,
-            )
-            if message is None:
-                continue
-            self.bus.stage(message, bundles)
-            any_feedback = True
+            known = list(bundles[agent.name].current_facts)
+            if self.speak(step, agent, (self.central.name,), known, bundles):
+                any_feedback = True
         # The centre's refined plan follows immediately; merge its staged
         # feedback before that second call reads anything belief-derived.
         self.bus.flush(bundles)

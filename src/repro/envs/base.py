@@ -10,10 +10,13 @@ mineworld, kitchen, tabletop) implements this contract.  Key design points:
   enumerates subgoal options against the agent's *beliefs* (not ground
   truth), so missing memory manifests as exploration candidates and stale
   memory as doomed-but-plausible options.
-- **Grounded execution**: ``execute(agent, subgoal, rng)`` runs real
-  low-level planning (A*/RRT/grasp), mutates the world, and
-  reports primitive counts, compute cost, and actuation time so the
-  latency ledger matches the paper's execution-module accounting.
+- **Grounded execution**: ``execute(agent, subgoal, rng)`` is one
+  dispatcher for every environment: ``idle`` is :data:`IDLE`, any other
+  subgoal runs the environment's ``_do_<name>(agent, subgoal, rng)``
+  handler, and a name without a handler fails as an unknown subgoal.  A
+  handler runs real low-level planning (A*/RRT/grasp), mutates the
+  world, and reports primitive counts, compute cost, and actuation time
+  so the latency ledger matches the paper's execution-module accounting.
 
 Three contracts let the episode loop reuse work across steps; an
 environment that breaks one produces wrong results, and the committed
@@ -64,6 +67,11 @@ class ExecutionOutcome:
         )
 
 
+#: What ``idle`` does in every environment: one primitive, no planning
+#: work, half a second of actuation, no change to the world.
+IDLE = ExecutionOutcome(success=True, primitive_count=1, compute=ZERO_COST, actuation_seconds=0.5)
+
+
 @dataclass
 class EnvState:
     """Bookkeeping shared by all environments."""
@@ -76,8 +84,9 @@ class Environment(abc.ABC):
     """Base class for task environments.
 
     Subclasses populate ``agents`` and goal structures in ``__init__`` from
-    the :class:`~repro.core.types.TaskSpec` and a seeded generator, and
-    implement the abstract affordance/execution hooks.
+    the :class:`~repro.core.types.TaskSpec` and a seeded generator,
+    implement the abstract affordance hooks, and write one
+    ``_do_<name>`` handler per subgoal they offer besides ``idle``.
     """
 
     name: str = "abstract"
@@ -196,11 +205,22 @@ class Environment(abc.ABC):
             )
         return candidate
 
-    @abc.abstractmethod
     def execute(
         self, agent: str, subgoal: Subgoal, rng: np.random.Generator
     ) -> ExecutionOutcome:
-        """Lower ``subgoal`` to primitives, run them, mutate the world."""
+        """Lower ``subgoal`` to primitives, run them, mutate the world.
+
+        ``idle`` returns :data:`IDLE`; any other subgoal runs
+        ``self._do_<name>(agent, subgoal, rng)``, so an environment only
+        writes its handlers.  A name without a handler fails with
+        ``unknown subgoal '<name>'``.
+        """
+        if subgoal.name == "idle":
+            return IDLE
+        handler = getattr(self, f"_do_{subgoal.name}", None)
+        if handler is None:
+            return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
+        return handler(agent, subgoal, rng)
 
     @abc.abstractmethod
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:

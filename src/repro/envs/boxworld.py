@@ -150,23 +150,14 @@ class BoxWorldEnv(Environment):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        if subgoal.name == "move_box":
-            return self._do_move(agent, subgoal)
-        if subgoal.name == "idle":
-            return ExecutionOutcome(
-                success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
-            )
-        return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
-
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:
         if subgoal.name == "move_box":
             return PRIMITIVES_PER_MOVE + 2  # reach, align, grab, move, place, release
         return 1
 
-    def _do_move(self, agent: str, subgoal: Subgoal) -> ExecutionOutcome:
+    def _do_move_box(
+        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
+    ) -> ExecutionOutcome:
         box = self.boxes.get(subgoal.target)
         if box is None:
             return ExecutionOutcome.failure(f"no such box {subgoal.target!r}")

@@ -235,21 +235,6 @@ class CuisineEnv(Environment):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        handler = {
-            "fetch": self._do_fetch,
-            "cook": self._do_cook,
-            "assemble": self._do_assemble,
-            "serve": self._do_serve,
-            "inspect": self._do_inspect,
-            "idle": self._do_idle,
-        }.get(subgoal.name)
-        if handler is None:
-            return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
-        return handler(agent, subgoal, rng)
-
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:
         return {
             "fetch": 3,
@@ -409,13 +394,6 @@ class CuisineEnv(Environment):
             primitive_count=max(1, moves),
             compute=ComputeCost(actionlist_actions=max(1, moves)),
             actuation_seconds=travel_time + 0.4,
-        )
-
-    def _do_idle(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        return ExecutionOutcome(
-            success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
         )
 
     # ------------------------------------------------------------------ #

@@ -225,20 +225,6 @@ class HouseholdEnv(Environment):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        handler = {
-            "explore": self._do_explore,
-            "fetch": self._do_fetch,
-            "deliver": self._do_deliver,
-            "putdown": self._do_putdown,
-            "idle": self._do_idle,
-        }.get(subgoal.name)
-        if handler is None:
-            return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
-        return handler(agent, subgoal, rng)
-
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:
         me = self._agents[agent]
         if subgoal.name == "explore" and subgoal.target in self.grid.room_names():
@@ -374,13 +360,6 @@ class HouseholdEnv(Environment):
             primitive_count=1,
             compute=ComputeCost(),
             actuation_seconds=MANIPULATE_SECONDS,
-        )
-
-    def _do_idle(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        return ExecutionOutcome(
-            success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
         )
 
     # ------------------------------------------------------------------ #

@@ -105,15 +105,9 @@ class KitchenEnv(Environment):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(
+    def _do_perform(
         self, agent: str, subgoal: Subgoal, rng: np.random.Generator
     ) -> ExecutionOutcome:
-        if subgoal.name == "idle":
-            return ExecutionOutcome(
-                success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
-            )
-        if subgoal.name != "perform":
-            return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
         micro = self.micro_tasks.get(subgoal.target)
         if micro is None:
             return ExecutionOutcome.failure(f"unknown micro task {subgoal.target!r}")

@@ -378,19 +378,6 @@ class MineWorldEnv(Environment):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        handler = {
-            "explore": self._do_explore,
-            "gather": self._do_gather,
-            "craft": self._do_craft,
-            "idle": self._do_idle,
-        }.get(subgoal.name)
-        if handler is None:
-            return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
-        return handler(agent, subgoal, rng)
-
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:
         if subgoal.name == "gather":
             return 6
@@ -493,13 +480,6 @@ class MineWorldEnv(Environment):
             compute=ComputeCost(actionlist_actions=moves + 3),
             actuation_seconds=travel_time + CRAFT_SECONDS,
             progress_delta=progress,
-        )
-
-    def _do_idle(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        return ExecutionOutcome(
-            success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
         )
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.beliefs import Beliefs
 from repro.core.types import Candidate, Fact, Subgoal, TaskSpec
-from repro.envs.base import Environment, ExecutionOutcome
+from repro.envs.base import IDLE, Environment, ExecutionOutcome
 from repro.planners.costmodel import ComputeCost
 from repro.planners.rrt import CircleObstacle, rrt_plan
 
@@ -203,10 +203,13 @@ class TabletopEnv(Environment):
     def execute(
         self, agent: str, subgoal: Subgoal, rng: np.random.Generator
     ) -> ExecutionOutcome:
+        # Not the shared dispatcher: the object is looked up before the
+        # subgoal name is checked, so a hallucinated ``fetch`` of an
+        # imaginary object fails with "no such object ...", and that text
+        # is what RoCo's reflection prompt reads.  Dispatching on the name
+        # first would change the prompt and with it the golden episodes.
         if subgoal.name == "idle":
-            return ExecutionOutcome(
-                success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
-            )
+            return IDLE
         obj = self.objects.get(subgoal.target)
         if obj is None:
             return ExecutionOutcome.failure(f"no such object {subgoal.target!r}")

@@ -165,19 +165,6 @@ class TransportEnv(Environment):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        handler = {
-            "explore": self._do_explore,
-            "pickup": self._do_pickup,
-            "deposit": self._do_deposit,
-            "idle": self._do_idle,
-        }.get(subgoal.name)
-        if handler is None:
-            return ExecutionOutcome.failure(f"unknown subgoal {subgoal.name!r}")
-        return handler(agent, subgoal, rng)
-
     def expected_primitives(self, agent: str, subgoal: Subgoal) -> int:
         me = self._agents[agent]
         if subgoal.name == "pickup" and subgoal.target in self.objects:
@@ -275,13 +262,6 @@ class TransportEnv(Environment):
             compute=compute,
             actuation_seconds=actuation + delivered * DROP_SECONDS,
             progress_delta=delivered / max(1, len(self.objects)),
-        )
-
-    def _do_idle(
-        self, agent: str, subgoal: Subgoal, rng: np.random.Generator
-    ) -> ExecutionOutcome:
-        return ExecutionOutcome(
-            success=True, primitive_count=1, compute=ComputeCost(), actuation_seconds=0.5
         )
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,12 @@
 """Tests for analysis: tables, reports, profiler, series helpers."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import profiler
 from repro.analysis.report import (
     checkmark,
     format_bar,
@@ -13,6 +16,8 @@ from repro.analysis.report import (
 )
 from repro.analysis.series import growth_slope
 from repro.analysis.tables import render_table1, render_table2
+from repro.core.clock import LLM_MODULES, ModuleName
+from repro.core.metrics import AggregateResult
 
 
 class TestFormatTable:
@@ -82,6 +87,40 @@ class TestSeries:
     def test_slope_recovers_linear(self, slope, intercept):
         series = [(step, intercept + slope * step) for step in range(12)]
         assert growth_slope(series) == pytest.approx(slope, abs=1e-6)
+
+
+class TestProfiler:
+    def test_llm_fraction_does_not_depend_on_the_set_order(self, monkeypatch):
+        # The LLM modules' shares, 0.05 + 0.1 + 0.15, round differently
+        # in different orders; the frozenset's order varies by process.
+        seconds = {
+            ModuleName.SENSING: 1.0,
+            ModuleName.PLANNING: 0.1,
+            ModuleName.COMMUNICATION: 0.2,
+            ModuleName.REFLECTION: 0.3,
+            ModuleName.EXECUTION: 0.4,
+        }
+        result = AggregateResult(
+            workload="probe",
+            n_trials=1,
+            success_rate=1.0,
+            mean_steps=1.0,
+            mean_sim_minutes=1.0,
+            mean_seconds_per_step=2.0,
+            module_seconds=seconds,
+            mean_llm_calls=1.0,
+            mean_prompt_tokens=1.0,
+            llm_fraction=0.0,
+            message_usefulness=0.0,
+            mean_messages_sent=0.0,
+            mean_goal_progress=1.0,
+        )
+        fractions = set()
+        for order in itertools.permutations(LLM_MODULES):
+            monkeypatch.setattr(profiler, "LLM_MODULES", order)
+            fractions.add(profiler.profile_from_aggregate(result).llm_fraction)
+        assert len(fractions) == 1, fractions
+        assert fractions.pop() == pytest.approx(0.3)
 
 
 class TestPaperTables:

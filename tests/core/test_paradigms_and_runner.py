@@ -9,6 +9,7 @@ import repro.core
 from repro.core.agent import AgentState, FAULT_REPEAT_CAP
 from repro.core.config import MemoryConfig, SystemConfig
 from repro.core.metrics import EpisodeResult
+from repro.core.modules.reflection import ReflectionReport
 from repro.core.paradigms import PARADIGM_LOOPS, HierarchicalLoop
 from repro.core.paradigms.decentralized import dialogue_rounds
 from repro.core.runner import build_loop, build_task, run_episode, run_trials
@@ -167,6 +168,61 @@ class TestAgentState:
             subgoal=Subgoal("good"), fault=None, prompt_tokens=0, output_tokens=0
         )
         assert state.maybe_repeat_fault(fresh, rng) is fresh
+
+
+class TestTeamReview:
+    def test_lead_repairs_a_worker_it_judges_failed_without_a_retry(self, monkeypatch):
+        config = get_workload("ola").config
+        loop = build_loop(config, build_task(config, difficulty="easy", seed=0), seed=0)
+        lead, worker = loop.agents
+        bundles = {}
+        perceive_all = loop.perceive_all
+
+        def perceive_and_keep(step):
+            bundles.update(perceive_all(step))
+            return bundles
+
+        worker_decisions = []
+        worker_act = worker.act
+
+        def act(env, decision):
+            worker_decisions.append(decision)
+            return worker_act(env, decision)
+
+        slot = []
+
+        def review(step, decision, outcome):
+            # The worker's step fails and asks for a replan; nothing else fails.
+            if worker_decisions and decision is worker_decisions[-1]:
+                slot.append(bundles[worker.name].current_facts[0].key())
+                return ReflectionReport(True, True, *slot[0])
+            return ReflectionReport(judged_failure=False, should_replan=False)
+
+        def worker_review(*args):
+            raise AssertionError("a reviewed worker does not reflect itself")
+
+        forgotten = []
+        lead_forget = lead.memory.forget
+
+        def forget(subject, relation):
+            forgotten.append((subject, relation))
+            lead_forget(subject, relation)
+
+        monkeypatch.setattr(loop, "perceive_all", perceive_and_keep)
+        monkeypatch.setattr(worker, "act", act)
+        monkeypatch.setattr(lead.reflection, "review", review)
+        monkeypatch.setattr(worker.reflection, "review", worker_review)
+        monkeypatch.setattr(lead.memory, "forget", forget)
+        loop.step(1)
+
+        (record,) = [r for r in loop.metrics.records if r.agent == worker.name]
+        assert record.reflected and not record.replanned
+        assert len(worker_decisions) == 1  # no retry
+        assert loop.metrics.replans == 0
+        assert worker_decisions[0].subgoal in lead.state.blacklisted(1)
+        assert not worker.state.blacklisted(1)
+        assert forgotten == slot
+        assert all(fact.key() != slot[0] for fact in lead.memory.retrieve(1).facts)
 
 
 class TestDialogueRounds:

@@ -1,8 +1,8 @@
 """Contract tests every environment must satisfy.
 
 These are the invariants the framework relies on: candidate availability,
-goal-progress bounds, deterministic construction, failure on unknown
-subgoals, and claim semantics.
+goal-progress bounds, deterministic construction, the shared ``idle``
+outcome, failure on unknown subgoals, and claim semantics.
 """
 
 import pytest
@@ -11,6 +11,7 @@ from conftest import env_rng
 from repro.core.beliefs import Beliefs
 from repro.core.types import Subgoal
 from repro.envs import ENVIRONMENTS, make_env, make_task
+from repro.envs.base import IDLE
 
 MULTI_AGENT_ONLY = {"boxworld"}
 
@@ -84,6 +85,17 @@ class TestExecution:
         outcome = env.execute(env.agents[0], Subgoal(name="levitate"), rng)
         assert not outcome.success
         assert outcome.reason
+
+    def test_idle_is_the_shared_outcome_and_changes_nothing(self, env, rng):
+        env.claim("resource:x", env.agents[0])
+        progress = env.goal_progress()
+        claims = dict(env.state.claims)
+        step_index = env.state.step_index
+        outcome = env.execute(env.agents[0], Subgoal("idle"), rng)
+        assert outcome is IDLE
+        assert env.goal_progress() == progress
+        assert env.state.claims == claims
+        assert env.state.step_index == step_index
 
     def test_best_candidate_executes(self, env, rng):
         agent = env.agents[0]

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -134,3 +136,46 @@ def test_summary_quartiles():
     assert (stats.q1, stats.median, stats.q3) == (2.0, 3.0, 4.0)
     assert stats.iqr == 2.0
     assert ab_pairs.summarize([7.0]) == ab_pairs.Summary(7.0, 7.0, 7.0)
+
+
+#: A comparison whose first benchmark run is stopped by SIGTERM: the
+#: export writes one file and logs where, the run signals its own process.
+SIGTERM_DRIVER = """
+import importlib.util, os, signal, sys
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("ab_pairs", sys.argv[1])
+ab_pairs = sys.modules["ab_pairs"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+log = Path(sys.argv[2])
+
+def export(rev, into):
+    (into / "exported.txt").write_text(rev)
+    log.write_text(str(into))
+
+def run_once(root, args):
+    os.kill(os.getpid(), signal.SIGTERM)
+    return {"correct": True, "failed": 0, "metrics": {}}
+
+ab_pairs.export = export
+ab_pairs.run_once = run_once
+sys.exit(ab_pairs.main(["--base", "HEAD", "--workload", "solo-modular", "--pairs", "2"]))
+"""
+
+
+def test_sigterm_removes_the_exported_parent(tmp_path):
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    log = tmp_path / "export.log"
+    done = subprocess.run(
+        [sys.executable, "-c", SIGTERM_DRIVER, str(ROOT / "scripts" / "ab_pairs.py"), str(log)],
+        env=os.environ | {"TMPDIR": str(temp)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    exported = Path(log.read_text())
+    assert exported.parent == temp and exported.name.startswith("ab-parent-")
+    assert done.returncode == 128 + 15, done.stderr
+    assert not exported.exists()
+    assert list(temp.glob("ab-parent-*")) == []
