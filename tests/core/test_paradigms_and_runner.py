@@ -189,13 +189,10 @@ class TestTeamReview:
             worker_decisions.append(decision)
             return worker_act(env, decision)
 
-        slot = []
-
         def review(step, decision, outcome):
             # The worker's step fails and asks for a replan; nothing else fails.
             if worker_decisions and decision is worker_decisions[-1]:
-                slot.append(bundles[worker.name].current_facts[0].key())
-                return ReflectionReport(True, True, *slot[0])
+                return ReflectionReport(True, True, *bundles[worker.name].current_facts[0].key())
             return ReflectionReport(judged_failure=False, should_replan=False)
 
         def worker_review(*args):
@@ -221,8 +218,9 @@ class TestTeamReview:
         assert loop.metrics.replans == 0
         assert worker_decisions[0].subgoal in lead.state.blacklisted(1)
         assert not worker.state.blacklisted(1)
-        assert forgotten == slot
-        assert all(fact.key() != slot[0] for fact in lead.memory.retrieve(1).facts)
+        slot = bundles[worker.name].current_facts[0].key()
+        assert forgotten == [slot]
+        assert all(fact.key() != slot for fact in lead.memory.retrieve(1).facts)
 
 
 class TestDialogueRounds:
