@@ -30,6 +30,12 @@ Regenerate after an intentional behaviour change with::
 
 and commit the diff alongside the change that caused it
 (docs/performance.md documents the procedure).
+
+``SEMANTICS_PIN.json`` pins, per ``SEMANTICS_VERSION``, the field names
+of :class:`EpisodeResult` and one SHA-256 per golden record, so a
+changed result shape or a re-recorded cell fails until the version is
+bumped (which makes older ledgers re-run their jobs).  Regeneration
+adds an entry for a new version and never rewrites an existing one.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from pathlib import Path
 
 from repro.core.config import MemoryConfig
 from repro.core.executor import TrialJob
-from repro.core.fleet import dispatch
+from repro.core.fleet import SEMANTICS_VERSION, dispatch
 from repro.core.metrics import EpisodeResult, MetricsCollector, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import SERVE_MODES, RunSettings
@@ -62,6 +68,7 @@ from repro.optim import (
 from repro.workloads.registry import get_workload, list_workloads
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_episodes.json"
+PIN_PATH = GOLDEN_PATH.parent / "SEMANTICS_PIN.json"
 
 N_TRIALS = 2
 BASE_SEED = 2025
@@ -282,6 +289,49 @@ def test_episodes_match_goldens():
         f"{len(drifted)} cell(s) drifted from the committed goldens: {drifted}; "
         "if the behaviour change is intentional, regenerate with "
         "REPRO_REGEN_GOLDENS=1 and commit the diff"
+    )
+
+
+def _record_digest(record: dict) -> str:
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _semantics_entry() -> dict:
+    """What one ``SEMANTICS_VERSION`` pins: the result's field names in
+    order, and a digest of every golden cell's record."""
+    return {
+        "fields": [field.name for field in dataclasses.fields(EpisodeResult)],
+        "cells": {
+            cell_id: _record_digest(record) for cell_id, record in _load_goldens().items()
+        },
+    }
+
+
+def test_semantics_pin():
+    """A result's shape or a golden record changes only with a new
+    ``SEMANTICS_VERSION``; cells appended to the goldens pass."""
+    pins = json.loads(PIN_PATH.read_text())
+    version = str(SEMANTICS_VERSION)
+    current = _semantics_entry()
+    if version not in pins and os.environ.get("REPRO_REGEN_GOLDENS", "").strip() == "1":
+        pins[version] = current
+        PIN_PATH.write_text(json.dumps(pins, indent=1) + "\n")
+    assert version in pins, (
+        f"SEMANTICS_VERSION {version} has no pin; record it with REPRO_REGEN_GOLDENS=1"
+    )
+    pinned = pins[version]
+    assert current["fields"] == pinned["fields"], (
+        f"EpisodeResult's fields changed under SEMANTICS_VERSION {version}: bump it"
+    )
+    changed = [
+        cell_id
+        for cell_id, digest in pinned["cells"].items()
+        if current["cells"].get(cell_id) != digest
+    ]
+    assert not changed, (
+        f"{len(changed)} golden cell(s) changed or went under SEMANTICS_VERSION "
+        f"{version}: {changed}; bump it"
     )
 
 
