@@ -1,4 +1,5 @@
-"""Check that every function in ``src/repro`` is reached and every attribute read.
+"""Check that every function in ``src/repro`` is reached and every attribute
+and module constant read.
 
 Runs what CI runs, at CI's trial counts, with a ``sys.setprofile`` hook
 that records every function of ``src/repro`` each interpreter calls:
@@ -30,7 +31,11 @@ covers attributes as well: every attribute a ``src/repro`` class declares
 must be loaded by name somewhere in ``src/repro`` (``obj.x``, or a string
 passed to ``getattr`` or ``attrgetter``; an augmented assignment alone is
 not a read), unless :data:`ALLOWED_ATTRIBUTES` lists it with its reader
-outside ``src/repro``.  The same four rules apply to that list.
+outside ``src/repro``.  Module constants get the same check: every
+non-dunder name an assignment in a ``src/repro`` module's body binds
+must be loaded somewhere in ``src/repro`` (``NAME`` or ``module.NAME``),
+unless :data:`ALLOWED_NAMES` lists it with its reader.  The same four
+rules apply to both lists.
 
 Usage::
 
@@ -68,7 +73,8 @@ ALLOWED = {
     "envs/kitchen.py: KitchenEnv.expected_primitives": "interface",
 }
 
-#: Who reads an attribute that no code in ``src/repro`` loads by name.
+#: Who reads an attribute or a module-level name that no code in
+#: ``src/repro`` loads by name.
 ATTRIBUTE_REASONS = (
     "e2ebench",  # its digests (through ``asdict``) or its probes
     "golden digest",  # tests/core/test_goldens.py hashes it
@@ -98,6 +104,10 @@ ALLOWED_ATTRIBUTES = {
     "workloads/base.py: Workload.datasets": "catalog",
     "llm/profiles.py: LLMProfile.context_window": "open item",
 }
+
+#: ``path.py: NAME`` of every module-level name that no code in
+#: ``src/repro`` loads, with its reader outside ``src/repro``.
+ALLOWED_NAMES: dict[str, str] = {}
 
 HOOK = '''\
 """Records which functions under {root!r} this interpreter calls."""
@@ -325,13 +335,17 @@ def module_reads(tree: ast.Module) -> set[str]:
     return names
 
 
+def _parsed(package: Path):
+    """Each module under ``package``: its relative path and its tree."""
+    for path in sorted(package.rglob("*.py")):
+        yield path.relative_to(package).as_posix(), ast.parse(path.read_text(), filename=str(path))
+
+
 def enumerate_attributes(package: Path) -> tuple[set[str], set[str]]:
     """Every ``path.py: Class.attr`` declared under ``package``, and those
     of them whose name some code under ``package`` loads."""
     declared, loaded = set(), set()
-    for path in sorted(package.rglob("*.py")):
-        relative = path.relative_to(package).as_posix()
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for relative, tree in _parsed(package):
         declared.update(f"{relative}: {name}" for name in module_attributes(tree))
         loaded |= module_reads(tree)
     return declared, {name for name in declared if name.rpartition(".")[2] in loaded}
@@ -339,6 +353,46 @@ def enumerate_attributes(package: Path) -> tuple[set[str], set[str]]:
 
 def check_attributes(declared: set[str], read: set[str], allowed: dict[str, str]) -> list[str]:
     """What the attribute check fails on: one line per offending attribute."""
+    return _ratchet(declared, read, allowed, ATTRIBUTE_REASONS, "unread", "read")
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """Every non-dunder name an assignment in ``tree``'s body binds."""
+    found = set()
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        for target in targets:
+            found.update(
+                node.id
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name) and not _is_dunder(node.id)
+            )
+    return found
+
+
+def enumerate_names(package: Path) -> tuple[set[str], set[str]]:
+    """Every ``path.py: NAME`` bound at module level under ``package``, and
+    those of them that some code under ``package`` loads as ``NAME`` or
+    ``module.NAME``."""
+    declared, loaded = set(), set()
+    for relative, tree in _parsed(package):
+        declared.update(f"{relative}: {name}" for name in module_names(tree))
+        loaded |= module_reads(tree)
+        loaded.update(
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
+    return declared, {name for name in declared if name.rpartition(": ")[2] in loaded}
+
+
+def check_names(declared: set[str], read: set[str], allowed: dict[str, str]) -> list[str]:
+    """What the module-level name check fails on: one line per offending name."""
     return _ratchet(declared, read, allowed, ATTRIBUTE_REASONS, "unread", "read")
 
 
@@ -390,10 +444,13 @@ def main() -> None:
         reached = read_dumps(hook_dir)
     defs = enumerate_defs(PACKAGE)
     declared, read = enumerate_attributes(PACKAGE)
+    names, names_read = enumerate_names(PACKAGE)
     problems = check(defs, reached, ALLOWED)
     problems += check_attributes(declared, read, ALLOWED_ATTRIBUTES)
+    problems += check_names(names, names_read, ALLOWED_NAMES)
     unreached = defs - reached
     unread = declared - read
+    names_unread = names - names_read
     print(
         f"reach: {len(defs)} defs in src/repro, {len(defs & reached)} reached, "
         f"{len(unreached)} unreached ({len(unreached & set(ALLOWED))} of "
@@ -403,6 +460,11 @@ def main() -> None:
         f"reach: {len(declared)} attributes declared in src/repro, {len(read)} read, "
         f"{len(unread)} unread ({len(unread & set(ALLOWED_ATTRIBUTES))} of "
         f"{len(ALLOWED_ATTRIBUTES)} allowlisted)"
+    )
+    print(
+        f"reach: {len(names)} module-level names bound in src/repro, {len(names_read)} read, "
+        f"{len(names_unread)} unread ({len(names_unread & set(ALLOWED_NAMES))} of "
+        f"{len(ALLOWED_NAMES)} allowlisted)"
     )
     for problem in problems:
         print(f"  {problem}")

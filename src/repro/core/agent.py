@@ -216,18 +216,17 @@ class EmbodiedAgent:
     # Per-step pipeline
     # ------------------------------------------------------------------ #
 
-    def begin_step(self, step: int) -> None:
-        self.context.set_step(step)
-
-    def perceive(self, env: Environment) -> PerceptionBundle:
-        """Sense, store, retrieve, and assemble beliefs for this step."""
+    def perceive(self, env: Environment, step: int) -> PerceptionBundle:
+        """Enter macro step ``step``: sense, store, retrieve, and assemble
+        beliefs for it."""
+        self.context.step = step
         facts = self.sensing.sense(env)
         position = env.agent_position(self.name)
         observation = env.observation(self.name, position, facts)
         if self.memory is not None:
             self.memory.store_observation(facts)
-            retrieved = self.memory.retrieve(self.context.step)
-            beliefs = self.memory.beliefs(self.context.step, facts, position, retrieved)
+            retrieved = self.memory.retrieve(step)
+            beliefs = self.memory.beliefs(facts, position, retrieved)
             return PerceptionBundle(
                 observation=observation,
                 current_facts=facts,

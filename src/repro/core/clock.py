@@ -59,16 +59,17 @@ LLM_MODULES = frozenset(
 class SimClock:
     """Monotonic virtual clock with per-module attribution.
 
-    ``advance`` is the only way time moves.  ``parallel`` scopes a group
-    of advances that are semantically concurrent (e.g. per-agent local
-    inference on separate GPUs): within the scope the clock only moves by
-    the *maximum* of the grouped durations, but each charge keeps its full
-    duration in the per-module accounting.
+    ``advance`` is the only way time moves.  ``concurrent`` scopes a
+    group of advances that are semantically concurrent (e.g. per-agent
+    local inference on separate GPUs): within the scope the clock only
+    moves by the *maximum* of the grouped durations, but each charge
+    keeps its full duration in the per-module accounting.
     """
 
     now: float = 0.0
-    _parallel_depth: int = 0
-    _parallel_front: float = 0.0
+    #: The latest end of a charge in the open :meth:`concurrent` scope;
+    #: ``None`` outside a scope.
+    _front: float | None = None
     _module_seconds: dict = field(default_factory=dict, repr=False)
     _phase_seconds: dict = field(default_factory=dict, repr=False)
 
@@ -97,8 +98,8 @@ class SimClock:
         ``times=k`` makes k identical charges in one call: each running
         sum, and ``now`` outside a scope, takes k sequential additions of
         ``duration``, so every float equals what k separate calls leave,
-        inside :meth:`parallel` and :meth:`overlapped` scopes too.
-        ``times=0`` charges nothing.
+        inside a :meth:`concurrent` scope too.  ``times=0`` charges
+        nothing.
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
@@ -106,8 +107,8 @@ class SimClock:
             self._advance_repeated(duration, module, phase, times)
             return
         self._attribute(duration, module, phase)
-        if self._parallel_depth > 0:
-            self._parallel_front = max(self._parallel_front, self.now + duration)
+        if self._front is not None:
+            self._front = max(self._front, self.now + duration)
         else:
             self.now += duration
 
@@ -122,9 +123,9 @@ class SimClock:
             return
         for _ in range(times):
             self._attribute(duration, module, phase)
-        if self._parallel_depth > 0:
+        if self._front is not None:
             # Inside a scope ``now`` stays put, so k charges reach one front.
-            self._parallel_front = max(self._parallel_front, self.now + duration)
+            self._front = max(self._front, self.now + duration)
         else:
             now = self.now
             for _ in range(times):
@@ -160,33 +161,30 @@ class SimClock:
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
         self._attribute(duration, module, phase)
-        if self._parallel_depth > 0:
-            self._parallel_front = max(self._parallel_front, completion)
+        if self._front is not None:
+            self._front = max(self._front, completion)
         else:
             self.now = max(self.now, completion)
 
-    def parallel(self) -> "_ParallelScope":
-        """Context manager grouping concurrent advances (max, not sum)."""
-        return _ParallelScope(self)
+    def concurrent(self, start: float | None = None) -> "_ConcurrentScope":
+        """Context manager grouping concurrent advances (max, not sum).
 
-    def overlapped(self, anchor: float) -> "_OverlapScope":
-        """Concurrent advances backdated to start at ``anchor <= now``.
-
-        The perception–generation overlap model (the ``overlap`` setting):
-        sensing for step ``t+1`` physically starts while generation for
-        step ``t`` is still decoding, i.e. at ``anchor`` — the clock
-        position where the previous serving flush began charging — not
-        at ``now``.  Inside the scope, advances behave like
-        :meth:`parallel` but are measured from ``anchor``; on exit the
-        clock lands at ``max(now_at_entry, anchor + longest_advance)``,
-        so perception that fits inside the generation tail costs no
+        Inside the scope every charge is measured from ``start`` (by
+        default ``now``) and only pushes the scope's front; on exit the
+        clock lands at ``max(now_at_entry, front)``.  A ``start`` before
+        ``now`` is the perception–generation overlap model (the
+        ``overlap`` setting): sensing for step ``t+1`` physically starts
+        while generation for step ``t`` is still decoding, at the clock
+        position where the previous serving flush began charging, so
+        perception that fits inside the generation tail costs no
         wall-clock at all while its charges keep their full per-module
-        attribution.
+        attribution.  ``start`` is clamped into ``[0, now]``.  Scopes do
+        not nest: opening one inside another raises ``ValueError``.
         """
-        return _OverlapScope(self, anchor)
+        return _ConcurrentScope(self, start)
 
     def elapsed_by_module(self) -> dict[ModuleName, float]:
-        """Total attributed duration per module (sums even parallel charges)."""
+        """Total attributed duration per module (sums even concurrent charges)."""
         return dict(self._module_seconds)
 
     def elapsed_by_phase(self) -> dict[tuple[ModuleName, str], float]:
@@ -194,49 +192,27 @@ class SimClock:
         return dict(self._phase_seconds)
 
 
-class _ParallelScope:
-    """Implements :meth:`SimClock.parallel`; supports nesting."""
+class _ConcurrentScope:
+    """Implements :meth:`SimClock.concurrent`."""
 
-    def __init__(self, clock: SimClock) -> None:
+    def __init__(self, clock: SimClock, start: float | None) -> None:
+        if clock._front is not None:
+            raise ValueError("concurrent() scopes cannot nest")
         self._clock = clock
-
-    def __enter__(self) -> SimClock:
-        clock = self._clock
-        if clock._parallel_depth == 0:
-            clock._parallel_front = clock.now
-        clock._parallel_depth += 1
-        return clock
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        clock = self._clock
-        clock._parallel_depth -= 1
-        if clock._parallel_depth == 0:
-            clock.now = max(clock.now, clock._parallel_front)
-
-
-class _OverlapScope:
-    """Implements :meth:`SimClock.overlapped`: a parallel group whose
-    start is backdated to an earlier clock position (never nested)."""
-
-    def __init__(self, clock: SimClock, anchor: float) -> None:
-        if clock._parallel_depth > 0:
-            raise ValueError("overlapped() scopes cannot nest inside parallel()")
-        self._clock = clock
-        self._anchor = anchor
+        self._start = start
         self._resume = 0.0
 
     def __enter__(self) -> SimClock:
         clock = self._clock
         self._resume = clock.now
-        # Advances inside measure from the (earlier) anchor; a stale
-        # anchor from long ago never rewinds past what makes sense —
-        # it is clamped to the current clock position.
-        clock.now = min(clock.now, max(0.0, self._anchor))
-        clock._parallel_front = clock.now
-        clock._parallel_depth = 1
+        if self._start is not None:
+            # A stale start from long ago never rewinds past what makes
+            # sense: it is clamped to the current clock position.
+            clock.now = min(clock.now, max(0.0, self._start))
+        clock._front = clock.now
         return clock
 
     def __exit__(self, exc_type, exc, tb) -> None:
         clock = self._clock
-        clock._parallel_depth = 0
-        clock.now = max(self._resume, clock._parallel_front)
+        clock.now = max(self._resume, clock._front)
+        clock._front = None

@@ -33,13 +33,5 @@ class ModuleContext:
     #: The episode's serving layer.  Paradigm loops pass their shared
     #: scheduler so cross-agent requests can batch.
     scheduler: InferenceScheduler
-
-    @property
-    def step(self) -> int:
-        """Current macro step (mirrors the environment's counter)."""
-        return self._step
-
-    _step: int = 0
-
-    def set_step(self, step: int) -> None:
-        self._step = step
+    #: Current macro step, set as the agent perceives at the step's start.
+    step: int = 0

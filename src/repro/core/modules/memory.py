@@ -23,7 +23,11 @@ per_entry × scanned`` over the in-window entry count (Fig. 5), but the
 history every step.  Observations keep a newest-per-slot map (the stored
 fact with the highest step per ``(subject, relation)``, the later arrival
 winning a tie) and a per-step count table, so newest-wins resolution is
-O(#slots) and the scanned-entry count is O(1) amortized; action and
+O(#slots) and the scanned-entry count is O(1) amortized.  Both kinds of
+observation write, a perceived frame and a flush's delivered facts, go
+through one store path that extends the store and counts its facts per
+step; a frame then keeps its newest fact per slot, a delivery its
+flush's batch winners.  Action and
 dialogue stores append in non-decreasing step order (an out-of-order
 store raises ``ValueError``, as does a retrieval whose window start
 moves backwards), so their retention windows are bisected, not
@@ -162,8 +166,10 @@ class MemoryModule:
         self.context.clock.advance(STORE_SECONDS, ModuleName.MEMORY, phase, times)
 
     def store_observation(self, facts: tuple[Fact, ...]) -> None:
-        self._observations.extend(facts)
-        self._index_facts(facts)
+        self._add_observations(facts)
+        keep_newest = self._keep_newest
+        for fact in facts:
+            keep_newest((fact.subject, fact.relation), fact)
         self.charge_store("store_observation")
 
     def store_action(self, step: int, subgoal: Subgoal, success: bool) -> None:
@@ -194,7 +200,13 @@ class MemoryModule:
         _check_order("dialogue", first_step, self._dialogue_steps)
         self._dialogue.extend(compress(index.messages, addressed))
         self._dialogue_steps.extend(compress(index.steps, addressed))
-        facts = list(chain.from_iterable(compress(index.payloads, addressed)))
+        self._add_observations(list(chain.from_iterable(compress(index.payloads, addressed))))
+        for key, fact in index.winners(addressed):
+            self._keep_newest(key, fact)
+
+    def _add_observations(self, facts: Sequence[Fact]) -> None:
+        """Append ``facts`` to the observation store and count them per
+        step, and as evicted when their step is below the window start."""
         self._observations.extend(facts)
         step_counts = self._obs_step_counts
         evict_start = self._evict_start
@@ -205,22 +217,6 @@ class MemoryModule:
             if step < evict_start:
                 evicted += count
         self._evicted_obs += evicted
-        for key, fact in index.winners(addressed):
-            self._keep_newest(key, fact)
-
-    def _index_facts(self, facts: tuple[Fact, ...]) -> None:
-        """Index one observation frame."""
-        step_counts = self._obs_step_counts
-        evict_start = self._evict_start
-        evicted = 0
-        for fact in facts:
-            step = fact.step
-            step_counts[step] += 1
-            if step < evict_start:
-                evicted += 1
-            self._keep_newest((fact.subject, fact.relation), fact)
-        if evicted:
-            self._evicted_obs += evicted
 
     def _keep_newest(self, key: tuple[str, str], fact: Fact) -> None:
         """Make ``fact`` its slot's newest unless a higher step is stored
@@ -341,7 +337,6 @@ class MemoryModule:
 
     def beliefs(
         self,
-        step: int,
         current_facts: tuple[Fact, ...],
         position: str,
         retrieved: RetrievedMemory,

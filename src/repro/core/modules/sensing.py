@@ -6,10 +6,9 @@ mislabels) and the perception latency is charged to the SENSING budget.
 Systems without a sensing module (Table II's ✗ entries, e.g. MindAgent)
 receive the simulator's symbolic state directly at negligible cost.
 
-Distractor staging: the mislabel distractor vocabulary
-(``env.location_vocabulary()``) is episode-static — the
-:class:`~repro.envs.base.Environment` contract — so the module fetches it
-once per episode instead of once per step per agent.
+Each pass asks the environment for its mislabel distractor vocabulary
+(``env.location_vocabulary()``), so a vocabulary that changes within an
+episode reaches the next pass.
 """
 
 from __future__ import annotations
@@ -33,15 +32,6 @@ class SensingModule:
         self.profile: PerceptionProfile | None = (
             get_perception(model) if model is not None else None
         )
-        self._distractors: list[str] | None = None
-
-    def _distractor_values(self, env: Environment) -> list[str]:
-        """Mislabel vocabulary, fetched once per episode."""
-        distractors = self._distractors
-        if distractors is None:
-            distractors = env.location_vocabulary()
-            self._distractors = distractors
-        return distractors
 
     def sense(self, env: Environment) -> tuple[Fact, ...]:
         """One perception pass from the agent's current viewpoint."""
@@ -51,13 +41,12 @@ class SensingModule:
                 SYMBOLIC_FEED_SECONDS, ModuleName.SENSING, phase="symbolic"
             )
             return tuple(ground_facts)
-        result = detect(
+        profile = self.profile
+        facts = detect(
             ground_facts,
-            self.profile,
+            profile,
             self.context.rng,
-            distractor_values=self._distractor_values(env),
+            distractor_values=env.location_vocabulary(),
         )
-        self.context.clock.advance(
-            result.latency, ModuleName.SENSING, phase=self.profile.name
-        )
-        return result.facts
+        self.context.clock.advance(profile.latency_s, ModuleName.SENSING, phase=profile.name)
+        return facts

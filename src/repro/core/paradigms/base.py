@@ -133,17 +133,9 @@ class ParadigmLoop(abc.ABC):
         resumes at whichever finishes later.  The first step has no
         generation to overlap with and senses normally.
         """
-        bundles: dict[str, PerceptionBundle] = {}
-        scope = (
-            self.clock.overlapped(self.scheduler.overlap_anchor)
-            if self._overlap and step > 1
-            else self.clock.parallel()
-        )
-        with scope:
-            for agent in self.agents:
-                agent.begin_step(step)
-                bundles[agent.name] = agent.perceive(self.env)
-        return bundles
+        start = self.scheduler.overlap_anchor if self._overlap and step > 1 else None
+        with self.clock.concurrent(start):
+            return {agent.name: agent.perceive(self.env, step) for agent in self.agents}
 
     def flush_inference(self) -> None:
         """Dispatch the phase's pending inference requests.

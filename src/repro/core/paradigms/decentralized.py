@@ -18,11 +18,10 @@ planning, and message usefulness (novel-fact ratio) is measured so the
 The ``plan_then_comm`` optimization (Rec. 8) flips phases 2 and 3 and
 composes messages only when the planner found something worth saying;
 ``comm_filter`` (Rec. 10) suppresses redundant generations inside the
-communication module itself.  Request batching (Rec. 1) is no longer a
-special-cased planning path: every call rides the loop's inference
-scheduler, and a batching-enabled config (or ``REPRO_SERVE=batched``)
-dispatches each phase's per-agent requests as occupancy-aware batches at
-the ``flush_inference`` points below.
+communication module itself.  Request batching (Rec. 1): every call
+rides the loop's inference scheduler, and a batching-enabled config (or
+``REPRO_SERVE=batched``) dispatches each phase's per-agent requests as
+occupancy-aware batches at the ``flush_inference`` points below.
 """
 
 from __future__ import annotations

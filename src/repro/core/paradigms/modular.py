@@ -16,8 +16,7 @@ class ModularLoop(ParadigmLoop):
 
     def step(self, step: int) -> None:
         agent = self.agents[0]
-        agent.begin_step(step)
-        bundle = agent.perceive(self.env)
+        bundle = agent.perceive(self.env, step)
         decision = agent.plan(self.env, bundle)
         if self.config.action_selection_llm:
             self.action_selection_call(step, agent, decision)

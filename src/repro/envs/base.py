@@ -18,14 +18,12 @@ mineworld, kitchen, tabletop) implements this contract.  Key design points:
   world, and reports primitive counts, compute cost, and actuation time
   so the latency ledger matches the paper's execution-module accounting.
 
-Three contracts let the episode loop reuse work across steps; an
+Two contracts let the episode loop reuse work across steps; an
 environment that breaks one produces wrong results, and the committed
 goldens (``tests/core/goldens/``) catch it for the shipped ones:
 
 - ``static_facts()`` is read once, when an agent is built: memory keeps
   it as the long-term store and every step's beliefs start from it.
-- ``location_vocabulary()`` is **episode-static**: the sensing module
-  fetches the mislabel distractors once per episode.
 - ``candidates()`` is a pure function of the world state and the beliefs
   it reads; equal options are one interned object per episode
   (:meth:`Environment.option`).
@@ -165,7 +163,8 @@ class Environment(abc.ABC):
     def location_vocabulary(self) -> list[str]:
         """Plausible location labels, used as mislabel distractors.
 
-        Must not change within an episode (see the module docstring).
+        The sensing module asks for them on every perception pass, so
+        they may change within an episode.
         """
 
     # ------------------------------------------------------------------ #

@@ -10,10 +10,9 @@ tasks to the step limit; w/o communication is not significant.  Cells
 where the baseline system lacks the module are "Not Applicable", exactly
 as in the paper's figure.
 
-Difficulty: ``python -m repro.experiments.fig3_sensitivity`` (and
-:func:`run` without settings) ablates on hard tasks, while the suite
-runs Figure 3 at the suite's difficulty (medium), like every other
-section, so the two print different numbers.
+Difficulty: :func:`run` without settings ablates on hard tasks, while
+the suite runs Figure 3 at the suite's difficulty (medium), like every
+other section, so the two print different numbers.
 """
 
 from __future__ import annotations

@@ -73,11 +73,10 @@ class LLMProfile:
 _PROFILES: dict[str, LLMProfile] = {}
 
 
-def register_profile(profile: LLMProfile) -> LLMProfile:
+def register_profile(profile: LLMProfile) -> None:
     if profile.name in _PROFILES:
         raise ValueError(f"profile already registered: {profile.name}")
     _PROFILES[profile.name] = profile
-    return profile
 
 
 def get_profile(name: str) -> LLMProfile:
@@ -88,7 +87,7 @@ def get_profile(name: str) -> LLMProfile:
         raise UnknownModelError(f"unknown LLM profile {name!r}; known: {known}") from None
 
 
-GPT4 = register_profile(
+register_profile(
     LLMProfile(
         name="gpt-4",
         deployment="api",
@@ -103,7 +102,7 @@ GPT4 = register_profile(
     )
 )
 
-LLAMA3_70B = register_profile(
+register_profile(
     LLMProfile(
         name="llama-3-70b",
         deployment="local",
@@ -118,7 +117,7 @@ LLAMA3_70B = register_profile(
     )
 )
 
-LLAMA_13B = register_profile(
+register_profile(
     LLMProfile(
         name="llama-13b",
         deployment="local",
@@ -133,7 +132,7 @@ LLAMA_13B = register_profile(
     )
 )
 
-LLAMA3_8B = register_profile(
+register_profile(
     LLMProfile(
         name="llama-3-8b",
         deployment="local",
@@ -150,7 +149,7 @@ LLAMA3_8B = register_profile(
 
 #: EmbodiedGPT's domain-fine-tuned Llama-7B: small but specialised, so its
 #: in-domain reasoning exceeds a generic model of the same size.
-LLAMA_7B_FT = register_profile(
+register_profile(
     LLMProfile(
         name="llama-7b-ft",
         deployment="local",
@@ -165,7 +164,7 @@ LLAMA_7B_FT = register_profile(
     )
 )
 
-LLAVA_8B = register_profile(
+register_profile(
     LLMProfile(
         name="llava-8b",
         deployment="local",
@@ -180,7 +179,7 @@ LLAVA_8B = register_profile(
     )
 )
 
-LLAVA_7B = register_profile(
+register_profile(
     LLMProfile(
         name="llava-7b",
         deployment="local",
@@ -197,7 +196,7 @@ LLAVA_7B = register_profile(
 
 #: DEPS's CLIP-based plan selector: not a text generator — near-zero decode
 #: cost, moderate discrimination ability, used only for reflection.
-CLIP_SELECTOR = register_profile(
+register_profile(
     LLMProfile(
         name="clip-selector",
         deployment="local",

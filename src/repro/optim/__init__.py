@@ -1,7 +1,6 @@
 """Config transforms for the paper's optimization recommendations (Sec. IV-VI)."""
 
 from repro.optim.recommendations import (
-    RECOMMENDATIONS,
     with_batching,
     with_comm_filter,
     with_continuous_serving,
@@ -15,7 +14,6 @@ from repro.optim.recommendations import (
 )
 
 __all__ = [
-    "RECOMMENDATIONS",
     "with_batching",
     "with_comm_filter",
     "with_continuous_serving",

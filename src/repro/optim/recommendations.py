@@ -50,8 +50,6 @@ def with_serving(config: SystemConfig, mode: str) -> SystemConfig:
 
     The per-cell control the serving grids (Fig. 8,
     ``benchmarks/bench_serving.py``) use to mix modes in one process.
-    Not in :data:`RECOMMENDATIONS`, which names Rec. 1's batching as
-    :func:`with_batching`.
     """
     return config.with_optimizations(serve_mode=mode)
 
@@ -80,16 +78,3 @@ def with_dual_memory(config: SystemConfig) -> SystemConfig:
         name=f"{config.name}-dualmem",
         memory=replace(base, dual=True),
     )
-
-
-#: Name → transform, for sweep-style ablation harnesses.
-RECOMMENDATIONS = {
-    "multistep_planning": with_multistep_planning,
-    "plan_then_comm": with_plan_then_comm,
-    "comm_filter": with_comm_filter,
-    "hierarchy": with_hierarchy,
-    "batching": with_batching,
-    "quantization": with_quantization,
-    "mlc_runtime": with_mlc_runtime,
-    "dual_memory": with_dual_memory,
-}

@@ -34,11 +34,10 @@ class PerceptionProfile:
 _PROFILES: dict[str, PerceptionProfile] = {}
 
 
-def register_perception(profile: PerceptionProfile) -> PerceptionProfile:
+def register_perception(profile: PerceptionProfile) -> None:
     if profile.name in _PROFILES:
         raise ValueError(f"perception profile already registered: {profile.name}")
     _PROFILES[profile.name] = profile
-    return profile
 
 
 def get_perception(name: str) -> PerceptionProfile:
@@ -51,15 +50,15 @@ def get_perception(name: str) -> PerceptionProfile:
         ) from None
 
 
-VIT = register_perception(
+register_perception(
     PerceptionProfile(name="vit", latency_s=0.11, recall=0.94, mislabel_rate=0.02)
 )
 
-MINECLIP = register_perception(
+register_perception(
     PerceptionProfile(name="mineclip", latency_s=0.09, recall=0.92, mislabel_rate=0.03)
 )
 
-MASK_RCNN = register_perception(
+register_perception(
     PerceptionProfile(
         name="mask-rcnn",
         latency_s=0.18,
@@ -68,19 +67,19 @@ MASK_RCNN = register_perception(
     )
 )
 
-DINO = register_perception(
+register_perception(
     PerceptionProfile(name="dino", latency_s=0.14, recall=0.95, mislabel_rate=0.02)
 )
 
-VILD = register_perception(
+register_perception(
     PerceptionProfile(name="vild", latency_s=0.16, recall=0.93, mislabel_rate=0.03)
 )
 
-OWL_VIT = register_perception(
+register_perception(
     PerceptionProfile(name="owl-vit", latency_s=0.15, recall=0.94, mislabel_rate=0.02)
 )
 
-POINTCLOUD = register_perception(
+register_perception(
     PerceptionProfile(
         name="pointcloud",
         latency_s=0.22,
@@ -90,7 +89,7 @@ POINTCLOUD = register_perception(
 )
 
 #: DEPS consumes simulator-provided symbolic state: perfect and nearly free.
-SYMBOLIC = register_perception(
+register_perception(
     PerceptionProfile(
         name="symbolic",
         latency_s=0.005,
@@ -101,7 +100,7 @@ SYMBOLIC = register_perception(
 
 #: COMBO reconstructs the *global* state from egocentric views with a
 #: diffusion model: slow, and imagined far-field facts can be wrong.
-DIFFUSION_WORLD_MODEL = register_perception(
+register_perception(
     PerceptionProfile(
         name="diffusion-world-model",
         latency_s=0.85,

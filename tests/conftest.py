@@ -66,15 +66,14 @@ def env_rng(task: TaskSpec) -> np.random.Generator:
 
 @pytest.fixture
 def context(clock, metrics, rng) -> ModuleContext:
-    ctx = ModuleContext(
+    return ModuleContext(
         agent="agent_0",
         clock=clock,
         metrics=metrics,
         rng=rng,
         scheduler=percall_scheduler(clock, metrics),
+        step=1,
     )
-    ctx.set_step(1)
-    return ctx
 
 
 def crash_runner(job, seeds: frozenset[int] = frozenset()):

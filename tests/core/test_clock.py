@@ -66,44 +66,52 @@ class TestSettle:
 
     def test_inside_parallel_scope_extends_the_front(self, clock):
         clock.advance(2.0, ModuleName.EXECUTION)
-        with clock.parallel():
+        with clock.concurrent():
             clock.settle(6.0, 1.0, ModuleName.PLANNING)
             clock.settle(4.0, 1.0, ModuleName.PLANNING)
         assert clock.now == pytest.approx(6.0)
 
 
 class TestOverlapped:
+    """A scope with a ``start`` before ``now``: the overlap model."""
+
     def test_backdates_to_anchor(self, clock):
         """Work fitting inside the tail since the anchor is free."""
         clock.advance(10.0, ModuleName.PLANNING)
-        with clock.overlapped(4.0):
+        with clock.concurrent(4.0):
             clock.advance(3.0, ModuleName.SENSING)  # 4.0 -> 7.0 < 10.0
         assert clock.now == pytest.approx(10.0)
         assert clock.elapsed_by_module()[ModuleName.SENSING] == pytest.approx(3.0)
 
     def test_long_overlap_extends_past_resume(self, clock):
         clock.advance(10.0, ModuleName.PLANNING)
-        with clock.overlapped(4.0):
+        with clock.concurrent(4.0):
             clock.advance(9.0, ModuleName.SENSING)  # 4.0 -> 13.0 > 10.0
         assert clock.now == pytest.approx(13.0)
 
     def test_branches_take_max_like_parallel(self, clock):
         clock.advance(10.0, ModuleName.PLANNING)
-        with clock.overlapped(8.0):
+        with clock.concurrent(8.0):
             clock.advance(1.0, ModuleName.SENSING)
             clock.advance(5.0, ModuleName.SENSING)
         assert clock.now == pytest.approx(13.0)
 
     def test_stale_anchor_clamps_to_now(self, clock):
         clock.advance(2.0, ModuleName.PLANNING)
-        with clock.overlapped(50.0):
+        with clock.concurrent(50.0):
             clock.advance(1.0, ModuleName.SENSING)
         assert clock.now == pytest.approx(3.0)
 
     def test_rejects_nesting_inside_parallel(self, clock):
-        with clock.parallel():
+        """Scopes never nest, with or without a start, and a refused
+        attempt leaves the open scope working."""
+        with clock.concurrent():
             with pytest.raises(ValueError):
-                clock.overlapped(0.0)
+                clock.concurrent(0.0)
+            with pytest.raises(ValueError):
+                clock.concurrent()
+            clock.advance(2.0, ModuleName.SENSING)
+        assert clock.now == 2.0
 
 
 class TestAttribution:
@@ -132,38 +140,33 @@ class TestAttribution:
 
 
 class TestParallel:
+    """A scope without a start measures from ``now``."""
+
     def test_parallel_takes_max(self, clock):
-        with clock.parallel():
+        with clock.concurrent():
             clock.advance(2.0, ModuleName.SENSING)
             clock.advance(5.0, ModuleName.SENSING)
             clock.advance(1.0, ModuleName.SENSING)
         assert clock.now == pytest.approx(5.0)
 
     def test_parallel_preserves_full_attribution(self, clock):
-        with clock.parallel():
+        with clock.concurrent():
             clock.advance(2.0, ModuleName.EXECUTION)
             clock.advance(3.0, ModuleName.EXECUTION)
         assert clock.elapsed_by_module()[ModuleName.EXECUTION] == pytest.approx(5.0)
 
     def test_parallel_after_sequential(self, clock):
         clock.advance(1.0, ModuleName.PLANNING)
-        with clock.parallel():
+        with clock.concurrent():
             clock.advance(4.0, ModuleName.EXECUTION)
             clock.advance(2.0, ModuleName.EXECUTION)
         assert clock.now == pytest.approx(5.0)
 
     def test_empty_parallel_scope_is_noop(self, clock):
         clock.advance(1.0, ModuleName.PLANNING)
-        with clock.parallel():
+        with clock.concurrent():
             pass
         assert clock.now == pytest.approx(1.0)
-
-    def test_nested_parallel(self, clock):
-        with clock.parallel():
-            clock.advance(2.0, ModuleName.EXECUTION)
-            with clock.parallel():
-                clock.advance(3.0, ModuleName.EXECUTION)
-        assert clock.now == pytest.approx(3.0)
 
 
 durations = st.floats(min_value=0.0, max_value=50.0)
@@ -171,8 +174,9 @@ phases = st.sampled_from(("", "a", "b"))
 modules = st.sampled_from(MODULE_ORDER)
 #: Absolute completion times land before, at and after the clock's now.
 completions = st.floats(min_value=0.0, max_value=400.0)
-#: Anchors: stale ones past now, and small or negative ones that clamp.
-anchors = st.floats(-5.0, 5.0) | st.floats(0.0, 400.0)
+#: Scope starts: none (measure from now), stale ones past now, and small
+#: or negative ones that clamp.
+starts = st.none() | st.floats(-5.0, 5.0) | st.floats(0.0, 400.0)
 #: ``times`` covers no charge, one, and several identical ones.
 repeat_counts = st.integers(0, 7)
 charges = (
@@ -184,18 +188,17 @@ charges = (
     | st.tuples(st.just("invalid"), st.floats(-5.0, -0.001), modules, phases, repeat_counts)
     | st.tuples(st.just("invalid"), durations, modules, phases, st.integers(-3, -1))
 )
-#: Inside any scope: charges, nested parallel scopes, and overlapped()
-#: attempts, which must raise.
+#: Inside a scope: charges, and scopes nested at any depth, whose opening
+#: must raise while their bodies' charges run in the open scope.
 scoped_ops = st.recursive(
-    charges | st.tuples(st.just("nested_overlapped"), anchors),
-    lambda inner: st.tuples(st.just("parallel"), st.lists(inner, max_size=4)),
+    charges,
+    lambda inner: st.tuples(st.just("concurrent"), starts, st.lists(inner, max_size=4)),
     max_leaves=6,
 )
 top_level_ops = st.one_of(
     charges,
     st.tuples(st.just("wait"), durations),
-    st.tuples(st.just("parallel"), st.lists(scoped_ops, max_size=4)),
-    st.tuples(st.just("overlapped"), anchors, st.lists(scoped_ops, max_size=4)),
+    st.tuples(st.just("concurrent"), starts, st.lists(scoped_ops, max_size=4)),
 )
 
 
@@ -209,8 +212,8 @@ def _leaf_charges(ops):
             _kind, duration, module, phase, times = op
             for _ in range(times):
                 yield ("advance", duration, module, phase)
-        elif op[0] == "parallel":
-            yield from _leaf_charges(op[1])
+        elif op[0] == "concurrent":
+            yield from _leaf_charges(op[2])
 
 
 def _charge_end(op, base: float) -> float:
@@ -222,11 +225,7 @@ def _charge_end(op, base: float) -> float:
 
 def _body(op) -> list:
     """A top-level op's charge-bearing body (the op itself if unscoped)."""
-    if op[0] == "parallel":
-        return op[1]
-    if op[0] == "overlapped":
-        return op[2]
-    return [op]
+    return op[2] if op[0] == "concurrent" else [op]
 
 
 def _expected_sequential(op, now: float) -> float:
@@ -243,14 +242,13 @@ def _expected_end(op, now: float) -> float:
         return now + op[1]
     if kind in ("advance", "settle", "repeated", "invalid"):
         return _expected_sequential(op, now)
-    # A parallel scope measures from entry; an overlapped one from its
-    # anchor clamped into [0, now].  Either ends at its latest charge end,
-    # never before it began.
-    base = now if kind == "parallel" else min(now, max(0.0, op[1]))
+    # A scope measures from entry, or from its start clamped into
+    # [0, now].  It ends at its latest charge end, never before it began.
+    base = now if op[1] is None else min(now, max(0.0, op[1]))
     return max([now] + [_charge_end(leaf, base) for leaf in _leaf_charges(_body(op))])
 
 
-def _run(clock: SimClock, op) -> None:
+def _run(clock: SimClock, op, scoped: bool = False) -> None:
     kind = op[0]
     if kind == "advance":
         clock.advance(op[1], op[2], phase=op[3])
@@ -263,49 +261,70 @@ def _run(clock: SimClock, op) -> None:
         clock.settle(op[1], op[2], op[3], phase=op[4])
     elif kind == "wait":
         clock.wait(op[1])
-    elif kind == "parallel":
-        with clock.parallel():
-            for inner in op[1]:
-                _run(clock, inner)
-    elif kind == "nested_overlapped":
+    elif scoped:
         with pytest.raises(ValueError):
-            clock.overlapped(op[1])
+            clock.concurrent(op[1])
+        for inner in op[2]:
+            _run(clock, inner, scoped=True)
     else:
-        with clock.overlapped(op[1]):
+        with clock.concurrent(op[1]):
             for inner in op[2]:
-                _run(clock, inner)
+                _run(clock, inner, scoped=True)
 
 
 class TestNestingProperties:
     @settings(max_examples=100, deadline=None)
     @given(program=st.lists(top_level_ops, max_size=8))
-    # A negative anchor clamps to 0, not below it.
-    @example(program=[("overlapped", -3.0, [("advance", 2.0, ModuleName.SENSING, "")])])
-    # Repeated charges at top level and in both scopes, where k additions
-    # differ from one multiplication (7 * 0.1 != 0.1 + ... + 0.1), and the
-    # charges that must add nothing, nor move a scope's end.
+    # A negative start clamps to 0, not below it.
+    @example(program=[("concurrent", -3.0, [("advance", 2.0, ModuleName.SENSING, "")])])
+    # Repeated charges at top level and in scopes with and without a
+    # start, where k additions differ from one multiplication
+    # (7 * 0.1 != 0.1 + ... + 0.1), and the charges that must add nothing,
+    # nor move a scope's end.
     @example(
         program=[
             ("repeated", 0.1, ModuleName.MEMORY, "a", 7),
             (
-                "parallel",
+                "concurrent",
+                None,
                 [
                     ("repeated", 0.7, ModuleName.MEMORY, "b", 7),
                     ("repeated", 9.0, ModuleName.PLANNING, "", 0),
                 ],
             ),
-            ("overlapped", 0.05, [("repeated", 0.7, ModuleName.SENSING, "", 7)]),
+            ("concurrent", 0.05, [("repeated", 0.7, ModuleName.SENSING, "", 7)]),
             ("repeated", 9.0, ModuleName.PLANNING, "", 0),
             ("invalid", -1.0, ModuleName.PLANNING, "", 2),
             ("invalid", 1.0, ModuleName.REFLECTION, "", -1),
         ]
     )
+    # Openings nested two and three deep: each raises, and the charges
+    # around them still run in the outer scope.
+    @example(
+        program=[
+            (
+                "concurrent",
+                1.0,
+                [
+                    ("concurrent", None, [("advance", 4.0, ModuleName.SENSING, "")]),
+                    (
+                        "concurrent",
+                        0.0,
+                        [
+                            ("concurrent", None, []),
+                            ("settle", 9.0, 1.0, ModuleName.PLANNING, ""),
+                        ],
+                    ),
+                ],
+            )
+        ]
+    )
     def test_scopes_match_reference_model(self, program):
         """Random advance/settle programs, repeated charges included, in
-        nested parallel() scopes and top-level overlapped() scopes against
-        a reference model that expands a ``times=k`` advance into k single
-        ones: scope ends, monotone ``now``, and totals summed in charge
-        order with their keys in first-charge order."""
+        concurrent() scopes with and without a start, against a reference
+        model that expands a ``times=k`` advance into k single ones: scope
+        ends, monotone ``now``, totals summed in charge order with their
+        keys in first-charge order, and every nested opening refused."""
         clock = SimClock()
         module_totals: dict = {}
         phase_totals: dict = {}

@@ -462,8 +462,8 @@ def _memory(capacity: int = 20) -> MemoryModule:
         metrics=metrics,
         rng=np.random.default_rng(11),
         scheduler=percall_scheduler(clock, metrics),
+        step=1,
     )
-    context.set_step(1)
     return MemoryModule(context, capacity_steps=capacity, static_facts=[], dual=False)
 
 
@@ -485,8 +485,8 @@ class TestStagedMemoryWrites:
         assert staged.context.clock.elapsed_by_phase() == (
             inline.context.clock.elapsed_by_phase()
         )
-        inline.context.set_step(3)
-        staged.context.set_step(3)
+        inline.context.step = 3
+        staged.context.step = 3
         assert staged.retrieve(3) == inline.retrieve(3)
         assert staged.retrieve(3).dialogue == inline.retrieve(3).dialogue
 
@@ -540,17 +540,14 @@ class TestDetectorStreamIdentity:
         profile = get_perception(profile_name)
         ground = list(_facts(4, 12))
         rng = np.random.default_rng(123)
-        result = detect(ground, profile, rng, distractor_values=distractors)
-        assert result.facts == tuple(ground)
-        assert result.latency == profile.latency_s
+        assert detect(ground, profile, rng, distractor_values=distractors) == tuple(ground)
         # The next draw of the episode's shared stream must be unaffected.
         assert rng.random() == SEED_NEXT_DRAW[distractors is not None]
 
     def test_perfect_detector_reports_frame_unchanged(self):
         profile = get_perception("symbolic")
         ground = list(_facts(7, 5))
-        result = detect(ground, profile, np.random.default_rng(0), ["hall"])
-        assert result.facts == tuple(ground)
+        assert detect(ground, profile, np.random.default_rng(0), ["hall"]) == tuple(ground)
 
 
 class TestComposePayloadStaging:
@@ -568,8 +565,8 @@ class TestComposePayloadStaging:
             metrics=metrics,
             rng=np.random.default_rng(3),
             scheduler=percall_scheduler(clock, metrics),
+            step=1,
         )
-        context.set_step(1)
         comm = CommunicationModule(
             context, SimulatedLLM("gpt-4", rng=rng_for(0, "a0", "comm"))
         )
@@ -578,7 +575,7 @@ class TestComposePayloadStaging:
         second = comm.compose(1, ("a1",), known, intent=None, dialogue=[])
         assert first is not None and second is not None
         assert first.facts is second.facts  # the staged tuple, reused
-        context.set_step(2)
+        context.step = 2
         third = comm.compose(2, ("a1",), known, intent=None, dialogue=[])
         assert third is not None
         assert third.facts == first.facts  # same values, fresh step

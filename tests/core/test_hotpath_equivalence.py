@@ -149,7 +149,7 @@ def _drive(module: MemoryModule, steps: int) -> list:
     """Feed a deterministic store/retrieve/forget schedule; return retrievals."""
     out = []
     for step in range(1, steps + 1):
-        module.context.set_step(step)
+        module.context.step = step
         module.store_observation(_facts(step, 4))
         if step % 3 == 0:
             # Message facts carry older provenance: out-of-order steps.
@@ -187,8 +187,8 @@ def _module(capacity: int, dual: bool, seed: int, linear: bool = False) -> Memor
         metrics=metrics,
         rng=np.random.default_rng(seed),
         scheduler=percall_scheduler(clock, metrics),
+        step=1,
     )
-    context.set_step(1)
     static = [Fact(f"wall_{i}", "located_in", "hall", step=0) for i in range(3)]
     module = MemoryModule(context, capacity_steps=capacity, static_facts=static, dual=dual)
     if linear:
@@ -226,10 +226,10 @@ class TestMemoryRetrievalEquivalence:
     def test_beliefs_equivalent(self):
         linear = _module(10, False, seed=3, linear=True)
         _drive(linear, steps=30)
-        reference = linear.beliefs(30, _facts(30, 4), "room_0", linear.retrieve(30))
+        reference = linear.beliefs(_facts(30, 4), "room_0", linear.retrieve(30))
         indexed = _module(10, False, seed=3)
         _drive(indexed, steps=30)
-        optimized = indexed.beliefs(30, _facts(30, 4), "room_0", indexed.retrieve(30))
+        optimized = indexed.beliefs(_facts(30, 4), "room_0", indexed.retrieve(30))
         assert list(optimized) == list(reference)
 
     def test_dialogue_window_equivalent(self):

@@ -15,6 +15,7 @@ from repro.core.modules.sensing import SensingModule
 from repro.core.types import Candidate, Decision, Fact, Message, Observation, Subgoal
 from repro.envs.base import ExecutionOutcome
 from repro.llm.simulated import SimulatedLLM
+from repro.perception.models import PerceptionProfile
 
 
 def make_llm(profile="gpt-4", seed=0):
@@ -44,6 +45,20 @@ class TestSensing:
         ground = set(env.visible_facts("agent_0"))
         seen_subsets = [set(module.sense(env)) <= ground or True for _ in range(5)]
         assert all(seen_subsets)
+
+    def test_each_pass_reads_the_current_vocabulary(self, context, env, monkeypatch):
+        """An environment whose location vocabulary changes between two
+        passes gets the new distractors on the second pass."""
+        module = SensingModule(context, model="mask-rcnn")
+        module.profile = PerceptionProfile(
+            name="sloppy", latency_s=0.1, recall=1.0, mislabel_rate=0.9
+        )
+        values = []
+        for vocabulary in (["nowhere_a"], ["nowhere_b"]):
+            monkeypatch.setattr(env, "location_vocabulary", lambda: vocabulary)
+            values.append({fact.value for fact in module.sense(env)})
+        assert "nowhere_a" in values[0] and "nowhere_b" not in values[0]
+        assert "nowhere_b" in values[1] and "nowhere_a" not in values[1]
 
 
 class TestMemory:
@@ -91,7 +106,7 @@ class TestMemory:
         memory = self.make(context, capacity=30)
         memory.store_observation((Fact("mug", "located_in", "kitchen", step=1),))
         beliefs = memory.beliefs(
-            step=2, current_facts=(), position="kitchen", retrieved=memory.retrieve(2)
+            current_facts=(), position="kitchen", retrieved=memory.retrieve(2)
         )
         assert beliefs.value("mug", "located_in") is None
 
@@ -99,7 +114,7 @@ class TestMemory:
         memory = self.make(context, capacity=30)
         memory.store_observation((Fact("mug", "located_in", "kitchen", step=1),))
         beliefs = memory.beliefs(
-            step=2, current_facts=(), position="bedroom", retrieved=memory.retrieve(2)
+            current_facts=(), position="bedroom", retrieved=memory.retrieve(2)
         )
         assert beliefs.value("mug", "located_in") == "kitchen"
 

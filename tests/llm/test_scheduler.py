@@ -336,7 +336,7 @@ class TestContinuous:
         scheduler.flush(final=True)
         engine_free = clock.now
         assert list(scheduler._engine_free.values()) == [pytest.approx(engine_free)]
-        with clock.overlapped(0.0):  # submit as-of an earlier instant
+        with clock.concurrent(0.0):  # submit as-of an earlier instant
             scheduler.submit(llm, plan_request(words=50, agent="a1"))
         scheduler.flush(final=True)
         # Arrived at 0, admitted only when the engine freed up.

@@ -6,7 +6,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.paradigms import cluster_agents
 from repro.core.runner import build_loop, build_task, run_episode
 from repro.optim import (
-    RECOMMENDATIONS,
     with_batching,
     with_comm_filter,
     with_dual_memory,
@@ -48,18 +47,6 @@ class TestTransforms:
         config = with_mlc_runtime(with_quantization(get_workload("combo").config))
         assert config.optimizations.quantization == "awq"
         assert config.optimizations.runtime == "mlc"
-
-    def test_registry_complete(self):
-        assert set(RECOMMENDATIONS) == {
-            "multistep_planning",
-            "plan_then_comm",
-            "comm_filter",
-            "hierarchy",
-            "batching",
-            "quantization",
-            "mlc_runtime",
-            "dual_memory",
-        }
 
 
 class TestClusterPartition:

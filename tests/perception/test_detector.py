@@ -9,8 +9,9 @@ pass consumes
 - ``m`` mislabel uniforms (only when a distractor vocabulary exists), and
 - ``k`` integer draws,
 
-never skipping or inventing a draw category.  A perfect detector
-consumes the same fixed budget in one vectorized call.
+never skipping or inventing a draw category.  A perfect detector runs
+the same loop, so its budget is fixed: every fact passes and none is
+mislabeled.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ NOISY = PerceptionProfile(name="noisy", latency_s=0.1, recall=0.7, mislabel_rate
 DISTRACTORS = ["room_x", "room_y"]
 
 
-def missed_and_mislabeled(ground, result) -> tuple[int, int]:
+def missed_and_mislabeled(ground, reported) -> tuple[int, int]:
     """Facts the pass dropped, and reported facts whose value differs from
     the ground truth (ground subjects are distinct)."""
     truth = {fact.subject: fact.value for fact in ground}
-    mislabeled = sum(fact.value != truth[fact.subject] for fact in result.facts)
-    return len(ground) - len(result.facts), mislabeled
+    mislabeled = sum(fact.value != truth[fact.subject] for fact in reported)
+    return len(ground) - len(reported), mislabeled
 
 
 class CountingRNG:
@@ -70,9 +71,9 @@ class TestDrawAccountingRule:
         for seed in range(300):
             rng = CountingRNG(seed)
             ground = facts(20)
-            result = detect(ground, NOISY, rng, DISTRACTORS)
+            reported = detect(ground, NOISY, rng, DISTRACTORS)
             n = len(ground)
-            missed, mislabeled = missed_and_mislabeled(ground, result)
+            missed, mislabeled = missed_and_mislabeled(ground, reported)
             # n recall uniforms + m mislabel uniforms.
             assert rng.uniforms == n + (n - missed), seed
             # One integer draw per fired mislabel; distractors never
@@ -84,11 +85,11 @@ class TestDrawAccountingRule:
         for seed in range(100):
             rng = CountingRNG(seed)
             ground = facts(20)
-            result = detect(ground, NOISY, rng, None)
+            reported = detect(ground, NOISY, rng, None)
             # The mislabel category vanishes without a vocabulary.
             assert rng.uniforms == len(ground)
             assert rng.ints == 0
-            assert missed_and_mislabeled(ground, result)[1] == 0
+            assert missed_and_mislabeled(ground, reported)[1] == 0
 
     @pytest.mark.parametrize(
         "distractors", [None, DISTRACTORS], ids=["no-vocabulary", "vocabulary"]
@@ -99,13 +100,11 @@ class TestDrawAccountingRule:
         when a vocabulary exists."""
         rng = CountingRNG(7)
         ground = facts(20)
-        result = detect(ground, get_perception("symbolic"), rng, distractors)
-        assert tuple(result.facts) == tuple(ground)
+        assert detect(ground, get_perception("symbolic"), rng, distractors) == tuple(ground)
         per_fact = 2 if distractors else 1
         assert (rng.uniforms, rng.ints) == (per_fact * len(ground), 0)
 
     def test_empty_input_draws_nothing(self):
         rng = CountingRNG(0)
-        result = detect([], NOISY, rng, DISTRACTORS)
-        assert result.facts == ()
+        assert detect([], NOISY, rng, DISTRACTORS) == ()
         assert rng.uniforms == 0 and rng.ints == 0

@@ -213,6 +213,51 @@ def test_every_attribute_of_the_tree_is_read_or_allowlisted():
     assert reach.check_attributes(declared, read, reach.ALLOWED_ATTRIBUTES) == []
 
 
+NAMES = '''
+import fixture
+from typing import Final
+
+__all__ = ["LIMIT"]
+LIMIT: Final = 3
+REGISTRY = {}
+WIDTH, HEIGHT = 2, 4
+UNUSED = "set and never loaded"
+
+
+def area():
+    return WIDTH * fixture.HEIGHT, REGISTRY.get(LIMIT)
+'''
+
+
+def test_module_names_are_assignment_targets_and_dunders_are_exempt(tmp_path):
+    (tmp_path / "fixture.py").write_text(NAMES)
+    declared, read = reach.enumerate_names(tmp_path)
+    assert declared == {
+        f"fixture.py: {name}" for name in ("LIMIT", "REGISTRY", "WIDTH", "HEIGHT", "UNUSED")
+    }
+    # Read as ``NAME`` or as ``module.NAME``; an import, a def and
+    # ``__all__`` are not assignments.
+    assert declared - read == {"fixture.py: UNUSED"}
+
+
+def test_unread_module_name_fails_unless_allowlisted(tmp_path):
+    (tmp_path / "fixture.py").write_text(NAMES)
+    declared, read = reach.enumerate_names(tmp_path)
+    assert reach.check_names(declared, read, {}) == [
+        "unread and not allowlisted: fixture.py: UNUSED"
+    ]
+    assert reach.check_names(declared, read, {"fixture.py: UNUSED": "catalog"}) == []
+    assert reach.check_names(declared, read, {"fixture.py: LIMIT": "catalog"}) == [
+        "unread and not allowlisted: fixture.py: UNUSED",
+        "allowlisted but read: fixture.py: LIMIT",
+    ]
+
+
+def test_every_module_name_of_the_tree_is_read_or_allowlisted():
+    declared, read = reach.enumerate_names(reach.PACKAGE)
+    assert reach.check_names(declared, read, reach.ALLOWED_NAMES) == []
+
+
 def test_pool_workers_dump_what_they_call(tmp_path):
     """A forked worker leaves through ``os._exit``: without the hook's
     after-fork finalizer it would dump nothing."""
