@@ -143,8 +143,12 @@ class Environment(abc.ABC):
     # ------------------------------------------------------------------ #
 
     @abc.abstractmethod
-    def visible_facts(self, agent: str) -> list[Fact]:
-        """Ground-truth facts perceivable from the agent's position."""
+    def visible_facts(self, agent: str) -> Sequence[Fact]:
+        """Ground-truth facts perceivable from the agent's position.
+
+        Callers must not mutate the result: an environment may hand one
+        tuple to every agent at a viewpoint until the world changes.
+        """
 
     @abc.abstractmethod
     def static_facts(self) -> list[Fact]:

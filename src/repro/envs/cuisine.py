@@ -62,6 +62,10 @@ STAGE_COOKED = "cooked"
 class _Ingredient:
     name: str
     needs_cook: bool
+    #: ``order_i:name``: the target of its subgoals and subject of its facts.
+    item_id: str
+    fetch_option: Candidate
+    cook_option: Candidate
     stage: str = STAGE_NEEDED
 
     @property
@@ -86,6 +90,10 @@ class _Order:
     dish: str
     arrival_step: int
     ingredients: dict[str, _Ingredient]
+    serve_option: Candidate
+    assemble_option: Candidate
+    #: The infeasible ``serve`` offered while ingredients are believed missing.
+    unready_option: Candidate
     assembled: bool = False
     served: bool = False
     expired: bool = False
@@ -97,9 +105,6 @@ class _Order:
         if self.deadline_steps <= 0:
             return 1 << 30
         return self.arrival_step + self.deadline_steps
-
-    def item_id(self, ingredient: str) -> str:
-        return f"{self.name}:{ingredient}"
 
 
 @dataclass
@@ -122,22 +127,55 @@ class CuisineEnv(Environment):
         # pressure the paper measures (Fig. 7) never materializes.
         n_orders = settings["orders"] + max(0, task.n_agents - 2)
         deadline_steps = int(task.params.get("deadline_steps", DEFAULT_ORDER_DEADLINE_STEPS))
+        option = self.option
         self.orders: list[_Order] = []
         for index in range(n_orders):
             dish = settings["dishes"][int(rng.integers(len(settings["dishes"])))]
+            name = f"order_{index}"
+            ingredients = {}
+            for ingredient, needs_cook in RECIPES[dish].items():
+                item = f"{name}:{ingredient}"
+                ingredients[ingredient] = _Ingredient(
+                    name=ingredient,
+                    needs_cook=needs_cook,
+                    item_id=item,
+                    fetch_option=option("fetch", item, utility=0.8),
+                    cook_option=option("cook", item, utility=0.9),
+                )
             self.orders.append(
                 _Order(
-                    name=f"order_{index}",
+                    name=name,
                     dish=dish,
                     arrival_step=index * settings["arrival_gap"],
-                    ingredients={
-                        ingredient: _Ingredient(name=ingredient, needs_cook=needs_cook)
-                        for ingredient, needs_cook in RECIPES[dish].items()
-                    },
+                    ingredients=ingredients,
+                    serve_option=option("serve", name, utility=1.0),
+                    assemble_option=option("assemble", name, utility=0.95),
+                    unready_option=option("serve", name, feasible=False),
                     deadline_steps=deadline_steps,
                 )
             )
+        #: Every menu's tail, after the order options.
+        self._fixed_options: tuple[Candidate, ...] = (
+            option("inspect", "stove", utility=0.25),
+            option("inspect", "assembly", utility=0.25),
+            option("idle", utility=0.02),
+            *self.hallucination_candidates(),
+        )
         self._cooks: dict[str, _Cook] = {agent: _Cook(name=agent) for agent in self.agents}
+        # Memos of what the world state determines; _world_changed drops
+        # both.  Every cook in a zone is handed the same view tuple.
+        self._active: tuple[_Order, ...] | None = None
+        self._views: dict[str, tuple[Fact, ...]] = {}
+
+    def _world_changed(self) -> None:
+        """Drop the memoized order board and zone views.
+
+        Called after every write that a view or the board reads: the
+        step (and with it arrivals and expiries), an ingredient's stage,
+        an order's ``assembled`` or ``served``.
+        """
+        self._active = None
+        self._views.clear()
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -152,21 +190,32 @@ class CuisineEnv(Environment):
         for order in self.orders:
             if not order.served and self.state.step_index > order.deadline:
                 order.expired = True
+        self._world_changed()
 
-    def _active_orders(self) -> list[_Order]:
-        return [
-            order
-            for order in self.orders
-            if order.arrival_step <= self.state.step_index
-            and not order.served
-            and not order.expired
-        ]
+    def _active_orders(self) -> tuple[_Order, ...]:
+        active = self._active
+        if active is None:
+            step = self.state.step_index
+            active = self._active = tuple(
+                order
+                for order in self.orders
+                if order.arrival_step <= step and not order.served and not order.expired
+            )
+        return active
 
     def agent_position(self, agent: str) -> str:
         return self._cooks[agent].zone
 
-    def visible_facts(self, agent: str) -> list[Fact]:
+    def visible_facts(self, agent: str) -> tuple[Fact, ...]:
+        """The view of the cook's zone: built on the first read after a
+        world change, then the same tuple for every cook there."""
         zone = self._cooks[agent].zone
+        view = self._views.get(zone)
+        if view is None:
+            view = self._views[zone] = self._zone_view(zone)
+        return view
+
+    def _zone_view(self, zone: str) -> tuple[Fact, ...]:
         step = self.state.step_index
         facts = [Fact(subject=zone, relation="visited", value="true", step=step)]
         for order in self._active_orders():
@@ -182,13 +231,13 @@ class CuisineEnv(Environment):
                 if ingredient.zone == zone and ingredient.stage != STAGE_NEEDED:
                     facts.append(
                         Fact(
-                            subject=order.item_id(ingredient.name),
+                            subject=ingredient.item_id,
                             relation="stage",
                             value=ingredient.stage,
                             step=step,
                         )
                     )
-        return sorted(facts, key=lambda fact: (fact.subject, fact.relation))
+        return tuple(sorted(facts, key=lambda fact: (fact.subject, fact.relation)))
 
     def static_facts(self) -> list[Fact]:
         facts = []
@@ -205,30 +254,24 @@ class CuisineEnv(Environment):
     # ------------------------------------------------------------------ #
 
     def candidates(self, agent: str, beliefs: Beliefs) -> tuple[Candidate, ...]:
-        option = self.option
+        believed = beliefs.value
         options: list[Candidate] = []
+        append = options.append
         for order in self._active_orders():
             if order.assembled:
-                options.append(option("serve", order.name, utility=1.0))
+                append(order.serve_option)
                 continue
             all_ready_by_belief = True
             for ingredient in order.ingredients.values():
-                item = order.item_id(ingredient.name)
-                believed_stage = beliefs.value(item, "stage") or STAGE_NEEDED
+                believed_stage = believed(ingredient.item_id, "stage") or STAGE_NEEDED
                 if believed_stage == STAGE_NEEDED:
                     all_ready_by_belief = False
-                    options.append(option("fetch", item, utility=0.8))
+                    append(ingredient.fetch_option)
                 elif believed_stage == STAGE_FETCHED and ingredient.needs_cook:
                     all_ready_by_belief = False
-                    options.append(option("cook", item, utility=0.9))
-            if all_ready_by_belief:
-                options.append(option("assemble", order.name, utility=0.95))
-            else:
-                options.append(option("serve", order.name, feasible=False))
-        for zone in ("stove", "assembly"):
-            options.append(option("inspect", zone, utility=0.25))
-        options.append(option("idle", utility=0.02))
-        options.extend(self.hallucination_candidates())
+                    append(ingredient.cook_option)
+            append(order.assemble_option if all_ready_by_belief else order.unready_option)
+        options.extend(self._fixed_options)
         return tuple(options)
 
     # ------------------------------------------------------------------ #
@@ -285,6 +328,7 @@ class CuisineEnv(Environment):
                 reason="already fetched",
             )
         ingredient.stage = STAGE_FETCHED
+        self._world_changed()
         destination = "stove" if ingredient.needs_cook else "assembly"
         extra_moves, extra_time = self._travel(agent, destination)
         return ExecutionOutcome(
@@ -313,6 +357,7 @@ class CuisineEnv(Environment):
                 reason="nothing to cook",
             )
         ingredient.stage = STAGE_COOKED
+        self._world_changed()
         extra_moves, extra_time = self._travel(agent, "assembly")
         return ExecutionOutcome(
             success=True,
@@ -341,6 +386,7 @@ class CuisineEnv(Environment):
                 reason="missing ingredients",
             )
         order.assembled = True
+        self._world_changed()
         n_items = len(order.ingredients)
         return ExecutionOutcome(
             success=True,
@@ -375,6 +421,7 @@ class CuisineEnv(Environment):
                 reason="order not ready",
             )
         order.served = True
+        self._world_changed()
         return ExecutionOutcome(
             success=True,
             primitive_count=moves + 1,

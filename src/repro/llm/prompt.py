@@ -21,7 +21,8 @@ frozen value types (``tokens`` in :mod:`repro.core.types`):
 - dialogue: each of the last :data:`MAX_DIALOGUE_MESSAGES` messages;
 - candidates: each ``"(i) "`` prefix (two parentheses plus one token per
   digit) plus its subgoal;
-- fixed text: ``count_tokens(text)``, whose cache serves static text.
+- fixed text: ``count_tokens(text)``, counted once per ``(name, text)``:
+  :func:`text_section` hands back one interned section for each.
 
 Sections and prompts are immutable and nothing here takes a lock: the
 only shared state is ``functools.lru_cache`` plus idempotent
@@ -67,8 +68,13 @@ class PromptSection(NamedTuple):
         return self.renderer(self.source)
 
 
+@lru_cache(maxsize=4096)
 def text_section(name: str, text: str) -> PromptSection:
-    """A section of fixed text."""
+    """A section of fixed text: one interned section per ``(name, text)``.
+
+    System preambles, task descriptions, instructions and agent headers
+    recur on every prompt that carries them, so each is counted once.
+    """
     return PromptSection(name, count_tokens(text), text, str)
 
 

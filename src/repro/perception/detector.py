@@ -21,6 +21,8 @@ fact.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.types import Fact
@@ -28,7 +30,7 @@ from repro.perception.models import PerceptionProfile
 
 
 def detect(
-    ground_facts: list[Fact],
+    ground_facts: Sequence[Fact],
     profile: PerceptionProfile,
     rng: np.random.Generator,
     distractor_values: list[str] | None = None,

@@ -58,6 +58,12 @@ class TestPromptSection:
         assert section.tokens == count_tokens("the red mug")
         assert section.text == "the red mug"
 
+    def test_fixed_text_sections_are_interned(self):
+        section = text_section("system", "be a planner")
+        assert text_section("system", "be a planner") is section
+        assert text_section("task", "be a planner") is not section
+        assert PromptBuilder(system_text="be a planner").build().sections == (section,)
+
 
 class TestPromptBuilder:
     def test_full_pipeline(self):
