@@ -1,5 +1,8 @@
 # Single source of truth for the commands CI and humans run.
-# All targets honour REPRO_TRIALS / REPRO_WORKERS from the environment.
+# The suite, bench and example targets honour the REPRO_* knobs from the
+# environment: each entry point reads them once (ExperimentSettings.from_env).
+# `make test` does not: library code runs under plain defaults whatever
+# the shell exports.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

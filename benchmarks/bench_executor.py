@@ -7,10 +7,11 @@ speedup alongside a hard equivalence check (parallel aggregates must be
 bit-identical to serial ones — determinism is part of the contract, not
 just performance).
 
-Workers default to ``REPRO_WORKERS`` when set above 1, else 4; on a
-multi-core machine a 4-worker run shows >= 2x on this grid.  The
-speedup floor is only asserted when the host actually has the cores to
-deliver it, so single-core CI runners still exercise correctness.
+Workers default to ``REPRO_WORKERS`` (the ``settings`` fixture's
+``max_workers``) when set above 1, else 4; on a multi-core machine a
+4-worker run shows >= 2x on this grid.  The speedup floor is only
+asserted when the host actually has the cores to deliver it, so
+single-core CI runners still exercise correctness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 from conftest import emit
 
 from repro.core.executor import default_worker_count
-from repro.experiments.common import GridCell, measure_grid, workers_from_env
+from repro.experiments.common import GridCell, measure_grid
 from repro.workloads.registry import get_workload
 
 SUBJECTS = ("mindagent", "coela", "combo")
@@ -39,7 +40,7 @@ def _grid() -> list[GridCell]:
 
 
 def test_bench_executor_speedup(benchmark, settings):
-    workers = workers_from_env(BENCH_DEFAULT_WORKERS)
+    workers = settings.max_workers if settings.max_workers > 1 else BENCH_DEFAULT_WORKERS
     grid = _grid()
     serial_settings = replace(settings, executor="serial", max_workers=1)
     parallel_settings = replace(settings, executor="parallel", max_workers=workers)

@@ -1,8 +1,10 @@
 """Benchmark configuration.
 
 Each benchmark regenerates one paper table/figure and prints the rows or
-series the paper reports.  Trial counts default to 2 per cell here (fast
-regeneration); set ``REPRO_TRIALS`` for tighter confidence, e.g.::
+series the paper reports.  The ``settings`` fixture is the benchmarks'
+entry point: ``ExperimentSettings.from_env`` with trial counts defaulting
+to 2 per cell (fast regeneration); set ``REPRO_TRIALS`` for tighter
+confidence, e.g.::
 
     REPRO_TRIALS=8 pytest benchmarks/ --benchmark-only -s
 """
@@ -11,14 +13,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import ExperimentSettings, trials_from_env
+from repro.experiments.common import ExperimentSettings
 
 BENCH_DEFAULT_TRIALS = 2
 
 
 @pytest.fixture
 def settings() -> ExperimentSettings:
-    return ExperimentSettings(n_trials=trials_from_env(BENCH_DEFAULT_TRIALS))
+    return ExperimentSettings.from_env(n_trials=BENCH_DEFAULT_TRIALS)
 
 
 def emit(title: str, body: str) -> None:

@@ -9,6 +9,8 @@ full declarative surface a downstream user composes systems from.
 Usage::
 
     python examples/custom_system.py [n_trials]
+
+Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 
 from repro import MemoryConfig, OptimizationConfig, SystemConfig, get_workload, run_trials
 from repro.analysis.report import format_table
+from repro.experiments import ExperimentSettings
 
 CUSTOM = SystemConfig(
     name="homecrew-70b",
@@ -35,7 +38,8 @@ CUSTOM = SystemConfig(
 
 
 def main() -> None:
-    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    settings = ExperimentSettings.from_env(n_trials=5)
+    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else settings.n_trials
     reference = get_workload("ola").config.with_agents(3)
 
     rows = []

@@ -8,6 +8,8 @@ paper's Sec. VIII discussion.
 Usage::
 
     python examples/optimization_playbook.py [n_trials]
+
+Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 
 from repro import get_workload, run_trials
 from repro.analysis.report import format_table
+from repro.experiments import ExperimentSettings
 from repro.optim import (
     with_batching,
     with_comm_filter,
@@ -31,7 +34,8 @@ def measure(config, n_trials):
 
 
 def main() -> None:
-    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    settings = ExperimentSettings.from_env(n_trials=5)
+    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else settings.n_trials
     coela = get_workload("coela").config
     combo = get_workload("combo").config
 

@@ -9,9 +9,10 @@ Usage::
 
     python examples/scalability_sweep.py [difficulty] [n_trials] [workers]
 
-With ``workers`` > 1 (or ``REPRO_WORKERS`` set) the per-cell trials run
-on the process-parallel executor; results are identical to the serial
-sweep, only faster.
+Without ``n_trials``, ``REPRO_TRIALS`` (else 4) sets the trial count, and
+without ``workers``, ``REPRO_WORKERS`` (else 1).  With more than one
+worker the per-cell trials run on the process-parallel executor; results
+are identical to the serial sweep, only faster.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from repro import get_workload, run_trials
 from repro.analysis.report import format_series
 from repro.core.executor import TrialExecutor, get_executor
-from repro.experiments.common import workers_from_env
+from repro.experiments import ExperimentSettings
 
 AGENT_COUNTS = (2, 4, 6, 8, 10)
 
@@ -45,8 +46,9 @@ def sweep(name: str, difficulty: str, n_trials: int, executor: TrialExecutor):
 
 def main() -> None:
     difficulty = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else 4
-    workers = int(sys.argv[3]) if len(sys.argv) > 3 else workers_from_env()
+    settings = ExperimentSettings.from_env(n_trials=4)
+    n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else settings.n_trials
+    workers = int(sys.argv[3]) if len(sys.argv) > 3 else settings.max_workers
     executor = get_executor("parallel" if workers > 1 else "serial", workers)
 
     central_success, central_latency = sweep("mindagent", difficulty, n_trials, executor)

@@ -8,6 +8,8 @@ the central trade-off of paper Sec. VI.
 Usage::
 
     python examples/warehouse_fleet.py [difficulty] [n_trials]
+
+Without ``n_trials``, ``REPRO_TRIALS`` (else 6) sets the trial count.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import sys
 
 from repro import get_workload, run_trials
 from repro.analysis.report import format_table
+from repro.experiments import ExperimentSettings
 
 
 def main() -> None:
     difficulty = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else 6
+    settings = ExperimentSettings.from_env(n_trials=6)
+    n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else settings.n_trials
 
     rows = []
     for name in ("cmas", "dmas", "hmas"):

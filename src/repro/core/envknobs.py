@@ -5,12 +5,12 @@ helpers so the tolerances are uniform: values are whitespace-stripped,
 empty/unset always means "use the default", and malformed values raise a
 ``ValueError`` naming the variable instead of being silently coerced.
 
-Adopters: the two result-affecting knobs, both parsed by
-:meth:`repro.core.settings.RunSettings.from_env`; ``REPRO_TRIALS`` /
-``REPRO_WORKERS`` (``experiments/common.py``); and ``REPRO_LEDGER``
-(``core/fleet.py``).  The knob table with defaults and the resolution
-order lives in docs/performance.md and the serving-specific knobs in
-docs/serving.md.
+Adopters: ``ExperimentSettings.from_env`` (``experiments/common.py``),
+which entry points call once, reads ``REPRO_TRIALS`` / ``REPRO_WORKERS``
+and, through :meth:`repro.core.settings.RunSettings.from_env`, the two
+result-affecting knobs; ``core/fleet.py`` reads ``REPRO_LEDGER``.  The
+knob table with defaults and the resolution order lives in
+docs/performance.md and the serving-specific knobs in docs/serving.md.
 """
 
 from __future__ import annotations

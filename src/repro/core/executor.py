@@ -42,9 +42,9 @@ Contracts:
   its resolved :class:`~repro.core.settings.RunSettings`, and the worker
   runs the episode under exactly those, so a result depends only on its
   job, never on the worker's environment or when its pool was forked.
-  ``REPRO_WORKERS`` only supplies the *default* executor (serial at 1,
-  parallel above); explicit ``ExperimentSettings(executor=,
-  max_workers=)`` or a directly constructed executor always wins.
+  The executor comes from ``ExperimentSettings(executor=, max_workers=)``
+  (serial by default; ``ExperimentSettings.from_env()`` reads
+  ``REPRO_WORKERS``) or is constructed directly.
 - **Failure surface** — a crashed trial raises ``TrialExecutionError``
   naming the job; it never hangs and never drops results.  The parallel
   stream watches completions (not submission order), so the first
@@ -69,7 +69,7 @@ from repro.core.metrics import EpisodeResult
 from repro.core.settings import RunSettings
 from repro.core.types import TaskSpec
 
-#: Executor kinds selectable via settings / ``REPRO_WORKERS``.
+#: Executor kinds ``ExperimentSettings.executor`` selects between.
 EXECUTOR_KINDS = ("serial", "parallel")
 
 #: In-flight jobs per worker when a stream is given no ``window``: enough
@@ -86,20 +86,18 @@ class TrialJob:
     The job is fully picklable (frozen dataclasses of primitives all the
     way down), so it can cross a process boundary; the worker rebuilds
     the paradigm loop from it and runs the episode under ``settings``.
-    A bare ``TrialJob(config, task, seed)`` resolves its settings at
-    construction — in the dispatching process — from the environment;
-    either way the config's pin is applied, so ``settings`` is always
-    the fully resolved value.
+    A bare ``TrialJob(config, task, seed)`` runs under ``RunSettings()``;
+    either way the config's pin is applied at construction, so
+    ``settings`` is always the fully resolved value.
     """
 
     config: SystemConfig
     task: TaskSpec
     seed: int
-    settings: RunSettings | None = None
+    settings: RunSettings = RunSettings()
 
     def __post_init__(self) -> None:
-        base = self.settings if self.settings is not None else RunSettings.from_env()
-        object.__setattr__(self, "settings", base.for_config(self.config))
+        object.__setattr__(self, "settings", self.settings.for_config(self.config))
 
     def describe(self) -> str:
         return f"{self.config.name}/{self.task.env_name} seed={self.seed}"

@@ -43,15 +43,14 @@ class ParadigmLoop(abc.ABC):
         config: SystemConfig,
         task: TaskSpec,
         seed: int,
-        settings: RunSettings | None = None,
+        settings: RunSettings = RunSettings(),
     ) -> None:
         self.config = config
         self.task = task
         self.seed = seed
-        #: The episode's settings: the caller's (else the environment's)
-        #: under this config's pin, read only while the loop builds.
-        base = settings if settings is not None else RunSettings.from_env()
-        self.settings = base.for_config(config)
+        #: The episode's settings: the caller's under this config's pin,
+        #: read only while the loop builds.
+        self.settings = settings.for_config(config)
         self._build()
 
     def _build(self) -> None:

@@ -9,11 +9,11 @@ independent, so ``run_trials`` dispatches them
 processes; the default serial executor reproduces the seed behaviour
 bit for bit.
 
-``build_loop`` and ``trial_jobs`` take an optional ``settings``
-(:class:`~repro.core.settings.RunSettings`); without one — and always
-for ``run_episode`` / ``run_trials`` — the environment's apply.  The
-loop resolves them under the config's pin while it builds the episode
-and hands the serving mode to its scheduler.
+``build_loop`` and ``trial_jobs`` take a ``settings``
+(:class:`~repro.core.settings.RunSettings`, default ``RunSettings()``,
+which ``run_episode`` / ``run_trials`` always use).  The loop resolves
+them under the config's pin while it builds the episode and hands the
+serving mode to its scheduler.
 
 The per-step pipeline a built loop drives is *delivery-staged*: perceive
 all agents, stage every composed message on the loop's
@@ -66,7 +66,7 @@ def build_loop(
     config: SystemConfig,
     task: TaskSpec,
     seed: int = 0,
-    settings: RunSettings | None = None,
+    settings: RunSettings = RunSettings(),
 ) -> ParadigmLoop:
     """Instantiate the paradigm loop, honouring the hierarchy override.
 
@@ -102,7 +102,7 @@ def trial_jobs(
     n_agents: int | None = None,
     base_seed: int = 0,
     horizon: int | None = None,
-    settings: RunSettings | None = None,
+    settings: RunSettings = RunSettings(),
 ) -> list[TrialJob]:
     """Picklable work items for ``n_trials`` seeded episodes, seed-ordered.
 
@@ -112,7 +112,6 @@ def trial_jobs(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1: {n_trials}")
-    base = settings if settings is not None else RunSettings.from_env()
     jobs = []
     for trial_seed in spawn_trial_seeds(base_seed, n_trials):
         task = build_task(
@@ -123,7 +122,7 @@ def trial_jobs(
             horizon=horizon,
         )
         jobs.append(
-            TrialJob(config=config, task=task, seed=trial_seed, settings=base)
+            TrialJob(config=config, task=task, seed=trial_seed, settings=settings)
         )
     return jobs
 

@@ -10,11 +10,11 @@ Two settings change an episode's modeled latency:
 A frozen :class:`RunSettings` holds both, resolved in one fixed order,
 each layer overriding the one before:
 
-1. the environment, through :meth:`RunSettings.from_env` — the only
-   parser of those two variables;
-2. explicit values: ``ExperimentSettings(run=...)`` or ``build_loop(...,
-   settings=...)``;
-3. the system config's pin, through :meth:`RunSettings.for_config`:
+1. the caller's value: explicit, or resolved once by an entry point's
+   ``ExperimentSettings.from_env()``, the only caller of
+   :meth:`RunSettings.from_env` (the only parser of those two
+   variables); a caller that passes none gets ``RunSettings()``;
+2. the system config's pin, through :meth:`RunSettings.for_config`:
    ``optimizations.serve_mode``.
 
 Every :class:`~repro.core.executor.TrialJob` carries its resolved

@@ -10,7 +10,7 @@ from repro.experiments import (
     fig6_tokens,
     fig7_scalability,
 )
-from repro.experiments.common import ExperimentSettings, trials_from_env
+from repro.experiments.common import ExperimentSettings
 
 __all__ = [
     "ExperimentSettings",
@@ -21,5 +21,4 @@ __all__ = [
     "fig5_memory",
     "fig6_tokens",
     "fig7_scalability",
-    "trials_from_env",
 ]

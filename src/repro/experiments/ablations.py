@@ -112,8 +112,7 @@ def summarize(aggregates: list[AggregateResult]) -> AblationsResult:
     return AblationsResult(rows=rows)
 
 
-def run(settings: ExperimentSettings | None = None) -> AblationsResult:
-    settings = settings or ExperimentSettings()
+def run(settings: ExperimentSettings) -> AblationsResult:
     return summarize(measure_grid(grid(), settings))
 
 

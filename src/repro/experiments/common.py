@@ -1,14 +1,13 @@
 """Shared experiment infrastructure: trial settings and sweep helpers.
 
-Experiments read their trial count from the ``REPRO_TRIALS`` environment
-variable (default 5) so benchmark runs can trade precision for speed
-without code changes (``REPRO_TRIALS=2 pytest benchmarks/``), and their
-execution engine from ``REPRO_WORKERS`` (default 1 = serial, bit-identical
-to the seed; >1 fans trials out across that many worker processes).
-Every job they dispatch is stamped with ``ExperimentSettings.run``, the
-resolved :class:`~repro.core.settings.RunSettings` (default: the
-``REPRO_*`` environment), so a grid's results never depend on which
-process runs which episode.
+An experiment runs under the :class:`ExperimentSettings` its caller
+passes; the defaults are plain values (five serial trials,
+``RunSettings()``).  Entry points (the suite's ``main``, the examples,
+the benchmarks) resolve theirs once with :meth:`ExperimentSettings.from_env`,
+so a shell can change the trial count, the workers or the serving mode
+without code changes.  Every job an experiment dispatches is stamped
+with ``ExperimentSettings.run``, so a grid's results never depend on
+which process runs which episode.
 
 The sweep helpers are grid-shaped on purpose: an experiment declares its
 full grid of cells up front (:class:`GridCell`) and :func:`measure_grid`
@@ -30,7 +29,7 @@ of re-running them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import SystemConfig
 from repro.core.envknobs import int_knob
@@ -41,39 +40,22 @@ from repro.core.runner import build_task, trial_jobs
 from repro.core.settings import RunSettings
 
 DEFAULT_TRIALS = 5
-DEFAULT_WORKERS = 1
-
-
-def trials_from_env(default: int = DEFAULT_TRIALS) -> int:
-    """Trial count override from ``REPRO_TRIALS`` (>=1)."""
-    return int_knob("REPRO_TRIALS", default)
-
-
-def workers_from_env(default: int = DEFAULT_WORKERS) -> int:
-    """Worker count override from ``REPRO_WORKERS`` (>=1; 1 = serial)."""
-    return int_knob("REPRO_WORKERS", default)
-
-
-def executor_from_env() -> str:
-    """Executor kind implied by ``REPRO_WORKERS``: parallel iff workers > 1."""
-    return "parallel" if workers_from_env() > 1 else "serial"
 
 
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Knobs shared by all figure experiments."""
 
-    n_trials: int = field(default_factory=trials_from_env)
+    n_trials: int = DEFAULT_TRIALS
     base_seed: int = 2025
     difficulty: str = "medium"
-    #: Execution engine: "serial" or "parallel" (default follows
-    #: ``REPRO_WORKERS``: serial unless it is set above 1).
-    executor: str = field(default_factory=executor_from_env)
+    #: Execution engine: "serial" or "parallel".
+    executor: str = "serial"
     #: Worker processes for the parallel executor (ignored when serial).
-    max_workers: int = field(default_factory=workers_from_env)
-    #: Run settings every dispatched job carries (default: the
-    #: environment's); each cell's config pin applies on top.
-    run: RunSettings = field(default_factory=RunSettings.from_env)
+    max_workers: int = 1
+    #: Run settings every dispatched job carries; each cell's config pin
+    #: applies on top.
+    run: RunSettings = RunSettings()
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:
@@ -82,6 +64,23 @@ class ExperimentSettings:
             )
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
+
+    @classmethod
+    def from_env(cls, n_trials: int = DEFAULT_TRIALS) -> ExperimentSettings:
+        """The settings an entry point runs under, from the ``REPRO_*`` knobs.
+
+        ``REPRO_TRIALS`` overrides ``n_trials``; ``REPRO_WORKERS`` sets
+        ``max_workers`` and, above 1, the parallel executor; ``REPRO_SERVE``
+        and ``REPRO_OVERLAP`` resolve through :meth:`RunSettings.from_env`.
+        Call it once, at an entry point, and pass the value down.
+        """
+        workers = int_knob("REPRO_WORKERS", 1)
+        return cls(
+            n_trials=int_knob("REPRO_TRIALS", n_trials),
+            executor="parallel" if workers > 1 else "serial",
+            max_workers=workers,
+            run=RunSettings.from_env(),
+        )
 
     def make_executor(self) -> TrialExecutor:
         """The (shared, pooled) executor these settings select."""

@@ -43,8 +43,7 @@ def summarize(aggregates: list[AggregateResult]) -> Fig2Result:
     return Fig2Result(profiles=[profile_from_aggregate(agg) for agg in aggregates])
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig2Result:
-    settings = settings or ExperimentSettings()
+def run(settings: ExperimentSettings) -> Fig2Result:
     return summarize(measure_grid(grid(), settings))
 
 

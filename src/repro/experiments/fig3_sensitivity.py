@@ -10,9 +10,8 @@ tasks to the step limit; w/o communication is not significant.  Cells
 where the baseline system lacks the module are "Not Applicable", exactly
 as in the paper's figure.
 
-Difficulty: :func:`run` without settings ablates on hard tasks, while
-the suite runs Figure 3 at the suite's difficulty (medium), like every
-other section, so the two print different numbers.
+Difficulty: Figure 3 runs at its settings' difficulty, like every other
+section.  The paper ablates on long-horizon tasks, closest to ``hard``.
 """
 
 from __future__ import annotations
@@ -108,10 +107,7 @@ def summarize(aggregates: list[AggregateResult]) -> Fig3Result:
     )
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig3Result:
-    # The paper ablates on each system's long-horizon tasks; the hard
-    # difficulty tier is our equivalent.
-    settings = settings or ExperimentSettings(difficulty="hard")
+def run(settings: ExperimentSettings) -> Fig3Result:
     return summarize(measure_grid(grid(), settings))
 
 

@@ -93,8 +93,7 @@ def summarize(aggregates: list[AggregateResult]) -> Fig4Result:
     return Fig4Result(cells=cells)
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig4Result:
-    settings = settings or ExperimentSettings()
+def run(settings: ExperimentSettings) -> Fig4Result:
     return summarize(measure_grid(grid(), settings))
 
 

@@ -95,8 +95,7 @@ def summarize(aggregates: list[AggregateResult]) -> Fig5Result:
     return Fig5Result(cells=cells)
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig5Result:
-    settings = settings or ExperimentSettings()
+def run(settings: ExperimentSettings) -> Fig5Result:
     return summarize(measure_grid(grid(), settings))
 
 

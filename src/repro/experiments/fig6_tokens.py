@@ -48,8 +48,7 @@ def summarize(episodes: list[EpisodeResult]) -> Fig6Result:
     return Fig6Result(traces=traces)
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig6Result:
-    settings = settings or ExperimentSettings()
+def run(settings: ExperimentSettings) -> Fig6Result:
     return summarize(episode_grid(grid(), settings))
 
 

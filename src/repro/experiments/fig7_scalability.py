@@ -76,8 +76,7 @@ def summarize(aggregates: list[AggregateResult]) -> Fig7Result:
     )
 
 
-def run(settings: ExperimentSettings | None = None) -> Fig7Result:
-    settings = settings or ExperimentSettings()
+def run(settings: ExperimentSettings) -> Fig7Result:
     return summarize(measure_grid(grid(), settings))
 
 

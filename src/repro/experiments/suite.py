@@ -14,11 +14,11 @@ sections in canonical order.  Trials are seeded and aggregated in seed
 order, so the report is byte-identical across serial, parallel and
 resumed runs apart from its closing ``Report generated in`` line.
 
-Settings: trial count and executor come from ``ExperimentSettings``
-defaults, i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS`` unless a caller
-passes explicit settings, and every section's jobs carry the same
-resolved run settings.  See docs/performance.md for the full knob
-table.
+Settings: :func:`main` resolves ``REPRO_TRIALS`` / ``REPRO_WORKERS`` /
+``REPRO_SERVE`` / ``REPRO_OVERLAP`` once, with
+:meth:`ExperimentSettings.from_env`, and passes the value to
+:func:`run_all`; every section's jobs carry the same run settings.  See
+docs/performance.md for the full knob table.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def section_block(title: str, body: str, results: list[EpisodeResult]) -> str:
     return block
 
 
-def run_all(settings: ExperimentSettings | None = None) -> str:
+def run_all(settings: ExperimentSettings) -> str:
     """Render the full report from one streaming wave of every section's jobs."""
-    settings = settings or ExperimentSettings()
     started = time.perf_counter()
     section_jobs = [
         (episode_jobs if episodes else grid_jobs)(module.grid(), settings)
@@ -105,7 +104,7 @@ def run_all(settings: ExperimentSettings | None = None) -> str:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.parse_args(argv)
-    print(run_all())
+    print(run_all(ExperimentSettings.from_env()))
 
 
 if __name__ == "__main__":

@@ -80,12 +80,13 @@ class TestAdopters:
     """The live knobs resolve through the shared helpers."""
 
     def test_trials_and_workers(self, monkeypatch):
-        from repro.experiments.common import trials_from_env, workers_from_env
+        from repro.experiments.common import ExperimentSettings
 
         monkeypatch.setenv("REPRO_TRIALS", " 3 ")
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert trials_from_env() == 3
-        assert workers_from_env() == 4
+        settings = ExperimentSettings.from_env()
+        assert settings.n_trials == 3
+        assert settings.max_workers == 4
 
     def test_overlap_spellings(self, monkeypatch):
         monkeypatch.setenv("REPRO_OVERLAP", "ON")

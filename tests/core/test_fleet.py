@@ -5,6 +5,7 @@ import pickle
 import shutil
 import tempfile
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.settings import ENV_KNOBS
 from repro.core.synthetic import sleep_runner, synthetic_job
+from repro.experiments.common import ExperimentSettings
 from repro.workloads import get_workload
 
 
@@ -41,6 +43,12 @@ def real_jobs(n_trials=3, base_seed=11):
 
 def synth_jobs(n=4, **kwargs):
     return [synthetic_job(seed=seed, **kwargs) for seed in range(1, n + 1)]
+
+
+def entry_point_jobs(jobs):
+    """``jobs`` under the run settings an entry point resolves from the environment."""
+    run = ExperimentSettings.from_env().run
+    return [replace(job, settings=run) for job in jobs]
 
 
 def counting(runner=sleep_runner):
@@ -78,7 +86,8 @@ class TestFingerprints:
     def test_result_knob_invalidates(self, monkeypatch):
         before = job_fingerprint(synth_jobs(1)[0])
         monkeypatch.setenv("REPRO_SERVE", "batched")
-        job = synth_jobs(1)[0]  # resolves its settings at construction
+        assert job_fingerprint(synth_jobs(1)[0]) == before  # the library reads no knob
+        job = entry_point_jobs(synth_jobs(1))[0]
         assert job.settings.serve == "batched"
         assert job_fingerprint(job) != before
 
@@ -215,6 +224,8 @@ class TestCheckpointResume:
         dispatch(synth_jobs(2), executor, ledger)
         monkeypatch.setenv("REPRO_SERVE", "batched")
         dispatch(synth_jobs(2), executor, ledger)
+        assert len(ran) == 2  # bare jobs ignore the knob: both restored
+        dispatch(entry_point_jobs(synth_jobs(2)), executor, ledger)
         assert len(ran) == 4  # nothing restored: fingerprints moved
 
     def test_duplicate_jobs_execute_once(self, ledger):

@@ -21,8 +21,6 @@ from repro.experiments.common import (
     dispatch_jobs,
     grid_jobs,
     measure_grid,
-    trials_from_env,
-    workers_from_env,
 )
 from repro.llm.costs import tokens_cost
 from repro.workloads import get_workload
@@ -31,47 +29,52 @@ FAST = ExperimentSettings(n_trials=1, base_seed=3, difficulty="easy")
 
 
 class TestCommon:
+    """``ExperimentSettings.from_env``: the trial and worker knobs."""
+
     def test_trials_from_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRIALS", raising=False)
-        assert trials_from_env(7) == 7
+        assert ExperimentSettings.from_env(n_trials=7).n_trials == 7
+        assert ExperimentSettings.from_env().n_trials == 5
 
     def test_trials_from_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "3")
-        assert trials_from_env() == 3
+        assert ExperimentSettings.from_env().n_trials == 3
+        assert ExperimentSettings.from_env(n_trials=7).n_trials == 3
 
     def test_trials_from_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "zero")
         with pytest.raises(ValueError):
-            trials_from_env()
+            ExperimentSettings.from_env()
         monkeypatch.setenv("REPRO_TRIALS", "0")
         with pytest.raises(ValueError):
-            trials_from_env()
+            ExperimentSettings.from_env()
 
     def test_trials_from_env_strips_whitespace(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "  3 ")
-        assert trials_from_env() == 3
+        assert ExperimentSettings.from_env().n_trials == 3
         monkeypatch.setenv("REPRO_TRIALS", "   ")
-        assert trials_from_env(7) == 7
+        assert ExperimentSettings.from_env(n_trials=7).n_trials == 7
 
     def test_workers_from_env_default_and_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert workers_from_env() == 1
+        assert ExperimentSettings.from_env().max_workers == 1
         monkeypatch.setenv("REPRO_WORKERS", " 4 ")
-        assert workers_from_env() == 4
+        assert ExperimentSettings.from_env().max_workers == 4
 
     @pytest.mark.parametrize("raw", ["two", "0", "-3", "2.5"])
     def test_workers_from_env_validation(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_WORKERS", raw)
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            workers_from_env()
+            ExperimentSettings.from_env()
 
     def test_settings_follow_workers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        settings = ExperimentSettings(n_trials=1)
+        settings = ExperimentSettings.from_env(n_trials=1)
         assert settings.executor == "parallel"
         assert settings.max_workers == 3
+        assert ExperimentSettings(n_trials=1).executor == "serial"  # no knob read
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert ExperimentSettings(n_trials=1).executor == "serial"
+        assert ExperimentSettings.from_env(n_trials=1).executor == "serial"
 
     def test_settings_reject_unknown_executor(self):
         with pytest.raises(ValueError):
