@@ -1,8 +1,9 @@
 # Single source of truth for the commands CI and humans run.
-# The suite, bench and example targets honour the REPRO_* knobs from the
-# environment: each entry point reads them once (ExperimentSettings.from_env).
-# `make test` does not: library code runs under plain defaults whatever
-# the shell exports.
+# The suite, bench and example targets honour REPRO_TRIALS and
+# REPRO_WORKERS: each entry point reads them once
+# (ExperimentSettings.from_env). `make test` does not: library code runs
+# under plain defaults whatever the shell exports. No knob changes what
+# an episode computes; a system's config (its serving mode included) does.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

@@ -10,7 +10,9 @@ Usage::
 
     python examples/custom_system.py [n_trials]
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count.
+Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count;
+``REPRO_WORKERS`` above 1 runs the trials on the process-parallel
+executor, with the same table.
 """
 
 from __future__ import annotations
@@ -40,13 +42,18 @@ CUSTOM = SystemConfig(
 def main() -> None:
     settings = ExperimentSettings.from_env(n_trials=5)
     n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else settings.n_trials
+    executor = settings.make_executor()
     reference = get_workload("ola").config.with_agents(3)
 
     rows = []
     for difficulty in ("easy", "medium", "hard"):
         for label, config in (("homecrew-70b (custom)", CUSTOM), ("ola (suite)", reference)):
             aggregate = run_trials(
-                config, n_trials=n_trials, difficulty=difficulty, base_seed=53
+                config,
+                n_trials=n_trials,
+                difficulty=difficulty,
+                base_seed=53,
+                executor=executor,
             )
             rows.append(
                 [

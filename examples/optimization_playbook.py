@@ -9,7 +9,9 @@ Usage::
 
     python examples/optimization_playbook.py [n_trials]
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count.
+Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count;
+``REPRO_WORKERS`` above 1 runs the trials on the process-parallel
+executor, with the same table.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ from repro.optim import (
 )
 
 
-def measure(config, n_trials):
-    return run_trials(config, n_trials=n_trials, difficulty="medium", base_seed=41)
+def measure(config, n_trials, executor):
+    return run_trials(
+        config, n_trials=n_trials, difficulty="medium", base_seed=41, executor=executor
+    )
 
 
 def main() -> None:
     settings = ExperimentSettings.from_env(n_trials=5)
     n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else settings.n_trials
+    executor = settings.make_executor()
     coela = get_workload("coela").config
     combo = get_workload("combo").config
 
@@ -53,7 +58,7 @@ def main() -> None:
     rows = []
     baselines = {}
     for workload, label, config in cases:
-        aggregate = measure(config, n_trials)
+        aggregate = measure(config, n_trials, executor)
         if label == "baseline":
             baselines[workload] = aggregate.mean_sim_minutes
         speedup = baselines[workload] / max(1e-9, aggregate.mean_sim_minutes)

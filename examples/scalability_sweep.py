@@ -18,10 +18,11 @@ are identical to the serial sweep, only faster.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 from repro import get_workload, run_trials
 from repro.analysis.report import format_series
-from repro.core.executor import TrialExecutor, get_executor
+from repro.core.executor import TrialExecutor
 from repro.experiments import ExperimentSettings
 
 AGENT_COUNTS = (2, 4, 6, 8, 10)
@@ -48,8 +49,12 @@ def main() -> None:
     difficulty = sys.argv[1] if len(sys.argv) > 1 else "medium"
     settings = ExperimentSettings.from_env(n_trials=4)
     n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else settings.n_trials
-    workers = int(sys.argv[3]) if len(sys.argv) > 3 else settings.max_workers
-    executor = get_executor("parallel" if workers > 1 else "serial", workers)
+    if len(sys.argv) > 3:
+        workers = int(sys.argv[3])
+        settings = replace(
+            settings, executor="parallel" if workers > 1 else "serial", max_workers=workers
+        )
+    executor = settings.make_executor()
 
     central_success, central_latency = sweep("mindagent", difficulty, n_trials, executor)
     decent_success, decent_latency = sweep("coela", difficulty, n_trials, executor)

@@ -9,7 +9,9 @@ Usage::
 
     python examples/warehouse_fleet.py [difficulty] [n_trials]
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 6) sets the trial count.
+Without ``n_trials``, ``REPRO_TRIALS`` (else 6) sets the trial count;
+``REPRO_WORKERS`` above 1 runs the trials on the process-parallel
+executor, with the same table.
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ def main() -> None:
     difficulty = sys.argv[1] if len(sys.argv) > 1 else "medium"
     settings = ExperimentSettings.from_env(n_trials=6)
     n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else settings.n_trials
+    executor = settings.make_executor()
 
     rows = []
     for name in ("cmas", "dmas", "hmas"):
         workload = get_workload(name)
         aggregate = run_trials(
-            workload.config, n_trials=n_trials, difficulty=difficulty, base_seed=17
+            workload.config,
+            n_trials=n_trials,
+            difficulty=difficulty,
+            base_seed=17,
+            executor=executor,
         )
         rows.append(
             [

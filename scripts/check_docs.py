@@ -11,10 +11,7 @@ Nine offline checks:
 2. **Knob coverage** — every ``REPRO_*`` environment knob referenced in
    ``src/`` or ``benchmarks/`` must be documented in
    ``docs/performance.md`` (the acceptance bar: docs cover every knob
-   that exists in the source), and every *serving-layer* knob
-   (``REPRO_SERVE*``, ``REPRO_OVERLAP``) must also appear in
-   ``docs/serving.md`` — the serving guide may not drift behind the
-   scheduler it documents.
+   that exists in the source).
 3. **No stale knobs** — the reverse: every ``REPRO_*`` knob named in
    ``README.md`` or ``docs/*.md`` must occur in ``src/``,
    ``benchmarks/``, ``scripts/`` or ``tests/``, so deleting a knob
@@ -68,13 +65,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 KNOB_DOC = REPO / "docs" / "performance.md"
-SERVING_DOC = REPO / "docs" / "serving.md"
 BASELINES = REPO / "benchmarks" / "baselines"
 GOLDENS = REPO / "tests" / "core" / "goldens" / "GOLDEN_episodes.json"
-
-#: Knob prefixes the serving guide must cover in addition to the master
-#: table in performance.md.
-SERVING_KNOB_PREFIXES = ("REPRO_SERVE", "REPRO_OVERLAP")
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A code span holding one repository path (globs such as
@@ -227,21 +219,11 @@ def _knobs_in(*roots: str) -> set[str]:
 
 def check_knob_coverage() -> list[str]:
     in_source = _knobs_in("src", "benchmarks")
-    problems = []
     documented = set(KNOB.findall(KNOB_DOC.read_text()))
-    problems.extend(
+    return [
         f"docs/performance.md: undocumented knob {knob} (referenced in source)"
         for knob in sorted(in_source - documented)
-    )
-    serving_knobs = {
-        knob for knob in in_source if knob.startswith(SERVING_KNOB_PREFIXES)
-    }
-    in_guide = set(KNOB.findall(SERVING_DOC.read_text()))
-    problems.extend(
-        f"docs/serving.md: serving knob {knob} missing from the serving guide"
-        for knob in sorted(serving_knobs - in_guide)
-    )
-    return problems
+    ]
 
 
 def check_stale_knobs() -> list[str]:
@@ -371,8 +353,7 @@ def main() -> int:
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
         f"{n_references} file and {n_symbols} symbol references resolve, "
-        "all source knobs documented "
-        "(serving guide covered), no stale knobs, quoted baselines and "
+        "all source knobs documented, no stale knobs, quoted baselines and "
         "golden cell counts match, module and markdown doctests green"
     )
     return 0

@@ -15,12 +15,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.core.errors import ConfigurationError
-from repro.core.settings import SERVE_MODES
 
 PARADIGMS = ("modular", "centralized", "decentralized", "hybrid")
 
 #: Module names accepted by :meth:`SystemConfig.without`.
 ABLATABLE_MODULES = ("sensing", "communication", "memory", "reflection", "execution")
+
+#: Inference serving modes (see :mod:`repro.llm.scheduler`).
+SERVE_MODES = ("percall", "batched", "continuous")
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,14 @@ class OptimizationConfig:
       agents planned centrally within clusters of this size, decentrally
       across clusters.
     - ``quantization`` / ``runtime``: local-model serving options (Rec. 1).
-    - ``serve_mode``: pin this system to one inference-serving mode
-      (``percall`` / ``batched`` / ``continuous``); empty defers to the
-      run settings' ``serve``.  Rec. 1's request batching is the
-      ``batched`` pin; the serving grids use the pin to mix modes in
-      one run.  It is the last layer of run-settings resolution
-      (:meth:`repro.core.settings.RunSettings.for_config`).
+    - ``serve_mode``: the system's inference-serving mode, one of
+      :data:`SERVE_MODES` (Rec. 1).  ``percall`` serves each request at
+      its own clock position; Rec. 1's request batching is ``batched``
+      and the continuous-batching engine ``continuous``.  The serving
+      grids set it per cell to compare modes in one run.
+    - ``overlap``: perception–generation overlap (latency only).  The
+      loop reads it only when generation is charged at a flush, so it
+      is refused under ``percall``.
     """
 
     multistep_horizon: int = 1
@@ -69,7 +73,8 @@ class OptimizationConfig:
     hierarchy_cluster_size: int = 0
     quantization: str = ""
     runtime: str = ""
-    serve_mode: str = ""
+    serve_mode: str = "percall"
+    overlap: bool = False
 
     def __post_init__(self) -> None:
         if self.multistep_horizon < 1:
@@ -80,9 +85,14 @@ class OptimizationConfig:
             raise ValueError(
                 f"hierarchy_cluster_size must be >= 0: {self.hierarchy_cluster_size}"
             )
-        if self.serve_mode and self.serve_mode not in SERVE_MODES:
+        if self.serve_mode not in SERVE_MODES:
             raise ValueError(
-                f"serve_mode must be '' or one of {SERVE_MODES}: {self.serve_mode!r}"
+                f"serve_mode must be one of {SERVE_MODES}: {self.serve_mode!r}"
+            )
+        if self.overlap and self.serve_mode == "percall":
+            raise ValueError(
+                "overlap needs a serving mode that charges at a flush "
+                "(batched or continuous), not percall"
             )
 
 

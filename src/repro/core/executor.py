@@ -38,10 +38,10 @@ Contracts:
   completion order, and parallel aggregates equal serial ones exactly
   (asserted by ``tests/core/test_executor.py`` and
   ``benchmarks/bench_executor.py``).
-- **Settings travel with the job** — every :class:`TrialJob` carries
-  its resolved :class:`~repro.core.settings.RunSettings`, and the worker
-  runs the episode under exactly those, so a result depends only on its
-  job, never on the worker's environment or when its pool was forked.
+- **The job is the whole input** — a :class:`TrialJob`'s config (its
+  ``optimizations`` included: the serving mode and overlap), task and
+  seed decide its episode, so a result depends only on its job, never
+  on the worker's environment or when its pool was forked.
   The executor comes from ``ExperimentSettings(executor=, max_workers=)``
   (serial by default; ``ExperimentSettings.from_env()`` reads
   ``REPRO_WORKERS``) or is constructed directly.
@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from repro.core.config import SystemConfig
 from repro.core.errors import TrialExecutionError
 from repro.core.metrics import EpisodeResult
-from repro.core.settings import RunSettings
 from repro.core.types import TaskSpec
 
 #: Executor kinds ``ExperimentSettings.executor`` selects between.
@@ -85,19 +84,12 @@ class TrialJob:
 
     The job is fully picklable (frozen dataclasses of primitives all the
     way down), so it can cross a process boundary; the worker rebuilds
-    the paradigm loop from it and runs the episode under ``settings``.
-    A bare ``TrialJob(config, task, seed)`` runs under ``RunSettings()``;
-    either way the config's pin is applied at construction, so
-    ``settings`` is always the fully resolved value.
+    the paradigm loop from it and runs the episode.
     """
 
     config: SystemConfig
     task: TaskSpec
     seed: int
-    settings: RunSettings = RunSettings()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "settings", self.settings.for_config(self.config))
 
     def describe(self) -> str:
         return f"{self.config.name}/{self.task.env_name} seed={self.seed}"
@@ -108,7 +100,7 @@ def run_trial_job(job: TrialJob) -> EpisodeResult:
     # Imported lazily: runner imports this module for its default executor.
     from repro.core.runner import build_loop
 
-    return build_loop(job.config, job.task, job.seed, settings=job.settings).run()
+    return build_loop(job.config, job.task, job.seed).run()
 
 
 #: A job-execution function.  The default runs a real episode; benches

@@ -16,16 +16,14 @@ the start of each dispatch.  A killed writer loses at most one flush
 window of episodes, and its torn last line is never parsed.
 
 Jobs are keyed by a **content fingerprint**: a SHA-256 over the
-canonical JSON of ``(config, task, seed)``, the job's resolved
-:class:`~repro.core.settings.RunSettings`, and
+canonical JSON of ``(config, task, seed)`` and
 :data:`SEMANTICS_VERSION`.  Every value that can change a result is in
-the job itself — ``serve="batched"`` or ``overlap=True``, whether it
-came from the environment, an explicit setting, or a config pin,
-changes every fingerprint — so two jobs share a result only when they
-compute the same episode, and a stale ledger can never leak results
-produced under different semantics into a resumed run.  Execution-shape
-knobs (worker counts, the ledger path) change how jobs run, never what
-an episode computes, so they are not part of a job.
+the job itself (the serving mode and overlap are fields of the config's
+``optimizations``), so two jobs share a result only when they compute
+the same episode, and a stale ledger can never leak results produced
+under different semantics into a resumed run.  Execution-shape knobs
+(worker counts, the ledger path) change how jobs run, never what an
+episode computes, so they are not part of a job.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.envknobs import raw_knob
-from repro.core.settings import ENV_KNOBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.executor import TrialExecutor, TrialJob
@@ -54,8 +51,8 @@ except ImportError:  # pragma: no cover - windows fallback: no inter-process loc
     fcntl = None  # type: ignore[assignment]
 
 #: Part of every job fingerprint.  Bump it with any change that alters
-#: what an episode computes or what its ledger payload holds under
-#: unchanged settings, so a ledger written by older code can never resume
+#: what an episode computes or what its ledger payload holds for an
+#: unchanged job, so a ledger written by older code can never resume
 #: silently: its lines no longer match, and their jobs run again.
 SEMANTICS_VERSION = 2
 
@@ -66,23 +63,20 @@ FLUSH_RECORDS = 64
 
 
 def knob_fingerprint() -> dict[str, str]:
-    """The result-affecting ``REPRO_*`` variables exported in this process.
+    """The result-affecting ``REPRO_*`` variables: none exist, so ``{}``.
 
-    For run records only (empty when none is exported); job fingerprints
-    hash each job's resolved settings, not the environment.
+    Kept for run records that store it; every value that changes a
+    result is a field of the job's config.
     """
-    return {name: value for name in ENV_KNOBS if (value := raw_knob(name))}
+    return {}
 
 
 def job_fingerprint(job: "TrialJob") -> str:
-    """Content fingerprint of one trial job, its settings included."""
+    """Content fingerprint of one trial job."""
     payload = {
         "config": job.config.fingerprint_payload(),
         "task": asdict(job.task),
         "seed": job.seed,
-        # Flat primitives: the instance dict is the canonical payload (and
-        # ~100x cheaper than ``asdict`` on the resume path).
-        "settings": vars(job.settings),
         "semantics": SEMANTICS_VERSION,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)

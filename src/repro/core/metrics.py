@@ -55,13 +55,13 @@ class EpisodeResult:
     faults: dict[FaultKind, int]
     reflections_triggered: int
     replans: int
-    #: Inference-serving statistics (``REPRO_SERVE=batched`` /
-    #: Rec. 1 batching): dispatch groups flushed and requests they
-    #: carried.  Both zero under per-call serving.
+    #: Inference-serving statistics (``serve_mode="batched"``, Rec. 1
+    #: batching): dispatch groups flushed and requests they carried.
+    #: Both zero under per-call serving.
     serve_batches: int = 0
     serve_batched_requests: int = 0
     #: Per-request latency attribution of the continuous-batching engine
-    #: (``REPRO_SERVE=continuous``): total queueing delay (arrival →
+    #: (``serve_mode="continuous"``): total queueing delay (arrival →
     #: batch admission), total request latency (arrival → completion,
     #: straggler retry rounds included), and how many requests joined a
     #: batch already in flight.  All zero under per-call and batched
@@ -283,7 +283,7 @@ class AggregateResult:
     #: Continuous-serving queueing metrics across the cell's trials:
     #: mean seconds a request waited for batch admission, mean
     #: arrival-to-completion request latency, and mean in-flight batch
-    #: joins per episode.  All 0.0 outside ``REPRO_SERVE=continuous``.
+    #: joins per episode.  All 0.0 outside ``serve_mode="continuous"``.
     mean_queue_delay: float = 0.0
     mean_request_latency: float = 0.0
     mean_inflight_joins: float = 0.0

@@ -21,7 +21,6 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import EpisodeResult, MetricsCollector
 from repro.core.modules.reflection import is_wasteful
 from repro.core.seeding import derive_seed, rng_for
-from repro.core.settings import RunSettings
 from repro.core.types import Candidate, Decision, Fact, StepRecord, TaskSpec
 from repro.envs import make_env
 from repro.envs.base import ExecutionOutcome
@@ -38,19 +37,10 @@ JOINT_PLAN_TOKENS_PER_AGENT = 45
 class ParadigmLoop(abc.ABC):
     """Base class of every paradigm loop."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        task: TaskSpec,
-        seed: int,
-        settings: RunSettings = RunSettings(),
-    ) -> None:
+    def __init__(self, config: SystemConfig, task: TaskSpec, seed: int) -> None:
         self.config = config
         self.task = task
         self.seed = seed
-        #: The episode's settings: the caller's under this config's pin,
-        #: read only while the loop builds.
-        self.settings = settings.for_config(config)
         self._build()
 
     def _build(self) -> None:
@@ -60,14 +50,15 @@ class ParadigmLoop(abc.ABC):
         self.env = make_env(task, rng_for(seed, "env", task.env_name))
         #: The episode's serving layer, shared by every agent's module
         #: stack so phase-concurrent requests can meet in one place.
-        self.scheduler = InferenceScheduler(self.clock, self.metrics, mode=self.settings.serve)
+        self.scheduler = InferenceScheduler(
+            self.clock, self.metrics, mode=config.optimizations.serve_mode
+        )
         #: Perception–generation overlap: sense step t+1 while the engine
         #: still generates for step t, per the async-pipeline
-        #: decomposition (arXiv 2509.09560).  Latency-only and meaningful
-        #: only when the serving mode defers charges to a flush (the
-        #: anchor is the flush's charge start); per-call serving ignores
-        #: the setting, keeping the golden path untouched.
-        self._overlap = self.settings.overlap and self.scheduler.defers
+        #: decomposition (arXiv 2509.09560).  Latency-only; the config
+        #: allows it only under a serving mode that charges generation at
+        #: a flush (the anchor is the flush's charge start).
+        self._overlap = config.optimizations.overlap
         agent_seed = derive_seed(seed, "agents")
         self.agents: list[EmbodiedAgent] = [
             EmbodiedAgent(
@@ -125,10 +116,10 @@ class ParadigmLoop(abc.ABC):
     def perceive_all(self, step: int) -> dict[str, PerceptionBundle]:
         """Run every agent's perceive concurrently (per-robot compute).
 
-        Under ``overlap`` (with a deferring serving mode), sensing
-        for this step is backdated to where the previous step's flush
-        started charging generation latency: perception for step t+1
-        runs concurrently with generation for step t, and the clock
+        Under ``optimizations.overlap`` (batched or continuous serving),
+        sensing for this step is backdated to where the previous step's
+        flush started charging generation latency: perception for step
+        t+1 runs concurrently with generation for step t, and the clock
         resumes at whichever finishes later.  The first step has no
         generation to overlap with and senses normally.
         """

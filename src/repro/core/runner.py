@@ -9,11 +9,10 @@ independent, so ``run_trials`` dispatches them
 processes; the default serial executor reproduces the seed behaviour
 bit for bit.
 
-``build_loop`` and ``trial_jobs`` take a ``settings``
-(:class:`~repro.core.settings.RunSettings`, default ``RunSettings()``,
-which ``run_episode`` / ``run_trials`` always use).  The loop resolves
-them under the config's pin while it builds the episode and hands the
-serving mode to its scheduler.
+A system config, a task and a seed are the whole input of an episode:
+the loop reads the serving mode and overlap from
+``config.optimizations`` while it builds and hands the mode to its
+scheduler.
 
 The per-step pipeline a built loop drives is *delivery-staged*: perceive
 all agents, stage every composed message on the loop's
@@ -27,8 +26,8 @@ delivery still staged.
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by
 default (byte-identical), or occupancy-aware batches per phase under
-``serve="batched"`` / the Rec. 1 ``with_batching`` pin — which changes
-modeled latency only, never task outcomes or token counts.
+``serve_mode="batched"`` (the Rec. 1 ``with_batching`` transform) —
+which changes modeled latency only, never task outcomes or token counts.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from repro.core.fleet import dispatch
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.paradigms import PARADIGM_LOOPS, HierarchicalLoop, ParadigmLoop
 from repro.core.seeding import spawn_trial_seeds
-from repro.core.settings import RunSettings
 from repro.core.types import TaskSpec
 from repro.envs.tasks import make_task
 
@@ -66,7 +64,6 @@ def build_loop(
     config: SystemConfig,
     task: TaskSpec,
     seed: int = 0,
-    settings: RunSettings = RunSettings(),
 ) -> ParadigmLoop:
     """Instantiate the paradigm loop, honouring the hierarchy override.
 
@@ -77,9 +74,9 @@ def build_loop(
     hybrid loop's feedback round by design.
     """
     if config.optimizations.hierarchy_cluster_size > 0:
-        return HierarchicalLoop(config, task, seed, settings)
+        return HierarchicalLoop(config, task, seed)
     loop_cls = PARADIGM_LOOPS[config.paradigm]
-    return loop_cls(config, task, seed, settings)
+    return loop_cls(config, task, seed)
 
 
 def run_episode(
@@ -102,13 +99,12 @@ def trial_jobs(
     n_agents: int | None = None,
     base_seed: int = 0,
     horizon: int | None = None,
-    settings: RunSettings = RunSettings(),
 ) -> list[TrialJob]:
     """Picklable work items for ``n_trials`` seeded episodes, seed-ordered.
 
-    Tasks and settings are resolved eagerly in the parent process (task
-    construction is cheap and deterministic in the seed), so workers
-    receive fully specified jobs.
+    Tasks are resolved eagerly in the parent process (task construction
+    is cheap and deterministic in the seed), so workers receive fully
+    specified jobs.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1: {n_trials}")
@@ -121,9 +117,7 @@ def trial_jobs(
             seed=trial_seed,
             horizon=horizon,
         )
-        jobs.append(
-            TrialJob(config=config, task=task, seed=trial_seed, settings=settings)
-        )
+        jobs.append(TrialJob(config=config, task=task, seed=trial_seed))
     return jobs
 
 

@@ -1,13 +1,13 @@
 """Shared experiment infrastructure: trial settings and sweep helpers.
 
 An experiment runs under the :class:`ExperimentSettings` its caller
-passes; the defaults are plain values (five serial trials,
-``RunSettings()``).  Entry points (the suite's ``main``, the examples,
-the benchmarks) resolve theirs once with :meth:`ExperimentSettings.from_env`,
-so a shell can change the trial count, the workers or the serving mode
-without code changes.  Every job an experiment dispatches is stamped
-with ``ExperimentSettings.run``, so a grid's results never depend on
-which process runs which episode.
+passes; the defaults are plain values (five serial trials).  Entry
+points (the suite's ``main``, the examples, the benchmarks) resolve
+theirs once with :meth:`ExperimentSettings.from_env`, so a shell can
+change the trial count and the workers without code changes.  Neither
+changes what an episode computes: each cell's system config (its
+serving mode included) does, so a grid's results never depend on which
+process runs which episode.
 
 The sweep helpers are grid-shaped on purpose: an experiment declares its
 full grid of cells up front (:class:`GridCell`) and :func:`measure_grid`
@@ -37,7 +37,6 @@ from repro.core.executor import EXECUTOR_KINDS, TrialExecutor, TrialJob, get_exe
 from repro.core.fleet import dispatch, ledger_from_env
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.runner import build_task, trial_jobs
-from repro.core.settings import RunSettings
 
 DEFAULT_TRIALS = 5
 
@@ -53,9 +52,6 @@ class ExperimentSettings:
     executor: str = "serial"
     #: Worker processes for the parallel executor (ignored when serial).
     max_workers: int = 1
-    #: Run settings every dispatched job carries; each cell's config pin
-    #: applies on top.
-    run: RunSettings = RunSettings()
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:
@@ -70,16 +66,14 @@ class ExperimentSettings:
         """The settings an entry point runs under, from the ``REPRO_*`` knobs.
 
         ``REPRO_TRIALS`` overrides ``n_trials``; ``REPRO_WORKERS`` sets
-        ``max_workers`` and, above 1, the parallel executor; ``REPRO_SERVE``
-        and ``REPRO_OVERLAP`` resolve through :meth:`RunSettings.from_env`.
-        Call it once, at an entry point, and pass the value down.
+        ``max_workers`` and, above 1, the parallel executor.  Call it
+        once, at an entry point, and pass the value down.
         """
         workers = int_knob("REPRO_WORKERS", 1)
         return cls(
             n_trials=int_knob("REPRO_TRIALS", n_trials),
             executor="parallel" if workers > 1 else "serial",
             max_workers=workers,
-            run=RunSettings.from_env(),
         )
 
     def make_executor(self) -> TrialExecutor:
@@ -110,7 +104,6 @@ def _cell_jobs(cell: GridCell, settings: ExperimentSettings) -> list[TrialJob]:
         n_agents=cell.n_agents,
         base_seed=settings.base_seed,
         horizon=cell.horizon,
-        settings=settings.run,
     )
 
 
@@ -145,14 +138,7 @@ def episode_jobs(cells: list[GridCell], settings: ExperimentSettings) -> list[Tr
             seed=settings.base_seed,
             horizon=cell.horizon,
         )
-        jobs.append(
-            TrialJob(
-                config=cell.config,
-                task=task,
-                seed=settings.base_seed,
-                settings=settings.run,
-            )
-        )
+        jobs.append(TrialJob(config=cell.config, task=task, seed=settings.base_seed))
     return jobs
 
 

@@ -27,10 +27,11 @@ a team exposes more concurrency than the engine's admission cap (8)
 admits, the queue-delay column turns nonzero: requests the cap excludes
 wait for the next batch (docs/serving.md walks through the model).
 
-The sweep's batched and continuous arms use the config-level Rec. 1
-transforms (:func:`repro.optim.with_batching`,
-:func:`repro.optim.with_continuous_serving`), so they measure the same
-code paths ``REPRO_SERVE=batched`` / ``REPRO_SERVE=continuous`` engage.
+The sweep's per-call arm is each workload's own config (whose
+``serve_mode`` is ``percall``); the batched and continuous arms apply
+the Rec. 1 transforms (:func:`repro.optim.with_batching`,
+:func:`repro.optim.with_continuous_serving`), which set the config's
+``serve_mode``, the only input that selects a serving mode.
 """
 
 from __future__ import annotations

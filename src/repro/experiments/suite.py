@@ -14,11 +14,12 @@ sections in canonical order.  Trials are seeded and aggregated in seed
 order, so the report is byte-identical across serial, parallel and
 resumed runs apart from its closing ``Report generated in`` line.
 
-Settings: :func:`main` resolves ``REPRO_TRIALS`` / ``REPRO_WORKERS`` /
-``REPRO_SERVE`` / ``REPRO_OVERLAP`` once, with
-:meth:`ExperimentSettings.from_env`, and passes the value to
-:func:`run_all`; every section's jobs carry the same run settings.  See
-docs/performance.md for the full knob table.
+Settings: :func:`main` resolves ``REPRO_TRIALS`` / ``REPRO_WORKERS``
+once, with :meth:`ExperimentSettings.from_env`, and passes the value to
+:func:`run_all`.  Neither knob changes an episode: each section's cells
+carry their own system configs, serving modes included, so no shell
+setting can move a figure's numbers.  See docs/performance.md for the
+knob table.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from repro.llm.deployment import DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import Prompt, PromptBuilder
 from repro.llm.requests import InferenceRequest, InferenceResult
-from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
+from repro.llm.scheduler import InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
 from repro.llm.tokenizer import count_tokens
 
@@ -20,7 +20,6 @@ __all__ = [
     "OUTPUT_TOKENS",
     "Prompt",
     "PromptBuilder",
-    "SERVE_MODES",
     "SimulatedLLM",
     "count_tokens",
     "get_profile",

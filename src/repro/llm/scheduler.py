@@ -9,9 +9,9 @@ hands it to the issuing agent's :class:`~repro.llm.simulated.SimulatedLLM`,
 charges the virtual clock, and records the token sample, all in exactly
 one place.
 
-Three serving modes (the ``serve`` run setting, ``REPRO_SERVE``, which
-the paradigm loop passes as ``mode``; a scheduler built without one
-serves per call):
+Three serving modes (the system config's ``optimizations.serve_mode``,
+which the paradigm loop passes as ``mode``; a scheduler built without
+one serves per call):
 
 - ``percall`` (default) — dispatch immediately, in submission order,
   charging each request's own modeled latency at the exact clock position
@@ -59,10 +59,9 @@ serves per call):
   request's issue time is its submit clock position even when its
   content depended on an earlier pending result.
 
-Mode resolution follows :mod:`repro.core.settings`: a config with
-``optimizations.serve_mode`` set wins (per-cell control for grids, and
-the Rec. 1 ``with_batching`` transform's ``batched`` pin); otherwise the
-episode's ``serve`` setting decides (default ``percall``).  API-profile
+The mode is part of the system: the Rec. 1 transforms
+(``with_batching``, ``with_continuous_serving``) set it, and the serving
+grids set it per cell to compare modes in one run.  API-profile
 groups batch too — that models the provider's server-side continuous
 batching, which is exactly how concurrent requests from one team would
 land on a real endpoint.
@@ -78,7 +77,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.settings import SERVE_MODES
+from repro.core.config import SERVE_MODES
 from repro.llm.deployment import DEFAULT_OCCUPANCY_CAP
 from repro.llm.requests import InferenceRequest, InferenceResult
 
@@ -127,20 +126,13 @@ class InferenceScheduler:
         self._engine_free: dict[tuple, float] = {}
         #: Clock position where the last dispatching flush started
         #: charging — the anchor perception–generation overlap
-        #: (the ``overlap`` setting) backdates the next step's sensing to.
+        #: (``optimizations.overlap``) backdates the next step's sensing to.
         self.overlap_anchor = 0.0
 
     @property
     def pending(self) -> int:
         """Requests submitted and not yet charged (deferred modes only)."""
         return len(self._pending)
-
-    @property
-    def defers(self) -> bool:
-        """Whether this mode defers latency charges to a flush — the
-        precondition for perception–generation overlap (the anchor is
-        only meaningful when generation charges at flush time)."""
-        return self.mode != "percall"
 
     # ------------------------------------------------------------------ #
     # Submission

@@ -41,12 +41,12 @@ def with_hierarchy(config: SystemConfig, cluster_size: int = 3) -> SystemConfig:
 
 def with_batching(config: SystemConfig) -> SystemConfig:
     """Rec. 1: aggregate per-agent LLM requests into one batch
-    (pins the ``batched`` serving mode)."""
+    (sets the ``batched`` serving mode)."""
     return with_serving(config, "batched")
 
 
 def with_serving(config: SystemConfig, mode: str) -> SystemConfig:
-    """Rec. 1: pin the system to one inference-serving mode.
+    """Rec. 1: set the system's inference-serving mode.
 
     The per-cell control the serving grids (Fig. 8,
     ``benchmarks/bench_serving.py``) use to mix modes in one process.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.core.beliefs import DeliveryIndex
 from repro.core.clock import ModuleName, SimClock
+from repro.core.config import SystemConfig
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import (
@@ -57,6 +60,13 @@ def percall_scheduler(clock: SimClock, metrics: MetricsCollector) -> InferenceSc
     """A standalone module stack's serving layer: every submit dispatches
     at once and charges ``clock``, as the loop's default mode does."""
     return InferenceScheduler(clock, metrics, mode="percall")
+
+
+def with_serve_mode(config: SystemConfig, serve_mode: str, overlap: bool = False) -> SystemConfig:
+    """``config`` served as given, under its own name (the ``repro.optim``
+    transforms rename it ``<name>-opt``, and results carry the name)."""
+    optimizations = replace(config.optimizations, serve_mode=serve_mode, overlap=overlap)
+    return replace(config, optimizations=optimizations)
 
 
 def env_rng(task: TaskSpec) -> np.random.Generator:

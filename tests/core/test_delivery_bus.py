@@ -33,7 +33,6 @@ from repro.core.modules.communication import CommunicationModule
 from repro.core.modules.memory import MemoryModule
 from repro.core.paradigms.base import ParadigmLoop
 from repro.core.runner import build_task
-from repro.core.settings import RunSettings
 from repro.core.types import Fact, Message, Observation, Subgoal
 from repro.perception.detector import detect
 from repro.perception.models import get_perception
@@ -518,7 +517,7 @@ class TestForgottenFlush:
         coela = get_workload("coela").config
         for config in (coela, coela.without("memory")):
             task = build_task(config, difficulty="easy", seed=0)
-            loop = _StagesWithoutFlush(config, task, seed=0, settings=RunSettings())
+            loop = _StagesWithoutFlush(config, task, seed=0)
             with pytest.raises(RuntimeError, match="DeliveryBus.flush was not called"):
                 loop.run()
             assert loop.steps == 1, config.name

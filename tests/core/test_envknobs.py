@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.envknobs import bool_knob, choice_knob, int_knob, raw_knob
-from repro.core.settings import RunSettings
+from repro.core.envknobs import int_knob, raw_knob
 
 KNOB = "REPRO_TEST_KNOB"
 
@@ -38,44 +37,6 @@ class TestInt:
             int_knob(KNOB, default=5)
 
 
-class TestBool:
-    @pytest.mark.parametrize("value", ["0", "off", "FALSE", "no"])
-    def test_false_spellings(self, monkeypatch, value):
-        monkeypatch.setenv(KNOB, value)
-        assert bool_knob(KNOB, default=True) is False
-
-    @pytest.mark.parametrize("value", ["1", "on", "TRUE", "yes"])
-    def test_true_spellings(self, monkeypatch, value):
-        monkeypatch.setenv(KNOB, value)
-        assert bool_knob(KNOB, default=False) is True
-
-    @pytest.mark.parametrize("value", ["anything", "flase", "2", "y"])
-    def test_anything_else_raises(self, monkeypatch, value):
-        monkeypatch.setenv(KNOB, value)
-        with pytest.raises(ValueError, match=KNOB):
-            bool_knob(KNOB, default=False)
-
-    @pytest.mark.parametrize("default", [True, False])
-    def test_unset_uses_default(self, monkeypatch, default):
-        monkeypatch.delenv(KNOB, raising=False)
-        assert bool_knob(KNOB, default=default) is default
-
-
-class TestChoice:
-    def test_canonicalizes_case(self, monkeypatch):
-        monkeypatch.setenv(KNOB, " Coarse ")
-        assert choice_knob(KNOB, default="full", choices=("full", "coarse")) == "coarse"
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(KNOB, raising=False)
-        assert choice_knob(KNOB, default="full", choices=("full", "coarse")) == "full"
-
-    def test_rejects_unknown_naming_choices(self, monkeypatch):
-        monkeypatch.setenv(KNOB, "medium")
-        with pytest.raises(ValueError, match="full"):
-            choice_knob(KNOB, default="full", choices=("full", "coarse"))
-
-
 class TestAdopters:
     """The live knobs resolve through the shared helpers."""
 
@@ -87,23 +48,3 @@ class TestAdopters:
         settings = ExperimentSettings.from_env()
         assert settings.n_trials == 3
         assert settings.max_workers == 4
-
-    def test_overlap_spellings(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OVERLAP", "ON")
-        assert RunSettings.from_env().overlap is True
-        monkeypatch.setenv("REPRO_OVERLAP", "OFF")
-        assert RunSettings.from_env().overlap is False
-        monkeypatch.setenv("REPRO_OVERLAP", "flase")
-        with pytest.raises(ValueError, match="REPRO_OVERLAP"):
-            RunSettings.from_env()
-
-    def test_serve_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "batched")
-        assert RunSettings.from_env().serve == "batched"
-
-    def test_serve_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "streamed")
-        with pytest.raises(ValueError, match="REPRO_SERVE"):
-            RunSettings.from_env()
-        monkeypatch.setenv("REPRO_SERVE", " Continuous ")
-        assert RunSettings.from_env().serve == "continuous"

@@ -10,7 +10,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from conftest import crash_runner
+from conftest import crash_runner, with_serve_mode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -30,9 +30,7 @@ from repro.core.fleet import (
 )
 from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.runner import build_loop, trial_jobs
-from repro.core.settings import ENV_KNOBS
 from repro.core.synthetic import sleep_runner, synthetic_job
-from repro.experiments.common import ExperimentSettings
 from repro.workloads import get_workload
 
 
@@ -45,10 +43,9 @@ def synth_jobs(n=4, **kwargs):
     return [synthetic_job(seed=seed, **kwargs) for seed in range(1, n + 1)]
 
 
-def entry_point_jobs(jobs):
-    """``jobs`` under the run settings an entry point resolves from the environment."""
-    run = ExperimentSettings.from_env().run
-    return [replace(job, settings=run) for job in jobs]
+def batched_jobs(jobs):
+    """``jobs`` with their configs served ``batched``, names kept."""
+    return [replace(job, config=with_serve_mode(job.config, "batched")) for job in jobs]
 
 
 def counting(runner=sleep_runner):
@@ -84,30 +81,27 @@ class TestFingerprints:
         assert job_fingerprint(other) not in prints
 
     def test_result_knob_invalidates(self, monkeypatch):
+        """The serving mode is a config field, so it moves the fingerprint;
+        the retired ``REPRO_SERVE`` knob moves nothing."""
         before = job_fingerprint(synth_jobs(1)[0])
         monkeypatch.setenv("REPRO_SERVE", "batched")
         assert job_fingerprint(synth_jobs(1)[0]) == before  # the library reads no knob
-        job = entry_point_jobs(synth_jobs(1))[0]
-        assert job.settings.serve == "batched"
-        assert job_fingerprint(job) != before
+        assert job_fingerprint(batched_jobs(synth_jobs(1))[0]) != before
 
     def test_execution_knobs_do_not_invalidate(self, monkeypatch):
         before = job_fingerprint(synth_jobs(1)[0])
-        knobs = knob_fingerprint()
         for knob in ("REPRO_WORKERS", "REPRO_TRIALS", "REPRO_LEDGER"):
-            assert knob not in ENV_KNOBS
             monkeypatch.setenv(knob, "9")
         assert job_fingerprint(synth_jobs(1)[0]) == before
-        assert knob_fingerprint() == knobs
+        assert knob_fingerprint() == {}
 
     def test_knob_fingerprint_only_repro_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "continuous")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+        """No knob changes a result, so the run records' knob list is
+        empty whatever the shell exports."""
+        for knob in ("REPRO_SERVE", "REPRO_OVERLAP", "REPRO_WORKERS", "REPRO_LEDGER"):
+            monkeypatch.setenv(knob, "1")
         monkeypatch.setenv("NOT_A_KNOB", "1")
-        knobs = knob_fingerprint()
-        assert knobs.get("REPRO_SERVE") == "continuous"
-        assert "NOT_A_KNOB" not in knobs
-        assert "REPRO_WORKERS" not in knobs
+        assert knob_fingerprint() == {}
 
 
 class TestLedger:
@@ -224,9 +218,9 @@ class TestCheckpointResume:
         dispatch(synth_jobs(2), executor, ledger)
         monkeypatch.setenv("REPRO_SERVE", "batched")
         dispatch(synth_jobs(2), executor, ledger)
-        assert len(ran) == 2  # bare jobs ignore the knob: both restored
-        dispatch(entry_point_jobs(synth_jobs(2)), executor, ledger)
-        assert len(ran) == 4  # nothing restored: fingerprints moved
+        assert len(ran) == 2  # the retired knob changes nothing: both restored
+        dispatch(batched_jobs(synth_jobs(2)), executor, ledger)
+        assert len(ran) == 4  # nothing restored: the config moved the fingerprints
 
     def test_duplicate_jobs_execute_once(self, ledger):
         job = synth_jobs(1)[0]
@@ -294,7 +288,7 @@ class TestCheckpointResume:
         by the job's version-1 fingerprint: the job runs again instead of
         restoring a result that lacks ``prompt_series``."""
         job = real_jobs(1)[0]
-        loop = build_loop(job.config, job.task, job.seed, settings=job.settings)
+        loop = build_loop(job.config, job.task, job.seed)
         fresh = loop.run()
         state = dict(vars(fresh))
         del state["prompt_series"]
@@ -366,16 +360,14 @@ class TestLedgerEnvKnobs:
 
     def test_io_knobs_do_not_invalidate_fingerprints(self, monkeypatch):
         before = job_fingerprint(synth_jobs(1)[0])
-        knobs = knob_fingerprint()
         for knob in (
             "REPRO_FLUSH_SECONDS",
             "REPRO_COMPACT_RECORDS",
             "REPRO_BUDGET_PARTITION",
         ):
-            assert knob not in ENV_KNOBS
             monkeypatch.setenv(knob, "7")
         assert job_fingerprint(synth_jobs(1)[0]) == before
-        assert knob_fingerprint() == knobs
+        assert knob_fingerprint() == {}
 
 
 class TestBatchedFlush:

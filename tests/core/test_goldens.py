@@ -50,12 +50,13 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core.config import MemoryConfig
+from conftest import with_serve_mode
+
+from repro.core.config import SERVE_MODES, MemoryConfig
 from repro.core.executor import TrialJob
 from repro.core.fleet import SEMANTICS_VERSION, dispatch
 from repro.core.metrics import EpisodeResult, MetricsCollector, aggregate
 from repro.core.runner import build_loop, trial_jobs
-from repro.core.settings import SERVE_MODES, RunSettings
 from repro.experiments.common import ExperimentSettings, GridCell
 from repro.llm.prompt import MAX_DIALOGUE_MESSAGES, PromptBuilder
 from repro.llm.tokenizer import count_tokens
@@ -72,7 +73,6 @@ PIN_PATH = GOLDEN_PATH.parent / "SEMANTICS_PIN.json"
 
 N_TRIALS = 2
 BASE_SEED = 2025
-BASE = RunSettings()
 
 
 def _capped(name: str, capacity_steps: int, dual: bool = False):
@@ -80,25 +80,23 @@ def _capped(name: str, capacity_steps: int, dual: bool = False):
     return replace(config, memory=MemoryConfig(capacity_steps=capacity_steps, dual=dual))
 
 
-def _grid() -> dict[str, tuple[GridCell, RunSettings]]:
-    """Cell id -> (cell, run settings); ids read difficulty/serving/subject."""
-    cells: dict[str, tuple[GridCell, RunSettings]] = {}
+def _grid() -> dict[str, GridCell]:
+    """Cell id -> cell; ids read difficulty/serving/subject."""
+    cells: dict[str, GridCell] = {}
     names = list_workloads()
     for serve in SERVE_MODES:
         for name in names:
-            cells[f"easy/{serve}/{name}"] = (
-                GridCell(config=get_workload(name).config, difficulty="easy"),
-                replace(BASE, serve=serve),
+            cells[f"easy/{serve}/{name}"] = GridCell(
+                config=with_serve_mode(get_workload(name).config, serve), difficulty="easy"
             )
     for name in names:
-        cells[f"easy/continuous+overlap/{name}"] = (
-            GridCell(config=get_workload(name).config, difficulty="easy"),
-            replace(BASE, serve="continuous", overlap=True),
+        cells[f"easy/continuous+overlap/{name}"] = GridCell(
+            config=with_serve_mode(get_workload(name).config, "continuous", overlap=True),
+            difficulty="easy",
         )
     for name in names:
-        cells[f"medium/percall/{name}"] = (
-            GridCell(config=get_workload(name).config, difficulty="medium"),
-            BASE,
+        cells[f"medium/percall/{name}"] = GridCell(
+            config=get_workload(name).config, difficulty="medium"
         )
     # Memory windows (small, past the confusion onset, dual) and teams
     # large enough for multi-round dialogue with many receivers.
@@ -145,8 +143,7 @@ def _grid() -> dict[str, tuple[GridCell, RunSettings]]:
             config=get_workload("coela").config.without("memory")
         ),
     }
-    for cell_id, cell in variants.items():
-        cells[cell_id] = (cell, BASE)
+    cells.update(variants)
     return cells
 
 
@@ -172,14 +169,13 @@ PROMPT_SLICE = (
 )
 
 
-def _jobs(cell: GridCell, run: RunSettings) -> list[TrialJob]:
+def _jobs(cell: GridCell) -> list[TrialJob]:
     return trial_jobs(
         cell.config,
         N_TRIALS,
         difficulty=cell.difficulty or "medium",
         n_agents=cell.n_agents,
         base_seed=BASE_SEED,
-        settings=run,
     )
 
 
@@ -232,11 +228,11 @@ def _reference_series(samples: list) -> dict[str, list[tuple[int, int]]]:
 
 def _episode(job: TrialJob):
     """One golden episode in-process: its result and the loop that ran it."""
-    loop = build_loop(job.config, job.task, job.seed, settings=job.settings)
+    loop = build_loop(job.config, job.task, job.seed)
     return loop.run(), loop
 
 
-def _run_cell(cell: GridCell, run: RunSettings) -> dict:
+def _run_cell(cell: GridCell) -> dict:
     """Run a cell's trials in-process, keeping each episode's clock.
 
     Also the oracle for Fig. 6's series: each result's ``prompt_series``
@@ -245,7 +241,7 @@ def _run_cell(cell: GridCell, run: RunSettings) -> dict:
     results = []
     phases = []
     digests = []
-    for job in _jobs(cell, run):
+    for job in _jobs(cell):
         result, loop = _episode(job)
         results.append(result)
         phases.append(
@@ -278,7 +274,7 @@ def _drifted(records: dict, golden: dict) -> list[str]:
 
 
 def test_episodes_match_goldens():
-    records = {cell_id: _run_cell(cell, run) for cell_id, (cell, run) in GRID.items()}
+    records = {cell_id: _run_cell(cell) for cell_id, cell in GRID.items()}
     if os.environ.get("REPRO_REGEN_GOLDENS", "").strip() == "1":
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
@@ -340,10 +336,8 @@ def test_parallel_executor_matches_goldens():
     result pickles equal to the in-process result of its job, whose
     episode digest is the golden one."""
     golden = _load_goldens()
-    settings = ExperimentSettings(
-        n_trials=N_TRIALS, executor="parallel", max_workers=2, run=BASE
-    )
-    jobs = [job for cell_id in PARALLEL_SLICE for job in _jobs(*GRID[cell_id])]
+    settings = ExperimentSettings(n_trials=N_TRIALS, executor="parallel", max_workers=2)
+    jobs = [job for cell_id in PARALLEL_SLICE for job in _jobs(GRID[cell_id])]
     results = dispatch(jobs, settings.make_executor())
     for index, cell_id in enumerate(PARALLEL_SLICE):
         cell_results = results[index * N_TRIALS : (index + 1) * N_TRIALS]
@@ -414,7 +408,7 @@ def test_prompt_arithmetic_matches_rendered_text(monkeypatch):
     monkeypatch.setattr(PromptBuilder, "build", checked_build)
     golden = _load_goldens()
     for cell_id in PROMPT_SLICE:
-        record = _run_cell(*GRID[cell_id])
+        record = _run_cell(GRID[cell_id])
         assert json.dumps(record) == json.dumps(golden[cell_id]), cell_id
     assert seen["window"] == MAX_DIALOGUE_MESSAGES
     assert seen["candidate_sections"] >= 4

@@ -16,7 +16,12 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import commit_alone, linear_retrieve, percall_scheduler
+from conftest import (
+    commit_alone,
+    linear_retrieve,
+    percall_scheduler,
+    with_serve_mode,
+)
 
 from repro.core.clock import SimClock
 from repro.core.config import MemoryConfig
@@ -24,7 +29,6 @@ from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import MemoryModule
 from repro.core.runner import build_loop, build_task
-from repro.core.settings import RunSettings
 from repro.core.types import Fact, Message, Subgoal
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.llm.prompt import PromptBuilder
@@ -59,14 +63,13 @@ GRID = [
     GridCell(config=get_workload("coela").config, n_agents=6),
 ]
 
-SETTINGS = ExperimentSettings(
-    n_trials=2, executor="serial", max_workers=1, run=RunSettings()
-)
+SETTINGS = ExperimentSettings(n_trials=2, executor="serial", max_workers=1)
 
 
 def _loop(cell: GridCell):
     task = build_task(cell.config, n_agents=cell.n_agents, seed=0)
-    return build_loop(cell.config, task, seed=0, settings=RunSettings())
+    return build_loop(cell.config, task, seed=0)
+
 
 
 class TestGridEquivalence:
@@ -112,7 +115,8 @@ class TestGridEquivalence:
         counts, and message metrics are invariant; modeled latency drops
         wherever a paradigm exposes phase concurrency."""
         percall = measure_grid(GRID, SETTINGS)
-        batched = measure_grid(GRID, replace(SETTINGS, run=RunSettings(serve="batched")))
+        batched = [replace(cell, config=with_serve_mode(cell.config, "batched")) for cell in GRID]
+        batched = measure_grid(batched, SETTINGS)
         saw_speedup = False
         for reference, served in zip(percall, batched):
             assert served.success_rate == reference.success_rate

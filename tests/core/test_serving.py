@@ -11,10 +11,10 @@ each paradigm's phases actually have.
 from __future__ import annotations
 
 import pytest
+from conftest import with_serve_mode
 
 from repro.core.metrics import aggregate
 from repro.core.runner import build_loop, build_task, run_episode
-from repro.core.settings import RunSettings
 from repro.optim import with_batching, with_continuous_serving, with_hierarchy
 from repro.workloads.registry import get_workload
 
@@ -156,8 +156,9 @@ class TestContinuousEpisodes:
 
 
 def run_with_overlap(config, overlap: bool, seed: int = 2):
+    config = with_serve_mode(config, config.optimizations.serve_mode, overlap)
     task = build_task(config, seed=seed)
-    return build_loop(config, task, seed, settings=RunSettings(overlap=overlap)).run()
+    return build_loop(config, task, seed).run()
 
 
 class TestPerceptionOverlap:
@@ -173,8 +174,11 @@ class TestPerceptionOverlap:
         )
 
     def test_overlap_is_inert_under_percall(self):
+        """Per-call serving charges no flush to overlap with, so the
+        loop would ignore the flag: the config refuses it."""
         base = get_workload("coela").config.with_agents(4)
-        plain = run_with_overlap(base, overlap=False)
-        overlapped = run_with_overlap(base, overlap=True)
-        assert outcomes(overlapped) == outcomes(plain)
-        assert overlapped.sim_seconds == plain.sim_seconds
+        assert base.optimizations.serve_mode == "percall"
+        with pytest.raises(ValueError, match="overlap"):
+            run_with_overlap(base, overlap=True)
+        with pytest.raises(ValueError, match="overlap"):
+            with_continuous_serving(base).with_optimizations(serve_mode="percall", overlap=True)

@@ -18,17 +18,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import ModuleName, SimClock
+from repro.core.config import SERVE_MODES, OptimizationConfig
 from repro.core.errors import FaultKind
 from repro.core.metrics import MetricsCollector
-from repro.core.settings import RunSettings
+from repro.core.runner import build_loop, build_task
 from repro.core.types import Candidate, Subgoal
 from repro.llm.behavior import DecisionRequest
 from repro.llm.deployment import DEFAULT_OCCUPANCY_CAP, DeploymentOptions
 from repro.llm.profiles import LLMProfile, get_profile
 from repro.llm.prompt import PromptBuilder
 from repro.llm.requests import PURPOSES, REQUEST_KINDS, InferenceRequest, InferenceResult
-from repro.llm.scheduler import SERVE_MODES, InferenceScheduler
+from repro.llm.scheduler import InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
+from repro.optim import with_batching, with_continuous_serving
+from repro.workloads.registry import get_workload
 
 
 def compliant_profile(name: str = "pin-model") -> LLMProfile:
@@ -69,25 +72,38 @@ def plan_request(words: int = 40, agent: str = "agent_0", phase: str = "plan"):
     )
 
 
+def loop_mode(config) -> str:
+    """The serving mode of the loop ``config`` builds."""
+    task = build_task(config, difficulty="easy", seed=1)
+    return build_loop(config, task, seed=1).scheduler.mode
+
+
 class TestMode:
+    """The system config selects the mode; the shell (the retired
+    ``REPRO_SERVE`` knob) selects nothing."""
+
     def test_env_default_is_percall(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE", raising=False)
-        assert RunSettings.from_env().serve == "percall"
+        monkeypatch.setenv("REPRO_SERVE", "batched")
+        assert OptimizationConfig().serve_mode == "percall"
+        assert loop_mode(get_workload("coela").config) == "percall"
         clock, metrics = SimClock(), MetricsCollector(workload="t", horizon=1)
         assert InferenceScheduler(clock, metrics).mode == "percall"
 
     def test_env_selects_batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", " Batched ")
-        assert RunSettings.from_env().serve == "batched"
+        monkeypatch.setenv("REPRO_SERVE", "continuous")
+        assert loop_mode(with_batching(get_workload("coela").config)) == "batched"
 
     def test_env_selects_continuous(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "continuous")
-        assert RunSettings.from_env().serve == "continuous"
+        monkeypatch.setenv("REPRO_SERVE", "batched")
+        config = with_continuous_serving(get_workload("coela").config)
+        assert loop_mode(config) == "continuous"
 
     def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "streamed")
-        with pytest.raises(ValueError):
-            RunSettings.from_env()
+        monkeypatch.setenv("REPRO_SERVE", "streamed")  # read by nothing
+        assert loop_mode(get_workload("coela").config) == "percall"
+        for mode in ("streamed", "Batched", ""):
+            with pytest.raises(ValueError, match="serve_mode"):
+                OptimizationConfig(serve_mode=mode)
 
     def test_scheduler_rejects_unknown_mode(self):
         clock, metrics = SimClock(), MetricsCollector(workload="t", horizon=1)
@@ -95,9 +111,7 @@ class TestMode:
             InferenceScheduler(clock, metrics, mode="streamed")
 
     def test_config_serve_mode_values_mirror_scheduler_modes(self):
-        """The config pin accepts exactly the scheduler's modes."""
-        from repro.core.config import OptimizationConfig
-
+        """The config accepts exactly the scheduler's modes."""
         for mode in SERVE_MODES:
             OptimizationConfig(serve_mode=mode)
         with pytest.raises(ValueError):

@@ -38,14 +38,14 @@ def test_repository_docs_name_only_existing_files():
     assert check_docs.check_file_references() == []
 
 
-PY_FILES = ["src/repro/core/fleet.py", "src/repro/envs/base.py", "src/repro/core/settings.py"]
+PY_FILES = ["src/repro/core/fleet.py", "src/repro/envs/base.py", "src/repro/core/config.py"]
 
 
 def test_defined_symbols_resolve():
     text = (
         "`core/fleet.py: dispatch(jobs, executor, ledger=None)`, "
         "`core/fleet.py: SEMANTICS_VERSION`, `fleet.py: JobLedger.append_done`, "
-        "`envs/base.py: candidates` and `core/settings.py: RunSettings`"
+        "`envs/base.py: candidates` and `core/config.py: OptimizationConfig`"
     )
     assert check_docs.stale_symbols(text, PY_FILES) == []
 
@@ -69,10 +69,10 @@ def test_span_wrapped_after_the_colon_resolves():
 
 
 def test_stale_span_wrapped_after_the_colon_fails():
-    text = "see `core/fleet.py:\nFleetRunner` and `core/settings.py:\n    RunSettings.shard`"
+    text = "see `core/fleet.py:\nFleetRunner` and `core/config.py:\n    OptimizationConfig.shard`"
     assert check_docs.stale_symbols(text, PY_FILES) == [
         "core/fleet.py: FleetRunner",
-        "core/settings.py: RunSettings.shard",
+        "core/config.py: OptimizationConfig.shard",
     ]
 
 
