@@ -45,7 +45,6 @@ from conftest import emit
 from repro.analysis.report import format_table
 from repro.core.clock import LLM_MODULES, MODULE_ORDER
 from repro.experiments.common import GridCell, measure_grid
-from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
 
 SPEEDUP_FLOOR = 1.5
@@ -75,17 +74,12 @@ OUTCOME_FIELDS = (
 )
 
 
-_ARMS = {
-    "percall": lambda config: config,
-    "batched": with_batching,
-    "continuous": with_continuous_serving,
-}
-
-
-def _grid(arm: str) -> list[GridCell]:
-    transform = _ARMS[arm]
+def _grid(serve_mode: str) -> list[GridCell]:
     return [
-        GridCell(config=transform(get_workload(name).config), n_agents=n_agents)
+        GridCell(
+            config=get_workload(name).config.with_optimizations(serve_mode=serve_mode),
+            n_agents=n_agents,
+        )
         for name, n_agents in CELLS
     ]
 

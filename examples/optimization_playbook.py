@@ -21,14 +21,6 @@ import sys
 from repro import get_workload, run_trials
 from repro.analysis.report import format_table
 from repro.experiments import ExperimentSettings
-from repro.optim import (
-    with_batching,
-    with_comm_filter,
-    with_dual_memory,
-    with_multistep_planning,
-    with_plan_then_comm,
-    with_quantization,
-)
 
 
 def measure(config, n_trials, executor):
@@ -46,13 +38,13 @@ def main() -> None:
 
     cases = [
         ("coela", "baseline", coela),
-        ("coela", "rec7 multi-step planning", with_multistep_planning(coela, 3)),
-        ("coela", "rec8 plan-then-communicate", with_plan_then_comm(coela)),
-        ("coela", "rec10 message filtering", with_comm_filter(coela)),
-        ("coela", "rec5 dual memory", with_dual_memory(coela)),
+        ("coela", "rec7 multi-step planning", coela.with_optimizations(multistep_horizon=3)),
+        ("coela", "rec8 plan-then-communicate", coela.with_optimizations(plan_then_comm=True)),
+        ("coela", "rec10 message filtering", coela.with_optimizations(comm_filter=True)),
+        ("coela", "rec5 dual memory", coela.with_memory(dual=True)),
         ("combo", "baseline", combo),
-        ("combo", "rec1 AWQ quantization", with_quantization(combo)),
-        ("combo", "rec1 request batching", with_batching(combo)),
+        ("combo", "rec1 AWQ quantization", combo.with_optimizations(quantization="awq")),
+        ("combo", "rec1 request batching", combo.with_optimizations(serve_mode="batched")),
     ]
 
     rows = []

@@ -4,9 +4,14 @@ A :class:`SystemConfig` is the complete, declarative description of one
 benchmarked system: which paradigm drives the loop, which environment it
 runs in, which model powers each of the six building-block modules
 (``None`` = module absent, reproducing Table II's ✗ entries), and which
-optimizations (paper Recommendations) are active.  Ablations are expressed
-as config transformations (:meth:`SystemConfig.without`), never as special
-cases inside the loop code.
+optimizations (paper Recommendations) are active.  Every variant the
+experiments compare (a Fig. 3 ablation, a Fig. 4 planner, a Fig. 5 memory
+window, a recommendation's switch) is a transform of a workload's config
+(:meth:`SystemConfig.without`, :meth:`~SystemConfig.with_planner`,
+:meth:`~SystemConfig.with_memory`, :meth:`~SystemConfig.with_optimizations`),
+never a special case inside the loop code.  A transform is a
+:func:`dataclasses.replace` that keeps the workload's ``name``, so a
+variant equal to its workload is the same job and runs once.
 """
 
 from __future__ import annotations
@@ -162,18 +167,10 @@ class SystemConfig:
             raise ConfigurationError(
                 f"cannot ablate {module!r}; choose from {ABLATABLE_MODULES}"
             )
-        changes: dict[str, Any] = {"name": f"{self.name}-no-{module}"}
-        if module == "sensing":
-            changes["sensing_model"] = None
-        elif module == "communication":
-            changes["communication_model"] = None
-        elif module == "memory":
-            changes["memory"] = None
-        elif module == "reflection":
-            changes["reflection_model"] = None
-        elif module == "execution":
-            changes["execution_enabled"] = False
-        return replace(self, **changes)
+        if module == "execution":
+            return replace(self, execution_enabled=False)
+        field_name = "memory" if module == "memory" else f"{module}_model"
+        return replace(self, **{field_name: None})
 
     def with_planner(self, model: str) -> "SystemConfig":
         """Swap the planning (and planning-adjacent) LLM — Fig. 4's sweep.
@@ -181,28 +178,20 @@ class SystemConfig:
         Communication and action selection typically ride on the same
         model, so they are swapped together when present.
         """
-        changes: dict[str, Any] = {
-            "name": f"{self.name}@{model}",
-            "planning_model": model,
-        }
+        changes: dict[str, Any] = {"planning_model": model}
         if self.communication_model is not None:
             changes["communication_model"] = model
         return replace(self, **changes)
 
-    def with_memory_capacity(self, capacity_steps: int) -> "SystemConfig":
-        base = self.memory or MemoryConfig()
-        return replace(
-            self,
-            name=f"{self.name}-mem{capacity_steps}",
-            memory=replace(base, capacity_steps=capacity_steps),
-        )
+    def with_memory(self, **changes: Any) -> "SystemConfig":
+        """Change :class:`MemoryConfig` fields — Fig. 5's ``capacity_steps``
+        sweep, Rec. 5's ``dual`` store.  A system without memory gets the
+        default memory first."""
+        return replace(self, memory=replace(self.memory or MemoryConfig(), **changes))
 
     def with_optimizations(self, **changes: Any) -> "SystemConfig":
-        return replace(
-            self,
-            name=f"{self.name}-opt",
-            optimizations=replace(self.optimizations, **changes),
-        )
+        """Change :class:`OptimizationConfig` fields (the paper's Recs.)."""
+        return replace(self, optimizations=replace(self.optimizations, **changes))
 
     def with_agents(self, n_agents: int) -> "SystemConfig":
         if n_agents < 1:

@@ -17,6 +17,15 @@ from repro.core.errors import FaultKind
 from repro.core.types import StepRecord
 
 
+def module_shares(module_seconds: dict[ModuleName, float]) -> dict[ModuleName, float]:
+    """Each module's share of the total attributed latency, in
+    :data:`MODULE_ORDER` (all zero when nothing was charged)."""
+    total = sum(module_seconds.values())
+    if total <= 0.0:
+        return {module: 0.0 for module in MODULE_ORDER}
+    return {module: module_seconds.get(module, 0.0) / total for module in MODULE_ORDER}
+
+
 @dataclass(frozen=True)
 class TokenSample:
     """Prompt/output tokens of one LLM call (kept by the collector)."""
@@ -117,13 +126,7 @@ class EpisodeResult:
 
     def module_breakdown(self) -> dict[ModuleName, float]:
         """Per-module share of total attributed latency, normalized."""
-        total = sum(self.module_seconds.values())
-        if total <= 0.0:
-            return {module: 0.0 for module in MODULE_ORDER}
-        return {
-            module: self.module_seconds.get(module, 0.0) / total
-            for module in MODULE_ORDER
-        }
+        return module_shares(self.module_seconds)
 
 
 @dataclass
@@ -301,13 +304,8 @@ class AggregateResult:
         return cost_breakdown(self.deployment_tokens)
 
     def module_breakdown(self) -> dict[ModuleName, float]:
-        total = sum(self.module_seconds.values())
-        if total <= 0.0:
-            return {module: 0.0 for module in MODULE_ORDER}
-        return {
-            module: self.module_seconds.get(module, 0.0) / total
-            for module in MODULE_ORDER
-        }
+        """Per-module share of total attributed latency, normalized."""
+        return module_shares(self.module_seconds)
 
 
 def aggregate(results: list[EpisodeResult]) -> AggregateResult:

@@ -20,9 +20,9 @@ composes messages only when the planner found something worth saying;
 ``comm_filter`` (Rec. 10) suppresses redundant generations inside the
 communication module itself.  Request batching (Rec. 1): every call
 rides the loop's inference scheduler, and a config that serves
-``batched`` (``with_batching``) dispatches each phase's per-agent
-requests as occupancy-aware batches at the ``flush_inference`` points
-below.
+``batched`` (``with_optimizations(serve_mode="batched")``) dispatches
+each phase's per-agent requests as occupancy-aware batches at the
+``flush_inference`` points below.
 """
 
 from __future__ import annotations

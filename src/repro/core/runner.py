@@ -26,8 +26,8 @@ delivery still staged.
 Every LLM call inside that pipeline is served by the loop's
 :class:`~repro.llm.scheduler.InferenceScheduler`: per-call dispatch by
 default (byte-identical), or occupancy-aware batches per phase under
-``serve_mode="batched"`` (the Rec. 1 ``with_batching`` transform) —
-which changes modeled latency only, never task outcomes or token counts.
+Rec. 1's ``with_optimizations(serve_mode="batched")`` — which changes
+modeled latency only, never task outcomes or token counts.
 """
 
 from __future__ import annotations

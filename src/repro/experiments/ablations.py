@@ -13,16 +13,6 @@ from repro.analysis.report import format_table
 from repro.core.config import SystemConfig
 from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
-from repro.optim import (
-    with_batching,
-    with_comm_filter,
-    with_dual_memory,
-    with_hierarchy,
-    with_mlc_runtime,
-    with_multistep_planning,
-    with_plan_then_comm,
-    with_quantization,
-)
 from repro.workloads.registry import get_workload
 
 
@@ -67,22 +57,27 @@ def _cases() -> list[tuple[str, str, str, SystemConfig]]:
     combo = get_workload("combo").config
     dmas = get_workload("dmas").config
     mindagent = get_workload("mindagent").config
-    coela_big_memory = coela.with_memory_capacity(60)
+    coela_big_memory = coela.with_memory(capacity_steps=60)
     mindagent_8 = mindagent.with_agents(8)
     pairs = [
-        ("rec1_batching", "combo", combo, with_batching(combo)),
-        ("rec1_quantization", "combo", combo, with_quantization(combo)),
-        ("rec1_mlc_runtime", "combo", combo, with_mlc_runtime(combo)),
+        ("rec1_batching", "combo", combo, combo.with_optimizations(serve_mode="batched")),
+        ("rec1_quantization", "combo", combo, combo.with_optimizations(quantization="awq")),
+        ("rec1_mlc_runtime", "combo", combo, combo.with_optimizations(runtime="mlc")),
         (
             "rec5_dual_memory",
             "coela(cap=60)",
             coela_big_memory,
-            with_dual_memory(coela_big_memory),
+            coela_big_memory.with_memory(dual=True),
         ),
-        ("rec7_multistep", "combo", combo, with_multistep_planning(combo, 3)),
-        ("rec8_plan_then_comm", "coela", coela, with_plan_then_comm(coela)),
-        ("rec9_hierarchy", "mindagent(n=8)", mindagent_8, with_hierarchy(mindagent_8, 4)),
-        ("rec10_comm_filter", "dmas", dmas, with_comm_filter(dmas)),
+        ("rec7_multistep", "combo", combo, combo.with_optimizations(multistep_horizon=3)),
+        ("rec8_plan_then_comm", "coela", coela, coela.with_optimizations(plan_then_comm=True)),
+        (
+            "rec9_hierarchy",
+            "mindagent(n=8)",
+            mindagent_8,
+            mindagent_8.with_optimizations(hierarchy_cluster_size=4),
+        ),
+        ("rec10_comm_filter", "dmas", dmas, dmas.with_optimizations(comm_filter=True)),
     ]
     return [
         (recommendation, workload, variant, config)

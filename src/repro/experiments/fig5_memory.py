@@ -69,7 +69,7 @@ def grid() -> list[GridCell]:
         horizon = int(HORIZON_SCALE * default_horizon(base_config.env_name, difficulty))
         cells.append(
             GridCell(
-                config=base_config.with_memory_capacity(capacity),
+                config=base_config.with_memory(capacity_steps=capacity),
                 difficulty=difficulty,
                 horizon=horizon,
             )

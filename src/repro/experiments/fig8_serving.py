@@ -27,11 +27,10 @@ a team exposes more concurrency than the engine's admission cap (8)
 admits, the queue-delay column turns nonzero: requests the cap excludes
 wait for the next batch (docs/serving.md walks through the model).
 
-The sweep's per-call arm is each workload's own config (whose
-``serve_mode`` is ``percall``); the batched and continuous arms apply
-the Rec. 1 transforms (:func:`repro.optim.with_batching`,
-:func:`repro.optim.with_continuous_serving`), which set the config's
-``serve_mode``, the only input that selects a serving mode.
+Each arm is the workload's config with ``optimizations.serve_mode`` set
+to the arm's mode (``with_optimizations(serve_mode=mode)``), the only
+input that selects a serving mode.  The per-call arm equals the
+workload's own config, whose mode is ``percall``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from itertools import product
 from repro.analysis.report import checkmark, format_series, format_table
 from repro.core.metrics import AggregateResult
 from repro.experiments.common import GridCell
-from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
 
 SUBJECTS = ("mindagent", "coela", "hmas")
@@ -92,13 +90,11 @@ class Fig8Result:
 
 def grid() -> list[GridCell]:
     """One cell per (subject, team size, serving mode), modes innermost."""
-    transforms = {
-        "percall": lambda config: config,
-        "batched": with_batching,
-        "continuous": with_continuous_serving,
-    }
     return [
-        GridCell(config=transforms[mode](get_workload(subject).config), n_agents=n_agents)
+        GridCell(
+            config=get_workload(subject).config.with_optimizations(serve_mode=mode),
+            n_agents=n_agents,
+        )
         for subject, n_agents, mode in product(SUBJECTS, AGENT_COUNTS, MODES)
     ]
 

@@ -59,12 +59,12 @@ one serves per call):
   request's issue time is its submit clock position even when its
   content depended on an earlier pending result.
 
-The mode is part of the system: the Rec. 1 transforms
-(``with_batching``, ``with_continuous_serving``) set it, and the serving
-grids set it per cell to compare modes in one run.  API-profile
-groups batch too — that models the provider's server-side continuous
-batching, which is exactly how concurrent requests from one team would
-land on a real endpoint.
+The mode is part of the system, ``OptimizationConfig.serve_mode``: Rec. 1
+sets it with ``config.with_optimizations(serve_mode="batched")`` (or
+``"continuous"``), and the serving grids set it per cell to compare
+modes in one run.  API-profile groups batch too — that models the
+provider's server-side continuous batching, which is exactly how
+concurrent requests from one team would land on a real endpoint.
 
 What batching may and may not change is the layer's contract: success,
 steps, token counts, message metrics, and fault counts are invariant

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import MemoryConfig, OptimizationConfig, SystemConfig
 from repro.core.errors import ConfigurationError
+from repro.workloads import get_workload, list_workloads
 
 
 def single_agent_config(**overrides) -> SystemConfig:
@@ -128,9 +129,6 @@ class TestAblation:
         ).without(module)
         assert config.module_flags()[module] is False
 
-    def test_without_renames(self):
-        assert "no-memory" in single_agent_config().without("memory").name
-
     def test_without_unknown_module_rejected(self):
         with pytest.raises(ConfigurationError):
             single_agent_config().without("planning")
@@ -141,7 +139,42 @@ class TestAblation:
         assert config.memory is not None
 
 
+#: One transform per way to derive a variant, each making a real change.
+TRANSFORMS = {
+    "without": lambda config: config.without("memory"),
+    "with_planner": lambda config: config.with_planner("llama-3-8b"),
+    "with_memory": lambda config: config.with_memory(capacity_steps=5, dual=True),
+    "with_optimizations": lambda config: config.with_optimizations(serve_mode="batched"),
+    "with_agents": lambda config: config.with_agents(4),
+}
+
+
 class TestTransforms:
+    @pytest.mark.parametrize("transform", list(TRANSFORMS))
+    def test_keeps_name(self, transform):
+        """A variant is its workload's config with fields changed: results
+        and job fingerprints name the workload, not a derived name."""
+        config = multi_agent_config()
+        variant = TRANSFORMS[transform](config)
+        assert variant != config
+        assert variant.name == config.name
+
+    def test_stacked_transforms_keep_name(self):
+        coela = get_workload("coela").config
+        variant = coela.with_optimizations(comm_filter=True).with_optimizations(
+            serve_mode="batched"
+        )
+        assert variant.name == "coela"
+        assert variant.optimizations.comm_filter
+
+    def test_transform_to_what_the_workload_has_is_the_workload(self):
+        """Such a variant is the same job, so a wave that holds both runs it once."""
+        coela = get_workload("coela").config
+        assert coela.with_planner("gpt-4") == coela
+        for name in list_workloads():
+            config = get_workload(name).config
+            assert config.with_optimizations(serve_mode="percall") == config
+
     def test_with_planner_swaps_comm_too(self):
         config = multi_agent_config().with_planner("llama-3-8b")
         assert config.planning_model == "llama-3-8b"
@@ -151,13 +184,13 @@ class TestTransforms:
         config = single_agent_config().with_planner("llama-3-8b")
         assert config.communication_model is None
 
-    def test_with_memory_capacity(self):
-        config = single_agent_config().with_memory_capacity(55)
-        assert config.memory is not None and config.memory.capacity_steps == 55
+    def test_with_memory_sets_capacity(self):
+        config = single_agent_config().with_memory(capacity_steps=55)
+        assert config.memory == MemoryConfig(capacity_steps=55)
 
-    def test_with_memory_capacity_creates_memory_if_absent(self):
-        config = single_agent_config(memory=None).with_memory_capacity(10)
-        assert config.memory is not None
+    def test_with_memory_creates_memory_if_absent(self):
+        config = single_agent_config(memory=None).with_memory(capacity_steps=10)
+        assert config.memory == MemoryConfig(capacity_steps=10)
 
     def test_with_agents(self):
         assert multi_agent_config().with_agents(8).default_agents == 8

@@ -10,7 +10,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from conftest import crash_runner, with_serve_mode
+from conftest import crash_runner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -44,8 +44,10 @@ def synth_jobs(n=4, **kwargs):
 
 
 def batched_jobs(jobs):
-    """``jobs`` with their configs served ``batched``, names kept."""
-    return [replace(job, config=with_serve_mode(job.config, "batched")) for job in jobs]
+    """``jobs`` with their configs served ``batched``."""
+    return [
+        replace(job, config=job.config.with_optimizations(serve_mode="batched")) for job in jobs
+    ]
 
 
 def counting(runner=sleep_runner):

@@ -50,9 +50,7 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import with_serve_mode
-
-from repro.core.config import SERVE_MODES, MemoryConfig
+from repro.core.config import SERVE_MODES
 from repro.core.executor import TrialJob
 from repro.core.fleet import SEMANTICS_VERSION, dispatch
 from repro.core.metrics import EpisodeResult, MetricsCollector, aggregate
@@ -60,12 +58,6 @@ from repro.core.runner import build_loop, trial_jobs
 from repro.experiments.common import ExperimentSettings, GridCell
 from repro.llm.prompt import MAX_DIALOGUE_MESSAGES, PromptBuilder
 from repro.llm.tokenizer import count_tokens
-from repro.optim import (
-    with_comm_filter,
-    with_hierarchy,
-    with_multistep_planning,
-    with_plan_then_comm,
-)
 from repro.workloads.registry import get_workload, list_workloads
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_episodes.json"
@@ -75,11 +67,6 @@ N_TRIALS = 2
 BASE_SEED = 2025
 
 
-def _capped(name: str, capacity_steps: int, dual: bool = False):
-    config = get_workload(name).config
-    return replace(config, memory=MemoryConfig(capacity_steps=capacity_steps, dual=dual))
-
-
 def _grid() -> dict[str, GridCell]:
     """Cell id -> cell; ids read difficulty/serving/subject."""
     cells: dict[str, GridCell] = {}
@@ -87,11 +74,14 @@ def _grid() -> dict[str, GridCell]:
     for serve in SERVE_MODES:
         for name in names:
             cells[f"easy/{serve}/{name}"] = GridCell(
-                config=with_serve_mode(get_workload(name).config, serve), difficulty="easy"
+                config=get_workload(name).config.with_optimizations(serve_mode=serve),
+                difficulty="easy",
             )
     for name in names:
         cells[f"easy/continuous+overlap/{name}"] = GridCell(
-            config=with_serve_mode(get_workload(name).config, "continuous", overlap=True),
+            config=get_workload(name).config.with_optimizations(
+                serve_mode="continuous", overlap=True
+            ),
             difficulty="easy",
         )
     for name in names:
@@ -100,13 +90,16 @@ def _grid() -> dict[str, GridCell]:
         )
     # Memory windows (small, past the confusion onset, dual) and teams
     # large enough for multi-round dialogue with many receivers.
+    jarvis = get_workload("jarvis-1").config
     variants = {
-        "medium/percall/jarvis-1+capacity2": GridCell(config=_capped("jarvis-1", 2)),
+        "medium/percall/jarvis-1+capacity2": GridCell(
+            config=jarvis.with_memory(capacity_steps=2)
+        ),
         "hard/percall/jarvis-1+capacity90": GridCell(
-            config=_capped("jarvis-1", 90), difficulty="hard"
+            config=jarvis.with_memory(capacity_steps=90), difficulty="hard"
         ),
         "medium/percall/jarvis-1+capacity30-dual": GridCell(
-            config=_capped("jarvis-1", 30, dual=True)
+            config=jarvis.with_memory(capacity_steps=30, dual=True)
         ),
         "medium/percall/mindagent+4agents": GridCell(
             config=get_workload("mindagent").config, n_agents=4
@@ -124,23 +117,39 @@ def _grid() -> dict[str, GridCell]:
             config=get_workload("coela").config, n_agents=6
         ),
         # The optimized configs of the ablations (Recs. 7-10), whose loops
-        # and phases the workload cells never run.
+        # and phases the workload cells never run.  These cells and the
+        # memoryless team were recorded when each transform renamed its
+        # config, and a result carries the name: each keeps its recorded one.
         "medium/percall/mindagent+8agents+hierarchy4": GridCell(
-            config=with_hierarchy(get_workload("mindagent").config.with_agents(8), 4)
+            config=replace(
+                get_workload("mindagent")
+                .config.with_agents(8)
+                .with_optimizations(hierarchy_cluster_size=4),
+                name="mindagent-opt",
+            )
         ),
         "medium/percall/combo+multistep3": GridCell(
-            config=with_multistep_planning(get_workload("combo").config, 3)
+            config=replace(
+                get_workload("combo").config.with_optimizations(multistep_horizon=3),
+                name="combo-opt",
+            )
         ),
         "medium/percall/coela+plan-then-comm": GridCell(
-            config=with_plan_then_comm(get_workload("coela").config)
+            config=replace(
+                get_workload("coela").config.with_optimizations(plan_then_comm=True),
+                name="coela-opt",
+            )
         ),
         "medium/percall/dmas+comm-filter": GridCell(
-            config=with_comm_filter(get_workload("dmas").config)
+            config=replace(
+                get_workload("dmas").config.with_optimizations(comm_filter=True),
+                name="dmas-opt",
+            )
         ),
         # A team that talks without memory: deliveries reach only the
         # prompt dialogue and the beliefs, and charge no dialogue store.
         "medium/percall/coela+no-memory": GridCell(
-            config=get_workload("coela").config.without("memory")
+            config=replace(get_workload("coela").config.without("memory"), name="coela-no-memory")
         ),
     }
     cells.update(variants)

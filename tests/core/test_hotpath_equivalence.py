@@ -16,15 +16,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import (
-    commit_alone,
-    linear_retrieve,
-    percall_scheduler,
-    with_serve_mode,
-)
+from conftest import commit_alone, linear_retrieve, percall_scheduler
 
 from repro.core.clock import SimClock
-from repro.core.config import MemoryConfig
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import MemoryModule
@@ -36,15 +30,7 @@ from repro.llm.tokenizer import count_tokens
 from repro.workloads.registry import get_workload
 
 
-def _capped(config, capacity_steps: int, dual: bool | None = None):
-    base_dual = config.memory.dual if config.memory is not None else False
-    return replace(
-        config,
-        memory=MemoryConfig(
-            capacity_steps=capacity_steps, dual=base_dual if dual is None else dual
-        ),
-    )
-
+JARVIS = get_workload("jarvis-1").config
 
 #: Config x paradigm x capacity grid: modular single-agent (small and
 #: large windows, dual), centralized, decentralized with dialogue, the
@@ -53,9 +39,9 @@ def _capped(config, capacity_steps: int, dual: bool | None = None):
 #: for multi-round dialogue, so every step staged many (message,
 #: receiver) deliveries with multiple receivers per message.
 GRID = [
-    GridCell(config=_capped(get_workload("jarvis-1").config, 2)),
-    GridCell(config=_capped(get_workload("jarvis-1").config, 90), difficulty="hard"),
-    GridCell(config=_capped(get_workload("jarvis-1").config, 30, dual=True)),
+    GridCell(config=JARVIS.with_memory(capacity_steps=2)),
+    GridCell(config=JARVIS.with_memory(capacity_steps=90), difficulty="hard"),
+    GridCell(config=JARVIS.with_memory(capacity_steps=30, dual=True)),
     GridCell(config=get_workload("mindagent").config, n_agents=4),
     GridCell(config=get_workload("coela").config, n_agents=4),
     GridCell(config=get_workload("combo").config, n_agents=4),
@@ -115,7 +101,10 @@ class TestGridEquivalence:
         counts, and message metrics are invariant; modeled latency drops
         wherever a paradigm exposes phase concurrency."""
         percall = measure_grid(GRID, SETTINGS)
-        batched = [replace(cell, config=with_serve_mode(cell.config, "batched")) for cell in GRID]
+        batched = [
+            replace(cell, config=cell.config.with_optimizations(serve_mode="batched"))
+            for cell in GRID
+        ]
         batched = measure_grid(batched, SETTINGS)
         saw_speedup = False
         for reference, served in zip(percall, batched):

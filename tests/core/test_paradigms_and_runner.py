@@ -93,9 +93,9 @@ class TestRunner:
             run_trials(modular_config(), n_trials=0)
 
     def test_hierarchy_override_selects_loop(self):
-        from repro.optim import with_hierarchy
-
-        config = with_hierarchy(get_workload("mindagent").config.with_agents(4), 2)
+        config = get_workload("mindagent").config.with_agents(4).with_optimizations(
+            hierarchy_cluster_size=2
+        )
         loop = build_loop(config, build_task(config, difficulty="easy"), seed=0)
         assert isinstance(loop, HierarchicalLoop)
 
@@ -245,7 +245,7 @@ class TestAblationsRun:
 
 
 #: The layers built on ``repro.core``, which core itself must not import.
-UPPER_LAYERS = ("repro.optim", "repro.experiments", "repro.analysis", "repro.workloads")
+UPPER_LAYERS = ("repro.experiments", "repro.analysis", "repro.workloads")
 
 
 def _imported_modules(path: Path, package: str) -> list[tuple[int, str]]:
@@ -281,9 +281,9 @@ class TestLayering:
         module = tmp_path / "mod.py"
         module.write_text(
             "def build():\n"
-            "    from repro.optim.recommendations import with_hierarchy\n"
+            "    from repro.experiments.ablations import grid\n"
             "    from .. import workloads\n"
         )
         names = [name for _, name in _imported_modules(module, "repro.core")]
-        assert "repro.optim.recommendations" in names
+        assert "repro.experiments.ablations" in names
         assert "repro.workloads" in names

@@ -11,11 +11,9 @@ each paradigm's phases actually have.
 from __future__ import annotations
 
 import pytest
-from conftest import with_serve_mode
 
 from repro.core.metrics import aggregate
 from repro.core.runner import build_loop, build_task, run_episode
-from repro.optim import with_batching, with_continuous_serving, with_hierarchy
 from repro.workloads.registry import get_workload
 
 OUTCOME_FIELDS = (
@@ -46,7 +44,9 @@ class TestBatchedEpisodes:
     def test_decentralized_team_batches_per_agent_calls(self):
         base = get_workload("coela").config.with_agents(4)
         percall, percall_loop = run_loop(base, seed=2)
-        batched, batched_loop = run_loop(with_batching(base), seed=2)
+        batched, batched_loop = run_loop(
+            base.with_optimizations(serve_mode="batched"), seed=2
+        )
         assert outcomes(batched) == outcomes(percall)
         assert batched.sim_seconds < percall.sim_seconds
         # Plans, composes, selections, and reflections all expose the
@@ -68,14 +68,16 @@ class TestBatchedEpisodes:
         rounding — deferred charges re-order the float accumulation)."""
         base = get_workload("mindagent").config.with_agents(6)
         percall = run_episode(base, seed=2)
-        batched = run_episode(with_batching(base), seed=2)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=2)
         assert outcomes(batched) == outcomes(percall)
         assert batched.sim_seconds == pytest.approx(percall.sim_seconds, rel=1e-9)
 
     def test_hierarchy_batches_across_cluster_leads(self):
-        base = with_hierarchy(get_workload("mindagent").config.with_agents(6), 3)
+        base = get_workload("mindagent").config.with_agents(6).with_optimizations(
+            hierarchy_cluster_size=3
+        )
         percall = run_episode(base, seed=0)
-        batched = run_episode(with_batching(base), seed=0)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=0)
         assert outcomes(batched) == outcomes(percall)
         # Two cluster leads plan concurrently each step.
         assert aggregate([batched]).mean_batch_occupancy > 1.0
@@ -83,14 +85,16 @@ class TestBatchedEpisodes:
 
     def test_single_agent_occupancy_is_one(self):
         base = get_workload("jarvis-1").config
-        batched = run_episode(with_batching(base), seed=1)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=1)
         percall = run_episode(base, seed=1)
         assert outcomes(batched) == outcomes(percall)
         assert aggregate([batched]).mean_batch_occupancy == 1.0
         assert batched.sim_seconds == pytest.approx(percall.sim_seconds, rel=1e-9)
 
     def test_loop_finishes_with_nothing_pending(self):
-        config = with_batching(get_workload("coela").config.with_agents(4))
+        config = get_workload("coela").config.with_agents(4).with_optimizations(
+            serve_mode="batched"
+        )
         task = build_task(config, seed=3)
         loop = build_loop(config, task, seed=3)
         result = loop.run()
@@ -109,9 +113,10 @@ class TestBatchedEpisodes:
     def test_batched_reports_no_queue_metrics(self):
         """Plain batching has no arrival queue: the queueing columns stay
         zero, distinguishing it from the continuous engine."""
-        result = run_episode(
-            with_batching(get_workload("coela").config.with_agents(4)), seed=2
+        config = get_workload("coela").config.with_agents(4).with_optimizations(
+            serve_mode="batched"
         )
+        result = run_episode(config, seed=2)
         assert result.serve_batches > 0
         assert aggregate([result]).mean_queue_delay == 0.0
         assert result.serve_inflight_joins == 0
@@ -121,8 +126,8 @@ class TestContinuousEpisodes:
     def test_outcomes_invariant_latency_and_queueing_visible(self):
         base = get_workload("coela").config.with_agents(8)
         percall = run_episode(base, seed=2)
-        batched = run_episode(with_batching(base), seed=2)
-        continuous = run_episode(with_continuous_serving(base), seed=2)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=2)
+        continuous = run_episode(base.with_optimizations(serve_mode="continuous"), seed=2)
         assert outcomes(continuous) == outcomes(percall)
         served = aggregate([continuous])
         # The whole step's requests share one engine, so occupancy can
@@ -139,12 +144,14 @@ class TestContinuousEpisodes:
     def test_single_agent_continuous_matches_percall_latency(self):
         base = get_workload("jarvis-1").config
         percall = run_episode(base, seed=1)
-        continuous = run_episode(with_continuous_serving(base), seed=1)
+        continuous = run_episode(base.with_optimizations(serve_mode="continuous"), seed=1)
         assert outcomes(continuous) == outcomes(percall)
         assert aggregate([continuous]).mean_batch_occupancy >= 1.0
 
     def test_loop_finishes_with_nothing_pending(self):
-        config = with_continuous_serving(get_workload("coela").config.with_agents(4))
+        config = get_workload("coela").config.with_agents(4).with_optimizations(
+            serve_mode="continuous"
+        )
         task = build_task(config, seed=3)
         loop = build_loop(config, task, seed=3)
         result = loop.run()
@@ -156,14 +163,16 @@ class TestContinuousEpisodes:
 
 
 def run_with_overlap(config, overlap: bool, seed: int = 2):
-    config = with_serve_mode(config, config.optimizations.serve_mode, overlap)
+    config = config.with_optimizations(overlap=overlap)
     task = build_task(config, seed=seed)
     return build_loop(config, task, seed).run()
 
 
 class TestPerceptionOverlap:
     def test_overlap_shaves_latency_without_touching_outcomes(self):
-        base = with_continuous_serving(get_workload("coela").config.with_agents(4))
+        base = get_workload("coela").config.with_agents(4).with_optimizations(
+            serve_mode="continuous"
+        )
         plain = run_with_overlap(base, overlap=False)
         overlapped = run_with_overlap(base, overlap=True)
         assert outcomes(overlapped) == outcomes(plain)
@@ -181,4 +190,6 @@ class TestPerceptionOverlap:
         with pytest.raises(ValueError, match="overlap"):
             run_with_overlap(base, overlap=True)
         with pytest.raises(ValueError, match="overlap"):
-            with_continuous_serving(base).with_optimizations(serve_mode="percall", overlap=True)
+            base.with_optimizations(serve_mode="continuous", overlap=True).with_optimizations(
+                serve_mode="percall"
+            )

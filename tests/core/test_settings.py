@@ -16,9 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import with_serve_mode
 
-from repro.core.config import MemoryConfig
 from repro.core.fleet import job_fingerprint, knob_fingerprint
 from repro.core.runner import build_loop, build_task, trial_jobs
 from repro.core.synthetic import synthetic_job
@@ -46,11 +44,11 @@ def _clean_environment(monkeypatch):
 
 def _grid(serve_mode: str = "percall") -> list[GridCell]:
     """A hard single-agent cell and a four-agent team."""
-    jarvis = replace(get_workload("jarvis-1").config, memory=MemoryConfig(capacity_steps=30))
-    return [
-        GridCell(config=with_serve_mode(jarvis, serve_mode), difficulty="hard"),
-        GridCell(config=with_serve_mode(get_workload("coela").config, serve_mode), n_agents=4),
-    ]
+    jarvis, coela = (
+        get_workload(name).config.with_optimizations(serve_mode=serve_mode)
+        for name in ("jarvis-1", "coela")
+    )
+    return [GridCell(config=jarvis, difficulty="hard"), GridCell(config=coela, n_agents=4)]
 
 
 class TestRegressions:
@@ -117,7 +115,10 @@ def test_fingerprint(change, monkeypatch):
         return
 
     before, after = SERVING_CHANGES[change]
-    jobs = [replace(base, config=with_serve_mode(base.config, *value)) for value in (before, after)]
+    jobs = [
+        replace(base, config=base.config.with_optimizations(serve_mode=mode, overlap=overlap))
+        for mode, overlap in (before, after)
+    ]
     assert job_fingerprint(jobs[1]) != job_fingerprint(jobs[0])
 
 
@@ -134,7 +135,7 @@ def test_library_defaults_ignore_the_environment(monkeypatch, capsys):
     task = build_task(config, difficulty="easy", seed=1)
     assert trial_jobs(config, 1, difficulty="easy", base_seed=1)[0].config == config
     assert build_loop(config, task, seed=1).scheduler.mode == "percall"
-    overlapped = with_serve_mode(config, "batched", overlap=True)
+    overlapped = config.with_optimizations(serve_mode="batched", overlap=True)
     assert build_loop(overlapped, task, seed=1).scheduler.mode == "batched"
 
     resolved = ExperimentSettings.from_env()
@@ -228,7 +229,7 @@ class _UnreadableEnvironment(dict):
 def test_episodes_never_read_settings_while_running(paradigm, monkeypatch):
     """A loop reads its serving settings from its config while it builds;
     nothing reads the environment while the episode runs."""
-    config = with_serve_mode(LOOP_CONFIGS[paradigm], "continuous", overlap=True)
+    config = LOOP_CONFIGS[paradigm].with_optimizations(serve_mode="continuous", overlap=True)
     task = build_task(config, difficulty="easy", seed=2)
     loop = build_loop(config, task, seed=2)
     expected = build_loop(config, task, seed=2).run()

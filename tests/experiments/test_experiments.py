@@ -8,6 +8,8 @@ per-section slices and cost footers) is driven by a cheap deterministic
 stand-in for episodes.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.clock import ModuleName
@@ -213,7 +215,7 @@ def _without_timing(report: str) -> str:
 #: among them (Fig. 8's per-call arm repeats Fig. 7 cells, Fig. 3's
 #: baselines repeat Fig. 2's workloads, and so on).
 FAST_WAVE_JOBS = 233
-FAST_WAVE_DISTINCT = 209
+FAST_WAVE_DISTINCT = 200
 
 
 class TestSuiteWave:
@@ -234,9 +236,9 @@ class TestSuiteWave:
         suite.run_all(FAST)
         self._one_stream_of_distinct_jobs(stand_in)
 
-    def test_fingerprints_group_exactly_equal_jobs(self, stand_in, monkeypatch):
-        """Dispatch shares a result between jobs with equal fingerprints,
-        so on the suite's wave that must mean equal jobs, and vice versa."""
+    @staticmethod
+    def _wave(monkeypatch) -> list[TrialJob]:
+        """The jobs one report submits."""
         wave: list[TrialJob] = []
         original = suite.dispatch_jobs
 
@@ -246,6 +248,12 @@ class TestSuiteWave:
 
         monkeypatch.setattr(suite, "dispatch_jobs", captured)
         suite.run_all(FAST)
+        return wave
+
+    def test_fingerprints_group_exactly_equal_jobs(self, stand_in, monkeypatch):
+        """Dispatch shares a result between jobs with equal fingerprints,
+        so on the suite's wave that must mean equal jobs, and vice versa."""
+        wave = self._wave(monkeypatch)
         assert len(wave) == FAST_WAVE_JOBS
         by_print: dict[str, list[TrialJob]] = {}
         for job in wave:
@@ -256,6 +264,17 @@ class TestSuiteWave:
                 classes.append(job)
         assert all(job == group[0] for group in by_print.values() for job in group)
         assert len(classes) == len(by_print) == FAST_WAVE_DISTINCT
+
+    def test_no_two_jobs_differ_only_in_name(self, stand_in, monkeypatch):
+        """A variant keeps its workload's name, so a variant equal to a
+        workload (Fig. 4 setting a workload's planner to the model it
+        already uses) is the same job and runs once."""
+        wave = self._wave(monkeypatch)
+        prints = {job_fingerprint(job) for job in wave}
+        nameless = {
+            job_fingerprint(replace(job, config=replace(job.config, name=""))) for job in wave
+        }
+        assert len(nameless) == len(prints) == FAST_WAVE_DISTINCT
 
     def test_sections_match_their_modules(self, stand_in, monkeypatch):
         """Each footer prices every result its module's grid returns,

@@ -30,7 +30,6 @@ from repro.llm.prompt import PromptBuilder
 from repro.llm.requests import PURPOSES, REQUEST_KINDS, InferenceRequest, InferenceResult
 from repro.llm.scheduler import InferenceScheduler
 from repro.llm.simulated import OUTPUT_TOKENS, SimulatedLLM
-from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
 
 
@@ -91,11 +90,12 @@ class TestMode:
 
     def test_env_selects_batched(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "continuous")
-        assert loop_mode(with_batching(get_workload("coela").config)) == "batched"
+        config = get_workload("coela").config.with_optimizations(serve_mode="batched")
+        assert loop_mode(config) == "batched"
 
     def test_env_selects_continuous(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE", "batched")
-        config = with_continuous_serving(get_workload("coela").config)
+        config = get_workload("coela").config.with_optimizations(serve_mode="continuous")
         assert loop_mode(config) == "continuous"
 
     def test_env_rejects_unknown(self, monkeypatch):

@@ -1,50 +1,47 @@
-"""Tests for the optimization recommendations and the hierarchy loop."""
+"""Tests for the optimization recommendations and the hierarchy loop.
+
+Each recommendation is a field of the config's ``OptimizationConfig`` or
+``MemoryConfig``, set with ``SystemConfig.with_optimizations`` or
+``.with_memory``.
+"""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.paradigms import cluster_agents
 from repro.core.runner import build_loop, build_task, run_episode
-from repro.optim import (
-    with_batching,
-    with_comm_filter,
-    with_dual_memory,
-    with_hierarchy,
-    with_mlc_runtime,
-    with_multistep_planning,
-    with_plan_then_comm,
-    with_quantization,
-)
 from repro.workloads import get_workload
 
 
 class TestTransforms:
     def test_multistep_sets_horizon(self):
-        config = with_multistep_planning(get_workload("jarvis-1").config, 4)
+        config = get_workload("jarvis-1").config.with_optimizations(multistep_horizon=4)
         assert config.optimizations.multistep_horizon == 4
 
     def test_plan_then_comm_flag(self):
-        config = with_plan_then_comm(get_workload("coela").config)
+        config = get_workload("coela").config.with_optimizations(plan_then_comm=True)
         assert config.optimizations.plan_then_comm
 
     def test_comm_filter_flag(self):
-        config = with_comm_filter(get_workload("dmas").config)
+        config = get_workload("dmas").config.with_optimizations(comm_filter=True)
         assert config.optimizations.comm_filter
 
     def test_batching_pins_batched_serving(self):
-        config = with_batching(get_workload("coela").config)
+        config = get_workload("coela").config.with_optimizations(serve_mode="batched")
         assert config.optimizations.serve_mode == "batched"
 
     def test_hierarchy_rejects_single_agent(self):
         with pytest.raises(ConfigurationError):
-            with_hierarchy(get_workload("jarvis-1").config)
+            get_workload("jarvis-1").config.with_optimizations(hierarchy_cluster_size=3)
 
     def test_dual_memory_sets_flag(self):
-        config = with_dual_memory(get_workload("coela").config)
+        config = get_workload("coela").config.with_memory(dual=True)
         assert config.memory is not None and config.memory.dual
 
     def test_quantization_and_runtime_flags(self):
-        config = with_mlc_runtime(with_quantization(get_workload("combo").config))
+        config = get_workload("combo").config.with_optimizations(
+            quantization="awq", runtime="mlc"
+        )
         assert config.optimizations.quantization == "awq"
         assert config.optimizations.runtime == "mlc"
 
@@ -83,13 +80,15 @@ class TestOptimizationEffects:
 
         base = get_workload("jarvis-1").config
         assert plan_calls_per_step(
-            with_multistep_planning(base, 3)
+            base.with_optimizations(multistep_horizon=3)
         ) < plan_calls_per_step(base)
 
     def test_quantization_reduces_latency_for_local_models(self):
         base = get_workload("combo").config
         baseline = run_episode(base, seed=4, difficulty="easy")
-        optimized = run_episode(with_quantization(base), seed=4, difficulty="easy")
+        optimized = run_episode(
+            base.with_optimizations(quantization="awq"), seed=4, difficulty="easy"
+        )
         assert optimized.sim_seconds < baseline.sim_seconds * 1.05
 
     def test_comm_filter_reduces_messages(self):
@@ -98,7 +97,9 @@ class TestOptimizationEffects:
             run_episode(base, seed=s, difficulty="easy").messages_sent for s in range(3)
         )
         optimized = sum(
-            run_episode(with_comm_filter(base), seed=s, difficulty="easy").messages_sent
+            run_episode(
+                base.with_optimizations(comm_filter=True), seed=s, difficulty="easy"
+            ).messages_sent
             for s in range(3)
         )
         assert optimized <= baseline
@@ -109,27 +110,33 @@ class TestOptimizationEffects:
             run_episode(base, seed=s, difficulty="easy").messages_sent for s in range(3)
         )
         optimized = sum(
-            run_episode(with_plan_then_comm(base), seed=s, difficulty="easy").messages_sent
+            run_episode(
+                base.with_optimizations(plan_then_comm=True), seed=s, difficulty="easy"
+            ).messages_sent
             for s in range(3)
         )
         assert optimized <= baseline
 
     def test_hierarchy_runs_at_scale(self):
-        config = with_hierarchy(get_workload("mindagent").config.with_agents(6), 3)
+        config = (
+            get_workload("mindagent")
+            .config.with_agents(6)
+            .with_optimizations(hierarchy_cluster_size=3)
+        )
         result = run_episode(config, seed=0, difficulty="easy")
         assert result.steps >= 1
 
     def test_batching_runs_for_local_decentralized(self):
-        config = with_batching(get_workload("combo").config)
+        config = get_workload("combo").config.with_optimizations(serve_mode="batched")
         result = run_episode(config, seed=0, difficulty="easy")
         assert result.steps >= 1
 
     def test_dual_memory_cuts_retrieval_latency(self):
         from repro.core.clock import ModuleName
 
-        base = get_workload("coela").config.with_memory_capacity(60)
+        base = get_workload("coela").config.with_memory(capacity_steps=60)
         baseline = run_episode(base, seed=5, difficulty="easy")
-        optimized = run_episode(with_dual_memory(base), seed=5, difficulty="easy")
+        optimized = run_episode(base.with_memory(dual=True), seed=5, difficulty="easy")
         base_mem = baseline.module_seconds.get(ModuleName.MEMORY, 0.0) / max(
             1, baseline.steps
         )
