@@ -4,7 +4,9 @@ Two phases, both with real episodes and the default flush window:
 
 1. **Injected crash** — a sweep whose job list repeats every job dies
    on its third distinct episode (the runner raises), then restarts
-   against the same ledger with the fault cleared.
+   against the same ledger with the fault cleared.  Its first two jobs
+   are raw episodes flagged ``prompt_series`` (Fig. 6's kind), so the
+   ledger must restore their series too.
 2. **SIGKILL** — a child interpreter runs a sweep through
    ``dispatch(jobs, executor, JobLedger(path))``; the parent SIGKILLs
    it once the ledger holds a complete line and before the sweep ends
@@ -13,7 +15,10 @@ Two phases, both with real episodes and the default flush window:
 
 Each restart must execute exactly the distinct episodes the ledger
 lacks, once each (the rest are restored, not re-run), and its
-aggregates must be byte-identical to an uninterrupted serial run.
+aggregates must be byte-identical to an uninterrupted serial run.  The
+injected-crash restart must also return every result ``pickle``-equal
+to the uninterrupted run's, series included: aggregates carry no
+series.
 
 Usage::
 
@@ -41,9 +46,17 @@ from repro.core.executor import SerialExecutor, run_trial_job  # noqa: E402
 from repro.core.fleet import JobLedger, dispatch, job_fingerprint  # noqa: E402
 from repro.core.metrics import aggregate  # noqa: E402
 from repro.core.runner import trial_jobs  # noqa: E402
+from repro.experiments.common import (  # noqa: E402
+    ExperimentSettings,
+    GridCell,
+    episode_jobs,
+)
 from repro.workloads import get_workload  # noqa: E402
 
 N_TRIALS = 4
+#: Raw-episode jobs (flagged ``prompt_series``) in the injected-crash
+#: phase; roco is a team that talks, so its series has message keys too.
+SERIES_SUBJECTS = ("roco", "embodiedgpt")
 #: Episodes in the SIGKILL phase: long enough that the first flush
 #: (after FLUSH_RECORDS episodes or half a second) lands well before
 #: the sweep ends.
@@ -73,57 +86,68 @@ def counted(runner):
     return SerialExecutor(job_runner=run), ran
 
 
-def check_restart(ledger_path: Path, jobs, uninterrupted, phase: str) -> int:
-    """Restart the sweep; return how many distinct episodes the ledger restored."""
+def check_restart(ledger_path: Path, jobs, uninterrupted, phase: str) -> tuple[int, list]:
+    """Restart the sweep; return how many distinct episodes the ledger
+    restored, and the restart's results."""
     held = JobLedger(ledger_path).load()
     distinct = list(dict.fromkeys(job_fingerprint(job) for job in jobs))
     lacking = [fingerprint for fingerprint in distinct if fingerprint not in held]
     executor, ran = counted(run_trial_job)
-    resumed = aggregate(dispatch(jobs, executor, JobLedger(ledger_path)))
+    results = dispatch(jobs, executor, JobLedger(ledger_path))
     if [job_fingerprint(job) for job in ran] != lacking:
         fail(
             f"{phase}: restart ran {len(ran)} episodes; the ledger lacked "
             f"{len(lacking)} of {len(distinct)} distinct jobs, each of which "
             f"must run once, in submission order"
         )
-    if pickle.dumps(resumed) != pickle.dumps(uninterrupted):
+    if pickle.dumps(aggregate(results)) != pickle.dumps(aggregate(uninterrupted)):
         fail(f"{phase}: resumed aggregates are not byte-identical to the serial run")
-    return len(distinct) - len(lacking)
+    return len(distinct) - len(lacking), results
 
 
 def injected_crash_phase(tmp: Path) -> str:
-    distinct = sweep_jobs(N_TRIALS, base_seed=77)
+    cells = [GridCell(config=get_workload(name).config) for name in SERIES_SUBJECTS]
+    flagged = episode_jobs(cells, ExperimentSettings(base_seed=77, difficulty="easy"))
+    distinct = flagged + sweep_jobs(N_TRIALS, base_seed=77)
     jobs = distinct + distinct[::-1]  # every job twice
-    uninterrupted = aggregate([run_trial_job(job) for job in jobs])
-    crash_seed = distinct[2].seed
+    uninterrupted = [run_trial_job(job) for job in jobs]
+    if not all(result.prompt_series for result in uninterrupted[: len(flagged)]):
+        fail("a raw-episode job flagged prompt_series returned no series")
+    crash_job = distinct[len(flagged)]
 
-    def crash_on_seed(job):
-        if job.seed == crash_seed:
+    def crash_on_job(job):
+        if job == crash_job:
             raise RuntimeError(f"injected crash at seed {job.seed}")
         return run_trial_job(job)
 
     ledger_path = tmp / "crash-ledger.jsonl"
-    executor, ran = counted(crash_on_seed)
+    executor, ran = counted(crash_on_job)
     try:
         dispatch(jobs, executor, JobLedger(ledger_path))
     except TrialExecutionError:
         pass
     else:
         fail("injected crash did not surface")
-    if len(ran) != 2:
-        fail(f"expected 2 episodes before the crash, ran {len(ran)}")
-    restored = check_restart(ledger_path, jobs, uninterrupted, "injected crash")
-    if restored != 2:
-        fail(f"injected crash: the ledger restored {restored} episodes, not 2")
+    if len(ran) != len(flagged):
+        fail(f"expected {len(flagged)} episodes before the crash, ran {len(ran)}")
+    restored, results = check_restart(ledger_path, jobs, uninterrupted, "injected crash")
+    if restored != len(flagged):
+        fail(f"injected crash: the ledger restored {restored} episodes, not {len(flagged)}")
+    if [pickle.dumps(result) for result in results] != [
+        pickle.dumps(result) for result in uninterrupted
+    ]:
+        fail("injected crash: a resumed result differs from the serial run's")
     return (
-        f"crash after 2/{N_TRIALS} distinct episodes (each job listed twice), "
-        f"restart executed {N_TRIALS - 2}"
+        f"crash after {len(flagged)}/{len(distinct)} distinct episodes (the "
+        f"{len(flagged)} raw episodes with Fig. 6's series; each job listed twice), "
+        f"restart executed {len(distinct) - len(flagged)}; every result, series "
+        f"included, equal to the serial run's"
     )
 
 
 def sigkill_phase(tmp: Path) -> str:
     jobs = sweep_jobs(KILL_TRIALS, base_seed=91)
-    uninterrupted = aggregate([run_trial_job(job) for job in jobs])
+    uninterrupted = [run_trial_job(job) for job in jobs]
     ledger_path = tmp / "kill-ledger.jsonl"
     child = subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--sweep", str(ledger_path)]
@@ -143,7 +167,7 @@ def sigkill_phase(tmp: Path) -> str:
         if child.poll() is None:
             child.kill()
             child.wait()
-    restored = check_restart(ledger_path, jobs, uninterrupted, "SIGKILL")
+    restored, _ = check_restart(ledger_path, jobs, uninterrupted, "SIGKILL")
     if not 0 < restored < KILL_TRIALS:
         fail(f"SIGKILL: the ledger held {restored}/{KILL_TRIALS} episodes at the kill")
     return (

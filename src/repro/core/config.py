@@ -16,7 +16,7 @@ variant equal to its workload is the same job and runs once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.errors import ConfigurationError
@@ -216,17 +216,3 @@ class SystemConfig:
     @property
     def is_multi_agent(self) -> bool:
         return self.paradigm in ("centralized", "decentralized", "hybrid")
-
-    def fingerprint_payload(self) -> dict[str, Any]:
-        """Canonical, JSON-serializable description of this config.
-
-        The checkpoint ledger (:mod:`repro.core.fleet`) keys completed
-        episodes by a content hash over this payload, so a restarted
-        process agrees with the one it replaces on which jobs are "the
-        same".
-        The contract is the picklability contract with one extra turn:
-        every field must render to a stable JSON value (primitives,
-        lists, dicts — ``env_params`` included), or fingerprints stop
-        matching their own re-runs.
-        """
-        return asdict(self)

@@ -61,7 +61,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import SystemConfig
 from repro.core.errors import TrialExecutionError
@@ -85,11 +85,17 @@ class TrialJob:
     The job is fully picklable (frozen dataclasses of primitives all the
     way down), so it can cross a process boundary; the worker rebuilds
     the paradigm loop from it and runs the episode.
+
+    ``prompt_series`` asks for Fig. 6's per-step prompt series on the
+    result (:attr:`EpisodeResult.prompt_series`, empty otherwise); only
+    ``episode_jobs``, Fig. 6's raw episodes, sets it.  It changes the
+    result, so it is part of the job's fingerprint.
     """
 
     config: SystemConfig
     task: TaskSpec
     seed: int
+    prompt_series: bool = False
 
     def describe(self) -> str:
         return f"{self.config.name}/{self.task.env_name} seed={self.seed}"
@@ -100,7 +106,11 @@ def run_trial_job(job: TrialJob) -> EpisodeResult:
     # Imported lazily: runner imports this module for its default executor.
     from repro.core.runner import build_loop
 
-    return build_loop(job.config, job.task, job.seed).run()
+    loop = build_loop(job.config, job.task, job.seed)
+    result = loop.run()
+    if job.prompt_series:
+        return replace(result, prompt_series=loop.metrics.prompt_series())
+    return result
 
 
 #: A job-execution function.  The default runs a real episode; benches

@@ -12,18 +12,22 @@ byte-identical to an uninterrupted run.
 
 The ledger (:class:`JobLedger`) is a JSONL journal, one line per
 completed episode, written by one process per sweep and read whole at
-the start of each dispatch.  A killed writer loses at most one flush
-window of episodes, and its torn last line is never parsed.
+the start of each dispatch.  A line's payload is the episode's whole
+result, so a resume decodes only what results hold: Fig. 6's per-step
+prompt series only for the jobs flagged ``prompt_series``.  A killed
+writer loses at most one flush window of episodes, and its torn last
+line is never parsed.
 
-Jobs are keyed by a **content fingerprint**: a SHA-256 over the
-canonical JSON of ``(config, task, seed)`` and
-:data:`SEMANTICS_VERSION`.  Every value that can change a result is in
-the job itself (the serving mode and overlap are fields of the config's
-``optimizations``), so two jobs share a result only when they compute
-the same episode, and a stale ledger can never leak results produced
-under different semantics into a resumed run.  Execution-shape knobs
-(worker counts, the ledger path) change how jobs run, never what an
-episode computes, so they are not part of a job.
+Jobs are keyed by a **content fingerprint** (:func:`job_fingerprint`):
+a SHA-256 over the canonical JSON of ``(config, task, seed,
+prompt_series)`` and :data:`SEMANTICS_VERSION`.  Every value that can
+change a result is in the job itself (the serving mode and overlap are
+fields of the config's ``optimizations``; ``prompt_series`` decides
+whether the result carries Fig. 6's series), so two jobs share a result
+only when they would return equal results, and a stale ledger can never
+leak results produced under different semantics into a resumed run.
+Execution-shape knobs (worker counts, the ledger path) change how jobs
+run, never what an episode computes, so they are not part of a job.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import os
 import pickle
 import time
 import zlib
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,7 +57,9 @@ except ImportError:  # pragma: no cover - windows fallback: no inter-process loc
 #: what an episode computes or what its ledger payload holds for an
 #: unchanged job, so a ledger written by older code can never resume
 #: silently: its lines no longer match, and their jobs run again.
-SEMANTICS_VERSION = 2
+#: Version 3: only a job flagged ``prompt_series`` carries Fig. 6's
+#: series, and the flag is part of the payload.
+SEMANTICS_VERSION = 3
 
 #: Staged records are flushed at most this many seconds apart...
 DEFAULT_FLUSH_SECONDS = 0.5
@@ -72,11 +77,29 @@ def knob_fingerprint() -> dict[str, str]:
 
 
 def job_fingerprint(job: "TrialJob") -> str:
-    """Content fingerprint of one trial job."""
+    """Content fingerprint of one trial job.
+
+    A SHA-256 over the job's fields as canonical JSON: the config's and
+    the task's fields (the config's nested ``MemoryConfig`` and
+    ``OptimizationConfig`` one level down), the seed, the
+    ``prompt_series`` flag and :data:`SEMANTICS_VERSION`.  That is the
+    JSON ``dataclasses.asdict`` gives, without its deep copies.
+
+    A restarted process must agree with the one it replaces on which
+    jobs are "the same", so every field must render to a stable JSON
+    value: primitives, and lists and dicts of them (``env_params`` and
+    ``task.params`` included), or fingerprints stop matching their own
+    re-runs.  JSON renders anything else with ``str``.
+    """
+    config = dict(vars(job.config))
+    config["optimizations"] = vars(job.config.optimizations)
+    if job.config.memory is not None:
+        config["memory"] = vars(job.config.memory)
     payload = {
-        "config": job.config.fingerprint_payload(),
-        "task": asdict(job.task),
+        "config": config,
+        "task": vars(job.task),
         "seed": job.seed,
+        "prompt_series": job.prompt_series,
         "semantics": SEMANTICS_VERSION,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)

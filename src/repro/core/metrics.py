@@ -44,9 +44,11 @@ class EpisodeResult:
     Frozen: a dispatch hands one result to every slot that repeats its
     job, so no slot may change it.  Its size does not grow with the
     episode's calls: the per-step records and per-call token samples stay
-    on the :class:`MetricsCollector` that ran the loop, and only Fig. 6's
-    per-step series, :attr:`prompt_series`, survives as flat ints.  This
-    is what a worker pickles and a ledger line holds.
+    on the :class:`MetricsCollector` that ran the loop.  Fig. 6's
+    per-step series, :attr:`prompt_series`, is filled only for a job
+    flagged ``prompt_series`` (``core/executor.py: run_trial_job``) and
+    is empty otherwise.  This is what a worker pickles and a ledger line
+    holds.
     """
 
     workload: str
@@ -83,10 +85,8 @@ class EpisodeResult:
     #: scheduler and sorted by name (deterministic equality/pickle).
     #: What the per-figure cost footer prices (``llm/costs.py``).
     deployment_tokens: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: Fig. 6's prompt growth: ``"agent:purpose"`` → flat, step-sorted
-    #: ``(step, tokens, step, tokens, …)``, where ``tokens`` is the
-    #: largest prompt of that agent's calls of that purpose in the step
-    #: (plan and message calls only; keys sorted by agent, then purpose).
+    #: Fig. 6's prompt growth, :meth:`MetricsCollector.prompt_series`;
+    #: ``{}`` unless the job was flagged ``prompt_series``.
     prompt_series: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
@@ -135,7 +135,9 @@ class MetricsCollector:
 
     ``records`` (one per agent-step) and ``token_samples`` (one per LLM
     call) are for in-process readers of a loop's ``metrics``: the result
-    :meth:`finalize` returns does not carry them.
+    :meth:`finalize` returns does not carry them, nor Fig. 6's series
+    over them (:meth:`prompt_series`), which ``run_trial_job`` adds to a
+    flagged job's result.
     """
 
     workload: str
@@ -247,11 +249,16 @@ class MetricsCollector:
                 model: (prompt, output)
                 for model, (prompt, output) in sorted(self.deployment_tokens.items())
             },
-            prompt_series=self._prompt_series(),
         )
 
-    def _prompt_series(self) -> dict[str, tuple[int, ...]]:
-        """:attr:`EpisodeResult.prompt_series` over the recorded samples."""
+    def prompt_series(self) -> dict[str, tuple[int, ...]]:
+        """Fig. 6's prompt growth over the recorded samples.
+
+        ``"agent:purpose"`` → flat, step-sorted ``(step, tokens, step,
+        tokens, …)``, where ``tokens`` is the largest prompt of that
+        agent's calls of that purpose in the step (plan and message calls
+        only; keys sorted by agent, then purpose).
+        """
         best: dict[tuple[str, str, int], int] = {}
         for sample in self.token_samples:
             if sample.purpose in ("plan", "message"):

@@ -128,7 +128,11 @@ def aggregate_grid(
 
 
 def episode_jobs(cells: list[GridCell], settings: ExperimentSettings) -> list[TrialJob]:
-    """One job per cell, at ``settings.base_seed`` itself."""
+    """One job per cell, at ``settings.base_seed`` itself.
+
+    Each job is flagged ``prompt_series``: its result carries Fig. 6's
+    per-step prompt series, which no grid job's result holds.
+    """
     jobs = []
     for cell in cells:
         task = build_task(
@@ -138,7 +142,7 @@ def episode_jobs(cells: list[GridCell], settings: ExperimentSettings) -> list[Tr
             seed=settings.base_seed,
             horizon=cell.horizon,
         )
-        jobs.append(TrialJob(config=cell.config, task=task, seed=settings.base_seed))
+        jobs.append(TrialJob(cell.config, task, settings.base_seed, prompt_series=True))
     return jobs
 
 
@@ -175,7 +179,7 @@ def episode_grid(
 ) -> list[EpisodeResult]:
     """Run one episode per cell (at ``settings.base_seed``) in one wave.
 
-    For experiments that need raw per-episode traces (e.g. Fig. 6 token
-    series) rather than aggregates.
+    For experiments that need raw per-episode traces (Fig. 6's token
+    series, which only these results carry) rather than aggregates.
     """
     return dispatch_jobs(episode_jobs(cells, settings), settings)

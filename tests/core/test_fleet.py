@@ -1,11 +1,14 @@
 """Checkpoint ledger tests: fingerprints, the journal, and resume."""
 
+import hashlib
+import importlib.util
 import json
 import pickle
 import shutil
+import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +34,11 @@ from repro.core.fleet import (
 from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.runner import build_loop, trial_jobs
 from repro.core.synthetic import sleep_runner, synthetic_job
+from repro.experiments import suite
+from repro.experiments.common import ExperimentSettings, episode_jobs, grid_jobs
 from repro.workloads import get_workload
+
+E2E_WORKLOADS = Path(__file__).resolve().parents[2] / "e2ebench" / "workloads.py"
 
 
 def real_jobs(n_trials=3, base_seed=11):
@@ -65,6 +72,59 @@ def record_line(record: dict) -> bytes:
     return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def reference_payload(job) -> dict:
+    """What ``job_fingerprint`` hashes, built the slow way: ``asdict``
+    renders the same JSON through deep copies of every value."""
+    return {
+        "config": asdict(job.config),
+        "task": asdict(job.task),
+        "seed": job.seed,
+        "prompt_series": job.prompt_series,
+        "semantics": fleet.SEMANTICS_VERSION,
+    }
+
+
+def payload_digest(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def version_two_fingerprint(job) -> str:
+    """The fingerprint a version-2 ledger keyed ``job`` by: no flag."""
+    payload = reference_payload(job)
+    del payload["prompt_series"]
+    payload["semantics"] = 2
+    return payload_digest(payload)
+
+
+def suite_wave(n_trials: int) -> list:
+    """Every job the suite report submits at ``n_trials``."""
+    settings = ExperimentSettings(n_trials=n_trials)
+    return [
+        job
+        for _, module, episodes in suite._FIGURES
+        for job in (episode_jobs if episodes else grid_jobs)(module.grid(), settings)
+    ]
+
+
+def e2ebench_grids() -> list:
+    """The end-to-end benchmark's three grids, at their default seed and trials."""
+    name = "e2ebench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, E2E_WORKLOADS)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    workloads = sys.modules[name]
+    return [
+        job
+        for workload in workloads.WORKLOADS.values()
+        for job in grid_jobs(
+            workloads.build_cells(workload),
+            ExperimentSettings(n_trials=workload.trials, base_seed=workloads.DEFAULT_SEED),
+        )
+    ]
+
+
 @pytest.fixture
 def ledger(tmp_path):
     return JobLedger(tmp_path / "ledger.jsonl", flush_seconds=0)
@@ -96,6 +156,21 @@ class TestFingerprints:
             monkeypatch.setenv(knob, "9")
         assert job_fingerprint(synth_jobs(1)[0]) == before
         assert knob_fingerprint() == {}
+
+    def test_matches_the_asdict_reference(self):
+        """The shallow field walk hashes exactly the JSON ``asdict`` gives,
+        on every job of the five-trial suite wave, the end-to-end
+        benchmark's grids and the synthetic jobs; the flag moves it."""
+        wave = suite_wave(5)
+        assert any(job.prompt_series for job in wave)  # Fig. 6's raw episodes
+        grids = e2ebench_grids()
+        synthetic = synth_jobs(3) + batched_jobs(synth_jobs(2))
+        for job in wave + grids + synthetic:
+            assert job_fingerprint(job) == payload_digest(reference_payload(job)), (
+                job.describe()
+            )
+            flipped = replace(job, prompt_series=not job.prompt_series)
+            assert job_fingerprint(flipped) != job_fingerprint(job), job.describe()
 
     def test_knob_fingerprint_only_repro_vars(self, monkeypatch):
         """No knob changes a result, so the run records' knob list is
@@ -311,6 +386,28 @@ class TestCheckpointResume:
         assert after.startswith(before)
         assert len(after[len(before) :].splitlines()) == 1
         assert pickle.dumps(result) == pickle.dumps(fresh)
+
+
+    def test_version_two_ledger_line_is_not_restored(self, ledger):
+        """A version-2 line for a grid job, keyed by the job's version-2
+        fingerprint and holding the series every version-2 result
+        carried: the job runs again, and its result holds no series."""
+        job = real_jobs(1)[0]
+        loop = build_loop(job.config, job.task, job.seed)
+        fresh = loop.run()
+        version_two = replace(fresh, prompt_series=loop.metrics.prompt_series())
+        assert version_two.prompt_series
+        ledger.append_done(version_two_fingerprint(job), job, version_two)
+        before = ledger.path.read_bytes()
+
+        executor, ran = counting(run_trial_job)
+        [result] = dispatch([job], executor, ledger)
+        assert ran == [job]
+        assert result.prompt_series == {}
+        assert pickle.dumps(result) == pickle.dumps(fresh)
+        after = ledger.path.read_bytes()
+        assert after.startswith(before)
+        assert len(after[len(before) :].splitlines()) == 1
 
 
 class TestEnvConstruction:

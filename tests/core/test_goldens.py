@@ -244,8 +244,9 @@ def _episode(job: TrialJob):
 def _run_cell(cell: GridCell) -> dict:
     """Run a cell's trials in-process, keeping each episode's clock.
 
-    Also the oracle for Fig. 6's series: each result's ``prompt_series``
-    must equal :func:`_reference_series` over its collector's samples.
+    Also the oracle for Fig. 6's series: each collector's
+    ``prompt_series()`` must equal :func:`_reference_series` over its
+    samples, and an unflagged job's result must carry none.
     """
     results = []
     phases = []
@@ -261,11 +262,13 @@ def _run_cell(cell: GridCell) -> dict:
         )
         digests.append(_episode_digest(result, loop.metrics))
         reference = _reference_series(loop.metrics.token_samples)
-        assert result.prompt_series == {
+        series = loop.metrics.prompt_series()
+        assert series == {
             name: tuple(value for point in points for value in point)
             for name, points in reference.items()
         }, job.describe()
-        assert list(result.prompt_series) == list(reference), job.describe()
+        assert list(series) == list(reference), job.describe()
+        assert result.prompt_series == {}, job.describe()
     return {"aggregate": _canonical(aggregate(results)), "phases": phases, "episodes": digests}
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.clock import MODULE_ORDER, ModuleName, SimClock
 from repro.core.errors import FaultKind
+from repro.core.executor import TrialJob, run_trial_job
 from repro.core.metrics import EpisodeResult, MetricsCollector, aggregate
 from repro.core.runner import build_loop, build_task
 from repro.core.types import StepRecord, Subgoal
@@ -67,7 +68,8 @@ class TestEpisodeResult:
 
     def test_constant_size(self):
         """No field is a list, and a multi-agent episode's pickle names no
-        per-step record or per-call sample: those stay on the collector."""
+        per-step record or per-call sample: those stay on the collector.
+        Fig. 6's series, flat ints, rides only on a flagged job's result."""
         assert not [
             spec.name
             for spec in dataclasses.fields(EpisodeResult)
@@ -78,13 +80,17 @@ class TestEpisodeResult:
         loop = build_loop(config, task, seed=0)
         result = loop.run()
         assert loop.metrics.records and loop.metrics.token_samples
-        assert not [
-            name for name, value in vars(result).items() if isinstance(value, list)
-        ]
-        assert len(result.prompt_series) > 4  # plan and message series per agent
-        blob = pickle.dumps(result)
-        assert b"StepRecord" not in blob
-        assert b"TokenSample" not in blob
+        assert result.prompt_series == {}
+        flagged = run_trial_job(TrialJob(config=config, task=task, seed=0, prompt_series=True))
+        assert flagged == dataclasses.replace(result, prompt_series=flagged.prompt_series)
+        assert len(flagged.prompt_series) > 4  # plan and message series per agent
+        for episode in (result, flagged):
+            assert not [
+                name for name, value in vars(episode).items() if isinstance(value, list)
+            ]
+            blob = pickle.dumps(episode)
+            assert b"StepRecord" not in blob
+            assert b"TokenSample" not in blob
 
 
 class TestCollector:
@@ -106,9 +112,11 @@ class TestCollector:
             (3, "a0", "reflection", 999),
         ]:
             collector.record_llm_call(step, agent, purpose, tokens, 10)
+        series = collector.prompt_series()
+        assert series == {"a0:message": (2, 90), "a1:plan": (1, 250, 2, 320)}
+        assert list(series) == ["a0:message", "a1:plan"]
         result = collector.finalize(SimClock(), success=True, steps=3, goal_progress=1.0)
-        assert result.prompt_series == {"a0:message": (2, 90), "a1:plan": (1, 250, 2, 320)}
-        assert list(result.prompt_series) == ["a0:message", "a1:plan"]
+        assert result.prompt_series == {}  # only a flagged job's result carries it
 
     def test_none_fault_ignored(self):
         collector = MetricsCollector(workload="w", horizon=10)

@@ -21,6 +21,7 @@ from repro.experiments.common import (
     ExperimentSettings,
     GridCell,
     dispatch_jobs,
+    episode_jobs,
     grid_jobs,
     measure_grid,
 )
@@ -145,7 +146,8 @@ def _footer(results: list[EpisodeResult]) -> str:
 
 
 def stand_in_episode(job: TrialJob) -> EpisodeResult:
-    """A deterministic episode whose numbers depend on the whole job."""
+    """A deterministic episode whose numbers depend on the whole job;
+    like a real one, it carries a series only for a flagged job."""
     mark = int(job_fingerprint(job)[:8], 16)
     steps = 1 + mark % 17
     prompt, output = 100 + mark % 900, 10 + mark % 90
@@ -176,7 +178,9 @@ def stand_in_episode(job: TrialJob) -> EpisodeResult:
                 for step in range(steps)
                 for value in (step, prompt + step * (mark % 9))
             )
-        },
+        }
+        if job.prompt_series
+        else {},
     )
 
 
@@ -213,9 +217,10 @@ def _without_timing(report: str) -> str:
 
 #: The one-trial suite wave: jobs submitted, and distinct fingerprints
 #: among them (Fig. 8's per-call arm repeats Fig. 7 cells, Fig. 3's
-#: baselines repeat Fig. 2's workloads, and so on).
+#: baselines repeat Fig. 2's workloads, the Rec. 9 baseline is Fig. 7's
+#: 8-agent medium mindagent cell, and so on).
 FAST_WAVE_JOBS = 233
-FAST_WAVE_DISTINCT = 200
+FAST_WAVE_DISTINCT = 199
 
 
 class TestSuiteWave:
@@ -275,6 +280,21 @@ class TestSuiteWave:
             job_fingerprint(replace(job, config=replace(job.config, name=""))) for job in wave
         }
         assert len(nameless) == len(prints) == FAST_WAVE_DISTINCT
+
+    def test_no_two_jobs_differ_only_in_default_agents(self, stand_in, monkeypatch):
+        """A job's task fixes its team size, and nothing in an episode
+        reads ``config.default_agents`` after that, so a cell sets its
+        team on the task (``GridCell.n_agents``) and a team equal to
+        another section's cell is the same job."""
+        wave = self._wave(monkeypatch)
+        prints = {job_fingerprint(job) for job in wave}
+        teamless = {
+            job_fingerprint(
+                replace(job, config=replace(job.config, default_agents=job.task.n_agents))
+            )
+            for job in wave
+        }
+        assert len(teamless) == len(prints) == FAST_WAVE_DISTINCT
 
     def test_sections_match_their_modules(self, stand_in, monkeypatch):
         """Each footer prices every result its module's grid returns,
@@ -352,6 +372,23 @@ class TestFig3Structure:
 
 
 class TestFig6Structure:
+    def test_only_fig6_jobs_carry_the_series(self):
+        """A grid job's result holds no series.  An ``episode_jobs``
+        result carries it, and differs from its unflagged twin's result
+        by the series alone; the twin is a different job."""
+        cells = [GridCell(config=get_workload("roco").config)]
+        [grid_result] = dispatch_jobs(grid_jobs(cells, FAST), FAST)
+        assert grid_result.prompt_series == {}
+        [job] = episode_jobs(cells, FAST)
+        [episode] = dispatch_jobs([job], FAST)
+        assert {name.rsplit(":", 1)[1] for name in episode.prompt_series} == {
+            "plan",
+            "message",
+        }
+        twin = replace(job, prompt_series=False)
+        assert job_fingerprint(twin) != job_fingerprint(job)
+        assert dispatch_jobs([twin], FAST) == [replace(episode, prompt_series={})]
+
     def test_token_series_growth(self):
         result = fig6_tokens.run(ExperimentSettings(n_trials=1, base_seed=2))
         for trace in result.traces:
