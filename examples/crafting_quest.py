@@ -31,28 +31,20 @@ def main() -> None:
     print(f"Goal: {env.describe_task()}")
     print(f"Deposits hidden across areas: {', '.join(sorted(env.deposit_area))}\n")
 
-    for step in range(1, task.horizon + 1):
-        env.tick()
-        loop.step(step)
-        records = [r for r in loop.metrics.records if r.step == step]
-        for record in records:
-            flags = []
-            if record.fault is not None:
-                flags.append(f"fault={record.fault.value}")
-            if record.reflected:
-                flags.append("reflection-caught")
-            if record.replanned:
-                flags.append("replanned")
-            status = "ok " if record.execution_success else "FAIL"
-            note = f"  [{', '.join(flags)}]" if flags else ""
-            subgoal = record.subgoal.describe()
-            print(f"step {step:3d}  {status} {subgoal:40s}{note}")
-        if env.is_success():
-            break
+    result = loop.run()
+    for record in loop.metrics.records:
+        flags = []
+        if record.fault is not None:
+            flags.append(f"fault={record.fault.value}")
+        if record.reflected:
+            flags.append("reflection-caught")
+        if record.replanned:
+            flags.append("replanned")
+        status = "ok " if record.execution_success else "FAIL"
+        note = f"  [{', '.join(flags)}]" if flags else ""
+        subgoal = record.subgoal.describe()
+        print(f"step {record.step:3d}  {status} {subgoal:40s}{note}")
 
-    result = loop.metrics.finalize(
-        loop.clock, env.is_success(), step, env.goal_progress()
-    )
     player = env._players[env.agents[0]]
     print(f"\ninventory at the end: {dict(sorted(player.inventory.items()))}")
     print(

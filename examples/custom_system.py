@@ -8,20 +8,19 @@ full declarative surface a downstream user composes systems from.
 
 Usage::
 
-    python examples/custom_system.py [n_trials]
+    python examples/custom_system.py
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count;
-``REPRO_WORKERS`` above 1 runs the trials on the process-parallel
-executor, with the same table.
+``REPRO_TRIALS`` (else 5) sets the trial count; ``REPRO_WORKERS`` above 1
+runs the trials on the process-parallel executor, with the same table.
 """
 
 from __future__ import annotations
 
-import sys
+from dataclasses import replace
 
-from repro import MemoryConfig, OptimizationConfig, SystemConfig, get_workload, run_trials
+from repro import MemoryConfig, OptimizationConfig, SystemConfig, get_workload
 from repro.analysis.report import format_table
-from repro.experiments import ExperimentSettings
+from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 
 CUSTOM = SystemConfig(
     name="homecrew-70b",
@@ -40,31 +39,26 @@ CUSTOM = SystemConfig(
 
 
 def main() -> None:
-    settings = ExperimentSettings.from_env(n_trials=5)
-    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else settings.n_trials
-    executor = settings.make_executor()
-    reference = get_workload("ola").config.with_agents(3)
+    settings = replace(ExperimentSettings.from_env(n_trials=5), base_seed=53)
+    systems = (("homecrew-70b (custom)", CUSTOM), ("ola (suite)", get_workload("ola").config))
+    grid = [
+        (difficulty, label, GridCell(config=config, difficulty=difficulty, n_agents=3))
+        for difficulty in ("easy", "medium", "hard")
+        for label, config in systems
+    ]
+    aggregates = measure_grid([cell for _, _, cell in grid], settings)
 
-    rows = []
-    for difficulty in ("easy", "medium", "hard"):
-        for label, config in (("homecrew-70b (custom)", CUSTOM), ("ola (suite)", reference)):
-            aggregate = run_trials(
-                config,
-                n_trials=n_trials,
-                difficulty=difficulty,
-                base_seed=53,
-                executor=executor,
-            )
-            rows.append(
-                [
-                    difficulty,
-                    label,
-                    f"{aggregate.success_rate:.0%}",
-                    f"{aggregate.mean_steps:.1f}",
-                    f"{aggregate.mean_sim_minutes:.1f}",
-                    f"{aggregate.llm_fraction:.0%}",
-                ]
-            )
+    rows = [
+        [
+            difficulty,
+            label,
+            f"{aggregate.success_rate:.0%}",
+            f"{aggregate.mean_steps:.1f}",
+            f"{aggregate.mean_sim_minutes:.1f}",
+            f"{aggregate.llm_fraction:.0%}",
+        ]
+        for (difficulty, label, _), aggregate in zip(grid, aggregates)
+    ]
 
     print(
         format_table(

@@ -7,32 +7,25 @@ paper's Sec. VIII discussion.
 
 Usage::
 
-    python examples/optimization_playbook.py [n_trials]
+    python examples/optimization_playbook.py
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 5) sets the trial count;
-``REPRO_WORKERS`` above 1 runs the trials on the process-parallel
-executor, with the same table.
+``REPRO_TRIALS`` (else 5) sets the trial count; ``REPRO_WORKERS`` above 1
+runs the trials on the process-parallel executor, with the same table.
 """
 
 from __future__ import annotations
 
-import sys
+from dataclasses import replace
 
-from repro import get_workload, run_trials
+from repro import get_workload
 from repro.analysis.report import format_table
-from repro.experiments import ExperimentSettings
-
-
-def measure(config, n_trials, executor):
-    return run_trials(
-        config, n_trials=n_trials, difficulty="medium", base_seed=41, executor=executor
-    )
+from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 
 
 def main() -> None:
-    settings = ExperimentSettings.from_env(n_trials=5)
-    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else settings.n_trials
-    executor = settings.make_executor()
+    settings = replace(
+        ExperimentSettings.from_env(n_trials=5), base_seed=41, difficulty="medium"
+    )
     coela = get_workload("coela").config
     combo = get_workload("combo").config
 
@@ -46,11 +39,11 @@ def main() -> None:
         ("combo", "rec1 AWQ quantization", combo.with_optimizations(quantization="awq")),
         ("combo", "rec1 request batching", combo.with_optimizations(serve_mode="batched")),
     ]
+    aggregates = measure_grid([GridCell(config=config) for _, _, config in cases], settings)
 
     rows = []
     baselines = {}
-    for workload, label, config in cases:
-        aggregate = measure(config, n_trials, executor)
+    for (workload, label, _), aggregate in zip(cases, aggregates):
         if label == "baseline":
             baselines[workload] = aggregate.mean_sim_minutes
         speedup = baselines[workload] / max(1e-9, aggregate.mean_sim_minutes)
@@ -70,7 +63,7 @@ def main() -> None:
         format_table(
             ["workload", "variant", "success", "total min", "speedup", "LLM calls", "messages"],
             rows,
-            title=f"Optimization playbook (medium tasks, {n_trials} trials)",
+            title=f"Optimization playbook (medium tasks, {settings.n_trials} trials)",
         )
     )
 

@@ -7,12 +7,11 @@ latency stays mild; decentralized latency explodes.
 
 Usage::
 
-    python examples/scalability_sweep.py [difficulty] [n_trials] [workers]
+    python examples/scalability_sweep.py [difficulty]
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 4) sets the trial count, and
-without ``workers``, ``REPRO_WORKERS`` (else 1).  With more than one
-worker the per-cell trials run on the process-parallel executor; results
-are identical to the serial sweep, only faster.
+``REPRO_TRIALS`` (else 4) sets the trial count; ``REPRO_WORKERS`` above 1
+runs the sweep on the process-parallel executor.  Results are identical
+to the serial sweep, only faster.
 """
 
 from __future__ import annotations
@@ -20,44 +19,29 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 
-from repro import get_workload, run_trials
+from repro import get_workload
 from repro.analysis.report import format_series
-from repro.core.executor import TrialExecutor
-from repro.experiments import ExperimentSettings
+from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 
 AGENT_COUNTS = (2, 4, 6, 8, 10)
 
 
-def sweep(name: str, difficulty: str, n_trials: int, executor: TrialExecutor):
-    config = get_workload(name).config
-    success, latency = [], []
-    for n_agents in AGENT_COUNTS:
-        aggregate = run_trials(
-            config,
-            n_trials=n_trials,
-            difficulty=difficulty,
-            n_agents=n_agents,
-            base_seed=29,
-            executor=executor,
-        )
-        success.append(100.0 * aggregate.success_rate)
-        latency.append(aggregate.mean_sim_minutes)
-    return success, latency
-
-
 def main() -> None:
     difficulty = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    settings = ExperimentSettings.from_env(n_trials=4)
-    n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else settings.n_trials
-    if len(sys.argv) > 3:
-        workers = int(sys.argv[3])
-        settings = replace(
-            settings, executor="parallel" if workers > 1 else "serial", max_workers=workers
-        )
-    executor = settings.make_executor()
-
-    central_success, central_latency = sweep("mindagent", difficulty, n_trials, executor)
-    decent_success, decent_latency = sweep("coela", difficulty, n_trials, executor)
+    settings = replace(
+        ExperimentSettings.from_env(n_trials=4), base_seed=29, difficulty=difficulty
+    )
+    cells = [
+        GridCell(config=get_workload(name).config, n_agents=n_agents)
+        for name in ("mindagent", "coela")
+        for n_agents in AGENT_COUNTS
+    ]
+    aggregates = measure_grid(cells, settings)
+    success = [100.0 * aggregate.success_rate for aggregate in aggregates]
+    latency = [aggregate.mean_sim_minutes for aggregate in aggregates]
+    split = len(AGENT_COUNTS)
+    central_success, decent_success = success[:split], success[split:]
+    central_latency, decent_latency = latency[:split], latency[split:]
 
     print(
         format_series(

@@ -7,50 +7,43 @@ the central trade-off of paper Sec. VI.
 
 Usage::
 
-    python examples/warehouse_fleet.py [difficulty] [n_trials]
+    python examples/warehouse_fleet.py [difficulty]
 
-Without ``n_trials``, ``REPRO_TRIALS`` (else 6) sets the trial count;
-``REPRO_WORKERS`` above 1 runs the trials on the process-parallel
-executor, with the same table.
+``REPRO_TRIALS`` (else 6) sets the trial count; ``REPRO_WORKERS`` above 1
+runs the trials on the process-parallel executor, with the same table.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
-from repro import get_workload, run_trials
+from repro import get_workload
 from repro.analysis.report import format_table
-from repro.experiments import ExperimentSettings
+from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 
 
 def main() -> None:
     difficulty = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    settings = ExperimentSettings.from_env(n_trials=6)
-    n_trials = int(sys.argv[2]) if len(sys.argv) > 2 else settings.n_trials
-    executor = settings.make_executor()
+    settings = replace(
+        ExperimentSettings.from_env(n_trials=6), base_seed=17, difficulty=difficulty
+    )
+    configs = {name: get_workload(name).config for name in ("cmas", "dmas", "hmas")}
+    aggregates = measure_grid([GridCell(config=config) for config in configs.values()], settings)
 
-    rows = []
-    for name in ("cmas", "dmas", "hmas"):
-        workload = get_workload(name)
-        aggregate = run_trials(
-            workload.config,
-            n_trials=n_trials,
-            difficulty=difficulty,
-            base_seed=17,
-            executor=executor,
-        )
-        rows.append(
-            [
-                name,
-                workload.config.paradigm,
-                f"{aggregate.success_rate:.0%}",
-                f"{aggregate.mean_steps:.1f}",
-                f"{aggregate.mean_sim_minutes:.1f}",
-                f"{aggregate.mean_seconds_per_step:.1f}",
-                f"{aggregate.mean_llm_calls:.0f}",
-                f"{aggregate.mean_messages_sent:.0f}",
-            ]
-        )
+    rows = [
+        [
+            name,
+            config.paradigm,
+            f"{aggregate.success_rate:.0%}",
+            f"{aggregate.mean_steps:.1f}",
+            f"{aggregate.mean_sim_minutes:.1f}",
+            f"{aggregate.mean_seconds_per_step:.1f}",
+            f"{aggregate.mean_llm_calls:.0f}",
+            f"{aggregate.mean_messages_sent:.0f}",
+        ]
+        for (name, config), aggregate in zip(configs.items(), aggregates)
+    ]
 
     print(
         format_table(
@@ -65,7 +58,7 @@ def main() -> None:
                 "messages",
             ],
             rows,
-            title=f"Boxworld fleet comparison ({difficulty}, {n_trials} trials, 4 arms)",
+            title=f"Boxworld fleet comparison ({difficulty}, {settings.n_trials} trials, 4 arms)",
         )
     )
     print(

@@ -3,10 +3,12 @@
 A system-level simulation and benchmarking suite for LLM-driven embodied
 agents.  The public API re-exports the pieces a downstream user needs:
 
-- :func:`run_episode` / :func:`run_trials` — execute configured systems,
+- :func:`run_episode` — execute one seeded episode of a configured system,
 - :data:`repro.workloads.WORKLOAD_SUITE` — the 14 benchmarked systems,
 - :class:`SystemConfig` — declare custom systems,
-- :mod:`repro.experiments` — regenerate every paper table and figure.
+- :mod:`repro.experiments` — regenerate every paper table and figure;
+  :func:`repro.experiments.common.measure_grid` is the one way to measure
+  a grid of (system, task, team size, seed) cells.
 """
 
 from repro.core import (
@@ -22,7 +24,6 @@ from repro.core import (
     TaskSpec,
     TrialExecutor,
     run_episode,
-    run_trials,
 )
 from repro.envs import make_env, make_task
 from repro.workloads import WORKLOAD_SUITE, get_workload, list_workloads
@@ -48,5 +49,4 @@ __all__ = [
     "make_env",
     "make_task",
     "run_episode",
-    "run_trials",
 ]

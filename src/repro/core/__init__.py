@@ -5,15 +5,7 @@ from repro.core.beliefs import Beliefs
 from repro.core.clock import LLM_MODULES, MODULE_ORDER, ModuleName, SimClock
 from repro.core.config import MemoryConfig, OptimizationConfig, SystemConfig
 from repro.core.errors import FaultKind, ReproError, TrialExecutionError
-from repro.core.executor import (
-    EXECUTOR_KINDS,
-    ParallelExecutor,
-    SerialExecutor,
-    TrialExecutor,
-    TrialJob,
-    get_executor,
-    make_executor,
-)
+from repro.core.executor import ParallelExecutor, SerialExecutor, TrialExecutor, TrialJob
 from repro.core.metrics import (
     AggregateResult,
     EpisodeResult,
@@ -21,7 +13,7 @@ from repro.core.metrics import (
     TokenSample,
     aggregate,
 )
-from repro.core.runner import build_loop, build_task, run_episode, run_trials, trial_jobs
+from repro.core.runner import build_loop, build_task, run_episode, trial_jobs
 from repro.core.types import (
     Candidate,
     Decision,
@@ -38,7 +30,6 @@ __all__ = [
     "Beliefs",
     "Candidate",
     "Decision",
-    "EXECUTOR_KINDS",
     "EmbodiedAgent",
     "EpisodeResult",
     "Fact",
@@ -66,9 +57,6 @@ __all__ = [
     "aggregate",
     "build_loop",
     "build_task",
-    "get_executor",
-    "make_executor",
     "run_episode",
-    "run_trials",
     "trial_jobs",
 ]

@@ -127,10 +127,7 @@ class SystemConfig:
                 f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}"
             )
         multi = self.is_multi_agent
-        if multi and self.default_agents < 2:
-            raise ConfigurationError(
-                f"{self.paradigm} system {self.name!r} needs >= 2 agents"
-            )
+        self.check_team_size(self.default_agents)
         # A multi-agent system *without* a communication model is legal:
         # it is exactly the paper's "w/o Communication" ablation (agents
         # coordinate only through the environment).
@@ -155,6 +152,14 @@ class SystemConfig:
             raise ConfigurationError(
                 f"{self.paradigm} system {self.name!r}: the joint planner reads "
                 "neither multistep_horizon nor action_selection_llm"
+            )
+
+    def check_team_size(self, n_agents: int) -> None:
+        """Refuse a team this system cannot run: a multi-agent paradigm
+        needs at least two agents, whether declared or set per task."""
+        if self.is_multi_agent and n_agents < 2:
+            raise ConfigurationError(
+                f"{self.paradigm} system {self.name!r} needs >= 2 agents"
             )
 
     # ------------------------------------------------------------------ #
@@ -192,11 +197,6 @@ class SystemConfig:
     def with_optimizations(self, **changes: Any) -> "SystemConfig":
         """Change :class:`OptimizationConfig` fields (the paper's Recs.)."""
         return replace(self, optimizations=replace(self.optimizations, **changes))
-
-    def with_agents(self, n_agents: int) -> "SystemConfig":
-        if n_agents < 1:
-            raise ConfigurationError(f"n_agents must be >= 1: {n_agents}")
-        return replace(self, default_agents=n_agents)
 
     # ------------------------------------------------------------------ #
     # Introspection (Table I / II rendering)

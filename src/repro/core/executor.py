@@ -19,14 +19,13 @@ finished first.
 
 ``SerialExecutor`` (the default everywhere) runs jobs in-process exactly
 as the seed code did; ``ParallelExecutor`` fans them out across a
-``concurrent.futures.ProcessPoolExecutor``.  Experiment code normally
-obtains an executor from :func:`get_executor`, which caches one pool per
-*effective* ``(kind, worker count)`` — an unset worker count resolves to
-:func:`default_worker_count` before keying, so ``max_workers=None`` and
-an explicit default share one pool — and a full suite run reuses its
-workers instead of re-forking per experiment cell.  Executors are
+``concurrent.futures.ProcessPoolExecutor``.  Experiment code obtains its
+executor from ``ExperimentSettings.make_executor()``, the one place that
+picks one: parallel settings get :func:`shared_pool`, the process's one
+pool per worker count, so a suite run or a benchmark that sends several
+waves reuses its workers instead of re-forking them.  Executors are
 driven from one thread: a suite run is one stream, so neither the pool
-nor the shared-executor cache takes a lock.
+nor the pool cache takes a lock.
 
 Contracts:
 
@@ -68,9 +67,6 @@ from repro.core.errors import TrialExecutionError
 from repro.core.metrics import EpisodeResult
 from repro.core.types import TaskSpec
 
-#: Executor kinds ``ExperimentSettings.executor`` selects between.
-EXECUTOR_KINDS = ("serial", "parallel")
-
 #: In-flight jobs per worker when a stream is given no ``window``: enough
 #: queued work that no worker idles while the consumer handles a
 #: completion, and few enough that each wait round watches a handful of
@@ -103,7 +99,7 @@ class TrialJob:
 
 def run_trial_job(job: TrialJob) -> EpisodeResult:
     """Execute one job. Module-level so process pools can pickle it."""
-    # Imported lazily: runner imports this module for its default executor.
+    # Imported lazily: runner imports this module for ``TrialJob``.
     from repro.core.runner import build_loop
 
     loop = build_loop(job.config, job.task, job.seed)
@@ -122,8 +118,6 @@ JobRunner = Callable[[TrialJob], EpisodeResult]
 class TrialExecutor(ABC):
     """Strategy for running a batch of independent trial jobs."""
 
-    kind: str = "abstract"
-
     @abstractmethod
     def run_stream(
         self, jobs: Iterable[TrialJob], window: int | None = None
@@ -140,20 +134,9 @@ class TrialExecutor(ABC):
         results (completions that beat the failure are yielded first).
         """
 
-    def close(self) -> None:
-        """Release worker resources; the executor is unusable afterwards."""
-
-    def __enter__(self) -> "TrialExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 class SerialExecutor(TrialExecutor):
     """In-process execution, bit-identical to the pre-executor seed code."""
-
-    kind = "serial"
 
     def __init__(self, job_runner: JobRunner = run_trial_job):
         self._runner = job_runner
@@ -192,8 +175,6 @@ class ParallelExecutor(TrialExecutor):
     :data:`IN_FLIGHT_PER_WORKER` jobs per worker are in flight, so the
     cost of each wait round stays flat however long the wave is.
     """
-
-    kind = "parallel"
 
     def __init__(
         self,
@@ -269,55 +250,37 @@ class ParallelExecutor(TrialExecutor):
                 future.cancel()
 
     def close(self) -> None:
+        """Release the worker pool; the next stream forks a new one."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
+    def __enter__(self) -> "ParallelExecutor":
+        return self
 
-def make_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
-    """Construct a fresh (uncached) executor of the given kind."""
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "parallel":
-        return ParallelExecutor(max_workers=max_workers)
-    raise ValueError(f"executor kind must be one of {EXECUTOR_KINDS}, got {kind!r}")
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
-_SHARED: dict[tuple[str, int], TrialExecutor] = {}
+_POOLS: dict[int, ParallelExecutor] = {}
 
 
-def _shared_key(kind: str, max_workers: int | None) -> tuple[str, int]:
-    """Cache key with the worker count resolved to its effective value.
+def shared_pool(max_workers: int) -> ParallelExecutor:
+    """The process's one parallel executor for ``max_workers`` workers.
 
-    ``max_workers=None`` and an explicit ``default_worker_count()``
-    configure the same pool, so they must share one cache slot — two
-    pools for one effective configuration would double the forked
-    workers.  Serial executors have no workers; they all key as 1.
+    Created on first use and kept until :func:`shutdown_shared_executors`,
+    so every wave of a run shares its workers instead of re-forking them.
     """
-    if kind == "serial":
-        return ("serial", 1)
-    return (kind, max_workers or default_worker_count())
-
-
-def get_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
-    """Shared executor for the effective ``(kind, worker count)``.
-
-    Parallel executors own a process pool, so experiment helpers share
-    one instance per configuration rather than re-forking workers for
-    every cell of a sweep.  Callers resolve and drive executors from one
-    thread; pools are shut down at interpreter exit.
-    """
-    key = _shared_key(kind, max_workers)
-    if key not in _SHARED:
-        _SHARED[key] = make_executor(key[0], max_workers=key[1])
-    return _SHARED[key]
+    if max_workers not in _POOLS:
+        _POOLS[max_workers] = ParallelExecutor(max_workers=max_workers)
+    return _POOLS[max_workers]
 
 
 def shutdown_shared_executors() -> None:
-    """Close every cached executor (used by tests and atexit)."""
-    for executor in _SHARED.values():
+    """Close every shared pool (used by tests, benchmarks and atexit)."""
+    for executor in _POOLS.values():
         executor.close()
-    _SHARED.clear()
+    _POOLS.clear()
 
 
 atexit.register(shutdown_shared_executors)

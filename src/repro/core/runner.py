@@ -1,13 +1,11 @@
-"""Episode and trial runners: the library's main entry points.
+"""Episode runners: build a configured system's task and loop, run it.
 
-``run_episode`` executes one seeded episode of a configured system;
-``run_trials`` repeats it across independent seeds and aggregates —
-the unit of measurement for every figure in the paper.  Trials are
-independent, so ``run_trials`` dispatches them
-(:func:`repro.core.fleet.dispatch`) through a
-:class:`~repro.core.executor.TrialExecutor` that can fan them out across
-processes; the default serial executor reproduces the seed behaviour
-bit for bit.
+``run_episode`` executes one seeded episode of a configured system.
+``trial_jobs`` turns a config into picklable, seed-ordered work items
+(:class:`~repro.core.executor.TrialJob`); a grid of them runs through
+``repro.experiments.common.measure_grid``, the one way to measure trials,
+and workers rebuild each episode with ``build_loop``.  ``build_task`` is
+the one place a task's team size is resolved, under the config's rule.
 
 A system config, a task and a seed are the whole input of an episode:
 the loop reads the serving mode and overlap from
@@ -33,9 +31,8 @@ modeled latency only, never task outcomes or token counts.
 from __future__ import annotations
 
 from repro.core.config import SystemConfig
-from repro.core.executor import SerialExecutor, TrialExecutor, TrialJob
-from repro.core.fleet import dispatch
-from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
+from repro.core.executor import TrialJob
+from repro.core.metrics import EpisodeResult
 from repro.core.paradigms import PARADIGM_LOOPS, HierarchicalLoop, ParadigmLoop
 from repro.core.seeding import spawn_trial_seeds
 from repro.core.types import TaskSpec
@@ -49,11 +46,18 @@ def build_task(
     seed: int = 0,
     horizon: int | None = None,
 ) -> TaskSpec:
-    """Default task for a system config (its env + declared team size)."""
+    """Default task for a system config (its env + declared team size).
+
+    ``n_agents`` overrides the declared team size, under the config's
+    own rule: a multi-agent system refuses fewer than two agents.
+    """
+    if n_agents is None:
+        n_agents = config.default_agents
+    config.check_team_size(n_agents)
     return make_task(
         config.env_name,
         difficulty=difficulty,
-        n_agents=n_agents if n_agents is not None else config.default_agents,
+        n_agents=n_agents,
         seed=seed,
         horizon=horizon,
         **config.env_params,
@@ -120,29 +124,3 @@ def trial_jobs(
         jobs.append(TrialJob(config=config, task=task, seed=trial_seed))
     return jobs
 
-
-def run_trials(
-    config: SystemConfig,
-    n_trials: int = 8,
-    difficulty: str = "medium",
-    n_agents: int | None = None,
-    base_seed: int = 0,
-    horizon: int | None = None,
-    executor: TrialExecutor | None = None,
-) -> AggregateResult:
-    """Run ``n_trials`` independent episodes and aggregate the metrics.
-
-    ``executor`` selects the execution engine; ``None`` means serial,
-    which is bit-identical to the seed implementation.  Results are
-    aggregated in spawn-seed order regardless of worker completion
-    order, so serial and parallel runs agree exactly.
-    """
-    jobs = trial_jobs(
-        config,
-        n_trials,
-        difficulty=difficulty,
-        n_agents=n_agents,
-        base_seed=base_seed,
-        horizon=horizon,
-    )
-    return aggregate(dispatch(jobs, executor or SerialExecutor()))

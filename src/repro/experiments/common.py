@@ -10,8 +10,9 @@ serving mode included) does, so a grid's results never depend on which
 process runs which episode.
 
 The sweep helpers are grid-shaped on purpose: an experiment declares its
-full grid of cells up front (:class:`GridCell`) and :func:`measure_grid`
-flattens cells x trials into **one streaming wave** of picklable jobs —
+full grid of cells up front (:class:`GridCell`, which also sets a cell's
+team size) and :func:`measure_grid`, the one way to run a grid, flattens
+cells x trials into **one streaming wave** of picklable jobs —
 one stream through the pool, no barrier at any cell boundary — then
 reassembles results per cell in submission order, so the aggregates are
 byte-identical to a serial run while a straggler cell never idles the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from repro.core.config import SystemConfig
 from repro.core.envknobs import int_knob
-from repro.core.executor import EXECUTOR_KINDS, TrialExecutor, TrialJob, get_executor
+from repro.core.executor import SerialExecutor, TrialExecutor, TrialJob, shared_pool
 from repro.core.fleet import dispatch, ledger_from_env
 from repro.core.metrics import AggregateResult, EpisodeResult, aggregate
 from repro.core.runner import build_task, trial_jobs
@@ -54,9 +55,9 @@ class ExperimentSettings:
     max_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTOR_KINDS:
+        if self.executor not in ("serial", "parallel"):
             raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
+                f"executor must be 'serial' or 'parallel', got {self.executor!r}"
             )
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
@@ -77,8 +78,15 @@ class ExperimentSettings:
         )
 
     def make_executor(self) -> TrialExecutor:
-        """The (shared, pooled) executor these settings select."""
-        return get_executor(self.executor, self.max_workers)
+        """The executor these settings select, the one place that picks one.
+
+        Serial settings get a fresh in-process executor; parallel ones get
+        the process's shared pool for ``max_workers``, so every wave of a
+        run reuses the same workers.
+        """
+        if self.executor == "serial":
+            return SerialExecutor()
+        return shared_pool(self.max_workers)
 
 
 # ---------------------------------------------------------------------- #

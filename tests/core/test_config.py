@@ -145,7 +145,6 @@ TRANSFORMS = {
     "with_planner": lambda config: config.with_planner("llama-3-8b"),
     "with_memory": lambda config: config.with_memory(capacity_steps=5, dual=True),
     "with_optimizations": lambda config: config.with_optimizations(serve_mode="batched"),
-    "with_agents": lambda config: config.with_agents(4),
 }
 
 
@@ -191,13 +190,6 @@ class TestTransforms:
     def test_with_memory_creates_memory_if_absent(self):
         config = single_agent_config(memory=None).with_memory(capacity_steps=10)
         assert config.memory == MemoryConfig(capacity_steps=10)
-
-    def test_with_agents(self):
-        assert multi_agent_config().with_agents(8).default_agents == 8
-
-    def test_with_agents_rejects_zero(self):
-        with pytest.raises(ConfigurationError):
-            multi_agent_config().with_agents(0)
 
     def test_with_optimizations(self):
         config = single_agent_config().with_optimizations(multistep_horizon=3)

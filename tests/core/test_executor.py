@@ -2,6 +2,7 @@
 
 import pickle
 import time
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -9,21 +10,19 @@ from conftest import crash_runner
 
 from repro.core.errors import TrialExecutionError
 from repro.core.executor import (
-    EXECUTOR_KINDS,
     IN_FLIGHT_PER_WORKER,
     ParallelExecutor,
     SerialExecutor,
     TrialJob,
     default_worker_count,
-    get_executor,
-    make_executor,
     run_trial_job,
     shutdown_shared_executors,
 )
 from repro.core.fleet import dispatch
-from repro.core.metrics import EpisodeResult
-from repro.core.runner import build_task, run_trials, trial_jobs
+from repro.core.metrics import EpisodeResult, aggregate
+from repro.core.runner import build_task, trial_jobs
 from repro.core.synthetic import sleep_runner, synthetic_job
+from repro.experiments.common import ExperimentSettings
 from repro.workloads import get_workload
 
 #: One representative workload per paradigm loop.
@@ -60,25 +59,13 @@ class TestJobConstruction:
 class TestDeterminism:
     @pytest.mark.parametrize("workload", PARADIGM_WORKLOADS)
     def test_parallel_matches_serial_across_paradigms(self, workload, parallel4):
-        config = get_workload(workload).config
-        serial = run_trials(
-            config, n_trials=4, difficulty="easy", base_seed=31, executor=SerialExecutor()
-        )
-        parallel = run_trials(
-            config, n_trials=4, difficulty="easy", base_seed=31, executor=parallel4
-        )
+        jobs = trial_jobs(get_workload(workload).config, 4, difficulty="easy", base_seed=31)
+        serial = aggregate(dispatch(jobs, SerialExecutor()))
+        parallel = aggregate(dispatch(jobs, parallel4))
         assert parallel == serial
         # Byte-identical, not merely approximately equal: the aggregate
         # survives a round-trip through pickle with the same payload.
         assert pickle.dumps(parallel) == pickle.dumps(serial)
-
-    def test_default_executor_is_serial(self):
-        config = get_workload("embodiedgpt").config
-        explicit = run_trials(
-            config, n_trials=2, difficulty="easy", base_seed=7, executor=SerialExecutor()
-        )
-        default = run_trials(config, n_trials=2, difficulty="easy", base_seed=7)
-        assert pickle.dumps(default) == pickle.dumps(explicit)
 
     def test_results_in_submission_order(self, parallel4):
         config = get_workload("embodiedgpt").config
@@ -195,42 +182,44 @@ class TestStreaming:
 
 
 class TestFactoriesAndPooling:
-    def test_make_executor_kinds(self):
-        assert make_executor("serial").kind == "serial"
-        parallel = make_executor("parallel", max_workers=2)
-        assert parallel.kind == "parallel"
-        assert parallel.max_workers == 2
-        parallel.close()
-        with pytest.raises(ValueError):
-            make_executor("threads")
-        assert set(EXECUTOR_KINDS) == {"serial", "parallel"}
-
     def test_parallel_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             ParallelExecutor(max_workers=0)
 
     def test_get_executor_is_cached_per_spec(self):
+        """``ExperimentSettings.make_executor`` caches one pool per worker
+        count, so every wave of a parallel run reuses it, and shutting the
+        shared pools down reaches every pool the run made."""
+        settings = ExperimentSettings(executor="parallel", max_workers=2)
         try:
-            first = get_executor("parallel", 2)
-            assert get_executor("parallel", 2) is first
-            assert get_executor("parallel", 3) is not first
-            assert get_executor("serial") is get_executor("serial")
+            first = settings.make_executor()
+            assert isinstance(first, ParallelExecutor)
+            assert first.max_workers == 2
+            assert replace(settings, n_trials=1).make_executor() is first
+            other = replace(settings, max_workers=3).make_executor()
+            assert other is not first
+            assert other.max_workers == 3
+            shutdown_shared_executors()
+            assert settings.make_executor() is not first
         finally:
             shutdown_shared_executors()
+        assert isinstance(ExperimentSettings().make_executor(), SerialExecutor)
 
-    def test_default_worker_count_shares_explicit_pool(self):
-        # max_workers=None resolves to default_worker_count() before
-        # keying, so the implicit and explicit spellings of the default
-        # configuration never fork two pools.
+    def test_default_worker_count_shares_explicit_pool(self, monkeypatch):
+        # The entry points' spelling of a worker count (REPRO_WORKERS) and
+        # the explicit one key the same pool, so a run mixing the two
+        # never forks two pools.  No worker starts: pools fork on first use.
+        workers = max(2, default_worker_count())
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         try:
-            implicit = get_executor("parallel")
-            explicit = get_executor("parallel", default_worker_count())
-            assert implicit is explicit
-            assert get_executor("parallel", None) is implicit
-            # Serial executors have no workers: every count keys as one.
-            assert get_executor("serial", 5) is get_executor("serial")
+            implicit = ExperimentSettings.from_env().make_executor()
+            explicit = ExperimentSettings(executor="parallel", max_workers=workers)
+            assert explicit.make_executor() is implicit
+            assert implicit.max_workers == workers
         finally:
             shutdown_shared_executors()
+        # Serial settings have no workers: every count gets a serial executor.
+        assert isinstance(ExperimentSettings(max_workers=5).make_executor(), SerialExecutor)
 
     def test_empty_batch_is_a_noop(self):
         with ParallelExecutor(max_workers=2) as executor:

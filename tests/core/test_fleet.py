@@ -97,6 +97,24 @@ def version_two_fingerprint(job) -> str:
     return payload_digest(payload)
 
 
+def version_one_fingerprint(job) -> str:
+    """The fingerprint a version-1 ledger keyed ``job`` by: the config as
+    version 1 held it (``serve_mode`` empty, no ``overlap``), the default
+    run settings beside it, and no flag."""
+    config = asdict(job.config)
+    config["optimizations"]["serve_mode"] = ""
+    del config["optimizations"]["overlap"]
+    return payload_digest(
+        {
+            "config": config,
+            "task": asdict(job.task),
+            "seed": job.seed,
+            "settings": {"serve": "percall", "overlap": False},
+            "semantics": 1,
+        }
+    )
+
+
 def suite_wave(n_trials: int) -> list:
     """Every job the suite report submits at ``n_trials``."""
     settings = ExperimentSettings(n_trials=n_trials)
@@ -360,7 +378,7 @@ class TestCheckpointResume:
         assert snap.read_bytes() == snapshot + record_line(done(4))
         assert set(JobLedger(ledger.path).load()) == set(prints)
 
-    def test_version_one_ledger_restores_nothing(self, ledger, monkeypatch):
+    def test_version_one_ledger_restores_nothing(self, ledger):
         """A line from before results dropped their per-step lists, keyed
         by the job's version-1 fingerprint: the job runs again instead of
         restoring a result that lacks ``prompt_series``."""
@@ -373,10 +391,7 @@ class TestCheckpointResume:
         state["token_samples"] = loop.metrics.token_samples
         parent_shape = object.__new__(EpisodeResult)
         parent_shape.__dict__.update(state)  # what a version-1 payload unpickles to
-        with monkeypatch.context() as patch:
-            patch.setattr(fleet, "SEMANTICS_VERSION", 1)
-            old_print = job_fingerprint(job)
-        ledger.append_done(old_print, job, parent_shape)
+        ledger.append_done(version_one_fingerprint(job), job, parent_shape)
         before = ledger.path.read_bytes()
 
         executor, ran = counting(run_trial_job)

@@ -122,11 +122,10 @@ def _grid() -> dict[str, GridCell]:
         # config, and a result carries the name: each keeps its recorded one.
         "medium/percall/mindagent+8agents+hierarchy4": GridCell(
             config=replace(
-                get_workload("mindagent")
-                .config.with_agents(8)
-                .with_optimizations(hierarchy_cluster_size=4),
+                get_workload("mindagent").config.with_optimizations(hierarchy_cluster_size=4),
                 name="mindagent-opt",
-            )
+            ),
+            n_agents=8,
         ),
         "medium/percall/combo+multistep3": GridCell(
             config=replace(

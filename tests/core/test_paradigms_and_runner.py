@@ -8,11 +8,14 @@ import pytest
 import repro.core
 from repro.core.agent import AgentState, FAULT_REPEAT_CAP
 from repro.core.config import MemoryConfig, SystemConfig
-from repro.core.metrics import EpisodeResult
+from repro.core.errors import ConfigurationError
+from repro.core.executor import SerialExecutor
+from repro.core.fleet import dispatch
+from repro.core.metrics import EpisodeResult, aggregate
 from repro.core.modules.reflection import ReflectionReport
 from repro.core.paradigms import PARADIGM_LOOPS, HierarchicalLoop
 from repro.core.paradigms.decentralized import dialogue_rounds
-from repro.core.runner import build_loop, build_task, run_episode, run_trials
+from repro.core.runner import build_loop, build_task, run_episode, trial_jobs
 from repro.core.types import Decision, Subgoal
 from repro.workloads import get_workload
 
@@ -83,20 +86,28 @@ class TestRunner:
         assert (task.difficulty, task.n_agents, task.horizon) == ("hard", 6, 33)
 
     def test_run_trials_aggregates(self):
-        config = modular_config()
-        result = run_trials(config, n_trials=3, difficulty="easy")
+        jobs = trial_jobs(modular_config(), 3, difficulty="easy")
+        result = aggregate(dispatch(jobs, SerialExecutor()))
         assert result.n_trials == 3
         assert 0.0 <= result.success_rate <= 1.0
 
-    def test_run_trials_validates_count(self):
-        with pytest.raises(ValueError):
-            run_trials(modular_config(), n_trials=0)
+    def test_team_size_follows_the_config_rule(self):
+        """A team size set per task meets the config's own rule: a lone
+        agent of a multi-agent system is refused up front instead of
+        messaging nobody, or of failing late in the environment."""
+        for workload in ("coela", "mindagent", "hmas"):
+            config = get_workload(workload).config
+            with pytest.raises(ConfigurationError, match="needs >= 2 agents"):
+                run_episode(config, difficulty="easy", n_agents=1)
+        jarvis = get_workload("jarvis-1").config
+        assert build_task(jarvis, n_agents=1).n_agents == 1
+        with pytest.raises(ValueError, match="n_agents must be >= 1"):
+            build_task(jarvis, n_agents=0)
 
     def test_hierarchy_override_selects_loop(self):
-        config = get_workload("mindagent").config.with_agents(4).with_optimizations(
-            hierarchy_cluster_size=2
-        )
-        loop = build_loop(config, build_task(config, difficulty="easy"), seed=0)
+        config = get_workload("mindagent").config.with_optimizations(hierarchy_cluster_size=2)
+        task = build_task(config, difficulty="easy", n_agents=4)
+        loop = build_loop(config, task, seed=0)
         assert isinstance(loop, HierarchicalLoop)
 
 

@@ -34,18 +34,18 @@ def outcomes(result) -> tuple:
     return tuple(getattr(result, field) for field in OUTCOME_FIELDS)
 
 
-def run_loop(config, seed: int):
+def run_loop(config, seed: int, n_agents: int):
     """One medium episode's result and the loop whose metrics hold its records."""
-    loop = build_loop(config, build_task(config, seed=seed), seed)
+    loop = build_loop(config, build_task(config, seed=seed, n_agents=n_agents), seed)
     return loop.run(), loop
 
 
 class TestBatchedEpisodes:
     def test_decentralized_team_batches_per_agent_calls(self):
-        base = get_workload("coela").config.with_agents(4)
-        percall, percall_loop = run_loop(base, seed=2)
+        base = get_workload("coela").config
+        percall, percall_loop = run_loop(base, seed=2, n_agents=4)
         batched, batched_loop = run_loop(
-            base.with_optimizations(serve_mode="batched"), seed=2
+            base.with_optimizations(serve_mode="batched"), seed=2, n_agents=4
         )
         assert outcomes(batched) == outcomes(percall)
         assert batched.sim_seconds < percall.sim_seconds
@@ -66,18 +66,16 @@ class TestBatchedEpisodes:
     def test_centralized_has_no_concurrency_to_batch(self):
         """One joint call per step: batching is a latency no-op (to
         rounding — deferred charges re-order the float accumulation)."""
-        base = get_workload("mindagent").config.with_agents(6)
-        percall = run_episode(base, seed=2)
-        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=2)
+        base = get_workload("mindagent").config
+        percall = run_episode(base, seed=2, n_agents=6)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=2, n_agents=6)
         assert outcomes(batched) == outcomes(percall)
         assert batched.sim_seconds == pytest.approx(percall.sim_seconds, rel=1e-9)
 
     def test_hierarchy_batches_across_cluster_leads(self):
-        base = get_workload("mindagent").config.with_agents(6).with_optimizations(
-            hierarchy_cluster_size=3
-        )
-        percall = run_episode(base, seed=0)
-        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=0)
+        base = get_workload("mindagent").config.with_optimizations(hierarchy_cluster_size=3)
+        percall = run_episode(base, seed=0, n_agents=6)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=0, n_agents=6)
         assert outcomes(batched) == outcomes(percall)
         # Two cluster leads plan concurrently each step.
         assert aggregate([batched]).mean_batch_occupancy > 1.0
@@ -92,10 +90,8 @@ class TestBatchedEpisodes:
         assert batched.sim_seconds == pytest.approx(percall.sim_seconds, rel=1e-9)
 
     def test_loop_finishes_with_nothing_pending(self):
-        config = get_workload("coela").config.with_agents(4).with_optimizations(
-            serve_mode="batched"
-        )
-        task = build_task(config, seed=3)
+        config = get_workload("coela").config.with_optimizations(serve_mode="batched")
+        task = build_task(config, seed=3, n_agents=4)
         loop = build_loop(config, task, seed=3)
         result = loop.run()
         assert loop.scheduler.mode == "batched"
@@ -103,7 +99,7 @@ class TestBatchedEpisodes:
         assert result.serve_batched_requests == result.llm_calls > 0
 
     def test_percall_reports_no_batches(self):
-        result = run_episode(get_workload("coela").config.with_agents(4), seed=2)
+        result = run_episode(get_workload("coela").config, seed=2, n_agents=4)
         assert result.serve_batches == 0
         assert aggregate([result]).mean_batch_occupancy == 0.0
         assert aggregate([result]).mean_queue_delay == 0.0
@@ -113,10 +109,8 @@ class TestBatchedEpisodes:
     def test_batched_reports_no_queue_metrics(self):
         """Plain batching has no arrival queue: the queueing columns stay
         zero, distinguishing it from the continuous engine."""
-        config = get_workload("coela").config.with_agents(4).with_optimizations(
-            serve_mode="batched"
-        )
-        result = run_episode(config, seed=2)
+        config = get_workload("coela").config.with_optimizations(serve_mode="batched")
+        result = run_episode(config, seed=2, n_agents=4)
         assert result.serve_batches > 0
         assert aggregate([result]).mean_queue_delay == 0.0
         assert result.serve_inflight_joins == 0
@@ -124,10 +118,12 @@ class TestBatchedEpisodes:
 
 class TestContinuousEpisodes:
     def test_outcomes_invariant_latency_and_queueing_visible(self):
-        base = get_workload("coela").config.with_agents(8)
-        percall = run_episode(base, seed=2)
-        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=2)
-        continuous = run_episode(base.with_optimizations(serve_mode="continuous"), seed=2)
+        base = get_workload("coela").config
+        percall = run_episode(base, seed=2, n_agents=8)
+        batched = run_episode(base.with_optimizations(serve_mode="batched"), seed=2, n_agents=8)
+        continuous = run_episode(
+            base.with_optimizations(serve_mode="continuous"), seed=2, n_agents=8
+        )
         assert outcomes(continuous) == outcomes(percall)
         served = aggregate([continuous])
         # The whole step's requests share one engine, so occupancy can
@@ -149,10 +145,8 @@ class TestContinuousEpisodes:
         assert aggregate([continuous]).mean_batch_occupancy >= 1.0
 
     def test_loop_finishes_with_nothing_pending(self):
-        config = get_workload("coela").config.with_agents(4).with_optimizations(
-            serve_mode="continuous"
-        )
-        task = build_task(config, seed=3)
+        config = get_workload("coela").config.with_optimizations(serve_mode="continuous")
+        task = build_task(config, seed=3, n_agents=4)
         loop = build_loop(config, task, seed=3)
         result = loop.run()
         assert loop.scheduler.mode == "continuous"
@@ -163,16 +157,15 @@ class TestContinuousEpisodes:
 
 
 def run_with_overlap(config, overlap: bool, seed: int = 2):
+    """A four-agent medium episode of ``config`` with ``overlap`` set."""
     config = config.with_optimizations(overlap=overlap)
-    task = build_task(config, seed=seed)
+    task = build_task(config, seed=seed, n_agents=4)
     return build_loop(config, task, seed).run()
 
 
 class TestPerceptionOverlap:
     def test_overlap_shaves_latency_without_touching_outcomes(self):
-        base = get_workload("coela").config.with_agents(4).with_optimizations(
-            serve_mode="continuous"
-        )
+        base = get_workload("coela").config.with_optimizations(serve_mode="continuous")
         plain = run_with_overlap(base, overlap=False)
         overlapped = run_with_overlap(base, overlap=True)
         assert outcomes(overlapped) == outcomes(plain)
@@ -185,7 +178,7 @@ class TestPerceptionOverlap:
     def test_overlap_is_inert_under_percall(self):
         """Per-call serving charges no flush to overlap with, so the
         loop would ignore the flag: the config refuses it."""
-        base = get_workload("coela").config.with_agents(4)
+        base = get_workload("coela").config
         assert base.optimizations.serve_mode == "percall"
         with pytest.raises(ValueError, match="overlap"):
             run_with_overlap(base, overlap=True)

@@ -86,8 +86,10 @@ class TestCommon:
             ExperimentSettings(n_trials=1, max_workers=0)
 
     def test_measure_runs(self):
-        result = measure_grid([GridCell(config=get_workload("embodiedgpt").config)], FAST)[0]
-        assert result.n_trials == 1
+        cells = [GridCell(config=get_workload("embodiedgpt").config)]
+        [result] = measure_grid(cells, replace(FAST, n_trials=3))
+        assert result.n_trials == 3
+        assert 0.0 <= result.success_rate <= 1.0
 
     def test_measure_grid_matches_measure(self):
         configs = [get_workload(name).config for name in ("embodiedgpt", "jarvis-1")]

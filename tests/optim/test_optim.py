@@ -118,12 +118,8 @@ class TestOptimizationEffects:
         assert optimized <= baseline
 
     def test_hierarchy_runs_at_scale(self):
-        config = (
-            get_workload("mindagent")
-            .config.with_agents(6)
-            .with_optimizations(hierarchy_cluster_size=3)
-        )
-        result = run_episode(config, seed=0, difficulty="easy")
+        config = get_workload("mindagent").config.with_optimizations(hierarchy_cluster_size=3)
+        result = run_episode(config, seed=0, difficulty="easy", n_agents=6)
         assert result.steps >= 1
 
     def test_batching_runs_for_local_decentralized(self):
